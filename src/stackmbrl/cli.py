@@ -1,5 +1,5 @@
 """Command-line harness: data generation, fitting, training, evaluation,
-and the oracle/benchmark gates.
+and the oracle and coverage gates.
 
 Every subcommand writes its artifacts under a run directory together with a
 manifest (config snapshot, seed, code digest, results) and a ``run.log``
@@ -14,7 +14,6 @@ fit-model       maximum-likelihood anchor from a dataset, plus its radius
 train           full training run (checkpoints, trace, manifest)
 evaluate        paired clean/noisy deployment returns for a checkpoint
 grad-check      every exposed estimator against an independent oracle
-woodbury-bench  factored-solver scaling benchmark CSV
 coverage        uncertainty-set coverage rate over dataset resamples
 dynamics-demo   closed-form game integrated under the coupled update rules
 """
@@ -26,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,17 +63,18 @@ from .testbeds import (
     tracking_behavior_policy,
 )
 from .trainer import (
+    DYNAMICS_MODES,
     TrainerConfig,
     code_version,
     episode_returns,
     load_checkpoint,
     train,
+    vanilla_config,
 )
 from .uncertainty import coverage_check, epsilon_gaussian, epsilon_tabular
-from .woodbury import WoodburySolver, random_factors
 
 GRAD_CHECK_TOL = 1e-5
-ALGO_CHOICES = ("naive", "stackelberg", "constrained", "vanilla")
+ALGO_CHOICES = DYNAMICS_MODES + ("vanilla",)
 
 
 # ---------------------------------------------------------------------------
@@ -302,36 +302,18 @@ def cmd_fit_model(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_algo(config: TrainerConfig, algo: str | None) -> TrainerConfig:
-    if algo is None:
-        return config
-    payload = config.to_dict()
-    if algo == "vanilla":
-        payload["algorithm"] = "vanilla"
-    else:
-        payload["algorithm"] = "segments"
-        payload["dynamics"] = algo
-    return TrainerConfig.from_dict(payload)
-
-
 def cmd_train(args) -> int:
     started = time.time()
     config = (TrainerConfig.load(args.config) if args.config
               else TrainerConfig())
-    if args.seed is not None:
-        payload = config.to_dict()
-        payload["seed"] = args.seed
-        config = TrainerConfig.from_dict(payload)
-    config = _apply_algo(config, args.algo)
-
-    if args.dynamics_only:
-        if args.algo == "vanilla":
-            raise ValueError("the closed-form demo integrates the coupled "
-                             "update rules; --algo vanilla has no analogue")
-        return cmd_dynamics_demo(args)
+    config = replace(config, seed=args.seed)
+    if args.algo in DYNAMICS_MODES:
+        config = replace(config, dynamics=args.algo)
 
     out = _prepare_out(args, "train")
     env = _resolve_env(args.env)
+    if args.algo == "vanilla":
+        config = vanilla_config(config, env.horizon)
     if args.dataset:
         dataset = OfflineDataset.load_csv(args.dataset)
     else:
@@ -353,8 +335,9 @@ def cmd_train(args) -> int:
     manifest.save(out / "manifest.json")
     _write_log(out, started)
     aborted = int(sum(row["aborted"] for row in trace.rows))
-    print(f"trained {state.iteration} iterations ({config.algorithm}/"
-          f"{config.dynamics}), {aborted} aborted; artifacts in {out}")
+    route = "vanilla/" if args.algo == "vanilla" else ""
+    print(f"trained {state.iteration} iterations ({route}{config.dynamics}), "
+          f"{aborted} aborted; artifacts in {out}")
     return 0
 
 
@@ -401,17 +384,6 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # grad-check
 # ---------------------------------------------------------------------------
-
-
-def _fd_jacobian(fn, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite difference of a vector-valued function, (out, in)."""
-    cols = []
-    for i in range(x.size):
-        up, down = x.copy(), x.copy()
-        up[i] += eps
-        down[i] -= eps
-        cols.append((fn(up) - fn(down)) / (2.0 * eps))
-    return np.stack(cols, axis=-1)
 
 
 def _frozen_path_tables(mdp, policy, model) -> dict:
@@ -504,14 +476,14 @@ def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
         return tables["weighted_scores"].T @ prob
 
     errors["uv"] = np.abs(targets["uv"]
-                          - _fd_jacobian(integrand_mean, phi)).max()
+                          - central_difference(integrand_mean, phi)).max()
 
     def paired_log_likelihood(flat: np.ndarray) -> np.ndarray:
         logs = np.log(model.with_params(flat).probs_all().ravel())
         return tables["score_rows"].T @ (tables["tail_cell_mass"] * logs)
 
-    errors["xy"] = np.abs(targets["xy"]
-                          - _fd_jacobian(paired_log_likelihood, phi)).max()
+    errors["xy"] = np.abs(
+        targets["xy"] - central_difference(paired_log_likelihood, phi)).max()
 
     anchor_cell_mass = np.zeros_like(tables["tail_cell_mass"])
     anc_probs = anchor.probs_all()
@@ -526,7 +498,7 @@ def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
 
     errors["zz"] = np.abs(
         targets["zz"]
-        - lam * _fd_jacobian(anchored_log_likelihood, phi)).max()
+        - lam * central_difference(anchored_log_likelihood, phi)).max()
 
     errors["dual_coupling"] = np.abs(
         targets["dual_coupling"]
@@ -569,62 +541,6 @@ def cmd_grad_check(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# woodbury-bench
-# ---------------------------------------------------------------------------
-
-
-DENSE_COMPARE_MAX = 200
-
-
-def cmd_woodbury_bench(args) -> int:
-    started = time.time()
-    out = _prepare_out(args, "woodbury-bench")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if any(s < 1 for s in sizes):
-        raise ValueError("--sizes entries must be positive")
-    m, big_m, z_rank = 16, 32, 16
-    config = {"sizes": sizes, "m": m, "big_m": big_m, "z_rank": z_rank,
-              "repeats": args.repeats}
-    manifest = make_manifest("woodbury-bench", config, args.seed)
-
-    rows = []
-    for size in sizes:
-        factors = random_factors(size, m=m, big_m=big_m, z_rank=z_rank,
-                                 seed=args.seed)
-        rhs = np.random.default_rng((args.seed, size)).standard_normal(size)
-        times = []
-        solution = None
-        for _ in range(args.repeats):
-            tick = time.perf_counter_ns()
-            solution = WoodburySolver(factors).solve(rhs)
-            times.append(time.perf_counter_ns() - tick)
-        rel_error = ""
-        if size <= DENSE_COMPARE_MAX:
-            tick = time.perf_counter_ns()
-            dense = np.linalg.solve(factors.dense(), rhs)
-            dense_ns = time.perf_counter_ns() - tick
-            rel_error = repr(float(np.abs(solution - dense).max()
-                                   / np.abs(dense).max()))
-            rows.append([manifest.manifest_id, size, m, big_m, "dense",
-                         dense_ns, ""])
-        rows.append([manifest.manifest_id, size, m, big_m, "factored",
-                     int(np.median(times)), rel_error])
-
-    import csv
-
-    with open(out / "bench.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["manifest_id", "n_phi", "m", "big_m", "method",
-                         "wall_clock_ns", "max_rel_error"])
-        writer.writerows(rows)
-    manifest.results = {"rows": len(rows)}
-    manifest.save(out / "manifest.json")
-    _write_log(out, started)
-    print(f"benchmarked sizes {sizes}; CSV in {out / 'bench.csv'}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # coverage / dynamics-demo
 # ---------------------------------------------------------------------------
 
@@ -654,11 +570,7 @@ def cmd_coverage(args) -> int:
 def cmd_dynamics_demo(args) -> int:
     started = time.time()
     out = _prepare_out(args, "dynamics-demo")
-    mode = args.algo or "constrained"
-    if mode == "vanilla":
-        raise ValueError("the closed-form demo integrates the coupled "
-                         "update rules; pick naive, stackelberg, or "
-                         "constrained")
+    mode = args.algo
     game = coupling_game()
     rates = LearningRates(1e-2, 1e-3, 1e-4)
     init = DynamicsState(np.array([0.0]), np.array([0.0]), 1.0)
@@ -726,11 +638,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", type=str, default=None)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--algo", type=str, choices=ALGO_CHOICES, default=None)
-    p.add_argument("--dynamics-only", action="store_true",
-                   help="run the closed-form dynamics demo instead of "
-                        "full training")
-    p.add_argument("--steps", type=int, default=20000,
-                   help="steps for --dynamics-only")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="paired clean/noisy deployment")
@@ -747,13 +654,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_grad_check)
 
-    p = sub.add_parser("woodbury-bench", help="solver scaling benchmark")
-    common(p)
-    p.add_argument("--sizes", type=str,
-                   default="100,200,1000,3000,10000,30000")
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(fn=cmd_woodbury_bench)
-
     p = sub.add_parser("coverage", help="uncertainty-set coverage rate")
     common(p)
     p.add_argument("--env", type=str, default="gradient")
@@ -765,7 +665,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynamics-demo", help="closed-form coupled updates")
     common(p)
-    p.add_argument("--algo", type=str, choices=ALGO_CHOICES, default=None)
+    p.add_argument("--algo", type=str, choices=DYNAMICS_MODES,
+                   default="constrained")
     p.add_argument("--steps", type=int, default=20000)
     p.set_defaults(fn=cmd_dynamics_demo)
 

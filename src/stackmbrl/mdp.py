@@ -597,7 +597,8 @@ def _sample_continuous(env, policy, model, horizon, rng, init_state,
                 truncated = True
                 break
             lm = model.log_prob(s, a, np.append(s_next, r))
-            if not np.isfinite(s_next).all() or not np.isfinite(r):
+            if not (np.isfinite(s_next).all() and np.isfinite(r)
+                    and np.isfinite(lm)):
                 truncated = True
                 break
         actions.append(a)

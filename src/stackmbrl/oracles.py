@@ -27,15 +27,19 @@ from .models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy, catego
 
 
 def central_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite difference of ``f`` at the flat vector ``x``.
+
+    A scalar ``f`` gives its gradient, shaped like ``x``; a vector-valued
+    ``f`` gives its Jacobian, shaped (output, input).
+    """
     x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
+    cols = []
     for i in range(x.size):
         up, down = x.copy(), x.copy()
         up[i] += eps
         down[i] -= eps
-        grad[i] = (f(up) - f(down)) / (2.0 * eps)
-    return grad
+        cols.append((f(up) - f(down)) / (2.0 * eps))
+    return np.stack(cols, axis=-1)
 
 
 def central_difference_mixed(f, x_row: np.ndarray, x_col: np.ndarray,

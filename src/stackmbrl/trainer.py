@@ -11,7 +11,7 @@ leaves the state half-stepped.
 Rollouts are short imagined segments started from dataset states and
 bootstrapped with a critic Q-tail; a clipped-ratio mask gates every step's
 contribution, which makes the first epoch of each phase exactly the plain
-estimator. ``algorithm="vanilla"`` replaces all of this with full-horizon
+estimator. ``vanilla_config`` presets this same loop to full-horizon
 score-function estimators and a single coupled-dynamics step per
 iteration, for A/B comparisons against the segment machinery.
 """
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +33,9 @@ from .dynamics import LearningRates, MULTIPLIER_INIT
 from .estimators import (
     dataset_dual_coupling,
     dataset_kl,
-    discounted_weights,
     factors_from_batch,
     generalized_advantages,
     masked_surrogate_gradient,
-    model_gradient,
-    policy_gradient,
     ratio_masks,
     step_log_probs_model,
     step_log_probs_policy,
@@ -69,7 +67,6 @@ from .woodbury import (
     leader_gradient,
 )
 
-ALGORITHMS = ("segments", "vanilla")
 DYNAMICS_MODES = ("naive", "stackelberg", "constrained")
 
 # Sub-stream tags for seeded generators, so every phase of every iteration
@@ -318,7 +315,6 @@ class TrainerConfig:
     lam_init: float = MULTIPLIER_INIT
     rates: LearningRates = field(default_factory=LearningRates)
     seed: int = 0
-    algorithm: str = "segments"
     dynamics: str = "constrained"
     exact_kl: bool = True
     buffer_capacity: int = 10
@@ -351,28 +347,20 @@ class TrainerConfig:
             raise ValueError("lam_init must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.dynamics not in DYNAMICS_MODES:
             raise ValueError(f"dynamics must be one of {DYNAMICS_MODES}")
 
     def to_dict(self) -> dict:
-        out = {
-            name: getattr(self, name)
-            for name in ("n_iterations", "segment_length", "rollouts_per_iter",
-                         "critic_epochs", "policy_epochs", "model_epochs",
-                         "dual_epochs", "minibatch_size", "penalty_batch_size",
-                         "step_columns", "target_mix", "advantage_decay",
-                         "clip", "ridge", "epsilon", "lam_init", "seed",
-                         "algorithm", "dynamics", "exact_kl",
-                         "buffer_capacity", "checkpoint_every")
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["rates"] = dict(self.rates.to_dict(),
                             enforce_ordering=self.rates.enforce_ordering)
         return out
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainerConfig":
+        unknown = set(payload) - {f.name for f in fields(TrainerConfig)}
+        if unknown:
+            raise ValueError(f"unknown TrainerConfig keys: {sorted(unknown)}")
         payload = dict(payload)
         rates = payload.pop("rates", None)
         if rates is not None:
@@ -386,6 +374,21 @@ class TrainerConfig:
     @staticmethod
     def load(path) -> "TrainerConfig":
         return TrainerConfig.from_dict(json.loads(Path(path).read_text()))
+
+
+def vanilla_config(config: TrainerConfig, horizon: int) -> TrainerConfig:
+    """The segment trainer reduced to one coupled step of full-horizon plain
+    score-function estimators per iteration.
+
+    Segments span the horizon, the critic stays at zero and the advantage
+    mixing is undamped, so gamma^t * adv_t is the discounted return-to-go;
+    no step is masked, every phase runs one epoch on the whole batch in
+    order.
+    """
+    return replace(config, segment_length=horizon, critic_epochs=0,
+                   advantage_decay=1.0, clip=math.inf, policy_epochs=1,
+                   model_epochs=1, dual_epochs=1,
+                   minibatch_size=config.rollouts_per_iter)
 
 
 @dataclass
@@ -627,6 +630,17 @@ def _minibatch(batch: dict, size: int, rng: np.random.Generator) -> dict:
     return _batch_subset(batch, rng.integers(0, n, size=size))
 
 
+def _stepped(player, delta: np.ndarray):
+    """``player`` moved by ``delta`` in its flat layout. A non-finite result
+    aborts the iteration here, on the raw values, before ``ParamVector``
+    would refuse them with a ``ValueError``."""
+    values = player.params.values + delta
+    if not np.isfinite(values).all():
+        raise FloatingPointError(
+            f"{type(player).__name__} update is non-finite")
+    return player.with_params(values)
+
+
 def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
                   config: TrainerConfig, gamma: float, rate: float,
                   iteration: int) -> tuple[object, float]:
@@ -665,8 +679,7 @@ def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
             operator = HessianOperator(WoodburySolver(factors))
             total = leader_gradient(grad_policy, grad_model, factors,
                                     operator=operator, use_dual_row=use_dual)
-        policy_new = policy_new.with_params(policy_new.params.values
-                                            + rate * total)
+        policy_new = _stepped(policy_new, rate * total)
     return policy_new, first_mask_rate
 
 
@@ -695,9 +708,8 @@ def _model_phase(state: TrainState, batch: dict, dataset, anchor,
                         _dataset_subset(dataset, config.penalty_batch_size,
                                         rng))
         coupling = dataset_dual_coupling(penalty_data, model_new, anchor)
-        model_new = model_new.with_params(
-            model_new.params.values
-            - rate * (grad_objective + state.lam * coupling))
+        model_new = _stepped(model_new,
+                             -rate * (grad_objective + state.lam * coupling))
     return model_new, first_mask_rate
 
 
@@ -716,55 +728,6 @@ def _dual_phase(state: TrainState, dataset, anchor, config: TrainerConfig,
     return lam_new
 
 
-def _vanilla_updates(state: TrainState, batch: dict, dataset, anchor,
-                     config: TrainerConfig, gamma: float,
-                     rates: LearningRates, iteration: int):
-    """One coupled-dynamics step from full-horizon plain estimators."""
-    n_steps = int(batch["lengths"].min())
-    weights = discounted_weights(batch["rewards"][:, :n_steps], gamma)
-    theta_scores = _policy_scores(state.policy, batch, n_steps)
-    phi_scores = _model_scores(state.model, batch, n_steps)
-    grad_policy_plain = policy_gradient(weights, theta_scores)
-    grad_model_objective = model_gradient(weights, phi_scores)
-
-    if config.dynamics == "naive":
-        total = grad_policy_plain
-    else:
-        rng = _stream(config.seed, _POLICY_STREAM, iteration, 0)
-        factors = factors_from_batch(
-            weights, phi_scores, theta_scores.sum(axis=1), dataset,
-            state.model, anchor, state.lam, config.epsilon, rng,
-            n_step_cols=config.step_columns,
-            n_penalty_cols=config.penalty_batch_size,
-            ridge=config.ridge, exact_penalty=config.exact_kl)
-        total = leader_gradient(grad_policy_plain, grad_model_objective,
-                                factors,
-                                use_dual_row=config.dynamics == "constrained")
-    policy_new = state.policy.with_params(state.policy.params.values
-                                          + rates.policy * total)
-
-    penalty_data = dataset
-    if not config.exact_kl:
-        rng_m = _stream(config.seed, _MODEL_STREAM, iteration, 0)
-        penalty_data = _dataset_subset(dataset, config.penalty_batch_size,
-                                       rng_m)
-    coupling = dataset_dual_coupling(penalty_data, state.model, anchor)
-    model_new = state.model.with_params(
-        state.model.params.values
-        - rates.model * (grad_model_objective + state.lam * coupling))
-
-    lam_new = state.lam
-    if config.dynamics == "constrained":
-        if config.exact_kl:
-            gap = dataset_kl(dataset, state.model, anchor) - config.epsilon
-        else:
-            rng_d = _stream(config.seed, _DUAL_STREAM, iteration, 0)
-            sub = _dataset_subset(dataset, config.penalty_batch_size, rng_d)
-            gap = dataset_kl(sub, state.model, anchor) - config.epsilon
-        lam_new = max(0.0, lam_new + rates.dual * gap)
-    return policy_new, model_new, lam_new
-
-
 def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                     config: TrainerConfig) -> tuple[TrainState, dict]:
     """Collect, fit the critic, run the three phases, then commit.
@@ -781,37 +744,27 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
     record = {"iteration": k, "aborted": 0}
     policy_new, model_new, lam_new = state.policy, state.model, state.lam
     try:
-        length = (env.horizon if config.algorithm == "vanilla"
-                  else config.segment_length)
         batch = collect_rollouts(env, state.policy, state.model, dataset,
-                                 config.rollouts_per_iter, length,
+                                 config.rollouts_per_iter,
+                                 config.segment_length,
                                  _stream(config.seed, _COLLECT_STREAM, k))
         state.buffer.add(batch, snapshot_id=k)
         record["return_estimate"] = _segment_returns(batch, gamma)
-        if config.algorithm == "vanilla":
-            record["critic_loss"] = float("nan")
-            record["mask_rate_policy"] = 1.0
-            record["mask_rate_model"] = 1.0
-            policy_new, model_new, lam_new = _vanilla_updates(
-                state, batch, dataset, anchor, config, gamma, rates, k)
-        else:
-            record["critic_loss"] = train_critic(
-                state.critic, state.buffer, state.policy, state.model, gamma,
-                config.critic_epochs, config.target_mix,
-                _stream(config.seed, _CRITIC_STREAM, k))
-            policy_new, mask_pi = _policy_phase(
-                state, batch, dataset, anchor, config, gamma, rates.policy, k)
-            model_new, mask_mod = _model_phase(
-                state, batch, dataset, anchor, config, gamma, rates.model, k)
-            if config.dynamics == "constrained":
-                lam_new = _dual_phase(state, dataset, anchor, config,
-                                      rates.dual, k)
-            record["mask_rate_policy"] = mask_pi
-            record["mask_rate_model"] = mask_mod
-        if not (np.isfinite(policy_new.params.values).all()
-                and np.isfinite(model_new.params.values).all()
-                and np.isfinite(lam_new)):
-            raise FloatingPointError("updated parameters are non-finite")
+        record["critic_loss"] = train_critic(
+            state.critic, state.buffer, state.policy, state.model, gamma,
+            config.critic_epochs, config.target_mix,
+            _stream(config.seed, _CRITIC_STREAM, k))
+        policy_new, mask_pi = _policy_phase(
+            state, batch, dataset, anchor, config, gamma, rates.policy, k)
+        model_new, mask_mod = _model_phase(
+            state, batch, dataset, anchor, config, gamma, rates.model, k)
+        if config.dynamics == "constrained":
+            lam_new = _dual_phase(state, dataset, anchor, config,
+                                  rates.dual, k)
+        if not np.isfinite(lam_new):
+            raise FloatingPointError("updated multiplier is non-finite")
+        record["mask_rate_policy"] = mask_pi
+        record["mask_rate_model"] = mask_mod
     except _ABORT_ERRORS as err:
         warnings.warn(f"iteration {k} aborted ({err}); keeping committed "
                       "parameters")

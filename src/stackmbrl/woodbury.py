@@ -16,7 +16,6 @@ against ``COND_LIMIT`` at build time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,39 +239,3 @@ def random_factors(n_phi: int, n_theta: int = 4, m: int = 8, big_m: int = 12,
         ridge=ridge, lam=lam,
         dual_coupling=rng.standard_normal(n_phi) * scale,
         dual_slope=float(rng.uniform(0.5, 1.5)))
-
-
-def benchmark_solve(sizes, m: int = 16, big_m: int = 32, z_rank: int = 16,
-                    n_rhs: int = 4, repeats: int = 3, seed: int = 0):
-    """Median build+solve wall time per problem size.
-
-    Returns a list of (n_phi, seconds) pairs; used to check that cost grows
-    affinely with the parameter dimension at fixed ranks.
-    """
-    results = []
-    for size in sizes:
-        factors = random_factors(int(size), m=m, big_m=big_m, z_rank=z_rank,
-                                 seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        rhs = rng.standard_normal((int(size), n_rhs))
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            solver = WoodburySolver(factors)
-            solver.solve(rhs)
-            times.append(time.perf_counter() - start)
-        results.append((int(size), float(np.median(times))))
-    return results
-
-
-def affine_fit_r2(sizes: np.ndarray, times: np.ndarray) -> float:
-    """R^2 of the least-squares affine fit time ~ a + b * size."""
-    sizes = np.asarray(sizes, dtype=float)
-    times = np.asarray(times, dtype=float)
-    design = np.stack([sizes, np.ones_like(sizes)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, times, rcond=None)
-    resid = times - design @ coef
-    total = ((times - times.mean()) ** 2).sum()
-    if total == 0.0:
-        return 1.0
-    return float(1.0 - (resid ** 2).sum() / total)

@@ -1,4 +1,4 @@
-"""Shared fixtures: frozen testbeds, datasets, and finite-difference helpers."""
+"""Shared fixtures: frozen testbeds, datasets, and a scripted generator."""
 
 import numpy as np
 import pytest
@@ -38,18 +38,6 @@ def small_dataset(small_triple):
     dataset = sample_offline_dataset(mdp, "uniform", n=200, seed=3)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
     return dataset, anchor
-
-
-def fd_jacobian(fn, x, eps=1e-5):
-    """Central finite-difference Jacobian of a vector-valued function."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        up, down = x.copy(), x.copy()
-        up[i] += eps
-        down[i] -= eps
-        cols.append((np.asarray(fn(up)) - np.asarray(fn(down))) / (2 * eps))
-    return np.stack(cols, axis=-1)
 
 
 class ScriptedRng:

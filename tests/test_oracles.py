@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from conftest import fd_jacobian
 
 from stackmbrl.mdp import TabularMdp, exact_return
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
@@ -204,7 +203,7 @@ def test_model_hessian_matches_finite_difference(small_triple):
     def grad(phi):
         return exact_expectations(mdp, policy, model.with_params(phi)).grad_model
 
-    fd_hess = fd_jacobian(grad, model.params.values)
+    fd_hess = central_difference(grad, model.params.values)
     exact_hess = exact_expectations(mdp, policy, model).hess_j_model
     assert np.abs(exact_hess - fd_hess).max() <= 1e-6
 

@@ -1,0 +1,157 @@
+"""Segment trainer: vanilla preset, seeded artifacts, checkpoints, aborts."""
+
+import numpy as np
+import pytest
+
+from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
+                                  discounted_weights, factors_from_batch,
+                                  model_gradient, policy_gradient,
+                                  step_scores_model, step_scores_policy)
+from stackmbrl.mdp import SamplingError
+from stackmbrl.models import (DiagGaussianPolicy, DiagGaussianWorldModel,
+                              mle_fit, rollout_dataset)
+from stackmbrl.testbeds import tracking_behavior_policy, tracking_mdp
+from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
+                               DYNAMICS_MODES, TrainerConfig,
+                               collect_rollouts, initial_state,
+                               load_checkpoint, save_checkpoint, train,
+                               train_iteration, vanilla_config)
+from stackmbrl.woodbury import leader_gradient
+
+
+@pytest.fixture(scope="module")
+def tracking_setup():
+    """Tracking task with the dataset and anchor ``stackmbrl train`` builds
+    for seed 0: 50 behavior episodes and the Gaussian MLE."""
+    env = tracking_mdp()
+    dataset = rollout_dataset(env, tracking_behavior_policy(env),
+                              n_episodes=50, seed=0)
+    anchor = mle_fit(dataset, DiagGaussianWorldModel.zeros(env.state_dim,
+                                                           env.action_dim))
+    return env, dataset, anchor
+
+
+@pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
+def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
+                                                  dynamics):
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = vanilla_config(TrainerConfig(seed=3, dynamics=dynamics,
+                                          rollouts_per_iter=24), env.horizon)
+    state = initial_state(env, anchor, config)
+    policy, model, lam = state.policy, state.model, state.lam
+    new_state, record = train_iteration(state, env, dataset, anchor, config)
+
+    h = env.horizon
+    batch = collect_rollouts(env, policy, model, dataset, 24, h,
+                             np.random.default_rng((3, _COLLECT_STREAM, 0)))
+    weights = discounted_weights(batch["rewards"], env.gamma)
+    theta_scores = step_scores_policy(policy, batch["states"],
+                                      batch["actions"][:, :h])
+    phi_scores = step_scores_model(model, batch["states"],
+                                   batch["actions"][:, :h], batch["outcomes"])
+    grad_policy = policy_gradient(weights, theta_scores)
+    grad_model = model_gradient(weights, phi_scores)
+    total = grad_policy
+    if dynamics != "naive":
+        factors = factors_from_batch(
+            weights, phi_scores, theta_scores.sum(axis=1), dataset, model,
+            anchor, lam, config.epsilon,
+            np.random.default_rng((3, _POLICY_STREAM, 0, 0)),
+            n_step_cols=config.step_columns,
+            n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
+        total = leader_gradient(grad_policy, grad_model, factors,
+                                use_dual_row=dynamics == "constrained")
+    rates = config.rates.at(0)
+    coupling = dataset_dual_coupling(dataset, model, anchor)
+    expected_lam = lam
+    if dynamics == "constrained":
+        gap = dataset_kl(dataset, model, anchor) - config.epsilon
+        expected_lam = max(0.0, lam + rates.dual * gap)
+
+    assert record["aborted"] == 0
+    assert record["mask_rate_policy"] == record["mask_rate_model"] == 1.0
+    np.testing.assert_allclose(new_state.policy.params.values,
+                               policy.params.values + rates.policy * total,
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        new_state.model.params.values,
+        model.params.values - rates.model * (grad_model + lam * coupling),
+        rtol=0.0, atol=1e-12)
+    assert new_state.lam == pytest.approx(expected_lam, rel=0.0, abs=1e-12)
+
+
+def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
+                                               tmp_path):
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(n_iterations=3, seed=5, checkpoint_every=2)
+    for run in ("a", "b"):
+        train(env, dataset, anchor, config, out_dir=tmp_path / run)
+    for name in ("trace.csv", "checkpoint_0002.json", "checkpoint_final.json",
+                 "manifest.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checkpoint_round_trip(tracking_setup, tmp_path):
+    env, dataset, anchor = tracking_setup
+    config = TrainerConfig(n_iterations=2, seed=1, rollouts_per_iter=8)
+    state, _ = train(env, dataset, anchor, config)
+    save_checkpoint(state, tmp_path / "ckpt.json")
+    loaded = load_checkpoint(
+        tmp_path / "ckpt.json",
+        DiagGaussianPolicy.zeros(env.state_dim, env.action_dim),
+        DiagGaussianWorldModel.zeros(env.state_dim, env.action_dim))
+    assert loaded["iteration"] == state.iteration == 2
+    assert loaded["lam"] == state.lam
+    assert np.array_equal(loaded["policy"].params.values,
+                          state.policy.params.values)
+    assert np.array_equal(loaded["model"].params.values,
+                          state.model.params.values)
+    assert loaded["critic"].to_dict() == state.critic.to_dict()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_updates_abort_and_keep_committed_parameters(
+        tracking_setup):
+    env, dataset, anchor = tracking_setup
+    config = TrainerConfig(seed=0, n_iterations=12, dynamics="naive")
+    with pytest.warns(UserWarning, match="aborted"):
+        state, trace = train(env, dataset, anchor, config)
+    aborted = trace.column("aborted")
+    assert state.iteration == len(trace) == 12
+    assert aborted.any()
+    assert np.isfinite(state.policy.weights).all()
+    assert np.isfinite(state.model.weights).all()
+    assert np.isfinite(state.model.log_std).all()
+    assert np.isfinite(trace.column("kl")).all()
+
+
+class _LogProbFailsAfter:
+    """Wraps a model so its log-density turns non-finite after ``n`` calls,
+    while its samples stay finite."""
+
+    def __init__(self, model, n):
+        self.model, self.n = model, n
+
+    def sample(self, s, a, rng):
+        return self.model.sample(s, a, rng)
+
+    def log_prob(self, s, a, y):
+        self.n -= 1
+        return self.model.log_prob(s, a, y) if self.n >= 0 else -np.inf
+
+
+def test_rollouts_truncate_at_non_finite_model_log_prob(tracking_setup):
+    env, dataset, anchor = tracking_setup
+    policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
+    batch = collect_rollouts(env, policy, _LogProbFailsAfter(anchor, 2),
+                             dataset, n_rollouts=1, length=5, seed=0)
+    assert batch["truncated"]
+    assert batch["lengths"].tolist() == [2]
+    assert np.isfinite(batch["logp_model"]).all()
+    with pytest.raises(SamplingError):
+        collect_rollouts(env, policy, _LogProbFailsAfter(anchor, 0), dataset,
+                         n_rollouts=1, length=5, seed=0)

@@ -6,7 +6,6 @@ import pytest
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, HessianOperator,
                                 IllConditionedError, LowRankFactors,
                                 SingularScalarError, WoodburySolver,
-                                affine_fit_r2, benchmark_solve,
                                 dense_leader_gradient, leader_gradient,
                                 random_factors)
 
@@ -243,20 +242,6 @@ def test_random_factors_deterministic():
     assert a.dual_slope == b.dual_slope
     c = random_factors(15, seed=43)
     assert not np.array_equal(a.u, c.u)
-
-
-def test_benchmark_solve_reports_each_size():
-    results = benchmark_solve([200, 400], repeats=2, seed=0)
-    assert [size for size, _ in results] == [200, 400]
-    assert all(t > 0.0 for _, t in results)
-
-
-def test_affine_fit_r2_behaviour():
-    sizes = np.array([1.0, 2.0, 3.0, 4.0])
-    assert affine_fit_r2(sizes, 2.0 + 3.0 * sizes) == pytest.approx(1.0, abs=1e-12)
-    assert affine_fit_r2(sizes, np.full(4, 5.0)) == 1.0
-    wiggly = np.array([1.0, -1.0, 1.0, -1.0])
-    assert affine_fit_r2(sizes, wiggly) < 0.5
 
 
 def test_condition_limit_is_strict():

@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynamicsState, LearningRates, run_dynamics
-from .estimators import ESTIMATOR_NAMES, dataset_kl, exact_estimator_targets
+from .estimators import (ESTIMATOR_NAMES, dataset_kl, exact_estimator_targets,
+                         model_score_table)
 from .mdp import ContinuousMdp, TabularMdp, dp_optimal_policy
 from .models import (
     CategoricalWorldModel,
@@ -48,7 +49,6 @@ from .oracles import (
     central_difference,
     central_difference_mixed,
     enumerate_paths,
-    exact_kl_to_anchor,
     mixed_return_fn,
     model_return_fn,
     policy_return_fn,
@@ -410,13 +410,7 @@ def _frozen_path_tables(mdp, policy, model) -> dict:
     behavior = mdp.init_dist[states[:, 0]] * pol[states, actions].prod(axis=1)
 
     probs = model.probs_all()
-    score_rows = np.zeros((s_n * a_n * k_n, n_phi))
-    for s in range(s_n):
-        for a in range(a_n):
-            start = (s * a_n + a) * k_n
-            block = -np.tile(probs[s, a], (k_n, 1))
-            block[np.arange(k_n), np.arange(k_n)] += 1.0
-            score_rows[start:start + k_n, start:start + k_n] = block
+    score_rows = model_score_table(model).reshape(-1, n_phi)
 
     weighted_scores = np.zeros((len(paths), n_phi))
     for t in range(mdp.horizon):
@@ -503,12 +497,11 @@ def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
     errors["dual_coupling"] = np.abs(
         targets["dual_coupling"]
         - central_difference(
-            lambda flat: exact_kl_to_anchor(dataset, model.with_params(flat),
-                                            anchor),
+            lambda flat: dataset_kl(dataset, model.with_params(flat), anchor),
             phi)).max()
     errors["constraint_gap"] = abs(
         float(targets["constraint_gap"][0])
-        - (exact_kl_to_anchor(dataset, model, anchor) - epsilon))
+        - (dataset_kl(dataset, model, anchor) - epsilon))
     return {name: float(value) for name, value in errors.items()}
 
 

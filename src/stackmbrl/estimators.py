@@ -38,59 +38,17 @@ def discounted_weights(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def policy_score_table(policy: SoftmaxPolicy) -> np.ndarray:
-    """(S, A, n_theta) lookup of flat score vectors."""
-    s_n, a_n = policy.logits.shape
-    probs = policy.probs_all()
-    table = np.zeros((s_n, a_n, policy.n_params))
-    for s in range(s_n):
-        for a in range(a_n):
-            block = np.zeros((s_n, a_n))
-            block[s] = -probs[s]
-            block[s, a] += 1.0
-            table[s, a] = block.ravel()
-    return table
+    """(S, A, n_theta) dense score table for the enumeration oracles."""
+    return policy.scores(*np.indices(policy.logits.shape))
 
 
 def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
-    """(S, A, K, n_phi) lookup of flat score vectors."""
-    s_n, a_n, k_n = model.logits.shape
-    probs = model.probs_all()
-    table = np.zeros((s_n, a_n, k_n, model.n_params))
-    for s in range(s_n):
-        for a in range(a_n):
-            start = (s * a_n + a) * k_n
-            for k in range(k_n):
-                vec = np.zeros(model.n_params)
-                vec[start:start + k_n] = -probs[s, a]
-                vec[start + k] += 1.0
-                table[s, a, k] = vec
-    return table
+    """(S, A, K, n_phi) dense score table for the enumeration oracles.
 
-
-def step_scores_policy(policy: SoftmaxPolicy, states: np.ndarray,
-                       actions: np.ndarray) -> np.ndarray:
-    """(n, h, n_theta) score stack for a tabular batch."""
-    return policy_score_table(policy)[states[:, :-1], actions]
-
-
-def step_scores_model(model: CategoricalWorldModel, states: np.ndarray,
-                      actions: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """(n, h, n_phi) score stack for a tabular batch."""
-    return model_score_table(model)[states[:, :-1], actions, outcomes]
-
-
-def step_log_probs_policy(policy: SoftmaxPolicy, states: np.ndarray,
-                          actions: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        table = np.log(policy.probs_all())
-    return table[states[:, :-1], actions]
-
-
-def step_log_probs_model(model: CategoricalWorldModel, states: np.ndarray,
-                         actions: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        table = np.log(model.probs_all())
-    return table[states[:, :-1], actions, outcomes]
+    Its size is quadratic in n_phi; sampled estimators evaluate
+    ``model.scores`` on the steps they draw instead.
+    """
+    return model.scores(*np.indices(model.logits.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +225,30 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
     y_cols = phi_scores[traj_idx, step_idx].T * step_scale
     x_cols = y_cols * weights[traj_idx, step_idx]
 
-    row_idx = rng.integers(0, dataset.n, size=n_penalty_cols)
-    z_cols = np.empty((u.shape[0], n_penalty_cols))
-    kl_draws = np.empty(n_penalty_cols)
-    score_draws = np.empty((n_penalty_cols, u.shape[0]))
-    tabular = isinstance(model, CategoricalWorldModel)
-    anc_probs = anchor.probs_all() if tabular else None
-    mod_probs = model.probs_all() if tabular else None
-    for j, row in enumerate(row_idx):
-        if tabular:
-            s = int(dataset.states[row])
-            a = int(dataset.actions[row])
-            k = int(rng.choice(anc_probs.shape[2], p=anc_probs[s, a]))
-            score = model.score(s, a, k)
-            kl_draws[j] = categorical_kl(anc_probs[s, a], mod_probs[s, a])
-        else:
-            s = dataset.states[row]
-            a = dataset.actions[row]
-            s_next, reward = anchor.sample(s, a, rng)
-            score = model.score(s, a, np.append(s_next, reward))
-            kl_draws[j] = gaussian_kl(anchor.mean(s, a),
-                                      np.exp(2.0 * anchor.log_std),
-                                      model.mean(s, a),
-                                      np.exp(2.0 * model.log_std))
-        score_draws[j] = score
-        z_cols[:, j] = score
-    z_cols *= np.sqrt(max(lam, 0.0) / n_penalty_cols)
+    rows = rng.integers(0, dataset.n, size=n_penalty_cols)
+    pairs = list(zip(dataset.states[rows], dataset.actions[rows]))
+    if isinstance(model, CategoricalWorldModel):
+        anc_probs, mod_probs = anchor.probs_all(), model.probs_all()
+        emissions = [rng.choice(anc_probs.shape[2], p=anc_probs[s, a])
+                     for s, a in pairs]
+        kl_draws = [categorical_kl(anc_probs[s, a], mod_probs[s, a])
+                    for s, a in pairs]
+    else:
+        emissions = [np.append(*anchor.sample(s, a, rng)) for s, a in pairs]
+        kl_draws = [gaussian_kl(anchor.mean(s, a), np.exp(2.0 * anchor.log_std),
+                                model.mean(s, a), np.exp(2.0 * model.log_std))
+                    for s, a in pairs]
+    score_draws = model.scores(dataset.states[rows], dataset.actions[rows],
+                               np.array(emissions))
+    z_cols = (np.ascontiguousarray(score_draws.T)
+              * np.sqrt(max(lam, 0.0) / n_penalty_cols))
 
     if exact_penalty:
         coupling = dataset_dual_coupling(dataset, model, anchor)
         gap = dataset_kl(dataset, model, anchor) - epsilon
     else:
         coupling = -score_draws.mean(axis=0)
-        gap = float(kl_draws.mean()) - epsilon
+        gap = float(np.mean(kl_draws)) - epsilon
 
     return LowRankFactors(u=u, v=v, x=x_cols, y=y_cols, z=z_cols, w=w_fac,
                           ridge=ridge, lam=lam, dual_coupling=coupling,
@@ -361,7 +310,7 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
     (dataset row, anchor outcome) pairs, one per sample, exactly as the
     factor recipes do.
     """
-    from .mdp import sample_tabular_batch
+    from .mdp import _draw_categorical_rows, sample_tabular_batch
 
     n_theta, n_phi = policy.n_params, model.n_params
     h = mdp.horizon
@@ -378,7 +327,6 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
     rng = np.random.default_rng(seed)
     anc_probs = anchor.probs_all()
     mod_probs = model.probs_all()
-    mod_table = model_score_table(model)
     kl_cells = np.array([[categorical_kl(anc_probs[s, a], mod_probs[s, a])
                           for a in range(mdp.num_actions)]
                          for s in range(mdp.num_states)])
@@ -390,9 +338,9 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
         batch = sample_tabular_batch(mdp, policy, model, n=size, seed=(seed, batch_seed))
         batch_seed += 1
         weights = discounted_weights(batch["rewards"], mdp.gamma)
-        th_scores = step_scores_policy(policy, batch["states"], batch["actions"])
-        ph_scores = step_scores_model(model, batch["states"], batch["actions"],
-                                      batch["outcomes"])
+        states = batch["states"][:, :-1]
+        th_scores = policy.scores(states, batch["actions"])
+        ph_scores = model.scores(states, batch["actions"], batch["outcomes"])
         psi_th = psi_gradients(weights, th_scores)
         psi_ph = psi_gradients(weights, ph_scores)
         traj_th = th_scores.sum(axis=1)
@@ -413,10 +361,8 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
         data_rows = rng.integers(0, dataset.n, size=size)
         s_d = dataset.states[data_rows].astype(int)
         a_d = dataset.actions[data_rows].astype(int)
-        cdf = anc_probs[s_d, a_d].cumsum(axis=1)
-        k_d = (rng.random(size)[:, None] > cdf).sum(axis=1)
-        k_d = np.minimum(k_d, anc_probs.shape[2] - 1)
-        pen_scores = mod_table[s_d, a_d, k_d]
+        k_d = _draw_categorical_rows(anc_probs[s_d, a_d], rng)
+        pen_scores = model.scores(s_d, a_d, k_d)
         stats["zz"].add(lam * np.einsum("np,nq->npq", pen_scores, pen_scores))
         stats["dual_coupling"].add(-pen_scores)
         stats["constraint_gap"].add(kl_cells[s_d, a_d][:, None] - epsilon)

@@ -1,8 +1,22 @@
 """Parameter vectors, policies, world models, offline datasets, MLE fitting.
 
-All score/gradient functions return dense vectors in the model's flat
-parameter layout. Models are value objects: ``with_params`` returns a new
-instance, nothing mutates in place.
+Models are value objects: ``with_params`` returns a new instance, nothing
+mutates in place.
+
+Every policy and world-model family evaluates its likelihood on whole
+batches of steps:
+
+* ``log_probs(states, actions[, outcomes])`` returns ``(...)``;
+* ``scores(states, actions[, outcomes])`` returns ``(..., n_params)``, the
+  gradient of each step's log-likelihood in the model's flat layout.
+
+All inputs share one leading shape ``(...)``. The tabular families take
+integer indices, and the categorical model's outcome is the packed
+(reward, next state) index. The Gaussian families take vectors on a
+trailing axis: states ``(..., state_dim)``, actions ``(..., action_dim)``,
+and the Gaussian model's outcome is the joint ``(s', r)`` vector
+``(..., state_dim + 1)``. The per-row ``log_prob``/``score`` are the same
+formulas on one row, whose leading shape is ``()``.
 """
 
 from __future__ import annotations
@@ -95,6 +109,25 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
+def _softmax_log_probs(logits: np.ndarray, index: tuple) -> np.ndarray:
+    """log p at ``index``, one integer array per logit axis; -inf at p = 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(_softmax(logits)[index])
+
+
+def _softmax_scores(logits: np.ndarray, index: tuple) -> np.ndarray:
+    """(..., logits.size) scores at ``index``, one integer array per logit
+    axis: all but the last pick the softmax block, the last its entry. Each
+    score is -p over its block plus 1 at the chosen entry, zero elsewhere."""
+    probs = _softmax(logits).reshape(-1, logits.shape[-1])
+    cells = np.ravel_multi_index(index[:-1], logits.shape[:-1])
+    flat, rows = cells.ravel(), np.arange(cells.size)
+    out = np.zeros((cells.size,) + probs.shape)
+    out[rows, flat] = -probs[flat]
+    out[rows, flat, np.ravel(index[-1])] += 1.0
+    return out.reshape(cells.shape + (logits.size,))
+
+
 # ---------------------------------------------------------------------------
 # tabular families
 # ---------------------------------------------------------------------------
@@ -133,15 +166,18 @@ class SoftmaxPolicy:
     def probs(self, s: int) -> np.ndarray:
         return _softmax(self.logits[s])
 
+    def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return _softmax_log_probs(self.logits, (states, actions))
+
+    def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """d log pi(a|s) / d logits per step, in the full parameter layout."""
+        return _softmax_scores(self.logits, (states, actions))
+
     def log_prob(self, s: int, a: int) -> float:
-        return float(_log_softmax(self.logits[s])[a])
+        return float(self.log_probs(s, a))
 
     def score(self, s: int, a: int) -> np.ndarray:
-        """d log pi(a|s) / d logits, flattened to the full parameter layout."""
-        grad = np.zeros_like(self.logits)
-        grad[s] = -self.probs(s)
-        grad[s, a] += 1.0
-        return grad.ravel()
+        return self.scores(s, a)
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
         return int(rng.choice(self.num_actions, p=self.probs(s)))
@@ -227,19 +263,24 @@ class CategoricalWorldModel:
                 f"model's outcome alphabet")
         return self._outcome_index[key]
 
+    def log_probs(self, states: np.ndarray, actions: np.ndarray,
+                  outcomes: np.ndarray) -> np.ndarray:
+        return _softmax_log_probs(self.logits, (states, actions, outcomes))
+
+    def scores(self, states: np.ndarray, actions: np.ndarray,
+               outcomes: np.ndarray) -> np.ndarray:
+        """d log P(k|s,a) / d logits per step, over the full flat layout."""
+        return _softmax_scores(self.logits, (states, actions, outcomes))
+
     def log_prob(self, s: int, a: int, k: int) -> float:
-        p = self.probs(s, a)[k]
-        if p == 0.0:
+        value = float(self.log_probs(s, a, k))
+        if value == -np.inf:
             raise SupportError(
                 f"outcome k={k} has zero probability at (s={s}, a={a})")
-        return float(_log_softmax(self.logits[s, a])[k])
+        return value
 
     def score(self, s: int, a: int, k: int) -> np.ndarray:
-        """d log P(k|s,a) / d logits over the full flat layout."""
-        grad = np.zeros_like(self.logits)
-        grad[s, a] = -self.probs(s, a)
-        grad[s, a, k] += 1.0
-        return grad.ravel()
+        return self.scores(s, a, k)
 
     def sample(self, s: int, a: int,
                rng: np.random.Generator) -> tuple[float, int, int]:
@@ -264,15 +305,33 @@ class CategoricalWorldModel:
 
 
 def affine_features(x: np.ndarray) -> np.ndarray:
-    """Raw vector with a trailing constant 1."""
-    return np.append(np.asarray(x, dtype=float).ravel(), 1.0)
+    """Vectors on the trailing axis with a constant 1 appended: (..., d + 1)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _gaussian_log_prob(y: np.ndarray, mean: np.ndarray,
-                       log_std: np.ndarray) -> float:
-    z = (y - mean) / np.exp(log_std)
-    return float(-0.5 * (z ** 2).sum() - log_std.sum()
-                 - 0.5 * y.size * np.log(2.0 * np.pi))
+def _affine_mean(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    # a stacked mat-vec: bit-identical to ``weights @ f`` row by row
+    return (weights @ feats[..., None])[..., 0]
+
+
+def _gaussian_log_probs(weights: np.ndarray, log_std: np.ndarray,
+                        feats: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(...) log-densities of y under N(weights @ feats, exp(log_std)^2)."""
+    z = (y - _affine_mean(weights, feats)) / np.exp(log_std)
+    return (-0.5 * (z ** 2).sum(axis=-1) - log_std.sum()
+            - 0.5 * z.shape[-1] * np.log(2.0 * np.pi))
+
+
+def _gaussian_scores(weights: np.ndarray, log_std: np.ndarray,
+                     feats: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(..., weights.size + log_std.size) gradients of those log-densities
+    in the (weights, log_std) layout."""
+    std = np.exp(log_std)
+    z = (y - _affine_mean(weights, feats)) / std
+    grad_w = (z / std)[..., :, None] * feats[..., None, :]
+    return np.concatenate([grad_w.reshape(z.shape[:-1] + (-1,)), z ** 2 - 1.0],
+                          axis=-1)
 
 
 @dataclass
@@ -304,20 +363,21 @@ class DiagGaussianPolicy:
         return self.weights.size + self.log_std.size
 
     def mean(self, s: np.ndarray) -> np.ndarray:
-        return self.weights @ affine_features(s)
+        return _affine_mean(self.weights, affine_features(s))
+
+    def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return _gaussian_log_probs(self.weights, self.log_std,
+                                   affine_features(states), actions)
+
+    def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return _gaussian_scores(self.weights, self.log_std,
+                                affine_features(states), actions)
 
     def log_prob(self, s: np.ndarray, a: np.ndarray) -> float:
-        return _gaussian_log_prob(np.asarray(a, dtype=float).ravel(),
-                                  self.mean(s), self.log_std)
+        return float(self.log_probs(s, a))
 
     def score(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        feats = affine_features(s)
-        a = np.asarray(a, dtype=float).ravel()
-        std = np.exp(self.log_std)
-        z = (a - self.mean(s)) / std
-        grad_w = (z / std)[:, None] * feats[None, :]
-        grad_log_std = z ** 2 - 1.0
-        return np.concatenate([grad_w.ravel(), grad_log_std])
+        return self.scores(s, a)
 
     def sample(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.mean(s) + np.exp(self.log_std) * rng.standard_normal(
@@ -365,25 +425,28 @@ class DiagGaussianWorldModel:
         return self.weights.size + self.log_std.size
 
     def _features(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return affine_features(np.concatenate([np.asarray(s, dtype=float).ravel(),
-                                               np.asarray(a, dtype=float).ravel()]))
+        return affine_features(np.concatenate(
+            [np.atleast_1d(s), np.atleast_1d(a)], axis=-1))
 
     def mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.weights @ self._features(s, a)
+        return _affine_mean(self.weights, self._features(s, a))
+
+    def log_probs(self, states: np.ndarray, actions: np.ndarray,
+                  outcomes: np.ndarray) -> np.ndarray:
+        """``outcomes`` are the joint observations (s', r), reward last."""
+        return _gaussian_log_probs(self.weights, self.log_std,
+                                   self._features(states, actions), outcomes)
+
+    def scores(self, states: np.ndarray, actions: np.ndarray,
+               outcomes: np.ndarray) -> np.ndarray:
+        return _gaussian_scores(self.weights, self.log_std,
+                                self._features(states, actions), outcomes)
 
     def log_prob(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
-        """y is the joint observation (s', r), reward last."""
-        return _gaussian_log_prob(np.asarray(y, dtype=float).ravel(),
-                                  self.mean(s, a), self.log_std)
+        return float(self.log_probs(s, a, y))
 
     def score(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        feats = self._features(s, a)
-        y = np.asarray(y, dtype=float).ravel()
-        std = np.exp(self.log_std)
-        z = (y - self.mean(s, a)) / std
-        grad_w = (z / std)[:, None] * feats[None, :]
-        grad_log_std = z ** 2 - 1.0
-        return np.concatenate([grad_w.ravel(), grad_log_std])
+        return self.scores(s, a, y)
 
     def sample(self, s: np.ndarray, a: np.ndarray,
                rng: np.random.Generator) -> tuple[np.ndarray, float]:

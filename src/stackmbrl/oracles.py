@@ -17,6 +17,7 @@ from itertools import product
 
 import numpy as np
 
+from .estimators import dataset_kl, model_score_table, policy_score_table
 from .mdp import TabularMdp, _model_tables, _policy_probs
 from .models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy, categorical_kl
 
@@ -146,33 +147,15 @@ def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
     h = mdp.horizon
     gammas = mdp.gamma ** np.arange(h)
 
-    pol_probs = policy.probs_all()
     mod_probs = model.probs_all()
-
-    # flat lookup tables for per-step score vectors and per-cell blocks
-    pol_scores = np.zeros((s_n, a_n, n_theta))
-    for s in range(s_n):
-        for a in range(a_n):
-            block = np.zeros((s_n, a_n))
-            block[s] = -pol_probs[s]
-            block[s, a] += 1.0
-            pol_scores[s, a] = block.ravel()
-    mod_scores = np.zeros((s_n, a_n, k_n, n_phi))
+    pol_scores = policy_score_table(policy)
+    mod_scores = model_score_table(model)
+    fim_blocks = mod_scores[..., :, None] * mod_scores[..., None, :]
     cov_blocks = np.zeros((s_n, a_n, n_phi, n_phi))
-    fim_blocks = np.zeros((s_n, a_n, k_n, n_phi, n_phi))
-    for s in range(s_n):
-        for a in range(a_n):
-            p = mod_probs[s, a]
-            start = (s * a_n + a) * k_n
-            cov = _softmax_cov(p)
-            cov_blocks[s, a, start:start + k_n, start:start + k_n] = cov
-            for k in range(k_n):
-                sc = np.zeros(n_phi)
-                sc[start:start + k_n] = -p
-                sc[start + k] += 1.0
-                mod_scores[s, a, k] = sc
-                fim_blocks[s, a, k, start:start + k_n, start:start + k_n] = (
-                    np.outer(sc[start:start + k_n], sc[start:start + k_n]))
+    for s, a in np.ndindex(s_n, a_n):
+        start = (s * a_n + a) * k_n
+        cov_blocks[s, a, start:start + k_n, start:start + k_n] = _softmax_cov(
+            mod_probs[s, a])
 
     j = 0.0
     total = 0.0
@@ -229,20 +212,15 @@ def occupancy_immediate_error(mdp: TabularMdp, policy: SoftmaxPolicy,
     probs = model.probs_all()
     out = np.zeros((n_phi, n_phi))
     rewards = model.outcome_rewards
-    for s in range(s_n):
-        for a in range(a_n):
-            p = probs[s, a]
-            start = (s * a_n + a) * k_n
-            cov = _softmax_cov(p)
-            block = np.zeros((k_n, k_n))
-            for k in range(k_n):
-                e = np.zeros(k_n)
-                e[k] = 1.0
-                sc = e - p
-                # hess P(k) = P(k) * (score score^T - cov)
-                block += rewards[k] * p[k] * (np.outer(sc, sc) - cov)
-            weight = (d[:, s, a] * mdp.gamma ** np.arange(mdp.horizon)).sum()
-            out[start:start + k_n, start:start + k_n] += weight * block
+    for s, a in np.ndindex(s_n, a_n):
+        p = probs[s, a]
+        start = (s * a_n + a) * k_n
+        sc = np.eye(k_n) - p  # row k: score of outcome k on the cell block
+        # sum_k r(k) hess P(k), with hess P(k) = P(k) * (score score^T - cov)
+        block = (np.einsum("k,ki,kj->ij", rewards * p, sc, sc)
+                 - (rewards @ p) * _softmax_cov(p))
+        weight = (d[:, s, a] * mdp.gamma ** np.arange(mdp.horizon)).sum()
+        out[start:start + k_n, start:start + k_n] += weight * block
     return out
 
 
@@ -286,23 +264,13 @@ def exact_penalty_terms(dataset: OfflineDataset, model: CategoricalWorldModel,
     return ExactPenaltyTerms(score_mean, fim_mean, hess_log_mean, kl_mean)
 
 
-def exact_kl_to_anchor(dataset: OfflineDataset, model: CategoricalWorldModel,
-                       anchor: CategoricalWorldModel) -> float:
-    """Dataset-weighted KL(anchor || model), the uncertainty-set statistic."""
-    counts = dataset.cell_counts()
-    mod_probs = model.probs_all()
-    anc_probs = anchor.probs_all()
-    return sum((count / dataset.n) * categorical_kl(anc_probs[s, a], mod_probs[s, a])
-               for (s, a), count in counts.items())
-
-
 def exact_lagrangian(mdp: TabularMdp, policy: SoftmaxPolicy,
                      model: CategoricalWorldModel,
                      anchor: CategoricalWorldModel, dataset: OfflineDataset,
                      lam: float, epsilon: float) -> float:
     """L = J + lambda (E_D[KL(anchor || model)] - epsilon), both parts exact."""
     from .mdp import exact_return
-    gap = exact_kl_to_anchor(dataset, model, anchor) - epsilon
+    gap = dataset_kl(dataset, model, anchor) - epsilon
     return exact_return(mdp, policy, model) + lam * gap
 
 

@@ -37,10 +37,6 @@ from .estimators import (
     generalized_advantages,
     masked_surrogate_gradient,
     ratio_masks,
-    step_log_probs_model,
-    step_log_probs_policy,
-    step_scores_model,
-    step_scores_policy,
 )
 from .mdp import (
     ContinuousMdp,
@@ -454,7 +450,10 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     segment runs ``length`` steps and carries one trailing bootstrap action
     for the critic's Q-tail. Log-probabilities are the sampler's own
     evaluations at generation time, so later ratio masks start at exactly
-    one.
+    one. ``outcomes`` holds each step's model emission, the argument the
+    model's ``scores``/``log_probs`` take: the packed outcome index for
+    tabular rollouts, the joint (s', r) vector, shape (n, length,
+    state_dim + 1), for continuous ones.
 
     Continuous rollouts that hit a non-finite emission are truncated at the
     last finite step and padded (states frozen, fresh policy actions, zero
@@ -478,16 +477,13 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
         batch = sample_tabular_batch(env, policy, model, n=n_rollouts,
                                      horizon=length, seed=rng,
                                      init_states=starts)
-        probs = _policy_probs(policy, env)
         last_states = batch["states"][:, -1]
-        boot = _draw_categorical_rows(probs[last_states], rng)
-        with np.errstate(divide="ignore"):
-            boot_logp = np.log(probs)[last_states, boot]
+        boot = _draw_categorical_rows(
+            _policy_probs(policy, env)[last_states], rng)
         batch["actions"] = np.column_stack([batch["actions"], boot])
-        batch["logp_policy"] = np.column_stack([batch["logp_policy"],
-                                                boot_logp])
+        batch["logp_policy"] = np.column_stack(
+            [batch["logp_policy"], policy.log_probs(last_states, boot)])
         batch["lengths"] = np.full(n_rollouts, length, dtype=np.int64)
-        batch["tabular"] = True
         batch["truncated"] = False
         return batch
 
@@ -519,9 +515,11 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
             pad_action = policy.sample(frozen, rng)
             actions[i, t] = pad_action
             logp_policy[i, t] = policy.log_prob(frozen, pad_action)
-    return {"states": states, "actions": actions, "rewards": rewards,
-            "logp_policy": logp_policy, "logp_model": logp_model,
-            "lengths": lengths, "tabular": False, "truncated": truncated}
+    outcomes = np.concatenate([states[:, 1:], rewards[..., None]], axis=-1)
+    return {"states": states, "actions": actions, "outcomes": outcomes,
+            "rewards": rewards, "logp_policy": logp_policy,
+            "logp_model": logp_model, "lengths": lengths,
+            "truncated": truncated}
 
 
 def _batch_subset(batch: dict, idx: np.ndarray) -> dict:
@@ -530,64 +528,10 @@ def _batch_subset(batch: dict, idx: np.ndarray) -> dict:
     return out
 
 
-def _policy_log_probs(policy, batch: dict, n_steps: int) -> np.ndarray:
-    if batch["tabular"]:
-        return step_log_probs_policy(policy, batch["states"][:, :n_steps + 1],
-                                     batch["actions"][:, :n_steps])
-    n = batch["states"].shape[0]
-    out = np.empty((n, n_steps))
-    for i in range(n):
-        for t in range(n_steps):
-            out[i, t] = policy.log_prob(batch["states"][i, t],
-                                        batch["actions"][i, t])
-    return out
-
-
-def _policy_scores(policy, batch: dict, n_steps: int) -> np.ndarray:
-    if batch["tabular"]:
-        return step_scores_policy(policy, batch["states"][:, :n_steps + 1],
-                                  batch["actions"][:, :n_steps])
-    n = batch["states"].shape[0]
-    out = np.empty((n, n_steps, policy.n_params))
-    for i in range(n):
-        for t in range(n_steps):
-            out[i, t] = policy.score(batch["states"][i, t],
-                                     batch["actions"][i, t])
-    return out
-
-
-def _model_emission(batch: dict, i: int, t: int) -> np.ndarray:
-    return np.append(batch["states"][i, t + 1], batch["rewards"][i, t])
-
-
-def _model_log_probs(model, batch: dict, n_steps: int) -> np.ndarray:
-    if batch["tabular"]:
-        return step_log_probs_model(model, batch["states"][:, :n_steps + 1],
-                                    batch["actions"][:, :n_steps],
-                                    batch["outcomes"][:, :n_steps])
-    n = batch["states"].shape[0]
-    out = np.empty((n, n_steps))
-    for i in range(n):
-        for t in range(n_steps):
-            out[i, t] = model.log_prob(batch["states"][i, t],
-                                       batch["actions"][i, t],
-                                       _model_emission(batch, i, t))
-    return out
-
-
-def _model_scores(model, batch: dict, n_steps: int) -> np.ndarray:
-    if batch["tabular"]:
-        return step_scores_model(model, batch["states"][:, :n_steps + 1],
-                                 batch["actions"][:, :n_steps],
-                                 batch["outcomes"][:, :n_steps])
-    n = batch["states"].shape[0]
-    out = np.empty((n, n_steps, model.n_params))
-    for i in range(n):
-        for t in range(n_steps):
-            out[i, t] = model.score(batch["states"][i, t],
-                                    batch["actions"][i, t],
-                                    _model_emission(batch, i, t))
-    return out
+def _steps(batch: dict, n_steps: int) -> tuple:
+    """(states, actions, outcomes) of the first ``n_steps`` steps."""
+    return (batch["states"][:, :n_steps], batch["actions"][:, :n_steps],
+            batch["outcomes"][:, :n_steps])
 
 
 def _segment_returns(batch: dict, gamma: float) -> float:
@@ -654,18 +598,19 @@ def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
         n_steps = int(sub["lengths"].min())
         adv = _advantages_for(state.critic, sub, gamma,
                               config.advantage_decay, n_steps)
-        logp_new = _policy_log_probs(policy_new, sub, n_steps)
+        states, actions, outcomes = _steps(sub, n_steps)
+        logp_new = policy_new.log_probs(states, actions)
         masks = ratio_masks(logp_new, sub["logp_policy"][:, :n_steps], adv,
                             clip=config.clip)
         if epoch == 0:
             first_mask_rate = float(masks.mean())
-        theta_scores = _policy_scores(policy_new, sub, n_steps)
+        theta_scores = policy_new.scores(states, actions)
         grad_policy = masked_surrogate_gradient(theta_scores, masks, adv,
                                                 gamma)
         if config.dynamics == "naive":
             total = grad_policy
         else:
-            phi_scores = _model_scores(state.model, sub, n_steps)
+            phi_scores = state.model.scores(states, actions, outcomes)
             weights = masks * adv * gamma ** np.arange(n_steps)
             grad_model = masked_surrogate_gradient(phi_scores, masks, adv,
                                                    gamma)
@@ -696,12 +641,13 @@ def _model_phase(state: TrainState, batch: dict, dataset, anchor,
         n_steps = int(sub["lengths"].min())
         adv = _advantages_for(state.critic, sub, gamma,
                               config.advantage_decay, n_steps)
-        logp_new = _model_log_probs(model_new, sub, n_steps)
+        steps = _steps(sub, n_steps)
+        logp_new = model_new.log_probs(*steps)
         masks = ratio_masks(logp_new, sub["logp_model"][:, :n_steps], adv,
                             clip=config.clip)
         if epoch == 0:
             first_mask_rate = float(masks.mean())
-        phi_scores = _model_scores(model_new, sub, n_steps)
+        phi_scores = model_new.scores(*steps)
         grad_objective = masked_surrogate_gradient(phi_scores, masks, adv,
                                                    gamma)
         penalty_data = (dataset if config.exact_kl else
@@ -734,9 +680,10 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
 
     Parameter updates happen on primed copies and land together at the end.
     If any phase aborts (singular curvature, ill-conditioned solve,
-    non-finite iterates, or a dead rollout), the committed (policy, model,
-    multiplier) are kept, a warning records the iteration, and training can
-    continue; the buffer and critic may already have advanced.
+    non-finite iterates or dataset KL, or a dead rollout), the committed
+    (policy, model, multiplier) are kept, a warning records the iteration,
+    and training can continue; the buffer and critic may already have
+    advanced.
     """
     k = state.iteration
     gamma = env.gamma
@@ -763,6 +710,9 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                                   rates.dual, k)
         if not np.isfinite(lam_new):
             raise FloatingPointError("updated multiplier is non-finite")
+        record["kl"] = dataset_kl(dataset, model_new, anchor)
+        if not np.isfinite(record["kl"]):
+            raise FloatingPointError("updated model has non-finite dataset KL")
         record["mask_rate_policy"] = mask_pi
         record["mask_rate_model"] = mask_mod
     except _ABORT_ERRORS as err:
@@ -770,11 +720,11 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                       "parameters")
         record["aborted"] = 1
         policy_new, model_new, lam_new = state.policy, state.model, state.lam
+        record["kl"] = dataset_kl(dataset, state.model, anchor)
 
     state = replace(state, policy=policy_new, model=model_new, lam=lam_new,
                     iteration=k + 1)
     record["lam"] = state.lam
-    record["kl"] = dataset_kl(dataset, state.model, anchor)
     if isinstance(env, TabularMdp):
         record["exact_objective"] = exact_return(env, state.policy,
                                                  state.model)

@@ -10,8 +10,9 @@ from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
                                   generalized_advantages,
                                   masked_surrogate_gradient, mc_estimator_stats,
                                   model_gradient, model_penalty_gradient,
-                                  policy_gradient, psi_gradients, ratio_masks,
-                                  step_scores_model, step_scores_policy)
+                                  model_score_table, policy_gradient,
+                                  policy_score_table, psi_gradients,
+                                  ratio_masks)
 from stackmbrl.mdp import dp_values, sample_tabular_batch
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, enumerate_paths,
@@ -34,7 +35,7 @@ def test_psi_gradient_forward_backward_swap(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=64, seed=11)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    scores = step_scores_policy(policy, batch["states"], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
     forward = psi_gradients(weights, scores)
     disc = batch["rewards"] * mdp.gamma ** np.arange(mdp.horizon)
     prefix = scores.cumsum(axis=1)
@@ -46,13 +47,22 @@ def test_plain_gradients_average_per_trajectory_terms(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=16, seed=5)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    th = step_scores_policy(policy, batch["states"], batch["actions"])
-    ph = step_scores_model(model, batch["states"], batch["actions"],
-                           batch["outcomes"])
+    th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    ph = model.scores(batch["states"][:, :-1], batch["actions"],
+                      batch["outcomes"])
     assert np.allclose(policy_gradient(weights, th),
                        psi_gradients(weights, th).mean(axis=0), atol=1e-15)
     assert np.allclose(model_gradient(weights, ph),
                        psi_gradients(weights, ph).mean(axis=0), atol=1e-15)
+
+
+def test_dense_score_tables_hold_the_per_row_scores(grad_triple):
+    _, policy, model = grad_triple
+    pol_table, mod_table = policy_score_table(policy), model_score_table(model)
+    assert mod_table.shape == model.logits.shape + (model.n_params,)
+    for s, a, k in np.ndindex(model.logits.shape):
+        assert np.array_equal(mod_table[s, a, k], model.score(s, a, k))
+        assert np.array_equal(pol_table[s, a], policy.score(s, a))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +156,7 @@ def test_masked_gradient_reduces_to_plain_estimator(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=32, seed=7)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    scores = step_scores_policy(policy, batch["states"], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
     n, h = weights.shape
     adv = generalized_advantages(batch["rewards"], np.zeros((n, h + 1)),
                                  np.zeros(n), mdp.gamma, zeta=1.0)
@@ -158,7 +168,7 @@ def test_masked_gradient_reduces_to_plain_estimator(small_triple):
 def test_masked_gradient_zero_when_all_masked(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=8, seed=9)
-    scores = step_scores_policy(policy, batch["states"], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
     adv = np.ones((8, mdp.horizon))
     out = masked_surrogate_gradient(scores, np.zeros((8, mdp.horizon)), adv,
                                     mdp.gamma)
@@ -179,7 +189,7 @@ def test_value_baseline_keeps_estimator_unbiased_enumeration(small_triple):
                            mdp.gamma, mdp.horizon)
     acc = np.zeros(policy.n_params)
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
-        scores = step_scores_policy(policy, states[None, :], actions[None, :])
+        scores = policy.scores(states[None, :-1], actions[None, :])
         values = _value_table_for(states[None, :], v_steps)
         adv = generalized_advantages(rewards[None, :], values, np.zeros(1),
                                      mdp.gamma, zeta=1.0)
@@ -197,7 +207,7 @@ def test_value_baseline_sampled_mean_and_variance(small_triple):
     n = 30_000
     batch = sample_tabular_batch(mdp, policy, model, n=n, seed=123)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    scores = step_scores_policy(policy, batch["states"], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
     v_steps, _ = dp_values(model.probs_all(), model.outcome_rewards,
                            model.outcome_next_states, policy.probs_all(),
                            mdp.gamma, mdp.horizon)
@@ -256,8 +266,8 @@ def test_penalized_model_gradient_expectation(small_triple, small_dataset):
     acc = np.zeros(model.n_params)
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
         weights = discounted_weights(rewards[None, :], mdp.gamma)
-        ph = step_scores_model(model, states[None, :], actions[None, :],
-                               outcomes[None, :])
+        ph = model.scores(states[None, :-1], actions[None, :],
+                          outcomes[None, :])
         acc += prob * model_penalty_gradient(weights, ph, dataset, model,
                                              anchor, lam)
     target = exact_grad_lagrangian_model(mdp, policy, model, anchor, dataset, lam)
@@ -271,9 +281,9 @@ def test_penalized_model_gradient_expectation(small_triple, small_dataset):
 
 def _path_batch(model, policy, states, actions, outcomes, rewards, gamma):
     weights = discounted_weights(rewards[None, :], gamma)
-    ph = step_scores_model(model, states[None, :], actions[None, :],
-                           outcomes[None, :])
-    th = step_scores_policy(policy, states[None, :], actions[None, :])
+    ph = model.scores(states[None, :-1], actions[None, :],
+                      outcomes[None, :])
+    th = policy.scores(states[None, :-1], actions[None, :])
     return weights, ph, th.sum(axis=1)
 
 
@@ -282,10 +292,10 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
     dataset, anchor = small_dataset
     batch = sample_tabular_batch(mdp, policy, model, n=2, seed=31)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    ph = step_scores_model(model, batch["states"], batch["actions"],
-                           batch["outcomes"])
-    th_traj = step_scores_policy(policy, batch["states"],
-                                 batch["actions"]).sum(axis=1)
+    ph = model.scores(batch["states"][:, :-1], batch["actions"],
+                      batch["outcomes"])
+    th_traj = policy.scores(batch["states"][:, :-1],
+                            batch["actions"]).sum(axis=1)
     lam = 0.7
     rng = ScriptedRng(integer_queue=[[1, 0], [2, 0], [5]], choice_queue=[3])
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
@@ -311,10 +321,10 @@ def test_factor_zero_multiplier_zeroes_penalty_columns(small_triple, small_datas
     dataset, anchor = small_dataset
     batch = sample_tabular_batch(mdp, policy, model, n=4, seed=17)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    ph = step_scores_model(model, batch["states"], batch["actions"],
-                           batch["outcomes"])
-    th_traj = step_scores_policy(policy, batch["states"],
-                                 batch["actions"]).sum(axis=1)
+    ph = model.scores(batch["states"][:, :-1], batch["actions"],
+                      batch["outcomes"])
+    th_traj = policy.scores(batch["states"][:, :-1],
+                            batch["actions"]).sum(axis=1)
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
                                  lam=0.0, epsilon=0.1,
                                  rng=np.random.default_rng(0))
@@ -388,10 +398,10 @@ def test_factor_sampled_penalty_statistics(small_triple, small_dataset):
     dataset, anchor = small_dataset
     batch = sample_tabular_batch(mdp, policy, model, n=2, seed=41)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    ph = step_scores_model(model, batch["states"], batch["actions"],
-                           batch["outcomes"])
-    th_traj = step_scores_policy(policy, batch["states"],
-                                 batch["actions"]).sum(axis=1)
+    ph = model.scores(batch["states"][:, :-1], batch["actions"],
+                      batch["outcomes"])
+    th_traj = policy.scores(batch["states"][:, :-1],
+                            batch["actions"]).sum(axis=1)
     row, k, eps = 7, 2, 0.3
     rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]], choice_queue=[k])
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from stackmbrl.estimators import dataset_kl
 from stackmbrl.mdp import TabularMdp, exact_return
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
 from stackmbrl.oracles import (central_difference, central_difference_mixed,
                                enumerate_paths, exact_constrained_hessian,
                                exact_expectations, exact_grad_lagrangian_model,
-                               exact_kl_to_anchor, exact_lagrangian,
+                               exact_lagrangian,
                                exact_penalty_terms, mixed_return_fn,
                                model_return_fn, occupancy_immediate_error,
                                policy_return_fn)
@@ -246,9 +247,9 @@ def test_layered_mdp_has_exact_score_product_hessian(sparse_triple):
 
 def test_kl_to_anchor_frozen_example():
     _, anchor, model, dataset = two_outcome_world()
-    assert exact_kl_to_anchor(dataset, model, anchor) == pytest.approx(
+    assert dataset_kl(dataset, model, anchor) == pytest.approx(
         KL_EXAMPLE, abs=1e-12)
-    assert exact_kl_to_anchor(dataset, anchor, anchor) == 0.0
+    assert dataset_kl(dataset, anchor, anchor) == 0.0
 
 
 def test_penalty_terms_enumeration(small_triple):
@@ -273,7 +274,7 @@ def test_penalty_terms_enumeration(small_triple):
     assert np.abs(pen.score_mean - score_mean).max() <= 1e-12
     assert np.abs(pen.fim_mean - fim_mean).max() <= 1e-12
     assert pen.kl_mean == pytest.approx(kl_mean, abs=1e-12)
-    assert pen.kl_mean == pytest.approx(exact_kl_to_anchor(dataset, model, anchor),
+    assert pen.kl_mean == pytest.approx(dataset_kl(dataset, model, anchor),
                                         abs=1e-12)
 
 
@@ -290,7 +291,7 @@ def test_penalty_gradient_is_minus_kl_gradient(small_triple):
     dataset, anchor = _small_dataset_and_anchor(mdp)
     pen = exact_penalty_terms(dataset, model, anchor)
     fd = central_difference(
-        lambda phi: exact_kl_to_anchor(dataset, model.with_params(phi), anchor),
+        lambda phi: dataset_kl(dataset, model.with_params(phi), anchor),
         model.params.values)
     assert np.abs(fd + pen.score_mean).max() <= 1e-6
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from stackmbrl import estimators
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   discounted_weights, factors_from_batch,
-                                  model_gradient, policy_gradient,
-                                  step_scores_model, step_scores_policy)
+                                  model_gradient, policy_gradient)
 from stackmbrl.mdp import SamplingError
 from stackmbrl.models import (DiagGaussianPolicy, DiagGaussianWorldModel,
                               mle_fit, rollout_dataset)
@@ -23,12 +23,122 @@ from stackmbrl.woodbury import leader_gradient
 def tracking_setup():
     """Tracking task with the dataset and anchor ``stackmbrl train`` builds
     for seed 0: 50 behavior episodes and the Gaussian MLE."""
+    return _tracking_inputs(seed=0)
+
+
+def _tracking_inputs(seed):
     env = tracking_mdp()
     dataset = rollout_dataset(env, tracking_behavior_policy(env),
-                              n_episodes=50, seed=0)
+                              n_episodes=50, seed=seed)
     anchor = mle_fit(dataset, DiagGaussianWorldModel.zeros(env.state_dim,
                                                            env.action_dim))
     return env, dataset, anchor
+
+
+# ---------------------------------------------------------------------------
+# batched likelihoods against the per-step loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _row_loop(fn, *arrays):
+    """``fn`` evaluated step by step over the (n, h) leading axes."""
+    n, h = arrays[0].shape[:2]
+    return np.array([[fn(*(x[i, t] for x in arrays)) for t in range(h)]
+                     for i in range(n)])
+
+
+def _softmax_row_score(probs, *index):
+    """One step's flat score: -p over its softmax block, +1 at its entry."""
+    grad = np.zeros_like(probs)
+    grad[index[:-1]] = -probs[index[:-1]]
+    grad[index] += 1.0
+    return grad.ravel()
+
+
+def _gaussian_row_log_prob(weights, log_std, feats, y):
+    z = (y - weights @ feats) / np.exp(log_std)
+    return float(-0.5 * (z ** 2).sum() - log_std.sum()
+                 - 0.5 * y.size * np.log(2.0 * np.pi))
+
+
+def _gaussian_row_score(weights, log_std, feats, y):
+    std = np.exp(log_std)
+    z = (y - weights @ feats) / std
+    return np.concatenate([((z / std)[:, None] * feats[None, :]).ravel(),
+                           z ** 2 - 1.0])
+
+
+def _assert_matches_rows(family, ref_log_prob, ref_score, *steps):
+    log_probs, scores = family.log_probs(*steps), family.scores(*steps)
+    assert scores.shape == steps[0].shape[:2] + (family.n_params,)
+    assert np.array_equal(log_probs, _row_loop(ref_log_prob, *steps))
+    assert np.array_equal(scores, _row_loop(ref_score, *steps))
+    assert np.array_equal(log_probs, _row_loop(family.log_prob, *steps))
+    assert np.array_equal(scores, _row_loop(family.score, *steps))
+
+
+def test_batched_softmax_likelihoods_match_the_step_loop(grad_triple,
+                                                         grad_dataset):
+    env, policy, model = grad_triple
+    batch = collect_rollouts(env, policy, model, grad_dataset[0],
+                             n_rollouts=6, length=3, seed=2)
+    states, actions = batch["states"][:, :3], batch["actions"][:, :3]
+    pol, mod = policy.probs_all(), model.probs_all()
+    _assert_matches_rows(policy, lambda s, a: np.log(pol)[s, a],
+                         lambda s, a: _softmax_row_score(pol, s, a),
+                         states, actions)
+    _assert_matches_rows(model, lambda s, a, k: np.log(mod)[s, a, k],
+                         lambda s, a, k: _softmax_row_score(mod, s, a, k),
+                         states, actions, batch["outcomes"])
+
+
+def test_batched_gaussian_likelihoods_match_the_step_loop(tracking_setup):
+    env, dataset, anchor = tracking_setup
+    rng = np.random.default_rng(4)
+    policy = DiagGaussianPolicy(
+        rng.normal(size=(env.action_dim, env.state_dim + 1)),
+        0.3 * rng.normal(size=env.action_dim))
+    batch = collect_rollouts(env, policy, anchor, dataset, n_rollouts=6,
+                             length=4, seed=3)
+    assert batch["lengths"].tolist() == [4] * 6
+    states, actions = batch["states"][:, :4], batch["actions"][:, :4]
+    emissions = _row_loop(
+        lambda s_next, r: np.append(s_next, r), batch["states"][:, 1:],
+        batch["rewards"])
+    assert np.array_equal(batch["outcomes"], emissions)
+
+    def policy_args(s, a):
+        return policy.weights, policy.log_std, np.append(s, 1.0), a
+
+    def model_args(s, a, y):
+        return (anchor.weights, anchor.log_std,
+                np.append(np.concatenate([s, a]), 1.0), y)
+
+    _assert_matches_rows(
+        policy, lambda *row: _gaussian_row_log_prob(*policy_args(*row)),
+        lambda *row: _gaussian_row_score(*policy_args(*row)),
+        states, actions)
+    _assert_matches_rows(
+        anchor, lambda *row: _gaussian_row_log_prob(*model_args(*row)),
+        lambda *row: _gaussian_row_score(*model_args(*row)),
+        states, actions, emissions)
+
+
+@pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
+def test_tabular_iteration_builds_no_dense_score_table(
+        grad_triple, grad_dataset, monkeypatch, dynamics):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense score table built")
+
+    monkeypatch.setattr(estimators, "model_score_table", refuse)
+    monkeypatch.setattr(estimators, "policy_score_table", refuse)
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(seed=2, dynamics=dynamics)
+    state = initial_state(env, anchor, config)
+    new_state, record = train_iteration(state, env, dataset, anchor, config)
+    assert record["aborted"] == 0
+    assert new_state.iteration == 1
 
 
 @pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
@@ -46,10 +156,10 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
     batch = collect_rollouts(env, policy, model, dataset, 24, h,
                              np.random.default_rng((3, _COLLECT_STREAM, 0)))
     weights = discounted_weights(batch["rewards"], env.gamma)
-    theta_scores = step_scores_policy(policy, batch["states"],
-                                      batch["actions"][:, :h])
-    phi_scores = step_scores_model(model, batch["states"],
-                                   batch["actions"][:, :h], batch["outcomes"])
+    theta_scores = policy.scores(batch["states"][:, :-1],
+                                 batch["actions"][:, :h])
+    phi_scores = model.scores(batch["states"][:, :-1],
+                              batch["actions"][:, :h], batch["outcomes"])
     grad_policy = policy_gradient(weights, theta_scores)
     grad_model = model_gradient(weights, phi_scores)
     total = grad_policy
@@ -127,6 +237,21 @@ def test_non_finite_updates_abort_and_keep_committed_parameters(
     assert np.isfinite(state.model.weights).all()
     assert np.isfinite(state.model.log_std).all()
     assert np.isfinite(trace.column("kl")).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_model_with_non_finite_dataset_kl_is_never_committed():
+    """``stackmbrl train --env tracking --seed 105``: iteration 5's model
+    step keeps every parameter finite but sends the reward log-std to about
+    -3.7e4, where the dataset KL is nan. That iteration aborts instead of
+    committing the model."""
+    env, dataset, anchor = _tracking_inputs(seed=105)
+    with pytest.warns(UserWarning, match="non-finite dataset KL"):
+        state, trace = train(env, dataset, anchor,
+                             TrainerConfig(seed=105, n_iterations=7))
+    assert trace.column("aborted")[5] == 1
+    assert np.isfinite(trace.column("kl")).all()
+    assert np.isfinite(dataset_kl(dataset, state.model, anchor))
 
 
 class _LogProbFailsAfter:

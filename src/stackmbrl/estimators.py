@@ -148,12 +148,12 @@ def dataset_kl(dataset: OfflineDataset, model, anchor) -> float:
         return float(sum((count / dataset.n)
                          * categorical_kl(anc[s, a], mod[s, a])
                          for (s, a), count in dataset.cell_counts().items()))
-    total = 0.0
-    var_m = np.exp(2.0 * model.log_std)
-    var_a = np.exp(2.0 * anchor.log_std)
-    for s, a in zip(dataset.states, dataset.actions):
-        total += gaussian_kl(anchor.mean(s, a), var_a, model.mean(s, a), var_m)
-    return total / dataset.n
+    kl = gaussian_kl(anchor.mean(dataset.states, dataset.actions),
+                     np.exp(2.0 * anchor.log_std),
+                     model.mean(dataset.states, dataset.actions),
+                     np.exp(2.0 * model.log_std))
+    # a running total in row order, not numpy's pairwise sum
+    return float(np.add.accumulate(kl)[-1] / dataset.n)
 
 
 def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
@@ -171,21 +171,27 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
             start = (s * a_n + a) * k_n
             out[start:start + k_n] -= (count / dataset.n) * (anc[s, a] - mod[s, a])
         return out
-    return -sum(_gaussian_expected_score(model, anchor, s, a)
-                for s, a in zip(dataset.states, dataset.actions)) / dataset.n
+    scores = _gaussian_expected_score(model, anchor, dataset.states,
+                                      dataset.actions)
+    # a running total in row order, not numpy's pairwise sum
+    return -np.add.accumulate(scores, axis=0)[-1] / dataset.n
 
 
 def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
-                             s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """E_{y~anchor}[grad_phi log P_phi(y|s,a)] for the diagonal-Gaussian family."""
-    feats = model._features(s, a)
-    mean_m = model.mean(s, a)
-    mean_a = anchor.mean(s, a)
+                             states: np.ndarray,
+                             actions: np.ndarray) -> np.ndarray:
+    """(..., n_phi) E_{y~anchor}[grad_phi log P_phi(y|s,a)] per state-action
+    pair, for the diagonal-Gaussian family."""
+    feats = model._features(states, actions)
+    mean_m = model.mean(states, actions)
+    mean_a = anchor.mean(states, actions)
     var_m = np.exp(2.0 * model.log_std)
     var_a = np.exp(2.0 * anchor.log_std)
-    grad_w = np.outer((mean_a - mean_m) / var_m, feats)
+    grad_w = ((mean_a - mean_m) / var_m)[..., :, None] * feats[..., None, :]
     grad_log_std = (var_a + (mean_a - mean_m) ** 2) / var_m - 1.0
-    return np.concatenate([grad_w.ravel(), grad_log_std])
+    return np.concatenate(
+        [grad_w.reshape(grad_log_std.shape[:-1] + (-1,)), grad_log_std],
+        axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +205,7 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
                        lam: float, epsilon: float,
                        rng: np.random.Generator,
                        n_step_cols: int = 64, n_penalty_cols: int = 64,
-                       ridge: float = RIDGE_DEFAULT,
-                       exact_penalty: bool = True) -> LowRankFactors:
+                       ridge: float = RIDGE_DEFAULT) -> LowRankFactors:
     """Reduce one rollout batch (plus dataset resamples) to curvature factors.
 
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
@@ -210,8 +215,8 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
       estimates sum_t E[w_t score_t score_t^T].
     * Z columns: dataset state-action pairs redrawn through the anchor,
       scaled sqrt(lam / n_penalty_cols).
-    * The dual coupling vector and constraint gap are computed exactly over
-      the dataset when ``exact_penalty`` (default), else from the Z draws.
+    * The dual coupling vector and constraint gap are always exact over the
+      whole dataset (``dataset_dual_coupling`` and ``dataset_kl``).
     """
     m, h = weights.shape
     psi_phi = psi_gradients(weights, phi_scores)            # (m, n_phi)
@@ -228,31 +233,20 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     pairs = list(zip(dataset.states[rows], dataset.actions[rows]))
     if isinstance(model, CategoricalWorldModel):
-        anc_probs, mod_probs = anchor.probs_all(), model.probs_all()
+        anc_probs = anchor.probs_all()
         emissions = [rng.choice(anc_probs.shape[2], p=anc_probs[s, a])
                      for s, a in pairs]
-        kl_draws = [categorical_kl(anc_probs[s, a], mod_probs[s, a])
-                    for s, a in pairs]
     else:
         emissions = [np.append(*anchor.sample(s, a, rng)) for s, a in pairs]
-        kl_draws = [gaussian_kl(anchor.mean(s, a), np.exp(2.0 * anchor.log_std),
-                                model.mean(s, a), np.exp(2.0 * model.log_std))
-                    for s, a in pairs]
     score_draws = model.scores(dataset.states[rows], dataset.actions[rows],
                                np.array(emissions))
     z_cols = (np.ascontiguousarray(score_draws.T)
               * np.sqrt(max(lam, 0.0) / n_penalty_cols))
 
-    if exact_penalty:
-        coupling = dataset_dual_coupling(dataset, model, anchor)
-        gap = dataset_kl(dataset, model, anchor) - epsilon
-    else:
-        coupling = -score_draws.mean(axis=0)
-        gap = float(np.mean(kl_draws)) - epsilon
-
-    return LowRankFactors(u=u, v=v, x=x_cols, y=y_cols, z=z_cols, w=w_fac,
-                          ridge=ridge, lam=lam, dual_coupling=coupling,
-                          dual_slope=gap)
+    return LowRankFactors(
+        u=u, v=v, x=x_cols, y=y_cols, z=z_cols, w=w_fac, ridge=ridge, lam=lam,
+        dual_coupling=dataset_dual_coupling(dataset, model, anchor),
+        dual_slope=dataset_kl(dataset, model, anchor) - epsilon)
 
 
 def model_penalty_gradient(weights: np.ndarray, phi_scores: np.ndarray,

@@ -477,14 +477,6 @@ class DiagGaussianWorldModel:
 # ---------------------------------------------------------------------------
 
 
-def _cell_key(s, a):
-    if np.ndim(s) == 0 and np.ndim(a) == 0:
-        return (int(s), int(a))
-    # plain-float tuples so keys print cleanly in error messages
-    return (tuple(map(float, np.round(np.atleast_1d(np.asarray(s, dtype=float)), 12))),
-            tuple(map(float, np.round(np.atleast_1d(np.asarray(a, dtype=float)), 12))))
-
-
 @dataclass
 class OfflineDataset:
     """Bag of (s, a, r, s') transitions collected by a behavior policy."""
@@ -512,20 +504,29 @@ class OfflineDataset:
             self.states[0], (float, np.floating))
 
     def cell_counts(self) -> dict:
-        counts: dict = {}
-        for s, a in zip(self.states, self.actions):
-            key = _cell_key(s, a)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Row count per distinct (s, a) cell, keyed in order of first
+        appearance in the dataset.
+
+        Scalar states and actions give ``(int s, int a)`` keys. Vector ones
+        give ``(state tuple, action tuple)`` keys of plain floats rounded to
+        12 digits, with ``-0.0`` folded into ``0.0``.
+        """
+        tabular = np.ndim(self.states) == 1 and np.ndim(self.actions) == 1
+        states = np.reshape(self.states, (self.n, -1))
+        keys = np.column_stack([states, np.reshape(self.actions, (self.n, -1))])
+        keys = (keys.astype(np.int64) if tabular
+                else np.round(keys.astype(float), 12) + 0.0)
+        cells, first, counts = np.unique(keys, axis=0, return_index=True,
+                                         return_counts=True)
+        order, d = np.argsort(first), states.shape[1]
+        return {((c[0], c[1]) if tabular else (tuple(c[:d]), tuple(c[d:]))): n
+                for c, n in zip(cells[order].tolist(), counts[order].tolist())}
 
     def max_cell_count(self) -> int:
         return max(self.cell_counts().values())
 
     def num_cells(self) -> int:
         return len(self.cell_counts())
-
-    def minibatch_indices(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.n, size=size)
 
     def save_csv(self, path: str | Path) -> None:
         from .mdp import _format_state
@@ -587,13 +588,12 @@ def categorical_tv(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def gaussian_kl(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,
-                var_q: np.ndarray) -> float:
-    """KL between diagonal Gaussians, summed over dimensions."""
-    mean_p, var_p = np.atleast_1d(mean_p), np.atleast_1d(var_p)
-    mean_q, var_q = np.atleast_1d(mean_q), np.atleast_1d(var_q)
+                var_q: np.ndarray) -> np.ndarray:
+    """KL between diagonal Gaussians, summed over the trailing (dimension)
+    axis: ``(...)`` over the inputs' broadcast leading axes."""
     ratio = var_p / var_q
-    return float(0.5 * (ratio - np.log(ratio) - 1.0
-                        + (mean_q - mean_p) ** 2 / var_q).sum())
+    return (0.5 * (ratio - np.log(ratio) - 1.0
+                   + (mean_q - mean_p) ** 2 / var_q)).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +620,25 @@ def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0,
 def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
                      alpha: float) -> CategoricalWorldModel:
     s_dim, a_dim, k_dim = template.logits.shape
+    states = np.asarray(dataset.states).astype(np.int64)
+    actions = np.asarray(dataset.actions).astype(np.int64)
+    outside = np.flatnonzero((states < 0) | (states >= s_dim)
+                             | (actions < 0) | (actions >= a_dim))
+    if outside.size:
+        row = outside[0]
+        raise ValueError(f"dataset row {row} has (s={states[row]}, "
+                         f"a={actions[row]}) outside the {s_dim} states x "
+                         f"{a_dim} actions of the model")
+    # one alphabet lookup per distinct (r, s'), in order of first appearance
+    pairs, first, inverse = np.unique(
+        np.column_stack([dataset.rewards, dataset.next_states]), axis=0,
+        return_index=True, return_inverse=True)
+    outcome = np.empty(len(pairs), dtype=np.int64)
+    for i in np.argsort(first):
+        outcome[i] = template.outcome_index(float(pairs[i, 0]),
+                                            int(pairs[i, 1]))
     counts = np.zeros((s_dim, a_dim, k_dim))
-    for s, a, r, s2 in zip(dataset.states, dataset.actions, dataset.rewards,
-                           dataset.next_states):
-        k = template.outcome_index(float(r), int(s2))
-        counts[int(s), int(a), k] += 1.0
+    np.add.at(counts, (states, actions, outcome[inverse.ravel()]), 1.0)
     counts += alpha
     totals = counts.sum(axis=-1, keepdims=True)
     unvisited = np.nonzero(totals[..., 0] == 0)
@@ -644,11 +658,12 @@ def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
 def _mle_linear_gaussian(dataset: OfflineDataset,
                          template: DiagGaussianWorldModel,
                          var_floor: float) -> DiagGaussianWorldModel:
-    feats = np.array([template._features(s, a)
-                      for s, a in zip(dataset.states, dataset.actions)])
-    targets = np.array([np.append(np.atleast_1d(s2).astype(float), r)
-                        for s2, r in zip(dataset.next_states, dataset.rewards)])
-    if dataset.n < 2:
+    n = dataset.n
+    feats = template._features(np.reshape(dataset.states, (n, -1)),
+                               np.reshape(dataset.actions, (n, -1)))
+    targets = np.column_stack([np.reshape(dataset.next_states, (n, -1)),
+                               dataset.rewards])
+    if n < 2:
         warnings.warn("Gaussian MLE on fewer than 2 transitions is degenerate")
     if np.linalg.matrix_rank(feats) < feats.shape[1]:
         warnings.warn("Gaussian MLE design matrix is rank-deficient; "
@@ -658,46 +673,6 @@ def _mle_linear_gaussian(dataset: OfflineDataset,
     variance = np.maximum((residuals ** 2).mean(axis=0), var_floor)
     return DiagGaussianWorldModel(weights.T, 0.5 * np.log(variance),
                                   template.state_dim, template.action_dim)
-
-
-@dataclass
-class GaussianCells:
-    """Per-cell diagonal Gaussians keyed by exact (s, a) cells.
-
-    Used when the same state-action pair is probed repeatedly: each cell gets
-    its own mean/variance over the (d+1)-dimensional joint (s', r) outcome,
-    which is what the per-cell concentration radius reasons about.
-    """
-
-    cells: dict  # key -> (mean (d+1,), var (d+1,))
-
-    def kl_per_cell(self, other: "GaussianCells") -> dict:
-        out = {}
-        for key, (mean_p, var_p) in self.cells.items():
-            mean_q, var_q = other.cells[key]
-            out[key] = gaussian_kl(mean_p, var_p, mean_q, var_q)
-        return out
-
-
-def mle_fit_cells(dataset: OfflineDataset, var_floor: float = VAR_FLOOR,
-                  min_count: int = 2) -> GaussianCells:
-    """Per-cell Gaussian MLE: sample mean and biased sample variance."""
-    groups: dict = {}
-    for s, a, r, s2 in zip(dataset.states, dataset.actions, dataset.rewards,
-                           dataset.next_states):
-        key = _cell_key(s, a)
-        y = np.append(np.atleast_1d(s2).astype(float), r)
-        groups.setdefault(key, []).append(y)
-    cells = {}
-    for key, ys in groups.items():
-        if len(ys) < min_count:
-            warnings.warn(f"cell {key} has n={len(ys)} < {min_count}; "
-                          "fit is degenerate")
-        arr = np.array(ys)
-        mean = arr.mean(axis=0)
-        var = np.maximum(((arr - mean) ** 2).mean(axis=0), var_floor)
-        cells[key] = (mean, var)
-    return GaussianCells(cells)
 
 
 # ---------------------------------------------------------------------------

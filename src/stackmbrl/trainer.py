@@ -71,7 +71,6 @@ _COLLECT_STREAM = 0
 _CRITIC_STREAM = 1
 _POLICY_STREAM = 2
 _MODEL_STREAM = 3
-_DUAL_STREAM = 4
 _EVAL_STREAM = 5
 _WORST_CASE_STREAM = 6
 
@@ -291,7 +290,13 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Everything a run needs besides the environment, dataset and anchor."""
+    """Everything a run needs besides the environment, dataset and anchor.
+
+    The dataset-side penalty terms (the model's KL-penalty gradient, the
+    dual coupling and the constraint gap) are always exact over the whole
+    dataset; ``penalty_batch_size`` only sets the number of sampled Z
+    curvature columns.
+    """
 
     n_iterations: int = 50
     segment_length: int = 4
@@ -312,7 +317,6 @@ class TrainerConfig:
     rates: LearningRates = field(default_factory=LearningRates)
     seed: int = 0
     dynamics: str = "constrained"
-    exact_kl: bool = True
     buffer_capacity: int = 10
     checkpoint_every: int = 0
 
@@ -541,15 +545,6 @@ def _segment_returns(batch: dict, gamma: float) -> float:
     return float((batch["rewards"] * valid * disc).sum(axis=1).mean())
 
 
-def _dataset_subset(dataset: OfflineDataset, size: int,
-                    rng: np.random.Generator) -> OfflineDataset:
-    idx = dataset.minibatch_indices(min(size, dataset.n), rng)
-    return OfflineDataset(states=np.asarray(dataset.states)[idx],
-                          actions=np.asarray(dataset.actions)[idx],
-                          rewards=np.asarray(dataset.rewards)[idx],
-                          next_states=np.asarray(dataset.next_states)[idx])
-
-
 # ---------------------------------------------------------------------------
 # one training iteration
 # ---------------------------------------------------------------------------
@@ -619,7 +614,7 @@ def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
                 state.model, anchor, state.lam, config.epsilon, rng,
                 n_step_cols=config.step_columns,
                 n_penalty_cols=config.penalty_batch_size,
-                ridge=config.ridge, exact_penalty=config.exact_kl)
+                ridge=config.ridge)
             use_dual = config.dynamics == "constrained"
             operator = HessianOperator(WoodburySolver(factors))
             total = leader_gradient(grad_policy, grad_model, factors,
@@ -650,26 +645,19 @@ def _model_phase(state: TrainState, batch: dict, dataset, anchor,
         phi_scores = model_new.scores(*steps)
         grad_objective = masked_surrogate_gradient(phi_scores, masks, adv,
                                                    gamma)
-        penalty_data = (dataset if config.exact_kl else
-                        _dataset_subset(dataset, config.penalty_batch_size,
-                                        rng))
-        coupling = dataset_dual_coupling(penalty_data, model_new, anchor)
+        coupling = dataset_dual_coupling(dataset, model_new, anchor)
         model_new = _stepped(model_new,
                              -rate * (grad_objective + state.lam * coupling))
     return model_new, first_mask_rate
 
 
 def _dual_phase(state: TrainState, dataset, anchor, config: TrainerConfig,
-                rate: float, iteration: int) -> float:
-    """Projected ascent on the constraint gap of the committed model."""
+                rate: float) -> float:
+    """Projected ascent on the constraint gap of the committed model. The
+    model does not move across dual epochs, so neither does the gap."""
+    gap = dataset_kl(dataset, state.model, anchor) - config.epsilon
     lam_new = state.lam
-    for epoch in range(config.dual_epochs):
-        if config.exact_kl:
-            gap = dataset_kl(dataset, state.model, anchor) - config.epsilon
-        else:
-            rng = _stream(config.seed, _DUAL_STREAM, iteration, epoch)
-            sub = _dataset_subset(dataset, config.penalty_batch_size, rng)
-            gap = dataset_kl(sub, state.model, anchor) - config.epsilon
+    for _ in range(config.dual_epochs):
         lam_new = max(0.0, lam_new + rate * gap)
     return lam_new
 
@@ -706,8 +694,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
         model_new, mask_mod = _model_phase(
             state, batch, dataset, anchor, config, gamma, rates.model, k)
         if config.dynamics == "constrained":
-            lam_new = _dual_phase(state, dataset, anchor, config,
-                                  rates.dual, k)
+            lam_new = _dual_phase(state, dataset, anchor, config, rates.dual)
         if not np.isfinite(lam_new):
             raise FloatingPointError("updated multiplier is non-finite")
         record["kl"] = dataset_kl(dataset, model_new, anchor)

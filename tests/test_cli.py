@@ -107,10 +107,32 @@ def test_removed_routes_are_rejected(tmp_path, argv):
 
 
 def test_config_with_unknown_key_is_rejected(tmp_path, capsys):
-    path = tmp_path / "old.json"
-    payload = TrainerConfig().to_dict()
-    payload["algorithm"] = "vanilla"
-    path.write_text(json.dumps(payload))
-    code, _ = run(tmp_path, "old", "train", "--config", str(path))
-    assert code == 2
-    assert "algorithm" in capsys.readouterr().err
+    for key, value in (("algorithm", "vanilla"), ("exact_kl", True)):
+        path = tmp_path / f"old_{key}.json"
+        payload = TrainerConfig().to_dict()
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        code, _ = run(tmp_path, f"old_{key}", "train", "--config", str(path))
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state", ["-1", "3"])
+def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
+                                                         state):
+    code, data = run(tmp_path, "data", "gen-data", "--env", "gradient",
+                     "--n", "50")
+    assert code == 0
+    path = data / "dataset.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[5].split(",")
+    row[header.index("s")] = state
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (["fit-model"], ["train", "--config", tiny_config(tmp_path)]):
+        code, _ = run(tmp_path, argv[0], *argv, "--env", "gradient",
+                      "--dataset", str(path))
+        assert code == 2
+        assert f"row 4 has (s={state}, a=" in capsys.readouterr().err

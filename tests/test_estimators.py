@@ -392,8 +392,9 @@ def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
     assert np.abs(acc - lam * pen.fim_mean).max() <= 1e-10
 
 
-def test_factor_sampled_penalty_statistics(small_triple, small_dataset):
-    """exact_penalty=False swaps the closed forms for the scripted draws."""
+def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset):
+    """A scripted (row, outcome) draw fills the Z column; the dual coupling
+    and slope are the exact dataset terms whatever was drawn."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     batch = sample_tabular_batch(mdp, policy, model, n=2, seed=41)
@@ -402,17 +403,16 @@ def test_factor_sampled_penalty_statistics(small_triple, small_dataset):
                       batch["outcomes"])
     th_traj = policy.scores(batch["states"][:, :-1],
                             batch["actions"]).sum(axis=1)
-    row, k, eps = 7, 2, 0.3
+    row, k, eps, lam = 7, 2, 0.3, 0.5
     rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]], choice_queue=[k])
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
-                                 lam=0.5, epsilon=eps, rng=rng,
-                                 n_step_cols=2, n_penalty_cols=1,
-                                 exact_penalty=False)
+                                 lam=lam, epsilon=eps, rng=rng,
+                                 n_step_cols=2, n_penalty_cols=1)
     s, a = int(dataset.states[row]), int(dataset.actions[row])
-    from stackmbrl.models import categorical_kl
-    expected_gap = categorical_kl(anchor.probs(s, a), model.probs(s, a)) - eps
-    assert factors.dual_slope == pytest.approx(expected_gap, abs=1e-12)
-    assert np.allclose(factors.dual_coupling, -model.score(s, a, k), atol=1e-12)
+    assert np.array_equal(factors.z[:, 0], model.score(s, a, k) * np.sqrt(lam))
+    assert np.array_equal(factors.dual_coupling,
+                          dataset_dual_coupling(dataset, model, anchor))
+    assert factors.dual_slope == dataset_kl(dataset, model, anchor) - eps
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from stackmbrl.mdp import TabularMdp
-from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
-                              DiagGaussianWorldModel, GaussianCells,
+from stackmbrl.estimators import dataset_dual_coupling, dataset_kl
+from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
+                              DiagGaussianPolicy, DiagGaussianWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
                               SupportError, categorical_kl, categorical_tv,
-                              gaussian_kl, mle_fit, mle_fit_cells,
-                              rollout_dataset, sample_offline_dataset)
+                              gaussian_kl, mle_fit, rollout_dataset,
+                              sample_offline_dataset)
 from stackmbrl.testbeds import small_mdp, tracking_behavior_policy, tracking_mdp
 
 KL_EXAMPLE = 0.14384103622589042  # KL((.5,.5) || (.25,.75)) by hand
@@ -213,17 +214,6 @@ def test_categorical_mle_three_to_one():
     assert np.allclose(fitted.probs(1, 1), 0.25, atol=1e-12)  # fallback row
 
 
-def test_gaussian_cell_mle_moments():
-    # outcomes with sample mean 2 and biased sample variance 1 in each dim
-    ys = np.array([1.0, 3.0, 1.0, 3.0])
-    dataset = OfflineDataset(states=np.zeros((4, 1)), actions=np.zeros((4, 1)),
-                             rewards=ys, next_states=ys[:, None])
-    cells = mle_fit_cells(dataset)
-    (mean, var), = cells.cells.values()
-    assert np.allclose(mean, [2.0, 2.0], atol=1e-12)
-    assert np.allclose(var, [1.0, 1.0], atol=1e-12)
-
-
 def test_linear_gaussian_mle_recovers_plant():
     rng = np.random.default_rng(10)
     true_w = np.array([[0.8, 0.5, 0.1], [0.0, 0.3, 0.6]])
@@ -358,12 +348,10 @@ def test_gaussian_kl_zero_and_known_value():
     # matches the categorical-free closed form for a variance ratio
     assert gaussian_kl(np.zeros(1), np.array([2.0]), np.zeros(1),
                        np.array([1.0])) == pytest.approx(0.5 * (2 - np.log(2) - 1))
-
-
-def test_gaussian_cells_kl_per_cell():
-    a = GaussianCells({("x",): (np.zeros(1), np.ones(1))})
-    b = GaussianCells({("x",): (np.ones(1), np.ones(1))})
-    assert a.kl_per_cell(b)[("x",)] == pytest.approx(0.5)
+    # one KL per leading index, the dimension axis summed away
+    batched = gaussian_kl(np.zeros((4, 3, 2)), np.ones(2), np.ones((4, 3, 2)),
+                          np.ones(2))
+    assert batched.shape == (4, 3) and np.all(batched == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +428,158 @@ def test_sample_offline_dataset_determinism(small_triple):
     for field in ("states", "actions", "rewards", "next_states"):
         assert np.array_equal(np.asarray(getattr(a, field)),
                               np.asarray(getattr(b, field)))
+
+
+def test_categorical_mle_rejects_rows_outside_the_model():
+    mdp = small_mdp()  # 2 states, 2 actions
+    template = CategoricalWorldModel.uniform(mdp)
+    rewards, nexts = mdp.outcome_table()
+
+    def fit(states, actions, rewards=rewards[:3]):
+        return mle_fit(OfflineDataset(states=np.array(states),
+                                      actions=np.array(actions),
+                                      rewards=rewards, next_states=nexts[:3]),
+                       template, alpha=0.5)
+
+    with pytest.raises(ValueError, match="row 1 has \\(s=2, a=0\\)"):
+        fit([0, 2, 0], [0, 0, 0])
+    with pytest.raises(ValueError, match="row 2 has \\(s=1, a=-1\\)"):
+        fit([0, 1, 1], [0, 1, -1])
+    with pytest.raises(SupportError, match="r=0.123"):
+        fit([0, 1, 1], [0, 1, 1], rewards=np.array([0.123, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# one numpy pass over the dataset against the per-row walks it replaced
+# ---------------------------------------------------------------------------
+
+
+def _row_cell_key(s, a):
+    if np.ndim(s) == 0 and np.ndim(a) == 0:
+        return (int(s), int(a))
+    return (tuple(map(float, np.round(np.atleast_1d(np.asarray(s, dtype=float)), 12))),
+            tuple(map(float, np.round(np.atleast_1d(np.asarray(a, dtype=float)), 12))))
+
+
+def _row_cell_counts(dataset):
+    counts = {}
+    for s, a in zip(dataset.states, dataset.actions):
+        key = _row_cell_key(s, a)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _row_categorical_logits(dataset, template, alpha):
+    """Every cell visited, so no uniform fallback."""
+    counts = np.zeros(template.logits.shape)
+    for s, a, r, s2 in zip(dataset.states, dataset.actions, dataset.rewards,
+                           dataset.next_states):
+        counts[int(s), int(a), template.outcome_index(float(r), int(s2))] += 1.0
+    counts += alpha
+    with np.errstate(divide="ignore"):
+        logits = np.log(counts / counts.sum(axis=-1, keepdims=True))
+    return np.maximum(logits, LOGIT_FLOOR)
+
+
+def _row_gaussian_fit(dataset, template):
+    feats = np.array([template._features(s, a)
+                      for s, a in zip(dataset.states, dataset.actions)])
+    targets = np.array([np.append(np.atleast_1d(s2).astype(float), r)
+                        for s2, r in zip(dataset.next_states, dataset.rewards)])
+    weights, *_ = np.linalg.lstsq(feats, targets, rcond=None)
+    variance = np.maximum(((targets - feats @ weights) ** 2).mean(axis=0),
+                          VAR_FLOOR)
+    return weights.T, 0.5 * np.log(variance)
+
+
+def _row_gaussian_dataset_kl(dataset, model, anchor):
+    var_m = np.exp(2.0 * model.log_std)
+    var_a = np.exp(2.0 * anchor.log_std)
+    total = 0.0
+    for s, a in zip(dataset.states, dataset.actions):
+        ratio = var_a / var_m
+        total += float(0.5 * (ratio - np.log(ratio) - 1.0
+                              + (model.mean(s, a) - anchor.mean(s, a)) ** 2
+                              / var_m).sum())
+    return total / dataset.n
+
+
+def _row_gaussian_dual_coupling(dataset, model, anchor):
+    var_m = np.exp(2.0 * model.log_std)
+    var_a = np.exp(2.0 * anchor.log_std)
+    total = 0
+    for s, a in zip(dataset.states, dataset.actions):
+        diff = anchor.mean(s, a) - model.mean(s, a)
+        total = total + np.concatenate(
+            [np.outer(diff / var_m, model._features(s, a)).ravel(),
+             (var_a + diff ** 2) / var_m - 1.0])
+    return -total / dataset.n
+
+
+@pytest.fixture(scope="module")
+def tracking_data():
+    """The ``tracking`` dataset and Gaussian anchor ``stackmbrl train``
+    builds for seed 0, plus a model moved off the anchor."""
+    env = tracking_mdp()
+    dataset = rollout_dataset(env, tracking_behavior_policy(env),
+                              n_episodes=50, seed=0)
+    anchor = mle_fit(dataset, DiagGaussianWorldModel.zeros(env.state_dim,
+                                                           env.action_dim))
+    shift = np.random.default_rng(0).standard_normal(anchor.n_params)
+    model = anchor.with_params(anchor.params.values + 0.2 * shift)
+    return dataset, anchor, model
+
+
+def _assert_same_counts(counts, reference):
+    assert counts == reference
+    assert list(counts) == list(reference)  # first-appearance order
+    assert list(counts.values()) == list(reference.values())
+
+
+def test_tabular_cell_counts_match_the_row_walk(grad_dataset):
+    dataset, _ = grad_dataset
+    counts = dataset.cell_counts()
+    _assert_same_counts(counts, _row_cell_counts(dataset))
+    assert all(type(x) is int for key in counts for x in key)
+
+
+def test_continuous_cell_counts_match_the_row_walk(tracking_data):
+    base = tracking_data[0]
+    repeats = np.r_[np.arange(base.n), [3, 0, 3]]
+    states = np.concatenate([np.asarray(base.states)[repeats],
+                             [[-0.0], [0.0], [-1e-15], [0.0]]])
+    actions = np.concatenate([np.asarray(base.actions)[repeats],
+                              [[0.0], [-0.0], [0.0], [-0.0]]])
+    dataset = OfflineDataset(states, actions, np.zeros(len(states)),
+                             np.zeros_like(states))
+    counts = dataset.cell_counts()
+    _assert_same_counts(counts, _row_cell_counts(dataset))
+    assert counts[((0.0,), (0.0,))] == 4
+    assert not any(np.signbit(x) for key in counts for part in key
+                   for x in part if x == 0.0)
+
+
+def test_categorical_mle_matches_the_row_walk(grad_triple, grad_dataset):
+    dataset, _ = grad_dataset
+    template = CategoricalWorldModel.uniform(grad_triple[0])
+    assert dataset.num_cells() == template.num_states * template.num_actions
+    for alpha in (0.0, 0.5):
+        fitted = mle_fit(dataset, template, alpha=alpha)
+        assert np.array_equal(fitted.logits,
+                              _row_categorical_logits(dataset, template, alpha))
+
+
+def test_gaussian_mle_matches_the_row_walk(tracking_data):
+    dataset, anchor, _ = tracking_data
+    weights, log_std = _row_gaussian_fit(dataset, anchor)
+    assert np.array_equal(anchor.weights, weights)
+    assert np.array_equal(anchor.log_std, log_std)
+
+
+def test_gaussian_dataset_terms_match_the_row_walk(tracking_data):
+    dataset, anchor, model = tracking_data
+    for m in (model, anchor):
+        assert dataset_kl(dataset, m, anchor) == _row_gaussian_dataset_kl(
+            dataset, m, anchor)
+        assert np.array_equal(dataset_dual_coupling(dataset, m, anchor),
+                              _row_gaussian_dual_coupling(dataset, m, anchor))

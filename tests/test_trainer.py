@@ -1,5 +1,7 @@
 """Segment trainer: vanilla preset, seeded artifacts, checkpoints, aborts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,42 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
                  "manifest.json"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
+
+
+# (iterations, {file: sha256}) of ``train(env, dataset, anchor,
+# TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)``.
+ARTIFACT_DIGESTS = {
+    "gradient": (10, {
+        "trace.csv": "ab1262ab8fe3467b906ba58cc2ac2275b50abaca0b78c9e89e8b59f9e34f11ff",
+        "checkpoint_final.json": "19556d7d8d9cd15c8f5518aa08f862463fa5a2d128265c916ce875e73af9bd92",
+    }),
+    "tracking": (5, {
+        "trace.csv": "d92b19846f31ff2a7ae664bdc4855dc4919a2bbe48bd3502463a19e786522997",
+        "checkpoint_final.json": "ac789c4628c65509fe21a9b5393bd282763502ecb8ff24a9846a39f7aa800b28",
+    }),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("env_name", sorted(ARTIFACT_DIGESTS))
+def test_seeded_run_artifacts_match_recorded_digests(env_name, request,
+                                                     tmp_path):
+    """Guards byte-reproducibility across refactors: the trace and the final
+    checkpoint of a short seeded run hash to recorded constants, with the
+    BLAS library's default thread count or with one thread. A change meant
+    to alter the numbers updates ``ARTIFACT_DIGESTS``, with a line in
+    CHANGES.md saying why."""
+    if env_name == "gradient":
+        env = request.getfixturevalue("grad_triple")[0]
+        dataset, anchor = request.getfixturevalue("grad_dataset")
+    else:
+        env, dataset, anchor = request.getfixturevalue("tracking_setup")
+    iterations, digests = ARTIFACT_DIGESTS[env_name]
+    train(env, dataset, anchor, TrainerConfig(n_iterations=iterations, seed=0),
+          out_dir=tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -184,6 +184,8 @@ def _resolve_env(spec: str):
 
 
 def _prepare_out(args, subcommand: str) -> Path:
+    """Create the run directory; called once the inputs are accepted, so a
+    rejected run leaves none behind."""
     out = Path(args.out) if args.out else Path(f"run-{subcommand}")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -251,12 +253,12 @@ def _anchor_for(env, dataset: OfflineDataset, alpha: float):
 
 def cmd_gen_data(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "gen-data")
     env = _resolve_env(args.env)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     behavior, tier = _behavior_policy(env, args.behavior, args.greedy_eps)
     dataset = _dataset_with_rows(env, behavior, args.n, args.seed)
+    out = _prepare_out(args, "gen-data")
     dataset.save_csv(out / "dataset.csv")
     config = {"env": args.env, "behavior": args.behavior,
               "greedy_eps": args.greedy_eps, "n": args.n}
@@ -271,10 +273,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_fit_model(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "fit-model")
     env = _resolve_env(args.env)
     dataset = OfflineDataset.load_csv(args.dataset)
     anchor = _anchor_for(env, dataset, args.alpha)
+    out = _prepare_out(args, "fit-model")
     anchor.params.save(out / "model.json")
     results = {"rows": dataset.n, "n_params": anchor.n_params}
     try:
@@ -310,7 +312,6 @@ def cmd_train(args) -> int:
     if args.algo in DYNAMICS_MODES:
         config = replace(config, dynamics=args.algo)
 
-    out = _prepare_out(args, "train")
     env = _resolve_env(args.env)
     if args.algo == "vanilla":
         config = vanilla_config(config, env.horizon)
@@ -321,6 +322,7 @@ def cmd_train(args) -> int:
         rows = 500 if isinstance(env, TabularMdp) else 50 * env.horizon
         dataset = _dataset_with_rows(env, behavior, rows, config.seed)
     anchor = _anchor_for(env, dataset, args.alpha)
+    out = _prepare_out(args, "train")
     state, trace = train(env, dataset, anchor, config, out_dir=out)
 
     # Fold a manifest id and the subcommand context into the run manifest.
@@ -343,7 +345,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "evaluate")
     env = _resolve_env(args.env)
     if not isinstance(env, ContinuousMdp):
         raise ValueError("evaluate deploys under transition noise, which "
@@ -359,6 +360,7 @@ def cmd_evaluate(args) -> int:
                                                   env.action_dim)
     checkpoint = load_checkpoint(args.checkpoint, policy_template,
                                  model_template)
+    out = _prepare_out(args, "evaluate")
     policy = checkpoint["policy"]
     clean = episode_returns(env, policy, 0.0, args.episodes,
                             seed=args.seed).tolist()
@@ -540,11 +542,11 @@ def cmd_grad_check(args) -> int:
 
 def cmd_coverage(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "coverage")
     env = _resolve_env(args.env)
     if not isinstance(env, TabularMdp):
         raise ValueError("coverage resampling is defined for tabular "
                          "environments")
+    out = _prepare_out(args, "coverage")
     report = coverage_check(env, "uniform", n_transitions=args.n,
                             delta=args.delta, n_trials=args.trials,
                             seed=args.seed)

@@ -163,13 +163,15 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
     KL-penalty gradient with respect to the multiplier.
     """
     if isinstance(model, CategoricalWorldModel):
-        s_n, a_n, k_n = model.logits.shape
+        _, a_n, k_n = model.logits.shape
         mod = model.probs_all()
         anc = anchor.probs_all()
+        cells = dataset.cell_counts()
+        s, a = np.array(list(cells), dtype=np.int64).T
+        w = np.array(list(cells.values())) / dataset.n
         out = np.zeros(model.n_params)
-        for (s, a), count in dataset.cell_counts().items():
-            start = (s * a_n + a) * k_n
-            out[start:start + k_n] -= (count / dataset.n) * (anc[s, a] - mod[s, a])
+        # one scatter: the cells are distinct, so no block is written twice
+        out.reshape(-1, k_n)[s * a_n + a] -= w[:, None] * (anc[s, a] - mod[s, a])
         return out
     scores = _gaussian_expected_score(model, anchor, dataset.states,
                                       dataset.actions)

@@ -507,19 +507,29 @@ class OfflineDataset:
         """Row count per distinct (s, a) cell, keyed in order of first
         appearance in the dataset.
 
-        Scalar states and actions give ``(int s, int a)`` keys. Vector ones
-        give ``(state tuple, action tuple)`` keys of plain floats rounded to
+        Scalar states and actions give ``(int s, int a)`` keys. They are
+        grouped by one packed ``int64`` key, ``(s - s_min) * a_span +
+        (a - a_min)`` with ``a_span = a_max - a_min + 1``, so negative and
+        off-grid labels group like any other. Vector ones give
+        ``(state tuple, action tuple)`` keys of plain floats rounded to
         12 digits, with ``-0.0`` folded into ``0.0``.
         """
-        tabular = np.ndim(self.states) == 1 and np.ndim(self.actions) == 1
+        if np.ndim(self.states) == 1 and np.ndim(self.actions) == 1:
+            s = np.asarray(self.states).astype(np.int64)
+            a = np.asarray(self.actions).astype(np.int64)
+            _, first, counts = np.unique(_packed_key(s, a), return_index=True,
+                                         return_counts=True)
+            order = np.argsort(first)
+            first = first[order]
+            return dict(zip(zip(s[first].tolist(), a[first].tolist()),
+                            counts[order].tolist()))
         states = np.reshape(self.states, (self.n, -1))
         keys = np.column_stack([states, np.reshape(self.actions, (self.n, -1))])
-        keys = (keys.astype(np.int64) if tabular
-                else np.round(keys.astype(float), 12) + 0.0)
+        keys = np.round(keys.astype(float), 12) + 0.0
         cells, first, counts = np.unique(keys, axis=0, return_index=True,
                                          return_counts=True)
         order, d = np.argsort(first), states.shape[1]
-        return {((c[0], c[1]) if tabular else (tuple(c[:d]), tuple(c[d:]))): n
+        return {(tuple(c[:d]), tuple(c[d:])): n
                 for c, n in zip(cells[order].tolist(), counts[order].tolist())}
 
     def max_cell_count(self) -> int:
@@ -566,6 +576,18 @@ class OfflineDataset:
                 nexts.append(tr.states[t + 1])
         return OfflineDataset(np.array(states), np.array(actions),
                               np.array(rewards), np.array(nexts))
+
+
+def _packed_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """One ``int64`` per row, ``(major - major_min) * minor_span +
+    (minor - minor_min)``: rows share a key exactly when they share both
+    integer labels, and keys sort like ``(major, minor)``."""
+    major_min, minor_min = int(major.min()), int(minor.min())
+    minor_span = int(minor.max()) - minor_min + 1
+    if (int(major.max()) - major_min + 1) * minor_span > np.iinfo(np.int64).max:
+        raise ValueError("integer labels span too wide a range to pack "
+                         "into one int64 key")
+    return (major - major_min) * minor_span + (minor - minor_min)
 
 
 # ---------------------------------------------------------------------------
@@ -629,16 +651,20 @@ def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
         raise ValueError(f"dataset row {row} has (s={states[row]}, "
                          f"a={actions[row]}) outside the {s_dim} states x "
                          f"{a_dim} actions of the model")
-    # one alphabet lookup per distinct (r, s'), in order of first appearance
-    pairs, first, inverse = np.unique(
-        np.column_stack([dataset.rewards, dataset.next_states]), axis=0,
-        return_index=True, return_inverse=True)
-    outcome = np.empty(len(pairs), dtype=np.int64)
+    # one alphabet lookup per distinct (r, s'), in order of first appearance,
+    # with each pair read from the row where it first appears
+    rewards = dataset.rewards
+    nexts = np.asarray(dataset.next_states).astype(np.int64)
+    _, reward_rank = np.unique(rewards, return_inverse=True)
+    _, first, inverse = np.unique(_packed_key(reward_rank, nexts),
+                                  return_index=True, return_inverse=True)
+    outcome = np.empty(len(first), dtype=np.int64)
     for i in np.argsort(first):
-        outcome[i] = template.outcome_index(float(pairs[i, 0]),
-                                            int(pairs[i, 1]))
+        row = first[i]
+        outcome[i] = template.outcome_index(float(rewards[row]),
+                                            int(nexts[row]))
     counts = np.zeros((s_dim, a_dim, k_dim))
-    np.add.at(counts, (states, actions, outcome[inverse.ravel()]), 1.0)
+    np.add.at(counts, (states, actions, outcome[inverse]), 1.0)
     counts += alpha
     totals = counts.sum(axis=-1, keepdims=True)
     unvisited = np.nonzero(totals[..., 0] == 0)

@@ -234,21 +234,23 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
 
     def run_trial(trial_seed) -> tuple[bool, float, float]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            dataset = sample_offline_dataset(
-                mdp, behavior_policy, n_transitions,
-                seed=np.random.default_rng(trial_seed))
-            anchor = mle_fit(dataset, template)
-            statistic = kl_to_anchor(dataset, true_model, anchor)
-            radius = epsilon_fn(dataset)
+        dataset = sample_offline_dataset(
+            mdp, behavior_policy, n_transitions,
+            seed=np.random.default_rng(trial_seed))
+        anchor = mle_fit(dataset, template)
+        statistic = kl_to_anchor(dataset, true_model, anchor)
+        radius = epsilon_fn(dataset)
         return statistic <= radius, radius, statistic
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_trial, trial_seeds))
-    else:
-        results = [run_trial(ts) for ts in trial_seeds]
+    # The filter is process-wide and ``catch_warnings`` is not thread-safe,
+    # so it is entered once here, in the calling thread, never in a worker.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if n_workers > 1:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                results = list(pool.map(run_trial, trial_seeds))
+        else:
+            results = [run_trial(ts) for ts in trial_seeds]
 
     covered = np.array([r[0] for r in results])
     radii = np.array([r[1] for r in results])

@@ -1,5 +1,6 @@
 """Every subcommand on tiny budgets: exit codes and the artifacts it writes."""
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,34 @@ def test_coverage_exit_code_follows_report(tmp_path):
     assert code == (0 if passed else 1)
 
 
+# {(run name, file): sha256} of the files the seeded runs in
+# ``test_coverage_and_fit_artifacts_match_recorded_digests`` write.
+CLI_DIGESTS = {
+    ("cov", "coverage.json"): "e495c255b9680a681b2207063a169e222bca2a6e2ead342e4e767027eaf51ce9",
+    ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
+    ("fit", "model.json"): "f4fd7f59c1b97347915317cfed7cac0e5f432075e65cb6e2cdd1ba76569b1c05",
+}
+
+
+def test_coverage_and_fit_artifacts_match_recorded_digests(tmp_path):
+    """Guards byte-reproducibility of the coverage and MLE paths, with the
+    BLAS library's default thread count or with one thread. A change meant
+    to alter the numbers updates ``CLI_DIGESTS``, with a line in CHANGES.md
+    saying why."""
+    code, _ = run(tmp_path, "cov", "coverage", "--trials", "100",
+                  "--seed", "0")
+    assert code in (0, 1)
+    code, data = run(tmp_path, "data", "gen-data", "--env", "gradient",
+                     "--n", "300", "--seed", "0")
+    assert code == 0
+    code, _ = run(tmp_path, "fit", "fit-model", "--env", "gradient",
+                  "--dataset", str(data / "dataset.csv"))
+    assert code == 0
+    for (name, file), digest in CLI_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / name / file).read_bytes()) \
+            .hexdigest() == digest, file
+
+
 def test_dynamics_demo(tmp_path):
     code, out = run(tmp_path, "demo", "dynamics-demo", "--algo", "naive",
                     "--steps", "200")
@@ -132,7 +161,19 @@ def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     for argv in (["fit-model"], ["train", "--config", tiny_config(tmp_path)]):
-        code, _ = run(tmp_path, argv[0], *argv, "--env", "gradient",
-                      "--dataset", str(path))
+        code, out = run(tmp_path, argv[0], *argv, "--env", "gradient",
+                        "--dataset", str(path))
         assert code == 2
         assert f"row 4 has (s={state}, a=" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "0"],
+    ["coverage", "--env", "tracking"],
+    ["evaluate", "--env", "gradient", "--checkpoint", "missing.json"],
+])
+def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
+    code, out = run(tmp_path, "rejected", *argv)
+    assert code == 2
+    assert not out.exists()

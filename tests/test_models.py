@@ -543,6 +543,33 @@ def test_tabular_cell_counts_match_the_row_walk(grad_dataset):
     assert all(type(x) is int for key in counts for x in key)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_packed_cell_counts_match_the_row_walk(dtype):
+    """Negative and off-grid states, non-contiguous action labels, the
+    extremes of narrow integer types, and a one-row dataset."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(7)
+    low = max(int(info.min), -4)
+    states = rng.integers(low, low + 12, 200)
+    states[[5, 60]] = (info.min, info.max) if dtype is not np.int64 else (-9, 40)
+    actions = rng.choice([5, 0, 2, 200], 200)
+    for n in (200, 1):
+        dataset = OfflineDataset(states[:n].astype(dtype),
+                                 actions[:n].astype(dtype), np.zeros(n),
+                                 np.zeros(n, dtype=np.int64))
+        counts = dataset.cell_counts()
+        _assert_same_counts(counts, _row_cell_counts(dataset))
+        assert all(type(x) is int for key in counts for x in key)
+
+
+def test_packed_cell_counts_refuse_labels_too_wide_for_one_key():
+    extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+    dataset = OfflineDataset(extremes, np.array([0, 1]), np.zeros(2),
+                             np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="too wide"):
+        dataset.cell_counts()
+
+
 def test_continuous_cell_counts_match_the_row_walk(tracking_data):
     base = tracking_data[0]
     repeats = np.r_[np.arange(base.n), [3, 0, 3]]
@@ -567,6 +594,50 @@ def test_categorical_mle_matches_the_row_walk(grad_triple, grad_dataset):
         fitted = mle_fit(dataset, template, alpha=alpha)
         assert np.array_equal(fitted.logits,
                               _row_categorical_logits(dataset, template, alpha))
+
+
+def _signed_zero_template():
+    """2 states x 2 actions over outcomes (r, s') in {0.0, 1.0} x {0, 1}."""
+    return CategoricalWorldModel(np.zeros((2, 2, 4)), [0.0, 1.0, 0.0, 1.0],
+                                 [0, 0, 1, 1])
+
+
+def test_categorical_mle_groups_signed_zero_rewards():
+    template = _signed_zero_template()
+    rng = np.random.default_rng(3)
+    n = 64
+    states, actions = np.arange(n) % 2, (np.arange(n) // 2) % 2
+    rewards = rng.choice([0.0, -0.0, 1.0], n)
+    nexts = rng.integers(0, 2, n)
+    dataset = OfflineDataset(states, actions, rewards, nexts)
+    assert np.signbit(rewards[rewards == 0.0]).any()
+    assert not np.signbit(rewards[rewards == 0.0]).all()
+    positive = OfflineDataset(states, actions, rewards + 0.0, nexts)
+    for alpha in (0.0, 0.5):
+        fitted = mle_fit(dataset, template, alpha=alpha).logits
+        assert np.array_equal(fitted,
+                              _row_categorical_logits(dataset, template, alpha))
+        assert np.array_equal(fitted, mle_fit(positive, template,
+                                              alpha=alpha).logits)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((0.5, 0), (-0.25, 1)),   # the later outcome sorts first by reward
+    ((-0.0, 7), (0.0, 7)),    # the first row's signed zero is the one named
+    ((0.0, 7), (-0.0, 7)),
+    ((1.0, 9), (1.0, 8)),     # the later outcome sorts first by next state
+])
+def test_categorical_mle_names_the_first_unknown_outcome(first, second):
+    rows = [(0.0, 0), (1.0, 1), first, (0.0, 1), second, second]
+    rewards, nexts = (np.array(column) for column in zip(*rows))
+    dataset = OfflineDataset(np.zeros(len(rows), dtype=np.int64),
+                             np.zeros(len(rows), dtype=np.int64), rewards,
+                             nexts)
+    with pytest.raises(SupportError) as err:
+        mle_fit(dataset, _signed_zero_template())
+    assert str(err.value) == (f"observed outcome (r={first[0]!r}, "
+                              f"s'={first[1]}) is not in the model's "
+                              "outcome alphabet")
 
 
 def test_gaussian_mle_matches_the_row_walk(tracking_data):

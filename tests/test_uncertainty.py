@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ def test_coverage_deterministic_and_worker_invariant():
     again = coverage_check(small_mdp(), "uniform", **kwargs)
     threaded = coverage_check(small_mdp(), "uniform", n_workers=4, **kwargs)
     assert serial.to_dict() == again.to_dict() == threaded.to_dict()
+
+
+def test_threaded_coverage_leaves_the_warning_filters_alone(grad_triple):
+    """Worker threads entering ``warnings.catch_warnings`` could restore one
+    another's filter lists and leave ``simplefilter("ignore")`` installed
+    for the whole process after the call returned."""
+    before = list(warnings.filters)
+    for seed in range(6):
+        coverage_check(grad_triple[0], "uniform", n_transitions=400,
+                       delta=0.2, n_trials=100, seed=seed, n_workers=4)
+        assert warnings.filters == before, seed
 
 
 def test_coverage_report_arithmetic_and_roundtrip(tmp_path):

@@ -143,11 +143,10 @@ def masked_surrogate_gradient(step_scores: np.ndarray, masks: np.ndarray,
 def dataset_kl(dataset: OfflineDataset, model, anchor) -> float:
     """E_{(s,a)~D}[KL(anchor(.|s,a) || model(.|s,a))], exact over the dataset."""
     if isinstance(model, CategoricalWorldModel):
-        mod = model.probs_all()
-        anc = anchor.probs_all()
-        return float(sum((count / dataset.n)
-                         * categorical_kl(anc[s, a], mod[s, a])
-                         for (s, a), count in dataset.cell_counts().items()))
+        s, a, w = _cell_weights(dataset)
+        kl = categorical_kl(anchor.probs_all()[s, a], model.probs_all()[s, a])
+        # a running total in first-appearance order, not a pairwise sum
+        return float(np.add.accumulate(w * kl)[-1])
     kl = gaussian_kl(anchor.mean(dataset.states, dataset.actions),
                      np.exp(2.0 * anchor.log_std),
                      model.mean(dataset.states, dataset.actions),
@@ -166,9 +165,7 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
         _, a_n, k_n = model.logits.shape
         mod = model.probs_all()
         anc = anchor.probs_all()
-        cells = dataset.cell_counts()
-        s, a = np.array(list(cells), dtype=np.int64).T
-        w = np.array(list(cells.values())) / dataset.n
+        s, a, w = _cell_weights(dataset)
         out = np.zeros(model.n_params)
         # one scatter: the cells are distinct, so no block is written twice
         out.reshape(-1, k_n)[s * a_n + a] -= w[:, None] * (anc[s, a] - mod[s, a])
@@ -177,6 +174,14 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
                                       dataset.actions)
     # a running total in row order, not numpy's pairwise sum
     return -np.add.accumulate(scores, axis=0)[-1] / dataset.n
+
+
+def _cell_weights(dataset: OfflineDataset) -> tuple:
+    """(states, actions, weights) of the tabular dataset's distinct cells in
+    first-appearance order; each weight is the cell's share of the rows."""
+    cells = dataset.cell_counts()
+    s, a = np.array(list(cells), dtype=np.int64).T
+    return s, a, np.array(list(cells.values())) / dataset.n
 
 
 def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
@@ -216,22 +221,23 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
       replacement per column, scaled sqrt(h / n_step_cols); their product
       estimates sum_t E[w_t score_t score_t^T].
     * Z columns: dataset state-action pairs redrawn through the anchor,
-      scaled sqrt(lam / n_penalty_cols).
+      scaled sqrt(lam / n_penalty_cols). Z is a C-contiguous copy of the
+      transposed score draws, not the transposed view: a factor's memory
+      layout selects the BLAS kernels of every later product with it, and
+      so the last bits of the solve.
     * The dual coupling vector and constraint gap are always exact over the
       whole dataset (``dataset_dual_coupling`` and ``dataset_kl``).
     """
     m, h = weights.shape
-    psi_phi = psi_gradients(weights, phi_scores)            # (m, n_phi)
-    u = psi_phi.T / np.sqrt(m)
-    v = phi_scores.sum(axis=1).T / np.sqrt(m)
+    # each factor is scaled in place on the one array that holds it
+    u = psi_gradients(weights, phi_scores).T
+    u /= np.sqrt(m)
+    v = phi_scores.sum(axis=1).T
+    v /= np.sqrt(m)
     w_fac = theta_trajectory_scores.T / np.sqrt(m)
 
     traj_idx = rng.integers(0, m, size=n_step_cols)
     step_idx = rng.integers(0, h, size=n_step_cols)
-    step_scale = np.sqrt(h / n_step_cols)
-    y_cols = phi_scores[traj_idx, step_idx].T * step_scale
-    x_cols = y_cols * weights[traj_idx, step_idx]
-
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     pairs = list(zip(dataset.states[rows], dataset.actions[rows]))
     if isinstance(model, CategoricalWorldModel):
@@ -242,25 +248,17 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
         emissions = [np.append(*anchor.sample(s, a, rng)) for s, a in pairs]
     score_draws = model.scores(dataset.states[rows], dataset.actions[rows],
                                np.array(emissions))
-    z_cols = (np.ascontiguousarray(score_draws.T)
-              * np.sqrt(max(lam, 0.0) / n_penalty_cols))
+    z_cols = np.ascontiguousarray(score_draws.T)
+    del score_draws  # gone before the step columns are gathered
+    z_cols *= np.sqrt(max(lam, 0.0) / n_penalty_cols)
+    y_cols = phi_scores[traj_idx, step_idx].T
+    y_cols *= np.sqrt(h / n_step_cols)
+    x_cols = y_cols * weights[traj_idx, step_idx]
 
     return LowRankFactors(
         u=u, v=v, x=x_cols, y=y_cols, z=z_cols, w=w_fac, ridge=ridge, lam=lam,
         dual_coupling=dataset_dual_coupling(dataset, model, anchor),
         dual_slope=dataset_kl(dataset, model, anchor) - epsilon)
-
-
-def model_penalty_gradient(weights: np.ndarray, phi_scores: np.ndarray,
-                           dataset: OfflineDataset, model, anchor,
-                           lam: float) -> np.ndarray:
-    """grad_phi of the penalized objective J + lam * E_D[KL(anchor || model)].
-
-    The KL term's gradient is -lam * E_{anchor o D}[score], which is exactly
-    ``lam * dataset_dual_coupling``.
-    """
-    return (model_gradient(weights, phi_scores)
-            + lam * dataset_dual_coupling(dataset, model, anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +320,7 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
     }
     rng = np.random.default_rng(seed)
     anc_probs = anchor.probs_all()
-    mod_probs = model.probs_all()
-    kl_cells = np.array([[categorical_kl(anc_probs[s, a], mod_probs[s, a])
-                          for a in range(mdp.num_actions)]
-                         for s in range(mdp.num_states)])
+    kl_cells = categorical_kl(anc_probs, model.probs_all())
 
     done = 0
     batch_seed = 0

@@ -595,14 +595,32 @@ def _packed_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def categorical_kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) with the 0 log 0 = 0 convention; infinite if q misses p's support."""
+def categorical_kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """KL(p || q) over the last axis with the 0 log 0 = 0 convention;
+    infinite where q misses p's support. A float for one pair of
+    distributions, an array over the leading axes for a batch.
+
+    Each row sums only its p > 0 terms, in order. Rows are summed in groups
+    of equal term count, so numpy's pairwise sum groups each row's terms as
+    it would for that row alone, and a batch gives the bits of one call per
+    row.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    mask = p > 0
-    if (q[mask] == 0).any():
-        return float("inf")
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
+    rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1])
+    support = rows_p > 0
+    n_terms = support.sum(axis=1)
+    out = np.empty(len(rows_p))
+    with np.errstate(divide="ignore"):
+        for n in np.unique(n_terms):
+            group = n_terms == n
+            keep = support & group[:, None]  # n entries per row, in order
+            shape = (int(group.sum()), int(n))
+            p_n, q_n = rows_p[keep].reshape(shape), rows_q[keep].reshape(shape)
+            out[group] = (p_n * (np.log(p_n) - np.log(q_n))).sum(axis=1)
+    out[(support & (rows_q == 0)).any(axis=1)] = np.inf
+    out = out.reshape(p.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def categorical_tv(p: np.ndarray, q: np.ndarray) -> float:

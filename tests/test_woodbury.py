@@ -6,8 +6,7 @@ import pytest
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, HessianOperator,
                                 IllConditionedError, LowRankFactors,
                                 SingularScalarError, WoodburySolver,
-                                dense_leader_gradient, leader_gradient,
-                                random_factors)
+                                leader_gradient, random_factors)
 
 
 def empty_cols(n_phi: int) -> np.ndarray:
@@ -186,6 +185,22 @@ def test_vanishing_schur_complement_raises():
 # ---------------------------------------------------------------------------
 
 
+def dense_leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
+                          factors: LowRankFactors,
+                          use_dual_row: bool = True) -> np.ndarray:
+    """Dense-route oracle for ``leader_gradient``."""
+    a = factors.dense()
+    a_inv = np.linalg.inv(a)
+    if use_dual_row and factors.dual_coupling.size and factors.lam:
+        b = factors.dual_coupling
+        s = factors.dual_slope - factors.lam * float(b @ a_inv @ b)
+        # A_hat is not symmetric in-sample, so the right factor is A^{-T} b
+        h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
+    else:
+        h = a_inv
+    return grad_policy - factors.dense_mixed().T @ (h @ grad_model)
+
+
 def test_leader_gradient_matches_dense_route():
     rng = np.random.default_rng(3)
     for seed in range(20):
@@ -227,6 +242,44 @@ def test_scalar_leader_gradient_hand_derivation():
     expected_dual = gp - w * u * corrected
     got_dual = leader_gradient(np.array([gp]), np.array([gm]), dual)
     assert abs(got_dual[0] - expected_dual) <= 1e-10
+
+
+FACTOR_ARRAYS = ("u", "v", "x", "y", "z", "w", "dual_coupling")
+
+
+@pytest.mark.parametrize("empty", [(), ("x", "y"), ("z",), ("x", "y", "z")])
+def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
+    """The solver updates its own products in place; the factors, the
+    caller's right-hand sides and the solver's caches are only read."""
+    n_phi = 40
+    factors = random_factors(n_phi, seed=11)
+    for name in empty:
+        setattr(factors, name, empty_cols(n_phi))
+    kept = {name: getattr(factors, name).copy() for name in FACTOR_ARRAYS}
+    rng = np.random.default_rng(12)
+    vec = rng.standard_normal(n_phi)
+    block = rng.standard_normal((n_phi, 3))
+    grad_policy = rng.standard_normal(factors.n_theta)
+    inputs = [vec, block, grad_policy]
+    copies = [arr.copy() for arr in inputs]
+
+    solver = WoodburySolver(factors)
+    operator = HessianOperator(solver)
+    first = [solver.solve(vec), solver.solve(block), operator.apply(vec),
+             leader_gradient(grad_policy, vec, factors, operator=operator),
+             leader_gradient(grad_policy, vec, factors, operator=operator,
+                             use_dual_row=False)]
+    again = [solver.solve(vec), solver.solve(block), operator.apply(vec),
+             leader_gradient(grad_policy, vec, factors, operator=operator),
+             leader_gradient(grad_policy, vec, factors, operator=operator,
+                             use_dual_row=False)]
+
+    for name, before in kept.items():
+        assert np.array_equal(getattr(factors, name), before), name
+    for arr, before in zip(inputs, copies):
+        assert np.array_equal(arr, before)
+    for out, repeat in zip(first, again):
+        assert np.array_equal(out, repeat)
 
 
 # ---------------------------------------------------------------------------

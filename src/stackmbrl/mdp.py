@@ -17,7 +17,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -252,25 +252,6 @@ def _parse_state(text: str):
     return vec if vec.size > 1 or "." in text or "e" in text else int(vec[0])
 
 
-def save_trajectories_csv(trajectories: Sequence[Trajectory], path: str | Path) -> None:
-    """Write transition rows (t, s, a, r, s_next, logp_policy, logp_model)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "t", "s", "a", "r", "s_next",
-                         "logp_policy", "logp_model"])
-        for ep, tr in enumerate(trajectories):
-            for t in range(tr.n_steps):
-                writer.writerow([
-                    ep, t,
-                    _format_state(tr.states[t]),
-                    _format_state(tr.actions[t]),
-                    repr(float(tr.rewards[t])),
-                    _format_state(tr.states[t + 1]),
-                    repr(float(tr.logp_policy[t])),
-                    repr(float(tr.logp_model[t])),
-                ])
-
-
 def load_transitions_csv(path: str | Path) -> list[dict]:
     """Read back transition rows; states/actions parsed to ints or vectors."""
     rows = []
@@ -430,20 +411,6 @@ def normalized_occupancy(mdp: TabularMdp, policy, model="true") -> np.ndarray:
     return mix / weights.sum()
 
 
-def stationary_values(joint: np.ndarray, outcome_rewards: np.ndarray,
-                      outcome_next: np.ndarray, policy_probs: np.ndarray,
-                      gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Infinite-horizon discounted (V, Q) under (policy, model), by linear solve."""
-    s = joint.shape[0]
-    trans = transition_marginal(joint, outcome_next, s)
-    r_sa = joint @ outcome_rewards
-    p_pi = np.einsum("sa,sau->su", policy_probs, trans)
-    r_pi = (policy_probs * r_sa).sum(axis=1)
-    v = np.linalg.solve(np.eye(s) - gamma * p_pi, r_pi)
-    q = r_sa + gamma * trans @ v
-    return v, q
-
-
 def dp_optimal_policy(mdp: TabularMdp, tol: float = 1e-12,
                       max_iter: int = 100_000) -> np.ndarray:
     """Greedy stationary policy from infinite-horizon value iteration.
@@ -479,10 +446,13 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 
 def _draw_categorical_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized draw of one index per probability row."""
-    cdf = np.cumsum(rows, axis=1)
-    u = rng.random(rows.shape[0])
-    idx = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(idx, rows.shape[1] - 1)
+    return _categorical_lookup(np.cumsum(rows, axis=1), rng.random(rows.shape[0]))
+
+
+def _categorical_lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of each uniform ``u`` in its row of ``cdf``: the number of
+    entries below it, capped at the last index."""
+    return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
 
 
 def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,

@@ -623,10 +623,6 @@ def categorical_kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def categorical_tv(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-
-
 def gaussian_kl(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,
                 var_q: np.ndarray) -> np.ndarray:
     """KL between diagonal Gaussians, summed over the trailing (dimension)
@@ -684,19 +680,24 @@ def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
     counts = np.zeros((s_dim, a_dim, k_dim))
     np.add.at(counts, (states, actions, outcome[inverse]), 1.0)
     counts += alpha
+    return CategoricalWorldModel(_frequency_logits(counts),
+                                 template.outcome_rewards,
+                                 template.outcome_next_states)
+
+
+def _frequency_logits(counts: np.ndarray) -> np.ndarray:
+    """Floored log frequencies along the last axis of ``counts``; a cell
+    with no count falls back, in place, to uniform with a warning."""
     totals = counts.sum(axis=-1, keepdims=True)
     unvisited = np.nonzero(totals[..., 0] == 0)
     if unvisited[0].size:
-        # No observations at all for these cells: fall back to the uniform prior
         cells = list(zip(*[idx.tolist() for idx in unvisited]))
         warnings.warn(f"MLE fallback to uniform at unvisited cells {cells}")
         counts[totals[..., 0] == 0] = 1.0
         totals = counts.sum(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         logits = np.log(counts / totals)
-    logits = np.maximum(logits, LOGIT_FLOOR)
-    return CategoricalWorldModel(logits, template.outcome_rewards,
-                                 template.outcome_next_states)
+    return np.maximum(logits, LOGIT_FLOOR)
 
 
 def _mle_linear_gaussian(dataset: OfflineDataset,
@@ -727,20 +728,46 @@ def _mle_linear_gaussian(dataset: OfflineDataset,
 def sample_offline_dataset(mdp: TabularMdp, policy, n: int, seed=0,
                            state_dist: np.ndarray | None = None) -> OfflineDataset:
     """I.i.d. behavior dataset: s from ``state_dist`` (uniform by default),
-    a from the behavior policy, (r, s') from the true environment."""
-    from .mdp import _as_rng, _draw_categorical_rows, _policy_probs
+    a from the behavior policy, (r, s') from the true environment. The
+    one-dataset case of ``_offline_sampler``."""
+    rows = _offline_sampler(mdp, policy, n, state_dist)([seed])
+    return _offline_dataset(mdp, *rows)
 
-    rng = _as_rng(seed)
+
+def _offline_sampler(mdp: TabularMdp, policy, n: int,
+                     state_dist: np.ndarray | None = None):
+    """``sample(seeds, mapper=map)``: (states, actions, outcome codes) of one
+    ``n``-row behavior dataset per seed, concatenated in seed order. Each
+    seed's generator draws states, then action and then outcome uniforms, as
+    ``mapper`` runs it. The lookups then run once over all the rows, in CDF
+    tables taken once: a row of a cumsum is the same before or after a gather."""
+    from .mdp import _as_rng, _categorical_lookup, _policy_probs
     if state_dist is None:
         state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
-    states = rng.choice(mdp.num_states, size=n, p=state_dist)
-    actions = _draw_categorical_rows(_policy_probs(policy, mdp)[states], rng)
-    outcomes = _draw_categorical_rows(
-        mdp.joint_outcome_probs()[states, actions], rng)
-    rewards_tab, nexts_tab = mdp.outcome_table()
+    policy_cdf = np.cumsum(_policy_probs(policy, mdp), axis=-1)
+    outcome_cdf = np.cumsum(mdp.joint_outcome_probs(), axis=-1)
+
+    def draw(seed):
+        rng = _as_rng(seed)
+        return (rng.choice(mdp.num_states, size=n, p=state_dist),
+                rng.random(n), rng.random(n))
+
+    def sample(seeds, mapper=map):
+        states, u_action, u_outcome = (np.concatenate(column) for column
+                                       in zip(*mapper(draw, seeds)))
+        actions = _categorical_lookup(policy_cdf[states], u_action)
+        return (states, actions,
+                _categorical_lookup(outcome_cdf[states, actions], u_outcome))
+    return sample
+
+
+def _offline_dataset(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
+                     outcomes: np.ndarray) -> OfflineDataset:
+    """The dataset of rows given as packed outcome codes."""
+    rewards, next_states = mdp.outcome_table()
     return OfflineDataset(states=states, actions=actions,
-                          rewards=rewards_tab[outcomes],
-                          next_states=nexts_tab[outcomes])
+                          rewards=rewards[outcomes],
+                          next_states=next_states[outcomes])
 
 
 def rollout_dataset(env, policy, n_episodes: int, seed=0) -> OfflineDataset:

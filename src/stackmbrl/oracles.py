@@ -198,32 +198,6 @@ def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
                              total_prob=total)
 
 
-def occupancy_immediate_error(mdp: TabularMdp, policy: SoftmaxPolicy,
-                              model: CategoricalWorldModel) -> np.ndarray:
-    """Occupancy-weighted route to the immediate-reward substitution error.
-
-    sum_t gamma^t sum_{s,a} d_t(s,a) sum_k r(k) hess_phi P(k|s,a); must agree
-    with ``ExactExpectations.immediate_error`` (dual-route identity).
-    """
-    from .mdp import per_step_occupancy
-    s_n, a_n, k_n = model.logits.shape
-    n_phi = model.n_params
-    d = per_step_occupancy(mdp, policy, model)
-    probs = model.probs_all()
-    out = np.zeros((n_phi, n_phi))
-    rewards = model.outcome_rewards
-    for s, a in np.ndindex(s_n, a_n):
-        p = probs[s, a]
-        start = (s * a_n + a) * k_n
-        sc = np.eye(k_n) - p  # row k: score of outcome k on the cell block
-        # sum_k r(k) hess P(k), with hess P(k) = P(k) * (score score^T - cov)
-        block = (np.einsum("k,ki,kj->ij", rewards * p, sc, sc)
-                 - (rewards @ p) * _softmax_cov(p))
-        weight = (d[:, s, a] * mdp.gamma ** np.arange(mdp.horizon)).sum()
-        out[start:start + k_n, start:start + k_n] += weight * block
-    return out
-
-
 # ---------------------------------------------------------------------------
 # dataset-side exact terms (KL penalty, dual coupling, FIM regularizer)
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ import numpy as np
 
 from .estimators import dataset_kl
 from .mdp import TabularMdp
-from .models import (CategoricalWorldModel, OfflineDataset, mle_fit,
-                     sample_offline_dataset)
+from .models import (CategoricalWorldModel, OfflineDataset, _frequency_logits,
+                     _offline_dataset, _offline_sampler, _softmax,
+                     categorical_kl)
 
 # constants of the categorical KL concentration inequality
 GROWTH_COEF = 3.20    # multiplies (cell count / alphabet size) inside the power
 LEADING_COEF = 2.93   # leading multiplicative constant
 
 MIN_COVERAGE_TRIALS = 100
+COVERAGE_BLOCK_ROWS = 4096  # scored at once: spreads numpy's per-call cost
 
 
 def _check_delta(delta: float):
@@ -160,18 +162,6 @@ def kl_to_anchor(dataset: OfflineDataset, model, anchor) -> float:
     return dataset_kl(dataset, model, anchor)
 
 
-def dataset_tv_squared(dataset: OfflineDataset, model: CategoricalWorldModel,
-                       anchor: CategoricalWorldModel) -> float:
-    """Dataset-weighted squared total variation between anchor and model."""
-    mod = model.probs_all()
-    anc = anchor.probs_all()
-    total = 0.0
-    for (s, a), count in dataset.cell_counts().items():
-        tv = 0.5 * np.abs(anc[s, a] - mod[s, a]).sum()
-        total += (count / dataset.n) * tv ** 2
-    return float(total)
-
-
 # ---------------------------------------------------------------------------
 # coverage measurement
 # ---------------------------------------------------------------------------
@@ -217,47 +207,86 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
 
     Each trial draws a fresh offline dataset from the true environment, fits
     the MLE anchor, computes the trial's own radius, and tests whether the
-    generating model satisfies the membership statistic. Trials use seeds
-    derived from ``seed`` and reduce deterministically regardless of worker
-    count.
+    generating model satisfies the membership statistic. Each trial has its
+    own generator, seeded from ``seed``. Trials are scored in blocks of
+    about ``COVERAGE_BLOCK_ROWS`` rows, with the bits of one trial at a time
+    (``sample_offline_dataset``, ``mle_fit``, ``kl_to_anchor``,
+    ``epsilon_tabular``). ``epsilon_fn``, if given, replaces
+    ``epsilon_tabular`` once per dataset. ``n_workers`` threads share only
+    the per-trial random draws.
     """
     _check_delta(delta)
     if n_trials < MIN_COVERAGE_TRIALS:
         raise ValueError(f"need at least {MIN_COVERAGE_TRIALS} trials for a "
                          f"meaningful rate, got {n_trials}")
+    if n_transitions < 1:
+        raise ValueError("dataset must contain at least one transition")
+    n, k_dim = n_transitions, mdp.num_outcomes
     true_model = CategoricalWorldModel.from_mdp(mdp)
-    template = CategoricalWorldModel.uniform(mdp)
-    if epsilon_fn is None:
-        def epsilon_fn(dataset):
-            return epsilon_tabular(dataset, mdp.num_outcomes, delta)
-
+    true_probs = true_model.probs_all()
+    sample = _offline_sampler(mdp, behavior_policy, n)
+    alphabet = np.array([true_model.outcome_index(r, s)  # the MLE's lookup
+                         for r, s in zip(*mdp.outcome_table())])
     trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
+    per_block = max(1, COVERAGE_BLOCK_ROWS // n)
 
-    def run_trial(trial_seed) -> tuple[bool, float, float]:
-        dataset = sample_offline_dataset(
-            mdp, behavior_policy, n_transitions,
-            seed=np.random.default_rng(trial_seed))
-        anchor = mle_fit(dataset, template)
-        statistic = kl_to_anchor(dataset, true_model, anchor)
-        radius = epsilon_fn(dataset)
-        return statistic <= radius, radius, statistic
+    def run_block(start: int, mapper) -> list:
+        rows = sample(trial_seeds[start:start + per_block], mapper)
+        results = []
+        for t, (stat, n_cells, n_min, n_max) in enumerate(
+                _block_statistics(true_probs, alphabet, *rows, n)):
+            if epsilon_fn is None and 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
+                radius = tabular_radius_value(n_cells, n, k_dim, n_max, delta)
+            else:  # off the window, epsilon_tabular raises naming the cells
+                dataset = _offline_dataset(mdp, *(r[t * n:(t + 1) * n] for r in rows))
+                radius = (epsilon_fn(dataset) if epsilon_fn is not None
+                          else epsilon_tabular(dataset, k_dim, delta))
+            results.append((stat <= radius, radius, stat))
+        return results
 
     # The filter is process-wide and ``catch_warnings`` is not thread-safe,
     # so it is entered once here, in the calling thread, never in a worker.
-    with warnings.catch_warnings():
+    # A pool starts no thread until it is used.
+    with warnings.catch_warnings(), ThreadPoolExecutor(max(n_workers, 1)) as pool:
         warnings.simplefilter("ignore")
-        if n_workers > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(run_trial, trial_seeds))
-        else:
-            results = [run_trial(ts) for ts in trial_seeds]
+        mapper = pool.map if n_workers > 1 else map
+        results = [r for i in range(0, n_trials, per_block)
+                   for r in run_block(i, mapper)]
 
-    covered = np.array([r[0] for r in results])
-    radii = np.array([r[1] for r in results])
-    stats = np.array([r[2] for r in results])
+    covered, radii, stats = (np.array(column) for column in zip(*results))
     target = 1.0 - delta / 2.0
     return CoverageReport(
         delta=delta, trials=n_trials, coverage=float(covered.mean()),
         target=target,
         binomial_std=float(math.sqrt(target * (1.0 - target) / n_trials)),
         mean_epsilon=float(radii.mean()), mean_statistic=float(stats.mean()))
+
+
+def _block_statistics(true_probs: np.ndarray, alphabet: np.ndarray,
+                      states: np.ndarray, actions: np.ndarray,
+                      codes: np.ndarray, n: int):
+    """(statistic, distinct cells, smallest and largest cell count) of each
+    of the concatenated ``n``-row datasets, from one grouping of the rows.
+    Each statistic sums its terms in ``dataset_kl``'s order, along a row
+    padded with -0.0: unlike +0.0, it is the exact additive identity."""
+    s_dim, a_dim, k_dim = true_probs.shape
+    rows = np.arange(len(states))
+    cell = ((rows // n) * s_dim + states) * a_dim + actions
+    first = np.full((len(rows) // n) * s_dim * a_dim, len(rows))
+    np.minimum.at(first, cell, rows)
+    cells = cell[first[cell] == rows]  # by trial, in first-appearance order
+    rank = np.empty_like(first)
+    rank[cells] = np.arange(len(cells))
+    counts = np.bincount(rank[cell] * k_dim + alphabet[codes],
+                         minlength=len(cells) * k_dim).reshape(-1, k_dim)
+    cell_n = counts.sum(axis=1)
+    trial, pair = np.divmod(cells, s_dim * a_dim)
+    kl = categorical_kl(_softmax(_frequency_logits(counts)),
+                        true_probs.reshape(-1, k_dim)[pair])
+    n_cells = np.bincount(trial)
+    start = np.cumsum(n_cells) - n_cells
+    terms = np.full((len(n_cells), n_cells.max()), -0.0)
+    terms[trial, np.arange(len(cells)) - start[trial]] = cell_n / n * kl
+    return zip(np.add.accumulate(terms, axis=1)[:, -1].tolist(),
+               n_cells.tolist(), np.minimum.reduceat(cell_n, start).tolist(),
+               np.maximum.reduceat(cell_n, start).tolist())

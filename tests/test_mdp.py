@@ -1,18 +1,53 @@
 """Environment containers, DP oracles, samplers, and the noisy deployment."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
-                           batch_to_trajectories, dp_optimal_policy, dp_values,
-                           exact_return, load_transitions_csv,
-                           normalized_occupancy, per_step_occupancy,
-                           perturb_step, sample_tabular_batch,
-                           sample_trajectory, save_trajectories_csv,
-                           simulation_gap_and_bound, stationary_values)
+                           _format_state, batch_to_trajectories,
+                           dp_optimal_policy, dp_values, exact_return,
+                           load_transitions_csv, normalized_occupancy,
+                           per_step_occupancy, perturb_step,
+                           sample_tabular_batch, sample_trajectory,
+                           simulation_gap_and_bound, transition_marginal)
 from stackmbrl.models import CategoricalWorldModel, SoftmaxPolicy
 from stackmbrl.oracles import enumerate_paths
 from stackmbrl.testbeds import gradient_mdp, tracking_mdp
+
+
+def save_trajectories_csv(trajectories, path) -> None:
+    """Write transition rows (t, s, a, r, s_next, logp_policy, logp_model)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["episode", "t", "s", "a", "r", "s_next",
+                         "logp_policy", "logp_model"])
+        for ep, tr in enumerate(trajectories):
+            for t in range(tr.n_steps):
+                writer.writerow([
+                    ep, t,
+                    _format_state(tr.states[t]),
+                    _format_state(tr.actions[t]),
+                    repr(float(tr.rewards[t])),
+                    _format_state(tr.states[t + 1]),
+                    repr(float(tr.logp_policy[t])),
+                    repr(float(tr.logp_model[t])),
+                ])
+
+
+def stationary_values(joint: np.ndarray, outcome_rewards: np.ndarray,
+                      outcome_next: np.ndarray, policy_probs: np.ndarray,
+                      gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Infinite-horizon discounted (V, Q) under (policy, model), by linear solve."""
+    s = joint.shape[0]
+    trans = transition_marginal(joint, outcome_next, s)
+    r_sa = joint @ outcome_rewards
+    p_pi = np.einsum("sa,sau->su", policy_probs, trans)
+    r_pi = (policy_probs * r_sa).sum(axis=1)
+    v = np.linalg.solve(np.eye(s) - gamma * p_pi, r_pi)
+    q = r_sa + gamma * trans @ v
+    return v, q
 
 
 def constant_reward_chain(gamma=0.5, horizon=3):

@@ -9,10 +9,10 @@ from stackmbrl.estimators import dataset_dual_coupling, dataset_kl
 from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               DiagGaussianPolicy, DiagGaussianWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
-                              SupportError, categorical_kl, categorical_tv,
-                              gaussian_kl, mle_fit, rollout_dataset,
-                              sample_offline_dataset)
-from stackmbrl.testbeds import small_mdp, tracking_behavior_policy, tracking_mdp
+                              SupportError, categorical_kl, gaussian_kl,
+                              mle_fit, rollout_dataset, sample_offline_dataset)
+from stackmbrl.testbeds import (gradient_mdp, small_mdp,
+                                tracking_behavior_policy, tracking_mdp)
 from conftest import dirichlet_mdp
 
 KL_EXAMPLE = 0.14384103622589042  # KL((.5,.5) || (.25,.75)) by hand
@@ -337,6 +337,10 @@ def test_categorical_kl_examples():
     assert categorical_kl(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 0.0
 
 
+def categorical_tv(p: np.ndarray, q: np.ndarray) -> float:
+    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
 def test_categorical_tv():
     assert categorical_tv(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
     assert categorical_tv(np.array([0.5, 0.5]), np.array([0.25, 0.75])) == pytest.approx(0.25)
@@ -429,6 +433,56 @@ def test_sample_offline_dataset_determinism(small_triple):
     for field in ("states", "actions", "rewards", "next_states"):
         assert np.array_equal(np.asarray(getattr(a, field)),
                               np.asarray(getattr(b, field)))
+
+
+def per_dataset_sample(mdp, policy, n, seed=0, state_dist=None):
+    """``sample_offline_dataset`` as one call per dataset, each categorical
+    draw taking its own cumsum of the gathered rows: the reference for the
+    sampler that ``coverage_check`` runs over blocks of datasets."""
+    from stackmbrl.mdp import _as_rng, _policy_probs
+
+    def draw_rows(rows, rng):
+        cdf = np.cumsum(rows, axis=1)
+        u = rng.random(rows.shape[0])
+        idx = (u[:, None] > cdf).sum(axis=1)
+        return np.minimum(idx, rows.shape[1] - 1)
+
+    rng = _as_rng(seed)
+    if state_dist is None:
+        state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
+    states = rng.choice(mdp.num_states, size=n, p=state_dist)
+    actions = draw_rows(_policy_probs(policy, mdp)[states], rng)
+    outcomes = draw_rows(mdp.joint_outcome_probs()[states, actions], rng)
+    rewards_tab, nexts_tab = mdp.outcome_table()
+    return OfflineDataset(states=states, actions=actions,
+                          rewards=rewards_tab[outcomes],
+                          next_states=nexts_tab[outcomes])
+
+
+@pytest.mark.parametrize("make_mdp", [gradient_mdp, lambda: dirichlet_mdp(3, 7)],
+                         ids=["gradient", "dirichlet"])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_matches_the_per_dataset_draws(make_mdp, seed):
+    mdp = make_mdp()
+    logits = np.random.default_rng(seed).normal(
+        scale=2.0, size=(mdp.num_states, mdp.num_actions))
+    skewed = np.arange(1.0, mdp.num_states + 1) ** 2
+    for policy in ("uniform", SoftmaxPolicy(logits)):
+        for state_dist in (None, skewed / skewed.sum()):
+            for n in (1, 37, 400):
+                kwargs = dict(n=n, state_dist=state_dist)
+                got = sample_offline_dataset(mdp, policy, seed=seed, **kwargs)
+                want = per_dataset_sample(mdp, policy, seed=seed, **kwargs)
+                for field in ("states", "actions", "rewards", "next_states"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    # a generator passed as the seed is drawn from, as before
+    got = sample_offline_dataset(mdp, "uniform", 50,
+                                 seed=np.random.default_rng(seed))
+    want = per_dataset_sample(mdp, "uniform", 50,
+                              seed=np.random.default_rng(seed))
+    assert got.states.tolist() == want.states.tolist()
+    assert got.rewards.tolist() == want.rewards.tolist()
 
 
 def test_categorical_mle_rejects_rows_outside_the_model():

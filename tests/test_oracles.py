@@ -4,17 +4,41 @@ import numpy as np
 import pytest
 
 from stackmbrl.estimators import dataset_kl
-from stackmbrl.mdp import TabularMdp, exact_return
+from stackmbrl.mdp import TabularMdp, exact_return, per_step_occupancy
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
-from stackmbrl.oracles import (central_difference, central_difference_mixed,
-                               enumerate_paths, exact_constrained_hessian,
-                               exact_expectations, exact_grad_lagrangian_model,
-                               exact_lagrangian,
+from stackmbrl.oracles import (_softmax_cov, central_difference,
+                               central_difference_mixed, enumerate_paths,
+                               exact_constrained_hessian, exact_expectations,
+                               exact_grad_lagrangian_model, exact_lagrangian,
                                exact_penalty_terms, mixed_return_fn,
-                               model_return_fn, occupancy_immediate_error,
-                               policy_return_fn)
+                               model_return_fn, policy_return_fn)
 
 KL_EXAMPLE = 0.14384103622589042
+
+
+def occupancy_immediate_error(mdp: TabularMdp, policy: SoftmaxPolicy,
+                              model: CategoricalWorldModel) -> np.ndarray:
+    """Occupancy-weighted route to the immediate-reward substitution error.
+
+    sum_t gamma^t sum_{s,a} d_t(s,a) sum_k r(k) hess_phi P(k|s,a); must agree
+    with ``ExactExpectations.immediate_error`` (dual-route identity).
+    """
+    s_n, a_n, k_n = model.logits.shape
+    n_phi = model.n_params
+    d = per_step_occupancy(mdp, policy, model)
+    probs = model.probs_all()
+    out = np.zeros((n_phi, n_phi))
+    rewards = model.outcome_rewards
+    for s, a in np.ndindex(s_n, a_n):
+        p = probs[s, a]
+        start = (s * a_n + a) * k_n
+        sc = np.eye(k_n) - p  # row k: score of outcome k on the cell block
+        # sum_k r(k) hess P(k), with hess P(k) = P(k) * (score score^T - cov)
+        block = (np.einsum("k,ki,kj->ij", rewards * p, sc, sc)
+                 - (rewards @ p) * _softmax_cov(p))
+        weight = (d[:, s, a] * mdp.gamma ** np.arange(mdp.horizon)).sum()
+        out[start:start + k_n, start:start + k_n] += weight * block
+    return out
 
 
 def constant_reward_mdp() -> TabularMdp:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +10,15 @@ import pytest
 
 from stackmbrl.mdp import TabularMdp
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianWorldModel,
-                              OfflineDataset, mle_fit)
-from stackmbrl.testbeds import small_mdp
+                              OfflineDataset, SoftmaxPolicy, mle_fit,
+                              sample_offline_dataset)
+from stackmbrl.testbeds import gradient_mdp, small_mdp
+from conftest import dirichlet_mdp
 from stackmbrl.uncertainty import (GROWTH_COEF, LEADING_COEF,
                                    MIN_COVERAGE_TRIALS, CoverageReport,
-                                   coverage_check, dataset_tv_squared,
-                                   epsilon_gaussian, epsilon_tabular,
-                                   gaussian_cell_bound, kl_to_anchor,
-                                   tabular_radius_value)
+                                   coverage_check, epsilon_gaussian,
+                                   epsilon_tabular, gaussian_cell_bound,
+                                   kl_to_anchor, tabular_radius_value)
 
 # radius for 4 cells, 100 transitions, alphabet 3, largest cell 30, delta 0.1,
 # frozen from an independent evaluation of the closed-form expression
@@ -258,6 +260,18 @@ def test_kl_to_anchor_gaussian_matches_monte_carlo():
     assert abs(estimate - closed) <= 4 * stderr
 
 
+def dataset_tv_squared(dataset: OfflineDataset, model: CategoricalWorldModel,
+                       anchor: CategoricalWorldModel) -> float:
+    """Dataset-weighted squared total variation between anchor and model."""
+    mod = model.probs_all()
+    anc = anchor.probs_all()
+    total = 0.0
+    for (s, a), count in dataset.cell_counts().items():
+        tv = 0.5 * np.abs(anc[s, a] - mod[s, a]).sum()
+        total += (count / dataset.n) * tv ** 2
+    return float(total)
+
+
 def test_tv_squared_single_cell_example():
     anchor, model, dataset = single_cell_pair()
     assert dataset_tv_squared(dataset, model, anchor) == pytest.approx(
@@ -341,6 +355,110 @@ def test_threaded_coverage_leaves_the_warning_filters_alone(grad_triple):
         coverage_check(grad_triple[0], "uniform", n_transitions=400,
                        delta=0.2, n_trials=100, seed=seed, n_workers=4)
         assert warnings.filters == before, seed
+
+
+def per_trial_coverage(mdp, behavior_policy, n_transitions, delta, n_trials,
+                       seed=0, epsilon_fn=None) -> dict:
+    """``coverage_check`` as one trial at a time through the public
+    sampler, fit, statistic and radius: the reference for the blocks."""
+    true_model = CategoricalWorldModel.from_mdp(mdp)
+    template = CategoricalWorldModel.uniform(mdp)
+    if epsilon_fn is None:
+        def epsilon_fn(dataset):
+            return epsilon_tabular(dataset, mdp.num_outcomes, delta)
+
+    def run_trial(trial_seed):
+        dataset = sample_offline_dataset(
+            mdp, behavior_policy, n_transitions,
+            seed=np.random.default_rng(trial_seed))
+        anchor = mle_fit(dataset, template)
+        statistic = kl_to_anchor(dataset, true_model, anchor)
+        radius = epsilon_fn(dataset)
+        return statistic <= radius, radius, statistic
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        results = [run_trial(trial_seed) for trial_seed
+                   in np.random.SeedSequence(seed).spawn(n_trials)]
+    covered = np.array([r[0] for r in results])
+    radii = np.array([r[1] for r in results])
+    stats = np.array([r[2] for r in results])
+    target = 1.0 - delta / 2.0
+    return CoverageReport(
+        delta=delta, trials=n_trials, coverage=float(covered.mean()),
+        target=target,
+        binomial_std=float(math.sqrt(target * (1.0 - target) / n_trials)),
+        mean_epsilon=float(radii.mean()),
+        mean_statistic=float(stats.mean())).to_dict()
+
+
+def report_or_error(run):
+    try:
+        report = run()
+    except ValueError as err:
+        return str(err)
+    return report if isinstance(report, dict) else report.to_dict()
+
+
+def tied_reward_mdp() -> TabularMdp:
+    """Nine cells, and two reward values that are equal, so two outcome codes
+    share one (r, s') and the MLE's alphabet lookup merges them."""
+    mdp = dirichlet_mdp(11, 3)
+    return TabularMdp(mdp.transition, np.array([0.5, 0.5]), mdp.reward_probs,
+                      mdp.init_dist, mdp.gamma, mdp.horizon)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make_mdp", [gradient_mdp, small_mdp, tied_reward_mdp],
+                         ids=["gradient", "small", "tied"])
+def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed):
+    """Equal reports for partial last blocks (100, 101 and 203 trials of
+    150, 400 and 1000 rows), each behavior-policy form, a given radius
+    function and worker threads."""
+    mdp = make_mdp()
+    policy = SoftmaxPolicy(np.random.default_rng(seed).normal(
+        scale=0.5, size=(mdp.num_states, mdp.num_actions)))
+    behaviors = ["uniform", policy, policy.probs_all()]
+
+    def radius(dataset):
+        return 0.02
+
+    cases = [((mdp, behaviors[(i + seed) % 3], n, 0.2, n_trials), {})
+             for i, (n, n_trials) in enumerate([(150, 100), (400, 101),
+                                                (1000, 203)])]
+    cases += [((mdp, "uniform", 150, 0.2, 100), {"epsilon_fn": radius}),
+              ((mdp, policy, 400, 0.1, 101), {"n_workers": 4})]
+    for args, kwargs in cases:
+        serial = {k: v for k, v in kwargs.items() if k != "n_workers"}
+        # a rare cell can fall outside the validity window: same message
+        assert (report_or_error(
+                    lambda: coverage_check(*args, seed=seed, **kwargs))
+                == report_or_error(
+                    lambda: per_trial_coverage(*args, seed=seed, **serial)))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_blocked_coverage_raises_the_per_trial_window_error(n):
+    with pytest.raises(ValueError, match="validity window") as per_trial:
+        per_trial_coverage(gradient_mdp(), "uniform", n, 0.2, 100)
+    with pytest.raises(ValueError, match="validity window") as blocked:
+        coverage_check(gradient_mdp(), "uniform", n, 0.2, 100)
+    assert str(blocked.value) == str(per_trial.value)
+
+
+def test_coverage_memory_is_bounded_by_the_block():
+    """Trials are scored in row-bounded blocks: one call of 200 trials of
+    400 rows peaks at about 0.5 MB traced, where scoring them all in one
+    block takes about 8 MB."""
+    mdp = gradient_mdp()
+    coverage_check(mdp, "uniform", 400, 0.2, 100)  # warm-up
+    tracemalloc.start()
+    try:
+        coverage_check(mdp, "uniform", 400, 0.2, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def test_coverage_report_arithmetic_and_roundtrip(tmp_path):

@@ -226,12 +226,9 @@ def _behavior_policy(env, spec: str, greedy_eps: float):
 
 
 def _dataset_with_rows(env, behavior, n_rows: int, seed: int) -> OfflineDataset:
-    """Roll whole episodes until at least n_rows transitions, then trim."""
+    """Roll enough whole episodes for n_rows transitions, then trim."""
     episodes = max(1, -(-n_rows // env.horizon))
     data = rollout_dataset(env, behavior, n_episodes=episodes, seed=seed)
-    while data.n < n_rows:
-        episodes *= 2
-        data = rollout_dataset(env, behavior, n_episodes=episodes, seed=seed)
     return OfflineDataset(states=np.asarray(data.states)[:n_rows],
                           actions=np.asarray(data.actions)[:n_rows],
                           rewards=np.asarray(data.rewards)[:n_rows],

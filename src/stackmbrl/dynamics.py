@@ -145,31 +145,16 @@ class SmoothGame:
         if self.hess_phi_lagrangian is not None:
             return np.atleast_2d(np.asarray(
                 self.hess_phi_lagrangian(theta, phi, lam), dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        q = phi.size
-        out = np.empty((q, q))
-        for i in range(q):
-            up, down = phi.copy(), phi.copy()
-            up[i] += self.fd_eps
-            down[i] -= self.fd_eps
-            out[i] = (self.d_phi_lagrangian(theta, up, lam)
-                      - self.d_phi_lagrangian(theta, down, lam)) / (2 * self.fd_eps)
-        return 0.5 * (out + out.T)
+        jac = central_difference(
+            lambda f: self.d_phi_lagrangian(theta, f, lam), phi, self.fd_eps)
+        return 0.5 * (jac + jac.T)
 
     def mixed(self, theta, phi, lam: float) -> np.ndarray:
         if self.mixed_hessian is not None:
             return np.atleast_2d(np.asarray(
                 self.mixed_hessian(theta, phi, lam), dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        out = np.empty((phi.size, theta.size))
-        for j in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[j] += self.fd_eps
-            down[j] -= self.fd_eps
-            out[:, j] = (self.d_phi_lagrangian(up, phi, lam)
-                         - self.d_phi_lagrangian(down, phi, lam)) / (2 * self.fd_eps)
-        return out
+        return central_difference(
+            lambda t: self.d_phi_lagrangian(t, phi, lam), theta, self.fd_eps)
 
     def check_derivatives(self, theta, phi, lam: float, tol: float = 1e-8):
         """Compare any supplied analytic derivative against finite differences.

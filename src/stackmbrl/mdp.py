@@ -233,10 +233,6 @@ class Trajectory:
     def n_steps(self) -> int:
         return len(self.rewards)
 
-    @property
-    def has_bootstrap_action(self) -> bool:
-        return len(self.actions) == self.n_steps + 1
-
 
 def _format_state(s) -> str:
     if np.ndim(s) == 0:

@@ -70,19 +70,6 @@ class ParamVector:
         if cursor != self.values.size:
             raise ValueError("layout does not cover the value vector")
 
-    def get(self, name: str) -> np.ndarray:
-        for key, start, stop in self.layout:
-            if key == name:
-                return self.values[start:stop]
-        raise KeyError(name)
-
-    def replace(self, values: np.ndarray) -> "ParamVector":
-        return ParamVector(np.asarray(values, dtype=float).copy(), self.layout)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def to_dict(self) -> dict:
         return {
             "values": self.values.tolist(),
@@ -498,11 +485,6 @@ class OfflineDataset:
     def n(self) -> int:
         return len(self.rewards)
 
-    @property
-    def is_tabular(self) -> bool:
-        return np.ndim(self.states[0]) == 0 and not isinstance(
-            self.states[0], (float, np.floating))
-
     def cell_counts(self) -> dict:
         """Row count per distinct (s, a) cell, keyed in order of first
         appearance in the dataset.
@@ -531,9 +513,6 @@ class OfflineDataset:
         order, d = np.argsort(first), states.shape[1]
         return {(tuple(c[:d]), tuple(c[d:])): n
                 for c, n in zip(cells[order].tolist(), counts[order].tolist())}
-
-    def max_cell_count(self) -> int:
-        return max(self.cell_counts().values())
 
     def num_cells(self) -> int:
         return len(self.cell_counts())

@@ -65,6 +65,9 @@ from .woodbury import (
 
 DYNAMICS_MODES = ("naive", "stackelberg", "constrained")
 
+# Transitions drawn from the buffer for each linear-critic refit.
+CRITIC_BATCH_SIZE = 256
+
 # Sub-stream tags for seeded generators, so every phase of every iteration
 # draws from its own reproducible stream.
 _COLLECT_STREAM = 0
@@ -155,7 +158,7 @@ class LinearCritic:
         return feats @ self.q_weights[:-1] + self.q_weights[-1]
 
     def fit_epoch(self, policy, model, gamma: float, transitions: dict,
-                  rng: np.random.Generator, batch_size: int = 256) -> None:
+                  rng: np.random.Generator) -> None:
         """One least-squares refit on a fresh minibatch.
 
         Q regresses on single-sample targets redrawn through the *current*
@@ -163,7 +166,7 @@ class LinearCritic:
         to the present (policy, model) pair rather than to stale rollouts.
         """
         n = len(transitions["rewards"])
-        idx = rng.integers(0, n, size=min(batch_size, n))
+        idx = rng.integers(0, n, size=min(CRITIC_BATCH_SIZE, n))
         states = np.asarray(transitions["states"], dtype=float)[idx]
         actions = np.asarray(transitions["actions"], dtype=float)[idx]
 
@@ -212,8 +215,8 @@ def critic_loss(critic, transitions: dict, gamma: float) -> float:
 
 
 def train_critic(critic, buffer: "ReplayBuffer", policy, model, gamma: float,
-                 epochs: int, target_mix: float, rng: np.random.Generator,
-                 batch_size: int = 256) -> float:
+                 epochs: int, target_mix: float,
+                 rng: np.random.Generator) -> float:
     """Run ``epochs`` fitting passes, then fold V into the target table once.
 
     Returns the pre-update Bellman residual over the buffer as a loss
@@ -237,8 +240,8 @@ def train_critic(critic, buffer: "ReplayBuffer", policy, model, gamma: float,
 
 
 class ReplayBuffer:
-    """FIFO store of rollout batches, each stamped with the iteration that
-    produced it. Capacity counts whole batches, not transitions."""
+    """FIFO store of rollout batches. Capacity counts whole batches, not
+    transitions."""
 
     def __init__(self, capacity: int = 10):
         if capacity < 1:
@@ -246,8 +249,8 @@ class ReplayBuffer:
         self.capacity = capacity
         self._entries: deque = deque(maxlen=capacity)
 
-    def add(self, batch: dict, snapshot_id: int) -> None:
-        self._entries.append((snapshot_id, batch))
+    def add(self, batch: dict) -> None:
+        self._entries.append(batch)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -257,7 +260,7 @@ class ReplayBuffer:
         respecting per-rollout valid lengths and skipping bootstrap
         actions."""
         states, actions, rewards, nexts = [], [], [], []
-        for _, batch in self._entries:
+        for batch in self._entries:
             lengths = batch["lengths"]
             n, n_steps = batch["rewards"].shape
             valid = np.arange(n_steps)[None, :] < lengths[:, None]
@@ -678,7 +681,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                                  config.rollouts_per_iter,
                                  config.segment_length,
                                  _stream(config.seed, _COLLECT_STREAM, k))
-        state.buffer.add(batch, snapshot_id=k)
+        state.buffer.add(batch)
         record["return_estimate"] = _segment_returns(batch, gamma)
         record["critic_loss"] = train_critic(
             state.critic, state.buffer, state.policy, state.model, gamma,

@@ -9,9 +9,9 @@ estimates the model/policy cross block. Solves against A_hat never form the
 dense matrix: each additive term is folded in with one matrix-inversion-lemma
 level, so a solve costs O(n_phi * rank) after an O(n_phi * rank^2) build.
 
-Level order (innermost first): ridge + XY, then ZZ, then UV. The small core
-matrices are LU-factored once and reused; their condition numbers are checked
-against ``COND_LIMIT`` at build time.
+Level order (innermost first): ridge + XY, then ZZ, then UV. Each small core
+matrix is checked once at build time, its condition number against
+``COND_LIMIT``, and every solve against it goes through ``np.linalg.solve``.
 
 A built solver holds the factors plus M3^{-1} Z and M2^{-1} U: O(n_phi * rank)
 memory. A solve updates its own (n_phi, k) result in place and never writes to
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 RIDGE_DEFAULT = 1e-3
 COND_LIMIT = 1e12
@@ -90,17 +89,21 @@ class LowRankFactors:
         return self.u @ self.w.T
 
 
-def _checked_lu(mat: np.ndarray, level: str):
+def _checked_core(mat: np.ndarray, level: str) -> np.ndarray:
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError(
             f"woodbury level '{level}' core is ill-conditioned "
             f"(cond={cond:.3e} > {COND_LIMIT:.0e})")
-    return lu_factor(mat)
+    return mat
 
 
 class WoodburySolver:
-    """Cached three-level inverse of the factored curvature matrix."""
+    """Three-level inverse of the factored curvature matrix.
+
+    Each core is checked once at build time and solved with
+    ``np.linalg.solve`` whenever a right-hand side is applied.
+    """
 
     def __init__(self, factors: LowRankFactors):
         self.factors = factors
@@ -110,21 +113,21 @@ class WoodburySolver:
         # level 1: (cI - X Y^T)^{-1} = (I + X (cI - Y^T X)^{-1} Y^T) / c
         self._xy_rank = x.shape[1]
         if self._xy_rank:
-            self._xy_core = _checked_lu(
+            self._xy_core = _checked_core(
                 c * np.eye(self._xy_rank) - y.T @ x, "return-weighted")
 
         # level 2: fold in + Z Z^T
         self._z_rank = z.shape[1]
         if self._z_rank:
             self._m3_z = self._apply_m3(z)  # cached M3^{-1} Z
-            self._z_core = _checked_lu(
+            self._z_core = _checked_core(
                 np.eye(self._z_rank) + z.T @ self._m3_z, "penalty")
 
         # level 3: fold in + U V^T
         self._uv_rank = u.shape[1]
         if self._uv_rank:
             self._m2_u = self._apply_m2(u)  # cached M2^{-1} U
-            self._uv_core = _checked_lu(
+            self._uv_core = _checked_core(
                 np.eye(self._uv_rank) + v.T @ self._m2_u, "score-pair")
 
     def _apply_m3(self, rhs: np.ndarray) -> np.ndarray:
@@ -132,7 +135,7 @@ class WoodburySolver:
         if not self._xy_rank:
             return rhs / c
         x, y = self.factors.x, self.factors.y
-        out = x @ lu_solve(self._xy_core, y.T @ rhs)
+        out = x @ np.linalg.solve(self._xy_core, y.T @ rhs)
         out += rhs
         out /= c
         return out
@@ -141,7 +144,7 @@ class WoodburySolver:
         out = self._apply_m3(rhs)
         if self._z_rank:
             z = self.factors.z
-            out -= self._m3_z @ lu_solve(self._z_core, z.T @ out)
+            out -= self._m3_z @ np.linalg.solve(self._z_core, z.T @ out)
         return out
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -153,7 +156,7 @@ class WoodburySolver:
         out = self._apply_m2(rhs)
         if self._uv_rank:
             v = self.factors.v
-            out -= self._m2_u @ lu_solve(self._uv_core, v.T @ out)
+            out -= self._m2_u @ np.linalg.solve(self._uv_core, v.T @ out)
         return out[:, 0] if squeeze else out
 
 

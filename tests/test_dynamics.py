@@ -15,6 +15,7 @@ from stackmbrl.testbeds import (bilinear_game, coupling_game, coupling_kkt,
                                 coupling_lse, follower_best_response,
                                 matching_boundary_kkt, matching_game,
                                 matching_lse, saddle_game)
+from stackmbrl.woodbury import SCHUR_FLOOR
 
 
 def equal_rates(eta: float) -> LearningRates:
@@ -281,6 +282,86 @@ def test_multiplier_tracks_constraint_gap_sign():
     outside = DynamicsState(np.array([0.1]), np.array([1.5]), lam=0.5)
     assert game.gap(outside.phi) > 0.0
     assert step_constrained(game, outside, rates).lam > 0.5
+
+
+def dense_quadratic_game(seed: int = 0, radius: float | None = None):
+    """Seeded quadratic game with 2 leader and 3 adversary parameters.
+
+    J = -theta^T P theta / 2 + phi^T K theta + phi^T Q phi / 2 + g^T phi,
+    gap = (phi - a)^T R (phi - a) / 2 + r^T (phi - a) - radius, so the
+    penalized curvature is Q + lam R, the mixed block is K and the dual row
+    is R (phi - a) + r. Returns the game and its dense parts.
+    """
+    rng = np.random.default_rng(seed)
+    p_mat = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
+    p_mat = p_mat @ p_mat.T
+    k = rng.standard_normal((3, 2))
+    q_mat = rng.standard_normal((3, 3))
+    q_mat = q_mat @ q_mat.T + np.eye(3)
+    g = rng.standard_normal(3)
+    r_mat = rng.standard_normal((3, 3))
+    r_mat = 0.5 * (r_mat @ r_mat.T) + 0.5 * np.eye(3)
+    a, r = rng.standard_normal(3), rng.standard_normal(3)
+    radius = 0.1 if radius is None else radius
+
+    def gap(phi):
+        d = phi - a
+        return float(0.5 * d @ r_mat @ d + r @ d - radius)
+
+    game = SmoothGame(
+        objective=lambda t, f: float(-0.5 * t @ p_mat @ t + f @ k @ t
+                                     + 0.5 * f @ q_mat @ f + g @ f),
+        constraint_gap=gap,
+        grad_theta=lambda t, f: -p_mat @ t + k.T @ f,
+        grad_phi_objective=lambda t, f: k @ t + q_mat @ f + g,
+        grad_phi_gap=lambda f: r_mat @ (f - a) + r,
+        hess_phi_lagrangian=lambda t, f, lam: q_mat + lam * r_mat,
+        mixed_hessian=lambda t, f, lam: k,
+        check_points=((np.array([0.3, -0.2]), np.array([0.1, 0.4, -0.5]),
+                       0.7),),
+    )
+    return game, p_mat, k, q_mat, g, r_mat, a, r
+
+
+def test_dense_dual_row_matches_the_explicit_inverse():
+    """With 3 adversary parameters the dual-aware correction goes through
+    the dense Schur complement; the leader step equals
+    g_theta - M^T (A^-1 + lam A^-1 b b^T A^-1 / (c - lam b^T A^-1 b)) g_phi."""
+    game, p_mat, k, q_mat, g, r_mat, a, r = dense_quadratic_game(seed=0)
+    theta, phi, lam = np.array([0.4, -0.7]), np.array([0.2, -0.3, 0.6]), 0.8
+    a_inv = np.linalg.inv(q_mat + lam * r_mat)
+    b = r_mat @ (phi - a) + r
+    c = game.gap(phi)
+    schur = c - lam * b @ a_inv @ b
+    assert abs(schur) > 0.1
+    h = a_inv + lam * np.outer(a_inv @ b, b @ a_inv) / schur
+    expected = (-p_mat @ theta + k.T @ phi) - k.T @ h @ (k @ theta + q_mat @ phi + g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stepped = step_constrained(game, DynamicsState(theta, phi, lam=lam),
+                                   equal_rates(1.0))
+    assert np.abs((stepped.theta - theta) - expected).max() <= 1e-12
+
+
+def test_dense_schur_under_floor_falls_back_to_the_plain_correction():
+    """A radius that puts c - lam b^T A^-1 b under SCHUR_FLOOR makes the
+    constrained stepper warn and use g_theta - M^T A^-1 g_phi instead."""
+    theta, phi, lam = np.array([0.4, -0.7]), np.array([0.2, -0.3, 0.6]), 0.8
+    game, p_mat, k, q_mat, g, r_mat, a, r = dense_quadratic_game(seed=0)
+    curvature = q_mat + lam * r_mat
+    b = r_mat @ (phi - a) + r
+    # choose the radius so the gap equals lam b^T A^-1 b
+    radius = game.gap(phi) + 0.1 - lam * b @ np.linalg.solve(curvature, b)
+    game = dense_quadratic_game(seed=0, radius=radius)[0]
+    schur = game.gap(phi) - lam * b @ np.linalg.solve(curvature, b)
+    assert abs(schur) < SCHUR_FLOOR
+    with pytest.warns(RuntimeWarning, match="dual-aware correction unavailable"):
+        stepped = step_constrained(game, DynamicsState(theta, phi, lam=lam),
+                                   equal_rates(1.0))
+    g_phi = k @ theta + q_mat @ phi + g
+    expected = ((-p_mat @ theta + k.T @ phi)
+                - k.T @ np.linalg.inv(curvature) @ g_phi)
+    assert np.abs((stepped.theta - theta) - expected).max() <= 1e-12
 
 
 def test_constrained_dynamics_reach_boundary_rest_point():

@@ -209,7 +209,7 @@ def test_sample_trajectory_deterministic_chain():
     traj = sample_trajectory(mdp, "uniform", seed=0)
     assert traj.states.tolist() == [0, 1, 2, 0, 1]
     assert traj.rewards.tolist() == [0.0, 0.5, 1.0, 0.0]
-    assert traj.n_steps == 4 and not traj.has_bootstrap_action
+    assert traj.n_steps == 4 and len(traj.actions) == traj.n_steps
 
 
 def test_sample_trajectory_seed_determinism(grad_triple):
@@ -268,7 +268,6 @@ def test_batch_logps_match_tables(grad_triple):
 def test_bootstrap_action_appended(grad_triple):
     mdp, policy, model = grad_triple
     traj = sample_trajectory(mdp, policy, model, seed=9, bootstrap_action=True)
-    assert traj.has_bootstrap_action
     assert len(traj.actions) == traj.n_steps + 1
     assert len(traj.logp_policy) == traj.n_steps + 1
 

@@ -234,12 +234,12 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 # TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)``.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "ab1262ab8fe3467b906ba58cc2ac2275b50abaca0b78c9e89e8b59f9e34f11ff",
-        "checkpoint_final.json": "19556d7d8d9cd15c8f5518aa08f862463fa5a2d128265c916ce875e73af9bd92",
+        "trace.csv": "5e9989a6582963579e11c91ba48cbca10274611a001c3de71ad0b0fc78cc2504",
+        "checkpoint_final.json": "4206f84eed55ecffb6678730d756057d945e2fa11b8b570b8167601434b1c21b",
     }),
     "tracking": (5, {
-        "trace.csv": "d92b19846f31ff2a7ae664bdc4855dc4919a2bbe48bd3502463a19e786522997",
-        "checkpoint_final.json": "ac789c4628c65509fe21a9b5393bd282763502ecb8ff24a9846a39f7aa800b28",
+        "trace.csv": "60df68e6bbd9d572eb6d739f1b4ead9494bfce181e1a4f8c87b0eb5c891fa3c7",
+        "checkpoint_final.json": "b02b6c178fc528f3b1491cf63cecc57caa9ae2b74d6298e72a8c8cb951104419",
     }),
 }
 

@@ -77,7 +77,7 @@ def test_tabular_radius_frozen_value():
 def test_epsilon_tabular_reads_counts_from_dataset():
     dataset = counts_dataset({(0, 0): 30, (0, 1): 30, (1, 0): 25, (1, 1): 15})
     assert dataset.n == 100
-    assert dataset.max_cell_count() == 30
+    assert max(dataset.cell_counts().values()) == 30
     assert epsilon_tabular(dataset, 3, 0.1) == RADIUS_EXAMPLE
 
 

@@ -1,8 +1,14 @@
 """Factored curvature solves: inversion-lemma levels, dual row, leader step."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stackmbrl
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, HessianOperator,
                                 IllConditionedError, LowRankFactors,
                                 SingularScalarError, WoodburySolver,
@@ -300,3 +306,22 @@ def test_random_factors_deterministic():
 def test_condition_limit_is_strict():
     assert COND_LIMIT == 1e12
     assert SCHUR_FLOOR == 1e-10
+
+
+def test_runtime_imports_no_scipy():
+    """numpy is the one linear-algebra library: a fresh process that imports
+    the package and runs a solve has loaded no ``scipy`` module."""
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import stackmbrl\n"
+            "from stackmbrl.woodbury import WoodburySolver, random_factors\n"
+            "WoodburySolver(random_factors(50)).solve(np.ones(50))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    src = str(Path(stackmbrl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,8 +8,8 @@ Conventions shared with the exact oracles:
   (policy side) or sum_t w_t log P(k_t|s_t, a_t) (model side), and every
   gradient/curvature estimate below is an average of per-sample terms whose
   expectation equals the corresponding exact quantity;
-* curvature is never formed densely here: batches are reduced to the factor
-  columns consumed by :mod:`.woodbury`.
+* curvature is never formed densely here: batches are reduced to the score
+  atoms and factor coefficients consumed by :mod:`.woodbury`.
 """
 
 from __future__ import annotations
@@ -209,56 +209,71 @@ def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
 def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
                        theta_trajectory_scores: np.ndarray,
                        dataset: OfflineDataset, model, anchor,
-                       lam: float, epsilon: float,
-                       rng: np.random.Generator,
+                       lam: float, dual_coupling: np.ndarray,
+                       dual_slope: float, rng: np.random.Generator,
                        n_step_cols: int = 64, n_penalty_cols: int = 64,
                        ridge: float = RIDGE_DEFAULT) -> LowRankFactors:
     """Reduce one rollout batch (plus dataset resamples) to curvature factors.
 
+    The atoms are the batch's m * h step scores, step (i, t) at row
+    i * h + t and held as a view of ``phi_scores``, followed by the
+    ``n_penalty_cols`` penalty score draws. Each factor is a coefficient
+    matrix over them, so the factors add O(k * rank) to the k atoms:
+
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
-      scaled 1/sqrt(m).
+      w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps.
     * X/Y columns: one (trajectory, step) pair drawn uniformly with
-      replacement per column, scaled sqrt(h / n_step_cols); their product
-      estimates sum_t E[w_t score_t score_t^T].
+      replacement per column, sqrt(h / n_step_cols) on that step (times
+      its weight in X); their product estimates sum_t E[w_t score_t
+      score_t^T].
     * Z columns: dataset state-action pairs redrawn through the anchor,
-      scaled sqrt(lam / n_penalty_cols). Z is a C-contiguous copy of the
-      transposed score draws, not the transposed view: a factor's memory
-      layout selects the BLAS kernels of every later product with it, and
-      so the last bits of the solve.
-    * The dual coupling vector and constraint gap are always exact over the
-      whole dataset (``dataset_dual_coupling`` and ``dataset_kl``).
+      sqrt(lam / n_penalty_cols) on the draw.
+    * ``dual_coupling`` and ``dual_slope`` are the caller's exact dataset
+      terms (``dataset_dual_coupling`` and ``dataset_kl`` minus epsilon),
+      carried through unchanged.
     """
     m, h = weights.shape
-    # each factor is scaled in place on the one array that holds it
-    u = psi_gradients(weights, phi_scores).T
-    u /= np.sqrt(m)
-    v = phi_scores.sum(axis=1).T
-    v /= np.sqrt(m)
-    w_fac = theta_trajectory_scores.T / np.sqrt(m)
-
+    n_steps = m * h
     traj_idx = rng.integers(0, m, size=n_step_cols)
     step_idx = rng.integers(0, h, size=n_step_cols)
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
-    pairs = list(zip(dataset.states[rows], dataset.actions[rows]))
+    states, actions = dataset.states[rows], dataset.actions[rows]
     if isinstance(model, CategoricalWorldModel):
-        anc_probs = anchor.probs_all()
-        emissions = [rng.choice(anc_probs.shape[2], p=anc_probs[s, a])
-                     for s, a in pairs]
+        emissions = _choice_rows(anchor.probs_all()[states, actions], rng)
     else:
-        emissions = [np.append(*anchor.sample(s, a, rng)) for s, a in pairs]
-    score_draws = model.scores(dataset.states[rows], dataset.actions[rows],
-                               np.array(emissions))
-    z_cols = np.ascontiguousarray(score_draws.T)
-    del score_draws  # gone before the step columns are gathered
-    z_cols *= np.sqrt(max(lam, 0.0) / n_penalty_cols)
-    y_cols = phi_scores[traj_idx, step_idx].T
-    y_cols *= np.sqrt(h / n_step_cols)
-    x_cols = y_cols * weights[traj_idx, step_idx]
+        emissions = np.array([np.append(*anchor.sample(s, a, rng))
+                              for s, a in zip(states, actions)])
+    atoms = (phi_scores.reshape(n_steps, -1),
+             model.scores(states, actions, emissions))
 
+    def coefficients(atom_rows, cols, rank, values):
+        out = np.zeros((n_steps + n_penalty_cols, rank))
+        out[atom_rows, cols] = values
+        return out
+
+    steps, picks = np.arange(n_steps), np.arange(n_step_cols)
+    drawn, draws = traj_idx * h + step_idx, np.arange(n_penalty_cols)
+    step_scale = np.sqrt(h / n_step_cols)
     return LowRankFactors(
-        u=u, v=v, x=x_cols, y=y_cols, z=z_cols, w=w_fac, ridge=ridge, lam=lam,
-        dual_coupling=dataset_dual_coupling(dataset, model, anchor),
-        dual_slope=dataset_kl(dataset, model, anchor) - epsilon)
+        atoms,
+        c_u=coefficients(steps, steps // h, m, weights.ravel() / np.sqrt(m)),
+        c_v=coefficients(steps, steps // h, m, 1.0 / np.sqrt(m)),
+        c_x=coefficients(drawn, picks, n_step_cols,
+                         step_scale * weights[traj_idx, step_idx]),
+        c_y=coefficients(drawn, picks, n_step_cols, step_scale),
+        c_z=coefficients(n_steps + draws, draws, n_penalty_cols,
+                         np.sqrt(max(lam, 0.0) / n_penalty_cols)),
+        w=theta_trajectory_scores.T / np.sqrt(m), ridge=ridge, lam=lam,
+        dual_coupling=dual_coupling, dual_slope=dual_slope)
+
+
+def _choice_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of ``probs``, drawn as ``rng.choice(K, p=row)``
+    would draw it row after row: the same uniforms, the same normalised
+    CDF, the same count of CDF entries at or below each uniform."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= rng.random(probs.shape[0])[:, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -388,9 +388,11 @@ class TrainState:
 
     The buffer and critic advance during an iteration even if a later phase
     aborts; only (policy, model, lam) carry the commit-at-end guarantee.
-    Nothing here holds a policy epoch's work: its score tensors, curvature
-    factors and solver caches are built and released within that one epoch,
-    so at most one epoch's set is in memory at a time.
+    Nothing here holds a policy epoch's work: its score atoms (the step
+    scores plus the penalty draws, k of them), their coefficient matrices
+    and the solver's k x k caches are built and released within that one
+    epoch, so at most one epoch's O(k * n_phi + k^2) set is in memory at a
+    time.
     """
 
     policy: object
@@ -576,15 +578,19 @@ def _stepped(player, delta: np.ndarray):
 
 def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
                   config: TrainerConfig, gamma: float, rate: float,
-                  iteration: int) -> tuple[object, float]:
+                  iteration: int, coupling: np.ndarray,
+                  gap: float) -> tuple[object, float]:
     """Ascend the masked total derivative; returns (new policy, first-epoch
-    mask rate). The model and multiplier stay at their committed values."""
+    mask rate). The model and multiplier stay at their committed values, so
+    every epoch shares the committed model's dual ``coupling`` and
+    constraint ``gap``."""
     policy_new = state.policy
     first_mask_rate = float("nan")
     for epoch in range(config.policy_epochs):
         policy_new, mask_rate = _policy_epoch(
             state, policy_new, batch, dataset, anchor, config, gamma, rate,
-            _stream(config.seed, _POLICY_STREAM, iteration, epoch))
+            _stream(config.seed, _POLICY_STREAM, iteration, epoch), coupling,
+            gap)
         if epoch == 0:
             first_mask_rate = mask_rate
     return policy_new, first_mask_rate
@@ -592,9 +598,11 @@ def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
 
 def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
                   config: TrainerConfig, gamma: float, rate: float,
-                  rng: np.random.Generator) -> tuple[object, float]:
+                  rng: np.random.Generator, coupling: np.ndarray,
+                  gap: float) -> tuple[object, float]:
     """One policy step; returns (stepped policy, mask rate). Scores, factors
-    and solver caches are locals here, so none outlives its epoch."""
+    and solver caches are locals here, so none outlives its epoch; the step
+    scores stay alive as the factors' first atoms."""
     sub = _minibatch(batch, config.minibatch_size, rng)
     n_steps = int(sub["lengths"].min())
     adv = _advantages_for(state.critic, sub, gamma, config.advantage_decay,
@@ -611,9 +619,8 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(n_steps), phi_scores,
             theta_scores.sum(axis=1), dataset, state.model, anchor, state.lam,
-            config.epsilon, rng, n_step_cols=config.step_columns,
+            coupling, gap, rng, n_step_cols=config.step_columns,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
-        del phi_scores  # the (m, h, n_phi) tensor goes before the solver
         total = leader_gradient(
             grad_policy, grad_model, factors,
             operator=HessianOperator(WoodburySolver(factors)),
@@ -623,9 +630,10 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
 
 def _model_phase(state: TrainState, batch: dict, dataset, anchor,
                  config: TrainerConfig, gamma: float, rate: float,
-                 iteration: int) -> tuple[object, float]:
+                 iteration: int, coupling: np.ndarray) -> tuple[object, float]:
     """Descend the masked penalized objective at the committed policy and
-    multiplier; returns (new model, first-epoch mask rate)."""
+    multiplier; returns (new model, first-epoch mask rate). ``coupling`` is
+    the committed model's, which the first epoch steps from."""
     model_new = state.model
     first_mask_rate = float("nan")
     for epoch in range(config.model_epochs):
@@ -643,17 +651,17 @@ def _model_phase(state: TrainState, batch: dict, dataset, anchor,
         phi_scores = model_new.scores(*steps)
         grad_objective = masked_surrogate_gradient(phi_scores, masks, adv,
                                                    gamma)
-        coupling = dataset_dual_coupling(dataset, model_new, anchor)
+        if epoch:
+            coupling = dataset_dual_coupling(dataset, model_new, anchor)
         model_new = _stepped(model_new,
                              -rate * (grad_objective + state.lam * coupling))
     return model_new, first_mask_rate
 
 
-def _dual_phase(state: TrainState, dataset, anchor, config: TrainerConfig,
+def _dual_phase(state: TrainState, gap: float, config: TrainerConfig,
                 rate: float) -> float:
-    """Projected ascent on the constraint gap of the committed model. The
-    model does not move across dual epochs, so neither does the gap."""
-    gap = dataset_kl(dataset, state.model, anchor) - config.epsilon
+    """Projected ascent on the constraint ``gap`` of the committed model.
+    The model does not move across dual epochs, so neither does the gap."""
     lam_new = state.lam
     for _ in range(config.dual_epochs):
         lam_new = max(0.0, lam_new + rate * gap)
@@ -676,6 +684,10 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
     rates = config.rates.at(k)
     record = {"iteration": k, "aborted": 0}
     policy_new, model_new, lam_new = state.policy, state.model, state.lam
+    # the committed model's dataset terms, shared by every phase
+    coupling = dataset_dual_coupling(dataset, state.model, anchor)
+    committed_kl = dataset_kl(dataset, state.model, anchor)
+    gap = committed_kl - config.epsilon
     try:
         batch = collect_rollouts(env, state.policy, state.model, dataset,
                                  config.rollouts_per_iter,
@@ -688,11 +700,13 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
             config.critic_epochs, config.target_mix,
             _stream(config.seed, _CRITIC_STREAM, k))
         policy_new, mask_pi = _policy_phase(
-            state, batch, dataset, anchor, config, gamma, rates.policy, k)
+            state, batch, dataset, anchor, config, gamma, rates.policy, k,
+            coupling, gap)
         model_new, mask_mod = _model_phase(
-            state, batch, dataset, anchor, config, gamma, rates.model, k)
+            state, batch, dataset, anchor, config, gamma, rates.model, k,
+            coupling)
         if config.dynamics == "constrained":
-            lam_new = _dual_phase(state, dataset, anchor, config, rates.dual)
+            lam_new = _dual_phase(state, gap, config, rates.dual)
         if not np.isfinite(lam_new):
             raise FloatingPointError("updated multiplier is non-finite")
         record["kl"] = dataset_kl(dataset, model_new, anchor)
@@ -705,7 +719,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                       "parameters")
         record["aborted"] = 1
         policy_new, model_new, lam_new = state.policy, state.model, state.lam
-        record["kl"] = dataset_kl(dataset, state.model, anchor)
+        record["kl"] = committed_kl
 
     state = replace(state, policy=policy_new, model=model_new, lam=lam_new,
                     iteration=k + 1)

@@ -56,16 +56,16 @@ def dirichlet_mdp(seed: int, num_states: int, num_actions: int = 3,
 
 
 class ScriptedRng:
-    """Deterministic stand-in for a Generator: replays queued picks.
+    """Deterministic stand-in for a Generator: replays queued draws.
 
-    ``integers`` pops one queued array per call; ``choice`` pops one queued
-    index per call (the probability argument is ignored, which is exactly
-    the point: enumeration tests weight each scripted outcome themselves).
+    ``integers`` pops one queued index array per call; ``random`` pops one
+    queued array of uniforms per call. ``uniform_for`` scripts a categorical
+    outcome: enumeration tests pick each outcome and weight it themselves.
     """
 
-    def __init__(self, integer_queue=(), choice_queue=()):
+    def __init__(self, integer_queue=(), uniform_queue=()):
         self._integers = [np.asarray(q, dtype=np.int64) for q in integer_queue]
-        self._choices = list(choice_queue)
+        self._uniforms = [np.asarray(q, dtype=float) for q in uniform_queue]
 
     def integers(self, low, high=None, size=None):
         out = self._integers.pop(0)
@@ -73,5 +73,17 @@ class ScriptedRng:
             raise AssertionError(f"scripted integers shape {out.shape} != {size}")
         return out
 
-    def choice(self, n, p=None):
-        return self._choices.pop(0)
+    def random(self, size=None):
+        out = self._uniforms.pop(0)
+        if size is not None and out.shape != (size,):
+            raise AssertionError(f"scripted uniforms shape {out.shape} != {size}")
+        return out
+
+
+def uniform_for(probs: np.ndarray, k: int) -> float:
+    """A uniform that an inverse-CDF draw from ``probs`` maps to outcome
+    ``k`` (which must have positive probability): the midpoint of its
+    interval of the normalised CDF."""
+    cdf = np.cumsum(probs) / np.sum(probs)
+    lower = cdf[k - 1] if k else 0.0
+    return 0.5 * (lower + cdf[k])

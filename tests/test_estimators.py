@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from conftest import ScriptedRng
+from conftest import ScriptedRng, uniform_for
 
-from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
+from stackmbrl.estimators import (ESTIMATOR_NAMES, _choice_rows,
+                                  dataset_dual_coupling,
                                   dataset_kl, discounted_weights,
                                   exact_estimator_targets, factors_from_batch,
                                   generalized_advantages,
@@ -288,6 +289,12 @@ def test_penalized_model_gradient_expectation(small_triple, small_dataset):
 # ---------------------------------------------------------------------------
 
 
+def _dual_terms(dataset, model, anchor, epsilon):
+    """The exact dataset terms a trainer passes to ``factors_from_batch``."""
+    return {"dual_coupling": dataset_dual_coupling(dataset, model, anchor),
+            "dual_slope": dataset_kl(dataset, model, anchor) - epsilon}
+
+
 def _path_batch(model, policy, states, actions, outcomes, rewards, gamma):
     weights = discounted_weights(rewards[None, :], gamma)
     ph = model.scores(states[None, :-1], actions[None, :],
@@ -306,9 +313,12 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
     th_traj = policy.scores(batch["states"][:, :-1],
                             batch["actions"]).sum(axis=1)
     lam = 0.7
-    rng = ScriptedRng(integer_queue=[[1, 0], [2, 0], [5]], choice_queue=[3])
+    s, a = int(dataset.states[5]), int(dataset.actions[5])
+    rng = ScriptedRng(integer_queue=[[1, 0], [2, 0], [5]],
+                      uniform_queue=[[uniform_for(anchor.probs(s, a), 3)]])
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
-                                 lam=lam, epsilon=0.1, rng=rng,
+                                 lam=lam, rng=rng,
+                                 **_dual_terms(dataset, model, anchor, 0.1),
                                  n_step_cols=2, n_penalty_cols=1)
     m, h = weights.shape
     psi = psi_gradients(weights, ph)
@@ -319,7 +329,6 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
     assert np.allclose(factors.y[:, 0], ph[1, 2] * scale, atol=1e-15)
     assert np.allclose(factors.y[:, 1], ph[0, 0] * scale, atol=1e-15)
     assert np.allclose(factors.x[:, 0], ph[1, 2] * scale * weights[1, 2], atol=1e-15)
-    s, a = int(dataset.states[5]), int(dataset.actions[5])
     assert np.allclose(factors.z[:, 0],
                        model.score(s, a, 3) * np.sqrt(lam), atol=1e-15)
     assert factors.lam == lam
@@ -335,8 +344,8 @@ def test_factor_zero_multiplier_zeroes_penalty_columns(small_triple, small_datas
     th_traj = policy.scores(batch["states"][:, :-1],
                             batch["actions"]).sum(axis=1)
     factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
-                                 lam=0.0, epsilon=0.1,
-                                 rng=np.random.default_rng(0))
+                                 lam=0.0, rng=np.random.default_rng(0),
+                                 **_dual_terms(dataset, model, anchor, 0.1))
     assert np.all(factors.z == 0.0)
     assert factors.lam == 0.0
 
@@ -358,9 +367,10 @@ def test_factor_expectation_matches_curvature_surrogate(small_triple, small_data
         weights, ph, th_traj = _path_batch(model, policy, states, actions,
                                            outcomes, rewards, mdp.gamma)
         rng = ScriptedRng(integer_queue=[np.zeros(h), np.arange(h), [0]],
-                          choice_queue=[0])
+                          uniform_queue=[[0.0]])
         factors = factors_from_batch(weights, ph, th_traj, dataset, model,
-                                     anchor, lam=0.0, epsilon=0.0, rng=rng,
+                                     anchor, lam=0.0, rng=rng,
+                                     **_dual_terms(dataset, model, anchor, 0.0),
                                      n_step_cols=h, n_penalty_cols=1,
                                      ridge=ridge)
         acc += prob * (factors.dense() - ridge * eye)
@@ -391,9 +401,12 @@ def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
     acc = np.zeros((n_phi, n_phi))
     for (s, a), row in cells.items():
         for k in range(model.num_outcomes):
-            rng = ScriptedRng(integer_queue=[[0], [0], [row]], choice_queue=[k])
+            rng = ScriptedRng(integer_queue=[[0], [0], [row]],
+                              uniform_queue=[[uniform_for(anc_probs[s, a], k)]])
             factors = factors_from_batch(weights, ph, th_traj, dataset, model,
-                                         anchor, lam=lam, epsilon=0.0, rng=rng,
+                                         anchor, lam=lam, rng=rng,
+                                         **_dual_terms(dataset, model, anchor,
+                                                       0.0),
                                          n_step_cols=1, n_penalty_cols=1,
                                          ridge=ridge)
             weight = (counts[(s, a)] / dataset.n) * anc_probs[s, a, k]
@@ -401,9 +414,30 @@ def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
     assert np.abs(acc - lam * pen.fim_mean).max() <= 1e-10
 
 
+def test_penalty_emissions_match_the_per_row_choice_loop():
+    """One CDF lookup draws what ``rng.choice(K, p=row)`` draws row after
+    row, zero-probability outcomes and rows that sum to one only up to
+    rounding included, and leaves the generator where the loop leaves it."""
+    cases = np.random.default_rng(0)
+    for seed in range(100):
+        logits = cases.standard_normal((64, 9)) * cases.uniform(0.1, 5.0)
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        if seed % 2:
+            # zero out outcomes, keeping each row's most likely one
+            probs[(cases.random(probs.shape) < 0.4)
+                  & (probs < probs.max(axis=1, keepdims=True))] = 0.0
+            probs /= probs.sum(axis=1, keepdims=True)
+        loop_rng = np.random.default_rng(seed)
+        block_rng = np.random.default_rng(seed)
+        want = [loop_rng.choice(probs.shape[1], p=row) for row in probs]
+        assert np.array_equal(_choice_rows(probs, block_rng), want)
+        assert block_rng.random() == loop_rng.random()
+
+
 def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset):
     """A scripted (row, outcome) draw fills the Z column; the dual coupling
-    and slope are the exact dataset terms whatever was drawn."""
+    and slope are the caller's exact dataset terms whatever was drawn."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     batch = sample_tabular_batch(mdp, policy, model, n=2, seed=41)
@@ -413,11 +447,13 @@ def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset)
     th_traj = policy.scores(batch["states"][:, :-1],
                             batch["actions"]).sum(axis=1)
     row, k, eps, lam = 7, 2, 0.3, 0.5
-    rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]], choice_queue=[k])
-    factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
-                                 lam=lam, epsilon=eps, rng=rng,
-                                 n_step_cols=2, n_penalty_cols=1)
     s, a = int(dataset.states[row]), int(dataset.actions[row])
+    rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]],
+                      uniform_queue=[[uniform_for(anchor.probs(s, a), k)]])
+    factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
+                                 lam=lam, rng=rng,
+                                 **_dual_terms(dataset, model, anchor, eps),
+                                 n_step_cols=2, n_penalty_cols=1)
     assert np.array_equal(factors.z[:, 0], model.score(s, a, k) * np.sqrt(lam))
     assert np.array_equal(factors.dual_coupling,
                           dataset_dual_coupling(dataset, model, anchor))

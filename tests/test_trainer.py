@@ -2,12 +2,13 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import dirichlet_mdp
 
-from stackmbrl import estimators
+from stackmbrl import estimators, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   discounted_weights, factors_from_batch,
                                   model_gradient, policy_gradient)
@@ -20,7 +21,7 @@ from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                collect_rollouts, initial_state,
                                load_checkpoint, save_checkpoint, train,
                                train_iteration, vanilla_config)
-from stackmbrl.woodbury import leader_gradient
+from stackmbrl.woodbury import WoodburySolver, leader_gradient
 
 
 @pytest.fixture(scope="module")
@@ -145,12 +146,78 @@ def test_tabular_iteration_builds_no_dense_score_table(
     assert new_state.iteration == 1
 
 
+def test_iteration_computes_committed_dataset_terms_once(grad_triple,
+                                                        grad_dataset,
+                                                        monkeypatch):
+    """A default iteration evaluates each dataset term twice: once on the
+    committed model, shared by both policy epochs, the first model epoch and
+    the dual phase, and once on a stepped model (the second model epoch's
+    coupling and the recorded KL)."""
+    calls = Counter()
+    for module in (trainer, estimators):
+        for name in ("dataset_kl", "dataset_dual_coupling"):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(seed=2)
+    state = initial_state(env, anchor, config)
+    _, record = train_iteration(state, env, dataset, anchor, config)
+    assert record["aborted"] == 0
+    assert calls == {"dataset_kl": 2, "dataset_dual_coupling": 2}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("env_name", ["gradient", "tracking", "dirichlet"])
+def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
+                                                      grad_dataset,
+                                                      monkeypatch):
+    """Normwise backward error ||A x - g|| / (||A||_2 ||x|| + ||g||) of
+    x = A^{-1} g_phi against the dense factors, over the factors that
+    default runs build (seeds 0-4, 4 iterations each). ``gradient`` and
+    ``tracking`` have fewer model parameters than score atoms, so the
+    solver works in the identity basis; ``dirichlet`` (216 parameters,
+    128 atoms) works in the atoms' span."""
+    solves = []
+
+    def capture(grad_policy, grad_model, factors, **kwargs):
+        solves.append((grad_model, factors))
+        return leader_gradient(grad_policy, grad_model, factors, **kwargs)
+
+    monkeypatch.setattr(trainer, "leader_gradient", capture)
+    for seed in range(5):
+        if env_name == "gradient":
+            env, (dataset, anchor) = grad_triple[0], grad_dataset
+        elif env_name == "tracking":
+            env, dataset, anchor = _tracking_inputs(seed)
+        else:
+            env = dirichlet_mdp(0, num_states=6)
+            dataset = rollout_dataset(env, "uniform", n_episodes=50, seed=0)
+            anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env),
+                             alpha=0.5)
+        config = TrainerConfig(seed=seed)
+        state = initial_state(env, anchor, config)
+        for _ in range(4):
+            state, _ = train_iteration(state, env, dataset, anchor, config)
+    assert len(solves) >= 20
+    for grad_model, factors in solves:
+        dense = factors.dense()
+        x = WoodburySolver(factors).solve(grad_model)
+        error = np.linalg.norm(dense @ x - grad_model) / (
+            np.linalg.norm(dense, 2) * np.linalg.norm(x)
+            + np.linalg.norm(grad_model))
+        assert error <= 1e-9
+
+
 def test_iteration_memory_stays_within_one_epochs_factors():
-    """The leader update holds one policy epoch's scores, factors and
-    solver caches at a time: about 2.6 KB per model parameter at the peak
-    of one iteration. Holding two epochs' sets at once peaks near 5.75 KB;
-    keeping the score tensor alive while the solver is built, or scaling
-    the factors through full-height temporaries, each passes 3 KB."""
+    """The leader update holds one policy epoch's score atoms, coefficient
+    matrices and k x k solver caches at a time, O(k * n_phi + k^2): about
+    1.3 KB per model parameter at the peak of one iteration, 1.7 KB when
+    this test runs first in its process. Full-height factor columns and
+    solver caches peaked near 2.6 KB, and two epochs' sets of them near
+    5.75 KB."""
     env = dirichlet_mdp(0, num_states=20)
     dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
@@ -192,7 +259,8 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
     if dynamics != "naive":
         factors = factors_from_batch(
             weights, phi_scores, theta_scores.sum(axis=1), dataset, model,
-            anchor, lam, config.epsilon,
+            anchor, lam, dataset_dual_coupling(dataset, model, anchor),
+            dataset_kl(dataset, model, anchor) - config.epsilon,
             np.random.default_rng((3, _POLICY_STREAM, 0, 0)),
             n_step_cols=config.step_columns,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
@@ -234,12 +302,12 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 # TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)``.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "5e9989a6582963579e11c91ba48cbca10274611a001c3de71ad0b0fc78cc2504",
-        "checkpoint_final.json": "4206f84eed55ecffb6678730d756057d945e2fa11b8b570b8167601434b1c21b",
+        "trace.csv": "5dd61f099eb2745592d0468fbf39241f86aa9e8f0a2a2de050967f1c34947abf",
+        "checkpoint_final.json": "bc8a840130ba8c244c57b2592705390f48944ac7e583525d0dbf59dc684ad949",
     }),
     "tracking": (5, {
-        "trace.csv": "60df68e6bbd9d572eb6d739f1b4ead9494bfce181e1a4f8c87b0eb5c891fa3c7",
-        "checkpoint_final.json": "b02b6c178fc528f3b1491cf63cecc57caa9ae2b74d6298e72a8c8cb951104419",
+        "trace.csv": "8c9d8bc00ff3a21539eb934c533402cfad72d06ff0cf649c5c6e255e8d58cd2a",
+        "checkpoint_final.json": "0f6c5ac8ea2605e3e2e3ac45e6cd9364360583400f0cad797dc464837adc5f6a",
     }),
 }
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ def empty_cols(n_phi: int) -> np.ndarray:
 
 
 def ridge_only_factors(n_phi: int, ridge: float) -> LowRankFactors:
-    return LowRankFactors(u=empty_cols(n_phi), v=empty_cols(n_phi),
-                          x=empty_cols(n_phi), y=empty_cols(n_phi),
-                          z=empty_cols(n_phi), w=np.zeros((2, 0)), ridge=ridge)
+    return LowRankFactors.from_columns(
+        u=empty_cols(n_phi), v=empty_cols(n_phi), x=empty_cols(n_phi),
+        y=empty_cols(n_phi), z=empty_cols(n_phi), w=np.zeros((2, 0)),
+        ridge=ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +75,15 @@ def test_solve_residuals_small_over_thousand_cases():
 def test_levels_independent_of_zeroed_blocks():
     base = random_factors(30, seed=1)
     variants = {
-        "no-step-pairs": LowRankFactors(u=base.u, v=base.v,
-                                        x=np.zeros_like(base.x),
-                                        y=np.zeros_like(base.y), z=base.z,
-                                        w=base.w, ridge=base.ridge),
-        "no-penalty": LowRankFactors(u=base.u, v=base.v, x=base.x, y=base.y,
-                                     z=np.zeros_like(base.z), w=base.w,
-                                     ridge=base.ridge),
-        "no-score-pairs": LowRankFactors(u=np.zeros_like(base.u),
-                                         v=np.zeros_like(base.v), x=base.x,
-                                         y=base.y, z=base.z, w=base.w,
-                                         ridge=base.ridge),
+        "no-step-pairs": LowRankFactors.from_columns(
+            u=base.u, v=base.v, x=np.zeros_like(base.x),
+            y=np.zeros_like(base.y), z=base.z, w=base.w, ridge=base.ridge),
+        "no-penalty": LowRankFactors.from_columns(
+            u=base.u, v=base.v, x=base.x, y=base.y, z=np.zeros_like(base.z),
+            w=base.w, ridge=base.ridge),
+        "no-score-pairs": LowRankFactors.from_columns(
+            u=np.zeros_like(base.u), v=np.zeros_like(base.v), x=base.x,
+            y=base.y, z=base.z, w=base.w, ridge=base.ridge),
     }
     rng = np.random.default_rng(2)
     v = rng.standard_normal(30)
@@ -112,28 +112,49 @@ def test_large_dimension_solve_never_densifies():
     assert np.linalg.norm(recon - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
+def test_solver_allocates_no_factor_sized_arrays():
+    """A build, its dual operator and one leader step hold O(k^2) beyond a
+    few right-hand-side-sized vectors: with 224 atoms over 20,000
+    parameters the traced peak stays under 12 parameter-length vectors
+    (the Gram matrix is 2.5 of them). Caching M3^{-1} Z and M2^{-1} U as
+    full-height columns peaks near 96."""
+    factors = random_factors(20_000, m=16, big_m=64, z_rank=64)
+    rng = np.random.default_rng(0)
+    grad_policy = rng.standard_normal(factors.n_theta)
+    grad_model = rng.standard_normal(factors.n_phi)
+    tracemalloc.start()
+    try:
+        leader_gradient(grad_policy, grad_model, factors,
+                        operator=HessianOperator(WoodburySolver(factors)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * grad_model.nbytes
+
+
 def test_singular_core_is_rejected():
     e1 = np.zeros((4, 1))
     e1[0, 0] = 1.0
-    factors = LowRankFactors(u=e1, v=-e1, x=empty_cols(4), y=empty_cols(4),
-                             z=empty_cols(4), w=np.zeros((1, 1)), ridge=1.0)
+    factors = LowRankFactors.from_columns(
+        u=e1, v=-e1, x=empty_cols(4), y=empty_cols(4), z=empty_cols(4),
+        w=np.zeros((1, 1)), ridge=1.0)
     with pytest.raises(IllConditionedError):
         WoodburySolver(factors)
 
 
 def test_factor_shape_validation():
     with pytest.raises(ValueError):
-        LowRankFactors(u=np.zeros((4, 2)), v=np.zeros((4, 3)),
-                       x=empty_cols(4), y=empty_cols(4), z=empty_cols(4),
-                       w=np.zeros((1, 2)))
+        LowRankFactors.from_columns(
+            u=np.zeros((4, 2)), v=np.zeros((4, 3)), x=empty_cols(4),
+            y=empty_cols(4), z=empty_cols(4), w=np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        LowRankFactors(u=empty_cols(4), v=empty_cols(4), x=empty_cols(4),
-                       y=empty_cols(4), z=empty_cols(4), w=np.zeros((1, 0)),
-                       ridge=0.0)
+        LowRankFactors.from_columns(
+            u=empty_cols(4), v=empty_cols(4), x=empty_cols(4), y=empty_cols(4),
+            z=empty_cols(4), w=np.zeros((1, 0)), ridge=0.0)
     with pytest.raises(ValueError):
-        LowRankFactors(u=np.zeros((4, 2)), v=np.zeros((4, 2)),
-                       x=empty_cols(4), y=empty_cols(4), z=empty_cols(4),
-                       w=np.zeros((1, 3)))
+        LowRankFactors.from_columns(
+            u=np.zeros((4, 2)), v=np.zeros((4, 2)), x=empty_cols(4),
+            y=empty_cols(4), z=empty_cols(4), w=np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +184,9 @@ def test_operator_multiplier_free_reductions():
     op_zero = HessianOperator(solver, lam=0.0)
     assert np.array_equal(op_zero.apply(v), solver.solve(v))
     # empty coupling vector: same bypass
-    stripped = LowRankFactors(u=factors.u, v=factors.v, x=factors.x,
-                              y=factors.y, z=factors.z, w=factors.w,
-                              ridge=factors.ridge, lam=factors.lam)
+    stripped = LowRankFactors.from_columns(
+        u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
+        w=factors.w, ridge=factors.ridge, lam=factors.lam)
     op_empty = HessianOperator(WoodburySolver(stripped))
     assert np.array_equal(op_empty.apply(v), WoodburySolver(stripped).solve(v))
 
@@ -175,11 +196,10 @@ def test_vanishing_schur_complement_raises():
     solver = WoodburySolver(factors)
     a_inv_b = solver.solve(factors.dual_coupling)
     fatal_slope = factors.lam * float(factors.dual_coupling @ a_inv_b)
-    rigged = LowRankFactors(u=factors.u, v=factors.v, x=factors.x,
-                            y=factors.y, z=factors.z, w=factors.w,
-                            ridge=factors.ridge, lam=factors.lam,
-                            dual_coupling=factors.dual_coupling,
-                            dual_slope=fatal_slope)
+    rigged = LowRankFactors.from_columns(
+        u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
+        w=factors.w, ridge=factors.ridge, lam=factors.lam,
+        dual_coupling=factors.dual_coupling, dual_slope=fatal_slope)
     op = HessianOperator(WoodburySolver(rigged))
     assert abs(op.schur) < SCHUR_FLOOR
     with pytest.raises(SingularScalarError):
@@ -230,19 +250,19 @@ def test_scalar_leader_gradient_hand_derivation():
     """One model parameter, one policy parameter, every term by hand."""
     ridge, u, v, w = 0.5, 2.0, 3.0, 4.0
     gp, gm = 1.0, 2.0
-    factors = LowRankFactors(u=np.array([[u]]), v=np.array([[v]]),
-                             x=empty_cols(1), y=empty_cols(1),
-                             z=empty_cols(1), w=np.array([[w]]), ridge=ridge)
+    factors = LowRankFactors.from_columns(
+        u=np.array([[u]]), v=np.array([[v]]), x=empty_cols(1), y=empty_cols(1),
+        z=empty_cols(1), w=np.array([[w]]), ridge=ridge)
     a = ridge + u * v
     expected = gp - w * u * (gm / a)
     got = leader_gradient(np.array([gp]), np.array([gm]), factors)
     assert abs(got[0] - expected) <= 1e-10
 
     b, lam, slope = 0.5, 0.8, 0.3
-    dual = LowRankFactors(u=np.array([[u]]), v=np.array([[v]]),
-                          x=empty_cols(1), y=empty_cols(1), z=empty_cols(1),
-                          w=np.array([[w]]), ridge=ridge, lam=lam,
-                          dual_coupling=np.array([b]), dual_slope=slope)
+    dual = LowRankFactors.from_columns(
+        u=np.array([[u]]), v=np.array([[v]]), x=empty_cols(1), y=empty_cols(1),
+        z=empty_cols(1), w=np.array([[w]]), ridge=ridge, lam=lam,
+        dual_coupling=np.array([b]), dual_slope=slope)
     schur = slope - lam * b * b / a
     corrected = gm / a + lam * (b * gm / a) / schur * (b / a)
     expected_dual = gp - w * u * corrected
@@ -258,9 +278,12 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     """The solver updates its own products in place; the factors, the
     caller's right-hand sides and the solver's caches are only read."""
     n_phi = 40
-    factors = random_factors(n_phi, seed=11)
-    for name in empty:
-        setattr(factors, name, empty_cols(n_phi))
+    base = random_factors(n_phi, seed=11)
+    factors = LowRankFactors.from_columns(
+        **{name: empty_cols(n_phi) if name in empty else getattr(base, name)
+           for name in ("u", "v", "x", "y", "z", "w")},
+        ridge=base.ridge, lam=base.lam, dual_coupling=base.dual_coupling,
+        dual_slope=base.dual_slope)
     kept = {name: getattr(factors, name).copy() for name in FACTOR_ARRAYS}
     rng = np.random.default_rng(12)
     vec = rng.standard_normal(n_phi)

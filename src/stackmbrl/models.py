@@ -719,16 +719,28 @@ def _offline_sampler(mdp: TabularMdp, policy, n: int,
     ``n``-row behavior dataset per seed, concatenated in seed order. Each
     seed's generator draws states, then action and then outcome uniforms, as
     ``mapper`` runs it. The lookups then run once over all the rows, in CDF
-    tables taken once: a row of a cumsum is the same before or after a gather."""
+    tables taken once: a row of a cumsum is the same before or after a gather.
+    States are drawn as ``rng.choice(S, size=n, p=state_dist)`` draws them,
+    bit for bit: a search with ``side="right"`` in the cumsum divided by its
+    last entry, with ``state_dist`` checked once as ``choice`` checks ``p``."""
     from .mdp import _as_rng, _categorical_lookup, _policy_probs
     if state_dist is None:
         state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
+    state_dist = np.asarray(state_dist, dtype=float)
+    total = state_dist.sum()
+    if (state_dist.shape != (mdp.num_states,) or np.isnan(total)
+            or (state_dist < 0.0).any()
+            or abs(total - 1.0) > np.sqrt(np.finfo(float).eps)):
+        raise ValueError(f"state_dist must be {mdp.num_states} non-negative "
+                         "probabilities summing to 1")
+    state_cdf = state_dist.cumsum()
+    state_cdf /= state_cdf[-1]
     policy_cdf = np.cumsum(_policy_probs(policy, mdp), axis=-1)
     outcome_cdf = np.cumsum(mdp.joint_outcome_probs(), axis=-1)
 
     def draw(seed):
         rng = _as_rng(seed)
-        return (rng.choice(mdp.num_states, size=n, p=state_dist),
+        return (state_cdf.searchsorted(rng.random(n), side="right"),
                 rng.random(n), rng.random(n))
 
     def sample(seeds, mapper=map):

@@ -56,10 +56,8 @@ from .models import (
 )
 from .woodbury import (
     RIDGE_DEFAULT,
-    HessianOperator,
     IllConditionedError,
     SingularScalarError,
-    WoodburySolver,
     leader_gradient,
 )
 
@@ -330,8 +328,8 @@ class TrainerConfig:
             raise ValueError("advantage_decay must lie in [0, 1]")
         if self.clip <= 0.0:
             raise ValueError("clip must be positive (inf disables masking)")
-        if self.ridge < 0.0:
-            raise ValueError("ridge must be non-negative")
+        if self.ridge <= 0.0:
+            raise ValueError("ridge must be positive")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if self.lam_init < 0.0:
@@ -390,7 +388,7 @@ class TrainState:
     aborts; only (policy, model, lam) carry the commit-at-end guarantee.
     Nothing here holds a policy epoch's work: its score atoms (the step
     scores plus the penalty draws, k of them), their coefficient matrices
-    and the solver's k x k caches are built and released within that one
+    and the solver's k x k matrices are built and released within that one
     epoch, so at most one epoch's O(k * n_phi + k^2) set is in memory at a
     time.
     """
@@ -601,7 +599,7 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
                   rng: np.random.Generator, coupling: np.ndarray,
                   gap: float) -> tuple[object, float]:
     """One policy step; returns (stepped policy, mask rate). Scores, factors
-    and solver caches are locals here, so none outlives its epoch; the step
+    and the solver are locals here, so none outlives its epoch; the step
     scores stay alive as the factors' first atoms."""
     sub = _minibatch(batch, config.minibatch_size, rng)
     n_steps = int(sub["lengths"].min())
@@ -623,7 +621,6 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
         total = leader_gradient(
             grad_policy, grad_model, factors,
-            operator=HessianOperator(WoodburySolver(factors)),
             use_dual_row=config.dynamics == "constrained")
     return _stepped(policy, rate * total), float(masks.mean())
 

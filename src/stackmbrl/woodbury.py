@@ -11,21 +11,19 @@ A factor is held as a small coefficient matrix, U = S^T c_U and so on, so
 the factors cost O(k * n_phi) memory together however many columns they
 have.
 
-Solves against A_hat never form the dense matrix: each additive term is
-folded in with one matrix-inversion-lemma level. Level order (innermost
-first): ridge + XY, then ZZ, then UV. Each small core matrix is checked once
-at build time, its condition number against ``COND_LIMIT``, and every solve
-against it goes through ``np.linalg.solve``.
+Solves go through one k x k core. With K = c_U c_V^T - c_X c_Y^T +
+c_Z c_Z^T, A_hat = ridge * I + S^T K S, and the push-through Woodbury
+identity (Hager, SIAM Review 1989) gives
 
-The solver works in the atoms' span. Its build forms the Gram matrix
-G = S S^T once, in O(k^2 * n_phi); the projection of a vector S^T b onto a
-factor P is then c_P^T (G b). A solve projects its right-hand side onto the
-atoms once, does O(k^2) work in k-space and expands the result once, in
-O(k * n_phi) time. A built solver holds G, M3^{-1} Z and M2^{-1} U, the
-last two as k-row coefficient matrices: O(k^2) memory beyond the factors'
-O(k * n_phi). When k >= n_phi the atoms span no less than the identity,
-so the solver takes the identity as its basis and the dense factors as its
-coefficients, and runs the same levels in n_phi-space. A solve never
+    A_hat^{-1} b = (b - S^T K (ridge * I_k + G K)^{-1} S b) / ridge,
+
+with G = S S^T. A build forms G, in O(k^2 * n_phi), and K, and checks the
+core's condition number against ``COND_LIMIT`` once; a solve projects its
+right-hand side onto the atoms once, solves the core with
+``np.linalg.solve`` and expands the result once, in O(k * n_phi) time. A
+built solver holds K and the core: O(k^2) memory beyond the factors'
+O(k * n_phi). When k >= n_phi the core is no smaller than A_hat itself, so
+the solver forms A_hat densely and solves it directly. A solve never
 writes to the factors or the right-hand side.
 """
 
@@ -150,7 +148,8 @@ class LowRankFactors:
     z = property(lambda self: self._dense(self.c_z))
 
     def dense(self) -> np.ndarray:
-        """Explicit A_hat, for oracle comparisons only."""
+        """Explicit A_hat: the solver's dense route when k >= n_phi, and an
+        oracle for comparisons."""
         return (self.u @ self.v.T - self.x @ self.y.T + self.z @ self.z.T
                 + self.ridge * np.eye(self.n_phi))
 
@@ -159,111 +158,46 @@ class LowRankFactors:
         return self.u @ self.w.T
 
 
-def _checked_core(mat: np.ndarray, level: str) -> np.ndarray:
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(
-            f"woodbury level '{level}' core is ill-conditioned "
-            f"(cond={cond:.3e} > {COND_LIMIT:.0e})")
+def _checked_core(mat: np.ndarray) -> np.ndarray:
+    if mat.size:
+        cond = np.linalg.cond(mat)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise IllConditionedError(
+                "woodbury core is ill-conditioned "
+                f"(cond={cond:.3e} > {COND_LIMIT:.0e})")
     return mat
 
 
 class WoodburySolver:
-    """Three-level inverse of the factored curvature matrix.
+    """Inverse of the factored curvature matrix through one core.
 
-    B is the solver's basis: the atoms S when k < n_phi, else the identity.
-    Every intermediate vector is B^T beta + r / c, where the remainder r is
-    the right-hand side when it lies outside the basis and zero otherwise.
-    A level updates only the coefficients beta; B rhs and G beta give it
-    the projections it needs. Each core is checked once at build time and
-    solved with ``np.linalg.solve`` whenever a right-hand side is applied.
+    The core is cI + G K (k x k) with c the ridge, or A_hat itself when
+    k >= n_phi; the route is chosen from the factors' shapes alone. Its
+    condition number is checked once at build time.
     """
 
     def __init__(self, factors: LowRankFactors):
         self.factors = factors
         if factors.n_atoms >= factors.n_phi:
-            self._basis = self._gram = None
-            cu, cv, cx, cy, cz = (factors.u, factors.v, factors.x, factors.y,
-                                  factors.z)
+            self._k, core = None, factors.dense()
         else:
-            self._basis, self._gram = factors, factors.gram()
-            cu, cv, cx, cy, cz = (factors.c_u, factors.c_v, factors.c_x,
-                                  factors.c_y, factors.c_z)
-        self._cv, self._cx, self._cy, self._cz = cv, cx, cy, cz
-
-        # level 1: M3^{-1} = (cI - X Y^T)^{-1}
-        #                  = (I + X (cI - Y^T X)^{-1} Y^T) / c
-        self._xy_rank = cx.shape[1]
-        if self._xy_rank:
-            self._xy_core = _checked_core(
-                factors.ridge * np.eye(self._xy_rank)
-                - cy.T @ self._times_gram(cx), "return-weighted")
-
-        # level 2: M2 = M3 + Z Z^T
-        self._z_rank = cz.shape[1]
-        if self._z_rank:
-            self._m3_z = self._apply_m3(cz, self._times_gram(cz))
-            self._z_core = _checked_core(
-                np.eye(self._z_rank) + cz.T @ self._times_gram(self._m3_z),
-                "penalty")
-
-        # level 3: A_hat = M2 + U V^T
-        self._uv_rank = cu.shape[1]
-        if self._uv_rank:
-            self._m2_u = self._apply_m2(cu, self._times_gram(cu))
-            self._uv_core = _checked_core(
-                np.eye(self._uv_rank) + cv.T @ self._times_gram(self._m2_u),
-                "score-pair")
-
-    def _times_gram(self, coef: np.ndarray) -> np.ndarray:
-        """B B^T coef: G coef, or coef itself in the identity basis."""
-        return coef if self._gram is None else self._gram @ coef
-
-    def _projected(self, beta: np.ndarray, lead, proj: np.ndarray):
-        """B (B^T beta + r / c), the projection of a level's result."""
-        out = self._times_gram(beta)
-        return out if lead is not None else out + proj / self.factors.ridge
-
-    def _apply_m3(self, lead, proj: np.ndarray) -> np.ndarray:
-        """beta with M3^{-1} b = B^T beta + r / c. The input b is B^T lead,
-        or the remainder r itself when ``lead`` is None; ``proj`` is B b."""
-        out = (self._cx @ np.linalg.solve(self._xy_core, self._cy.T @ proj)
-               if self._xy_rank else np.zeros_like(proj))
-        if lead is not None:
-            out += lead
-        out /= self.factors.ridge
-        return out
-
-    def _apply_m2(self, lead, proj: np.ndarray) -> np.ndarray:
-        """beta with M2^{-1} b = B^T beta + r / c, as ``_apply_m3``."""
-        beta = self._apply_m3(lead, proj)
-        if self._z_rank:
-            at = self._projected(beta, lead, proj)
-            beta -= self._m3_z @ np.linalg.solve(self._z_core,
-                                                 self._cz.T @ at)
-        return beta
+            self._k = factors.c_u @ factors.c_v.T
+            self._k -= factors.c_x @ factors.c_y.T
+            self._k += factors.c_z @ factors.c_z.T
+            core = factors.gram() @ self._k
+            core[np.diag_indices_from(core)] += factors.ridge
+        self._core = _checked_core(core)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, k)."""
+        """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, p)."""
         rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        if squeeze:
-            rhs = rhs[:, None]
-        if self._basis is None:
-            lead, proj = rhs, rhs
-        else:
-            lead, proj = None, self._basis.project(rhs)
-        beta = self._apply_m2(lead, proj)
-        if self._uv_rank:
-            at = self._projected(beta, lead, proj)
-            beta -= self._m2_u @ np.linalg.solve(self._uv_core,
-                                                 self._cv.T @ at)
-        if self._basis is None:
-            out = beta
-        else:
-            out = self._basis.expand(beta)
-            out += rhs / self.factors.ridge
-        return out[:, 0] if squeeze else out
+        if self._k is None:
+            return np.linalg.solve(self._core, rhs)
+        f = self.factors
+        out = f.expand(self._k @ np.linalg.solve(self._core, f.project(rhs)))
+        np.subtract(rhs, out, out=out)
+        out /= f.ridge
+        return out
 
 
 class HessianOperator:

@@ -146,6 +146,17 @@ def test_config_with_unknown_key_is_rejected(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_config_with_zero_ridge_is_rejected_before_the_run(tmp_path, capsys):
+    path = tmp_path / "zero_ridge.json"
+    payload = TrainerConfig().to_dict()
+    payload["ridge"] = 0.0
+    path.write_text(json.dumps(payload))
+    code, out = run(tmp_path, "zero_ridge", "train", "--config", str(path))
+    assert code == 2
+    assert "ridge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("state", ["-1", "3"])
 def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
                                                          state):

@@ -452,6 +452,39 @@ def per_dataset_sample(mdp, policy, n, seed=0, state_dist=None):
                           next_states=nexts_tab[outcomes])
 
 
+def test_state_draws_match_the_generators_choice():
+    """The sampler's state draws equal ``rng.choice``'s bit for bit over
+    2,000 random state distributions, zero-probability states included, and
+    leave the generator where ``choice`` leaves it."""
+    mdp = dirichlet_mdp(3, 7)
+    cases = np.random.default_rng(0)
+    for case in range(2000):
+        dist = cases.dirichlet(np.full(7, 0.5)) * (cases.random(7) < 0.7)
+        dist[cases.integers(7)] += cases.random()
+        dist /= dist.sum()
+        n = int(cases.integers(1, 50))
+        got_rng, want_rng = (np.random.default_rng(case) for _ in range(2))
+        got = sample_offline_dataset(mdp, "uniform", n, seed=got_rng,
+                                     state_dist=dist)
+        want = per_dataset_sample(mdp, "uniform", n, seed=want_rng,
+                                  state_dist=dist)
+        for field in ("states", "actions", "rewards", "next_states"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("dist", [[0.5, 0.5], [1.2, -0.1, -0.1],
+                                  [0.5, 0.5, np.nan], [0.4, 0.4, 0.1]])
+def test_sampler_rejects_what_choice_rejects(dist):
+    mdp = gradient_mdp()
+    assert mdp.num_states == 3
+    with pytest.raises(ValueError):
+        per_dataset_sample(mdp, "uniform", 5, state_dist=dist)
+    with pytest.raises(ValueError):
+        sample_offline_dataset(mdp, "uniform", 5, state_dist=dist)
+
+
 @pytest.mark.parametrize("make_mdp", [gradient_mdp, lambda: dirichlet_mdp(3, 7)],
                          ids=["gradient", "dirichlet"])
 @pytest.mark.parametrize("seed", range(5))

@@ -175,16 +175,18 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
                                                       grad_dataset,
                                                       monkeypatch):
     """Normwise backward error ||A x - g|| / (||A||_2 ||x|| + ||g||) of
-    x = A^{-1} g_phi against the dense factors, over the factors that
-    default runs build (seeds 0-4, 4 iterations each). ``gradient`` and
-    ``tracking`` have fewer model parameters than score atoms, so the
-    solver works in the identity basis; ``dirichlet`` (216 parameters,
-    128 atoms) works in the atoms' span."""
+    x = A^{-1} g for g = g_phi and for the dual coupling b, against the
+    dense factors of every leader step that default runs take (seeds 0-4,
+    4 iterations each; a step whose core is rejected aborts its iteration
+    and is not counted). ``gradient`` and ``tracking`` have fewer model
+    parameters than score atoms, so the solver forms A densely; ``dirichlet``
+    (216 parameters, 128 atoms) works through the k x k core."""
     solves = []
 
     def capture(grad_policy, grad_model, factors, **kwargs):
+        out = leader_gradient(grad_policy, grad_model, factors, **kwargs)
         solves.append((grad_model, factors))
-        return leader_gradient(grad_policy, grad_model, factors, **kwargs)
+        return out
 
     monkeypatch.setattr(trainer, "leader_gradient", capture)
     for seed in range(5):
@@ -204,20 +206,21 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
     assert len(solves) >= 20
     for grad_model, factors in solves:
         dense = factors.dense()
-        x = WoodburySolver(factors).solve(grad_model)
-        error = np.linalg.norm(dense @ x - grad_model) / (
-            np.linalg.norm(dense, 2) * np.linalg.norm(x)
-            + np.linalg.norm(grad_model))
-        assert error <= 1e-9
+        solver = WoodburySolver(factors)
+        for rhs in (grad_model, factors.dual_coupling):
+            x = solver.solve(rhs)
+            assert np.linalg.norm(dense @ x - rhs) <= 1e-9 * (
+                np.linalg.norm(dense, 2) * np.linalg.norm(x)
+                + np.linalg.norm(rhs))
 
 
 def test_iteration_memory_stays_within_one_epochs_factors():
     """The leader update holds one policy epoch's score atoms, coefficient
-    matrices and k x k solver caches at a time, O(k * n_phi + k^2): about
-    1.3 KB per model parameter at the peak of one iteration, 1.7 KB when
-    this test runs first in its process. Full-height factor columns and
-    solver caches peaked near 2.6 KB, and two epochs' sets of them near
-    5.75 KB."""
+    matrices and the solver's two k x k matrices at a time,
+    O(k * n_phi + k^2): about 1.4 KB per model parameter at the peak of one
+    iteration, 1.8 KB when this test runs first in its process. Full-height
+    factor columns and solver caches peaked near 2.6 KB, and two epochs'
+    sets of them near 5.75 KB."""
     env = dirichlet_mdp(0, num_states=20)
     dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
@@ -302,12 +305,12 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 # TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)``.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "5dd61f099eb2745592d0468fbf39241f86aa9e8f0a2a2de050967f1c34947abf",
-        "checkpoint_final.json": "bc8a840130ba8c244c57b2592705390f48944ac7e583525d0dbf59dc684ad949",
+        "trace.csv": "09276c25861391def412cace7448be5eb38235820ca480fbe790a0f51b49cfff",
+        "checkpoint_final.json": "360edc3d66b7194d0fe9821a487eba45d68317dbbcb56bc0792a1f74a59e7504",
     }),
     "tracking": (5, {
-        "trace.csv": "8c9d8bc00ff3a21539eb934c533402cfad72d06ff0cf649c5c6e255e8d58cd2a",
-        "checkpoint_final.json": "0f6c5ac8ea2605e3e2e3ac45e6cd9364360583400f0cad797dc464837adc5f6a",
+        "trace.csv": "f5d8287b624b2131ecf65c3a8e3432293fbb3952fa13f32f082a1e65744d6188",
+        "checkpoint_final.json": "fd3df77fa8f1670eac72193734fbcaeed987ba1f22ea74bc8669cd992b6e117f",
     }),
 }
 
@@ -332,6 +335,13 @@ def test_seeded_run_artifacts_match_recorded_digests(env_name, request,
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+
+
+def test_config_rejects_a_zero_ridge():
+    """The curvature factors need ridge > 0; a config that would only fail
+    in the first iteration's factor assembly is refused at construction."""
+    with pytest.raises(ValueError, match="ridge"):
+        TrainerConfig(ridge=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,4 +1,4 @@
-"""Factored curvature solves: inversion-lemma levels, dual row, leader step."""
+"""Factored curvature solves: the k x k core, dual row, leader step."""
 
 import os
 import subprocess
@@ -115,9 +115,10 @@ def test_large_dimension_solve_never_densifies():
 def test_solver_allocates_no_factor_sized_arrays():
     """A build, its dual operator and one leader step hold O(k^2) beyond a
     few right-hand-side-sized vectors: with 224 atoms over 20,000
-    parameters the traced peak stays under 12 parameter-length vectors
-    (the Gram matrix is 2.5 of them). Caching M3^{-1} Z and M2^{-1} U as
-    full-height columns peaks near 96."""
+    parameters the traced peak is 10.0 parameter-length vectors, under 12
+    (G, K and the core are 2.5 each; adding the ridge as c * I + G K
+    instead of in place peaks at 12.55). Caching inverse-applied factors
+    as full-height columns peaks near 96."""
     factors = random_factors(20_000, m=16, big_m=64, z_rank=64)
     rng = np.random.default_rng(0)
     grad_policy = rng.standard_normal(factors.n_theta)
@@ -130,6 +131,27 @@ def test_solver_allocates_no_factor_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 12 * grad_model.nbytes
+
+
+@pytest.mark.parametrize("n_phi", [3, 6, 300])
+def test_exact_solve_when_a_partial_sum_is_singular(n_phi):
+    """u = v = e1 and x = y = sqrt(c) e1 at c = 0.5: A_hat = c (I + e1 e1^T)
+    has condition number 2, but cI - X Y^T alone is singular. Nothing may
+    be solved against that partial sum (k = 4 atoms: the dense route at
+    n_phi = 3, the k x k core above it)."""
+    ridge = 0.5
+    e1 = np.zeros((n_phi, 1))
+    e1[0, 0] = 1.0
+    factors = LowRankFactors.from_columns(
+        u=e1, v=e1, x=np.sqrt(ridge) * e1, y=np.sqrt(ridge) * e1,
+        z=empty_cols(n_phi), w=np.ones((2, 1)), ridge=ridge)
+    dense = factors.dense()
+    assert np.linalg.cond(dense) == pytest.approx(2.0)
+    rhs = np.random.default_rng(n_phi).standard_normal((n_phi, 2))
+    solver = WoodburySolver(factors)
+    for b in (rhs[:, 0], rhs):
+        residual = dense @ solver.solve(b) - b
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_singular_core_is_rejected():
@@ -276,7 +298,7 @@ FACTOR_ARRAYS = ("u", "v", "x", "y", "z", "w", "dual_coupling")
 @pytest.mark.parametrize("empty", [(), ("x", "y"), ("z",), ("x", "y", "z")])
 def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     """The solver updates its own products in place; the factors, the
-    caller's right-hand sides and the solver's caches are only read."""
+    caller's right-hand sides and the solver's matrices are only read."""
     n_phi = 40
     base = random_factors(n_phi, seed=11)
     factors = LowRankFactors.from_columns(

@@ -19,7 +19,7 @@ import numpy as np
 from .models import (CategoricalWorldModel, DiagGaussianWorldModel,
                      OfflineDataset, SoftmaxPolicy, categorical_kl,
                      gaussian_kl)
-from .woodbury import RIDGE_DEFAULT, LowRankFactors
+from .woodbury import RIDGE_DEFAULT, BlockScores, LowRankFactors
 
 CLIP_DEFAULT = 0.2
 GAE_LAMBDA_DEFAULT = 0.95
@@ -39,36 +39,16 @@ def discounted_weights(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 def policy_score_table(policy: SoftmaxPolicy) -> np.ndarray:
     """(S, A, n_theta) dense score table for the enumeration oracles."""
-    return policy.scores(*np.indices(policy.logits.shape))
+    return policy.scores(*np.indices(policy.logits.shape)).dense()
 
 
 def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
     """(S, A, K, n_phi) dense score table for the enumeration oracles.
 
     Its size is quadratic in n_phi; sampled estimators evaluate
-    ``model.scores`` on the steps they draw instead.
+    ``model.scores`` on the steps they draw instead, as block scores.
     """
-    return model.scores(*np.indices(model.logits.shape))
-
-
-# ---------------------------------------------------------------------------
-# plain (full-return) gradient estimators
-# ---------------------------------------------------------------------------
-
-
-def psi_gradients(weights: np.ndarray, step_scores: np.ndarray) -> np.ndarray:
-    """Per-trajectory grad Psi = sum_t w_t score_t; (n, n_params)."""
-    return np.einsum("nh,nhp->np", weights, step_scores)
-
-
-def policy_gradient(weights: np.ndarray, theta_scores: np.ndarray) -> np.ndarray:
-    """Mean of per-trajectory policy-score gradients."""
-    return psi_gradients(weights, theta_scores).mean(axis=0)
-
-
-def model_gradient(weights: np.ndarray, phi_scores: np.ndarray) -> np.ndarray:
-    """Mean of per-trajectory model-score gradients."""
-    return psi_gradients(weights, phi_scores).mean(axis=0)
+    return model.scores(*np.indices(model.logits.shape)).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +102,10 @@ def ratio_masks(logp_new: np.ndarray, logp_old: np.ndarray,
     return (ratio * advantages <= clipped * advantages + 1e-12).astype(float)
 
 
-def masked_surrogate_gradient(step_scores: np.ndarray, masks: np.ndarray,
+def masked_surrogate_gradient(step_scores: BlockScores, masks: np.ndarray,
                               advantages: np.ndarray, gamma: float) -> np.ndarray:
-    """Mean over rollouts of sum_t mask_t * gamma^t * adv_t * score_t.
+    """Mean over rollouts of sum_t mask_t * gamma^t * adv_t * score_t, for
+    (n, h) step scores: one scatter of the weighted blocks.
 
     Reduces to the plain estimator when masks are all one, the advantage
     mixing is undamped and the critic is identically zero, since then
@@ -132,7 +113,7 @@ def masked_surrogate_gradient(step_scores: np.ndarray, masks: np.ndarray,
     """
     ell = advantages.shape[1]
     weights = masks[:, :ell] * advantages * gamma ** np.arange(ell)
-    return np.einsum("nh,nhp->p", weights, step_scores[:, :ell]) / step_scores.shape[0]
+    return step_scores[:, :ell].expand(weights.ravel()) / len(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +125,7 @@ def dataset_kl(dataset: OfflineDataset, model, anchor) -> float:
     """E_{(s,a)~D}[KL(anchor(.|s,a) || model(.|s,a))], exact over the dataset."""
     if isinstance(model, CategoricalWorldModel):
         s, a, w = _cell_weights(dataset)
-        kl = categorical_kl(anchor.probs_all()[s, a], model.probs_all()[s, a])
+        kl = categorical_kl(anchor.probs(s, a), model.probs(s, a))
         # a running total in first-appearance order, not a pairwise sum
         return float(np.add.accumulate(w * kl)[-1])
     kl = gaussian_kl(anchor.mean(dataset.states, dataset.actions),
@@ -163,12 +144,11 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
     """
     if isinstance(model, CategoricalWorldModel):
         _, a_n, k_n = model.logits.shape
-        mod = model.probs_all()
-        anc = anchor.probs_all()
         s, a, w = _cell_weights(dataset)
         out = np.zeros(model.n_params)
         # one scatter: the cells are distinct, so no block is written twice
-        out.reshape(-1, k_n)[s * a_n + a] -= w[:, None] * (anc[s, a] - mod[s, a])
+        out.reshape(-1, k_n)[s * a_n + a] -= w[:, None] * (
+            anchor.probs(s, a) - model.probs(s, a))
         return out
     scores = _gaussian_expected_score(model, anchor, dataset.states,
                                       dataset.actions)
@@ -206,8 +186,8 @@ def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
 # ---------------------------------------------------------------------------
 
 
-def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
-                       theta_trajectory_scores: np.ndarray,
+def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
+                       theta_scores: BlockScores,
                        dataset: OfflineDataset, model, anchor,
                        lam: float, dual_coupling: np.ndarray,
                        dual_slope: float, rng: np.random.Generator,
@@ -215,13 +195,14 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
                        ridge: float = RIDGE_DEFAULT) -> LowRankFactors:
     """Reduce one rollout batch (plus dataset resamples) to curvature factors.
 
-    The atoms are the batch's m * h step scores, step (i, t) at row
-    i * h + t and held as a view of ``phi_scores``, followed by the
-    ``n_penalty_cols`` penalty score draws. Each factor is a coefficient
-    matrix over them, so the factors add O(k * rank) to the k atoms:
+    The atoms are the batch's m * h model step scores, step (i, t) at row
+    i * h + t, followed by the ``n_penalty_cols`` penalty score draws, all
+    as block scores. Each factor is a coefficient matrix over them, so the
+    factors add O(k * rank) to the k atoms' O(k * K):
 
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
-      w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps.
+      w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps; W is the
+      (m, h) policy step scores ``theta_scores`` under V's coefficients.
     * X/Y columns: one (trajectory, step) pair drawn uniformly with
       replacement per column, sqrt(h / n_step_cols) on that step (times
       its weight in X); their product estimates sum_t E[w_t score_t
@@ -239,12 +220,12 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     states, actions = dataset.states[rows], dataset.actions[rows]
     if isinstance(model, CategoricalWorldModel):
-        emissions = _choice_rows(anchor.probs_all()[states, actions], rng)
+        emissions = _choice_rows(anchor.probs(states, actions), rng)
     else:
         emissions = np.array([np.append(*anchor.sample(s, a, rng))
                               for s, a in zip(states, actions)])
-    atoms = (phi_scores.reshape(n_steps, -1),
-             model.scores(states, actions, emissions))
+    atoms = BlockScores.concatenate(
+        [phi_scores, model.scores(states, actions, emissions)])
 
     def coefficients(atom_rows, cols, rank, values):
         out = np.zeros((n_steps + n_penalty_cols, rank))
@@ -254,16 +235,17 @@ def factors_from_batch(weights: np.ndarray, phi_scores: np.ndarray,
     steps, picks = np.arange(n_steps), np.arange(n_step_cols)
     drawn, draws = traj_idx * h + step_idx, np.arange(n_penalty_cols)
     step_scale = np.sqrt(h / n_step_cols)
+    c_v = coefficients(steps, steps // h, m, 1.0 / np.sqrt(m))
     return LowRankFactors(
         atoms,
         c_u=coefficients(steps, steps // h, m, weights.ravel() / np.sqrt(m)),
-        c_v=coefficients(steps, steps // h, m, 1.0 / np.sqrt(m)),
+        c_v=c_v,
         c_x=coefficients(drawn, picks, n_step_cols,
                          step_scale * weights[traj_idx, step_idx]),
         c_y=coefficients(drawn, picks, n_step_cols, step_scale),
         c_z=coefficients(n_steps + draws, draws, n_penalty_cols,
                          np.sqrt(max(lam, 0.0) / n_penalty_cols)),
-        w=theta_trajectory_scores.T / np.sqrt(m), ridge=ridge, lam=lam,
+        w=theta_scores.expand(c_v[:n_steps]), ridge=ridge, lam=lam,
         dual_coupling=dual_coupling, dual_slope=dual_slope)
 
 
@@ -277,109 +259,18 @@ def _choice_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# streaming unbiasedness statistics
+# unbiasedness targets
 # ---------------------------------------------------------------------------
 
 ESTIMATOR_NAMES = ("grad_policy", "grad_model", "mixed", "uv", "xy", "zz",
                    "dual_coupling", "constraint_gap")
 
 
-class _Moments:
-    """Streaming elementwise mean and standard error."""
-
-    def __init__(self, shape):
-        self.n = 0
-        self.total = np.zeros(shape)
-        self.total_sq = np.zeros(shape)
-
-    def add(self, samples: np.ndarray):
-        self.n += samples.shape[0]
-        self.total += samples.sum(axis=0)
-        self.total_sq += (samples ** 2).sum(axis=0)
-
-    def mean(self) -> np.ndarray:
-        return self.total / self.n
-
-    def stderr(self) -> np.ndarray:
-        mean = self.mean()
-        var = np.maximum(self.total_sq / self.n - mean ** 2, 0.0)
-        return np.sqrt(var / self.n)
-
-
-def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
-                       model: CategoricalWorldModel,
-                       dataset: OfflineDataset,
-                       anchor: CategoricalWorldModel,
-                       lam: float, epsilon: float, n_samples: int,
-                       seed: int, chunk: int = 5000) -> dict:
-    """Elementwise (mean, stderr) for every Monte-Carlo estimator.
-
-    Rollout-side estimators draw trajectories from (policy, model); the
-    step-pair and penalty estimators draw (trajectory, step) and
-    (dataset row, anchor outcome) pairs, one per sample, exactly as the
-    factor recipes do.
-    """
-    from .mdp import _draw_categorical_rows, sample_tabular_batch
-
-    n_theta, n_phi = policy.n_params, model.n_params
-    h = mdp.horizon
-    stats = {
-        "grad_policy": _Moments(n_theta),
-        "grad_model": _Moments(n_phi),
-        "mixed": _Moments((n_phi, n_theta)),
-        "uv": _Moments((n_phi, n_phi)),
-        "xy": _Moments((n_phi, n_phi)),
-        "zz": _Moments((n_phi, n_phi)),
-        "dual_coupling": _Moments(n_phi),
-        "constraint_gap": _Moments(1),
-    }
-    rng = np.random.default_rng(seed)
-    anc_probs = anchor.probs_all()
-    kl_cells = categorical_kl(anc_probs, model.probs_all())
-
-    done = 0
-    batch_seed = 0
-    while done < n_samples:
-        size = min(chunk, n_samples - done)
-        batch = sample_tabular_batch(mdp, policy, model, n=size, seed=(seed, batch_seed))
-        batch_seed += 1
-        weights = discounted_weights(batch["rewards"], mdp.gamma)
-        states = batch["states"][:, :-1]
-        th_scores = policy.scores(states, batch["actions"])
-        ph_scores = model.scores(states, batch["actions"], batch["outcomes"])
-        psi_th = psi_gradients(weights, th_scores)
-        psi_ph = psi_gradients(weights, ph_scores)
-        traj_th = th_scores.sum(axis=1)
-        traj_ph = ph_scores.sum(axis=1)
-        stats["grad_policy"].add(psi_th)
-        stats["grad_model"].add(psi_ph)
-        stats["mixed"].add(np.einsum("np,nq->npq", psi_ph, traj_th))
-        stats["uv"].add(np.einsum("np,nq->npq", psi_ph, traj_ph))
-
-        # one uniformly-drawn step per sample, scaled by the horizon
-        t_idx = rng.integers(0, h, size=size)
-        rows = np.arange(size)
-        picked = ph_scores[rows, t_idx]
-        w_picked = weights[rows, t_idx]
-        stats["xy"].add(h * np.einsum("n,np,nq->npq", w_picked, picked, picked))
-
-        # one dataset row + anchor outcome per sample
-        data_rows = rng.integers(0, dataset.n, size=size)
-        s_d = dataset.states[data_rows].astype(int)
-        a_d = dataset.actions[data_rows].astype(int)
-        k_d = _draw_categorical_rows(anc_probs[s_d, a_d], rng)
-        pen_scores = model.scores(s_d, a_d, k_d)
-        stats["zz"].add(lam * np.einsum("np,nq->npq", pen_scores, pen_scores))
-        stats["dual_coupling"].add(-pen_scores)
-        stats["constraint_gap"].add(kl_cells[s_d, a_d][:, None] - epsilon)
-        done += size
-
-    return {name: (mom.mean(), mom.stderr()) for name, mom in stats.items()}
-
-
 def exact_estimator_targets(mdp, policy, model, dataset, anchor, lam: float,
                             epsilon: float) -> dict:
-    """Enumeration-backed expectations matching ``mc_estimator_stats`` keys."""
+    """Enumeration-backed expectations, one per ``ESTIMATOR_NAMES`` entry:
+    the targets a Monte-Carlo average of each factor recipe's per-sample
+    terms must hit."""
     from .oracles import exact_expectations, exact_penalty_terms
 
     exp = exact_expectations(mdp, policy, model)

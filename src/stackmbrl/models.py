@@ -7,8 +7,12 @@ Every policy and world-model family evaluates its likelihood on whole
 batches of steps:
 
 * ``log_probs(states, actions[, outcomes])`` returns ``(...)``;
-* ``scores(states, actions[, outcomes])`` returns ``(..., n_params)``, the
-  gradient of each step's log-likelihood in the model's flat layout.
+* ``scores(states, actions[, outcomes])`` returns ``BlockScores`` of
+  leading shape ``(...)``, the gradient of each step's log-likelihood in
+  the model's flat layout, held as the one cell it can be non-zero on. A
+  softmax score lives on its own block of logits (the state's A entries
+  for the policy, the (s, a) cell's K entries for the world model); a
+  Gaussian score is the one-cell case, its block all n_params entries.
 
 All inputs share one leading shape ``(...)``. The tabular families take
 integer indices, and the categorical model's outcome is the packed
@@ -16,7 +20,8 @@ integer indices, and the categorical model's outcome is the packed
 trailing axis: states ``(..., state_dim)``, actions ``(..., action_dim)``,
 and the Gaussian model's outcome is the joint ``(s', r)`` vector
 ``(..., state_dim + 1)``. The per-row ``log_prob``/``score`` are the same
-formulas on one row, whose leading shape is ``()``.
+formulas on one row, whose leading shape is ``()``; ``score`` returns the
+dense (n_params,) vector.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .mdp import TabularMdp
+from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
 # exact IEEE zero while keeping every parameter entry finite.
@@ -97,22 +103,24 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _softmax_log_probs(logits: np.ndarray, index: tuple) -> np.ndarray:
-    """log p at ``index``, one integer array per logit axis; -inf at p = 0."""
+    """log p at ``index``, one integer array per logit axis; -inf at p = 0.
+    Only the indexed softmax blocks are normalised."""
     with np.errstate(divide="ignore"):
-        return np.log(_softmax(logits)[index])
+        return np.log(np.take_along_axis(
+            _softmax(logits[index[:-1]]),
+            np.asarray(index[-1])[..., None], axis=-1)[..., 0])
 
 
-def _softmax_scores(logits: np.ndarray, index: tuple) -> np.ndarray:
-    """(..., logits.size) scores at ``index``, one integer array per logit
-    axis: all but the last pick the softmax block, the last its entry. Each
-    score is -p over its block plus 1 at the chosen entry, zero elsewhere."""
-    probs = _softmax(logits).reshape(-1, logits.shape[-1])
+def _softmax_scores(logits: np.ndarray, index: tuple) -> BlockScores:
+    """Scores at ``index``, one integer array per logit axis: all but the
+    last pick the softmax block, which is the score's cell, the last its
+    entry. Each block is -p plus 1 at the chosen entry; only the indexed
+    blocks are normalised."""
+    blocks = -_softmax(logits[index[:-1]])
+    rows = blocks.reshape(-1, blocks.shape[-1])  # a view of the new array
+    rows[np.arange(len(rows)), np.ravel(index[-1])] += 1.0
     cells = np.ravel_multi_index(index[:-1], logits.shape[:-1])
-    flat, rows = cells.ravel(), np.arange(cells.size)
-    out = np.zeros((cells.size,) + probs.shape)
-    out[rows, flat] = -probs[flat]
-    out[rows, flat, np.ravel(index[-1])] += 1.0
-    return out.reshape(cells.shape + (logits.size,))
+    return BlockScores(np.asarray(cells), blocks, logits.size)
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +164,15 @@ class SoftmaxPolicy:
     def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         return _softmax_log_probs(self.logits, (states, actions))
 
-    def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """d log pi(a|s) / d logits per step, in the full parameter layout."""
+    def scores(self, states: np.ndarray, actions: np.ndarray) -> BlockScores:
+        """d log pi(a|s) / d logits per step, on the state's block."""
         return _softmax_scores(self.logits, (states, actions))
 
     def log_prob(self, s: int, a: int) -> float:
         return float(self.log_probs(s, a))
 
     def score(self, s: int, a: int) -> np.ndarray:
-        return self.scores(s, a)
+        return self.scores(s, a).dense()
 
     def sample(self, s: int, rng: np.random.Generator) -> int:
         return int(rng.choice(self.num_actions, p=self.probs(s)))
@@ -255,8 +263,8 @@ class CategoricalWorldModel:
         return _softmax_log_probs(self.logits, (states, actions, outcomes))
 
     def scores(self, states: np.ndarray, actions: np.ndarray,
-               outcomes: np.ndarray) -> np.ndarray:
-        """d log P(k|s,a) / d logits per step, over the full flat layout."""
+               outcomes: np.ndarray) -> BlockScores:
+        """d log P(k|s,a) / d logits per step, on the (s, a) cell's block."""
         return _softmax_scores(self.logits, (states, actions, outcomes))
 
     def log_prob(self, s: int, a: int, k: int) -> float:
@@ -267,7 +275,7 @@ class CategoricalWorldModel:
         return value
 
     def score(self, s: int, a: int, k: int) -> np.ndarray:
-        return self.scores(s, a, k)
+        return self.scores(s, a, k).dense()
 
     def sample(self, s: int, a: int,
                rng: np.random.Generator) -> tuple[float, int, int]:
@@ -311,14 +319,17 @@ def _gaussian_log_probs(weights: np.ndarray, log_std: np.ndarray,
 
 
 def _gaussian_scores(weights: np.ndarray, log_std: np.ndarray,
-                     feats: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(..., weights.size + log_std.size) gradients of those log-densities
-    in the (weights, log_std) layout."""
+                     feats: np.ndarray, y: np.ndarray) -> BlockScores:
+    """Gradients of those log-densities in the (weights, log_std) layout,
+    as one-cell scores: each block holds all weights.size + log_std.size
+    entries."""
     std = np.exp(log_std)
     z = (y - _affine_mean(weights, feats)) / std
     grad_w = (z / std)[..., :, None] * feats[..., None, :]
-    return np.concatenate([grad_w.reshape(z.shape[:-1] + (-1,)), z ** 2 - 1.0],
-                          axis=-1)
+    blocks = np.concatenate([grad_w.reshape(z.shape[:-1] + (-1,)),
+                             z ** 2 - 1.0], axis=-1)
+    return BlockScores(np.zeros(z.shape[:-1], dtype=np.int64), blocks,
+                       blocks.shape[-1])
 
 
 @dataclass
@@ -356,7 +367,7 @@ class DiagGaussianPolicy:
         return _gaussian_log_probs(self.weights, self.log_std,
                                    affine_features(states), actions)
 
-    def scores(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def scores(self, states: np.ndarray, actions: np.ndarray) -> BlockScores:
         return _gaussian_scores(self.weights, self.log_std,
                                 affine_features(states), actions)
 
@@ -364,7 +375,7 @@ class DiagGaussianPolicy:
         return float(self.log_probs(s, a))
 
     def score(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.scores(s, a)
+        return self.scores(s, a).dense()
 
     def sample(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.mean(s) + np.exp(self.log_std) * rng.standard_normal(
@@ -425,7 +436,7 @@ class DiagGaussianWorldModel:
                                    self._features(states, actions), outcomes)
 
     def scores(self, states: np.ndarray, actions: np.ndarray,
-               outcomes: np.ndarray) -> np.ndarray:
+               outcomes: np.ndarray) -> BlockScores:
         return _gaussian_scores(self.weights, self.log_std,
                                 self._features(states, actions), outcomes)
 
@@ -433,7 +444,7 @@ class DiagGaussianWorldModel:
         return float(self.log_probs(s, a, y))
 
     def score(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.scores(s, a, y)
+        return self.scores(s, a, y).dense()
 
     def sample(self, s: np.ndarray, a: np.ndarray,
                rng: np.random.Generator) -> tuple[np.ndarray, float]:

@@ -387,10 +387,11 @@ class TrainState:
     The buffer and critic advance during an iteration even if a later phase
     aborts; only (policy, model, lam) carry the commit-at-end guarantee.
     Nothing here holds a policy epoch's work: its score atoms (the step
-    scores plus the penalty draws, k of them), their coefficient matrices
-    and the solver's k x k matrices are built and released within that one
-    epoch, so at most one epoch's O(k * n_phi + k^2) set is in memory at a
-    time.
+    scores plus the penalty draws, k of them, each a cell index and a
+    K-entry block), their coefficient matrices and the solver's k x k
+    matrices are built and released within that one epoch, so at most one
+    epoch's O(k * (K + rank) + k^2) set, plus a few n_phi-vectors
+    (gradients, the dual coupling, solves), is in memory at a time.
     """
 
     policy: object
@@ -599,8 +600,9 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
                   rng: np.random.Generator, coupling: np.ndarray,
                   gap: float) -> tuple[object, float]:
     """One policy step; returns (stepped policy, mask rate). Scores, factors
-    and the solver are locals here, so none outlives its epoch; the step
-    scores stay alive as the factors' first atoms."""
+    and the solver are locals here, so none outlives its epoch. The step
+    scores are block scores, O(m * h * K), and become the factors' first
+    atoms; no (m, h, n_phi) tensor is formed."""
     sub = _minibatch(batch, config.minibatch_size, rng)
     n_steps = int(sub["lengths"].min())
     adv = _advantages_for(state.critic, sub, gamma, config.advantage_decay,
@@ -616,7 +618,7 @@ def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
         grad_model = masked_surrogate_gradient(phi_scores, masks, adv, gamma)
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(n_steps), phi_scores,
-            theta_scores.sum(axis=1), dataset, state.model, anchor, state.lam,
+            theta_scores, dataset, state.model, anchor, state.lam,
             coupling, gap, rng, n_step_cols=config.step_columns,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
         total = leader_gradient(

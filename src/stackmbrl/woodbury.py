@@ -7,36 +7,46 @@ The model-side curvature estimate is kept in factored form
 together with the mixed-curvature factor pair (U, W) whose product U W^T
 estimates the model/policy cross block. Every factor is a linear
 combination of a few score vectors, the atoms: the rows of S (k x n_phi).
-A factor is held as a small coefficient matrix, U = S^T c_U and so on, so
-the factors cost O(k * n_phi) memory together however many columns they
-have.
+A factor is held as a small coefficient matrix, U = S^T c_U and so on.
 
-Solves go through one k x k core. With K = c_U c_V^T - c_X c_Y^T +
-c_Z c_Z^T, A_hat = ridge * I + S^T K S, and the push-through Woodbury
+An atom is block-sparse: it is zero outside one cell of K parameters (a
+categorical score touches only its own (s, a) block; a Gaussian score, or
+any explicit column, is the one-cell case K = n_phi). ``BlockScores``
+holds each atom as its cell index and its K-entry block, so the atoms cost
+O(k * K) memory, and the three products the solver needs read only those
+blocks: G = S S^T is the block Gram matrix masked to atoms that share a
+cell, in O(k^2 * K); S b gathers the t <= k cells the atoms touch once
+and reads each atom's dot product with its own cell off one (k, t)
+product, and S^T c sums each touched cell's scaled blocks as one (t, k)
+by (k, K) product. Both take O(k * t * K) in matrix products, no more
+than building G, plus one O(n_phi) right-hand side; for one-cell atoms
+(t = 1) they are plain matrix-vector products.
+
+Solves go through one k x k core. With M = c_U c_V^T - c_X c_Y^T +
+c_Z c_Z^T, A_hat = ridge * I + S^T M S, and the push-through Woodbury
 identity (Hager, SIAM Review 1989) gives
 
-    A_hat^{-1} b = (b - S^T K (ridge * I_k + G K)^{-1} S b) / ridge,
+    A_hat^{-1} b = (b - S^T M (ridge * I_k + G M)^{-1} S b) / ridge.
 
-with G = S S^T. A build forms G, in O(k^2 * n_phi), and K, and checks the
-core's condition number against ``COND_LIMIT`` once; a solve projects its
+A build forms G and M, in O(k^2 * K + k^3), and checks the core's
+condition number against ``COND_LIMIT`` once; a solve projects its
 right-hand side onto the atoms once, solves the core with
-``np.linalg.solve`` and expands the result once, in O(k * n_phi) time. A
-built solver holds K and the core: O(k^2) memory beyond the factors'
-O(k * n_phi). When k >= n_phi the core is no smaller than A_hat itself, so
-the solver forms A_hat densely and solves it directly. A solve never
-writes to the factors or the right-hand side.
+``np.linalg.solve`` and expands the result once. A built solver holds M
+and the core: O(k^2) memory beyond the atoms. When k >= n_phi the core is
+no smaller than A_hat itself, so the solver forms A_hat densely and solves
+it directly. A solve never writes to the factors or the right-hand side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 RIDGE_DEFAULT = 1e-3
 COND_LIMIT = 1e12
 SCHUR_FLOOR = 1e-10
-
 
 class IllConditionedError(RuntimeError):
     """A Woodbury core matrix is too ill-conditioned to trust."""
@@ -46,20 +56,115 @@ class SingularScalarError(RuntimeError):
     """The dual Schur complement is numerically zero."""
 
 
+@dataclass(frozen=True)
+class BlockScores:
+    """Score vectors that vanish outside one block of their layout.
+
+    The parameter vector splits into n_params / size consecutive cells of
+    ``size`` entries. The score at index i of the leading shape holds
+    ``blocks[i]`` on cell ``cells[i]`` and zeros elsewhere. ``project``,
+    ``expand`` and ``gram`` treat the scores as the rows of one matrix S,
+    in C order over the leading shape.
+    """
+
+    cells: np.ndarray      # (...) int, one cell per score
+    blocks: np.ndarray     # (..., size) the scores' entries on their cells
+    n_params: int
+
+    def __post_init__(self):
+        if self.blocks.shape[:-1] != self.cells.shape:
+            raise ValueError("blocks must add one axis to the cells' shape")
+        if self.n_params % self.size:
+            raise ValueError(f"{self.n_params} parameters do not split into "
+                             f"cells of {self.size}")
+
+    @property
+    def size(self) -> int:
+        return self.blocks.shape[-1]
+
+    @property
+    def n_cells(self) -> int:
+        return self.n_params // self.size
+
+    def __getitem__(self, index) -> "BlockScores":
+        """The scores at ``index`` over the leading shape."""
+        return BlockScores(self.cells[index], self.blocks[index],
+                           self.n_params)
+
+    def rows(self) -> "BlockScores":
+        """The same scores with the leading shape flattened to (k,)."""
+        return BlockScores(self.cells.reshape(-1),
+                           self.blocks.reshape(-1, self.size), self.n_params)
+
+    @staticmethod
+    def concatenate(parts) -> "BlockScores":
+        """The rows of each part, one part after the other."""
+        parts = [part.rows() for part in parts]
+        return BlockScores(np.concatenate([p.cells for p in parts]),
+                           np.concatenate([p.blocks for p in parts]),
+                           parts[0].n_params)
+
+    def dense(self) -> np.ndarray:
+        """(..., n_params) explicit scores, for oracles and tests."""
+        flat = self.rows()
+        out = np.zeros((flat.cells.size, self.n_cells, self.size))
+        out[np.arange(flat.cells.size), flat.cells] = flat.blocks
+        return out.reshape(self.cells.shape + (self.n_params,))
+
+    @cached_property
+    def _incidence(self) -> tuple:
+        """(cells, rows, E): the t distinct cells the scores touch, in
+        ascending order, each score's position among them, and the (t, k)
+        0/1 matrix with E[rows[i], i] = 1."""
+        cells, rows = np.unique(self.cells.reshape(-1), return_inverse=True)
+        incidence = np.zeros((len(cells), len(rows)))
+        incidence[rows, np.arange(len(rows))] = 1.0
+        return cells, rows, incidence
+
+    def project(self, rhs: np.ndarray) -> np.ndarray:
+        """S rhs: (k,) or (k, p) for rhs (n_params,) or (n_params, p). The
+        t touched cells of rhs are gathered once; each score's dot product
+        with its own cell is read off their (k, t) product with the blocks."""
+        cells, rows, _ = self._incidence
+        touched = rhs.reshape((self.n_cells, self.size) + rhs.shape[1:])[cells]
+        products = np.tensordot(self.rows().blocks, touched, axes=(1, 1))
+        return products[np.arange(len(rows)), rows]
+
+    def expand(self, coef: np.ndarray) -> np.ndarray:
+        """S^T coef: (n_params,) or (n_params, p) for coef (k,) or (k, p).
+        Each touched cell's sum of scaled blocks is one row of the product
+        of the coefficient-weighted incidence matrix with the blocks."""
+        cells, _, incidence = self._incidence
+        tail = coef.shape[1:]
+        weighted = incidence.reshape(incidence.shape + (1,) * len(tail)) * coef
+        sums = np.tensordot(weighted, self.rows().blocks, axes=(1, 0))
+        out = np.zeros((self.n_cells, self.size) + tail)
+        out[cells] = np.moveaxis(sums, -1, 1)
+        return out.reshape((self.n_params,) + tail)
+
+    def gram(self) -> np.ndarray:
+        """G = S S^T (k x k): block products of scores in the same cell."""
+        flat = self.rows()
+        out = flat.blocks @ flat.blocks.T
+        out[flat.cells[:, None] != flat.cells[None, :]] = 0.0
+        return out
+
+
 @dataclass
 class LowRankFactors:
     """Factored curvature statistics for one batch.
 
-    ``atoms`` holds the rows of S (k x n_phi) as one or more row blocks, so
-    a block can be a view of a score tensor the caller already has. Each
-    factor is S^T times its (k, rank) coefficient matrix. Coefficients are
-    pre-scaled so that plain products estimate expectations: U, V carry
-    1/sqrt(m); X, Y carry sqrt(h / M); Z carries sqrt(lam / M).
-    ``u``, ``v``, ``x``, ``y`` and ``z`` are the dense (n_phi, rank)
-    factors, expanded on each read and read-only, for oracle comparisons.
+    ``atoms`` holds the k rows of S as block scores. Each factor is S^T
+    times its (k, rank) coefficient matrix. Coefficients are pre-scaled so
+    that plain products estimate expectations: U, V carry 1/sqrt(m); X, Y
+    carry sqrt(h / M); Z carries sqrt(lam / M). A policy epoch's factors
+    hold O(k * (K + rank)) numbers plus the (n_theta, m) W and the
+    n_phi-vector ``dual_coupling``; no n_phi-tall matrix. ``u``, ``v``,
+    ``x``, ``y`` and ``z`` are the dense (n_phi, rank) factors, expanded on
+    each read and read-only, for oracle comparisons.
     """
 
-    atoms: tuple                  # row blocks of S, each (rows, n_phi)
+    atoms: BlockScores            # (k,) score atoms, the rows of S
     c_u: np.ndarray               # (k, m)   weighted model scores
     c_v: np.ndarray               # (k, m)   trajectory model scores
     c_x: np.ndarray               # (k, M)   return-weighted step scores
@@ -72,9 +177,8 @@ class LowRankFactors:
     dual_slope: float = 0.0       # estimated constraint gap E[KL] - epsilon
 
     def __post_init__(self):
-        n_phi = self.atoms[0].shape[-1]
-        if any(blk.ndim != 2 or blk.shape[1] != n_phi for blk in self.atoms):
-            raise ValueError(f"atom blocks must be (rows, {n_phi})")
+        if self.atoms.cells.ndim != 1:
+            raise ValueError("atoms must be one row of scores per atom")
         k = self.n_atoms
         for name in ("c_u", "c_v", "c_x", "c_y", "c_z"):
             coef = getattr(self, name)
@@ -94,50 +198,30 @@ class LowRankFactors:
                      y: np.ndarray, z: np.ndarray, w: np.ndarray,
                      **scalars) -> "LowRankFactors":
         """Factors given as explicit (n_phi, rank) columns: every column
-        becomes an atom, and each coefficient matrix selects its own."""
+        becomes a one-cell atom, and each coefficient matrix selects its
+        own."""
         cols = (u, v, x, y, z)
-        atoms = np.concatenate([c.T for c in cols])
+        blocks = np.concatenate([c.T for c in cols])
+        atoms = BlockScores(np.zeros(len(blocks), dtype=np.int64), blocks,
+                            u.shape[0])
         ranks = np.cumsum([c.shape[1] for c in cols])
-        coefs = np.split(np.eye(len(atoms)), ranks[:-1], axis=1)
-        return cls((atoms,), *coefs, w=w, **scalars)
+        coefs = np.split(np.eye(len(blocks)), ranks[:-1], axis=1)
+        return cls(atoms, *coefs, w=w, **scalars)
 
     @property
     def n_phi(self) -> int:
-        return self.atoms[0].shape[1]
+        return self.atoms.n_params
 
     @property
     def n_atoms(self) -> int:
-        return sum(len(blk) for blk in self.atoms)
+        return self.atoms.cells.size
 
     @property
     def n_theta(self) -> int:
         return self.w.shape[0]
 
-    def project(self, rhs: np.ndarray) -> np.ndarray:
-        """S rhs: (k,) or (k, p) for rhs (n_phi,) or (n_phi, p)."""
-        return np.concatenate([blk @ rhs for blk in self.atoms])
-
-    def expand(self, coef: np.ndarray) -> np.ndarray:
-        """S^T coef: (n_phi,) or (n_phi, p) for coef (k,) or (k, p)."""
-        out = np.zeros((self.n_phi,) + coef.shape[1:])
-        start = 0
-        for blk in self.atoms:
-            out += blk.T @ coef[start:start + len(blk)]
-            start += len(blk)
-        return out
-
-    def gram(self) -> np.ndarray:
-        """G = S S^T (k x k), one product per pair of atom blocks."""
-        blocks = [[None] * len(self.atoms) for _ in self.atoms]
-        for i, row in enumerate(self.atoms):
-            blocks[i][i] = row @ row.T
-            for j in range(i):
-                blocks[i][j] = row @ self.atoms[j].T
-                blocks[j][i] = blocks[i][j].T
-        return np.block(blocks)
-
     def _dense(self, coef: np.ndarray) -> np.ndarray:
-        out = self.expand(coef)
+        out = self.atoms.expand(coef)
         out.flags.writeable = False
         return out
 
@@ -171,7 +255,7 @@ def _checked_core(mat: np.ndarray) -> np.ndarray:
 class WoodburySolver:
     """Inverse of the factored curvature matrix through one core.
 
-    The core is cI + G K (k x k) with c the ridge, or A_hat itself when
+    The core is cI + G M (k x k) with c the ridge, or A_hat itself when
     k >= n_phi; the route is chosen from the factors' shapes alone. Its
     condition number is checked once at build time.
     """
@@ -179,24 +263,25 @@ class WoodburySolver:
     def __init__(self, factors: LowRankFactors):
         self.factors = factors
         if factors.n_atoms >= factors.n_phi:
-            self._k, core = None, factors.dense()
+            self._m, core = None, factors.dense()
         else:
-            self._k = factors.c_u @ factors.c_v.T
-            self._k -= factors.c_x @ factors.c_y.T
-            self._k += factors.c_z @ factors.c_z.T
-            core = factors.gram() @ self._k
+            self._m = factors.c_u @ factors.c_v.T
+            self._m -= factors.c_x @ factors.c_y.T
+            self._m += factors.c_z @ factors.c_z.T
+            core = factors.atoms.gram() @ self._m
             core[np.diag_indices_from(core)] += factors.ridge
         self._core = _checked_core(core)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, p)."""
         rhs = np.asarray(rhs, dtype=float)
-        if self._k is None:
+        if self._m is None:
             return np.linalg.solve(self._core, rhs)
-        f = self.factors
-        out = f.expand(self._k @ np.linalg.solve(self._core, f.project(rhs)))
+        atoms = self.factors.atoms
+        out = atoms.expand(self._m @ np.linalg.solve(self._core,
+                                                     atoms.project(rhs)))
         np.subtract(rhs, out, out=out)
-        out /= f.ridge
+        out /= self.factors.ridge
         return out
 
 
@@ -255,7 +340,7 @@ def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
     corrected = (operator.apply(grad_model) if use_dual_row
                  else operator.apply_inverse_curvature(grad_model))
     return grad_policy - factors.w @ (factors.c_u.T
-                                      @ factors.project(corrected))
+                                      @ factors.atoms.project(corrected))
 
 
 def random_factors(n_phi: int, n_theta: int = 4, m: int = 8, big_m: int = 12,

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 from conftest import ScriptedRng, uniform_for
 
+from reference_estimators import (mc_estimator_stats, model_gradient,
+                                  policy_gradient, psi_gradients)
+
 from stackmbrl.estimators import (ESTIMATOR_NAMES, _choice_rows,
                                   dataset_dual_coupling,
                                   dataset_kl, discounted_weights,
                                   exact_estimator_targets, factors_from_batch,
                                   generalized_advantages,
-                                  masked_surrogate_gradient, mc_estimator_stats,
-                                  model_gradient, model_score_table,
-                                  policy_gradient, policy_score_table,
-                                  psi_gradients, ratio_masks)
+                                  masked_surrogate_gradient,
+                                  model_score_table, policy_score_table,
+                                  ratio_masks)
 from stackmbrl.mdp import dp_values, sample_tabular_batch
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, enumerate_paths,
                                exact_expectations, exact_grad_lagrangian_model,
                                exact_penalty_terms)
+from stackmbrl.woodbury import BlockScores
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +38,7 @@ def test_psi_gradient_forward_backward_swap(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=64, seed=11)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"]).dense()
     forward = psi_gradients(weights, scores)
     disc = batch["rewards"] * mdp.gamma ** np.arange(mdp.horizon)
     prefix = scores.cumsum(axis=1)
@@ -47,9 +50,9 @@ def test_plain_gradients_average_per_trajectory_terms(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=16, seed=5)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    th = policy.scores(batch["states"][:, :-1], batch["actions"]).dense()
     ph = model.scores(batch["states"][:, :-1], batch["actions"],
-                      batch["outcomes"])
+                      batch["outcomes"]).dense()
     assert np.allclose(policy_gradient(weights, th),
                        psi_gradients(weights, th).mean(axis=0), atol=1e-15)
     assert np.allclose(model_gradient(weights, ph),
@@ -162,7 +165,35 @@ def test_masked_gradient_reduces_to_plain_estimator(small_triple):
                                  np.zeros(n), mdp.gamma, zeta=1.0)
     masks = np.ones((n, h))
     reduced = masked_surrogate_gradient(scores, masks, adv, mdp.gamma)
-    assert np.abs(reduced - policy_gradient(weights, scores)).max() <= 1e-12
+    assert np.abs(reduced - policy_gradient(weights, scores.dense())).max() \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["policy", "model", "gaussian"])
+def test_masked_gradient_matches_the_dense_step_scores(small_triple, family):
+    """The block scatter equals the dense contraction over (n, h, n_params)
+    step scores within 1e-13, with cells visited many times."""
+    mdp, policy, model = small_triple
+    batch = sample_tabular_batch(mdp, policy, model, n=32, seed=13)
+    steps = (batch["states"][:, :-1], batch["actions"])
+    if family == "policy":
+        scores = policy.scores(*steps)
+    elif family == "model":
+        scores = model.scores(*steps, batch["outcomes"])
+    else:
+        rng = np.random.default_rng(3)
+        gaussian = DiagGaussianWorldModel(rng.standard_normal((2, 3)),
+                                          rng.standard_normal(2), 1, 1)
+        scores = gaussian.scores(rng.standard_normal((32, mdp.horizon, 1)),
+                                 rng.standard_normal((32, mdp.horizon, 1)),
+                                 rng.standard_normal((32, mdp.horizon, 2)))
+    rng = np.random.default_rng(4)
+    masks = (rng.random((32, mdp.horizon)) < 0.7).astype(float)
+    adv = rng.standard_normal((32, mdp.horizon - 1))
+    got = masked_surrogate_gradient(scores, masks, adv, mdp.gamma)
+    weights = masks[:, :-1] * adv * mdp.gamma ** np.arange(mdp.horizon - 1)
+    want = np.einsum("nh,nhp->p", weights, scores.dense()[:, :-1]) / 32
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_masked_gradient_zero_when_all_masked(small_triple):
@@ -207,7 +238,7 @@ def test_value_baseline_sampled_mean_and_variance(small_triple):
     n = 30_000
     batch = sample_tabular_batch(mdp, policy, model, n=n, seed=123)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
-    scores = policy.scores(batch["states"][:, :-1], batch["actions"])
+    scores = policy.scores(batch["states"][:, :-1], batch["actions"]).dense()
     v_steps, _ = dp_values(model.probs_all(), model.outcome_rewards,
                            model.outcome_next_states, policy.probs_all(),
                            mdp.gamma, mdp.horizon)
@@ -263,7 +294,7 @@ def model_penalty_gradient(weights, phi_scores, dataset, model, anchor, lam):
     The KL term's gradient is -lam * E_{anchor o D}[score], which is exactly
     ``lam * dataset_dual_coupling``.
     """
-    return (model_gradient(weights, phi_scores)
+    return (model_gradient(weights, phi_scores.dense())
             + lam * dataset_dual_coupling(dataset, model, anchor))
 
 
@@ -300,7 +331,7 @@ def _path_batch(model, policy, states, actions, outcomes, rewards, gamma):
     ph = model.scores(states[None, :-1], actions[None, :],
                       outcomes[None, :])
     th = policy.scores(states[None, :-1], actions[None, :])
-    return weights, ph, th.sum(axis=1)
+    return weights, ph, th
 
 
 def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
@@ -310,17 +341,17 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
     weights = discounted_weights(batch["rewards"], mdp.gamma)
     ph = model.scores(batch["states"][:, :-1], batch["actions"],
                       batch["outcomes"])
-    th_traj = policy.scores(batch["states"][:, :-1],
-                            batch["actions"]).sum(axis=1)
+    th = policy.scores(batch["states"][:, :-1], batch["actions"])
     lam = 0.7
     s, a = int(dataset.states[5]), int(dataset.actions[5])
     rng = ScriptedRng(integer_queue=[[1, 0], [2, 0], [5]],
                       uniform_queue=[[uniform_for(anchor.probs(s, a), 3)]])
-    factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
+    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=lam, rng=rng,
                                  **_dual_terms(dataset, model, anchor, 0.1),
                                  n_step_cols=2, n_penalty_cols=1)
     m, h = weights.shape
+    ph, th_traj = ph.dense(), th.dense().sum(axis=1)
     psi = psi_gradients(weights, ph)
     assert np.allclose(factors.u, psi.T / np.sqrt(m), atol=1e-15)
     assert np.allclose(factors.v, ph.sum(axis=1).T / np.sqrt(m), atol=1e-15)
@@ -341,9 +372,8 @@ def test_factor_zero_multiplier_zeroes_penalty_columns(small_triple, small_datas
     weights = discounted_weights(batch["rewards"], mdp.gamma)
     ph = model.scores(batch["states"][:, :-1], batch["actions"],
                       batch["outcomes"])
-    th_traj = policy.scores(batch["states"][:, :-1],
-                            batch["actions"]).sum(axis=1)
-    factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
+    th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=0.0, rng=np.random.default_rng(0),
                                  **_dual_terms(dataset, model, anchor, 0.1))
     assert np.all(factors.z == 0.0)
@@ -364,11 +394,11 @@ def test_factor_expectation_matches_curvature_surrogate(small_triple, small_data
     acc_mixed = np.zeros((n_phi, policy.n_params))
     eye = np.eye(n_phi)
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
-        weights, ph, th_traj = _path_batch(model, policy, states, actions,
+        weights, ph, th = _path_batch(model, policy, states, actions,
                                            outcomes, rewards, mdp.gamma)
         rng = ScriptedRng(integer_queue=[np.zeros(h), np.arange(h), [0]],
                           uniform_queue=[[0.0]])
-        factors = factors_from_batch(weights, ph, th_traj, dataset, model,
+        factors = factors_from_batch(weights, ph, th, dataset, model,
                                      anchor, lam=0.0, rng=rng,
                                      **_dual_terms(dataset, model, anchor, 0.0),
                                      n_step_cols=h, n_penalty_cols=1,
@@ -396,14 +426,16 @@ def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
         cells.setdefault((int(dataset.states[row]), int(dataset.actions[row])), row)
     counts = dataset.cell_counts()
     weights = np.zeros((1, 1))
-    ph = np.zeros((1, 1, n_phi))
-    th_traj = np.zeros((1, policy.n_params))
+    ph = BlockScores(np.zeros((1, 1), dtype=np.int64),
+                     np.zeros((1, 1, model.num_outcomes)), n_phi)
+    th = BlockScores(np.zeros((1, 1), dtype=np.int64),
+                     np.zeros((1, 1, policy.num_actions)), policy.n_params)
     acc = np.zeros((n_phi, n_phi))
     for (s, a), row in cells.items():
         for k in range(model.num_outcomes):
             rng = ScriptedRng(integer_queue=[[0], [0], [row]],
                               uniform_queue=[[uniform_for(anc_probs[s, a], k)]])
-            factors = factors_from_batch(weights, ph, th_traj, dataset, model,
+            factors = factors_from_batch(weights, ph, th, dataset, model,
                                          anchor, lam=lam, rng=rng,
                                          **_dual_terms(dataset, model, anchor,
                                                        0.0),
@@ -444,13 +476,12 @@ def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
     ph = model.scores(batch["states"][:, :-1], batch["actions"],
                       batch["outcomes"])
-    th_traj = policy.scores(batch["states"][:, :-1],
-                            batch["actions"]).sum(axis=1)
+    th = policy.scores(batch["states"][:, :-1], batch["actions"])
     row, k, eps, lam = 7, 2, 0.3, 0.5
     s, a = int(dataset.states[row]), int(dataset.actions[row])
     rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]],
                       uniform_queue=[[uniform_for(anchor.probs(s, a), k)]])
-    factors = factors_from_batch(weights, ph, th_traj, dataset, model, anchor,
+    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=lam, rng=rng,
                                  **_dual_terms(dataset, model, anchor, eps),
                                  n_step_cols=2, n_penalty_cols=1)

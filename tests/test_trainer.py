@@ -7,11 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import dirichlet_mdp
+from reference_estimators import model_gradient, policy_gradient
 
 from stackmbrl import estimators, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
-                                  discounted_weights, factors_from_batch,
-                                  model_gradient, policy_gradient)
+                                  discounted_weights, factors_from_batch)
 from stackmbrl.mdp import SamplingError
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, mle_fit, rollout_dataset)
@@ -21,7 +21,8 @@ from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                collect_rollouts, initial_state,
                                load_checkpoint, save_checkpoint, train,
                                train_iteration, vanilla_config)
-from stackmbrl.woodbury import WoodburySolver, leader_gradient
+from stackmbrl.woodbury import (BlockScores, LowRankFactors, WoodburySolver,
+                                leader_gradient)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +75,7 @@ def _gaussian_row_score(weights, log_std, feats, y):
 
 
 def _assert_matches_rows(family, ref_log_prob, ref_score, *steps):
-    log_probs, scores = family.log_probs(*steps), family.scores(*steps)
+    log_probs, scores = family.log_probs(*steps), family.scores(*steps).dense()
     assert scores.shape == steps[0].shape[:2] + (family.n_params,)
     assert np.array_equal(log_probs, _row_loop(ref_log_prob, *steps))
     assert np.array_equal(scores, _row_loop(ref_score, *steps))
@@ -132,18 +133,30 @@ def test_batched_gaussian_likelihoods_match_the_step_loop(tracking_setup):
 @pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
 def test_tabular_iteration_builds_no_dense_score_table(
         grad_triple, grad_dataset, monkeypatch, dynamics):
+    """An iteration forms no dense score table and expands no block scores.
+    On the core route (the Dirichlet MDP: 216 model parameters, 128 atoms)
+    it also reads no dense factor and never forms A_hat."""
     def refuse(*args, **kwargs):
-        raise AssertionError("dense score table built")
+        raise AssertionError("dense scores or factors built")
 
     monkeypatch.setattr(estimators, "model_score_table", refuse)
     monkeypatch.setattr(estimators, "policy_score_table", refuse)
-    env = grad_triple[0]
-    dataset, anchor = grad_dataset
+    monkeypatch.setattr(BlockScores, "dense", refuse)
+    env = dirichlet_mdp(0, num_states=6)
+    dataset = rollout_dataset(env, "uniform", n_episodes=50, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    cases = [(grad_triple[0], *grad_dataset), (env, dataset, anchor)]
     config = TrainerConfig(seed=2, dynamics=dynamics)
-    state = initial_state(env, anchor, config)
-    new_state, record = train_iteration(state, env, dataset, anchor, config)
-    assert record["aborted"] == 0
-    assert new_state.iteration == 1
+    for case, (env, dataset, anchor) in enumerate(cases):
+        if case:
+            for name in ("u", "v", "x", "y", "z"):
+                monkeypatch.setattr(LowRankFactors, name, property(refuse))
+            monkeypatch.setattr(LowRankFactors, "dense", refuse)
+        state = initial_state(env, anchor, config)
+        new_state, record = train_iteration(state, env, dataset, anchor,
+                                            config)
+        assert record["aborted"] == 0
+        assert new_state.iteration == 1
 
 
 def test_iteration_computes_committed_dataset_terms_once(grad_triple,
@@ -215,12 +228,13 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
 
 
 def test_iteration_memory_stays_within_one_epochs_factors():
-    """The leader update holds one policy epoch's score atoms, coefficient
-    matrices and the solver's two k x k matrices at a time,
-    O(k * n_phi + k^2): about 1.4 KB per model parameter at the peak of one
-    iteration, 1.8 KB when this test runs first in its process. Full-height
-    factor columns and solver caches peaked near 2.6 KB, and two epochs'
-    sets of them near 5.75 KB."""
+    """The leader update holds one policy epoch's block-score atoms,
+    coefficient matrices and the solver's two k x k matrices at a time,
+    O(k * (K + rank) + k^2) plus a few n_phi-vectors: about 345 bytes per
+    model parameter at the peak of one iteration, 805 when this test runs
+    first in its process. Dense (k, n_phi) atoms peaked near 1.4 KB (1.8 KB
+    first in the process), full-height factor columns and solver caches
+    near 2.6 KB, and two epochs' sets of them near 5.75 KB."""
     env = dirichlet_mdp(0, num_states=20)
     dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
@@ -234,7 +248,34 @@ def test_iteration_memory_stays_within_one_epochs_factors():
     finally:
         tracemalloc.stop()
     assert record["aborted"] == 0
-    assert peak / anchor.n_params <= 3000
+    assert peak / anchor.n_params <= 1200
+
+
+def test_policy_epoch_memory_holds_block_scores_only():
+    """One policy epoch at n_phi = 2,400 (k = 128 atoms, blocks of K = 40)
+    peaks at about 330 bytes per model parameter: the solver's k x k
+    matrices and a few n_phi-vectors. Dense (m, h, n_phi) step scores and
+    (k, n_phi) atoms peaked at about 1,350."""
+    env = dirichlet_mdp(0, num_states=20)
+    dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    config = TrainerConfig(seed=0)
+    state = initial_state(env, anchor, config)
+    batch = collect_rollouts(env, state.policy, state.model, dataset,
+                             config.rollouts_per_iter, config.segment_length,
+                             seed=0)
+    coupling = dataset_dual_coupling(dataset, state.model, anchor)
+    gap = dataset_kl(dataset, state.model, anchor) - config.epsilon
+    assert anchor.n_params == 2400
+    tracemalloc.start()
+    try:
+        trainer._policy_epoch(state, state.policy, batch, dataset, anchor,
+                              config, env.gamma, config.rates.at(0).policy,
+                              np.random.default_rng(0), coupling, gap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / anchor.n_params <= 400
 
 
 @pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
@@ -256,12 +297,12 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
                                  batch["actions"][:, :h])
     phi_scores = model.scores(batch["states"][:, :-1],
                               batch["actions"][:, :h], batch["outcomes"])
-    grad_policy = policy_gradient(weights, theta_scores)
-    grad_model = model_gradient(weights, phi_scores)
+    grad_policy = policy_gradient(weights, theta_scores.dense())
+    grad_model = model_gradient(weights, phi_scores.dense())
     total = grad_policy
     if dynamics != "naive":
         factors = factors_from_batch(
-            weights, phi_scores, theta_scores.sum(axis=1), dataset, model,
+            weights, phi_scores, theta_scores, dataset, model,
             anchor, lam, dataset_dual_coupling(dataset, model, anchor),
             dataset_kl(dataset, model, anchor) - config.epsilon,
             np.random.default_rng((3, _POLICY_STREAM, 0, 0)),
@@ -306,11 +347,11 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
         "trace.csv": "09276c25861391def412cace7448be5eb38235820ca480fbe790a0f51b49cfff",
-        "checkpoint_final.json": "360edc3d66b7194d0fe9821a487eba45d68317dbbcb56bc0792a1f74a59e7504",
+        "checkpoint_final.json": "626eefa08974f7fb3a825cc227a9fbb318606bd3abddd1486d7afee6ecdbe071",
     }),
     "tracking": (5, {
-        "trace.csv": "f5d8287b624b2131ecf65c3a8e3432293fbb3952fa13f32f082a1e65744d6188",
-        "checkpoint_final.json": "fd3df77fa8f1670eac72193734fbcaeed987ba1f22ea74bc8669cd992b6e117f",
+        "trace.csv": "22dcc1c34ff87c404c9bbb0239c07367fc959b9430f65eadf8593e688656843b",
+        "checkpoint_final.json": "21c90d7247603c0011efd21348fa6902097e6efb608819f96603b3d9ccce5e9c",
     }),
 }
 

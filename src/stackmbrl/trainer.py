@@ -18,6 +18,7 @@ iteration, for A/B comparisons against the segment machinery.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -247,8 +248,12 @@ class ReplayBuffer:
         self.capacity = capacity
         self._entries: deque = deque(maxlen=capacity)
 
-    def add(self, batch: dict) -> None:
-        self._entries.append(batch)
+    def with_batch(self, batch: dict) -> "ReplayBuffer":
+        """A new buffer holding these batches and then ``batch``, the oldest
+        dropped past capacity; this buffer is unchanged."""
+        out = ReplayBuffer(self.capacity)
+        out._entries.extend([*self._entries, batch])
+        return out
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -384,13 +389,13 @@ def vanilla_config(config: TrainerConfig, horizon: int) -> TrainerConfig:
 class TrainState:
     """Committed parameters plus the mutable training machinery.
 
-    The buffer and critic advance during an iteration even if a later phase
-    aborts; only (policy, model, lam) carry the commit-at-end guarantee.
-    Nothing here holds a policy epoch's work: its score atoms (the step
-    scores plus the penalty draws, k of them, each a cell index and a
-    K-entry block), their coefficient matrices and the solver's k x k
-    matrices are built and released within that one epoch, so at most one
-    epoch's O(k * (K + rank) + k^2) set, plus a few n_phi-vectors
+    An iteration fits a tentative critic on a tentative buffer and installs
+    both with (policy, model, lam), so an aborted iteration leaves all five
+    as they were. Nothing here holds a policy epoch's work: its score atoms
+    (the step scores plus the penalty draws, k of them, each a cell index
+    and a K-entry block), their coefficient matrices and the solver's
+    k x k matrices are built and released within that one epoch, so at
+    most one epoch's O(k * (K + rank) + k^2) set, plus a few n_phi-vectors
     (gradients, the dual coupling, solves), is in memory at a time.
     """
 
@@ -671,12 +676,12 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                     config: TrainerConfig) -> tuple[TrainState, dict]:
     """Collect, fit the critic, run the three phases, then commit.
 
-    Parameter updates happen on primed copies and land together at the end.
-    If any phase aborts (singular curvature, ill-conditioned solve,
+    Every update happens on primed copies and lands together at the end:
+    the phases read a tentative critic fitted on the buffer plus this
+    batch. If any phase aborts (singular curvature, ill-conditioned solve,
     non-finite iterates or dataset KL, or a dead rollout), the committed
-    (policy, model, multiplier) are kept, a warning records the iteration,
-    and training can continue; the buffer and critic may already have
-    advanced.
+    (policy, model, multiplier, critic, buffer) are kept, a warning records
+    the iteration, and training can continue.
     """
     k = state.iteration
     gamma = env.gamma
@@ -687,22 +692,24 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
     coupling = dataset_dual_coupling(dataset, state.model, anchor)
     committed_kl = dataset_kl(dataset, state.model, anchor)
     gap = committed_kl - config.epsilon
+    fitted = state
     try:
         batch = collect_rollouts(env, state.policy, state.model, dataset,
                                  config.rollouts_per_iter,
                                  config.segment_length,
                                  _stream(config.seed, _COLLECT_STREAM, k))
-        state.buffer.add(batch)
+        fitted = replace(state, buffer=state.buffer.with_batch(batch),
+                         critic=copy.deepcopy(state.critic))
         record["return_estimate"] = _segment_returns(batch, gamma)
         record["critic_loss"] = train_critic(
-            state.critic, state.buffer, state.policy, state.model, gamma,
+            fitted.critic, fitted.buffer, state.policy, state.model, gamma,
             config.critic_epochs, config.target_mix,
             _stream(config.seed, _CRITIC_STREAM, k))
         policy_new, mask_pi = _policy_phase(
-            state, batch, dataset, anchor, config, gamma, rates.policy, k,
+            fitted, batch, dataset, anchor, config, gamma, rates.policy, k,
             coupling, gap)
         model_new, mask_mod = _model_phase(
-            state, batch, dataset, anchor, config, gamma, rates.model, k,
+            fitted, batch, dataset, anchor, config, gamma, rates.model, k,
             coupling)
         if config.dynamics == "constrained":
             lam_new = _dual_phase(state, gap, config, rates.dual)
@@ -718,9 +725,10 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                       "parameters")
         record["aborted"] = 1
         policy_new, model_new, lam_new = state.policy, state.model, state.lam
+        fitted = state
         record["kl"] = committed_kl
 
-    state = replace(state, policy=policy_new, model=model_new, lam=lam_new,
+    state = replace(fitted, policy=policy_new, model=model_new, lam=lam_new,
                     iteration=k + 1)
     record["lam"] = state.lam
     if isinstance(env, TabularMdp):

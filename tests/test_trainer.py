@@ -329,6 +329,63 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
     assert new_state.lam == pytest.approx(expected_lam, rel=0.0, abs=1e-12)
 
 
+def _raise_in_phase(phase, monkeypatch):
+    """Make one phase of the next iteration raise an aborting error; the
+    critic phase raises after its fit has run."""
+    def fail(*args, **kwargs):
+        raise FloatingPointError(f"{phase} phase failed")
+
+    if phase == "critic":
+        fit = trainer.TabularCritic.fit_epoch
+
+        def fit_then_fail(*args, **kwargs):
+            fit(*args, **kwargs)
+            fail()
+
+        monkeypatch.setattr(trainer.TabularCritic, "fit_epoch", fit_then_fail)
+    else:
+        name = {"collection": "collect_rollouts", "policy": "_policy_phase",
+                "model": "_model_phase", "dual": "_dual_phase"}[phase]
+        monkeypatch.setattr(trainer, name, fail)
+
+
+def _committed(state) -> tuple:
+    transitions = state.buffer.transitions()
+    return (state.policy.params.values.copy(),
+            state.model.params.values.copy(), state.lam,
+            state.critic.to_dict(), len(state.buffer),
+            {key: value.copy() for key, value in transitions.items()})
+
+
+@pytest.mark.parametrize("phase",
+                         ["collection", "critic", "policy", "model", "dual"])
+def test_a_failing_phase_leaves_every_committed_part(phase, grad_triple,
+                                                     grad_dataset,
+                                                     monkeypatch):
+    """An iteration that aborts in any phase keeps the policy, the model,
+    the multiplier, the critic and the buffer it started from."""
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(seed=4)
+    state, _ = train_iteration(initial_state(env, anchor, config), env,
+                               dataset, anchor, config)
+    before = _committed(state)
+    _raise_in_phase(phase, monkeypatch)
+    with pytest.warns(UserWarning, match=f"{phase} phase failed"):
+        new_state, record = train_iteration(state, env, dataset, anchor,
+                                            config)
+    after = _committed(new_state)
+    assert record["aborted"] == 1
+    assert new_state.iteration == 2
+    assert np.array_equal(after[0], before[0])
+    assert np.array_equal(after[1], before[1])
+    assert after[2] == before[2]
+    assert after[3] == before[3]
+    assert after[4] == before[4] == 1
+    for key, value in before[5].items():
+        assert np.array_equal(after[5][key], value), key
+
+
 def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
                                                tmp_path):
     env = grad_triple[0]
@@ -350,8 +407,8 @@ ARTIFACT_DIGESTS = {
         "checkpoint_final.json": "626eefa08974f7fb3a825cc227a9fbb318606bd3abddd1486d7afee6ecdbe071",
     }),
     "tracking": (5, {
-        "trace.csv": "22dcc1c34ff87c404c9bbb0239c07367fc959b9430f65eadf8593e688656843b",
-        "checkpoint_final.json": "21c90d7247603c0011efd21348fa6902097e6efb608819f96603b3d9ccce5e9c",
+        "trace.csv": "3adb1b27ceb4081fc6ff58186332bd1ed186649dd5ad7153ea9c5d8b193c4b61",
+        "checkpoint_final.json": "80e225824697fb0f3cf2496081400463f29c02fb1e0d45469cd12b33e57eb857",
     }),
 }
 

@@ -479,11 +479,9 @@ def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
         targets["xy"] - central_difference(paired_log_likelihood, phi)).max()
 
     anchor_cell_mass = np.zeros_like(tables["tail_cell_mass"])
-    anc_probs = anchor.probs_all()
-    for (s, a), count in dataset.cell_counts().items():
-        start = (s * anc_probs.shape[1] + a) * k_n
-        anchor_cell_mass[start:start + k_n] = (count / dataset.n
-                                               ) * anc_probs[s, a]
+    s, a, counts = dataset.cells
+    anchor_cell_mass.reshape(-1, k_n)[s * mdp.num_actions + a] = (
+        counts / dataset.n)[:, None] * anchor.probs(s, a)
 
     def anchored_log_likelihood(flat: np.ndarray) -> np.ndarray:
         logs = np.log(model.with_params(flat).probs_all().ravel())

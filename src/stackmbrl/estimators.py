@@ -124,10 +124,10 @@ def masked_surrogate_gradient(step_scores: BlockScores, masks: np.ndarray,
 def dataset_kl(dataset: OfflineDataset, model, anchor) -> float:
     """E_{(s,a)~D}[KL(anchor(.|s,a) || model(.|s,a))], exact over the dataset."""
     if isinstance(model, CategoricalWorldModel):
-        s, a, w = _cell_weights(dataset)
+        s, a, counts = dataset.cells
         kl = categorical_kl(anchor.probs(s, a), model.probs(s, a))
         # a running total in first-appearance order, not a pairwise sum
-        return float(np.add.accumulate(w * kl)[-1])
+        return float(np.add.accumulate(counts / dataset.n * kl)[-1])
     kl = gaussian_kl(anchor.mean(dataset.states, dataset.actions),
                      np.exp(2.0 * anchor.log_std),
                      model.mean(dataset.states, dataset.actions),
@@ -144,24 +144,16 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
     """
     if isinstance(model, CategoricalWorldModel):
         _, a_n, k_n = model.logits.shape
-        s, a, w = _cell_weights(dataset)
+        s, a, counts = dataset.cells
         out = np.zeros(model.n_params)
         # one scatter: the cells are distinct, so no block is written twice
-        out.reshape(-1, k_n)[s * a_n + a] -= w[:, None] * (
+        out.reshape(-1, k_n)[s * a_n + a] -= (counts / dataset.n)[:, None] * (
             anchor.probs(s, a) - model.probs(s, a))
         return out
     scores = _gaussian_expected_score(model, anchor, dataset.states,
                                       dataset.actions)
     # a running total in row order, not numpy's pairwise sum
     return -np.add.accumulate(scores, axis=0)[-1] / dataset.n
-
-
-def _cell_weights(dataset: OfflineDataset) -> tuple:
-    """(states, actions, weights) of the tabular dataset's distinct cells in
-    first-appearance order; each weight is the cell's share of the rows."""
-    cells = dataset.cell_counts()
-    s, a = np.array(list(cells), dtype=np.int64).T
-    return s, a, np.array(list(cells.values())) / dataset.n
 
 
 def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,

@@ -1,7 +1,8 @@
 """Parameter vectors, policies, world models, offline datasets, MLE fitting.
 
-Models are value objects: ``with_params`` returns a new instance, nothing
-mutates in place.
+Models and datasets are value objects: ``with_params`` returns a new
+instance, nothing mutates in place. Per-instance caches rely on that: a
+softmax family normalises its logits once, a dataset groups its cells once.
 
 Every policy and world-model family evaluates its likelihood on whole
 batches of steps:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,35 +94,29 @@ class ParamVector:
         return ParamVector(np.array(d["values"]), layout)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return np.exp(shifted
+                      - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(logits))
+def _softmax_table(model) -> np.ndarray:
+    """The read-only softmax of ``model.logits`` that its likelihoods read."""
+    table = _softmax(model.logits)
+    table.flags.writeable = False
+    return table
 
 
-def _softmax_log_probs(logits: np.ndarray, index: tuple) -> np.ndarray:
-    """log p at ``index``, one integer array per logit axis; -inf at p = 0.
-    Only the indexed softmax blocks are normalised."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.take_along_axis(
-            _softmax(logits[index[:-1]]),
-            np.asarray(index[-1])[..., None], axis=-1)[..., 0])
-
-
-def _softmax_scores(logits: np.ndarray, index: tuple) -> BlockScores:
-    """Scores at ``index``, one integer array per logit axis: all but the
+def _softmax_scores(probs: np.ndarray, index: tuple) -> BlockScores:
+    """Scores at ``index``, one integer array per table axis: all but the
     last pick the softmax block, which is the score's cell, the last its
-    entry. Each block is -p plus 1 at the chosen entry; only the indexed
-    blocks are normalised."""
-    blocks = -_softmax(logits[index[:-1]])
+    entry. Each block is -p plus 1 at the chosen entry."""
+    blocks = -probs[index[:-1]]
     rows = blocks.reshape(-1, blocks.shape[-1])  # a view of the new array
     rows[np.arange(len(rows)), np.ravel(index[-1])] += 1.0
-    cells = np.ravel_multi_index(index[:-1], logits.shape[:-1])
-    return BlockScores(np.asarray(cells), blocks, logits.size)
+    cells = np.ravel_multi_index(index[:-1], probs.shape[:-1])
+    return BlockScores(np.asarray(cells), blocks, probs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -155,18 +151,21 @@ class SoftmaxPolicy:
     def n_params(self) -> int:
         return self.logits.size
 
+    _probs = cached_property(_softmax_table)
+
     def probs_all(self) -> np.ndarray:
-        return _softmax(self.logits)
+        return self._probs
 
     def probs(self, s: int) -> np.ndarray:
-        return _softmax(self.logits[s])
+        return self._probs[s]
 
     def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return _softmax_log_probs(self.logits, (states, actions))
+        with np.errstate(divide="ignore"):  # -inf at p = 0
+            return np.log(self._probs[states, actions])
 
     def scores(self, states: np.ndarray, actions: np.ndarray) -> BlockScores:
         """d log pi(a|s) / d logits per step, on the state's block."""
-        return _softmax_scores(self.logits, (states, actions))
+        return _softmax_scores(self._probs, (states, actions))
 
     def log_prob(self, s: int, a: int) -> float:
         return float(self.log_probs(s, a))
@@ -244,11 +243,13 @@ class CategoricalWorldModel:
     def n_params(self) -> int:
         return self.logits.size
 
+    _probs = cached_property(_softmax_table)
+
     def probs_all(self) -> np.ndarray:
-        return _softmax(self.logits)
+        return self._probs
 
     def probs(self, s: int, a: int) -> np.ndarray:
-        return _softmax(self.logits[s, a])
+        return self._probs[s, a]
 
     def outcome_index(self, reward: float, s_next: int) -> int:
         key = (float(reward), int(s_next))
@@ -260,12 +261,13 @@ class CategoricalWorldModel:
 
     def log_probs(self, states: np.ndarray, actions: np.ndarray,
                   outcomes: np.ndarray) -> np.ndarray:
-        return _softmax_log_probs(self.logits, (states, actions, outcomes))
+        with np.errstate(divide="ignore"):  # -inf at p = 0
+            return np.log(self._probs[states, actions, outcomes])
 
     def scores(self, states: np.ndarray, actions: np.ndarray,
                outcomes: np.ndarray) -> BlockScores:
         """d log P(k|s,a) / d logits per step, on the (s, a) cell's block."""
-        return _softmax_scores(self.logits, (states, actions, outcomes))
+        return _softmax_scores(self._probs, (states, actions, outcomes))
 
     def log_prob(self, s: int, a: int, k: int) -> float:
         value = float(self.log_probs(s, a, k))
@@ -496,16 +498,17 @@ class OfflineDataset:
     def n(self) -> int:
         return len(self.rewards)
 
-    def cell_counts(self) -> dict:
-        """Row count per distinct (s, a) cell, keyed in order of first
-        appearance in the dataset.
+    @cached_property
+    def cells(self) -> tuple:
+        """(states, actions, counts) of the distinct (s, a) cells, in order
+        of first appearance in the dataset; read-only arrays, grouped once.
 
-        Scalar states and actions give ``(int s, int a)`` keys. They are
-        grouped by one packed ``int64`` key, ``(s - s_min) * a_span +
+        Scalar states and actions give ``int64`` (n_cells,) arrays. They
+        are grouped by one packed ``int64`` key, ``(s - s_min) * a_span +
         (a - a_min)`` with ``a_span = a_max - a_min + 1``, so negative and
         off-grid labels group like any other. Vector ones give
-        ``(state tuple, action tuple)`` keys of plain floats rounded to
-        12 digits, with ``-0.0`` folded into ``0.0``.
+        (n_cells, dim) float arrays rounded to 12 digits, with ``-0.0``
+        folded into ``0.0``.
         """
         if np.ndim(self.states) == 1 and np.ndim(self.actions) == 1:
             s = np.asarray(self.states).astype(np.int64)
@@ -514,19 +517,31 @@ class OfflineDataset:
                                          return_counts=True)
             order = np.argsort(first)
             first = first[order]
-            return dict(zip(zip(s[first].tolist(), a[first].tolist()),
-                            counts[order].tolist()))
-        states = np.reshape(self.states, (self.n, -1))
-        keys = np.column_stack([states, np.reshape(self.actions, (self.n, -1))])
-        keys = np.round(keys.astype(float), 12) + 0.0
-        cells, first, counts = np.unique(keys, axis=0, return_index=True,
-                                         return_counts=True)
-        order, d = np.argsort(first), states.shape[1]
-        return {(tuple(c[:d]), tuple(c[d:])): n
-                for c, n in zip(cells[order].tolist(), counts[order].tolist())}
+            cells = (s[first], a[first], counts[order])
+        else:
+            states = np.reshape(self.states, (self.n, -1))
+            keys = np.column_stack([states,
+                                    np.reshape(self.actions, (self.n, -1))])
+            keys = np.round(keys.astype(float), 12) + 0.0
+            keys, first, counts = np.unique(keys, axis=0, return_index=True,
+                                            return_counts=True)
+            order, d = np.argsort(first), states.shape[1]
+            cells = (keys[order, :d], keys[order, d:], counts[order])
+        for part in cells:
+            part.flags.writeable = False
+        return cells
+
+    def cell_counts(self) -> dict:
+        """``cells`` as {cell: count}: ``(int s, int a)`` keys for scalar
+        states and actions, ``(state tuple, action tuple)`` keys of floats
+        for vector ones."""
+        states, actions, counts = (part.tolist() for part in self.cells)
+        if self.cells[0].ndim > 1:
+            states, actions = map(tuple, states), map(tuple, actions)
+        return dict(zip(zip(states, actions), counts))
 
     def num_cells(self) -> int:
-        return len(self.cell_counts())
+        return len(self.cells[2])
 
     def save_csv(self, path: str | Path) -> None:
         from .mdp import _format_state

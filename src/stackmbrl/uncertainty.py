@@ -70,8 +70,6 @@ def epsilon_tabular(dataset: OfflineDataset, alphabet_size: int,
         raise ValueError(f"alphabet size {alphabet_size} < 3 is outside the "
                          "validity window of the concentration inequality")
     counts = dataset.cell_counts()
-    if not counts:
-        raise ValueError("dataset has no transitions")
     offenders = {cell: count for cell, count in counts.items()
                  if alphabet_size > count * GROWTH_COEF / math.e + 2.0}
     if offenders:
@@ -131,8 +129,6 @@ def epsilon_gaussian(dataset: OfflineDataset, state_dim: int,
     if state_dim < 0:
         raise ValueError("state_dim must be non-negative")
     counts = dataset.cell_counts()
-    if not counts:
-        raise ValueError("dataset has no transitions")
     out_dim = state_dim + 1
     delta_prime = delta / (2.0 * len(counts) * out_dim)
     total = 0.0

@@ -28,13 +28,16 @@ identity (Hager, SIAM Review 1989) gives
 
     A_hat^{-1} b = (b - S^T M (ridge * I_k + G M)^{-1} S b) / ridge.
 
-A build forms G and M, in O(k^2 * K + k^3), and checks the core's
-condition number against ``COND_LIMIT`` once; a solve projects its
-right-hand side onto the atoms once, solves the core with
-``np.linalg.solve`` and expands the result once. A built solver holds M
-and the core: O(k^2) memory beyond the atoms. When k >= n_phi the core is
-no smaller than A_hat itself, so the solver forms A_hat densely and solves
-it directly. A solve never writes to the factors or the right-hand side.
+A build forms G and M, in O(k^2 * K + k^3), factors the core once as QR
+and keeps P = R^{-1} Q^T with the core: O(k^2) memory beyond the atoms.
+kappa_2 <= kappa_F = ||R||_F ||R^{-1}||_F <= k kappa_2, so only a core
+near ``COND_LIMIT`` pays for an SVD. A solve projects its right-hand side
+onto the atoms once, applies P with one refinement step against the core
+(an explicit inverse alone leaves a residual of order kappa * eps), and
+expands the result once. Every step is a QR or a matrix product, whose
+bits do not depend on the BLAS thread count. When k >= n_phi the core is
+no smaller than A_hat itself, so the solver factors A_hat densely. A
+solve never writes to the factors or the right-hand side.
 """
 
 from __future__ import annotations
@@ -242,46 +245,82 @@ class LowRankFactors:
         return self.u @ self.w.T
 
 
-def _checked_core(mat: np.ndarray) -> np.ndarray:
-    if mat.size:
-        cond = np.linalg.cond(mat)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise IllConditionedError(
-                "woodbury core is ill-conditioned "
-                f"(cond={cond:.3e} > {COND_LIMIT:.0e})")
-    return mat
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse X of the upper-triangular r: r X = I solved bottom-up by row
+    blocks of the largest width up to 16 dividing n, the diagonal blocks
+    all at once, then X[I, after] = -(X[I, I] r[I, after]) X[after, after]
+    per block row I."""
+    n = len(r)
+    leaf = max(width for width in range(1, 17) if n % width == 0)
+    diag = np.arange(n // leaf)
+    shape = (len(diag), leaf, len(diag), leaf)
+    blocks = r.reshape(shape)[diag, :, diag]
+    inv = np.zeros_like(blocks)
+    for i in range(leaf - 1, -1, -1):
+        inv[:, i, i] = 1.0 / blocks[:, i, i]
+        row = blocks[:, i, None, i + 1:] @ inv[:, i + 1:, i + 1:]
+        inv[:, i, i + 1:] = -row[:, 0] / blocks[:, i, i, None]
+    out = np.zeros_like(r)
+    out.reshape(shape)[diag, :, diag] = inv
+    for start in range(n - 2 * leaf, -1, -leaf):
+        stop = start + leaf
+        out[start:stop, stop:] = -(out[start:stop, start:stop]
+                                   @ r[start:stop, stop:]) @ out[stop:, stop:]
+    return out
+
+
+def _screened_inverse(core: np.ndarray) -> np.ndarray:
+    """P = R^{-1} Q^T ~ core^{-1}, or ``IllConditionedError`` exactly when
+    ``np.linalg.cond(core) > COND_LIMIT``: the SVD runs only for kappa_F in
+    (COND_LIMIT / 2, 2 k COND_LIMIT], the 2 absorbing either estimate's
+    rounding. A singular core has an infinite or undefined kappa_F."""
+    q, r = np.linalg.qr(core)
+    with np.errstate(all="ignore"):
+        r_inv = _upper_inverse(r)
+        cond = np.linalg.norm(r) * np.linalg.norm(r_inv)
+    del r
+    if COND_LIMIT / 2 < cond <= 2 * len(core) * COND_LIMIT:
+        cond = np.linalg.cond(core)
+    if not cond <= COND_LIMIT:
+        raise IllConditionedError("woodbury core is ill-conditioned "
+                                  f"(cond={cond:.3e} > {COND_LIMIT:.0e})")
+    return r_inv @ q.T
 
 
 class WoodburySolver:
     """Inverse of the factored curvature matrix through one core.
 
     The core is cI + G M (k x k) with c the ridge, or A_hat itself when
-    k >= n_phi; the route is chosen from the factors' shapes alone. Its
-    condition number is checked once at build time.
+    k >= n_phi; the route is chosen from the factors' shapes alone. A
+    build factors and screens the core once; every solve reuses it.
     """
 
     def __init__(self, factors: LowRankFactors):
         self.factors = factors
-        if factors.n_atoms >= factors.n_phi:
-            self._m, core = None, factors.dense()
+        self._dense = factors.n_atoms >= factors.n_phi
+        if self._dense:
+            core = factors.dense()
         else:
-            self._m = factors.c_u @ factors.c_v.T
-            self._m -= factors.c_x @ factors.c_y.T
-            self._m += factors.c_z @ factors.c_z.T
-            core = factors.atoms.gram() @ self._m
+            core = factors.c_u @ factors.c_v.T  # M, then G M
+            core -= factors.c_x @ factors.c_y.T
+            core += factors.c_z @ factors.c_z.T
+            core = factors.atoms.gram() @ core
             core[np.diag_indices_from(core)] += factors.ridge
-        self._core = _checked_core(core)
+        self._core, self._inverse = core, _screened_inverse(core)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, p)."""
+        f = self.factors
         rhs = np.asarray(rhs, dtype=float)
-        if self._m is None:
-            return np.linalg.solve(self._core, rhs)
-        atoms = self.factors.atoms
-        out = atoms.expand(self._m @ np.linalg.solve(self._core,
-                                                     atoms.project(rhs)))
+        b = rhs if self._dense else f.atoms.project(rhs)
+        y = self._inverse @ b
+        y += self._inverse @ (b - self._core @ y)
+        if self._dense:
+            return y
+        out = f.atoms.expand(f.c_u @ (f.c_v.T @ y) - f.c_x @ (f.c_y.T @ y)
+                             + f.c_z @ (f.c_z.T @ y))
         np.subtract(rhs, out, out=out)
-        out /= self.factors.ridge
+        out /= f.ridge
         return out
 
 

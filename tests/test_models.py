@@ -667,6 +667,35 @@ def test_continuous_cell_counts_match_the_row_walk(tracking_data):
                    for x in part if x == 0.0)
 
 
+def test_cached_tables_are_read_only(grad_triple, grad_dataset,
+                                     tracking_data):
+    """Probability tables and dataset cells are computed once per instance
+    and shared, so writing into any of them raises."""
+    _, policy, model = grad_triple
+    tables = [policy.probs_all(), policy.probs(0), model.probs_all(),
+              model.probs(1, 0), *grad_dataset[0].cells,
+              *tracking_data[0].cells]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+    assert policy.probs_all() is policy.probs_all()
+    assert grad_dataset[0].cells is grad_dataset[0].cells
+
+
+def test_with_params_starts_a_fresh_probability_table(grad_triple):
+    _, policy, model = grad_triple
+    for player in (policy, model):
+        same = player.with_params(player.params)
+        assert same.probs_all() is not player.probs_all()
+        assert np.array_equal(same.probs_all(), player.probs_all())
+        moved = player.with_params(player.params.values + np.linspace(
+            -1.0, 1.0, player.n_params))
+        logits = moved.logits - moved.logits.max(axis=-1, keepdims=True)
+        want = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        assert np.allclose(moved.probs_all(), want, rtol=1e-14, atol=0.0)
+        assert not np.allclose(moved.probs_all(), player.probs_all())
+
+
 def test_categorical_mle_matches_the_row_walk(grad_triple, grad_dataset):
     dataset, _ = grad_dataset
     template = CategoricalWorldModel.uniform(grad_triple[0])

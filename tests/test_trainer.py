@@ -1,21 +1,30 @@
 """Segment trainer: vanilla preset, seeded artifacts, checkpoints, aborts."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import dirichlet_mdp
 from reference_estimators import model_gradient, policy_gradient
 
-from stackmbrl import estimators, trainer
+import stackmbrl
+from stackmbrl import estimators, models, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   discounted_weights, factors_from_batch)
 from stackmbrl.mdp import SamplingError
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
-                              DiagGaussianWorldModel, mle_fit, rollout_dataset)
-from stackmbrl.testbeds import tracking_behavior_policy, tracking_mdp
+                              DiagGaussianWorldModel, OfflineDataset, mle_fit,
+                              rollout_dataset, sample_offline_dataset)
+from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
+                                tracking_mdp)
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                DYNAMICS_MODES, TrainerConfig,
                                collect_rollouts, initial_state,
@@ -182,6 +191,38 @@ def test_iteration_computes_committed_dataset_terms_once(grad_triple,
     assert calls == {"dataset_kl": 2, "dataset_dual_coupling": 2}
 
 
+def test_iterations_group_the_dataset_and_normalise_the_anchor_once(
+        grad_triple, grad_dataset, monkeypatch):
+    """Over several iterations the dataset's cells are grouped once and the
+    anchor's logits are normalised once: both are fixed for the run, and
+    every dataset term, factor draw and critic fit reads the cached
+    arrays."""
+    env = grad_triple[0]
+    cached_dataset, cached_anchor = grad_dataset
+    dataset = OfflineDataset(cached_dataset.states, cached_dataset.actions,
+                             cached_dataset.rewards,
+                             cached_dataset.next_states)
+    anchor = cached_anchor.with_params(cached_anchor.params)
+    counts = Counter()
+
+    def grouped(*args, _fn=models._packed_key):
+        counts["dataset grouped"] += 1
+        return _fn(*args)
+
+    def normalised(logits, _fn=models._softmax):
+        counts["anchor normalised"] += logits is anchor.logits
+        return _fn(logits)
+
+    monkeypatch.setattr(models, "_packed_key", grouped)
+    monkeypatch.setattr(models, "_softmax", normalised)
+    config = TrainerConfig(seed=2)
+    state = initial_state(env, anchor, config)
+    for _ in range(3):
+        state, record = train_iteration(state, env, dataset, anchor, config)
+        assert record["aborted"] == 0
+    assert counts == {"dataset grouped": 1, "anchor normalised": 1}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("env_name", ["gradient", "tracking", "dirichlet"])
 def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
@@ -230,8 +271,8 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
 def test_iteration_memory_stays_within_one_epochs_factors():
     """The leader update holds one policy epoch's block-score atoms,
     coefficient matrices and the solver's two k x k matrices at a time,
-    O(k * (K + rank) + k^2) plus a few n_phi-vectors: about 345 bytes per
-    model parameter at the peak of one iteration, 805 when this test runs
+    O(k * (K + rank) + k^2) plus a few n_phi-vectors: about 405 bytes per
+    model parameter at the peak of one iteration, 880 when this test runs
     first in its process. Dense (k, n_phi) atoms peaked near 1.4 KB (1.8 KB
     first in the process), full-height factor columns and solver caches
     near 2.6 KB, and two epochs' sets of them near 5.75 KB."""
@@ -253,8 +294,9 @@ def test_iteration_memory_stays_within_one_epochs_factors():
 
 def test_policy_epoch_memory_holds_block_scores_only():
     """One policy epoch at n_phi = 2,400 (k = 128 atoms, blocks of K = 40)
-    peaks at about 330 bytes per model parameter: the solver's k x k
-    matrices and a few n_phi-vectors. Dense (m, h, n_phi) step scores and
+    peaks at about 390 bytes per model parameter: the solver's k x k
+    matrices (four at once while the core is factored) and a few
+    n_phi-vectors. Dense (m, h, n_phi) step scores and
     (k, n_phi) atoms peaked at about 1,350."""
     env = dirichlet_mdp(0, num_states=20)
     dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
@@ -400,39 +442,80 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 
 
 # (iterations, {file: sha256}) of ``train(env, dataset, anchor,
-# TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)``.
+# TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)`` on the
+# inputs of ``_digest_run``. ``gradient`` (36 model parameters) and
+# ``tracking`` (8) form A_hat densely; ``sparse`` (144 parameters, 128
+# score atoms) solves through the k x k core.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "09276c25861391def412cace7448be5eb38235820ca480fbe790a0f51b49cfff",
-        "checkpoint_final.json": "626eefa08974f7fb3a825cc227a9fbb318606bd3abddd1486d7afee6ecdbe071",
+        "trace.csv": "69e149140da50e2d8c5c0acd01d398d3430efa969fa8bb0ec8296f14a686a7e4",
+        "checkpoint_final.json": "d59ecb60cfc0d388ced12b70f2edaaa04fd37f256e2248f8e33abc8a27b56241",
+    }),
+    "sparse": (10, {
+        "trace.csv": "edd3d31c5d1f7f14a2083fdad1a8c9ac7e7b06efebf880c0f7fb37f5ffffde4a",
+        "checkpoint_final.json": "15104c1a4ea0a3d07535cbba459e94785b00cccd208df4cec3e6da4420ce6408",
     }),
     "tracking": (5, {
         "trace.csv": "3adb1b27ceb4081fc6ff58186332bd1ed186649dd5ad7153ea9c5d8b193c4b61",
-        "checkpoint_final.json": "80e225824697fb0f3cf2496081400463f29c02fb1e0d45469cd12b33e57eb857",
+        "checkpoint_final.json": "07845805d16a07a5577606a0d0e2b168e6043d4f7f94e7362d0e14de579cc35f",
     }),
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("env_name", sorted(ARTIFACT_DIGESTS))
-def test_seeded_run_artifacts_match_recorded_digests(env_name, request,
-                                                     tmp_path):
-    """Guards byte-reproducibility across refactors: the trace and the final
-    checkpoint of a short seeded run hash to recorded constants, with the
-    BLAS library's default thread count or with one thread. A change meant
-    to alter the numbers updates ``ARTIFACT_DIGESTS``, with a line in
-    CHANGES.md saying why."""
-    if env_name == "gradient":
-        env = request.getfixturevalue("grad_triple")[0]
-        dataset, anchor = request.getfixturevalue("grad_dataset")
+def _digest_run(env_name, out_dir) -> dict:
+    """Train the ``ARTIFACT_DIGESTS`` run of ``env_name`` into ``out_dir``
+    and return {file: sha256} of its recorded files. The tabular runs use
+    a 300-row uniform dataset and the alpha = 0.5 MLE anchor."""
+    if env_name == "tracking":
+        env, dataset, anchor = _tracking_inputs(seed=0)
     else:
-        env, dataset, anchor = request.getfixturevalue("tracking_setup")
+        env = TABULAR_TESTBEDS[env_name]()[0]
+        dataset = sample_offline_dataset(env, "uniform", n=300, seed=0)
+        anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env),
+                         alpha=0.5)
     iterations, digests = ARTIFACT_DIGESTS[env_name]
-    train(env, dataset, anchor, TrainerConfig(n_iterations=iterations, seed=0),
-          out_dir=tmp_path)
-    for name, digest in digests.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
-            == digest, name
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        train(env, dataset, anchor,
+              TrainerConfig(n_iterations=iterations, seed=0), out_dir=out_dir)
+    return {name: hashlib.sha256((Path(out_dir) / name).read_bytes())
+            .hexdigest() for name in digests}
+
+
+@pytest.mark.parametrize("env_name", sorted(ARTIFACT_DIGESTS))
+def test_seeded_run_artifacts_match_recorded_digests(env_name, tmp_path):
+    """Guards byte-reproducibility across refactors: the trace and the final
+    checkpoint of a short seeded run hash to recorded constants. A change
+    meant to alter the numbers updates ``ARTIFACT_DIGESTS``, with a line in
+    CHANGES.md saying why."""
+    assert _digest_run(env_name, tmp_path) == ARTIFACT_DIGESTS[env_name][1]
+
+
+@pytest.mark.parametrize("threads", ["1", None])
+def test_core_route_artifacts_match_at_any_blas_thread_count(threads,
+                                                             tmp_path):
+    """The ``sparse`` run, in a fresh process with OPENBLAS_NUM_THREADS=1
+    and with no thread variable set (the library's default count), hashes
+    to its recorded digests: every step of a solve is a QR or a matrix
+    product, whose bits do not depend on the thread count. Verified on a
+    2-core machine only."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    here = Path(__file__).resolve().parent
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(here), str(Path(stackmbrl.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH"))))
+    code = ("import json, sys\n"
+            "from test_trainer import _digest_run\n"
+            "print(json.dumps(_digest_run('sparse', sys.argv[1])))\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ARTIFACT_DIGESTS["sparse"][1]
 
 
 def test_config_rejects_a_zero_ridge():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +166,10 @@ def test_large_dimension_solve_never_densifies():
 def test_solver_allocates_no_factor_sized_arrays():
     """A build, its dual operator and one leader step hold O(k^2) beyond a
     few right-hand-side-sized vectors: with 224 atoms over 20,000
-    parameters the traced peak is 9.1 parameter-length vectors, under 12
-    (G, K and the core are 2.5 each; adding the ridge as c * I + G K
-    instead of in place peaks at 12.55). Caching inverse-applied factors
-    as full-height columns peaks near 96."""
+    parameters the traced peak is 10.8 parameter-length vectors, under 12
+    (the core, the QR's copy of it, Q and R are 2.5 each; holding M as well
+    peaks at 13.3). Caching inverse-applied factors as full-height columns
+    peaks near 96."""
     factors = random_factors(20_000, m=16, big_m=64, z_rank=64)
     rng = np.random.default_rng(0)
     grad_policy = rng.standard_normal(factors.n_theta)
@@ -212,6 +213,79 @@ def test_singular_core_is_rejected():
         w=np.zeros((1, 1)), ridge=1.0)
     with pytest.raises(IllConditionedError):
         WoodburySolver(factors)
+
+
+def _core_with_singular_values(values: np.ndarray) -> np.ndarray:
+    """A seeded square matrix with the given singular values."""
+    rng = np.random.default_rng(len(values))
+    left, _ = np.linalg.qr(rng.standard_normal((len(values),) * 2))
+    right, _ = np.linalg.qr(rng.standard_normal((len(values),) * 2))
+    return (left * values) @ right.T
+
+
+def _zone(values: np.ndarray) -> str:
+    """Where kappa_F = sqrt(sum s^2 * sum s^-2) puts a core of these
+    singular values in the screen: below COND_LIMIT / 2 it passes and above
+    2 k COND_LIMIT it fails without an SVD; in between the SVD decides."""
+    with np.errstate(divide="ignore"):
+        kappa_f = np.sqrt((values ** 2).sum() * (values ** -2.0).sum())
+    if kappa_f <= COND_LIMIT / 2:
+        return "pass"
+    return "fail" if kappa_f > 2 * len(values) * COND_LIMIT else "svd"
+
+
+N_CORE = 24
+CONDITION_CASES = {  # name: (singular values, screen zone, rejected)
+    "kappa2=1e3": (np.logspace(0, -3, N_CORE), "pass", False),
+    "kappa2=8e11": (np.logspace(0, np.log10(1 / 8e11), N_CORE), "svd",
+                    False),
+    "kappa2=9e11,kappaF=4.3e12": (
+        np.r_[1.0, np.full(N_CORE - 1, 1 / 9e11)], "svd", False),
+    "kappa2=1.2e12": (np.logspace(0, np.log10(1 / 1.2e12), N_CORE), "svd",
+                      True),
+    "kappa2=1e15": (np.logspace(0, -15, N_CORE), "fail", True),
+    "singular": (np.r_[np.ones(N_CORE - 1), 0.0], "fail", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONDITION_CASES))
+def test_condition_screen_decides_as_the_svd(case, monkeypatch):
+    """A build raises exactly when ``np.linalg.cond`` of its core exceeds
+    COND_LIMIT, on seeded cores in every zone of the kappa_F screen and on
+    both sides of the limit; only a core in the middle zone pays for an
+    SVD. The cores go through the dense route, whose core is A_hat."""
+    values, zone, rejected = CONDITION_CASES[case]
+    assert _zone(values) == zone
+    factors = LowRankFactors.from_columns(
+        u=_core_with_singular_values(values), v=np.eye(N_CORE),
+        x=empty_cols(N_CORE), y=empty_cols(N_CORE), z=empty_cols(N_CORE),
+        w=np.zeros((1, N_CORE)), ridge=1e-300)
+    assert (np.linalg.cond(factors.dense()) > COND_LIMIT) == rejected
+    calls = Counter()
+    for name in ("cond", "svd"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    if rejected:
+        with pytest.raises(IllConditionedError):
+            WoodburySolver(factors)
+    else:
+        WoodburySolver(factors)
+    assert calls == (Counter(cond=1) if zone == "svd" else Counter())
+
+
+def test_well_conditioned_builds_take_no_svd(monkeypatch):
+    """Neither route of a well-conditioned build calls np.linalg.cond or
+    np.linalg.svd."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD on a well-conditioned core")
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for n_phi in (30, 200):  # 46 atoms: the dense route, then the core
+        factors = random_factors(n_phi, seed=5)
+        WoodburySolver(factors).solve(np.ones(n_phi))
 
 
 def test_factor_shape_validation():

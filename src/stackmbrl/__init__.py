@@ -14,14 +14,13 @@ from .models import (CategoricalWorldModel, DiagGaussianPolicy,
                      sample_offline_dataset)
 from .trainer import (LinearCritic, ReplayBuffer, TabularCritic,
                       TrainerConfig, TrainingTrace, TrainState,
-                      collect_rollouts, deployment_return, episode_returns,
-                      initial_state, load_checkpoint, robust_evaluate,
-                      save_checkpoint,
+                      collect_rollouts, episode_returns, initial_state,
+                      load_checkpoint, robust_evaluate, save_checkpoint,
                       train, train_critic, train_iteration,
                       worst_case_return)
 from .uncertainty import (CoverageReport, coverage_check, epsilon_gaussian,
                           epsilon_tabular, kl_to_anchor)
-from .woodbury import (HessianOperator, IllConditionedError, LowRankFactors,
+from .woodbury import (IllConditionedError, LowRankFactors,
                        SingularScalarError, WoodburySolver, leader_gradient)
 
 __version__ = "0.1.0"
@@ -29,12 +28,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CategoricalWorldModel", "ContinuousMdp", "CoverageReport",
     "DiagGaussianPolicy", "DiagGaussianWorldModel", "DynamicsState",
-    "DynamicsTrace", "HessianOperator", "IllConditionedError",
+    "DynamicsTrace", "IllConditionedError",
     "LearningRates", "LinearCritic", "LowRankFactors", "NoisyDeployment",
     "OfflineDataset", "ReplayBuffer", "SmoothGame", "SoftmaxPolicy",
     "SupportError", "TabularCritic", "TabularMdp", "TrainState",
     "TrainerConfig", "TrainingTrace", "Trajectory", "WoodburySolver",
-    "collect_rollouts", "coverage_check", "deployment_return", "dp_values",
+    "collect_rollouts", "coverage_check", "dp_values",
     "episode_returns", "epsilon_gaussian", "epsilon_tabular",
     "exact_return", "initial_state",
     "kl_to_anchor", "leader_gradient", "load_checkpoint", "mle_fit",

@@ -74,6 +74,10 @@ from .trainer import (
 from .uncertainty import coverage_check, epsilon_gaussian, epsilon_tabular
 
 GRAD_CHECK_TOL = 1e-5
+# the multiplier, radius and dataset size grad-check evaluates the penalty at
+GRAD_CHECK_LAM = 0.7
+GRAD_CHECK_EPSILON = 0.05
+GRAD_CHECK_ROWS = 300
 ALGO_CHOICES = DYNAMICS_MODES + ("vanilla",)
 
 
@@ -425,8 +429,7 @@ def _frozen_path_tables(mdp, policy, model) -> dict:
             "tail_cell_mass": tail_cell_mass}
 
 
-def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
-                      dataset_rows: int = 300, seed: int = 0) -> dict:
+def grad_check_report(seed: int = 0) -> dict:
     """Max absolute error of every exposed estimator against an independent
     finite-difference oracle, on the bundled enumerable testbed.
 
@@ -440,7 +443,8 @@ def grad_check_report(lam: float = 0.7, epsilon: float = 0.05,
     of the pair). The zero-order constraint row is recomputed directly.
     """
     mdp, policy, model = gradient_testbed()
-    dataset = sample_offline_dataset(mdp, "uniform", n=dataset_rows,
+    lam, epsilon = GRAD_CHECK_LAM, GRAD_CHECK_EPSILON
+    dataset = sample_offline_dataset(mdp, "uniform", n=GRAD_CHECK_ROWS,
                                      seed=seed)
     anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
     targets = exact_estimator_targets(mdp, policy, model, dataset, anchor,

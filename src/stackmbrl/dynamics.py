@@ -15,7 +15,10 @@ Three update rules over a shared state (theta, phi, lam):
 
 This module works on small dense games (closed-form testbeds, unit checks);
 the factored large-scale route is assembled in :mod:`.trainer` from
-:mod:`.estimators` and :mod:`.woodbury`.
+:mod:`.estimators` and :mod:`.woodbury`. Both routes apply H through the
+one dual-row solve, ``woodbury.dual_corrected``: here A^{-1} is a dense
+solve, and a scalar adversary takes the closed form H = c / (a c - lam b^2),
+which stays finite as a -> 0.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from typing import Callable
 import numpy as np
 
 from .oracles import central_difference
-from .woodbury import SCHUR_FLOOR, SingularScalarError
+from .woodbury import SCHUR_FLOOR, SingularScalarError, dual_corrected
 
 RATE_MODEL_DEFAULT = 3e-3
 RATE_DUAL_DEFAULT = 3e-4
 RATE_POLICY_DEFAULT = 3e-5
 MULTIPLIER_INIT = 1.0
+FD_EPS = 1e-6  # step of the finite differences that stand in for derivatives
+FD_CHECK_TOL = 1e-8  # largest gap a supplied derivative may show against them
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class SmoothGame:
 
     The adversary's penalized objective is L = J(theta, phi) + lam * gap(phi).
     Derivative callables may be omitted; missing ones fall back to central
-    finite differences of the two scalar functions.
+    finite differences, of step ``FD_EPS``, of the two scalar functions.
     """
 
     objective: Callable[[np.ndarray, np.ndarray], float]
@@ -104,7 +109,6 @@ class SmoothGame:
     grad_phi_gap: Callable | None = None
     hess_phi_lagrangian: Callable | None = None   # (theta, phi, lam) -> (q, q)
     mixed_hessian: Callable | None = None         # (theta, phi, lam) -> (q, p)
-    fd_eps: float = 1e-6
     check_points: tuple = ()  # (theta, phi, lam) triples self-checked on build
 
     def __post_init__(self):
@@ -125,18 +129,18 @@ class SmoothGame:
     def d_theta(self, theta, phi) -> np.ndarray:
         if self.grad_theta is not None:
             return np.atleast_1d(np.asarray(self.grad_theta(theta, phi), dtype=float))
-        return central_difference(lambda t: self.j(t, phi), theta, self.fd_eps)
+        return central_difference(lambda t: self.j(t, phi), theta, FD_EPS)
 
     def d_phi_objective(self, theta, phi) -> np.ndarray:
         if self.grad_phi_objective is not None:
             return np.atleast_1d(np.asarray(self.grad_phi_objective(theta, phi),
                                             dtype=float))
-        return central_difference(lambda f: self.j(theta, f), phi, self.fd_eps)
+        return central_difference(lambda f: self.j(theta, f), phi, FD_EPS)
 
     def d_phi_gap(self, phi) -> np.ndarray:
         if self.grad_phi_gap is not None:
             return np.atleast_1d(np.asarray(self.grad_phi_gap(phi), dtype=float))
-        return central_difference(self.gap, phi, self.fd_eps)
+        return central_difference(self.gap, phi, FD_EPS)
 
     def d_phi_lagrangian(self, theta, phi, lam: float) -> np.ndarray:
         return self.d_phi_objective(theta, phi) + lam * self.d_phi_gap(phi)
@@ -146,7 +150,7 @@ class SmoothGame:
             return np.atleast_2d(np.asarray(
                 self.hess_phi_lagrangian(theta, phi, lam), dtype=float))
         jac = central_difference(
-            lambda f: self.d_phi_lagrangian(theta, f, lam), phi, self.fd_eps)
+            lambda f: self.d_phi_lagrangian(theta, f, lam), phi, FD_EPS)
         return 0.5 * (jac + jac.T)
 
     def mixed(self, theta, phi, lam: float) -> np.ndarray:
@@ -154,20 +158,19 @@ class SmoothGame:
             return np.atleast_2d(np.asarray(
                 self.mixed_hessian(theta, phi, lam), dtype=float))
         return central_difference(
-            lambda t: self.d_phi_lagrangian(t, phi, lam), theta, self.fd_eps)
+            lambda t: self.d_phi_lagrangian(t, phi, lam), theta, FD_EPS)
 
-    def check_derivatives(self, theta, phi, lam: float, tol: float = 1e-8):
+    def check_derivatives(self, theta, phi, lam: float):
         """Compare any supplied analytic derivative against finite differences.
 
         First-order callbacks are differenced from the scalar objectives;
         curvature callbacks are differenced from the (possibly analytic)
         gradients, so the comparison stays first-difference accurate.
         """
-        bare = SmoothGame(self.objective, self.constraint_gap,
-                          fd_eps=self.fd_eps)
+        bare = SmoothGame(self.objective, self.constraint_gap)
         grads_only = SmoothGame(self.objective, self.constraint_gap,
                                 self.grad_theta, self.grad_phi_objective,
-                                self.grad_phi_gap, fd_eps=self.fd_eps)
+                                self.grad_phi_gap)
         pairs = [
             ("grad_theta", self.d_theta(theta, phi), bare.d_theta(theta, phi)),
             ("grad_phi_objective", self.d_phi_objective(theta, phi),
@@ -180,10 +183,10 @@ class SmoothGame:
         ]
         for name, analytic, numeric in pairs:
             gap = np.max(np.abs(analytic - numeric))
-            if gap > tol:
+            if gap > FD_CHECK_TOL:
                 raise AssertionError(
                     f"analytic '{name}' disagrees with finite differences "
-                    f"by {gap:.3e} (tol {tol:.1e})")
+                    f"by {gap:.3e} (tol {FD_CHECK_TOL:.1e})")
 
 
 def _corrected_ascent(game: SmoothGame, state: DynamicsState, lam: float,
@@ -207,19 +210,12 @@ def _corrected_ascent(game: SmoothGame, state: DynamicsState, lam: float,
         return g_theta - m.T @ h_g
 
     try:
-        a_inv_g = np.linalg.solve(a, g_phi)
-        if not use_dual_row:
-            return g_theta - m.T @ a_inv_g
-        a_inv_b = np.linalg.solve(a, b)
+        h_g = dual_corrected(lambda rhs: np.linalg.solve(a, rhs), g_phi,
+                             b if use_dual_row else np.zeros(0), lam, c)
     except np.linalg.LinAlgError as err:
         raise SingularScalarError(
             f"adversary curvature is singular ({err}); no correction "
             "available at this point") from err
-    schur = c - lam * float(b @ a_inv_b)
-    if abs(schur) < SCHUR_FLOOR:
-        raise SingularScalarError(
-            f"dual Schur complement {schur:.3e} is numerically zero")
-    h_g = a_inv_g + (lam * float(b @ a_inv_g) / schur) * a_inv_b
     return g_theta - m.T @ h_g
 
 
@@ -348,18 +344,3 @@ def run_dynamics(game: SmoothGame, init: DynamicsState, rates: LearningRates,
             break
     return state, trace
 
-
-def distance_stop(target_theta, target_phi, target_lam: float | None,
-                  tol: float) -> Callable[[DynamicsState], bool]:
-    """Stop predicate: max-norm distance to a known rest point under tol."""
-    target_theta = np.atleast_1d(np.asarray(target_theta, dtype=float))
-    target_phi = np.atleast_1d(np.asarray(target_phi, dtype=float))
-
-    def check(state: DynamicsState) -> bool:
-        err = max(np.max(np.abs(state.theta - target_theta)),
-                  np.max(np.abs(state.phi - target_phi)))
-        if target_lam is not None:
-            err = max(err, abs(state.lam - target_lam))
-        return err < tol
-
-    return check

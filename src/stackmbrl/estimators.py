@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mdp import _draw_categorical_rows
 from .models import (CategoricalWorldModel, DiagGaussianWorldModel,
                      OfflineDataset, SoftmaxPolicy, categorical_kl,
                      gaussian_kl)
@@ -92,13 +93,11 @@ def ratio_masks(logp_new: np.ndarray, logp_old: np.ndarray,
 
     A step stays active iff ratio * adv <= clip(ratio, 1-clip, 1+clip) * adv,
     i.e. iff the unclipped surrogate does not exceed the clipped one. With
-    ``clip=inf`` every step stays active.
+    ``clip=inf`` the bounds are infinite, the clip returns the ratio itself
+    and every step stays active.
     """
     ratio = np.exp(logp_new - logp_old)
-    if np.isinf(clip):
-        clipped = ratio
-    else:
-        clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip)
     return (ratio * advantages <= clipped * advantages + 1e-12).astype(float)
 
 
@@ -212,7 +211,8 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     states, actions = dataset.states[rows], dataset.actions[rows]
     if isinstance(model, CategoricalWorldModel):
-        emissions = _choice_rows(anchor.probs(states, actions), rng)
+        emissions = _draw_categorical_rows(anchor.probs(states, actions),
+                                           rng)
     else:
         emissions = np.array([np.append(*anchor.sample(s, a, rng))
                               for s, a in zip(states, actions)])
@@ -239,15 +239,6 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
                          np.sqrt(max(lam, 0.0) / n_penalty_cols)),
         w=theta_scores.expand(c_v[:n_steps]), ridge=ridge, lam=lam,
         dual_coupling=dual_coupling, dual_slope=dual_slope)
-
-
-def _choice_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row of ``probs``, drawn as ``rng.choice(K, p=row)``
-    would draw it row after row: the same uniforms, the same normalised
-    CDF, the same count of CDF entries at or below each uniform."""
-    cdf = np.cumsum(probs, axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(probs.shape[0])[:, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

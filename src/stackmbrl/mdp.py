@@ -22,6 +22,8 @@ from typing import Callable
 import numpy as np
 
 PROB_ATOL = 1e-10
+# dp_optimal_policy's value iteration: stopping tolerance and sweep limit
+VALUE_ITERATION_TOL, VALUE_ITERATION_MAX = 1e-12, 100_000
 
 
 class SamplingError(RuntimeError):
@@ -194,12 +196,13 @@ class ContinuousMdp:
 
 @dataclass
 class Trajectory:
-    """One rollout. ``actions`` may carry one trailing bootstrap action.
+    """One rollout, one action per step. The trailing action a segment's
+    critic tail needs is drawn by ``trainer.collect_rollouts``, not here.
 
     states: (T+1,) ints for tabular, (T+1, d) floats for continuous
-    actions: (T,) or (T+1,) (trailing action has no transition row)
+    actions: (T,)
     rewards: (T,)
-    logp_policy: log pi(a_t | s_t) at generation time, same length as actions
+    logp_policy: log pi(a_t | s_t) at generation time, (T,)
     logp_model:  log P(r_t, s_{t+1} | s_t, a_t) at generation time, (T,)
     outcomes: packed outcome indices (T,), tabular only
     """
@@ -219,8 +222,8 @@ class Trajectory:
         t = self.n_steps
         if len(self.states) != t + 1:
             raise ValueError("need exactly one more state than rewards")
-        if len(self.actions) not in (t, t + 1):
-            raise ValueError("actions must number n_steps or n_steps + 1")
+        if len(self.actions) != t:
+            raise ValueError("actions must number n_steps")
         if len(self.logp_policy) != len(self.actions):
             raise ValueError("logp_policy must align with actions")
         if len(self.logp_model) != t:
@@ -407,8 +410,7 @@ def normalized_occupancy(mdp: TabularMdp, policy, model="true") -> np.ndarray:
     return mix / weights.sum()
 
 
-def dp_optimal_policy(mdp: TabularMdp, tol: float = 1e-12,
-                      max_iter: int = 100_000) -> np.ndarray:
+def dp_optimal_policy(mdp: TabularMdp) -> np.ndarray:
     """Greedy stationary policy from infinite-horizon value iteration.
 
     Ties broken toward the lowest action index (ascending iteration order).
@@ -418,10 +420,10 @@ def dp_optimal_policy(mdp: TabularMdp, tol: float = 1e-12,
     trans = transition_marginal(joint, out_s, mdp.num_states)
     r_sa = joint @ out_r
     v = np.zeros(mdp.num_states)
-    for _ in range(max_iter):
+    for _ in range(VALUE_ITERATION_MAX):
         q = r_sa + mdp.gamma * trans @ v
         v_new = q.max(axis=1)
-        if np.abs(v_new - v).max() < tol:
+        if np.abs(v_new - v).max() < VALUE_ITERATION_TOL:
             v = v_new
             break
         v = v_new
@@ -441,14 +443,24 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 
 
 def _draw_categorical_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draw of one index per probability row."""
-    return _categorical_lookup(np.cumsum(rows, axis=1), rng.random(rows.shape[0]))
+    """One index per probability row, drawn as ``rng.choice(K, p=row)``
+    would draw it row after row: the same uniforms, the same lookup."""
+    return _categorical_lookup(_normalised_cdf(rows), rng.random(rows.shape[0]))
+
+
+def _normalised_cdf(rows: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, divided by their last entry."""
+    cdf = np.cumsum(rows, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def _categorical_lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of each uniform ``u`` in its row of ``cdf``: the number of
-    entries below it, capped at the last index."""
-    return np.minimum((u[:, None] > cdf).sum(axis=1), cdf.shape[1] - 1)
+    """Index of each uniform ``u`` in its row of the normalised ``cdf``: the
+    number of entries at or below it, ``choice``'s rule. The last entry is
+    exactly 1 > u, so the index stays below K; a zero-probability entry
+    repeats the entry before it, so it is never drawn."""
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
@@ -511,8 +523,7 @@ def batch_to_trajectories(batch: dict) -> list[Trajectory]:
 
 
 def sample_trajectory(env, policy, model=None, horizon: int | None = None,
-                      seed=0, init_state=None,
-                      bootstrap_action: bool = False) -> Trajectory:
+                      seed=0, init_state=None) -> Trajectory:
     """Roll one trajectory.
 
     With ``model`` given, dynamics and rewards come from the model (imaginary
@@ -526,31 +537,11 @@ def sample_trajectory(env, policy, model=None, horizon: int | None = None,
         init = None if init_state is None else np.array([init_state])
         batch = sample_tabular_batch(env, policy, model_arg, n=1, horizon=h,
                                      seed=rng, init_states=init)
-        traj = batch_to_trajectories(batch)[0]
-        if bootstrap_action:
-            s_last = int(traj.states[-1])
-            probs = _policy_probs(policy, env)[s_last]
-            a_last = int(_draw_categorical_rows(probs[None, :], rng)[0])
-            traj = Trajectory(
-                states=traj.states,
-                actions=np.append(traj.actions, a_last),
-                rewards=traj.rewards,
-                logp_policy=np.append(traj.logp_policy,
-                                      np.log(probs[a_last])),
-                logp_model=traj.logp_model,
-                outcomes=traj.outcomes,
-            )
-        return traj
-    return _sample_continuous(env, policy, model, h, rng, init_state,
-                              bootstrap_action)
-
-
-def _sample_continuous(env, policy, model, horizon, rng, init_state,
-                       bootstrap_action) -> Trajectory:
+        return batch_to_trajectories(batch)[0]
     s = env.reset(rng) if init_state is None else np.asarray(init_state, dtype=float)
     states, actions, rewards, logp_pi, logp_m = [s], [], [], [], []
     truncated = False
-    for _ in range(horizon):
+    for _ in range(h):
         a = policy.sample(s, rng)
         lp = policy.log_prob(s, a)
         if model is None:
@@ -575,10 +566,6 @@ def _sample_continuous(env, policy, model, horizon, rng, init_state,
         s = s_next
     if truncated and not rewards:
         raise SamplingError("model rollout produced no finite transitions")
-    if bootstrap_action and not truncated:
-        a_last = policy.sample(s, rng)
-        actions.append(a_last)
-        logp_pi.append(policy.log_prob(s, a_last))
     return Trajectory(
         states=np.array(states),
         actions=np.array(actions),

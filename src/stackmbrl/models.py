@@ -349,10 +349,9 @@ class DiagGaussianPolicy:
                              "matching log_std")
 
     @staticmethod
-    def zeros(state_dim: int, action_dim: int,
-              log_std: float = 0.0) -> "DiagGaussianPolicy":
+    def zeros(state_dim: int, action_dim: int) -> "DiagGaussianPolicy":
         return DiagGaussianPolicy(np.zeros((action_dim, state_dim + 1)),
-                                  np.full(action_dim, log_std))
+                                  np.zeros(action_dim))
 
     @property
     def action_dim(self) -> int:
@@ -414,11 +413,10 @@ class DiagGaussianWorldModel:
             raise ValueError("weights must be (d+1, d+adim+1) with matching log_std")
 
     @staticmethod
-    def zeros(state_dim: int, action_dim: int,
-              log_std: float = 0.0) -> "DiagGaussianWorldModel":
+    def zeros(state_dim: int, action_dim: int) -> "DiagGaussianWorldModel":
         return DiagGaussianWorldModel(
             np.zeros((state_dim + 1, state_dim + action_dim + 1)),
-            np.full(state_dim + 1, log_std), state_dim, action_dim)
+            np.zeros(state_dim + 1), state_dim, action_dim)
 
     @property
     def n_params(self) -> int:
@@ -642,19 +640,18 @@ def gaussian_kl(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0,
-            var_floor: float = VAR_FLOOR):
+def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0):
     """Fit the template's family to the dataset by maximum likelihood.
 
     Categorical models use per-cell empirical frequencies (optional additive
     smoothing ``alpha``; default 0 so oracle tests see the exact MLE).
     Gaussian models use least squares for the affine mean and the biased
-    residual variance per output dimension, floored at ``var_floor``.
+    residual variance per output dimension, floored at ``VAR_FLOOR``.
     """
     if isinstance(template, CategoricalWorldModel):
         return _mle_categorical(dataset, template, alpha)
     if isinstance(template, DiagGaussianWorldModel):
-        return _mle_linear_gaussian(dataset, template, var_floor)
+        return _mle_linear_gaussian(dataset, template)
     raise TypeError(f"no MLE recipe for {type(template).__name__}")
 
 
@@ -705,9 +702,9 @@ def _frequency_logits(counts: np.ndarray) -> np.ndarray:
     return np.maximum(logits, LOGIT_FLOOR)
 
 
-def _mle_linear_gaussian(dataset: OfflineDataset,
-                         template: DiagGaussianWorldModel,
-                         var_floor: float) -> DiagGaussianWorldModel:
+def _mle_linear_gaussian(
+        dataset: OfflineDataset,
+        template: DiagGaussianWorldModel) -> DiagGaussianWorldModel:
     n = dataset.n
     feats = template._features(np.reshape(dataset.states, (n, -1)),
                                np.reshape(dataset.actions, (n, -1)))
@@ -720,7 +717,7 @@ def _mle_linear_gaussian(dataset: OfflineDataset,
                       "using the least-norm solution")
     weights, *_ = np.linalg.lstsq(feats, targets, rcond=None)
     residuals = targets - feats @ weights
-    variance = np.maximum((residuals ** 2).mean(axis=0), var_floor)
+    variance = np.maximum((residuals ** 2).mean(axis=0), VAR_FLOOR)
     return DiagGaussianWorldModel(weights.T, 0.5 * np.log(variance),
                                   template.state_dim, template.action_dim)
 
@@ -744,12 +741,15 @@ def _offline_sampler(mdp: TabularMdp, policy, n: int,
     """``sample(seeds, mapper=map)``: (states, actions, outcome codes) of one
     ``n``-row behavior dataset per seed, concatenated in seed order. Each
     seed's generator draws states, then action and then outcome uniforms, as
-    ``mapper`` runs it. The lookups then run once over all the rows, in CDF
-    tables taken once: a row of a cumsum is the same before or after a gather.
-    States are drawn as ``rng.choice(S, size=n, p=state_dist)`` draws them,
-    bit for bit: a search with ``side="right"`` in the cumsum divided by its
-    last entry, with ``state_dist`` checked once as ``choice`` checks ``p``."""
-    from .mdp import _as_rng, _categorical_lookup, _policy_probs
+    ``mapper`` runs it. The lookups then run once over all the rows, in
+    normalised CDF tables taken once: a row of one is the same before or
+    after a gather. Each draw is the one ``rng.choice(K, p=row)`` makes from
+    the same uniform. States are drawn as ``rng.choice(S, size=n,
+    p=state_dist)`` draws them, bit for bit, by a search with
+    ``side="right"``, with ``state_dist`` checked once as ``choice`` checks
+    ``p``."""
+    from .mdp import (_as_rng, _categorical_lookup, _normalised_cdf,
+                      _policy_probs)
     if state_dist is None:
         state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
     state_dist = np.asarray(state_dist, dtype=float)
@@ -759,10 +759,9 @@ def _offline_sampler(mdp: TabularMdp, policy, n: int,
             or abs(total - 1.0) > np.sqrt(np.finfo(float).eps)):
         raise ValueError(f"state_dist must be {mdp.num_states} non-negative "
                          "probabilities summing to 1")
-    state_cdf = state_dist.cumsum()
-    state_cdf /= state_cdf[-1]
-    policy_cdf = np.cumsum(_policy_probs(policy, mdp), axis=-1)
-    outcome_cdf = np.cumsum(mdp.joint_outcome_probs(), axis=-1)
+    state_cdf = _normalised_cdf(state_dist)
+    policy_cdf = _normalised_cdf(_policy_probs(policy, mdp))
+    outcome_cdf = _normalised_cdf(mdp.joint_outcome_probs())
 
     def draw(seed):
         rng = _as_rng(seed)

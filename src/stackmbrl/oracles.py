@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .estimators import dataset_kl, model_score_table, policy_score_table
+from .estimators import model_score_table, policy_score_table
 from .mdp import TabularMdp, _model_tables, _policy_probs
 from .models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy, categorical_kl
 
@@ -119,19 +119,9 @@ class ExactExpectations:
     total_prob: float
 
     @property
-    def hess_j_model(self) -> np.ndarray:
-        """Exact hess_phi J = E[grad Psi grad logP^T + hess Psi]."""
-        return self.uv + self.hess_psi
-
-    @property
     def fim_hess_j(self) -> np.ndarray:
         """FIM-substituted hess_phi J (what UV^T - XY^T estimates)."""
         return self.uv - self.xy
-
-    @property
-    def continuation_error(self) -> np.ndarray:
-        """Part of the substitution error carried by future rewards."""
-        return self.substitution_error - self.immediate_error
 
 
 def _softmax_cov(p: np.ndarray) -> np.ndarray:
@@ -236,36 +226,6 @@ def exact_penalty_terms(dataset: OfflineDataset, model: CategoricalWorldModel,
         hess_log_mean[start:start + k_n, start:start + k_n] += weight * (-cov)
         kl_mean += weight * categorical_kl(pbar, p)
     return ExactPenaltyTerms(score_mean, fim_mean, hess_log_mean, kl_mean)
-
-
-def exact_lagrangian(mdp: TabularMdp, policy: SoftmaxPolicy,
-                     model: CategoricalWorldModel,
-                     anchor: CategoricalWorldModel, dataset: OfflineDataset,
-                     lam: float, epsilon: float) -> float:
-    """L = J + lambda (E_D[KL(anchor || model)] - epsilon), both parts exact."""
-    from .mdp import exact_return
-    gap = dataset_kl(dataset, model, anchor) - epsilon
-    return exact_return(mdp, policy, model) + lam * gap
-
-
-def exact_grad_lagrangian_model(mdp: TabularMdp, policy: SoftmaxPolicy,
-                                model: CategoricalWorldModel,
-                                anchor: CategoricalWorldModel,
-                                dataset: OfflineDataset, lam: float) -> np.ndarray:
-    """Exact grad_phi L = grad_phi J - lambda E_{anchor o D}[score]."""
-    exp = exact_expectations(mdp, policy, model)
-    pen = exact_penalty_terms(dataset, model, anchor)
-    return exp.grad_model - lam * pen.score_mean
-
-
-def exact_constrained_hessian(mdp: TabularMdp, policy: SoftmaxPolicy,
-                              model: CategoricalWorldModel,
-                              anchor: CategoricalWorldModel,
-                              dataset: OfflineDataset, lam: float) -> np.ndarray:
-    """FIM-substituted hess_phi L: the exact target of UV^T - XY^T + ZZ^T."""
-    exp = exact_expectations(mdp, policy, model)
-    pen = exact_penalty_terms(dataset, model, anchor)
-    return exp.fim_hess_j + lam * pen.fim_mean
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,9 @@ _MODEL_STREAM = 3
 _EVAL_STREAM = 5
 _WORST_CASE_STREAM = 6
 
+# Halvings of the line search that pulls a model back into the KL ball.
+BISECTION_STEPS = 60
+
 _ABORT_ERRORS = (SingularScalarError, IllConditionedError, FloatingPointError,
                  SamplingError, np.linalg.LinAlgError)
 
@@ -289,7 +292,9 @@ class TrainerConfig:
     The dataset-side penalty terms (the model's KL-penalty gradient, the
     dual coupling and the constraint gap) are always exact over the whole
     dataset; ``penalty_batch_size`` only sets the number of sampled Z
-    curvature columns.
+    curvature columns. The multiplier takes one projected ascent step per
+    iteration on the committed model's gap; more steps on that fixed gap
+    would only scale the dual rate.
     """
 
     n_iterations: int = 50
@@ -298,7 +303,6 @@ class TrainerConfig:
     critic_epochs: int = 2
     policy_epochs: int = 2
     model_epochs: int = 2
-    dual_epochs: int = 1
     minibatch_size: int = 16
     penalty_batch_size: int = 64
     step_columns: int = 64
@@ -319,8 +323,7 @@ class TrainerConfig:
             raise ValueError("n_iterations must be non-negative")
         if self.segment_length < 1:
             raise ValueError("segment_length must be at least 1")
-        for name in ("critic_epochs", "policy_epochs", "model_epochs",
-                     "dual_epochs"):
+        for name in ("critic_epochs", "policy_epochs", "model_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("rollouts_per_iter", "minibatch_size",
@@ -352,12 +355,13 @@ class TrainerConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "TrainerConfig":
-        unknown = set(payload) - {f.name for f in fields(TrainerConfig)}
-        if unknown:
-            raise ValueError(f"unknown TrainerConfig keys: {sorted(unknown)}")
+        """The config ``payload`` describes, as ``to_dict`` writes it; a
+        ``ValueError`` names an unknown key or a wrongly typed field."""
         payload = dict(payload)
         rates = payload.pop("rates", None)
+        _check_fields(TrainerConfig, payload)
         if rates is not None:
+            _check_fields(LearningRates, rates)
             payload["rates"] = LearningRates(**rates)
         return TrainerConfig(**payload)
 
@@ -368,6 +372,21 @@ class TrainerConfig:
     @staticmethod
     def load(path) -> "TrainerConfig":
         return TrainerConfig.from_dict(json.loads(Path(path).read_text()))
+
+
+def _check_fields(cls, payload: dict) -> None:
+    """Raise ``ValueError`` unless ``payload`` names fields of the dataclass
+    ``cls``, each with a value of its default's type (an int passes as a
+    float)."""
+    unknown = set(payload) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    for name, value in payload.items():
+        want = type(getattr(cls(), name))
+        allowed = (want, int) if want is float else (want,)
+        if type(value) not in allowed:
+            raise ValueError(f"{cls.__name__} field {name!r} must be a "
+                             f"{want.__name__}, got {value!r}")
 
 
 def vanilla_config(config: TrainerConfig, horizon: int) -> TrainerConfig:
@@ -381,8 +400,7 @@ def vanilla_config(config: TrainerConfig, horizon: int) -> TrainerConfig:
     """
     return replace(config, segment_length=horizon, critic_epochs=0,
                    advantage_decay=1.0, clip=math.inf, policy_epochs=1,
-                   model_epochs=1, dual_epochs=1,
-                   minibatch_size=config.rollouts_per_iter)
+                   model_epochs=1, minibatch_size=config.rollouts_per_iter)
 
 
 @dataclass
@@ -452,18 +470,21 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
 
     Start states are drawn uniformly from the dataset's state column. Each
     segment runs ``length`` steps and carries one trailing bootstrap action
-    for the critic's Q-tail. Log-probabilities are the sampler's own
-    evaluations at generation time, so later ratio masks start at exactly
-    one. ``outcomes`` holds each step's model emission, the argument the
-    model's ``scores``/``log_probs`` take: the packed outcome index for
-    tabular rollouts, the joint (s', r) vector, shape (n, length,
-    state_dim + 1), for continuous ones.
+    for the critic's Q-tail: the samplers draw one action per step, and the
+    trailing one is drawn here, at the last state and from the same
+    generator. Log-probabilities are the sampler's own evaluations at
+    generation time, so later ratio masks start at exactly one.
+    ``outcomes`` holds each step's model emission, the argument the model's
+    ``scores``/``log_probs`` take: the packed outcome index for tabular
+    rollouts, the joint (s', r) vector, shape (n, length, state_dim + 1),
+    for continuous ones.
 
     Continuous rollouts that hit a non-finite emission are truncated at the
     last finite step and padded (states frozen, fresh policy actions, zero
-    rewards); their true step counts land in ``lengths`` and the batch-level
-    ``truncated`` flag is raised. A rollout with no finite step at all
-    raises ``SamplingError``.
+    rewards) by the same loop that draws the trailing action. Their true
+    step counts land in ``lengths`` and the batch-level ``truncated`` flag
+    is raised. A rollout with no finite step at all raises
+    ``SamplingError``.
     """
     if length < 1:
         raise ValueError("segment length must be at least 1")
@@ -501,21 +522,20 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     truncated = False
     for i in range(n_rollouts):
         traj = sample_trajectory(env, policy, model=model, horizon=length,
-                                 seed=rng, init_state=starts[i],
-                                 bootstrap_action=True)
+                                 seed=rng, init_state=starts[i])
         steps = traj.n_steps
         lengths[i] = steps
         truncated = truncated or traj.truncated_early
         states[i, :steps + 1] = traj.states
         states[i, steps + 1:] = traj.states[-1]
-        actions[i, :len(traj.actions)] = traj.actions
-        logp_policy[i, :len(traj.actions)] = traj.logp_policy
+        actions[i, :steps] = traj.actions
+        logp_policy[i, :steps] = traj.logp_policy
         rewards[i, :steps] = traj.rewards
         logp_model[i, :steps] = traj.logp_model
-        # Truncated rows still need actions at the frozen tail states so a
-        # shortened segment keeps a well-defined Q-tail input.
+        # The trailing action, and on a truncated row the actions at the
+        # frozen tail state, so every segment has a Q-tail input.
         frozen = traj.states[-1]
-        for t in range(len(traj.actions), length + 1):
+        for t in range(steps, length + 1):
             pad_action = policy.sample(frozen, rng)
             actions[i, t] = pad_action
             logp_policy[i, t] = policy.log_prob(frozen, pad_action)
@@ -662,14 +682,10 @@ def _model_phase(state: TrainState, batch: dict, dataset, anchor,
     return model_new, first_mask_rate
 
 
-def _dual_phase(state: TrainState, gap: float, config: TrainerConfig,
-                rate: float) -> float:
-    """Projected ascent on the constraint ``gap`` of the committed model.
-    The model does not move across dual epochs, so neither does the gap."""
-    lam_new = state.lam
-    for _ in range(config.dual_epochs):
-        lam_new = max(0.0, lam_new + rate * gap)
-    return lam_new
+def _dual_phase(state: TrainState, gap: float, rate: float) -> float:
+    """One projected ascent step on the constraint ``gap`` of the committed
+    model."""
+    return max(0.0, state.lam + rate * gap)
 
 
 def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
@@ -712,7 +728,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
             fitted, batch, dataset, anchor, config, gamma, rates.model, k,
             coupling)
         if config.dynamics == "constrained":
-            lam_new = _dual_phase(state, gap, config, rates.dual)
+            lam_new = _dual_phase(state, gap, rates.dual)
         if not np.isfinite(lam_new):
             raise FloatingPointError("updated multiplier is non-finite")
         record["kl"] = dataset_kl(dataset, model_new, anchor)
@@ -753,21 +769,17 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def initial_state(env, anchor, config: TrainerConfig, policy_init=None,
-                  model_init=None) -> TrainState:
+def initial_state(env, anchor, config: TrainerConfig) -> TrainState:
     """Fresh state: uniform/zero policy, model at the anchor, zero critic."""
     if isinstance(env, TabularMdp):
-        policy = (policy_init if policy_init is not None
-                  else SoftmaxPolicy.zeros(env.num_states, env.num_actions))
+        policy = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
         critic = TabularCritic.zeros(env.num_states, env.num_actions)
     else:
-        policy = (policy_init if policy_init is not None
-                  else DiagGaussianPolicy.zeros(env.state_dim, env.action_dim))
+        policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
         critic = LinearCritic.zeros(env.state_dim, env.action_dim)
-    model = (model_init if model_init is not None
-             else anchor.with_params(anchor.params))
-    return TrainState(policy=policy, model=model, lam=config.lam_init,
-                      critic=critic, buffer=ReplayBuffer(config.buffer_capacity))
+    return TrainState(policy=policy, model=anchor.with_params(anchor.params),
+                      lam=config.lam_init, critic=critic,
+                      buffer=ReplayBuffer(config.buffer_capacity))
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -816,8 +828,7 @@ def write_manifest(out_dir, config: TrainerConfig, env,
 
 
 def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
-          out_dir=None, policy_init=None,
-          model_init=None) -> tuple[TrainState, TrainingTrace]:
+          out_dir=None) -> tuple[TrainState, TrainingTrace]:
     """Run the configured number of iterations from a fresh state.
 
     With ``out_dir`` set, writes periodic and final checkpoints, the trace
@@ -826,7 +837,7 @@ def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
     trace.
     """
     started = time.time()
-    state = initial_state(env, anchor, config, policy_init, model_init)
+    state = initial_state(env, anchor, config)
     trace = TrainingTrace()
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -890,8 +901,7 @@ def exact_return_model_gradient(mdp: TabularMdp, policy,
 
 def _pulled_into_ball(model: CategoricalWorldModel,
                       anchor: CategoricalWorldModel, dataset: OfflineDataset,
-                      epsilon: float,
-                      n_bisect: int = 60) -> CategoricalWorldModel:
+                      epsilon: float) -> CategoricalWorldModel:
     """Shrink the model toward the anchor (straight line in logit space)
     until the dataset-weighted anchored KL is within the budget."""
     def at(t: float) -> CategoricalWorldModel:
@@ -902,7 +912,7 @@ def _pulled_into_ball(model: CategoricalWorldModel,
     if dataset_kl(dataset, model, anchor) <= epsilon:
         return model
     lo, hi = 0.0, 1.0
-    for _ in range(n_bisect):
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if dataset_kl(dataset, at(mid), anchor) <= epsilon:
             lo = mid
@@ -981,18 +991,13 @@ def episode_returns(env: ContinuousMdp, policy, noise_fraction: float,
     return returns
 
 
-def deployment_return(env: ContinuousMdp, policy, noise_fraction: float,
-                      n_episodes: int, seed=0) -> float:
-    """Mean discounted return under relative transition noise."""
-    return float(episode_returns(env, policy, noise_fraction, n_episodes,
-                                 seed).mean())
-
-
 def robust_evaluate(env: ContinuousMdp, policy, noise_fraction: float,
                     n_episodes: int = 200, seed=0) -> dict:
-    """Paired clean/noisy evaluation with coupled random streams."""
+    """Paired clean/noisy evaluation with coupled random streams: the mean
+    discounted return without and with relative transition noise."""
     if not isinstance(env, ContinuousMdp):
         raise TypeError("noisy deployment wraps continuous environments only")
-    clean = deployment_return(env, policy, 0.0, n_episodes, seed)
-    noisy = deployment_return(env, policy, noise_fraction, n_episodes, seed)
+    clean = float(episode_returns(env, policy, 0.0, n_episodes, seed).mean())
+    noisy = float(episode_returns(env, policy, noise_fraction, n_episodes,
+                                  seed).mean())
     return {"clean": clean, "noisy": noisy, "degradation": clean - noisy}

@@ -198,7 +198,7 @@ class CoverageReport:
 
 def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
                    delta: float, n_trials: int, seed: int = 0,
-                   epsilon_fn=None, n_workers: int = 1) -> CoverageReport:
+                   n_workers: int = 1) -> CoverageReport:
     """Fraction of resampled datasets whose uncertainty set contains the truth.
 
     Each trial draws a fresh offline dataset from the true environment, fits
@@ -207,9 +207,8 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
     own generator, seeded from ``seed``. Trials are scored in blocks of
     about ``COVERAGE_BLOCK_ROWS`` rows, with the bits of one trial at a time
     (``sample_offline_dataset``, ``mle_fit``, ``kl_to_anchor``,
-    ``epsilon_tabular``). ``epsilon_fn``, if given, replaces
-    ``epsilon_tabular`` once per dataset. ``n_workers`` threads share only
-    the per-trial random draws.
+    ``epsilon_tabular``). ``n_workers`` threads share only the per-trial
+    random draws.
     """
     _check_delta(delta)
     if n_trials < MIN_COVERAGE_TRIALS:
@@ -231,12 +230,11 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
         results = []
         for t, (stat, n_cells, n_min, n_max) in enumerate(
                 _block_statistics(true_probs, alphabet, *rows, n)):
-            if epsilon_fn is None and 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
+            if 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
                 radius = tabular_radius_value(n_cells, n, k_dim, n_max, delta)
             else:  # off the window, epsilon_tabular raises naming the cells
                 dataset = _offline_dataset(mdp, *(r[t * n:(t + 1) * n] for r in rows))
-                radius = (epsilon_fn(dataset) if epsilon_fn is not None
-                          else epsilon_tabular(dataset, k_dim, delta))
+                radius = epsilon_tabular(dataset, k_dim, delta)
             results.append((stat <= radius, radius, stat))
         return results
 

@@ -38,6 +38,9 @@ expands the result once. Every step is a QR or a matrix product, whose
 bits do not depend on the BLAS thread count. When k >= n_phi the core is
 no smaller than A_hat itself, so the solver factors A_hat densely. A
 solve never writes to the factors or the right-hand side.
+
+The multiplier row of the leader's correction updates any A^{-1} solve by
+rank one: ``dual_corrected``, shared with the dense games of :mod:`.dynamics`.
 """
 
 from __future__ import annotations
@@ -324,60 +327,42 @@ class WoodburySolver:
         return out
 
 
-class HessianOperator:
-    """Applies the dual-corrected inverse curvature
+def dual_corrected(solve, g: np.ndarray, b: np.ndarray, lam: float,
+                   slope: float) -> np.ndarray:
+    """H g for the dual-corrected inverse curvature
 
         H = A^{-1} + lam * A^{-1} b s^{-1} b^T A^{-1},
-        s = dual_slope - lam * b^T A^{-1} b,
+        s = slope - lam * b^T A^{-1} b,
 
-    where b is the model/multiplier coupling vector. Raises
-    ``SingularScalarError`` when |s| falls under ``SCHUR_FLOOR``.
+    with ``solve`` applying A^{-1} and b the model/multiplier coupling
+    vector. An empty b or a zero multiplier leaves the plain A^{-1} g.
+    Raises ``SingularScalarError`` when |s| falls under ``SCHUR_FLOOR``.
     """
-
-    def __init__(self, solver: WoodburySolver, lam: float | None = None):
-        self.solver = solver
-        factors = solver.factors
-        self.lam = factors.lam if lam is None else lam
-        self.coupling = np.asarray(factors.dual_coupling, dtype=float)
-        self.dual_slope = factors.dual_slope
-        if self.coupling.size:
-            self._a_inv_b = solver.solve(self.coupling)
-            self.schur = self.dual_slope - self.lam * float(
-                self.coupling @ self._a_inv_b)
-        else:
-            self._a_inv_b = np.zeros(factors.n_phi)
-            self.schur = self.dual_slope
-
-    def apply_inverse_curvature(self, vec: np.ndarray) -> np.ndarray:
-        """Plain A^{-1} vec (the multiplier-free correction)."""
-        return self.solver.solve(vec)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        base = self.solver.solve(vec)
-        if not self.coupling.size or self.lam == 0.0:
-            return base
-        if abs(self.schur) < SCHUR_FLOOR:
-            raise SingularScalarError(
-                f"dual Schur complement |{self.schur:.3e}| < {SCHUR_FLOOR:.0e}; "
-                "inverse curvature with the multiplier row is singular")
-        gain = self.lam * float(self.coupling @ base) / self.schur
-        return base + gain * self._a_inv_b
+    base = solve(g)
+    if not b.size or lam == 0.0:
+        return base
+    a_inv_b = solve(b)
+    schur = slope - lam * float(b @ a_inv_b)
+    if abs(schur) < SCHUR_FLOOR:
+        raise SingularScalarError(
+            f"dual Schur complement |{schur:.3e}| < {SCHUR_FLOOR:.0e}; "
+            "inverse curvature with the multiplier row is singular")
+    return base + (lam * float(b @ base) / schur) * a_inv_b
 
 
 def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
                     factors: LowRankFactors,
-                    operator: HessianOperator | None = None,
                     use_dual_row: bool = True) -> np.ndarray:
-    """Total policy derivative: grad_theta J - (U W^T)^T applied-inverse grad_phi J.
+    """Total policy derivative: grad_theta J - (U W^T)^T H grad_phi J.
 
     Assembled right-to-left so no n_phi x n_phi or n_phi x n_theta matrix is
-    ever formed. With ``use_dual_row`` the multiplier-aware operator H is used;
-    otherwise the plain A^{-1}.
+    ever formed. With ``use_dual_row`` H is the multiplier-aware
+    ``dual_corrected`` inverse; otherwise the coupling is left out and H is
+    the plain A^{-1}.
     """
-    if operator is None:
-        operator = HessianOperator(WoodburySolver(factors))
-    corrected = (operator.apply(grad_model) if use_dual_row
-                 else operator.apply_inverse_curvature(grad_model))
+    coupling = factors.dual_coupling if use_dual_row else np.zeros(0)
+    corrected = dual_corrected(WoodburySolver(factors).solve, grad_model,
+                               coupling, factors.lam, factors.dual_slope)
     return grad_policy - factors.w @ (factors.c_u.T
                                       @ factors.atoms.project(corrected))
 

@@ -136,14 +136,24 @@ def test_removed_routes_are_rejected(tmp_path, argv):
 
 
 def test_config_with_unknown_key_is_rejected(tmp_path, capsys):
-    for key, value in (("algorithm", "vanilla"), ("exact_kl", True)):
+    """Unknown or deleted keys, an unknown learning-rate key and a wrongly
+    typed field each exit 2 naming the key, before any run directory."""
+    cases = [("algorithm", {"algorithm": "vanilla"}),
+             ("exact_kl", {"exact_kl": True}),
+             ("dual_epochs", {"dual_epochs": 1}),
+             ("warmup", {"rates": dict(TrainerConfig().to_dict()["rates"],
+                                       warmup=1)}),
+             ("n_iterations", {"n_iterations": "5"})]
+    for key, change in cases:
         path = tmp_path / f"old_{key}.json"
         payload = TrainerConfig().to_dict()
-        payload[key] = value
+        payload.update(change)
         path.write_text(json.dumps(payload))
-        code, _ = run(tmp_path, f"old_{key}", "train", "--config", str(path))
+        code, out = run(tmp_path, f"old_{key}", "train", "--config",
+                        str(path))
         assert code == 2
         assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_with_zero_ridge_is_rejected_before_the_run(tmp_path, capsys):

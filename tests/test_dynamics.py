@@ -2,6 +2,7 @@
 
 import csv
 import warnings
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -9,13 +10,29 @@ import pytest
 from stackmbrl.dynamics import (MULTIPLIER_INIT, RATE_DUAL_DEFAULT,
                                 RATE_MODEL_DEFAULT, RATE_POLICY_DEFAULT,
                                 DynamicsState, LearningRates, SmoothGame,
-                                distance_stop, run_dynamics, step_constrained,
-                                step_naive, step_stackelberg, STEPPERS)
-from stackmbrl.testbeds import (bilinear_game, coupling_game, coupling_kkt,
-                                coupling_lse, follower_best_response,
-                                matching_boundary_kkt, matching_game,
-                                matching_lse, saddle_game)
+                                run_dynamics, step_constrained, step_naive,
+                                step_stackelberg, STEPPERS)
+from stackmbrl.testbeds import coupling_game, coupling_kkt
 from stackmbrl.woodbury import SCHUR_FLOOR
+from toy_games import (bilinear_game, coupling_lse, follower_best_response,
+                       matching_boundary_kkt, matching_game, matching_lse,
+                       saddle_game)
+
+
+def distance_stop(target_theta, target_phi, target_lam: float | None,
+                  tol: float) -> Callable[[DynamicsState], bool]:
+    """Stop predicate: max-norm distance to a known rest point under tol."""
+    target_theta = np.atleast_1d(np.asarray(target_theta, dtype=float))
+    target_phi = np.atleast_1d(np.asarray(target_phi, dtype=float))
+
+    def check(state: DynamicsState) -> bool:
+        err = max(np.max(np.abs(state.theta - target_theta)),
+                  np.max(np.abs(state.phi - target_phi)))
+        if target_lam is not None:
+            err = max(err, abs(state.lam - target_lam))
+        return err < tol
+
+    return check
 
 
 def equal_rates(eta: float) -> LearningRates:

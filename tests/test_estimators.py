@@ -6,20 +6,20 @@ from conftest import ScriptedRng, uniform_for
 
 from reference_estimators import (mc_estimator_stats, model_gradient,
                                   policy_gradient, psi_gradients)
+from reference_oracles import exact_grad_lagrangian_model
 
-from stackmbrl.estimators import (ESTIMATOR_NAMES, _choice_rows,
-                                  dataset_dual_coupling,
+from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
                                   dataset_kl, discounted_weights,
                                   exact_estimator_targets, factors_from_batch,
                                   generalized_advantages,
                                   masked_surrogate_gradient,
                                   model_score_table, policy_score_table,
                                   ratio_masks)
-from stackmbrl.mdp import dp_values, sample_tabular_batch
+from stackmbrl.mdp import (_draw_categorical_rows, dp_values,
+                           sample_tabular_batch)
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, enumerate_paths,
-                               exact_expectations, exact_grad_lagrangian_model,
-                               exact_penalty_terms)
+                               exact_expectations, exact_penalty_terms)
 from stackmbrl.woodbury import BlockScores
 
 
@@ -463,7 +463,7 @@ def test_penalty_emissions_match_the_per_row_choice_loop():
         loop_rng = np.random.default_rng(seed)
         block_rng = np.random.default_rng(seed)
         want = [loop_rng.choice(probs.shape[1], p=row) for row in probs]
-        assert np.array_equal(_choice_rows(probs, block_rng), want)
+        assert np.array_equal(_draw_categorical_rows(probs, block_rng), want)
         assert block_rng.random() == loop_rng.random()
 
 

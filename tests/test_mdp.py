@@ -5,8 +5,11 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import ScriptedRng
+
 from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
-                           _format_state, batch_to_trajectories,
+                           _draw_categorical_rows, _format_state,
+                           batch_to_trajectories,
                            dp_optimal_policy, dp_values, exact_return,
                            load_transitions_csv, normalized_occupancy,
                            per_step_occupancy, perturb_step,
@@ -265,11 +268,21 @@ def test_batch_logps_match_tables(grad_triple):
     assert np.allclose(batch["logp_model"], lm[s, a, k], atol=1e-12)
 
 
-def test_bootstrap_action_appended(grad_triple):
-    mdp, policy, model = grad_triple
-    traj = sample_trajectory(mdp, policy, model, seed=9, bootstrap_action=True)
-    assert len(traj.actions) == traj.n_steps + 1
-    assert len(traj.logp_policy) == traj.n_steps + 1
+def test_draw_skips_a_trailing_zero_entry_of_a_short_row():
+    """A row summing to 1 - 1e-11, which ``TabularMdp`` accepts, ending in a
+    zero: a uniform above the row's sum maps to its last positive entry, as
+    ``rng.choice`` maps it, and the zero entry is never drawn."""
+    row = [0.5, 0.5 - 1e-11, 0.0]
+    mdp = TabularMdp(transition=np.array([[row]] * 3),
+                     reward_values=np.array([0.5]),
+                     reward_probs=np.ones((3, 1, 1)),
+                     init_dist=np.array([1.0, 0.0, 0.0]), gamma=0.9,
+                     horizon=1)
+    u = 1.0 - 1e-12
+    assert _draw_categorical_rows(mdp.joint_outcome_probs()[0],
+                                  ScriptedRng(uniform_queue=[[u]])) == [1]
+    assert _draw_categorical_rows(np.array([row]),
+                                  ScriptedRng(uniform_queue=[[u]])) == [1]
 
 
 def test_mc_return_within_four_se(grad_triple):

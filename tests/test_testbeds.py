@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from stackmbrl.mdp import ContinuousMdp, TabularMdp
-from stackmbrl.models import CategoricalWorldModel, DiagGaussianPolicy
+from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
+                              DiagGaussianWorldModel)
 from stackmbrl.oracles import enumerate_paths
 from stackmbrl.testbeds import (CONTINUOUS_TESTBEDS, TABULAR_TESTBEDS,
-                                bilinear_game, continuous_from_dict,
-                                coupling_game, coupling_kkt, coupling_lse,
-                                follower_best_response, gradient_mdp,
-                                load_environment, matching_boundary_kkt,
-                                matching_game, matching_lse, saddle_game,
+                                continuous_from_dict, coupling_game,
+                                coupling_kkt, gradient_mdp, load_environment,
                                 small_mdp, sparse_reward_testbed,
-                                tracking_behavior_policy, tracking_mdp,
-                                tracking_model_template)
+                                tracking_behavior_policy, tracking_mdp)
+from toy_games import (bilinear_game, coupling_lse, follower_best_response,
+                       matching_boundary_kkt, matching_game, matching_lse,
+                       saddle_game)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +202,11 @@ def test_tracking_behavior_policy_is_proportional():
     assert isinstance(behavior, DiagGaussianPolicy)
     assert np.allclose(behavior.weights, [[-0.5, 1.0]])
     assert np.allclose(behavior.log_std, np.log([0.4]))
+
+
+def tracking_model_template(mdp: ContinuousMdp) -> DiagGaussianWorldModel:
+    """Zero-initialized linear-Gaussian world model shaped for the task."""
+    return DiagGaussianWorldModel.zeros(mdp.state_dim, mdp.action_dim)
 
 
 def test_tracking_model_template_shape():

@@ -19,7 +19,7 @@ import stackmbrl
 from stackmbrl import estimators, models, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   discounted_weights, factors_from_batch)
-from stackmbrl.mdp import SamplingError
+from stackmbrl.mdp import SamplingError, sample_trajectory
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, OfflineDataset, mle_fit,
                               rollout_dataset, sample_offline_dataset)
@@ -28,8 +28,9 @@ from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                DYNAMICS_MODES, TrainerConfig,
                                collect_rollouts, initial_state,
-                               load_checkpoint, save_checkpoint, train,
-                               train_iteration, vanilla_config)
+                               load_checkpoint, robust_evaluate,
+                               save_checkpoint, train, train_iteration,
+                               vanilla_config)
 from stackmbrl.woodbury import (BlockScores, LowRankFactors, WoodburySolver,
                                 leader_gradient)
 
@@ -105,6 +106,27 @@ def test_batched_softmax_likelihoods_match_the_step_loop(grad_triple,
     _assert_matches_rows(model, lambda s, a, k: np.log(mod)[s, a, k],
                          lambda s, a, k: _softmax_row_score(mod, s, a, k),
                          states, actions, batch["outcomes"])
+
+
+def test_rollouts_append_one_bootstrap_action(grad_triple, grad_dataset,
+                                              tracking_setup):
+    """The samplers draw one action per step; ``collect_rollouts`` appends
+    the trailing action at each segment's last state, with its
+    log-probability, on both families."""
+    tracking, dataset, anchor = tracking_setup
+    cases = [(*grad_triple, grad_dataset[0]),
+             (tracking, tracking_behavior_policy(tracking), anchor, dataset)]
+    for env, policy, model, data in cases:
+        traj = sample_trajectory(env, policy, model, horizon=3, seed=9)
+        assert len(traj.actions) == len(traj.logp_policy) == 3
+        batch = collect_rollouts(env, policy, model, data, n_rollouts=4,
+                                 length=3, seed=2)
+        assert batch["actions"].shape[:2] == batch["logp_policy"].shape \
+            == (4, 4)
+        assert np.array_equal(
+            batch["logp_policy"][:, -1],
+            [policy.log_prob(s, a) for s, a
+             in zip(batch["states"][:, -1], batch["actions"][:, -1])])
 
 
 def test_batched_gaussian_likelihoods_match_the_step_loop(tracking_setup):
@@ -601,3 +623,21 @@ def test_rollouts_truncate_at_non_finite_model_log_prob(tracking_setup):
     with pytest.raises(SamplingError):
         collect_rollouts(env, policy, _LogProbFailsAfter(anchor, 0), dataset,
                          n_rollouts=1, length=5, seed=0)
+
+
+def test_robust_evaluate_pairs_clean_and_noisy_streams(tracking_setup,
+                                                       grad_triple):
+    """Clean and noisy runs share every random stream: with no noise they
+    agree bit for bit, the degradation is their difference, and a seed
+    repeats the whole dict. A tabular environment has no noisy deployment."""
+    env = tracking_setup[0]
+    policy = tracking_behavior_policy(env)
+    quiet = robust_evaluate(env, policy, 0.0, n_episodes=20, seed=3)
+    assert quiet["clean"] == quiet["noisy"]
+    assert quiet["degradation"] == 0.0
+    noisy = robust_evaluate(env, policy, 0.3, n_episodes=20, seed=3)
+    assert noisy["clean"] == quiet["clean"] != noisy["noisy"]
+    assert noisy["degradation"] == noisy["clean"] - noisy["noisy"]
+    assert robust_evaluate(env, policy, 0.3, n_episodes=20, seed=3) == noisy
+    with pytest.raises(TypeError):
+        robust_evaluate(grad_triple[0], grad_triple[1], 0.1)

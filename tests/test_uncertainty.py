@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stackmbrl import uncertainty
 from stackmbrl.mdp import TabularMdp
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianWorldModel,
                               OfflineDataset, SoftmaxPolicy, mle_fit,
@@ -310,19 +311,26 @@ def test_coverage_requires_enough_trials():
         coverage_check(small_mdp(), "uniform", 50, 0.2, 99)
 
 
-def test_coverage_vacuous_radius_covers_everything():
-    report = coverage_check(small_mdp(), "uniform", 60, 0.2, 100,
-                            epsilon_fn=lambda dataset: 1e6)
+def fixed_radius(monkeypatch, value: float) -> None:
+    """Make every trial's radius ``value``, on either radius route."""
+    monkeypatch.setattr(uncertainty, "tabular_radius_value",
+                        lambda *args: value)
+    monkeypatch.setattr(uncertainty, "epsilon_tabular", lambda *args: value)
+
+
+def test_coverage_vacuous_radius_covers_everything(monkeypatch):
+    fixed_radius(monkeypatch, 1e6)
+    report = coverage_check(small_mdp(), "uniform", 60, 0.2, 100)
     assert report.coverage == 1.0
     assert report.mean_epsilon == 1e6
     assert report.passed
 
 
-def test_coverage_zero_radius_covers_nothing():
+def test_coverage_zero_radius_covers_nothing(monkeypatch):
     """The MLE essentially never coincides with the generating model, so a
     zero radius drives coverage to the floor."""
-    report = coverage_check(small_mdp(), "uniform", 60, 0.2, 100,
-                            epsilon_fn=lambda dataset: 0.0)
+    fixed_radius(monkeypatch, 0.0)
+    report = coverage_check(small_mdp(), "uniform", 60, 0.2, 100)
     assert report.coverage <= 0.02
     assert not report.passed
     assert report.mean_statistic > 0.0
@@ -358,14 +366,11 @@ def test_threaded_coverage_leaves_the_warning_filters_alone(grad_triple):
 
 
 def per_trial_coverage(mdp, behavior_policy, n_transitions, delta, n_trials,
-                       seed=0, epsilon_fn=None) -> dict:
+                       seed=0) -> dict:
     """``coverage_check`` as one trial at a time through the public
     sampler, fit, statistic and radius: the reference for the blocks."""
     true_model = CategoricalWorldModel.from_mdp(mdp)
     template = CategoricalWorldModel.uniform(mdp)
-    if epsilon_fn is None:
-        def epsilon_fn(dataset):
-            return epsilon_tabular(dataset, mdp.num_outcomes, delta)
 
     def run_trial(trial_seed):
         dataset = sample_offline_dataset(
@@ -373,7 +378,7 @@ def per_trial_coverage(mdp, behavior_policy, n_transitions, delta, n_trials,
             seed=np.random.default_rng(trial_seed))
         anchor = mle_fit(dataset, template)
         statistic = kl_to_anchor(dataset, true_model, anchor)
-        radius = epsilon_fn(dataset)
+        radius = uncertainty.epsilon_tabular(dataset, mdp.num_outcomes, delta)
         return statistic <= radius, radius, statistic
 
     with warnings.catch_warnings():
@@ -411,23 +416,19 @@ def tied_reward_mdp() -> TabularMdp:
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("make_mdp", [gradient_mdp, small_mdp, tied_reward_mdp],
                          ids=["gradient", "small", "tied"])
-def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed):
+def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed,
+                                                     monkeypatch):
     """Equal reports for partial last blocks (100, 101 and 203 trials of
-    150, 400 and 1000 rows), each behavior-policy form, a given radius
-    function and worker threads."""
+    150, 400 and 1000 rows), each behavior-policy form, a fixed radius
+    and worker threads."""
     mdp = make_mdp()
     policy = SoftmaxPolicy(np.random.default_rng(seed).normal(
         scale=0.5, size=(mdp.num_states, mdp.num_actions)))
     behaviors = ["uniform", policy, policy.probs_all()]
-
-    def radius(dataset):
-        return 0.02
-
     cases = [((mdp, behaviors[(i + seed) % 3], n, 0.2, n_trials), {})
              for i, (n, n_trials) in enumerate([(150, 100), (400, 101),
                                                 (1000, 203)])]
-    cases += [((mdp, "uniform", 150, 0.2, 100), {"epsilon_fn": radius}),
-              ((mdp, policy, 400, 0.1, 101), {"n_workers": 4})]
+    cases += [((mdp, policy, 400, 0.1, 101), {"n_workers": 4})]
     for args, kwargs in cases:
         serial = {k: v for k, v in kwargs.items() if k != "n_workers"}
         # a rare cell can fall outside the validity window: same message
@@ -435,6 +436,10 @@ def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed):
                     lambda: coverage_check(*args, seed=seed, **kwargs))
                 == report_or_error(
                     lambda: per_trial_coverage(*args, seed=seed, **serial)))
+    fixed_radius(monkeypatch, 0.02)
+    args = (mdp, "uniform", 150, 0.2, 100)
+    assert (coverage_check(*args, seed=seed).to_dict()
+            == per_trial_coverage(*args, seed=seed))
 
 
 @pytest.mark.parametrize("n", [5, 12])

@@ -13,9 +13,9 @@ import pytest
 import stackmbrl
 from stackmbrl.models import CategoricalWorldModel, DiagGaussianWorldModel
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, BlockScores,
-                                HessianOperator, IllConditionedError,
-                                LowRankFactors, SingularScalarError,
-                                WoodburySolver, leader_gradient,
+                                IllConditionedError, LowRankFactors,
+                                SingularScalarError, WoodburySolver,
+                                dual_corrected, leader_gradient,
                                 random_factors)
 
 
@@ -164,8 +164,8 @@ def test_large_dimension_solve_never_densifies():
 
 
 def test_solver_allocates_no_factor_sized_arrays():
-    """A build, its dual operator and one leader step hold O(k^2) beyond a
-    few right-hand-side-sized vectors: with 224 atoms over 20,000
+    """A build, its dual-corrected solve and one leader step hold O(k^2)
+    beyond a few right-hand-side-sized vectors: with 224 atoms over 20,000
     parameters the traced peak is 10.8 parameter-length vectors, under 12
     (the core, the QR's copy of it, Q and R are 2.5 each; holding M as well
     peaks at 13.3). Caching inverse-applied factors as full-height columns
@@ -176,8 +176,7 @@ def test_solver_allocates_no_factor_sized_arrays():
     grad_model = rng.standard_normal(factors.n_phi)
     tracemalloc.start()
     try:
-        leader_gradient(grad_policy, grad_model, factors,
-                        operator=HessianOperator(WoodburySolver(factors)))
+        leader_gradient(grad_policy, grad_model, factors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -312,14 +311,17 @@ def test_operator_matches_dense_dual_formula():
     for seed in (0, 7, 21):
         factors = random_factors(40, seed=seed)
         solver = WoodburySolver(factors)
-        op = HessianOperator(solver)
         a_inv = np.linalg.inv(factors.dense())
         b = factors.dual_coupling
         s = factors.dual_slope - factors.lam * float(b @ a_inv @ b)
         dense_h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
         v = np.random.default_rng(seed).standard_normal(40)
-        assert np.linalg.norm(op.apply(v) - dense_h @ v) <= 1e-8 * np.linalg.norm(dense_h @ v)
-        assert np.allclose(op.apply_inverse_curvature(v), solver.solve(v), atol=1e-15)
+        applied = dual_corrected(solver.solve, v, b, factors.lam,
+                                 factors.dual_slope)
+        assert np.linalg.norm(applied - dense_h @ v) <= 1e-8 * np.linalg.norm(dense_h @ v)
+        plain = dual_corrected(solver.solve, v, np.zeros(0), factors.lam,
+                               factors.dual_slope)
+        assert np.allclose(plain, solver.solve(v), atol=1e-15)
 
 
 def test_operator_multiplier_free_reductions():
@@ -327,14 +329,17 @@ def test_operator_multiplier_free_reductions():
     solver = WoodburySolver(factors)
     v = np.random.default_rng(1).standard_normal(25)
     # explicit zero multiplier: the dual row is bypassed entirely
-    op_zero = HessianOperator(solver, lam=0.0)
-    assert np.array_equal(op_zero.apply(v), solver.solve(v))
+    applied_zero = dual_corrected(solver.solve, v, factors.dual_coupling, 0.0,
+                                  factors.dual_slope)
+    assert np.array_equal(applied_zero, solver.solve(v))
     # empty coupling vector: same bypass
     stripped = LowRankFactors.from_columns(
         u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
         w=factors.w, ridge=factors.ridge, lam=factors.lam)
-    op_empty = HessianOperator(WoodburySolver(stripped))
-    assert np.array_equal(op_empty.apply(v), WoodburySolver(stripped).solve(v))
+    applied_empty = dual_corrected(WoodburySolver(stripped).solve, v,
+                                   stripped.dual_coupling, stripped.lam,
+                                   stripped.dual_slope)
+    assert np.array_equal(applied_empty, WoodburySolver(stripped).solve(v))
 
 
 def test_vanishing_schur_complement_raises():
@@ -346,10 +351,15 @@ def test_vanishing_schur_complement_raises():
         u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
         w=factors.w, ridge=factors.ridge, lam=factors.lam,
         dual_coupling=factors.dual_coupling, dual_slope=fatal_slope)
-    op = HessianOperator(WoodburySolver(rigged))
-    assert abs(op.schur) < SCHUR_FLOOR
+    rigged_solve = WoodburySolver(rigged).solve
+    b = rigged.dual_coupling
+    schur = rigged.dual_slope - rigged.lam * float(b @ rigged_solve(b))
+    assert abs(schur) < SCHUR_FLOOR
     with pytest.raises(SingularScalarError):
-        op.apply(np.ones(20))
+        dual_corrected(rigged_solve, np.ones(20), b, rigged.lam,
+                       rigged.dual_slope)
+    with pytest.raises(SingularScalarError):
+        leader_gradient(np.zeros(rigged.n_theta), np.ones(20), rigged)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +449,17 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     copies = [arr.copy() for arr in inputs]
 
     solver = WoodburySolver(factors)
-    operator = HessianOperator(solver)
-    first = [solver.solve(vec), solver.solve(block), operator.apply(vec),
-             leader_gradient(grad_policy, vec, factors, operator=operator),
-             leader_gradient(grad_policy, vec, factors, operator=operator,
-                             use_dual_row=False)]
-    again = [solver.solve(vec), solver.solve(block), operator.apply(vec),
-             leader_gradient(grad_policy, vec, factors, operator=operator),
-             leader_gradient(grad_policy, vec, factors, operator=operator,
-                             use_dual_row=False)]
+
+    def applied(rhs):
+        return dual_corrected(solver.solve, rhs, factors.dual_coupling,
+                              factors.lam, factors.dual_slope)
+
+    first = [solver.solve(vec), solver.solve(block), applied(vec),
+             leader_gradient(grad_policy, vec, factors),
+             leader_gradient(grad_policy, vec, factors, use_dual_row=False)]
+    again = [solver.solve(vec), solver.solve(block), applied(vec),
+             leader_gradient(grad_policy, vec, factors),
+             leader_gradient(grad_policy, vec, factors, use_dual_row=False)]
 
     for name, before in kept.items():
         assert np.array_equal(getattr(factors, name), before), name

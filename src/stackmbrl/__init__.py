@@ -5,9 +5,8 @@ from .dynamics import (DynamicsState, DynamicsTrace, LearningRates,
                        SmoothGame, run_dynamics, step_constrained,
                        step_naive, step_stackelberg)
 from .mdp import (ContinuousMdp, NoisyDeployment, TabularMdp, Trajectory,
-                  dp_values, exact_return, normalized_occupancy,
-                  sample_tabular_batch, sample_trajectory,
-                  simulation_gap_and_bound)
+                  dp_values, exact_return, sample_tabular_batch,
+                  sample_trajectory)
 from .models import (CategoricalWorldModel, DiagGaussianPolicy,
                      DiagGaussianWorldModel, OfflineDataset, SoftmaxPolicy,
                      SupportError, mle_fit, rollout_dataset,
@@ -37,9 +36,9 @@ __all__ = [
     "episode_returns", "epsilon_gaussian", "epsilon_tabular",
     "exact_return", "initial_state",
     "kl_to_anchor", "leader_gradient", "load_checkpoint", "mle_fit",
-    "normalized_occupancy", "robust_evaluate", "rollout_dataset",
+    "robust_evaluate", "rollout_dataset",
     "run_dynamics", "sample_offline_dataset", "sample_tabular_batch",
-    "sample_trajectory", "save_checkpoint", "simulation_gap_and_bound",
+    "sample_trajectory", "save_checkpoint",
     "step_constrained", "step_naive", "step_stackelberg", "train",
     "train_critic", "train_iteration", "worst_case_return",
     "SingularScalarError",

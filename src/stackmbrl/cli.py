@@ -25,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -82,91 +82,27 @@ ALGO_CHOICES = DYNAMICS_MODES + ("vanilla",)
 
 
 # ---------------------------------------------------------------------------
-# manifests and reports
+# manifests
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record for one subcommand invocation.
-
-    Wall-clock timestamps live in the run.log sidecar, not here, so the
-    manifest itself is a pure function of (subcommand, config, seed).
-    """
-
-    manifest_id: str
-    subcommand: str
-    config: dict
-    seed: int
-    code_version: str
-    results: dict = field(default_factory=dict)
-    timestamps: str = "recorded in run.log"
-
-    def to_dict(self) -> dict:
-        return {"manifest_id": self.manifest_id, "subcommand": self.subcommand,
-                "config": self.config, "seed": self.seed,
-                "code_version": self.code_version, "results": self.results,
-                "timestamps": self.timestamps}
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1,
-                                         sort_keys=True))
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def make_manifest(subcommand: str, config: dict, seed: int,
-                  results: dict | None = None) -> RunManifest:
+def save_manifest(out: Path, subcommand: str, config: dict, seed: int,
+                  results: dict) -> str:
+    """Write the reproducibility record of one subcommand invocation and
+    return its id. Wall-clock timestamps live in the run.log sidecar, not
+    here, so the manifest is a pure function of (subcommand, config, seed)
+    and the results."""
     key = json.dumps([subcommand, config, seed], sort_keys=True, default=str)
     manifest_id = hashlib.sha256(key.encode()).hexdigest()[:12]
-    return RunManifest(manifest_id=manifest_id, subcommand=subcommand,
-                       config=config, seed=seed, code_version=code_version(),
-                       results=results or {})
-
-
-@dataclass
-class EvalReport:
-    """Paired deployment evaluation: one clean and one noisy return per
-    episode, produced from identical random streams."""
-
-    noise_fraction: float
-    episodes: int
-    clean_returns: list
-    noisy_returns: list
-    manifest_id: str = ""
-
-    def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("need at least one evaluation episode")
-        if not (len(self.clean_returns) == len(self.noisy_returns)
-                == self.episodes):
-            raise ValueError("per-episode returns must match episode count")
-
-    @property
-    def clean_mean(self) -> float:
-        return float(np.mean(self.clean_returns))
-
-    @property
-    def noisy_mean(self) -> float:
-        return float(np.mean(self.noisy_returns))
-
-    @property
-    def degradation(self) -> float:
-        return self.clean_mean - self.noisy_mean
-
-    def to_dict(self) -> dict:
-        return {"noise_fraction": self.noise_fraction,
-                "episodes": self.episodes,
-                "clean_returns": self.clean_returns,
-                "noisy_returns": self.noisy_returns,
-                "clean_mean": self.clean_mean,
-                "clean_std": float(np.std(self.clean_returns)),
-                "noisy_mean": self.noisy_mean,
-                "noisy_std": float(np.std(self.noisy_returns)),
-                "degradation": self.degradation,
-                "manifest_id": self.manifest_id}
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1,
-                                         sort_keys=True))
+    _write_json(out / "manifest.json", {
+        "manifest_id": manifest_id, "subcommand": subcommand,
+        "config": config, "seed": seed, "code_version": code_version(),
+        "results": results, "timestamps": "recorded in run.log"})
+    return manifest_id
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +199,9 @@ def cmd_gen_data(args) -> int:
     dataset.save_csv(out / "dataset.csv")
     config = {"env": args.env, "behavior": args.behavior,
               "greedy_eps": args.greedy_eps, "n": args.n}
-    manifest = make_manifest("gen-data", config, args.seed,
-                             {"behavior_tier": tier, "rows": dataset.n,
-                              "distinct_cells": dataset.num_cells()})
-    manifest.save(out / "manifest.json")
+    save_manifest(out, "gen-data", config, args.seed,
+                  {"behavior_tier": tier, "rows": dataset.n,
+                   "distinct_cells": dataset.num_cells()})
     _write_log(out, started)
     print(f"wrote {dataset.n} transitions ({tier}) to {out / 'dataset.csv'}")
     return 0
@@ -291,8 +226,7 @@ def cmd_fit_model(args) -> int:
         results["radius_refused"] = str(err)
     config = {"env": args.env, "dataset": str(args.dataset),
               "alpha": args.alpha, "delta": args.delta}
-    manifest = make_manifest("fit-model", config, args.seed, results)
-    manifest.save(out / "manifest.json")
+    save_manifest(out, "fit-model", config, args.seed, results)
     _write_log(out, started)
     print(f"fitted anchor ({anchor.n_params} params) from {dataset.n} rows"
           + (f", radius {results['radius']:.5f}" if "radius" in results
@@ -328,14 +262,12 @@ def cmd_train(args) -> int:
 
     # Fold a manifest id and the subcommand context into the run manifest.
     run_manifest = json.loads((out / "manifest.json").read_text())
-    manifest = make_manifest("train", run_manifest["config"], config.seed,
-                             {"iterations_run": state.iteration,
-                              "environment": run_manifest["environment"],
-                              "dataset_rows": run_manifest["dataset_rows"],
-                              "final_lam": state.lam,
-                              "final_kl": dataset_kl(dataset, state.model,
-                                                     anchor)})
-    manifest.save(out / "manifest.json")
+    save_manifest(out, "train", run_manifest["config"], config.seed,
+                  {"iterations_run": state.iteration,
+                   "environment": run_manifest["environment"],
+                   "dataset_rows": run_manifest["dataset_rows"],
+                   "final_lam": state.lam,
+                   "final_kl": dataset_kl(dataset, state.model, anchor)})
     _write_log(out, started)
     aborted = int(sum(row["aborted"] for row in trace.rows))
     route = "vanilla/" if args.algo == "vanilla" else ""
@@ -363,24 +295,25 @@ def cmd_evaluate(args) -> int:
                                  model_template)
     out = _prepare_out(args, "evaluate")
     policy = checkpoint["policy"]
-    clean = episode_returns(env, policy, 0.0, args.episodes,
-                            seed=args.seed).tolist()
+    clean = episode_returns(env, policy, 0.0, args.episodes, seed=args.seed)
     noisy = episode_returns(env, policy, args.rho, args.episodes,
-                            seed=args.seed).tolist()
+                            seed=args.seed)
     config = {"env": args.env, "checkpoint": str(args.checkpoint),
               "rho": args.rho, "episodes": args.episodes}
-    manifest = make_manifest("evaluate", config, args.seed)
-    report = EvalReport(noise_fraction=args.rho, episodes=args.episodes,
-                        clean_returns=clean, noisy_returns=noisy,
-                        manifest_id=manifest.manifest_id)
-    manifest.results = {"clean_mean": report.clean_mean,
-                        "noisy_mean": report.noisy_mean,
-                        "degradation": report.degradation}
-    report.save(out / "eval_report.json")
-    manifest.save(out / "manifest.json")
+    means = {"clean_mean": float(clean.mean()),
+             "noisy_mean": float(noisy.mean())}
+    means["degradation"] = means["clean_mean"] - means["noisy_mean"]
+    manifest_id = save_manifest(out, "evaluate", config, args.seed, means)
+    # one clean and one noisy return per episode, from identical streams
+    _write_json(out / "eval_report.json", {
+        "noise_fraction": args.rho, "episodes": args.episodes,
+        "clean_returns": clean.tolist(), "noisy_returns": noisy.tolist(),
+        "clean_std": float(clean.std()), "noisy_std": float(noisy.std()),
+        "manifest_id": manifest_id, **means})
     _write_log(out, started)
-    print(f"clean {report.clean_mean:.4f}, noisy {report.noisy_mean:.4f}, "
-          f"degradation {report.degradation:.4f} over {args.episodes} episodes")
+    print(f"clean {means['clean_mean']:.4f}, noisy {means['noisy_mean']:.4f}, "
+          f"degradation {means['degradation']:.4f} over {args.episodes} "
+          "episodes")
     return 0
 
 
@@ -523,12 +456,10 @@ def cmd_grad_check(args) -> int:
         print(f"{name:16s} check without an exposed estimator  FAIL")
     ok = (not missing and not extra
           and all(err <= GRAD_CHECK_TOL for err in errors.values()))
-    manifest = make_manifest("grad-check", {"tolerance": GRAD_CHECK_TOL},
-                             args.seed, {"errors": errors, "passed": ok})
-    manifest.save(out / "manifest.json")
-    (out / "grad_check.json").write_text(json.dumps(
-        {"errors": errors, "tolerance": GRAD_CHECK_TOL, "passed": ok},
-        indent=1, sort_keys=True))
+    save_manifest(out, "grad-check", {"tolerance": GRAD_CHECK_TOL},
+                  args.seed, {"errors": errors, "passed": ok})
+    _write_json(out / "grad_check.json",
+                {"errors": errors, "tolerance": GRAD_CHECK_TOL, "passed": ok})
     _write_log(out, started)
     print("grad-check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -545,16 +476,14 @@ def cmd_coverage(args) -> int:
     if not isinstance(env, TabularMdp):
         raise ValueError("coverage resampling is defined for tabular "
                          "environments")
-    out = _prepare_out(args, "coverage")
     report = coverage_check(env, "uniform", n_transitions=args.n,
                             delta=args.delta, n_trials=args.trials,
                             seed=args.seed)
+    out = _prepare_out(args, "coverage")
     report.save(out / "coverage.json")
     config = {"env": args.env, "n": args.n, "delta": args.delta,
               "trials": args.trials}
-    manifest = make_manifest("coverage", config, args.seed,
-                             report.to_dict())
-    manifest.save(out / "manifest.json")
+    save_manifest(out, "coverage", config, args.seed, report.to_dict())
     _write_log(out, started)
     print(f"coverage {report.coverage:.4f} vs threshold "
           f"{report.threshold:.4f}: {'PASS' if report.passed else 'FAIL'}")
@@ -563,7 +492,6 @@ def cmd_coverage(args) -> int:
 
 def cmd_dynamics_demo(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "dynamics-demo")
     mode = args.algo
     game = coupling_game()
     rates = LearningRates(1e-2, 1e-3, 1e-4)
@@ -571,16 +499,16 @@ def cmd_dynamics_demo(args) -> int:
     final, trace = run_dynamics(game, init, rates, mode=mode,
                                 n_steps=args.steps,
                                 record_every=max(1, args.steps // 500))
+    out = _prepare_out(args, "dynamics-demo")
     trace.save_csv(out / "dynamics_trace.csv")
     target = coupling_kkt()
     config = {"mode": mode, "steps": args.steps}
-    manifest = make_manifest("dynamics-demo", config, args.seed, {
+    save_manifest(out, "dynamics-demo", config, args.seed, {
         "final_theta": float(final.theta[0]),
         "final_phi": float(final.phi[0]),
         "final_lam": final.lam,
         "reference_rest_point": [float(v) for v in target],
     })
-    manifest.save(out / "manifest.json")
     _write_log(out, started)
     print(f"{mode}: reached (theta, phi, lam) = ({final.theta[0]:.4f}, "
           f"{final.phi[0]:.4f}, {final.lam:.4f}) after {args.steps} steps; "

@@ -123,9 +123,6 @@ class SmoothGame:
     def gap(self, phi) -> float:
         return float(self.constraint_gap(np.atleast_1d(phi)))
 
-    def lagrangian(self, theta, phi, lam: float) -> float:
-        return self.j(theta, phi) + lam * self.gap(phi)
-
     def d_theta(self, theta, phi) -> np.ndarray:
         if self.grad_theta is not None:
             return np.atleast_1d(np.asarray(self.grad_theta(theta, phi), dtype=float))
@@ -313,13 +310,11 @@ class DynamicsTrace:
 
 def run_dynamics(game: SmoothGame, init: DynamicsState, rates: LearningRates,
                  mode: str = "constrained", n_steps: int = 1000,
-                 stop: Callable[[DynamicsState], bool] | None = None,
                  record_every: int = 1) -> tuple[DynamicsState, DynamicsTrace]:
     """Iterate one update rule for ``n_steps`` (>= 1).
 
-    With the default ``record_every=1`` the trace holds the initial state
-    plus one entry per completed step; ``record_every=0`` disables tracing
-    for long convergence runs. Non-finite iterates abort with the offending
+    The trace holds the initial state plus every ``record_every``-th
+    (>= 1) completed step. Non-finite iterates abort with the offending
     iteration index.
     """
     if mode not in STEPPERS:
@@ -330,17 +325,13 @@ def run_dynamics(game: SmoothGame, init: DynamicsState, rates: LearningRates,
     stepper = STEPPERS[mode]
     state = init.copy()
     trace = DynamicsTrace()
-    if record_every:
-        trace.record(game, state)
+    trace.record(game, state)
     for k in range(n_steps):
         state = stepper(game, state, rates)
         if not (np.isfinite(state.theta).all() and np.isfinite(state.phi).all()
                 and np.isfinite(state.lam)):
             raise FloatingPointError(
                 f"iterates became non-finite at iteration {state.iteration}")
-        if record_every and (k + 1) % record_every == 0:
+        if (k + 1) % record_every == 0:
             trace.record(game, state)
-        if stop is not None and stop(state):
-            break
     return state, trace
-

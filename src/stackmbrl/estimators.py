@@ -27,15 +27,8 @@ GAE_LAMBDA_DEFAULT = 0.95
 
 
 # ---------------------------------------------------------------------------
-# step weights and score stacks
+# score tables
 # ---------------------------------------------------------------------------
-
-
-def discounted_weights(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """w_t = sum_{j >= t} gamma^j r_j for a (n, h) reward batch."""
-    rewards = np.atleast_2d(np.asarray(rewards, dtype=float))
-    disc = rewards * gamma ** np.arange(rewards.shape[1])
-    return disc[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def policy_score_table(policy: SoftmaxPolicy) -> np.ndarray:

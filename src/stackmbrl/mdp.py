@@ -30,6 +30,19 @@ class SamplingError(RuntimeError):
     """A rollout hit a non-finite model output or an invalid distribution."""
 
 
+def read_json_object(path: str | Path, keys) -> dict:
+    """The JSON object stored at ``path``; a ``ValueError`` names the file
+    and any of ``keys`` it lacks."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got "
+                         f"{type(payload).__name__}")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+    return payload
+
+
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
@@ -129,9 +142,11 @@ class TabularMdp:
 
     @staticmethod
     def load(path: str | Path) -> "TabularMdp":
-        d = json.loads(Path(path).read_text())
-        if d.get("kind") != "tabular":
-            raise ValueError(f"not a tabular MDP file: kind={d.get('kind')!r}")
+        d = read_json_object(path, ("kind", "transition", "reward_values",
+                                    "reward_probs", "init_dist", "gamma",
+                                    "horizon"))
+        if d["kind"] != "tabular":
+            raise ValueError(f"not a tabular MDP file: kind={d['kind']!r}")
         return TabularMdp(
             transition=np.array(d["transition"]),
             reward_values=np.array(d["reward_values"]),
@@ -204,7 +219,6 @@ class Trajectory:
     rewards: (T,)
     logp_policy: log pi(a_t | s_t) at generation time, (T,)
     logp_model:  log P(r_t, s_{t+1} | s_t, a_t) at generation time, (T,)
-    outcomes: packed outcome indices (T,), tabular only
     """
 
     states: np.ndarray
@@ -212,7 +226,6 @@ class Trajectory:
     rewards: np.ndarray
     logp_policy: np.ndarray
     logp_model: np.ndarray
-    outcomes: np.ndarray | None = None
     truncated_early: bool = False
 
     def __post_init__(self):
@@ -251,11 +264,24 @@ def _parse_state(text: str):
     return vec if vec.size > 1 or "." in text or "e" in text else int(vec[0])
 
 
+TRANSITION_COLUMNS = ("episode", "t", "s", "a", "r", "s_next", "logp_policy",
+                      "logp_model")
+
+
 def load_transitions_csv(path: str | Path) -> list[dict]:
-    """Read back transition rows; states/actions parsed to ints or vectors."""
+    """Read back transition rows; states/actions parsed to ints or vectors.
+    A ``ValueError`` names the file and a missing column or a short row."""
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in TRANSITION_COLUMNS
+                   if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path}: line {reader.line_num} has too "
+                                 "few fields")
             rows.append({
                 "episode": int(row["episode"]),
                 "t": int(row["t"]),
@@ -301,14 +327,6 @@ class NoisyDeployment:
     def __post_init__(self):
         if self.noise_fraction < 0:
             raise ValueError("noise fraction must be non-negative")
-
-    @property
-    def gamma(self) -> float:
-        return self.inner.gamma
-
-    @property
-    def horizon(self) -> int:
-        return self.inner.horizon
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         return self.inner.reset(rng)
@@ -386,28 +404,6 @@ def transition_marginal(joint: np.ndarray, outcome_next: np.ndarray,
     """(S, A, S) next-state marginal of a joint outcome table."""
     onehot = np.eye(num_states)[outcome_next]  # (K, S)
     return joint @ onehot
-
-
-def per_step_occupancy(mdp: TabularMdp, policy, model="true") -> np.ndarray:
-    """d[t, s, a]: probability of being at (s, a) at step t, t = 0 .. h-1."""
-    probs = _policy_probs(policy, mdp)
-    joint, _, out_s = _model_tables(model, mdp)
-    trans = transition_marginal(joint, out_s, mdp.num_states)
-    d_state = mdp.init_dist.copy()
-    rows = []
-    for _ in range(mdp.horizon):
-        d_sa = d_state[:, None] * probs
-        rows.append(d_sa)
-        d_state = np.einsum("sa,sau->u", d_sa, trans)
-    return np.array(rows)
-
-
-def normalized_occupancy(mdp: TabularMdp, policy, model="true") -> np.ndarray:
-    """Discount-weighted state-action occupancy, normalized to sum to 1."""
-    d = per_step_occupancy(mdp, policy, model)
-    weights = mdp.gamma ** np.arange(mdp.horizon)
-    mix = np.tensordot(weights, d, axes=1)
-    return mix / weights.sum()
 
 
 def dp_optimal_policy(mdp: TabularMdp) -> np.ndarray:
@@ -516,7 +512,6 @@ def batch_to_trajectories(batch: dict) -> list[Trajectory]:
             rewards=batch["rewards"][i],
             logp_policy=batch["logp_policy"][i],
             logp_model=batch["logp_model"][i],
-            outcomes=batch["outcomes"][i],
         )
         for i in range(n)
     ]
@@ -584,23 +579,3 @@ def env_log_prob(env: ContinuousMdp, s, a, s_next, reward) -> float:
     return float(-0.5 * (z ** 2).sum() - np.log(env.std).sum()
                  - 0.5 * y.size * np.log(2.0 * np.pi))
 
-
-def simulation_gap_and_bound(mdp: TabularMdp, policy, model_a,
-                             model_b) -> tuple[float, float]:
-    """Exact value gap between two models and its occupancy-weighted bound.
-
-    Returns (J_a - J_b, bound) with
-
-        bound = (1 / (1 - gamma)^2) * E_{d_a}[TV(P_a(.|s,a), P_b(.|s,a))],
-
-    where d_a is the discount-normalized occupancy under (policy, model_a)
-    and TV is the half-L1 distance over the joint (r, s') outcome alphabet.
-    Both sides are computed exactly, no sampling.
-    """
-    gap = exact_return(mdp, policy, model_a) - exact_return(mdp, policy, model_b)
-    joint_a, _, _ = _model_tables(model_a, mdp)
-    joint_b, _, _ = _model_tables(model_b, mdp)
-    occupancy = normalized_occupancy(mdp, policy, model_a)
-    tv = 0.5 * np.abs(joint_a - joint_b).sum(axis=2)
-    bound = float((occupancy * tv).sum()) / (1.0 - mdp.gamma) ** 2
-    return float(gap), bound

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import TabularMdp
+from .mdp import TabularMdp, read_json_object
 from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
@@ -89,7 +89,7 @@ class ParamVector:
 
     @staticmethod
     def load(path: str | Path) -> "ParamVector":
-        d = json.loads(Path(path).read_text())
+        d = read_json_object(path, ("values", "layout"))
         layout = tuple((n, int(a), int(b)) for n, a, b in d["layout"])
         return ParamVector(np.array(d["values"]), layout)
 
@@ -542,12 +542,11 @@ class OfflineDataset:
         return len(self.cells[2])
 
     def save_csv(self, path: str | Path) -> None:
-        from .mdp import _format_state
+        from .mdp import TRANSITION_COLUMNS, _format_state
         with open(path, "w", newline="") as fh:
             import csv as _csv
             writer = _csv.writer(fh)
-            writer.writerow(["episode", "t", "s", "a", "r", "s_next",
-                             "logp_policy", "logp_model"])
+            writer.writerow(TRANSITION_COLUMNS)
             for i in range(self.n):
                 writer.writerow([0, i, _format_state(self.states[i]),
                                  _format_state(self.actions[i]),
@@ -727,39 +726,28 @@ def _mle_linear_gaussian(
 # ---------------------------------------------------------------------------
 
 
-def sample_offline_dataset(mdp: TabularMdp, policy, n: int, seed=0,
-                           state_dist: np.ndarray | None = None) -> OfflineDataset:
-    """I.i.d. behavior dataset: s from ``state_dist`` (uniform by default),
-    a from the behavior policy, (r, s') from the true environment. The
-    one-dataset case of ``_offline_sampler``."""
-    rows = _offline_sampler(mdp, policy, n, state_dist)([seed])
+def sample_offline_dataset(mdp: TabularMdp, policy, n: int,
+                           seed=0) -> OfflineDataset:
+    """I.i.d. behavior dataset: s uniform over the states, a from the
+    behavior policy, (r, s') from the true environment. The one-dataset
+    case of ``_offline_sampler``."""
+    rows = _offline_sampler(mdp, policy, n)([seed])
     return _offline_dataset(mdp, *rows)
 
 
-def _offline_sampler(mdp: TabularMdp, policy, n: int,
-                     state_dist: np.ndarray | None = None):
+def _offline_sampler(mdp: TabularMdp, policy, n: int):
     """``sample(seeds, mapper=map)``: (states, actions, outcome codes) of one
     ``n``-row behavior dataset per seed, concatenated in seed order. Each
     seed's generator draws states, then action and then outcome uniforms, as
     ``mapper`` runs it. The lookups then run once over all the rows, in
     normalised CDF tables taken once: a row of one is the same before or
     after a gather. Each draw is the one ``rng.choice(K, p=row)`` makes from
-    the same uniform. States are drawn as ``rng.choice(S, size=n,
-    p=state_dist)`` draws them, bit for bit, by a search with
-    ``side="right"``, with ``state_dist`` checked once as ``choice`` checks
-    ``p``."""
+    the same uniform. States are drawn as ``rng.choice(S, size=n, p=p)``
+    draws them from the uniform ``p``, bit for bit, by a search with
+    ``side="right"``."""
     from .mdp import (_as_rng, _categorical_lookup, _normalised_cdf,
                       _policy_probs)
-    if state_dist is None:
-        state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
-    state_dist = np.asarray(state_dist, dtype=float)
-    total = state_dist.sum()
-    if (state_dist.shape != (mdp.num_states,) or np.isnan(total)
-            or (state_dist < 0.0).any()
-            or abs(total - 1.0) > np.sqrt(np.finfo(float).eps)):
-        raise ValueError(f"state_dist must be {mdp.num_states} non-negative "
-                         "probabilities summing to 1")
-    state_cdf = _normalised_cdf(state_dist)
+    state_cdf = _normalised_cdf(np.full(mdp.num_states, 1.0 / mdp.num_states))
     policy_cdf = _normalised_cdf(_policy_probs(policy, mdp))
     outcome_cdf = _normalised_cdf(mdp.joint_outcome_probs())
 

@@ -2,12 +2,8 @@
 
 Everything here is an independent evaluation route: expectations are computed
 by exhaustive trajectory enumeration (or closed-form dataset sums), never by
-the sampling estimators they are used to verify.
-
-Softmax-block analytic facts used throughout (per cell probability row p):
-  score(k)            = e_k - p
-  hess log P(k)       = -(diag(p) - p p^T)      (independent of k)
-  hess P(k) / P(k)    = score(k) score(k)^T - (diag(p) - p p^T)
+the sampling estimators they are used to verify. A softmax cell with
+probability row p has score(k) = e_k - p.
 """
 
 from __future__ import annotations
@@ -105,7 +101,8 @@ def enumerate_paths(mdp: TabularMdp, policy, model):
 
 @dataclass
 class ExactExpectations:
-    """Exact values of every trajectory-side expectation the estimators target."""
+    """Exact values of the trajectory-side expectations ``grad-check``
+    compares the estimators against."""
 
     j: float
     grad_policy: np.ndarray          # E[grad_theta Psi]
@@ -113,39 +110,20 @@ class ExactExpectations:
     mixed: np.ndarray                # E[grad_phi Psi * (grad_theta log P(tau))^T]
     uv: np.ndarray                   # E[grad_phi Psi * (grad_phi log P(tau))^T]
     xy: np.ndarray                   # sum_t E[w_t * score_t score_t^T]
-    hess_psi: np.ndarray             # E[hess_phi Psi]  (exact log-prob Hessians)
-    substitution_error: np.ndarray   # E[sum_t w_t * hessP(k_t)/P(k_t)]
-    immediate_error: np.ndarray      # same, with w_t replaced by gamma^t r_t
     total_prob: float
-
-    @property
-    def fim_hess_j(self) -> np.ndarray:
-        """FIM-substituted hess_phi J (what UV^T - XY^T estimates)."""
-        return self.uv - self.xy
-
-
-def _softmax_cov(p: np.ndarray) -> np.ndarray:
-    return np.diag(p) - np.outer(p, p)
 
 
 def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
                        model: CategoricalWorldModel) -> ExactExpectations:
     """Enumerate P(tau; theta, phi) exactly and accumulate all expectations."""
-    s_n, a_n, k_n = model.logits.shape
     n_theta = policy.n_params
     n_phi = model.n_params
     h = mdp.horizon
     gammas = mdp.gamma ** np.arange(h)
 
-    mod_probs = model.probs_all()
     pol_scores = policy_score_table(policy)
     mod_scores = model_score_table(model)
     fim_blocks = mod_scores[..., :, None] * mod_scores[..., None, :]
-    cov_blocks = np.zeros((s_n, a_n, n_phi, n_phi))
-    for s, a in np.ndindex(s_n, a_n):
-        start = (s * a_n + a) * k_n
-        cov_blocks[s, a, start:start + k_n, start:start + k_n] = _softmax_cov(
-            mod_probs[s, a])
 
     j = 0.0
     total = 0.0
@@ -154,38 +132,24 @@ def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
     mixed = np.zeros((n_phi, n_theta))
     uv = np.zeros((n_phi, n_phi))
     xy = np.zeros((n_phi, n_phi))
-    hess_psi = np.zeros((n_phi, n_phi))
-    sub_err = np.zeros((n_phi, n_phi))
-    imm_err = np.zeros((n_phi, n_phi))
 
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
         total += prob
-        disc = gammas * rewards
-        w = disc[::-1].cumsum()[::-1]  # w_t = sum_{j >= t} gamma^j r_j
+        w = (gammas * rewards)[::-1].cumsum()[::-1]  # w_t = sum_{j >= t} gamma^j r_j
         s_idx, a_idx = states[:-1], actions
         theta_steps = pol_scores[s_idx, a_idx]              # (h, n_theta)
         phi_steps = mod_scores[s_idx, a_idx, outcomes]      # (h, n_phi)
-        psi_theta = w @ theta_steps
         psi_phi = w @ phi_steps
-        traj_theta = theta_steps.sum(axis=0)
-        traj_phi = phi_steps.sum(axis=0)
-        fims = fim_blocks[s_idx, a_idx, outcomes]           # (h, n_phi, n_phi)
-        covs = cov_blocks[s_idx, a_idx]                     # (h, n_phi, n_phi)
 
         j += prob * w[0]
-        grad_policy += prob * psi_theta
+        grad_policy += prob * (w @ theta_steps)
         grad_model += prob * psi_phi
-        mixed += prob * np.outer(psi_phi, traj_theta)
-        uv += prob * np.outer(psi_phi, traj_phi)
-        xy += prob * np.tensordot(w, fims, axes=1)
-        hess_psi += prob * np.tensordot(w, -covs, axes=1)
-        sub_err += prob * np.tensordot(w, fims - covs, axes=1)
-        imm_err += prob * np.tensordot(disc, fims - covs, axes=1)
+        mixed += prob * np.outer(psi_phi, theta_steps.sum(axis=0))
+        uv += prob * np.outer(psi_phi, phi_steps.sum(axis=0))
+        xy += prob * np.tensordot(w, fim_blocks[s_idx, a_idx, outcomes], axes=1)
 
     return ExactExpectations(j=j, grad_policy=grad_policy, grad_model=grad_model,
-                             mixed=mixed, uv=uv, xy=xy, hess_psi=hess_psi,
-                             substitution_error=sub_err, immediate_error=imm_err,
-                             total_prob=total)
+                             mixed=mixed, uv=uv, xy=xy, total_prob=total)
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +161,18 @@ def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
 class ExactPenaltyTerms:
     score_mean: np.ndarray      # E_{(s,a)~D, k~anchor}[grad_phi log P_phi]
     fim_mean: np.ndarray        # E_{(s,a)~D, k~anchor}[score score^T]
-    hess_log_mean: np.ndarray   # E_{(s,a)~D, k~anchor}[hess_phi log P_phi]
     kl_mean: float              # E_{(s,a)~D}[KL(anchor || model)]
 
 
 def exact_penalty_terms(dataset: OfflineDataset, model: CategoricalWorldModel,
                         anchor: CategoricalWorldModel) -> ExactPenaltyTerms:
-    s_n, a_n, k_n = model.logits.shape
+    _, a_n, k_n = model.logits.shape
     n_phi = model.n_params
     counts = dataset.cell_counts()
     mod_probs = model.probs_all()
     anc_probs = anchor.probs_all()
     score_mean = np.zeros(n_phi)
     fim_mean = np.zeros((n_phi, n_phi))
-    hess_log_mean = np.zeros((n_phi, n_phi))
     kl_mean = 0.0
     for (s, a), count in counts.items():
         weight = count / dataset.n
@@ -218,14 +180,12 @@ def exact_penalty_terms(dataset: OfflineDataset, model: CategoricalWorldModel,
         pbar = anc_probs[s, a]
         start = (s * a_n + a) * k_n
         score_mean[start:start + k_n] += weight * (pbar - p)
-        cov = _softmax_cov(p)
         # E_{k~pbar}[(e_k - p)(e_k - p)^T] = diag(pbar) - pbar p^T - p pbar^T + p p^T
         fim = (np.diag(pbar) - np.outer(pbar, p) - np.outer(p, pbar)
                + np.outer(p, p))
         fim_mean[start:start + k_n, start:start + k_n] += weight * fim
-        hess_log_mean[start:start + k_n, start:start + k_n] += weight * (-cov)
         kl_mean += weight * categorical_kl(pbar, p)
-    return ExactPenaltyTerms(score_mean, fim_mean, hess_log_mean, kl_mean)
+    return ExactPenaltyTerms(score_mean, fim_mean, kl_mean)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,10 @@ constant).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from .dynamics import SmoothGame
-from .mdp import ContinuousMdp, TabularMdp
+from .mdp import ContinuousMdp, TabularMdp, read_json_object
 from .models import (LOGIT_FLOOR, CategoricalWorldModel, DiagGaussianPolicy,
                      SoftmaxPolicy)
 
@@ -256,8 +253,8 @@ def continuous_from_dict(payload: dict) -> ContinuousMdp:
 
 def load_environment(path) -> TabularMdp | ContinuousMdp:
     """Load either environment kind from its JSON file."""
-    payload = json.loads(Path(path).read_text())
-    kind = payload.get("kind")
+    payload = read_json_object(path, ("kind",))
+    kind = payload["kind"]
     if kind == "tabular":
         return TabularMdp.load(path)
     if kind == "continuous":

@@ -46,6 +46,7 @@ from .mdp import (
     TabularMdp,
     dp_values,
     exact_return,
+    read_json_object,
     sample_tabular_batch,
     sample_trajectory,
 )
@@ -245,7 +246,7 @@ class ReplayBuffer:
     """FIFO store of rollout batches. Capacity counts whole batches, not
     transitions."""
 
-    def __init__(self, capacity: int = 10):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("buffer capacity must be at least one batch")
         self.capacity = capacity
@@ -371,7 +372,7 @@ class TrainerConfig:
 
     @staticmethod
     def load(path) -> "TrainerConfig":
-        return TrainerConfig.from_dict(json.loads(Path(path).read_text()))
+        return TrainerConfig.from_dict(read_json_object(path, ()))
 
 
 def _check_fields(cls, payload: dict) -> None:
@@ -439,14 +440,6 @@ class TrainingTrace:
     def append(self, row: dict) -> None:
         self.rows.append({name: row.get(name, float("nan"))
                           for name in TRACE_COLUMNS})
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS:
-            raise KeyError(name)
-        return np.array([row[name] for row in self.rows])
 
     def save_csv(self, path) -> None:
         import csv
@@ -795,7 +788,8 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path, policy_template, model_template) -> dict:
     """Rehydrate a checkpoint against templates carrying the right shapes."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(path, ("iteration", "lam", "policy", "model",
+                                      "critic"))
     return {
         "iteration": int(payload["iteration"]),
         "lam": float(payload["lam"]),

@@ -222,10 +222,6 @@ class LowRankFactors:
     def n_atoms(self) -> int:
         return self.atoms.cells.size
 
-    @property
-    def n_theta(self) -> int:
-        return self.w.shape[0]
-
     def _dense(self, coef: np.ndarray) -> np.ndarray:
         out = self.atoms.expand(coef)
         out.flags.writeable = False
@@ -242,10 +238,6 @@ class LowRankFactors:
         oracle for comparisons."""
         return (self.u @ self.v.T - self.x @ self.y.T + self.z @ self.z.T
                 + self.ridge * np.eye(self.n_phi))
-
-    def dense_mixed(self) -> np.ndarray:
-        """Explicit mixed-curvature estimate U W^T (n_phi x n_theta)."""
-        return self.u @ self.w.T
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:

@@ -8,9 +8,15 @@ never form them.
 
 import numpy as np
 
-from stackmbrl.estimators import discounted_weights
 from stackmbrl.models import (CategoricalWorldModel, OfflineDataset,
                               SoftmaxPolicy, categorical_kl)
+
+
+def discounted_weights(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """w_t = sum_{j >= t} gamma^j r_j for a (n, h) reward batch."""
+    rewards = np.atleast_2d(np.asarray(rewards, dtype=float))
+    disc = rewards * gamma ** np.arange(rewards.shape[1])
+    return disc[:, ::-1].cumsum(axis=1)[:, ::-1]
 
 
 def psi_gradients(weights: np.ndarray, step_scores: np.ndarray) -> np.ndarray:

@@ -88,12 +88,27 @@ def test_coverage_exit_code_follows_report(tmp_path):
 
 
 # {(run name, file): sha256} of the files the seeded runs in
-# ``test_coverage_and_fit_artifacts_match_recorded_digests`` write.
+# ``test_coverage_and_fit_artifacts_match_recorded_digests`` and
+# ``test_evaluate_grad_check_and_demo_artifacts_match_recorded_digests``
+# write. Each holds with the BLAS library's default thread count and with
+# one thread.
 CLI_DIGESTS = {
     ("cov", "coverage.json"): "e495c255b9680a681b2207063a169e222bca2a6e2ead342e4e767027eaf51ce9",
     ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
     ("fit", "model.json"): "f4fd7f59c1b97347915317cfed7cac0e5f432075e65cb6e2cdd1ba76569b1c05",
+    ("eval", "eval_report.json"): "21d2e2d820102286ff3f8d02823e4eff68225f6d3bdd09d6a80a7a06af803274",
+    ("gc", "grad_check.json"): "767cec41b76bb3775a685aecee865b1acfa70339f16a2e217745c3b27e7c3f3f",
+    ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
+    ("demo-stackelberg", "dynamics_trace.csv"): "bc0404fb2ba4bbd6d3b1b9c6c89a09ee1e7cd949551ef91b530003153049bb4d",
+    ("demo-constrained", "dynamics_trace.csv"): "42b4362569840548883f90849bea4429adcb627f57da58ddba7516ce3941e9b1",
 }
+
+
+def assert_recorded_digests(root, *names):
+    for (name, file), digest in CLI_DIGESTS.items():
+        if name in names:
+            assert hashlib.sha256((root / name / file).read_bytes()) \
+                .hexdigest() == digest, (name, file)
 
 
 def test_coverage_and_fit_artifacts_match_recorded_digests(tmp_path):
@@ -110,9 +125,29 @@ def test_coverage_and_fit_artifacts_match_recorded_digests(tmp_path):
     code, _ = run(tmp_path, "fit", "fit-model", "--env", "gradient",
                   "--dataset", str(data / "dataset.csv"))
     assert code == 0
-    for (name, file), digest in CLI_DIGESTS.items():
-        assert hashlib.sha256((tmp_path / name / file).read_bytes()) \
-            .hexdigest() == digest, file
+    assert_recorded_digests(tmp_path, "cov", "data", "fit")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evaluate_grad_check_and_demo_artifacts_match_recorded_digests(
+        tmp_path, monkeypatch):
+    """Guards byte-reproducibility of ``evaluate`` on a 2-iteration
+    ``tracking`` run, of ``grad-check`` and of the three ``dynamics-demo``
+    rules. Paths are relative: the evaluate manifest id, which the report
+    carries, hashes the checkpoint path."""
+    monkeypatch.chdir(tmp_path)
+    TrainerConfig(n_iterations=2, rollouts_per_iter=8).save("config.json")
+    assert cli(["train", "--env", "tracking", "--config", "config.json",
+                "--out", "train"]) == 0
+    assert cli(["evaluate", "--env", "tracking", "--checkpoint",
+                "train/checkpoint_final.json", "--episodes", "20",
+                "--out", "eval"]) == 0
+    assert cli(["grad-check", "--out", "gc"]) == 0
+    for algo in ("naive", "stackelberg", "constrained"):
+        assert cli(["dynamics-demo", "--algo", algo, "--steps", "2000",
+                    "--out", f"demo-{algo}"]) == 0
+    assert_recorded_digests(tmp_path, "eval", "gc", "demo-naive",
+                            "demo-stackelberg", "demo-constrained")
 
 
 def test_dynamics_demo(tmp_path):
@@ -193,8 +228,35 @@ def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
     ["gen-data", "--n", "0"],
     ["coverage", "--env", "tracking"],
     ["evaluate", "--env", "gradient", "--checkpoint", "missing.json"],
+    ["coverage", "--trials", "50"],
+    ["dynamics-demo", "--steps", "0"],
 ])
 def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
     code, out = run(tmp_path, "rejected", *argv)
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, content, argv, key", [
+    ("rows.csv", "t,s,a,r,s_next,logp_policy,logp_model\n0,0,0,0.5,1,0,0\n",
+     ["fit-model", "--dataset"], "episode"),
+    ("rows.csv", "t,s,a,r,s_next,logp_policy,logp_model\n0,0,0,0.5,1,0,0\n",
+     ["train", "--dataset"], "episode"),
+    ("env.json", '{"kind": "tabular"}', ["gen-data", "--env"],
+     "reward_values"),
+    ("env.json", "[1, 2]", ["gen-data", "--env"], "JSON object"),
+    ("checkpoint.json", '{"iteration": 1}',
+     ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
+], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint"])
+def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
+                                          argv, key):
+    """A file without a required column or key, or whose JSON is not an
+    object, exits 2 naming the file and the key, before any run
+    directory."""
+    path = tmp_path / name
+    path.write_text(content)
+    code, out = run(tmp_path, "malformed", *argv, str(path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
     assert not out.exists()

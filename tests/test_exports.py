@@ -16,3 +16,28 @@ def test_all_lists_exactly_the_imported_names():
     assert set(stackmbrl.__all__) == imported
     for name in stackmbrl.__all__:
         assert getattr(stackmbrl, name) is not None, name
+
+
+# Settable values in the package: every parameter default plus every
+# dataclass field default. A new knob must raise this bound in the same
+# change that adds it.
+SETTABLE_VALUES_BUDGET = 98
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(decorator.func if isinstance(decorator, ast.Call)
+                       else decorator, "id", None) == "dataclass"
+               for decorator in node.decorator_list)
+
+
+def test_settable_values_stay_within_budget():
+    count = 0
+    for path in Path(stackmbrl.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                count += len(node.args.defaults) + sum(
+                    default is not None for default in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(stmt, ast.AnnAssign)
+                             and stmt.value is not None for stmt in node.body)
+    assert count <= SETTABLE_VALUES_BUDGET

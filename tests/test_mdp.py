@@ -11,13 +11,15 @@ from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
                            _draw_categorical_rows, _format_state,
                            batch_to_trajectories,
                            dp_optimal_policy, dp_values, exact_return,
-                           load_transitions_csv, normalized_occupancy,
-                           per_step_occupancy, perturb_step,
+                           load_transitions_csv, perturb_step,
                            sample_tabular_batch, sample_trajectory,
-                           simulation_gap_and_bound, transition_marginal)
+                           transition_marginal)
 from stackmbrl.models import CategoricalWorldModel, SoftmaxPolicy
 from stackmbrl.oracles import enumerate_paths
-from stackmbrl.testbeds import gradient_mdp, tracking_mdp
+from stackmbrl.testbeds import tracking_mdp
+
+from reference_oracles import (normalized_occupancy, per_step_occupancy,
+                               simulation_gap_and_bound)
 
 
 def save_trajectories_csv(trajectories, path) -> None:

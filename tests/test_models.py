@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stackmbrl.mdp import TabularMdp
 from stackmbrl.estimators import dataset_dual_coupling, dataset_kl
 from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               DiagGaussianPolicy, DiagGaussianWorldModel,
@@ -428,7 +427,7 @@ def test_sample_offline_dataset_determinism(small_triple):
                               np.asarray(getattr(b, field)))
 
 
-def per_dataset_sample(mdp, policy, n, seed=0, state_dist=None):
+def per_dataset_sample(mdp, policy, n, seed=0):
     """``sample_offline_dataset`` as one call per dataset, each categorical
     draw taking its own cumsum of the gathered rows: the reference for the
     sampler that ``coverage_check`` runs over blocks of datasets."""
@@ -441,9 +440,8 @@ def per_dataset_sample(mdp, policy, n, seed=0, state_dist=None):
         return np.minimum(idx, rows.shape[1] - 1)
 
     rng = _as_rng(seed)
-    if state_dist is None:
-        state_dist = np.full(mdp.num_states, 1.0 / mdp.num_states)
-    states = rng.choice(mdp.num_states, size=n, p=state_dist)
+    states = rng.choice(mdp.num_states, size=n,
+                        p=np.full(mdp.num_states, 1.0 / mdp.num_states))
     actions = draw_rows(_policy_probs(policy, mdp)[states], rng)
     outcomes = draw_rows(mdp.joint_outcome_probs()[states, actions], rng)
     rewards_tab, nexts_tab = mdp.outcome_table()
@@ -453,36 +451,21 @@ def per_dataset_sample(mdp, policy, n, seed=0, state_dist=None):
 
 
 def test_state_draws_match_the_generators_choice():
-    """The sampler's state draws equal ``rng.choice``'s bit for bit over
-    2,000 random state distributions, zero-probability states included, and
-    leave the generator where ``choice`` leaves it."""
-    mdp = dirichlet_mdp(3, 7)
+    """The sampler's state draws equal ``rng.choice``'s over the uniform
+    distribution bit for bit, in 2,000 cases of 1 to 40 states, and leave
+    the generator where ``choice`` leaves it."""
+    mdps = {s: dirichlet_mdp(3, s) for s in range(1, 41)}
     cases = np.random.default_rng(0)
     for case in range(2000):
-        dist = cases.dirichlet(np.full(7, 0.5)) * (cases.random(7) < 0.7)
-        dist[cases.integers(7)] += cases.random()
-        dist /= dist.sum()
+        mdp = mdps[int(cases.integers(1, 41))]
         n = int(cases.integers(1, 50))
         got_rng, want_rng = (np.random.default_rng(case) for _ in range(2))
-        got = sample_offline_dataset(mdp, "uniform", n, seed=got_rng,
-                                     state_dist=dist)
-        want = per_dataset_sample(mdp, "uniform", n, seed=want_rng,
-                                  state_dist=dist)
+        got = sample_offline_dataset(mdp, "uniform", n, seed=got_rng)
+        want = per_dataset_sample(mdp, "uniform", n, seed=want_rng)
         for field in ("states", "actions", "rewards", "next_states"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
         assert got_rng.random() == want_rng.random()
-
-
-@pytest.mark.parametrize("dist", [[0.5, 0.5], [1.2, -0.1, -0.1],
-                                  [0.5, 0.5, np.nan], [0.4, 0.4, 0.1]])
-def test_sampler_rejects_what_choice_rejects(dist):
-    mdp = gradient_mdp()
-    assert mdp.num_states == 3
-    with pytest.raises(ValueError):
-        per_dataset_sample(mdp, "uniform", 5, state_dist=dist)
-    with pytest.raises(ValueError):
-        sample_offline_dataset(mdp, "uniform", 5, state_dist=dist)
 
 
 @pytest.mark.parametrize("make_mdp", [gradient_mdp, lambda: dirichlet_mdp(3, 7)],
@@ -492,16 +475,13 @@ def test_sampler_matches_the_per_dataset_draws(make_mdp, seed):
     mdp = make_mdp()
     logits = np.random.default_rng(seed).normal(
         scale=2.0, size=(mdp.num_states, mdp.num_actions))
-    skewed = np.arange(1.0, mdp.num_states + 1) ** 2
     for policy in ("uniform", SoftmaxPolicy(logits)):
-        for state_dist in (None, skewed / skewed.sum()):
-            for n in (1, 37, 400):
-                kwargs = dict(n=n, state_dist=state_dist)
-                got = sample_offline_dataset(mdp, policy, seed=seed, **kwargs)
-                want = per_dataset_sample(mdp, policy, seed=seed, **kwargs)
-                for field in ("states", "actions", "rewards", "next_states"):
-                    a, b = getattr(got, field), getattr(want, field)
-                    assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        for n in (1, 37, 400):
+            got = sample_offline_dataset(mdp, policy, n=n, seed=seed)
+            want = per_dataset_sample(mdp, policy, n=n, seed=seed)
+            for field in ("states", "actions", "rewards", "next_states"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
     # a generator passed as the seed is drawn from, as before
     got = sample_offline_dataset(mdp, "uniform", 50,
                                  seed=np.random.default_rng(seed))

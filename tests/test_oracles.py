@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from stackmbrl.estimators import dataset_kl
-from stackmbrl.mdp import TabularMdp, exact_return, per_step_occupancy
+from stackmbrl.mdp import TabularMdp, exact_return
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
-from stackmbrl.oracles import (_softmax_cov, central_difference,
-                               central_difference_mixed, enumerate_paths,
-                               exact_expectations, exact_penalty_terms,
-                               mixed_return_fn, model_return_fn,
-                               policy_return_fn)
+from stackmbrl.oracles import (central_difference, central_difference_mixed,
+                               enumerate_paths, exact_expectations,
+                               exact_penalty_terms, mixed_return_fn,
+                               model_return_fn, policy_return_fn)
 
-from reference_oracles import (continuation_error, exact_constrained_hessian,
+from reference_oracles import (_softmax_cov, continuation_error,
+                               exact_constrained_hessian,
                                exact_grad_lagrangian_model, exact_lagrangian,
-                               hess_j_model)
+                               fim_hess_j, hess_j_model, penalty_hess_log_mean,
+                               per_step_occupancy, second_order_expectations)
 
 KL_EXAMPLE = 0.14384103622589042
 
@@ -24,7 +25,8 @@ def occupancy_immediate_error(mdp: TabularMdp, policy: SoftmaxPolicy,
     """Occupancy-weighted route to the immediate-reward substitution error.
 
     sum_t gamma^t sum_{s,a} d_t(s,a) sum_k r(k) hess_phi P(k|s,a); must agree
-    with ``ExactExpectations.immediate_error`` (dual-route identity).
+    with ``second_order_expectations``' immediate error (dual-route
+    identity).
     """
     s_n, a_n, k_n = model.logits.shape
     n_phi = model.n_params
@@ -232,19 +234,22 @@ def test_model_hessian_matches_finite_difference(small_triple):
         return exact_expectations(mdp, policy, model.with_params(phi)).grad_model
 
     fd_hess = central_difference(grad, model.params.values)
-    exact_hess = hess_j_model(exact_expectations(mdp, policy, model))
+    exact_hess = hess_j_model(exact_expectations(mdp, policy, model),
+                              second_order_expectations(mdp, policy, model)[0])
     assert np.abs(exact_hess - fd_hess).max() <= 1e-6
 
 
 def test_hessian_decomposition_identities(small_triple):
     mdp, policy, model = small_triple
     exp = exact_expectations(mdp, policy, model)
+    hess_psi, substitution_error, immediate_error = second_order_expectations(
+        mdp, policy, model)
     # substitution error is exactly the gap between the true Hessian and its
     # score-product surrogate
-    gap = hess_j_model(exp) - exp.fim_hess_j
-    assert np.abs(gap - exp.substitution_error).max() <= 1e-12
-    assert np.abs(exp.substitution_error
-                  - exp.immediate_error - continuation_error(exp)).max() <= 1e-12
+    gap = hess_j_model(exp, hess_psi) - fim_hess_j(exp)
+    assert np.abs(gap - substitution_error).max() <= 1e-12
+    assert np.abs(substitution_error - immediate_error - continuation_error(
+        substitution_error, immediate_error)).max() <= 1e-12
     # both second-order matrices are symmetric
     assert np.abs(exp.uv - exp.uv.T).max() <= 1e-12
     assert np.abs(exp.xy - exp.xy.T).max() <= 1e-12
@@ -252,17 +257,19 @@ def test_hessian_decomposition_identities(small_triple):
 
 def test_immediate_error_dual_route_identity(small_triple):
     mdp, policy, model = small_triple
-    exp = exact_expectations(mdp, policy, model)
+    immediate_error = second_order_expectations(mdp, policy, model)[2]
     via_occupancy = occupancy_immediate_error(mdp, policy, model)
-    assert np.abs(exp.immediate_error - via_occupancy).max() <= 1e-12
+    assert np.abs(immediate_error - via_occupancy).max() <= 1e-12
 
 
 def test_layered_mdp_has_exact_score_product_hessian(sparse_triple):
     """Constant per-cell continuation values kill the substitution error."""
     mdp, policy, model = sparse_triple
     exp = exact_expectations(mdp, policy, model)
-    assert np.abs(exp.substitution_error).max() <= 1e-8
-    assert np.abs(hess_j_model(exp) - exp.fim_hess_j).max() <= 1e-8
+    hess_psi, substitution_error, _ = second_order_expectations(mdp, policy,
+                                                                model)
+    assert np.abs(substitution_error).max() <= 1e-8
+    assert np.abs(hess_j_model(exp, hess_psi) - fim_hess_j(exp)).max() <= 1e-8
     # the ingredients themselves are far from zero
     assert np.abs(exp.xy).max() > 1e-3
 
@@ -330,7 +337,8 @@ def test_anchor_point_penalty_terms(small_triple):
     pen = exact_penalty_terms(dataset, anchor, anchor)
     assert np.abs(pen.score_mean).max() <= 1e-12
     assert pen.kl_mean <= 1e-12
-    assert np.abs(pen.fim_mean + pen.hess_log_mean).max() <= 1e-12
+    assert np.abs(pen.fim_mean
+                  + penalty_hess_log_mean(dataset, anchor)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -368,5 +376,5 @@ def test_constrained_hessian_assembly(small_triple):
     hess = exact_constrained_hessian(mdp, policy, model, anchor, dataset, lam)
     exp = exact_expectations(mdp, policy, model)
     pen = exact_penalty_terms(dataset, model, anchor)
-    assert np.abs(hess - (exp.fim_hess_j + lam * pen.fim_mean)).max() <= 1e-12
+    assert np.abs(hess - (fim_hess_j(exp) + lam * pen.fim_mean)).max() <= 1e-12
     assert np.abs(hess - hess.T).max() <= 1e-12

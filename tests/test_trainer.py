@@ -13,16 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dirichlet_mdp
-from reference_estimators import model_gradient, policy_gradient
+from reference_estimators import (discounted_weights, model_gradient,
+                                  policy_gradient)
 
 import stackmbrl
 from stackmbrl import estimators, models, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
-                                  discounted_weights, factors_from_batch)
-from stackmbrl.mdp import SamplingError, sample_trajectory
+                                  factors_from_batch)
+from stackmbrl.mdp import SamplingError, exact_return, sample_trajectory
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
-                              DiagGaussianWorldModel, OfflineDataset, mle_fit,
-                              rollout_dataset, sample_offline_dataset)
+                              DiagGaussianWorldModel, OfflineDataset,
+                              SoftmaxPolicy, mle_fit, rollout_dataset,
+                              sample_offline_dataset)
 from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
                                 tracking_mdp)
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
@@ -30,7 +32,7 @@ from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                collect_rollouts, initial_state,
                                load_checkpoint, robust_evaluate,
                                save_checkpoint, train, train_iteration,
-                               vanilla_config)
+                               vanilla_config, worst_case_return)
 from stackmbrl.woodbury import (BlockScores, LowRankFactors, WoodburySolver,
                                 leader_gradient)
 
@@ -40,6 +42,10 @@ def tracking_setup():
     """Tracking task with the dataset and anchor ``stackmbrl train`` builds
     for seed 0: 50 behavior episodes and the Gaussian MLE."""
     return _tracking_inputs(seed=0)
+
+
+def column(trace, name) -> np.ndarray:
+    return np.array([row[name] for row in trace.rows])
 
 
 def _tracking_inputs(seed):
@@ -573,13 +579,13 @@ def test_non_finite_updates_abort_and_keep_committed_parameters(
     config = TrainerConfig(seed=0, n_iterations=12, dynamics="naive")
     with pytest.warns(UserWarning, match="aborted"):
         state, trace = train(env, dataset, anchor, config)
-    aborted = trace.column("aborted")
-    assert state.iteration == len(trace) == 12
+    aborted = column(trace, "aborted")
+    assert state.iteration == len(trace.rows) == 12
     assert aborted.any()
     assert np.isfinite(state.policy.weights).all()
     assert np.isfinite(state.model.weights).all()
     assert np.isfinite(state.model.log_std).all()
-    assert np.isfinite(trace.column("kl")).all()
+    assert np.isfinite(column(trace, "kl")).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -592,8 +598,8 @@ def test_model_with_non_finite_dataset_kl_is_never_committed():
     with pytest.warns(UserWarning, match="non-finite dataset KL"):
         state, trace = train(env, dataset, anchor,
                              TrainerConfig(seed=105, n_iterations=7))
-    assert trace.column("aborted")[5] == 1
-    assert np.isfinite(trace.column("kl")).all()
+    assert column(trace, "aborted")[5] == 1
+    assert np.isfinite(column(trace, "kl")).all()
     assert np.isfinite(dataset_kl(dataset, state.model, anchor))
 
 
@@ -641,3 +647,26 @@ def test_robust_evaluate_pairs_clean_and_noisy_streams(tracking_setup,
     assert robust_evaluate(env, policy, 0.3, n_episodes=20, seed=3) == noisy
     with pytest.raises(TypeError):
         robust_evaluate(grad_triple[0], grad_triple[1], 0.1)
+
+
+def test_worst_case_return_stays_in_the_ball_and_repeats():
+    """On ``gradient`` with a 50-row dataset and the alpha = 0.5 anchor, at
+    the benchmark's 2 starts x 12 steps of size 2.0: the returned model lies
+    in the ball, the value is its exact return and no higher than the
+    anchor's, and a repeated seed gives the same bits."""
+    mdp = TABULAR_TESTBEDS["gradient"]()[0]
+    dataset = sample_offline_dataset(mdp, "uniform", n=50, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
+    policy = SoftmaxPolicy.zeros(mdp.num_states, mdp.num_actions)
+    epsilon = TrainerConfig().epsilon
+    value, model = worst_case_return(mdp, policy, anchor, dataset, epsilon,
+                                     n_starts=2, n_steps=12, step_size=2.0,
+                                     seed=3)
+    assert dataset_kl(dataset, model, anchor) <= epsilon
+    assert value == exact_return(mdp, policy, model)
+    assert value <= exact_return(mdp, policy, anchor)
+    again, again_model = worst_case_return(mdp, policy, anchor, dataset,
+                                           epsilon, n_starts=2, n_steps=12,
+                                           step_size=2.0, seed=3)
+    assert again == value
+    assert again_model.logits.tobytes() == model.logits.tobytes()

@@ -172,7 +172,7 @@ def test_solver_allocates_no_factor_sized_arrays():
     peaks near 96."""
     factors = random_factors(20_000, m=16, big_m=64, z_rank=64)
     rng = np.random.default_rng(0)
-    grad_policy = rng.standard_normal(factors.n_theta)
+    grad_policy = rng.standard_normal(factors.w.shape[0])
     grad_model = rng.standard_normal(factors.n_phi)
     tracemalloc.start()
     try:
@@ -359,7 +359,7 @@ def test_vanishing_schur_complement_raises():
         dual_corrected(rigged_solve, np.ones(20), b, rigged.lam,
                        rigged.dual_slope)
     with pytest.raises(SingularScalarError):
-        leader_gradient(np.zeros(rigged.n_theta), np.ones(20), rigged)
+        leader_gradient(np.zeros(rigged.w.shape[0]), np.ones(20), rigged)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def dense_leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
         h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
     else:
         h = a_inv
-    return grad_policy - factors.dense_mixed().T @ (h @ grad_model)
+    return grad_policy - (factors.u @ factors.w.T).T @ (h @ grad_model)
 
 
 def test_leader_gradient_matches_dense_route():
@@ -444,7 +444,7 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     rng = np.random.default_rng(12)
     vec = rng.standard_normal(n_phi)
     block = rng.standard_normal((n_phi, 3))
-    grad_policy = rng.standard_normal(factors.n_theta)
+    grad_policy = rng.standard_normal(factors.w.shape[0])
     inputs = [vec, block, grad_policy]
     copies = [arr.copy() for arr in inputs]
 

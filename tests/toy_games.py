@@ -1,11 +1,43 @@
 """Scalar toy games with hand-derived rest points, for the dynamics and
 testbed tests. Every instance is frozen, like the library's testbeds, and
-shares their derivative self-check point."""
+shares their derivative self-check point. ``run_until`` steps a game until
+a ``distance_stop`` predicate holds."""
+
+from typing import Callable
 
 import numpy as np
 
-from stackmbrl.dynamics import SmoothGame
+from stackmbrl.dynamics import STEPPERS, DynamicsState, LearningRates, SmoothGame
 from stackmbrl.testbeds import _GENERIC_CHECK
+
+
+def distance_stop(target_theta, target_phi, target_lam: float | None,
+                  tol: float) -> Callable[[DynamicsState], bool]:
+    """Stop predicate: max-norm distance to a known rest point under tol."""
+    target_theta = np.atleast_1d(np.asarray(target_theta, dtype=float))
+    target_phi = np.atleast_1d(np.asarray(target_phi, dtype=float))
+
+    def check(state: DynamicsState) -> bool:
+        err = max(np.max(np.abs(state.theta - target_theta)),
+                  np.max(np.abs(state.phi - target_phi)))
+        if target_lam is not None:
+            err = max(err, abs(state.lam - target_lam))
+        return err < tol
+
+    return check
+
+
+def run_until(game: SmoothGame, init: DynamicsState, rates: LearningRates,
+              mode: str, n_steps: int,
+              stop: Callable[[DynamicsState], bool]) -> DynamicsState:
+    """Apply ``STEPPERS[mode]`` from ``init`` until ``stop`` holds after a
+    step, or for ``n_steps`` steps."""
+    state = init.copy()
+    for _ in range(n_steps):
+        state = STEPPERS[mode](game, state, rates)
+        if stop(state):
+            break
+    return state
 
 
 def matching_game(anchor: float = 0.3, radius: float = 0.04) -> SmoothGame:

@@ -52,9 +52,8 @@ def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
 
 def generalized_advantages(rewards: np.ndarray, values: np.ndarray,
                            tail_values: np.ndarray, gamma: float,
-                           zeta: float = GAE_LAMBDA_DEFAULT,
-                           length: int | None = None) -> np.ndarray:
-    """Exponentially-mixed advantage estimates on the first ``length`` steps.
+                           zeta: float = GAE_LAMBDA_DEFAULT) -> np.ndarray:
+    """Exponentially-mixed advantage estimates on every step of the segment.
 
     ``values`` holds V(s_t) for t = 0..h; the bootstrap value at the segment
     end is replaced by ``tail_values`` (a Q evaluated at the trailing
@@ -66,15 +65,12 @@ def generalized_advantages(rewards: np.ndarray, values: np.ndarray,
     rewards = np.atleast_2d(np.asarray(rewards, dtype=float))
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n, h = rewards.shape
-    ell = h if length is None else int(length)
-    if not 1 <= ell <= h:
-        raise ValueError(f"segment length {ell} outside 1..{h}")
-    v_eff = values[:, :ell + 1].copy()
-    v_eff[:, ell] = np.asarray(tail_values, dtype=float)
-    deltas = rewards[:, :ell] + gamma * v_eff[:, 1:] - v_eff[:, :-1]
-    adv = np.zeros((n, ell))
+    v_eff = values[:, :h + 1].copy()
+    v_eff[:, h] = np.asarray(tail_values, dtype=float)
+    deltas = rewards + gamma * v_eff[:, 1:] - v_eff[:, :-1]
+    adv = np.zeros((n, h))
     running = np.zeros(n)
-    for t in range(ell - 1, -1, -1):
+    for t in range(h - 1, -1, -1):
         running = deltas[:, t] + gamma * zeta * running
         adv[:, t] = running
     return adv

@@ -211,11 +211,12 @@ class ContinuousMdp:
 
 @dataclass
 class Trajectory:
-    """One rollout, one action per step. The trailing action a segment's
-    critic tail needs is drawn by ``trainer.collect_rollouts``, not here.
+    """One continuous model rollout, one action per step. The trailing
+    action a segment's critic tail needs is drawn by
+    ``trainer.collect_rollouts``, not here.
 
-    states: (T+1,) ints for tabular, (T+1, d) floats for continuous
-    actions: (T,)
+    states: (T+1, state_dim) floats
+    actions: (T, action_dim) floats
     rewards: (T,)
     logp_policy: log pi(a_t | s_t) at generation time, (T,)
     logp_model:  log P(r_t, s_{t+1} | s_t, a_t) at generation time, (T,)
@@ -459,106 +460,91 @@ def _categorical_lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u[:, None]).sum(axis=1)
 
 
+def _tabular_paths(policy_cdf: np.ndarray, outcome_cdf: np.ndarray,
+                   outcome_next: np.ndarray, states0: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(states (n, h+1), actions (n, h), outcome codes (n, h)) of paths from
+    ``states0``, looked up in normalised CDF tables (S, A) and (S, A, K)
+    taken once: a row is the same before or after a gather. Rows 2t and
+    2t+1 of the (2h, n) uniforms ``u`` draw step t's actions and outcomes."""
+    n, h = len(states0), len(u) // 2
+    states = np.empty((n, h + 1), dtype=np.int64)
+    actions, outcomes = np.empty((2, n, h), dtype=np.int64)
+    states[:, 0] = states0
+    for t, (u_action, u_outcome) in enumerate(u.reshape(h, 2, n)):
+        s = states[:, t]
+        actions[:, t] = a = _categorical_lookup(policy_cdf[s], u_action)
+        outcomes[:, t] = k = _categorical_lookup(outcome_cdf[s, a], u_outcome)
+        states[:, t + 1] = outcome_next[k]
+    return states, actions, outcomes
+
+
 def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
                          horizon: int | None = None, seed=0,
                          init_states: np.ndarray | None = None) -> dict:
-    """Vectorized batch of tabular rollouts; returns aligned (n, h) arrays."""
+    """Vectorized batch of tabular rollouts; returns aligned (n, h) arrays.
+    Unless ``init_states`` are given, ``rng.random(n)`` draws the start
+    states by a search with ``side="right"`` in the initial CDF. Then
+    ``rng.random((2h, n))`` gives each step's action and outcome uniforms;
+    each draw is the one ``rng.choice(K, p=row)`` makes from its uniform."""
     if n <= 0:
         raise ValueError("need a positive number of rollouts")
     rng = _as_rng(seed)
     h = mdp.horizon if horizon is None else horizon
     probs = _policy_probs(policy, mdp)
     joint, out_r, out_s = _model_tables(model, mdp)
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(probs)
-        log_joint = np.log(joint)
-
     if init_states is None:
-        states0 = _draw_categorical_rows(np.tile(mdp.init_dist, (n, 1)), rng)
+        states0 = _normalised_cdf(mdp.init_dist).searchsorted(rng.random(n),
+                                                              side="right")
     else:
         states0 = np.asarray(init_states)
         if states0.shape != (n,):
             raise ValueError("init_states must have shape (n,)")
-    states = np.empty((n, h + 1), dtype=np.int64)
-    actions = np.empty((n, h), dtype=np.int64)
-    outcomes = np.empty((n, h), dtype=np.int64)
-    rewards = np.empty((n, h))
-    logp_policy = np.empty((n, h))
-    logp_model = np.empty((n, h))
-    states[:, 0] = states0
-    for t in range(h):
-        s = states[:, t]
-        a = _draw_categorical_rows(probs[s], rng)
-        k = _draw_categorical_rows(joint[s, a], rng)
-        actions[:, t] = a
-        outcomes[:, t] = k
-        rewards[:, t] = out_r[k]
-        logp_policy[:, t] = log_probs[s, a]
-        logp_model[:, t] = log_joint[s, a, k]
-        states[:, t + 1] = out_s[k]
+    states, actions, outcomes = _tabular_paths(
+        _normalised_cdf(probs), _normalised_cdf(joint), out_s, states0,
+        rng.random((2 * h, n)))
+    with np.errstate(divide="ignore"):
+        logp_policy = np.log(probs)[states[:, :-1], actions]
+        logp_model = np.log(joint)[states[:, :-1], actions, outcomes]
     if not (np.isfinite(logp_policy).all() and np.isfinite(logp_model).all()):
         raise SamplingError("sampled a zero-probability action or outcome")
     return {"states": states, "actions": actions, "outcomes": outcomes,
-            "rewards": rewards, "logp_policy": logp_policy,
+            "rewards": out_r[outcomes], "logp_policy": logp_policy,
             "logp_model": logp_model}
 
 
-def batch_to_trajectories(batch: dict) -> list[Trajectory]:
-    n = batch["states"].shape[0]
-    return [
-        Trajectory(
-            states=batch["states"][i],
-            actions=batch["actions"][i],
-            rewards=batch["rewards"][i],
-            logp_policy=batch["logp_policy"][i],
-            logp_model=batch["logp_model"][i],
-        )
-        for i in range(n)
-    ]
-
-
-def sample_trajectory(env, policy, model=None, horizon: int | None = None,
+def sample_trajectory(env, policy, model, horizon: int | None = None,
                       seed=0, init_state=None) -> Trajectory:
-    """Roll one trajectory.
-
-    With ``model`` given, dynamics and rewards come from the model (imaginary
-    rollout); otherwise from the true environment. Log-probabilities stored on
-    the trajectory are the sampler's own evaluations at generation time.
-    """
+    """Roll one imaginary trajectory of a continuous ``model`` from
+    ``env.reset`` or ``init_state``: per step, ``policy.sample`` and then
+    ``model.sample`` draw from the generator. A non-finite emission ends
+    the rollout at the last finite step (``truncated_early``). Stored
+    log-probabilities are the sampler's own at generation time."""
+    if isinstance(env, TabularMdp):
+        raise TypeError("sample_trajectory rolls continuous models; draw "
+                        "tabular rollouts with sample_tabular_batch")
     rng = _as_rng(seed)
     h = env.horizon if horizon is None else horizon
-    if isinstance(env, TabularMdp):
-        model_arg = "true" if model is None else model
-        init = None if init_state is None else np.array([init_state])
-        batch = sample_tabular_batch(env, policy, model_arg, n=1, horizon=h,
-                                     seed=rng, init_states=init)
-        return batch_to_trajectories(batch)[0]
     s = env.reset(rng) if init_state is None else np.asarray(init_state, dtype=float)
     states, actions, rewards, logp_pi, logp_m = [s], [], [], [], []
-    truncated = False
     for _ in range(h):
         a = policy.sample(s, rng)
         lp = policy.log_prob(s, a)
-        if model is None:
-            s_next, r = env.step(s, a, rng)
-            lm = env_log_prob(env, s, a, s_next, r)
-        else:
-            try:
-                s_next, r = model.sample(s, a, rng)
-            except SamplingError:
-                truncated = True
-                break
-            lm = model.log_prob(s, a, np.append(s_next, r))
-            if not (np.isfinite(s_next).all() and np.isfinite(r)
-                    and np.isfinite(lm)):
-                truncated = True
-                break
+        try:
+            s_next, r = model.sample(s, a, rng)
+        except SamplingError:
+            break
+        lm = model.log_prob(s, a, np.append(s_next, r))
+        if not (np.isfinite(s_next).all() and np.isfinite(r)
+                and np.isfinite(lm)):
+            break
         actions.append(a)
         logp_pi.append(lp)
         rewards.append(r)
         logp_m.append(lm)
         states.append(s_next)
         s = s_next
+    truncated = len(rewards) < h
     if truncated and not rewards:
         raise SamplingError("model rollout produced no finite transitions")
     return Trajectory(
@@ -569,13 +555,3 @@ def sample_trajectory(env, policy, model=None, horizon: int | None = None,
         logp_model=np.array(logp_m),
         truncated_early=truncated,
     )
-
-
-def env_log_prob(env: ContinuousMdp, s, a, s_next, reward) -> float:
-    """Density of the true environment's unclamped (s', r) emission."""
-    mean = np.asarray(env.mean_fn(s, a), dtype=float)
-    y = np.append(np.asarray(s_next, dtype=float), reward)
-    z = (y - mean) / env.std
-    return float(-0.5 * (z ** 2).sum() - np.log(env.std).sum()
-                 - 0.5 * y.size * np.log(2.0 * np.pi))
-

@@ -35,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import TabularMdp, read_json_object
+from .mdp import (TabularMdp, _as_rng, _normalised_cdf, _policy_probs,
+                  _tabular_paths, read_json_object)
 from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
@@ -567,18 +568,6 @@ class OfflineDataset:
             next_states=np.array([r["s_next"] for r in rows]),
         )
 
-    @staticmethod
-    def from_trajectories(trajectories) -> "OfflineDataset":
-        states, actions, rewards, nexts = [], [], [], []
-        for tr in trajectories:
-            for t in range(tr.n_steps):
-                states.append(tr.states[t])
-                actions.append(tr.actions[t])
-                rewards.append(tr.rewards[t])
-                nexts.append(tr.states[t + 1])
-        return OfflineDataset(np.array(states), np.array(actions),
-                              np.array(rewards), np.array(nexts))
-
 
 def _packed_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     """One ``int64`` per row, ``(major - major_min) * minor_span +
@@ -738,30 +727,23 @@ def sample_offline_dataset(mdp: TabularMdp, policy, n: int,
 def _offline_sampler(mdp: TabularMdp, policy, n: int):
     """``sample(seeds, mapper=map)``: (states, actions, outcome codes) of one
     ``n``-row behavior dataset per seed, concatenated in seed order. Each
-    seed's generator draws states, then action and then outcome uniforms, as
-    ``mapper`` runs it. The lookups then run once over all the rows, in
-    normalised CDF tables taken once: a row of one is the same before or
-    after a gather. Each draw is the one ``rng.choice(K, p=row)`` makes from
-    the same uniform. States are drawn as ``rng.choice(S, size=n, p=p)``
-    draws them from the uniform ``p``, bit for bit, by a search with
-    ``side="right"``."""
-    from .mdp import (_as_rng, _categorical_lookup, _normalised_cdf,
-                      _policy_probs)
+    seed's generator draws ``random((3, n))``, state, action and outcome
+    uniforms, as ``mapper`` runs it. The draws then run once over all the
+    rows, in CDF tables normalised once per call: states by a search with
+    ``side="right"``, as ``rng.choice(S, size=n, p=p)`` draws them from the
+    uniform ``p``, then one step of the tabular path loop."""
     state_cdf = _normalised_cdf(np.full(mdp.num_states, 1.0 / mdp.num_states))
     policy_cdf = _normalised_cdf(_policy_probs(policy, mdp))
     outcome_cdf = _normalised_cdf(mdp.joint_outcome_probs())
-
-    def draw(seed):
-        rng = _as_rng(seed)
-        return (state_cdf.searchsorted(rng.random(n), side="right"),
-                rng.random(n), rng.random(n))
+    outcome_next = mdp.outcome_table()[1]
 
     def sample(seeds, mapper=map):
-        states, u_action, u_outcome = (np.concatenate(column) for column
-                                       in zip(*mapper(draw, seeds)))
-        actions = _categorical_lookup(policy_cdf[states], u_action)
-        return (states, actions,
-                _categorical_lookup(outcome_cdf[states, actions], u_outcome))
+        u = np.hstack(list(mapper(lambda seed: _as_rng(seed).random((3, n)),
+                                  seeds)))
+        states = state_cdf.searchsorted(u[0], side="right")
+        _, actions, outcomes = _tabular_paths(policy_cdf, outcome_cdf,
+                                              outcome_next, states, u[1:])
+        return states, actions[:, 0], outcomes[:, 0]
     return sample
 
 
@@ -775,10 +757,28 @@ def _offline_dataset(mdp: TabularMdp, states: np.ndarray, actions: np.ndarray,
 
 
 def rollout_dataset(env, policy, n_episodes: int, seed=0) -> OfflineDataset:
-    """Offline transitions collected by rolling a behavior policy in the true
-    environment (one shared seed stream, one sub-seed per episode)."""
-    from .mdp import sample_trajectory
-
-    trajectories = [sample_trajectory(env, policy, seed=(seed, episode))
-                    for episode in range(n_episodes)]
-    return OfflineDataset.from_trajectories(trajectories)
+    """Transitions of behavior-policy episodes in the true environment;
+    episode ``e`` draws from its own generator ``default_rng((seed, e))``.
+    A tabular episode draws ``random((1 + 2h, 1))``, its start state and
+    then each step's action and outcome uniforms, and one pass of the path
+    loop draws every episode. A continuous one draws ``env.reset``, then
+    per step ``policy.sample`` and ``env.step``."""
+    rngs = [np.random.default_rng((seed, e)) for e in range(n_episodes)]
+    if isinstance(env, TabularMdp):
+        u = np.hstack([rng.random((1 + 2 * env.horizon, 1)) for rng in rngs])
+        states, actions, outcomes = _tabular_paths(
+            _normalised_cdf(_policy_probs(policy, env)),
+            _normalised_cdf(env.joint_outcome_probs()), env.outcome_table()[1],
+            _normalised_cdf(env.init_dist).searchsorted(u[0], side="right"),
+            u[1:])
+        return _offline_dataset(env, states[:, :-1].ravel(), actions.ravel(),
+                                outcomes.ravel())
+    rows = []
+    for rng in rngs:
+        s = env.reset(rng)
+        for _ in range(env.horizon):
+            a = policy.sample(s, rng)
+            s_next, r = env.step(s, a, rng)
+            rows.append((s, a, r, s_next))
+            s = s_next
+    return OfflineDataset(*map(np.array, zip(*rows)))

@@ -209,6 +209,10 @@ def tracking_mdp(**overrides) -> ContinuousMdp:
     overshoot the narrow peak — which is what separates cautious from
     aggressive policies in the robustness study.
     """
+    unknown = sorted(set(overrides) - set(TRACKING_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown tracking parameter(s) {', '.join(unknown)}"
+                         f"; known: {', '.join(TRACKING_DEFAULTS)}")
     p = dict(TRACKING_DEFAULTS)
     p.update(overrides)
     target, width = float(p["target"]), float(p["peak_width"])
@@ -248,7 +252,11 @@ def continuous_from_dict(payload: dict) -> ContinuousMdp:
     if name not in CONTINUOUS_TESTBEDS:
         raise ValueError(f"unknown continuous environment {name!r}; "
                          f"registered: {sorted(CONTINUOUS_TESTBEDS)}")
-    return CONTINUOUS_TESTBEDS[name](**payload.get("params", {}))
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("params must be a JSON object, got "
+                         f"{type(params).__name__}")
+    return CONTINUOUS_TESTBEDS[name](**params)
 
 
 def load_environment(path) -> TabularMdp | ContinuousMdp:
@@ -258,7 +266,10 @@ def load_environment(path) -> TabularMdp | ContinuousMdp:
     if kind == "tabular":
         return TabularMdp.load(path)
     if kind == "continuous":
-        return continuous_from_dict(payload)
+        try:
+            return continuous_from_dict(payload)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     raise ValueError(f"unrecognized environment kind {kind!r}")
 
 

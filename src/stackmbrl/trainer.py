@@ -569,7 +569,7 @@ def _advantages_for(critic, batch: dict, gamma: float, decay: float,
     tails = critic.tail_values(batch["states"][:, n_steps],
                                batch["actions"][:, n_steps])
     return generalized_advantages(batch["rewards"][:, :n_steps], values,
-                                  tails, gamma, zeta=decay, length=n_steps)
+                                  tails, gamma, zeta=decay)
 
 
 def _minibatch(batch: dict, size: int, rng: np.random.Generator) -> dict:
@@ -790,6 +790,10 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
     """Rehydrate a checkpoint against templates carrying the right shapes."""
     payload = read_json_object(path, ("iteration", "lam", "policy", "model",
                                       "critic"))
+    for part, keys in (("policy", ["values"]), ("model", ["values"]),
+                       ("critic", ["kind", "q", "v", "target_v"])):
+        if not (isinstance(payload[part], dict) and set(keys) <= set(payload[part])):
+            raise ValueError(f"{path}: {part} needs key(s) {', '.join(keys)}")
     return {
         "iteration": int(payload["iteration"]),
         "lam": float(payload["lam"]),

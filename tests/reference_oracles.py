@@ -22,7 +22,10 @@ def second_order_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
                               model: CategoricalWorldModel) -> tuple:
     """(E[hess_phi Psi], E[sum_t w_t hessP(k_t)/P(k_t)], the same with w_t
     replaced by gamma^t r_t): the exact log-prob Hessian term and the
-    substitution errors of the score-product surrogate, by enumeration."""
+    substitution errors of the score-product surrogate, by enumeration.
+    A step at cell (s, a) touches only that cell's K x K block, so each
+    step's block is accumulated alone and the blocks fill the dense
+    (n_phi, n_phi) results at the end."""
     s_n, a_n, k_n = model.logits.shape
     n_phi = model.n_params
     h = mdp.horizon
@@ -30,26 +33,31 @@ def second_order_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
 
     mod_probs = model.probs_all()
     mod_scores = model_score_table(model)
-    fim_blocks = mod_scores[..., :, None] * mod_scores[..., None, :]
-    cov_blocks = np.zeros((s_n, a_n, n_phi, n_phi))
+    cell_scores = np.empty((s_n, a_n, k_n, k_n))  # each score's own block
+    covs = np.empty((s_n, a_n, k_n, k_n))
     for s, a in np.ndindex(s_n, a_n):
         start = (s * a_n + a) * k_n
-        cov_blocks[s, a, start:start + k_n, start:start + k_n] = _softmax_cov(
-            mod_probs[s, a])
+        cell_scores[s, a] = mod_scores[s, a, :, start:start + k_n]
+        covs[s, a] = _softmax_cov(mod_probs[s, a])
+    fim_blocks = cell_scores[..., :, None] * cell_scores[..., None, :]
 
-    hess_psi = np.zeros((n_phi, n_phi))
-    sub_err = np.zeros((n_phi, n_phi))
-    imm_err = np.zeros((n_phi, n_phi))
+    blocks = np.zeros((3, s_n, a_n, k_n, k_n))  # hess_psi, sub_err, imm_err
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
         disc = gammas * rewards
         w = disc[::-1].cumsum()[::-1]  # w_t = sum_{j >= t} gamma^j r_j
-        s_idx, a_idx = states[:-1], actions
-        fims = fim_blocks[s_idx, a_idx, outcomes]           # (h, n_phi, n_phi)
-        covs = cov_blocks[s_idx, a_idx]                     # (h, n_phi, n_phi)
-        hess_psi += prob * np.tensordot(w, -covs, axes=1)
-        sub_err += prob * np.tensordot(w, fims - covs, axes=1)
-        imm_err += prob * np.tensordot(disc, fims - covs, axes=1)
-    return hess_psi, sub_err, imm_err
+        cells = (states[:-1], actions)
+        step_covs = covs[cells]                              # (h, K, K)
+        excess = fim_blocks[cells + (outcomes,)] - step_covs  # (h, K, K)
+        for block, weight, term in ((blocks[0], w, -step_covs),
+                                    (blocks[1], w, excess),
+                                    (blocks[2], disc, excess)):
+            np.add.at(block, cells, (prob * weight)[:, None, None] * term)
+
+    dense = np.zeros((3, n_phi, n_phi))
+    for s, a in np.ndindex(s_n, a_n):
+        start = (s * a_n + a) * k_n
+        dense[:, start:start + k_n, start:start + k_n] = blocks[:, s, a]
+    return dense[0], dense[1], dense[2]
 
 
 def fim_hess_j(exp: ExactExpectations) -> np.ndarray:

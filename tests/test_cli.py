@@ -88,7 +88,8 @@ def test_coverage_exit_code_follows_report(tmp_path):
 
 
 # {(run name, file): sha256} of the files the seeded runs in
-# ``test_coverage_and_fit_artifacts_match_recorded_digests`` and
+# ``test_coverage_and_fit_artifacts_match_recorded_digests``,
+# ``test_gen_data_draws_match_recorded_digests`` and
 # ``test_evaluate_grad_check_and_demo_artifacts_match_recorded_digests``
 # write. Each holds with the BLAS library's default thread count and with
 # one thread.
@@ -101,6 +102,8 @@ CLI_DIGESTS = {
     ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
     ("demo-stackelberg", "dynamics_trace.csv"): "bc0404fb2ba4bbd6d3b1b9c6c89a09ee1e7cd949551ef91b530003153049bb4d",
     ("demo-constrained", "dynamics_trace.csv"): "42b4362569840548883f90849bea4429adcb627f57da58ddba7516ce3941e9b1",
+    ("data-tracking", "dataset.csv"): "b78cab2f8f927a9b8db93ab7f2be6952f5e594d5648bd4d4bbb7c95559c1c467",
+    ("data-greedy", "dataset.csv"): "86938f72766705f0b68bbd4822038fbfe0f5a937d1e24d3f2fe7e36409c1ded0",
 }
 
 
@@ -126,6 +129,19 @@ def test_coverage_and_fit_artifacts_match_recorded_digests(tmp_path):
                   "--dataset", str(data / "dataset.csv"))
     assert code == 0
     assert_recorded_digests(tmp_path, "cov", "data", "fit")
+
+
+def test_gen_data_draws_match_recorded_digests(tmp_path):
+    """Guards the behaviour draws of ``gen-data``: a continuous rollout with
+    the bundled controller, and a greedy tabular policy with zero-probability
+    actions, which the draw must never pick."""
+    code, _ = run(tmp_path, "data-tracking", "gen-data", "--env", "tracking",
+                  "--behavior", "bundled", "--n", "100")
+    assert code == 0
+    code, _ = run(tmp_path, "data-greedy", "gen-data", "--behavior", "greedy",
+                  "--greedy-eps", "0", "--n", "300")
+    assert code == 0
+    assert_recorded_digests(tmp_path, "data-tracking", "data-greedy")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -247,12 +263,21 @@ def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
     ("env.json", "[1, 2]", ["gen-data", "--env"], "JSON object"),
     ("checkpoint.json", '{"iteration": 1}',
      ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
-], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint"])
+    ("checkpoint.json",
+     '{"iteration": 1, "lam": 1.0, "policy": {}, "model": {}, "critic": {}}',
+     ["evaluate", "--env", "tracking", "--checkpoint"], "values"),
+    ("env.json", '{"kind": "continuous", "name": "tracking", "params": [1]}',
+     ["gen-data", "--env"], "params"),
+    ("env.json",
+     '{"kind": "continuous", "name": "tracking", "params": {"bogus": 1}}',
+     ["gen-data", "--env"], "bogus"),
+], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
+        "checkpoint-players", "env-params-list", "env-params-unknown"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
-    """A file without a required column or key, or whose JSON is not an
-    object, exits 2 naming the file and the key, before any run
-    directory."""
+    """A file without a required column or key, whose JSON is not an
+    object, or whose nested entries miss a key or name an unknown one,
+    exits 2 naming the file and the key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))

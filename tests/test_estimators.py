@@ -105,15 +105,6 @@ def test_advantages_no_mixing_is_one_step_residual():
     assert np.allclose(adv, deltas, atol=1e-12)
 
 
-def test_advantages_segment_length_validation():
-    rewards, values, tail = np.zeros((1, 3)), np.zeros((1, 4)), np.zeros(1)
-    out = generalized_advantages(rewards, values, tail, 0.9, length=1)
-    assert out.shape == (1, 1)
-    for bad in (0, 4, -1):
-        with pytest.raises(ValueError):
-            generalized_advantages(rewards, values, tail, 0.9, length=bad)
-
-
 # ---------------------------------------------------------------------------
 # ratio masks
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_all_lists_exactly_the_imported_names():
 # Settable values in the package: every parameter default plus every
 # dataclass field default. A new knob must raise this bound in the same
 # change that adds it.
-SETTABLE_VALUES_BUDGET = 98
+SETTABLE_VALUES_BUDGET = 96
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

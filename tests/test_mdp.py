@@ -9,7 +9,6 @@ from conftest import ScriptedRng
 
 from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
                            _draw_categorical_rows, _format_state,
-                           batch_to_trajectories,
                            dp_optimal_policy, dp_values, exact_return,
                            load_transitions_csv, perturb_step,
                            sample_tabular_batch, sample_trajectory,
@@ -22,22 +21,24 @@ from reference_oracles import (normalized_occupancy, per_step_occupancy,
                                simulation_gap_and_bound)
 
 
-def save_trajectories_csv(trajectories, path) -> None:
-    """Write transition rows (t, s, a, r, s_next, logp_policy, logp_model)."""
+def save_batch_csv(batch: dict, path) -> None:
+    """Write a batch's transition rows (episode, t, s, a, r, s_next,
+    logp_policy, logp_model)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["episode", "t", "s", "a", "r", "s_next",
                          "logp_policy", "logp_model"])
-        for ep, tr in enumerate(trajectories):
-            for t in range(tr.n_steps):
+        n, h = batch["actions"].shape
+        for ep in range(n):
+            for t in range(h):
                 writer.writerow([
                     ep, t,
-                    _format_state(tr.states[t]),
-                    _format_state(tr.actions[t]),
-                    repr(float(tr.rewards[t])),
-                    _format_state(tr.states[t + 1]),
-                    repr(float(tr.logp_policy[t])),
-                    repr(float(tr.logp_model[t])),
+                    _format_state(batch["states"][ep, t]),
+                    _format_state(batch["actions"][ep, t]),
+                    repr(float(batch["rewards"][ep, t])),
+                    _format_state(batch["states"][ep, t + 1]),
+                    repr(float(batch["logp_policy"][ep, t])),
+                    repr(float(batch["logp_model"][ep, t])),
                 ])
 
 
@@ -209,24 +210,25 @@ def test_outcome_table_packing(grad_triple):
 # ---------------------------------------------------------------------------
 
 
-def test_sample_trajectory_deterministic_chain():
+def test_batch_deterministic_chain():
     mdp = deterministic_cycle()
-    traj = sample_trajectory(mdp, "uniform", seed=0)
-    assert traj.states.tolist() == [0, 1, 2, 0, 1]
-    assert traj.rewards.tolist() == [0.0, 0.5, 1.0, 0.0]
-    assert traj.n_steps == 4 and len(traj.actions) == traj.n_steps
+    batch = sample_tabular_batch(mdp, "uniform", seed=0)
+    assert batch["states"][0].tolist() == [0, 1, 2, 0, 1]
+    assert batch["rewards"][0].tolist() == [0.0, 0.5, 1.0, 0.0]
+    assert batch["rewards"].shape[1] == 4 \
+        and batch["actions"].shape[1] == batch["rewards"].shape[1]
 
 
-def test_sample_trajectory_seed_determinism(grad_triple):
+def test_batch_seed_determinism(grad_triple):
     mdp, policy, model = grad_triple
-    a = sample_trajectory(mdp, policy, model, seed=42)
-    b = sample_trajectory(mdp, policy, model, seed=42)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.actions, b.actions)
-    assert np.array_equal(a.rewards, b.rewards)
-    c = sample_trajectory(mdp, policy, model, seed=43)
-    assert not (np.array_equal(a.states, c.states)
-                and np.array_equal(a.actions, c.actions))
+    a = sample_tabular_batch(mdp, policy, model, seed=42)
+    b = sample_tabular_batch(mdp, policy, model, seed=42)
+    assert np.array_equal(a["states"], b["states"])
+    assert np.array_equal(a["actions"], b["actions"])
+    assert np.array_equal(a["rewards"], b["rewards"])
+    c = sample_tabular_batch(mdp, policy, model, seed=43)
+    assert not (np.array_equal(a["states"], c["states"])
+                and np.array_equal(a["actions"], c["actions"]))
 
 
 def test_batch_frequencies_match_occupancy(grad_triple):
@@ -428,27 +430,32 @@ def test_noisy_deployment_couples_streams():
 def test_trajectory_csv_roundtrip(tmp_path, grad_triple):
     mdp, policy, model = grad_triple
     batch = sample_tabular_batch(mdp, policy, model, n=4, seed=11)
-    trajs = batch_to_trajectories(batch)
     path = tmp_path / "rollouts.csv"
-    save_trajectories_csv(trajs, path)
+    save_batch_csv(batch, path)
     rows = load_transitions_csv(path)
-    assert len(rows) == sum(t.n_steps for t in trajs)
+    assert len(rows) == batch["rewards"].size
     first = rows[0]
-    assert first["s"] == int(trajs[0].states[0])
-    assert first["a"] == int(trajs[0].actions[0])
-    assert first["r"] == float(trajs[0].rewards[0])
-    assert first["s_next"] == int(trajs[0].states[1])
+    assert first["s"] == int(batch["states"][0, 0])
+    assert first["a"] == int(batch["actions"][0, 0])
+    assert first["r"] == float(batch["rewards"][0, 0])
+    assert first["s_next"] == int(batch["states"][0, 1])
 
 
-def test_continuous_rollout_and_env_log_prob():
+def test_continuous_rollout_dataset_clamps_rewards():
     env = tracking_mdp()
+    from stackmbrl.models import rollout_dataset
     from stackmbrl.testbeds import tracking_behavior_policy
-    policy = tracking_behavior_policy(env)
-    traj = sample_trajectory(env, policy, seed=3)
-    assert traj.n_steps == env.horizon
-    assert np.isfinite(traj.logp_model).all()
+    dataset = rollout_dataset(env, tracking_behavior_policy(env), 1, seed=3)
+    assert dataset.n == env.horizon
+    assert np.array_equal(dataset.states[1:], dataset.next_states[:-1])
     # rewards are clamped on emission
-    assert np.all(traj.rewards >= 0.0) and np.all(traj.rewards <= 1.0)
+    assert np.all(dataset.rewards >= 0.0) and np.all(dataset.rewards <= 1.0)
+
+
+def test_sample_trajectory_rejects_a_tabular_environment(grad_triple):
+    mdp, policy, model = grad_triple
+    with pytest.raises(TypeError, match="sample_tabular_batch"):
+        sample_trajectory(mdp, policy, model)
 
 
 def test_continuous_model_rollout_truncates_on_nonfinite():

@@ -10,7 +10,7 @@ from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
                               SupportError, categorical_kl, gaussian_kl,
                               mle_fit, rollout_dataset, sample_offline_dataset)
-from stackmbrl.testbeds import (gradient_mdp, small_mdp,
+from stackmbrl.testbeds import (gradient_mdp, small_mdp, sparse_reward_testbed,
                                 tracking_behavior_policy, tracking_mdp)
 from conftest import dirichlet_mdp
 
@@ -489,6 +489,46 @@ def test_sampler_matches_the_per_dataset_draws(make_mdp, seed):
                               seed=np.random.default_rng(seed))
     assert got.states.tolist() == want.states.tolist()
     assert got.rewards.tolist() == want.rewards.tolist()
+
+
+def per_episode_choice_rollouts(mdp, policy, n_episodes, seed):
+    """Tabular ``rollout_dataset`` as ``rng.choice`` draws it, one episode
+    and one step at a time: the start state, then each step's action and
+    outcome, from episode ``e``'s generator ``default_rng((seed, e))``."""
+    from stackmbrl.mdp import _policy_probs
+    probs, joint = _policy_probs(policy, mdp), mdp.joint_outcome_probs()
+    rewards_tab, nexts_tab = mdp.outcome_table()
+    rows = []
+    for episode in range(n_episodes):
+        rng = np.random.default_rng((seed, episode))
+        s = rng.choice(mdp.num_states, p=mdp.init_dist)
+        for _ in range(mdp.horizon):
+            a = rng.choice(mdp.num_actions, p=probs[s])
+            k = rng.choice(mdp.num_outcomes, p=joint[s, a])
+            rows.append((s, a, rewards_tab[k], nexts_tab[k]))
+            s = nexts_tab[k]
+    return OfflineDataset(*(np.array(column) for column in zip(*rows)))
+
+
+@pytest.mark.parametrize("make_mdp", [
+    gradient_mdp, lambda: sparse_reward_testbed()[0],
+    lambda: dirichlet_mdp(5, 40)], ids=["gradient", "sparse", "dirichlet40"])
+def test_tabular_rollouts_match_per_episode_choice_draws(make_mdp):
+    """One pass of the path loop over all episodes draws what per-episode,
+    per-step ``rng.choice`` draws, for a uniform, a greedy (zero-probability
+    actions) and a softmax behaviour policy."""
+    from stackmbrl.mdp import dp_optimal_policy
+    mdp = make_mdp()
+    greedy = np.zeros((mdp.num_states, mdp.num_actions))
+    greedy[np.arange(mdp.num_states), dp_optimal_policy(mdp)] = 1.0
+    logits = np.random.default_rng(1).normal(
+        scale=2.0, size=(mdp.num_states, mdp.num_actions))
+    for policy in ("uniform", greedy, SoftmaxPolicy(logits)):
+        got = rollout_dataset(mdp, policy, n_episodes=30, seed=4)
+        want = per_episode_choice_rollouts(mdp, policy, 30, seed=4)
+        for field in ("states", "actions", "rewards", "next_states"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), field
 
 
 def test_categorical_mle_rejects_rows_outside_the_model():

@@ -20,7 +20,8 @@ import stackmbrl
 from stackmbrl import estimators, models, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   factors_from_batch)
-from stackmbrl.mdp import SamplingError, exact_return, sample_trajectory
+from stackmbrl.mdp import (SamplingError, TabularMdp, exact_return,
+                           sample_tabular_batch, sample_trajectory)
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, OfflineDataset,
                               SoftmaxPolicy, mle_fit, rollout_dataset,
@@ -123,8 +124,14 @@ def test_rollouts_append_one_bootstrap_action(grad_triple, grad_dataset,
     cases = [(*grad_triple, grad_dataset[0]),
              (tracking, tracking_behavior_policy(tracking), anchor, dataset)]
     for env, policy, model, data in cases:
-        traj = sample_trajectory(env, policy, model, horizon=3, seed=9)
-        assert len(traj.actions) == len(traj.logp_policy) == 3
+        if isinstance(env, TabularMdp):
+            batch = sample_tabular_batch(env, policy, model, horizon=3,
+                                         seed=9)
+            actions, logp = batch["actions"][0], batch["logp_policy"][0]
+        else:
+            traj = sample_trajectory(env, policy, model, horizon=3, seed=9)
+            actions, logp = traj.actions, traj.logp_policy
+        assert len(actions) == len(logp) == 3
         batch = collect_rollouts(env, policy, model, data, n_rollouts=4,
                                  length=3, seed=2)
         assert batch["actions"].shape[:2] == batch["logp_policy"].shape \

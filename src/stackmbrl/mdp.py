@@ -440,9 +440,9 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
 
 
 def _draw_categorical_rows(rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per probability row, drawn as ``rng.choice(K, p=row)``
-    would draw it row after row: the same uniforms, the same lookup."""
-    return _categorical_lookup(_normalised_cdf(rows), rng.random(rows.shape[0]))
+    """One index per row of ``rows`` (n, K), drawn as ``rng.choice(K, p=row)``
+    draws it row after row: the same uniforms, looked up in the CDF's columns."""
+    return _categorical_lookup(_normalised_cdf(rows).T, rng.random(rows.shape[0]))
 
 
 def _normalised_cdf(rows: np.ndarray) -> np.ndarray:
@@ -452,20 +452,26 @@ def _normalised_cdf(rows: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _categorical_lookup(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of each uniform ``u`` in its row of the normalised ``cdf``: the
-    number of entries at or below it, ``choice``'s rule. The last entry is
-    exactly 1 > u, so the index stays below K; a zero-probability entry
-    repeats the entry before it, so it is never drawn."""
-    return (cdf <= u[:, None]).sum(axis=1)
+def _cdf_columns(table: np.ndarray) -> np.ndarray:
+    """``_normalised_cdf`` of ``table`` (..., K) as a contiguous (K, C) array
+    whose column c is flattened cell c: a batch of cells is one gather."""
+    return np.ascontiguousarray(_normalised_cdf(table).reshape(-1, table.shape[-1]).T)
 
 
-def _tabular_paths(policy_cdf: np.ndarray, outcome_cdf: np.ndarray,
+def _categorical_lookup(columns: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of each uniform ``u[i]`` in column i of the normalised CDF
+    ``columns`` (K, n): the number of entries at or below it, as
+    ``rng.choice(K, p=row)`` draws it. The last entry is exactly 1 > u, so
+    the index stays below K; a zero-probability entry repeats the one before."""
+    return (columns <= u).sum(axis=0)
+
+
+def _tabular_paths(policy_columns: np.ndarray, outcome_columns: np.ndarray,
                    outcome_next: np.ndarray, states0: np.ndarray,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(states (n, h+1), actions (n, h), outcome codes (n, h)) of paths from
-    ``states0``, looked up in normalised CDF tables (S, A) and (S, A, K)
-    taken once: a row is the same before or after a gather. Rows 2t and
+    ``states0``, looked up in ``_cdf_columns`` tables (A, S) and (K, S * A),
+    gathered per step at the states s and the cells s * A + a. Rows 2t and
     2t+1 of the (2h, n) uniforms ``u`` draw step t's actions and outcomes."""
     n, h = len(states0), len(u) // 2
     states = np.empty((n, h + 1), dtype=np.int64)
@@ -473,9 +479,10 @@ def _tabular_paths(policy_cdf: np.ndarray, outcome_cdf: np.ndarray,
     states[:, 0] = states0
     for t, (u_action, u_outcome) in enumerate(u.reshape(h, 2, n)):
         s = states[:, t]
-        actions[:, t] = a = _categorical_lookup(policy_cdf[s], u_action)
-        outcomes[:, t] = k = _categorical_lookup(outcome_cdf[s, a], u_outcome)
-        states[:, t + 1] = outcome_next[k]
+        a = _categorical_lookup(np.take(policy_columns, s, axis=1), u_action)
+        cells = s * len(policy_columns) + a
+        k = _categorical_lookup(np.take(outcome_columns, cells, axis=1), u_outcome)
+        actions[:, t], outcomes[:, t], states[:, t + 1] = a, k, outcome_next[k]
     return states, actions, outcomes
 
 
@@ -485,8 +492,9 @@ def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
     """Vectorized batch of tabular rollouts; returns aligned (n, h) arrays.
     Unless ``init_states`` are given, ``rng.random(n)`` draws the start
     states by a search with ``side="right"`` in the initial CDF. Then
-    ``rng.random((2h, n))`` gives each step's action and outcome uniforms;
-    each draw is the one ``rng.choice(K, p=row)`` makes from its uniform."""
+    ``rng.random((2h, n))`` gives each step's action and outcome uniforms
+    for ``_cdf_columns`` tables built once per call; each draw is the one
+    ``rng.choice(K, p=row)`` makes from its uniform."""
     if n <= 0:
         raise ValueError("need a positive number of rollouts")
     rng = _as_rng(seed)
@@ -501,7 +509,7 @@ def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
         if states0.shape != (n,):
             raise ValueError("init_states must have shape (n,)")
     states, actions, outcomes = _tabular_paths(
-        _normalised_cdf(probs), _normalised_cdf(joint), out_s, states0,
+        _cdf_columns(probs), _cdf_columns(joint), out_s, states0,
         rng.random((2 * h, n)))
     with np.errstate(divide="ignore"):
         logp_policy = np.log(probs)[states[:, :-1], actions]

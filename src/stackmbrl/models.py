@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import (TabularMdp, _as_rng, _normalised_cdf, _policy_probs,
-                  _tabular_paths, read_json_object)
+from .mdp import (TabularMdp, _as_rng, _cdf_columns, _normalised_cdf,
+                  _policy_probs, _tabular_paths, read_json_object)
 from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
@@ -729,19 +729,19 @@ def _offline_sampler(mdp: TabularMdp, policy, n: int):
     ``n``-row behavior dataset per seed, concatenated in seed order. Each
     seed's generator draws ``random((3, n))``, state, action and outcome
     uniforms, as ``mapper`` runs it. The draws then run once over all the
-    rows, in CDF tables normalised once per call: states by a search with
+    rows, in CDF tables built once per sampler: states by a search with
     ``side="right"``, as ``rng.choice(S, size=n, p=p)`` draws them from the
-    uniform ``p``, then one step of the tabular path loop."""
+    uniform ``p``, then one tabular path step over ``_cdf_columns`` tables."""
     state_cdf = _normalised_cdf(np.full(mdp.num_states, 1.0 / mdp.num_states))
-    policy_cdf = _normalised_cdf(_policy_probs(policy, mdp))
-    outcome_cdf = _normalised_cdf(mdp.joint_outcome_probs())
+    policy_columns = _cdf_columns(_policy_probs(policy, mdp))
+    outcome_columns = _cdf_columns(mdp.joint_outcome_probs())
     outcome_next = mdp.outcome_table()[1]
 
     def sample(seeds, mapper=map):
         u = np.hstack(list(mapper(lambda seed: _as_rng(seed).random((3, n)),
                                   seeds)))
         states = state_cdf.searchsorted(u[0], side="right")
-        _, actions, outcomes = _tabular_paths(policy_cdf, outcome_cdf,
+        _, actions, outcomes = _tabular_paths(policy_columns, outcome_columns,
                                               outcome_next, states, u[1:])
         return states, actions[:, 0], outcomes[:, 0]
     return sample
@@ -760,15 +760,16 @@ def rollout_dataset(env, policy, n_episodes: int, seed=0) -> OfflineDataset:
     """Transitions of behavior-policy episodes in the true environment;
     episode ``e`` draws from its own generator ``default_rng((seed, e))``.
     A tabular episode draws ``random((1 + 2h, 1))``, its start state and
-    then each step's action and outcome uniforms, and one pass of the path
-    loop draws every episode. A continuous one draws ``env.reset``, then
-    per step ``policy.sample`` and ``env.step``."""
+    then each step's action and outcome uniforms, and one path loop over
+    ``_cdf_columns`` tables built once per call draws every episode as
+    per-step ``rng.choice`` would. A continuous one draws ``env.reset``,
+    then per step ``policy.sample`` and ``env.step``."""
     rngs = [np.random.default_rng((seed, e)) for e in range(n_episodes)]
     if isinstance(env, TabularMdp):
         u = np.hstack([rng.random((1 + 2 * env.horizon, 1)) for rng in rngs])
         states, actions, outcomes = _tabular_paths(
-            _normalised_cdf(_policy_probs(policy, env)),
-            _normalised_cdf(env.joint_outcome_probs()), env.outcome_table()[1],
+            _cdf_columns(_policy_probs(policy, env)),
+            _cdf_columns(env.joint_outcome_probs()), env.outcome_table()[1],
             _normalised_cdf(env.init_dist).searchsorted(u[0], side="right"),
             u[1:])
         return _offline_dataset(env, states[:, :-1].ravel(), actions.ravel(),

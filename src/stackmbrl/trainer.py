@@ -794,15 +794,16 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
                        ("critic", ["kind", "q", "v", "target_v"])):
         if not (isinstance(payload[part], dict) and set(keys) <= set(payload[part])):
             raise ValueError(f"{path}: {part} needs key(s) {', '.join(keys)}")
-    return {
-        "iteration": int(payload["iteration"]),
-        "lam": float(payload["lam"]),
-        "policy": policy_template.with_params(
-            np.array(payload["policy"]["values"])),
-        "model": model_template.with_params(
-            np.array(payload["model"]["values"])),
-        "critic": critic_from_dict(payload["critic"]),
-    }
+    players = {}
+    for part, template in (("policy", policy_template), ("model", model_template)):
+        try:
+            values = np.array(payload[part]["values"], dtype=float)
+            shape = template.params.values.shape
+            players[part] = template.with_params(values.reshape(shape))
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: {part} values do not fit: {err}") from err
+    return {"iteration": int(payload["iteration"]), "lam": float(payload["lam"]),
+            **players, "critic": critic_from_dict(payload["critic"])}
 
 
 def write_manifest(out_dir, config: TrainerConfig, env,

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from stackmbrl.cli import cli
+from stackmbrl.models import DiagGaussianPolicy, DiagGaussianWorldModel
+from stackmbrl.testbeds import tracking_mdp
 from stackmbrl.trainer import TrainerConfig
 
 
@@ -253,6 +255,20 @@ def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
     assert not out.exists()
 
 
+def checkpoint_misfit(part, values):
+    """A ``tracking`` checkpoint with ``values`` as its ``part`` values and
+    the other player's values the right length."""
+    env = tracking_mdp()
+    payload = {"iteration": 1, "lam": 1.0,
+               "critic": {"kind": "linear", "q": [], "v": [], "target_v": []}}
+    for name, family in (("policy", DiagGaussianPolicy),
+                         ("model", DiagGaussianWorldModel)):
+        payload[name] = family.zeros(env.state_dim,
+                                     env.action_dim).params.to_dict()
+    payload[part] = {"values": values}
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("name, content, argv, key", [
     ("rows.csv", "t,s,a,r,s_next,logp_policy,logp_model\n0,0,0,0.5,1,0,0\n",
      ["fit-model", "--dataset"], "episode"),
@@ -266,18 +282,27 @@ def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
     ("checkpoint.json",
      '{"iteration": 1, "lam": 1.0, "policy": {}, "model": {}, "critic": {}}',
      ["evaluate", "--env", "tracking", "--checkpoint"], "values"),
+    ("checkpoint.json", checkpoint_misfit("policy", [0, 0]),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "policy values"),
+    ("checkpoint.json", checkpoint_misfit("model", [0, 0]),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "model values"),
+    ("checkpoint.json", checkpoint_misfit("model", None),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "model values"),
     ("env.json", '{"kind": "continuous", "name": "tracking", "params": [1]}',
      ["gen-data", "--env"], "params"),
     ("env.json",
      '{"kind": "continuous", "name": "tracking", "params": {"bogus": 1}}',
      ["gen-data", "--env"], "bogus"),
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
-        "checkpoint-players", "env-params-list", "env-params-unknown"])
+        "checkpoint-players", "checkpoint-policy-values",
+        "checkpoint-model-values", "checkpoint-null-values",
+        "env-params-list", "env-params-unknown"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
-    object, or whose nested entries miss a key or name an unknown one,
-    exits 2 naming the file and the key, before any run directory."""
+    object, whose nested entries miss a key or name an unknown one, or
+    whose player values do not fit the template, exits 2 naming the file
+    and the key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))

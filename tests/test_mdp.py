@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, dirichlet_mdp
 
 from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
-                           _draw_categorical_rows, _format_state,
+                           _cdf_columns, _draw_categorical_rows,
+                           _format_state, _tabular_paths,
                            dp_optimal_policy, dp_values, exact_return,
                            load_transitions_csv, perturb_step,
                            sample_tabular_batch, sample_trajectory,
@@ -287,6 +288,73 @@ def test_draw_skips_a_trailing_zero_entry_of_a_short_row():
                                   ScriptedRng(uniform_queue=[[u]])) == [1]
     assert _draw_categorical_rows(np.array([row]),
                                   ScriptedRng(uniform_queue=[[u]])) == [1]
+
+
+def test_batch_matches_per_row_choice_draws():
+    """``sample_tabular_batch`` on a K = 80 MDP (S = 40, A = 3, R = 2),
+    with a non-true model, a greedy policy (zero-probability actions) and
+    given start states, draws what per-step, per-row ``rng.choice`` draws
+    from one generator: all rows' actions, then all rows' outcomes."""
+    mdp = dirichlet_mdp(3, 40)
+    rng = np.random.default_rng(8)
+    model = CategoricalWorldModel.uniform(mdp).with_params(
+        rng.normal(scale=2.0, size=mdp.num_states * mdp.num_actions
+                   * mdp.num_outcomes))
+    greedy = np.zeros((mdp.num_states, mdp.num_actions))
+    greedy[np.arange(mdp.num_states), dp_optimal_policy(mdp)] = 1.0
+    starts = rng.integers(0, mdp.num_states, size=48)
+    batch = sample_tabular_batch(mdp, greedy, model, n=48, seed=21,
+                                 init_states=starts)
+
+    joint, loop = model.probs_all(), np.random.default_rng(21)
+    states = np.empty((48, mdp.horizon + 1), dtype=np.int64)
+    actions, outcomes = np.empty((2, 48, mdp.horizon), dtype=np.int64)
+    states[:, 0] = starts
+    for t in range(mdp.horizon):
+        s = states[:, t]
+        actions[:, t] = [loop.choice(mdp.num_actions, p=greedy[i]) for i in s]
+        outcomes[:, t] = [loop.choice(mdp.num_outcomes, p=joint[i, a])
+                          for i, a in zip(s, actions[:, t])]
+        states[:, t + 1] = model.outcome_next_states[outcomes[:, t]]
+    s = states[:, :-1]
+    assert batch["states"].tolist() == states.tolist()
+    assert batch["actions"].tolist() == actions.tolist()
+    assert batch["outcomes"].tolist() == outcomes.tolist()
+    assert batch["logp_policy"].tolist() == np.log(greedy[s, actions]).tolist()
+    assert batch["logp_model"].tolist() == \
+        np.log(joint[s, actions, outcomes]).tolist()
+
+
+def test_column_lookup_edge_cases_in_the_path_loop():
+    """Through ``_tabular_paths``: an entry of zero probability inside a
+    row, whose CDF repeats the entry before it, is never drawn, not even by
+    a uniform equal to that CDF value; the largest uniform below 1 gives an
+    index below K; and one-entry rows (K = 1) always give 0."""
+    top = np.nextafter(1.0, 0.0)
+    u = np.concatenate([np.linspace(0.0, top, 201), [0.5, 0.25, top]])
+    n = len(u)
+    policy = np.array([[0.25, 0.0, 0.75], [0.5, 0.5, 0.0]])
+    joint = np.broadcast_to([0.5, 0.0, 0.5], (2, 3, 3))
+    states0 = np.arange(n) % 2
+    states, actions, outcomes = _tabular_paths(
+        _cdf_columns(policy), _cdf_columns(joint), np.array([0, 1, 1]),
+        states0, np.vstack([u, u[::-1]]))
+    for s in (0, 1):
+        cdf = np.cumsum(policy[s]) / policy[s].sum()
+        assert actions[states0 == s, 0].tolist() == \
+            cdf.searchsorted(u[states0 == s], side="right").tolist()
+    assert not (actions[states0 == 0] == 1).any()
+    assert not (actions[states0 == 1] == 2).any()
+    assert not (outcomes == 1).any()
+    assert actions[-1, 0] == 1 and outcomes[0, 0] == 2  # top's draws
+    assert actions[-2, 0] == 2  # state 0, u = 0.25: the repeated value
+
+    one = np.ones((3, 1))
+    states, actions, outcomes = _tabular_paths(
+        _cdf_columns(one), _cdf_columns(one[:, :, None]), np.array([2]),
+        np.array([0, 1, 2]), np.array([[0.0, 0.5, top]] * 6))
+    assert actions.tolist() == outcomes.tolist() == [[0, 0, 0]] * 3
+    assert states[:, 1:].tolist() == [[2, 2, 2]] * 3
 
 
 def test_mc_return_within_four_se(grad_triple):

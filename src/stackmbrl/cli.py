@@ -32,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import DynamicsState, LearningRates, run_dynamics
-from .estimators import (ESTIMATOR_NAMES, dataset_kl, exact_estimator_targets,
-                         model_score_table)
-from .mdp import ContinuousMdp, TabularMdp, dp_optimal_policy
+from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
+from .mdp import (ContinuousMdp, TabularMdp, dp_optimal_policy,
+                  exact_return)
 from .models import (
     CategoricalWorldModel,
     DiagGaussianWorldModel,
@@ -48,10 +48,8 @@ from .models import (
 from .oracles import (
     central_difference,
     central_difference_mixed,
-    enumerate_paths,
-    mixed_return_fn,
-    model_return_fn,
-    policy_return_fn,
+    exact_estimator_targets,
+    exact_gradients,
 )
 from .testbeds import (
     CONTINUOUS_TESTBEDS,
@@ -322,58 +320,19 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _frozen_path_tables(mdp, policy, model) -> dict:
-    """Per-path and per-cell tables over the full enumerable path set.
-
-    Everything that does not move with the differentiated parameter copy is
-    frozen here (path layout, behavior probability, discounted reward tails,
-    score rows), so each finite-difference evaluation reduces to vectorized
-    table lookups against a perturbed model.
-    """
-    s_n, a_n, k_n = model.logits.shape
-    n_phi = model.n_params
-    gammas = mdp.gamma ** np.arange(mdp.horizon)
-
-    paths = list(enumerate_paths(mdp, policy, model))
-    states = np.stack([p[1][:-1] for p in paths])
-    actions = np.stack([p[2] for p in paths])
-    outcomes = np.stack([p[3] for p in paths])
-    rewards = np.stack([p[4] for p in paths])
-    tails = np.flip(np.flip(gammas * rewards, 1).cumsum(axis=1), 1)
-    cells = (states * a_n + actions) * k_n + outcomes
-
-    pol = policy.probs_all()
-    behavior = mdp.init_dist[states[:, 0]] * pol[states, actions].prod(axis=1)
-
-    probs = model.probs_all()
-    score_rows = model_score_table(model).reshape(-1, n_phi)
-
-    weighted_scores = np.zeros((len(paths), n_phi))
-    for t in range(mdp.horizon):
-        weighted_scores += tails[:, t, None] * score_rows[cells[:, t]]
-
-    path_probs = behavior * probs.ravel()[cells].prod(axis=1)
-    tail_cell_mass = np.zeros(s_n * a_n * k_n)
-    np.add.at(tail_cell_mass, cells.ravel(),
-              (path_probs[:, None] * tails).ravel())
-
-    return {"cells": cells, "behavior": behavior, "tails": tails,
-            "score_rows": score_rows, "weighted_scores": weighted_scores,
-            "tail_cell_mass": tail_cell_mass}
-
-
 def grad_check_report(seed: int = 0) -> dict:
     """Max absolute error of every exposed estimator against an independent
-    finite-difference oracle, on the bundled enumerable testbed.
+    finite-difference oracle, on the bundled ``gradient`` testbed.
 
-    Return-gradient rows difference the exact enumerated return; penalty
-    rows difference an independent KL implementation. The three curvature
-    blocks are differenced through frozen-weight trajectory tables: the
-    model/model block perturbs only the path distribution under a frozen
-    score-weighted-return integrand, while the two score-outer-product
-    blocks perturb only a same-draw log-likelihood factor paired against
-    frozen scores (the derivative of that log factor is the second score
-    of the pair). The zero-order constraint row is recomputed directly.
+    Return-gradient rows difference the exact DP return; penalty rows
+    difference an independent KL implementation. The targets are the DP
+    pass's closed forms; the two score-product curvature blocks are
+    differenced through the pass's tail mass m, over score rows frozen at
+    the evaluation point. The model/model block differences
+    ``score_rows^T m`` with m recomputed at each perturbed model, while the
+    score-outer-product block differences a log-likelihood paired against
+    the frozen m (the derivative of that log factor is the second score of
+    the pair). The zero-order constraint row is recomputed directly.
     """
     mdp, policy, model = gradient_testbed()
     lam, epsilon = GRAD_CHECK_LAM, GRAD_CHECK_EPSILON
@@ -385,44 +344,51 @@ def grad_check_report(seed: int = 0) -> dict:
     theta = policy.params.values.copy()
     phi = model.params.values.copy()
     k_n = model.logits.shape[2]
-    tables = _frozen_path_tables(mdp, policy, model)
+    score_rows = model_score_table(model).reshape(-1, model.n_params)
+
+    def tail_mass(flat: np.ndarray) -> np.ndarray:
+        return exact_gradients(mdp, policy,
+                               model.with_params(flat)).tail_mass.ravel()
+
+    frozen_mass = tail_mass(phi)
 
     errors = {}
     errors["grad_policy"] = np.abs(
         targets["grad_policy"]
-        - central_difference(policy_return_fn(mdp, policy, model),
-                             theta)).max()
+        - central_difference(
+            lambda flat: exact_return(mdp, policy.with_params(flat), model),
+            theta)).max()
     errors["grad_model"] = np.abs(
         targets["grad_model"]
-        - central_difference(model_return_fn(mdp, policy, model), phi)).max()
+        - central_difference(
+            lambda flat: exact_return(mdp, policy, model.with_params(flat)),
+            phi)).max()
     errors["mixed"] = np.abs(
         targets["mixed"]
-        - central_difference_mixed(mixed_return_fn(mdp, policy, model),
-                                   phi, theta)).max()
-
-    def integrand_mean(flat: np.ndarray) -> np.ndarray:
-        shifted = model.with_params(flat).probs_all().ravel()
-        prob = tables["behavior"] * shifted[tables["cells"]].prod(axis=1)
-        return tables["weighted_scores"].T @ prob
-
-    errors["uv"] = np.abs(targets["uv"]
-                          - central_difference(integrand_mean, phi)).max()
+        - central_difference_mixed(
+            lambda row, col: exact_return(mdp, policy.with_params(col),
+                                          model.with_params(row)),
+            phi, theta)).max()
+    errors["uv"] = np.abs(
+        targets["uv"]
+        - central_difference(lambda flat: score_rows.T @ tail_mass(flat),
+                             phi)).max()
 
     def paired_log_likelihood(flat: np.ndarray) -> np.ndarray:
         logs = np.log(model.with_params(flat).probs_all().ravel())
-        return tables["score_rows"].T @ (tables["tail_cell_mass"] * logs)
+        return score_rows.T @ (frozen_mass * logs)
 
     errors["xy"] = np.abs(
         targets["xy"] - central_difference(paired_log_likelihood, phi)).max()
 
-    anchor_cell_mass = np.zeros_like(tables["tail_cell_mass"])
+    anchor_cell_mass = np.zeros_like(frozen_mass)
     s, a, counts = dataset.cells
     anchor_cell_mass.reshape(-1, k_n)[s * mdp.num_actions + a] = (
         counts / dataset.n)[:, None] * anchor.probs(s, a)
 
     def anchored_log_likelihood(flat: np.ndarray) -> np.ndarray:
         logs = np.log(model.with_params(flat).probs_all().ravel())
-        return tables["score_rows"].T @ (anchor_cell_mass * logs)
+        return score_rows.T @ (anchor_cell_mass * logs)
 
     errors["zz"] = np.abs(
         targets["zz"]
@@ -441,8 +407,8 @@ def grad_check_report(seed: int = 0) -> dict:
 
 def cmd_grad_check(args) -> int:
     started = time.time()
-    out = _prepare_out(args, "grad-check")
     errors = grad_check_report(seed=args.seed)
+    out = _prepare_out(args, "grad-check")
     missing = set(ESTIMATOR_NAMES) - set(errors)
     extra = set(errors) - set(ESTIMATOR_NAMES)
     for name in ESTIMATOR_NAMES:
@@ -522,6 +488,13 @@ def cmd_dynamics_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stackmbrl",
@@ -529,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out", type=str, default=None,
                        help="run directory (default run-<subcommand>)")
 

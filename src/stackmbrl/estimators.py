@@ -32,12 +32,15 @@ GAE_LAMBDA_DEFAULT = 0.95
 
 
 def policy_score_table(policy: SoftmaxPolicy) -> np.ndarray:
-    """(S, A, n_theta) dense score table for the enumeration oracles."""
+    """(S, A, n_theta) dense score table, every (s, a) row at once: the
+    enumeration reference in the tests reads it, and the benchmark tracer
+    times it by this name."""
     return policy.scores(*np.indices(policy.logits.shape)).dense()
 
 
 def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
-    """(S, A, K, n_phi) dense score table for the enumeration oracles.
+    """(S, A, K, n_phi) dense score table: ``grad-check``'s frozen score
+    rows, which the benchmark tracer times by this name.
 
     Its size is quadratic in n_phi; sampled estimators evaluate
     ``model.scores`` on the steps they draw instead, as block scores.
@@ -231,29 +234,9 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
 
 
 # ---------------------------------------------------------------------------
-# unbiasedness targets
+# estimator registry
 # ---------------------------------------------------------------------------
 
 ESTIMATOR_NAMES = ("grad_policy", "grad_model", "mixed", "uv", "xy", "zz",
                    "dual_coupling", "constraint_gap")
 
-
-def exact_estimator_targets(mdp, policy, model, dataset, anchor, lam: float,
-                            epsilon: float) -> dict:
-    """Enumeration-backed expectations, one per ``ESTIMATOR_NAMES`` entry:
-    the targets a Monte-Carlo average of each factor recipe's per-sample
-    terms must hit."""
-    from .oracles import exact_expectations, exact_penalty_terms
-
-    exp = exact_expectations(mdp, policy, model)
-    pen = exact_penalty_terms(dataset, model, anchor)
-    return {
-        "grad_policy": exp.grad_policy,
-        "grad_model": exp.grad_model,
-        "mixed": exp.mixed,
-        "uv": exp.uv,
-        "xy": exp.xy,
-        "zz": lam * pen.fim_mean,
-        "dual_coupling": -pen.score_mean,
-        "constraint_gap": np.array([pen.kl_mean - epsilon]),
-    }

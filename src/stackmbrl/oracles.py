@@ -1,20 +1,27 @@
-"""Exact enumeration and finite-difference oracles for tabular testbeds.
+"""Exact oracles for tabular testbeds: one dynamic-programming pass, closed-form
+dataset sums and finite differences.
 
 Everything here is an independent evaluation route: expectations are computed
-by exhaustive trajectory enumeration (or closed-form dataset sums), never by
-the sampling estimators they are used to verify. A softmax cell with
-probability row p has score(k) = e_k - p.
+exactly, never by the sampling estimators they are used to verify. The pass
+runs ``mdp.dp_values`` backward for V_t and Q_t, with the continuation
+c_t(k) = r_k + gamma V_{t+1}(s'_k), and the state occupancy d_t forward. By
+the policy-gradient theorem, applied to the model as well as to the policy,
+
+    dJ/dtheta_sa = sum_t gamma^t d_t(s) pi(a|s) (Q_t(s,a) - V_t(s)),
+    dJ/dphi_sak = sum_t gamma^t d_t(s) pi(a|s) P(k|s,a) (c_t(k) - Q_t(s,a)),
+
+and the tail mass m(s,a,k) = sum_t gamma^t d_t(s) pi(a|s) P(k|s,a) c_t(k) is
+E[sum_t w_t 1{(s_t, a_t, k_t) = (s, a, k)}], w_t = sum_{j >= t} gamma^j r_j.
+A softmax cell with probability row p has score(k) = e_k - p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .estimators import model_score_table, policy_score_table
-from .mdp import TabularMdp, _model_tables, _policy_probs
+from .mdp import TabularMdp, _model_tables, _policy_probs, dp_values
 from .models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy, categorical_kl
 
 
@@ -41,62 +48,91 @@ def central_difference(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 
 def central_difference_mixed(f, x_row: np.ndarray, x_col: np.ndarray,
                              eps: float = 1e-4) -> np.ndarray:
-    """Four-point mixed second derivative d^2 f / d x_row d x_col.
+    """Four-point mixed second derivative d^2 f / d x_row d x_col: the
+    central difference in ``x_col`` of the one in ``x_row``.
 
     Returns a (len(x_row), len(x_col)) matrix; ``f(x_row, x_col)`` is scalar.
     """
-    x_row = np.asarray(x_row, dtype=float)
-    x_col = np.asarray(x_col, dtype=float)
-    out = np.zeros((x_row.size, x_col.size))
-    for i in range(x_row.size):
-        for j in range(x_col.size):
-            rp, rm = x_row.copy(), x_row.copy()
-            rp[i] += eps
-            rm[i] -= eps
-            cp, cm = x_col.copy(), x_col.copy()
-            cp[j] += eps
-            cm[j] -= eps
-            out[i, j] = (f(rp, cp) - f(rp, cm) - f(rm, cp) + f(rm, cm)) / (4 * eps * eps)
-    return out
+    return central_difference(
+        lambda col: central_difference(lambda row: f(row, col), x_row, eps),
+        x_col, eps)
 
 
 # ---------------------------------------------------------------------------
-# trajectory enumeration
+# one forward/backward dynamic-programming pass
 # ---------------------------------------------------------------------------
 
 
-def enumerate_paths(mdp: TabularMdp, policy, model):
-    """Yield (prob, states, actions, outcomes, rewards) over all full-horizon
-    paths with positive probability, in ascending index order."""
-    probs = _policy_probs(policy, mdp)
-    joint, out_r, out_s = _model_tables(model, mdp)
-    h = mdp.horizon
-    steps = list(product(range(mdp.num_actions), range(mdp.num_outcomes)))
-    for s0 in range(mdp.num_states):
-        p0 = mdp.init_dist[s0]
-        if p0 == 0.0:
-            continue
-        for choice in product(steps, repeat=h):
-            prob = p0
-            states = np.empty(h + 1, dtype=np.int64)
-            actions = np.empty(h, dtype=np.int64)
-            outcomes = np.empty(h, dtype=np.int64)
-            rewards = np.empty(h)
-            states[0] = s0
-            alive = True
-            for t, (a, k) in enumerate(choice):
-                s = states[t]
-                step_p = probs[s, a] * joint[s, a, k]
-                if step_p == 0.0:
-                    alive = False
-                    break
-                prob *= step_p
-                actions[t] = a
-                outcomes[t] = k
-                rewards[t] = out_r[k]
-                states[t + 1] = out_s[k]
-            if alive:
-                yield prob, states, actions, outcomes, rewards
+@dataclass
+class ExactGradients:
+    """J, its gradients with respect to both players' logits, and the tail
+    mass."""
+
+    j: float
+    grad_policy: np.ndarray          # dJ/dtheta, flat
+    grad_model: np.ndarray           # dJ/dphi, flat
+    tail_mass: np.ndarray            # (S, A, K) m(s, a, k)
+
+
+def _dp_pass(mdp: TabularMdp, pi: np.ndarray, probs: np.ndarray,
+             out_r: np.ndarray, out_s: np.ndarray) -> ExactGradients:
+    """The forward/backward pass over the (S, A) policy and (S, A, K) outcome
+    tables. It only adds and multiplies them, so it runs on complex tables
+    too."""
+    gamma = mdp.gamma
+    values, q = dp_values(probs, out_r, out_s, pi, gamma, mdp.horizon)
+    conts = out_r + gamma * values[1:, out_s]              # c_t, (h, K)
+    step_mass = np.einsum("sa,sak->sk", pi, probs)
+    kernel = np.zeros((len(pi), len(pi)), dtype=step_mass.dtype)
+    for k in range(len(out_s)):
+        kernel[:, out_s[k]] += step_mass[:, k]
+    occupancy = np.zeros_like(q[:-1])      # gamma^t d_t(s) pi(a|s), (h, S, A)
+    tails = np.zeros_like(probs)           # sum_t gamma^t d_t(s) pi(a|s) c_t(k)
+    dist = mdp.init_dist.copy()
+    for t in range(mdp.horizon):
+        tails += (gamma ** t) * dist[:, None, None] * pi[:, :, None] \
+            * conts[t][None, None, :]
+        occupancy[t] = (gamma ** t) * dist[:, None] * pi
+        dist = dist @ kernel
+    inner = (probs * tails).sum(axis=-1, keepdims=True)
+    return ExactGradients(
+        j=mdp.init_dist @ values[0],
+        grad_policy=(occupancy * (q[:-1] - values[:-1, :, None]))
+        .sum(axis=0).ravel(),
+        grad_model=(probs * (tails - inner)).ravel(),
+        tail_mass=probs * tails)
+
+
+def exact_gradients(mdp: TabularMdp, policy, model) -> ExactGradients:
+    """J, dJ/dtheta, dJ/dphi and the tail mass by one forward/backward pass;
+    ``policy`` and ``model`` take the shorthands ``mdp.exact_return`` takes."""
+    return _dp_pass(mdp, _policy_probs(policy, mdp),
+                    *_model_tables(model, mdp))
+
+
+def _softmax_covariances(table: np.ndarray) -> np.ndarray:
+    """(C, K, K) diag(p) - p p^T of each row p of ``table`` (..., K): the
+    Jacobian of the row with respect to its own logits."""
+    rows = table.reshape(-1, table.shape[-1])
+    return rows[:, :, None] * (np.eye(rows.shape[1]) - rows[:, None, :])
+
+
+def _softmax_tangents(table: np.ndarray):
+    """The derivative of a softmax table along each of its flat logits in
+    turn: logit j of a row moves that row alone, by covariance row j."""
+    covs = _softmax_covariances(table)
+    for cell, j in np.ndindex(covs.shape[:2]):
+        tangent = np.zeros_like(table)
+        tangent.reshape(-1, covs.shape[1])[cell] = covs[cell, j]
+        yield tangent
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The (C*K, C*K) matrix with the (C, K, K) ``blocks`` on its diagonal."""
+    cells, k_n, _ = blocks.shape
+    out = np.zeros((cells, k_n, cells, k_n))
+    out[np.arange(cells), :, np.arange(cells), :] = blocks
+    return out.reshape(cells * k_n, cells * k_n)
 
 
 @dataclass
@@ -110,46 +146,40 @@ class ExactExpectations:
     mixed: np.ndarray                # E[grad_phi Psi * (grad_theta log P(tau))^T]
     uv: np.ndarray                   # E[grad_phi Psi * (grad_phi log P(tau))^T]
     xy: np.ndarray                   # sum_t E[w_t * score_t score_t^T]
-    total_prob: float
 
 
 def exact_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
                        model: CategoricalWorldModel) -> ExactExpectations:
-    """Enumerate P(tau; theta, phi) exactly and accumulate all expectations."""
-    n_theta = policy.n_params
-    n_phi = model.n_params
-    h = mdp.horizon
-    gammas = mdp.gamma ** np.arange(h)
+    """Every expectation in closed form from the DP pass.
 
-    pol_scores = policy_score_table(policy)
-    mod_scores = model_score_table(model)
-    fim_blocks = mod_scores[..., :, None] * mod_scores[..., None, :]
+    ``mixed`` is d^2 J / dphi dtheta and ``uv`` is d^2 J / dphi^2 plus
+    sum_cells (sum_k m) (diag p - p p^T). Both take one tangent sweep of
+    the pass per logit of either player: the pass runs on the tables plus
+    i * h times the logit's tangent, and the imaginary part of dJ/dphi over
+    h is its directional derivative, to rounding, since the pass is a
+    polynomial in the tables. ``xy = sum_cells m score score^T`` is
+    block-diagonal, because E[w_t | s_t, a_t, k_t] = gamma^t c_t(k_t).
+    """
+    pi = _policy_probs(policy, mdp)
+    probs, out_r, out_s = _model_tables(model, mdp)
+    first = _dp_pass(mdp, pi, probs, out_r, out_s)
+    step = 1e-20
 
-    j = 0.0
-    total = 0.0
-    grad_policy = np.zeros(n_theta)
-    grad_model = np.zeros(n_phi)
-    mixed = np.zeros((n_phi, n_theta))
-    uv = np.zeros((n_phi, n_phi))
-    xy = np.zeros((n_phi, n_phi))
+    def sweep(d_pi, d_probs) -> np.ndarray:
+        return _dp_pass(mdp, pi + 1j * step * d_pi,
+                        probs + 1j * step * d_probs, out_r,
+                        out_s).grad_model.imag / step
 
-    for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
-        total += prob
-        w = (gammas * rewards)[::-1].cumsum()[::-1]  # w_t = sum_{j >= t} gamma^j r_j
-        s_idx, a_idx = states[:-1], actions
-        theta_steps = pol_scores[s_idx, a_idx]              # (h, n_theta)
-        phi_steps = mod_scores[s_idx, a_idx, outcomes]      # (h, n_phi)
-        psi_phi = w @ phi_steps
-
-        j += prob * w[0]
-        grad_policy += prob * (w @ theta_steps)
-        grad_model += prob * psi_phi
-        mixed += prob * np.outer(psi_phi, theta_steps.sum(axis=0))
-        uv += prob * np.outer(psi_phi, phi_steps.sum(axis=0))
-        xy += prob * np.tensordot(w, fim_blocks[s_idx, a_idx, outcomes], axes=1)
-
-    return ExactExpectations(j=j, grad_policy=grad_policy, grad_model=grad_model,
-                             mixed=mixed, uv=uv, xy=xy, total_prob=total)
+    k_n = probs.shape[-1]
+    mass = first.tail_mass.reshape(-1, k_n)
+    scores = np.eye(k_n) - probs.reshape(-1, 1, k_n)  # row k: score(k)
+    hess = np.stack([sweep(0.0, d) for d in _softmax_tangents(probs)], axis=1)
+    return ExactExpectations(
+        j=first.j, grad_policy=first.grad_policy, grad_model=first.grad_model,
+        mixed=np.stack([sweep(d, 0.0) for d in _softmax_tangents(pi)], axis=1),
+        uv=hess + _block_diagonal(mass.sum(axis=1)[:, None, None]
+                                  * _softmax_covariances(probs)),
+        xy=_block_diagonal(np.einsum("ck,cki,ckj->cij", mass, scores, scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +219,24 @@ def exact_penalty_terms(dataset: OfflineDataset, model: CategoricalWorldModel,
 
 
 # ---------------------------------------------------------------------------
-# scalar-function views for finite differencing
+# unbiasedness targets
 # ---------------------------------------------------------------------------
 
 
-def policy_return_fn(mdp: TabularMdp, policy: SoftmaxPolicy, model):
-    """J as a function of the flat policy parameters."""
-    from .mdp import exact_return
-
-    def fn(theta: np.ndarray) -> float:
-        return exact_return(mdp, policy.with_params(theta), model)
-
-    return fn
-
-
-def model_return_fn(mdp: TabularMdp, policy, model: CategoricalWorldModel):
-    """J as a function of the flat model parameters."""
-    from .mdp import exact_return
-
-    def fn(phi: np.ndarray) -> float:
-        return exact_return(mdp, policy, model.with_params(phi))
-
-    return fn
-
-
-def mixed_return_fn(mdp: TabularMdp, policy: SoftmaxPolicy,
-                    model: CategoricalWorldModel):
-    """J as a function of (flat model params, flat policy params)."""
-    from .mdp import exact_return
-
-    def fn(phi: np.ndarray, theta: np.ndarray) -> float:
-        return exact_return(mdp, policy.with_params(theta),
-                            model.with_params(phi))
-
-    return fn
+def exact_estimator_targets(mdp, policy, model, dataset, anchor, lam: float,
+                            epsilon: float) -> dict:
+    """Exact expectations, one per ``estimators.ESTIMATOR_NAMES`` entry: the
+    targets a Monte-Carlo average of each factor recipe's per-sample terms
+    must hit."""
+    exp = exact_expectations(mdp, policy, model)
+    pen = exact_penalty_terms(dataset, model, anchor)
+    return {
+        "grad_policy": exp.grad_policy,
+        "grad_model": exp.grad_model,
+        "mixed": exp.mixed,
+        "uv": exp.uv,
+        "xy": exp.xy,
+        "zz": lam * pen.fim_mean,
+        "dual_coupling": -pen.score_mean,
+        "constraint_gap": np.array([pen.kl_mean - epsilon]),
+    }

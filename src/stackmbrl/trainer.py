@@ -44,7 +44,6 @@ from .mdp import (
     NoisyDeployment,
     SamplingError,
     TabularMdp,
-    dp_values,
     exact_return,
     read_json_object,
     sample_tabular_batch,
@@ -56,6 +55,7 @@ from .models import (
     OfflineDataset,
     SoftmaxPolicy,
 )
+from .oracles import exact_gradients
 from .woodbury import (
     RIDGE_DEFAULT,
     IllConditionedError,
@@ -865,37 +865,9 @@ def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
 
 def exact_return_model_gradient(mdp: TabularMdp, policy,
                                 model: CategoricalWorldModel) -> np.ndarray:
-    """Gradient of the exact model return with respect to the model logits.
-
-    Forward pass accumulates the discounted state distribution, the backward
-    pass reuses the value recursion; the per-cell softmax Jacobian folds the
-    outcome-probability gradient back to logits. Flat, matching
-    ``model.params.values``.
-    """
-    from .mdp import _policy_probs
-
-    probs = model.probs_all()
-    pi = _policy_probs(policy, mdp)
-    out_r = model.outcome_rewards
-    out_s = model.outcome_next_states
-    values, _ = dp_values(probs, out_r, out_s, pi, mdp.gamma, mdp.horizon)
-
-    n_states, _, n_outcomes = probs.shape
-    step_mass = np.einsum("sa,sak->sk", pi, probs)
-    kernel = np.zeros((n_states, n_states))
-    for k in range(n_outcomes):
-        kernel[:, out_s[k]] += step_mass[:, k]
-
-    grads = np.zeros_like(probs)
-    dist = mdp.init_dist.copy()
-    for t in range(mdp.horizon):
-        continuation = out_r + mdp.gamma * values[t + 1][out_s]
-        grads += (mdp.gamma ** t) * dist[:, None, None] * pi[:, :, None] \
-            * continuation[None, None, :]
-        dist = dist @ kernel
-
-    inner = (probs * grads).sum(axis=-1, keepdims=True)
-    return (probs * (grads - inner)).ravel()
+    """Gradient of the exact model return with respect to the model logits,
+    flat like ``model.params.values``: ``oracles.exact_gradients``' DP pass."""
+    return exact_gradients(mdp, policy, model).grad_model
 
 
 def _pulled_into_ball(model: CategoricalWorldModel,

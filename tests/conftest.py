@@ -5,7 +5,10 @@ import pytest
 
 from stackmbrl.mdp import TabularMdp
 from stackmbrl.models import CategoricalWorldModel, mle_fit, sample_offline_dataset
-from stackmbrl.testbeds import gradient_testbed, small_testbed, sparse_reward_testbed
+from stackmbrl.testbeds import (TABULAR_TESTBEDS, gradient_testbed,
+                                small_testbed, sparse_reward_testbed)
+
+from reference_oracles import enumerated_expectations
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +25,18 @@ def small_triple():
 @pytest.fixture(scope="session")
 def sparse_triple():
     return sparse_reward_testbed()
+
+
+@pytest.fixture(scope="session")
+def enumerated_testbeds():
+    """{name: ((mdp, policy, model), enumerated expectations, total path
+    probability)} for every bundled tabular testbed: the enumeration
+    reference, computed once per session."""
+    out = {}
+    for name, build in TABULAR_TESTBEDS.items():
+        triple = build()
+        out[name] = (triple,) + enumerated_expectations(*triple)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,97 @@
-"""Exact oracles that only the tests read, built from the library's
-enumeration and dataset-penalty oracles. Per softmax cell with probability
-row p: hess log P(k) = -(diag(p) - p p^T) for every k, and
+"""Exact oracles that only the tests read. The enumeration here visits every
+full-horizon path, (A*K)^h per start state, and is the reference the
+library's dynamic-programming oracles must match; the rest builds on the
+library's oracles. Per softmax cell with probability row p:
+hess log P(k) = -(diag(p) - p p^T) for every k, and
 hess P(k) / P(k) = score(k) score(k)^T - (diag(p) - p p^T).
 """
 
+from itertools import product
+
 import numpy as np
 
-from stackmbrl.estimators import dataset_kl, model_score_table
+from stackmbrl.estimators import (dataset_kl, model_score_table,
+                                  policy_score_table)
 from stackmbrl.mdp import (TabularMdp, _model_tables, _policy_probs,
                            exact_return, transition_marginal)
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
-from stackmbrl.oracles import (ExactExpectations, enumerate_paths,
-                               exact_expectations, exact_penalty_terms)
+from stackmbrl.oracles import (ExactExpectations, exact_expectations,
+                               exact_penalty_terms)
+
+
+def enumerate_paths(mdp: TabularMdp, policy, model):
+    """Yield (prob, states, actions, outcomes, rewards) over all full-horizon
+    paths with positive probability, in ascending index order."""
+    probs = _policy_probs(policy, mdp)
+    joint, out_r, out_s = _model_tables(model, mdp)
+    h = mdp.horizon
+    steps = list(product(range(mdp.num_actions), range(mdp.num_outcomes)))
+    for s0 in range(mdp.num_states):
+        p0 = mdp.init_dist[s0]
+        if p0 == 0.0:
+            continue
+        for choice in product(steps, repeat=h):
+            prob = p0
+            states = np.empty(h + 1, dtype=np.int64)
+            actions = np.empty(h, dtype=np.int64)
+            outcomes = np.empty(h, dtype=np.int64)
+            rewards = np.empty(h)
+            states[0] = s0
+            alive = True
+            for t, (a, k) in enumerate(choice):
+                s = states[t]
+                step_p = probs[s, a] * joint[s, a, k]
+                if step_p == 0.0:
+                    alive = False
+                    break
+                prob *= step_p
+                actions[t] = a
+                outcomes[t] = k
+                rewards[t] = out_r[k]
+                states[t + 1] = out_s[k]
+            if alive:
+                yield prob, states, actions, outcomes, rewards
+
+
+def enumerated_expectations(mdp: TabularMdp, policy: SoftmaxPolicy,
+                            model: CategoricalWorldModel
+                            ) -> tuple[ExactExpectations, float]:
+    """Every ``ExactExpectations`` field accumulated over the enumerated
+    paths, and the total path probability."""
+    n_theta = policy.n_params
+    n_phi = model.n_params
+    h = mdp.horizon
+    gammas = mdp.gamma ** np.arange(h)
+
+    pol_scores = policy_score_table(policy)
+    mod_scores = model_score_table(model)
+    fim_blocks = mod_scores[..., :, None] * mod_scores[..., None, :]
+
+    j = 0.0
+    total = 0.0
+    grad_policy = np.zeros(n_theta)
+    grad_model = np.zeros(n_phi)
+    mixed = np.zeros((n_phi, n_theta))
+    uv = np.zeros((n_phi, n_phi))
+    xy = np.zeros((n_phi, n_phi))
+
+    for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
+        total += prob
+        w = (gammas * rewards)[::-1].cumsum()[::-1]  # w_t = sum_{j >= t} gamma^j r_j
+        s_idx, a_idx = states[:-1], actions
+        theta_steps = pol_scores[s_idx, a_idx]              # (h, n_theta)
+        phi_steps = mod_scores[s_idx, a_idx, outcomes]      # (h, n_phi)
+        psi_phi = w @ phi_steps
+
+        j += prob * w[0]
+        grad_policy += prob * (w @ theta_steps)
+        grad_model += prob * psi_phi
+        mixed += prob * np.outer(psi_phi, theta_steps.sum(axis=0))
+        uv += prob * np.outer(psi_phi, phi_steps.sum(axis=0))
+        xy += prob * np.tensordot(w, fim_blocks[s_idx, a_idx, outcomes], axes=1)
+
+    return ExactExpectations(j=j, grad_policy=grad_policy, grad_model=grad_model,
+                             mixed=mixed, uv=uv, xy=xy), total
 
 
 def _softmax_cov(p: np.ndarray) -> np.ndarray:

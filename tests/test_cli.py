@@ -100,7 +100,7 @@ CLI_DIGESTS = {
     ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
     ("fit", "model.json"): "f4fd7f59c1b97347915317cfed7cac0e5f432075e65cb6e2cdd1ba76569b1c05",
     ("eval", "eval_report.json"): "21d2e2d820102286ff3f8d02823e4eff68225f6d3bdd09d6a80a7a06af803274",
-    ("gc", "grad_check.json"): "767cec41b76bb3775a685aecee865b1acfa70339f16a2e217745c3b27e7c3f3f",
+    ("gc", "grad_check.json"): "a7b905ab0ec3b5b212aee128c0507c93aa8382c5441e97c00fa79e2ffaa8decf",
     ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
     ("demo-stackelberg", "dynamics_trace.csv"): "bc0404fb2ba4bbd6d3b1b9c6c89a09ee1e7cd949551ef91b530003153049bb4d",
     ("demo-constrained", "dynamics_trace.csv"): "42b4362569840548883f90849bea4429adcb627f57da58ddba7516ce3941e9b1",
@@ -252,6 +252,17 @@ def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
 def test_rejected_inputs_leave_no_run_directory(tmp_path, argv):
     code, out = run(tmp_path, "rejected", *argv)
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["grad-check", "dynamics-demo",
+                                        "gen-data"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_that_is_not_a_non_negative_integer_is_rejected(
+        tmp_path, capsys, subcommand, seed):
+    code, out = run(tmp_path, "rejected", subcommand, "--seed", seed)
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

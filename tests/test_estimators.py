@@ -7,18 +7,19 @@ from conftest import ScriptedRng, uniform_for
 from reference_estimators import (discounted_weights, mc_estimator_stats,
                                   model_gradient, policy_gradient,
                                   psi_gradients)
-from reference_oracles import exact_grad_lagrangian_model, fim_hess_j
+from reference_oracles import (enumerate_paths, exact_grad_lagrangian_model,
+                               fim_hess_j)
 
 from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
-                                  dataset_kl, exact_estimator_targets,
-                                  factors_from_batch, generalized_advantages,
+                                  dataset_kl, factors_from_batch,
+                                  generalized_advantages,
                                   masked_surrogate_gradient,
                                   model_score_table, policy_score_table,
                                   ratio_masks)
 from stackmbrl.mdp import (_draw_categorical_rows, dp_values,
                            sample_tabular_batch)
 from stackmbrl.models import DiagGaussianWorldModel
-from stackmbrl.oracles import (central_difference, enumerate_paths,
+from stackmbrl.oracles import (central_difference, exact_estimator_targets,
                                exact_expectations, exact_penalty_terms)
 from stackmbrl.woodbury import BlockScores
 

@@ -41,3 +41,15 @@ def test_settable_values_stay_within_budget():
                 count += sum(isinstance(stmt, ast.AnnAssign)
                              and stmt.value is not None for stmt in node.body)
     assert count <= SETTABLE_VALUES_BUDGET
+
+
+# Lines in the package's modules, as ``wc -l src/stackmbrl/*.py`` counts
+# them. A change that grows the package must raise this ceiling in the same
+# change and say why.
+SOURCE_LINES_CEILING = 4723
+
+
+def test_source_lines_stay_within_ceiling():
+    count = sum(len(path.read_text().splitlines()) for path in
+                Path(stackmbrl.__file__).parent.glob("*.py"))
+    assert count <= SOURCE_LINES_CEILING

@@ -15,11 +15,10 @@ from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
                            sample_tabular_batch, sample_trajectory,
                            transition_marginal)
 from stackmbrl.models import CategoricalWorldModel, SoftmaxPolicy
-from stackmbrl.oracles import enumerate_paths
 from stackmbrl.testbeds import tracking_mdp
 
-from reference_oracles import (normalized_occupancy, per_step_occupancy,
-                               simulation_gap_and_bound)
+from reference_oracles import (enumerate_paths, normalized_occupancy,
+                               per_step_occupancy, simulation_gap_and_bound)
 
 
 def save_batch_csv(batch: dict, path) -> None:

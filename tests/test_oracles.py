@@ -1,4 +1,5 @@
-"""Enumeration oracles: exact expectations and their finite-difference twins."""
+"""Exact oracles: the dynamic-programming expectations, the enumeration
+reference they must match, and their finite-difference twins."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ from stackmbrl.estimators import dataset_kl
 from stackmbrl.mdp import TabularMdp, exact_return
 from stackmbrl.models import CategoricalWorldModel, OfflineDataset, SoftmaxPolicy
 from stackmbrl.oracles import (central_difference, central_difference_mixed,
-                               enumerate_paths, exact_expectations,
-                               exact_penalty_terms, mixed_return_fn,
-                               model_return_fn, policy_return_fn)
+                               exact_expectations, exact_gradients,
+                               exact_penalty_terms)
+from stackmbrl.testbeds import TABULAR_TESTBEDS
 
 from reference_oracles import (_softmax_cov, continuation_error,
+                               enumerate_paths,
                                exact_constrained_hessian,
                                exact_grad_lagrangian_model, exact_lagrangian,
                                fim_hess_j, hess_j_model, penalty_hess_log_mean,
                                per_step_occupancy, second_order_expectations)
+
+EXPECTATION_FIELDS = ("j", "grad_policy", "grad_model", "mixed", "uv", "xy")
 
 KL_EXAMPLE = 0.14384103622589042
 
@@ -143,6 +147,36 @@ def test_enumerate_paths_skips_impossible_branches():
 
 
 # ---------------------------------------------------------------------------
+# dynamic programming against the enumeration reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(TABULAR_TESTBEDS))
+def test_dp_expectations_match_enumeration(name, enumerated_testbeds):
+    """Every expectation, the first-order pass alone and its tail mass
+    E[sum_t w_t 1{(s_t, a_t, k_t) = cell}] equal their sums over the
+    enumerated paths, whose probabilities sum to one."""
+    (mdp, policy, model), reference, total_prob = enumerated_testbeds[name]
+    assert total_prob == pytest.approx(1.0, abs=1e-12)
+    exp = exact_expectations(mdp, policy, model)
+    grads = exact_gradients(mdp, policy, model)
+    for field in EXPECTATION_FIELDS:
+        want = getattr(reference, field)
+        assert np.abs(np.asarray(getattr(exp, field)) - want).max() <= 1e-12, \
+            field
+        if hasattr(grads, field):
+            assert np.abs(np.asarray(getattr(grads, field))
+                          - want).max() <= 1e-12, field
+    mass = np.zeros_like(grads.tail_mass)
+    gammas = mdp.gamma ** np.arange(mdp.horizon)
+    for prob, states, actions, outcomes, rewards in enumerate_paths(
+            mdp, policy, model):
+        tails = (gammas * rewards)[::-1].cumsum()[::-1]
+        np.add.at(mass, (states[:-1], actions, outcomes), prob * tails)
+    assert np.abs(grads.tail_mass - mass).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # first-order expectations
 # ---------------------------------------------------------------------------
 
@@ -150,11 +184,11 @@ def test_enumerate_paths_skips_impossible_branches():
 def test_exact_policy_gradient_matches_finite_difference(small_triple):
     mdp, policy, model = small_triple
     exp = exact_expectations(mdp, policy, model)
-    fd = central_difference(policy_return_fn(mdp, policy, model),
-                            policy.params.values)
+    fd = central_difference(
+        lambda theta: exact_return(mdp, policy.with_params(theta), model),
+        policy.params.values)
     assert np.abs(exp.grad_policy - fd).max() <= 1e-6
     assert exp.j == pytest.approx(exact_return(mdp, policy, model), abs=1e-12)
-    assert exp.total_prob == pytest.approx(1.0, abs=1e-12)
 
 
 def test_policy_gradient_gauge_symmetry(small_triple):
@@ -169,8 +203,9 @@ def test_policy_gradient_gauge_symmetry(small_triple):
 def test_exact_model_gradient_matches_finite_difference(small_triple):
     mdp, policy, model = small_triple
     exp = exact_expectations(mdp, policy, model)
-    fd = central_difference(model_return_fn(mdp, policy, model),
-                            model.params.values)
+    fd = central_difference(
+        lambda phi: exact_return(mdp, policy, model.with_params(phi)),
+        model.params.values)
     assert np.abs(exp.grad_model - fd).max() <= 1e-6
 
 
@@ -193,8 +228,10 @@ def test_model_gradient_vanishes_for_constant_rewards():
 def test_mixed_derivative_matches_four_point_stencil(small_triple):
     mdp, policy, model = small_triple
     exp = exact_expectations(mdp, policy, model)
-    fd = central_difference_mixed(mixed_return_fn(mdp, policy, model),
-                                  model.params.values, policy.params.values)
+    fd = central_difference_mixed(
+        lambda phi, theta: exact_return(mdp, policy.with_params(theta),
+                                        model.with_params(phi)),
+        model.params.values, policy.params.values)
     assert np.abs(exp.mixed - fd).max() <= 1e-5
 
 

@@ -9,12 +9,12 @@ import pytest
 from stackmbrl.mdp import ContinuousMdp, TabularMdp
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel)
-from stackmbrl.oracles import enumerate_paths
 from stackmbrl.testbeds import (CONTINUOUS_TESTBEDS, TABULAR_TESTBEDS,
                                 continuous_from_dict, coupling_game,
                                 coupling_kkt, gradient_mdp, load_environment,
                                 small_mdp, sparse_reward_testbed,
                                 tracking_behavior_policy, tracking_mdp)
+from reference_oracles import enumerate_paths
 from toy_games import (bilinear_game, coupling_lse, follower_best_response,
                        matching_boundary_kkt, matching_game, matching_lse,
                        saddle_game)

@@ -26,6 +26,7 @@ from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, OfflineDataset,
                               SoftmaxPolicy, mle_fit, rollout_dataset,
                               sample_offline_dataset)
+from stackmbrl.oracles import central_difference
 from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
                                 tracking_mdp)
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
@@ -677,3 +678,18 @@ def test_worst_case_return_stays_in_the_ball_and_repeats():
                                            step_size=2.0, seed=3)
     assert again == value
     assert again_model.logits.tobytes() == model.logits.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABULAR_TESTBEDS))
+def test_worst_case_step_is_the_exact_model_gradient(name,
+                                                     enumerated_testbeds):
+    """The gradient ``worst_case_return`` steps along, called through its
+    ``trainer`` name, equals the enumeration reference's and a central
+    difference of the exact return."""
+    (mdp, policy, model), reference, _ = enumerated_testbeds[name]
+    grad = trainer.exact_return_model_gradient(mdp, policy, model)
+    assert np.abs(grad - reference.grad_model).max() <= 1e-12
+    fd = central_difference(
+        lambda phi: exact_return(mdp, policy, model.with_params(phi)),
+        model.params.values)
+    assert np.abs(grad - fd).max() <= 1e-6

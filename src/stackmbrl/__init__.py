@@ -4,9 +4,8 @@ adversarial world model, with low-rank curvature-corrected leader updates."""
 from .dynamics import (DynamicsState, DynamicsTrace, LearningRates,
                        SmoothGame, run_dynamics, step_constrained,
                        step_naive, step_stackelberg)
-from .mdp import (ContinuousMdp, NoisyDeployment, TabularMdp, Trajectory,
-                  dp_values, exact_return, sample_tabular_batch,
-                  sample_trajectory)
+from .mdp import (ContinuousMdp, NoisyDeployment, TabularMdp, dp_values,
+                  exact_return, sample_tabular_batch, sample_trajectory)
 from .models import (CategoricalWorldModel, DiagGaussianPolicy,
                      DiagGaussianWorldModel, OfflineDataset, SoftmaxPolicy,
                      SupportError, mle_fit, rollout_dataset,
@@ -31,7 +30,7 @@ __all__ = [
     "LearningRates", "LinearCritic", "LowRankFactors", "NoisyDeployment",
     "OfflineDataset", "ReplayBuffer", "SmoothGame", "SoftmaxPolicy",
     "SupportError", "TabularCritic", "TabularMdp", "TrainState",
-    "TrainerConfig", "TrainingTrace", "Trajectory", "WoodburySolver",
+    "TrainerConfig", "TrainingTrace", "WoodburySolver",
     "collect_rollouts", "coverage_check", "dp_values",
     "episode_returns", "epsilon_gaussian", "epsilon_tabular",
     "exact_return", "initial_state",

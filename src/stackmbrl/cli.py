@@ -33,10 +33,11 @@ import numpy as np
 
 from .dynamics import DynamicsState, LearningRates, run_dynamics
 from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
-from .mdp import (ContinuousMdp, TabularMdp, dp_optimal_policy,
-                  exact_return)
+from .mdp import (ContinuousMdp, SamplingError, TabularMdp,
+                  dp_optimal_policy, exact_return)
 from .models import (
     CategoricalWorldModel,
+    DiagGaussianPolicy,
     DiagGaussianWorldModel,
     OfflineDataset,
     ParamVector,
@@ -284,18 +285,21 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--episodes must be at least 1")
     if args.rho < 0:
         raise ValueError("--rho must be non-negative")
-    from .models import DiagGaussianPolicy
-
     policy_template = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
     model_template = DiagGaussianWorldModel.zeros(env.state_dim,
                                                   env.action_dim)
-    checkpoint = load_checkpoint(args.checkpoint, policy_template,
-                                 model_template)
+    policy = load_checkpoint(args.checkpoint, policy_template,
+                             model_template)["policy"]
+    try:
+        # a diverging policy is reported below, not by numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            clean, noisy = (episode_returns(env, policy, rho, args.episodes,
+                                            seed=args.seed)
+                            for rho in (0.0, args.rho))
+    except SamplingError as err:
+        raise ValueError(f"{args.checkpoint}: the policy drives the "
+                         f"environment to non-finite values ({err})") from None
     out = _prepare_out(args, "evaluate")
-    policy = checkpoint["policy"]
-    clean = episode_returns(env, policy, 0.0, args.episodes, seed=args.seed)
-    noisy = episode_returns(env, policy, args.rho, args.episodes,
-                            seed=args.seed)
     config = {"env": args.env, "checkpoint": str(args.checkpoint),
               "rho": args.rho, "episodes": args.episodes}
     means = {"clean_mean": float(clean.mean()),

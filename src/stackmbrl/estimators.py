@@ -206,8 +206,8 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
         emissions = _draw_categorical_rows(anchor.probs(states, actions),
                                            rng)
     else:
-        emissions = np.array([np.append(*anchor.sample(s, a, rng))
-                              for s, a in zip(states, actions)])
+        emissions = anchor.samples(states, actions, rng.standard_normal(
+            (n_penalty_cols, anchor.log_std.size)))
     atoms = BlockScores.concatenate(
         [phi_scores, model.scores(states, actions, emissions)])
 

@@ -7,8 +7,13 @@ Conventions used throughout the package:
 - Tabular joint outcomes: a transition emits an outcome index
   ``k = reward_index * num_states + next_state`` drawn from a per-(s, a)
   categorical over the global alphabet of (reward value, next state) pairs.
-- Continuous transitions emit the pair (next state, reward) jointly; rewards
-  are clamped to [0, 1] on emission by the true environment.
+- Continuous transitions emit the pair (next state, reward) jointly, as one
+  (state_dim + 1,) vector with the reward last; the true environment clamps
+  rewards to [0, 1] on emission. Continuous states, actions and emissions
+  are vectors on the trailing axis of arrays of any leading shape, and
+  every draw takes its standard normals as an argument: one path loop,
+  ``sample_trajectory``, lays them out for model rollouts, datasets and
+  noisy deployment alike.
 """
 
 from __future__ import annotations
@@ -161,9 +166,11 @@ class TabularMdp:
 class ContinuousMdp:
     """Continuous-state MDP whose transitions are diagonal Gaussians.
 
-    mean_fn(s, a) returns the (state_dim + 1,) mean of the joint (s', r)
-    emission; std is its diagonal standard deviation. The reward (last
-    coordinate) is clamped to [0, 1] on emission.
+    ``mean_fn(states, actions)`` maps states (..., state_dim) and actions
+    (..., action_dim) to the (..., state_dim + 1) means of the joint (s', r)
+    emissions, vectors on the trailing axis and any leading shape; std is
+    their diagonal standard deviation. The reward (last coordinate) is
+    clamped to [0, 1] on emission.
     """
 
     state_dim: int
@@ -190,65 +197,26 @@ class ContinuousMdp:
         if self.horizon <= 0:
             raise ValueError("horizon must be a positive integer")
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self.init_mean + self.init_std * rng.standard_normal(self.state_dim)
+    def reset(self, normals: np.ndarray) -> np.ndarray:
+        """Start states (..., state_dim) from as many standard normals."""
+        return self.init_mean + self.init_std * normals
 
-    def step(self, s: np.ndarray, a: np.ndarray,
-             rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        mean = np.asarray(self.mean_fn(s, a), dtype=float)
+    def step(self, states: np.ndarray, actions: np.ndarray,
+             normals: np.ndarray) -> np.ndarray:
+        """(..., state_dim + 1) joint (s', r) emissions, the means plus std
+        times ``normals`` of that shape, rewards clamped to [0, 1]. A
+        non-finite mean raises ``SamplingError``."""
+        mean = np.asarray(self.mean_fn(states, actions), dtype=float)
         if not np.isfinite(mean).all():
             raise SamplingError("environment dynamics produced non-finite mean")
-        draw = mean + self.std * rng.standard_normal(self.state_dim + 1)
-        s_next = draw[:-1]
-        reward = float(np.clip(draw[-1], 0.0, 1.0))
-        return s_next, reward
+        draw = mean + self.std * normals
+        draw[..., -1] = np.clip(draw[..., -1], 0.0, 1.0)
+        return draw
 
     def to_dict(self) -> dict:
         if not self.name:
             raise ValueError("only registered, named continuous MDPs serialize")
         return {"kind": "continuous", "name": self.name, "params": dict(self.params)}
-
-
-@dataclass
-class Trajectory:
-    """One continuous model rollout, one action per step. The trailing
-    action a segment's critic tail needs is drawn by
-    ``trainer.collect_rollouts``, not here.
-
-    states: (T+1, state_dim) floats
-    actions: (T, action_dim) floats
-    rewards: (T,)
-    logp_policy: log pi(a_t | s_t) at generation time, (T,)
-    logp_model:  log P(r_t, s_{t+1} | s_t, a_t) at generation time, (T,)
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    logp_policy: np.ndarray
-    logp_model: np.ndarray
-    truncated_early: bool = False
-
-    def __post_init__(self):
-        self.rewards = np.asarray(self.rewards, dtype=float)
-        self.logp_policy = np.asarray(self.logp_policy, dtype=float)
-        self.logp_model = np.asarray(self.logp_model, dtype=float)
-        t = self.n_steps
-        if len(self.states) != t + 1:
-            raise ValueError("need exactly one more state than rewards")
-        if len(self.actions) != t:
-            raise ValueError("actions must number n_steps")
-        if len(self.logp_policy) != len(self.actions):
-            raise ValueError("logp_policy must align with actions")
-        if len(self.logp_model) != t:
-            raise ValueError("logp_model must align with rewards")
-        for name in ("logp_policy", "logp_model"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} has non-finite entries")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.rewards)
 
 
 def _format_state(s) -> str:
@@ -302,19 +270,18 @@ def load_transitions_csv(path: str | Path) -> list[dict]:
 
 
 def perturb_step(noise_fraction: float, s: np.ndarray, s_next: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Perturb a realized transition with per-dimension relative Gaussian noise.
+                 normals: np.ndarray) -> np.ndarray:
+    """Perturb realized transitions with per-dimension relative Gaussian noise.
 
     Each dimension receives zero-mean Gaussian noise whose standard deviation
-    is ``noise_fraction * (s_next - s)`` in that dimension. The normal draw
-    always happens, so clean (fraction 0) and noisy runs consume identical
+    is ``noise_fraction * (s_next - s)`` in that dimension, drawn as that
+    times ``normals`` of ``s_next``'s shape. The normals are drawn whatever
+    the fraction, so clean (fraction 0) and noisy runs consume identical
     random streams and stay step-for-step coupled under a shared seed.
     """
     if noise_fraction < 0:
         raise ValueError("noise fraction must be non-negative")
-    s = np.asarray(s, dtype=float)
-    s_next = np.asarray(s_next, dtype=float)
-    noise = rng.standard_normal(s_next.shape) * (noise_fraction * (s_next - s))
+    noise = normals * (noise_fraction * (s_next - s))
     return s_next + noise
 
 
@@ -329,13 +296,17 @@ class NoisyDeployment:
         if self.noise_fraction < 0:
             raise ValueError("noise fraction must be non-negative")
 
-    def reset(self, rng: np.random.Generator) -> np.ndarray:
-        return self.inner.reset(rng)
-
-    def step(self, s: np.ndarray, a: np.ndarray, rng_env: np.random.Generator,
-             rng_noise: np.random.Generator) -> tuple[np.ndarray, float]:
-        s_next, reward = self.inner.step(s, a, rng_env)
-        return perturb_step(self.noise_fraction, s, s_next, rng_noise), reward
+    def step(self, states: np.ndarray, actions: np.ndarray,
+             normals: np.ndarray) -> np.ndarray:
+        """The inner environment's emissions with ``perturb_step`` applied to
+        their next states. The first state_dim + 1 of the (..., 2 *
+        state_dim + 1) ``normals`` draw the emission, the rest the noise."""
+        k = self.inner.state_dim + 1
+        emissions = self.inner.step(states, actions, normals[..., :k])
+        emissions[..., :-1] = perturb_step(self.noise_fraction, states,
+                                           emissions[..., :-1],
+                                           normals[..., k:])
+        return emissions
 
 
 # ---------------------------------------------------------------------------
@@ -521,45 +492,50 @@ def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
             "logp_model": logp_model}
 
 
-def sample_trajectory(env, policy, model, horizon: int | None = None,
-                      seed=0, init_state=None) -> Trajectory:
-    """Roll one imaginary trajectory of a continuous ``model`` from
-    ``env.reset`` or ``init_state``: per step, ``policy.sample`` and then
-    ``model.sample`` draw from the generator. A non-finite emission ends
-    the rollout at the last finite step (``truncated_early``). Stored
-    log-probabilities are the sampler's own at generation time."""
-    if isinstance(env, TabularMdp):
-        raise TypeError("sample_trajectory rolls continuous models; draw "
-                        "tabular rollouts with sample_tabular_batch")
-    rng = _as_rng(seed)
-    h = env.horizon if horizon is None else horizon
-    s = env.reset(rng) if init_state is None else np.asarray(init_state, dtype=float)
-    states, actions, rewards, logp_pi, logp_m = [s], [], [], [], []
-    for _ in range(h):
-        a = policy.sample(s, rng)
-        lp = policy.log_prob(s, a)
-        try:
-            s_next, r = model.sample(s, a, rng)
-        except SamplingError:
-            break
-        lm = model.log_prob(s, a, np.append(s_next, r))
-        if not (np.isfinite(s_next).all() and np.isfinite(r)
-                and np.isfinite(lm)):
-            break
-        actions.append(a)
-        logp_pi.append(lp)
-        rewards.append(r)
-        logp_m.append(lm)
-        states.append(s_next)
-        s = s_next
-    truncated = len(rewards) < h
-    if truncated and not rewards:
+def sample_trajectory(policy, emit, states0: np.ndarray, normals: np.ndarray,
+                      horizon: int) -> dict:
+    """Continuous paths of ``policy`` from ``states0`` (n, d), every row at
+    once: the continuous twin of ``_tabular_paths``.
+
+    Row i of ``normals`` is the fixed block of standard normals its own
+    generator would draw step by step: per step, a = ``policy.action_dim``
+    for the action and then k for the emission, and after the ``horizon``
+    steps a more for a trailing action. ``emit(states, actions, normals)``
+    maps (n, d), (n, a) and (n, k) to the (n, d + 1) joint (s', r)
+    emissions and their (n,) log-densities (or a scalar 0.0 where they are
+    not tracked). A row whose emission or log-density is non-finite stops
+    at that step, which lands in ``lengths``: its state freezes, its later
+    rewards and log-densities are zero, and its later actions are drawn at
+    the frozen state from its own block, so no other row's draws move. A
+    row with no finite step raises ``SamplingError``.
+
+    Returns states (n, h+1, d), actions (n, h+1, a), rewards (n, h),
+    logp_model (n, h) and lengths (n,).
+    """
+    n, a = len(states0), policy.action_dim
+    per_step = (normals.shape[1] - a) // horizon  # a + k
+    steps = normals[:, :-a].reshape(n, horizon, per_step)
+    action_normals = np.concatenate([steps[..., :a], normals[:, None, -a:]],
+                                    axis=1)
+    states = np.empty((n, horizon + 1, states0.shape[-1]))
+    actions = np.empty((n, horizon + 1, a))
+    rewards, logp_model = np.zeros((2, n, horizon))
+    lengths = np.full(n, horizon)
+    states[:, 0] = states0
+    for t in range(horizon):
+        s = states[:, t]
+        actions[:, t] = policy.samples(s, action_normals[:, t])
+        emissions, logp = emit(s, actions[:, t], steps[:, t, a:])
+        running = lengths == horizon
+        live = (running & np.isfinite(emissions).all(axis=-1)
+                & np.isfinite(logp))
+        lengths[running & ~live] = t
+        states[:, t + 1] = np.where(live[:, None], emissions[:, :-1], s)
+        rewards[:, t] = np.where(live, emissions[:, -1], 0.0)
+        logp_model[:, t] = np.where(live, logp, 0.0)
+    actions[:, horizon] = policy.samples(states[:, horizon],
+                                         action_normals[:, horizon])
+    if not lengths.all():
         raise SamplingError("model rollout produced no finite transitions")
-    return Trajectory(
-        states=np.array(states),
-        actions=np.array(actions),
-        rewards=np.array(rewards),
-        logp_policy=np.array(logp_pi),
-        logp_model=np.array(logp_m),
-        truncated_early=truncated,
-    )
+    return {"states": states, "actions": actions, "rewards": rewards,
+            "logp_model": logp_model, "lengths": lengths}

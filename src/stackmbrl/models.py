@@ -20,13 +20,17 @@ integer indices, and the categorical model's outcome is the packed
 (reward, next state) index. The Gaussian families take vectors on a
 trailing axis: states ``(..., state_dim)``, actions ``(..., action_dim)``,
 and the Gaussian model's outcome is the joint ``(s', r)`` vector
-``(..., state_dim + 1)``. The per-row ``log_prob``/``score`` are the same
-formulas on one row, whose leading shape is ``()``; ``score`` returns the
-dense (n_params,) vector.
+``(..., state_dim + 1)``. The Gaussian families also draw whole batches,
+``samples(states[, actions], normals)``, from standard normals the caller
+lays out. Their per-row ``log_prob``, ``score`` and ``sample`` only call
+the batched methods on one row, whose leading shape is ``()``; ``score``
+returns the dense (n_params,) vector. The tabular families keep their own
+per-row ``rng.choice`` draws.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -35,8 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import (TabularMdp, _as_rng, _cdf_columns, _normalised_cdf,
-                  _policy_probs, _tabular_paths, read_json_object)
+from .mdp import (TRANSITION_COLUMNS, TabularMdp, _as_rng, _cdf_columns,
+                  _format_state, _normalised_cdf, _policy_probs,
+                  _tabular_paths, load_transitions_csv, read_json_object,
+                  sample_trajectory)
 from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
@@ -379,9 +385,12 @@ class DiagGaussianPolicy:
     def score(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.scores(s, a).dense()
 
+    def samples(self, states: np.ndarray, normals: np.ndarray) -> np.ndarray:
+        """(..., action_dim) actions, the means plus std times ``normals``."""
+        return self.mean(states) + np.exp(self.log_std) * normals
+
     def sample(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return self.mean(s) + np.exp(self.log_std) * rng.standard_normal(
-            self.action_dim)
+        return self.samples(s, rng.standard_normal(self.action_dim))
 
     @property
     def params(self) -> ParamVector:
@@ -447,13 +456,16 @@ class DiagGaussianWorldModel:
     def score(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.scores(s, a, y).dense()
 
+    def samples(self, states: np.ndarray, actions: np.ndarray,
+                normals: np.ndarray) -> np.ndarray:
+        """(..., state_dim + 1) joint (s', r) emissions, the means plus std
+        times ``normals``. Non-finite draws are returned, not raised: the
+        caller decides whether they end a row or the call."""
+        return self.mean(states, actions) + np.exp(self.log_std) * normals
+
     def sample(self, s: np.ndarray, a: np.ndarray,
                rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        mean = self.mean(s, a)
-        if not np.isfinite(mean).all():
-            from .mdp import SamplingError
-            raise SamplingError("world model produced a non-finite mean")
-        draw = mean + np.exp(self.log_std) * rng.standard_normal(mean.size)
+        draw = self.samples(s, a, rng.standard_normal(self.log_std.size))
         return draw[:-1], float(draw[-1])
 
     @property
@@ -543,10 +555,8 @@ class OfflineDataset:
         return len(self.cells[2])
 
     def save_csv(self, path: str | Path) -> None:
-        from .mdp import TRANSITION_COLUMNS, _format_state
         with open(path, "w", newline="") as fh:
-            import csv as _csv
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(TRANSITION_COLUMNS)
             for i in range(self.n):
                 writer.writerow([0, i, _format_state(self.states[i]),
@@ -557,7 +567,6 @@ class OfflineDataset:
 
     @staticmethod
     def load_csv(path: str | Path) -> "OfflineDataset":
-        from .mdp import load_transitions_csv
         rows = load_transitions_csv(path)
         if not rows:
             raise ValueError(f"no transitions in {path}")
@@ -762,11 +771,13 @@ def rollout_dataset(env, policy, n_episodes: int, seed=0) -> OfflineDataset:
     A tabular episode draws ``random((1 + 2h, 1))``, its start state and
     then each step's action and outcome uniforms, and one path loop over
     ``_cdf_columns`` tables built once per call draws every episode as
-    per-step ``rng.choice`` would. A continuous one draws ``env.reset``,
-    then per step ``policy.sample`` and ``env.step``."""
+    per-step ``rng.choice`` would. A continuous episode draws one block of
+    standard normals, its start state's and then ``sample_trajectory``'s,
+    and that loop runs every episode at once through ``env.step``."""
     rngs = [np.random.default_rng((seed, e)) for e in range(n_episodes)]
+    h = env.horizon
     if isinstance(env, TabularMdp):
-        u = np.hstack([rng.random((1 + 2 * env.horizon, 1)) for rng in rngs])
+        u = np.hstack([rng.random((1 + 2 * h, 1)) for rng in rngs])
         states, actions, outcomes = _tabular_paths(
             _cdf_columns(_policy_probs(policy, env)),
             _cdf_columns(env.joint_outcome_probs()), env.outcome_table()[1],
@@ -774,12 +785,13 @@ def rollout_dataset(env, policy, n_episodes: int, seed=0) -> OfflineDataset:
             u[1:])
         return _offline_dataset(env, states[:, :-1].ravel(), actions.ravel(),
                                 outcomes.ravel())
-    rows = []
-    for rng in rngs:
-        s = env.reset(rng)
-        for _ in range(env.horizon):
-            a = policy.sample(s, rng)
-            s_next, r = env.step(s, a, rng)
-            rows.append((s, a, r, s_next))
-            s = s_next
-    return OfflineDataset(*map(np.array, zip(*rows)))
+    d, a = env.state_dim, env.action_dim
+    z = np.vstack([rng.standard_normal(d + h * (a + d + 1) + a)
+                   for rng in rngs])
+    paths = sample_trajectory(policy, lambda s, act, normals: (
+        env.step(s, act, normals), 0.0), env.reset(z[:, :d]), z[:, d:], h)
+    states = paths["states"]
+    return OfflineDataset(states[:, :-1].reshape(-1, d),
+                          paths["actions"][:, :-1].reshape(-1, a),
+                          paths["rewards"].ravel(),
+                          states[:, 1:].reshape(-1, d))

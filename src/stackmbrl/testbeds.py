@@ -217,10 +217,13 @@ def tracking_mdp(**overrides) -> ContinuousMdp:
     p.update(overrides)
     target, width = float(p["target"]), float(p["peak_width"])
 
-    def mean_fn(s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        pos = s[0] + a[0]
-        reward = np.exp(-0.5 * ((pos - target) / width) ** 2)
-        return np.array([pos, reward])
+    def mean_fn(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        pos = states[..., 0] + actions[..., 0]
+        # float_power squares by libm pow at any leading shape; ** 2 squares
+        # arrays exactly but numpy scalars by pow, so one row's mean would
+        # then depend on whether it is computed alone or in a batch
+        reward = np.exp(-0.5 * np.float_power((pos - target) / width, 2))
+        return np.stack([pos, reward], axis=-1)
 
     return ContinuousMdp(
         state_dim=1, action_dim=1, mean_fn=mean_fn,

@@ -19,6 +19,7 @@ iteration, for A/B comparisons against the segment machinery.
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import json
 import math
@@ -44,6 +45,9 @@ from .mdp import (
     NoisyDeployment,
     SamplingError,
     TabularMdp,
+    _as_rng,
+    _draw_categorical_rows,
+    _policy_probs,
     exact_return,
     read_json_object,
     sample_tabular_batch,
@@ -167,22 +171,27 @@ class LinearCritic:
         Q regresses on single-sample targets redrawn through the *current*
         model; V regresses on Q at a fresh policy action, so both stay tied
         to the present (policy, model) pair rather than to stale rollouts.
+        The generator draws the emissions' normals, one row per transition,
+        and then the actions'. A non-finite emission raises
+        ``SamplingError``.
         """
         n = len(transitions["rewards"])
         idx = rng.integers(0, n, size=min(CRITIC_BATCH_SIZE, n))
         states = np.asarray(transitions["states"], dtype=float)[idx]
         actions = np.asarray(transitions["actions"], dtype=float)[idx]
 
-        next_states = np.empty_like(states)
-        rewards = np.empty(len(idx))
-        for i in range(len(idx)):
-            next_states[i], rewards[i] = model.sample(states[i], actions[i], rng)
-        q_targets = rewards + gamma * self.target_state_values(next_states)
+        emissions = model.samples(states, actions, rng.standard_normal(
+            (len(idx), model.log_std.size)))
+        if not np.isfinite(emissions).all():
+            raise SamplingError("world model produced a non-finite emission")
+        q_targets = emissions[:, -1] + gamma * self.target_state_values(
+            emissions[:, :-1])
         feats_q = np.concatenate(
             [states, actions, np.ones((len(idx), 1))], axis=1)
         self.q_weights = np.linalg.lstsq(feats_q, q_targets, rcond=None)[0]
 
-        fresh_actions = np.array([policy.sample(s, rng) for s in states])
+        fresh_actions = policy.samples(states,
+                                       rng.standard_normal(actions.shape))
         v_targets = self.tail_values(states, fresh_actions)
         feats_v = np.concatenate([states, np.ones((len(idx), 1))], axis=1)
         self.v_weights = np.linalg.lstsq(feats_v, v_targets, rcond=None)[0]
@@ -442,8 +451,6 @@ class TrainingTrace:
                           for name in TRACE_COLUMNS})
 
     def save_csv(self, path) -> None:
-        import csv
-
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(TRACE_COLUMNS)
@@ -463,8 +470,7 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
 
     Start states are drawn uniformly from the dataset's state column. Each
     segment runs ``length`` steps and carries one trailing bootstrap action
-    for the critic's Q-tail: the samplers draw one action per step, and the
-    trailing one is drawn here, at the last state and from the same
+    for the critic's Q-tail, drawn at the last state from the same
     generator. Log-probabilities are the sampler's own evaluations at
     generation time, so later ratio masks start at exactly one.
     ``outcomes`` holds each step's model emission, the argument the model's
@@ -472,25 +478,23 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     rollouts, the joint (s', r) vector, shape (n, length, state_dim + 1),
     for continuous ones.
 
-    Continuous rollouts that hit a non-finite emission are truncated at the
-    last finite step and padded (states frozen, fresh policy actions, zero
-    rewards) by the same loop that draws the trailing action. Their true
-    step counts land in ``lengths`` and the batch-level ``truncated`` flag
-    is raised. A rollout with no finite step at all raises
-    ``SamplingError``.
+    Continuous rollouts draw one fixed block of standard normals per row,
+    ``standard_normal((n, length * (a + d + 1) + a))``, and run through
+    ``sample_trajectory``. A row that hits a non-finite emission or
+    log-density is truncated at the last finite step and padded (state
+    frozen, actions drawn there from the row's own block, zero rewards), so
+    the other rows keep their draws. Its true step count lands in
+    ``lengths`` and the batch-level ``truncated`` flag is raised. A row
+    with no finite step at all raises ``SamplingError``.
     """
     if length < 1:
         raise ValueError("segment length must be at least 1")
     if n_rollouts < 1:
         raise ValueError("need at least one rollout")
-    from .mdp import _as_rng
-
     rng = _as_rng(seed)
     start_idx = rng.integers(0, dataset.n, size=n_rollouts)
 
     if isinstance(env, TabularMdp):
-        from .mdp import _draw_categorical_rows, _policy_probs
-
         starts = np.asarray(dataset.states)[start_idx].astype(np.int64)
         batch = sample_tabular_batch(env, policy, model, n=n_rollouts,
                                      horizon=length, seed=rng,
@@ -505,38 +509,19 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
         batch["truncated"] = False
         return batch
 
-    states = np.empty((n_rollouts, length + 1, env.state_dim))
-    actions = np.empty((n_rollouts, length + 1, env.action_dim))
-    rewards = np.zeros((n_rollouts, length))
-    logp_policy = np.zeros((n_rollouts, length + 1))
-    logp_model = np.zeros((n_rollouts, length))
-    lengths = np.empty(n_rollouts, dtype=np.int64)
-    starts = np.asarray(dataset.states, dtype=float)[start_idx]
-    truncated = False
-    for i in range(n_rollouts):
-        traj = sample_trajectory(env, policy, model=model, horizon=length,
-                                 seed=rng, init_state=starts[i])
-        steps = traj.n_steps
-        lengths[i] = steps
-        truncated = truncated or traj.truncated_early
-        states[i, :steps + 1] = traj.states
-        states[i, steps + 1:] = traj.states[-1]
-        actions[i, :steps] = traj.actions
-        logp_policy[i, :steps] = traj.logp_policy
-        rewards[i, :steps] = traj.rewards
-        logp_model[i, :steps] = traj.logp_model
-        # The trailing action, and on a truncated row the actions at the
-        # frozen tail state, so every segment has a Q-tail input.
-        frozen = traj.states[-1]
-        for t in range(steps, length + 1):
-            pad_action = policy.sample(frozen, rng)
-            actions[i, t] = pad_action
-            logp_policy[i, t] = policy.log_prob(frozen, pad_action)
-    outcomes = np.concatenate([states[:, 1:], rewards[..., None]], axis=-1)
-    return {"states": states, "actions": actions, "outcomes": outcomes,
-            "rewards": rewards, "logp_policy": logp_policy,
-            "logp_model": logp_model, "lengths": lengths,
-            "truncated": truncated}
+    def emit(states, actions, normals):
+        emissions = model.samples(states, actions, normals)
+        return emissions, model.log_probs(states, actions, emissions)
+
+    a, d = env.action_dim, env.state_dim
+    batch = sample_trajectory(
+        policy, emit, np.asarray(dataset.states, dtype=float)[start_idx],
+        rng.standard_normal((n_rollouts, length * (a + d + 1) + a)), length)
+    batch["logp_policy"] = policy.log_probs(batch["states"], batch["actions"])
+    batch["outcomes"] = np.concatenate(
+        [batch["states"][:, 1:], batch["rewards"][..., None]], axis=-1)
+    batch["truncated"] = bool((batch["lengths"] < length).any())
+    return batch
 
 
 def _batch_subset(batch: dict, idx: np.ndarray) -> dict:
@@ -944,21 +929,28 @@ def episode_returns(env: ContinuousMdp, policy, noise_fraction: float,
     Every episode uses three sub-streams (environment, noise, policy) keyed
     only by the seed and episode index, so runs at different noise fractions
     stay draw-for-draw coupled and the aggregate does not depend on the
-    order episodes are evaluated in.
+    order episodes are evaluated in. Each stream draws its episode's
+    normals up front: the environment its start state's and then each
+    step's emission's, the noise each step's, the policy each action's and
+    a trailing one. ``sample_trajectory`` then runs every episode at once.
     """
+    d, a, h = env.state_dim, env.action_dim, env.horizon
+    draws = np.empty((n_episodes, d + h * (a + 2 * d + 1) + a))
+    for episode, row in enumerate(draws):
+        env_z, noise_z, policy_z = (
+            _stream(seed, _EVAL_STREAM, episode, tag).standard_normal(size)
+            for tag, size in enumerate([d + h * (d + 1), (h, d),
+                                        (h + 1, a)]))
+        steps = np.hstack([policy_z[:h], env_z[d:].reshape(h, d + 1),
+                           noise_z])
+        row[:] = np.concatenate([env_z[:d], steps.ravel(), policy_z[h]])
     deploy = NoisyDeployment(env, noise_fraction)
-    returns = np.empty(n_episodes)
-    for episode in range(n_episodes):
-        rng_env = _stream(seed, _EVAL_STREAM, episode, 0)
-        rng_noise = _stream(seed, _EVAL_STREAM, episode, 1)
-        rng_policy = _stream(seed, _EVAL_STREAM, episode, 2)
-        s = deploy.reset(rng_env)
-        episode_return = 0.0
-        for t in range(env.horizon):
-            a = policy.sample(s, rng_policy)
-            s, reward = deploy.step(s, a, rng_env, rng_noise)
-            episode_return += env.gamma ** t * reward
-        returns[episode] = episode_return
+    rewards = sample_trajectory(policy, lambda s, act, normals: (
+        deploy.step(s, act, normals), 0.0), env.reset(draws[:, :d]),
+        draws[:, d:], h)["rewards"]
+    returns = np.zeros(n_episodes)
+    for t in range(h):
+        returns += env.gamma ** t * rewards[:, t]
     return returns
 
 

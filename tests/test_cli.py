@@ -280,6 +280,7 @@ def checkpoint_misfit(part, values):
     return json.dumps(payload)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name, content, argv, key", [
     ("rows.csv", "t,s,a,r,s_next,logp_policy,logp_model\n0,0,0,0.5,1,0,0\n",
      ["fit-model", "--dataset"], "episode"),
@@ -299,6 +300,8 @@ def checkpoint_misfit(part, values):
      ["evaluate", "--env", "tracking", "--checkpoint"], "model values"),
     ("checkpoint.json", checkpoint_misfit("model", None),
      ["evaluate", "--env", "tracking", "--checkpoint"], "model values"),
+    ("checkpoint.json", checkpoint_misfit("policy", [0, 0, 800]),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "non-finite"),
     ("env.json", '{"kind": "continuous", "name": "tracking", "params": [1]}',
      ["gen-data", "--env"], "params"),
     ("env.json",
@@ -307,17 +310,20 @@ def checkpoint_misfit(part, values):
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
         "checkpoint-players", "checkpoint-policy-values",
         "checkpoint-model-values", "checkpoint-null-values",
-        "env-params-list", "env-params-unknown"])
+        "checkpoint-diverging-policy", "env-params-list",
+        "env-params-unknown"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
-    object, whose nested entries miss a key or name an unknown one, or
-    whose player values do not fit the template, exits 2 naming the file
-    and the key, before any run directory."""
+    object, whose nested entries miss a key or name an unknown one, whose
+    player values do not fit the template, or whose finite policy values
+    draw non-finite actions, exits 2 with one line naming the file and the
+    key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))
     assert code == 2
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+    assert err.count("\n") == 1
     assert not out.exists()

@@ -444,7 +444,7 @@ def test_perturb_step_zero_fraction_identity():
     rng = np.random.default_rng(0)
     s = np.array([0.3, -1.2])
     s_next = np.array([0.9, -0.7])
-    out = perturb_step(0.0, s, s_next, rng)
+    out = perturb_step(0.0, s, s_next, rng.standard_normal(2))
     assert np.array_equal(out, s_next)
 
 
@@ -453,8 +453,8 @@ def test_perturb_step_moments():
     rng = np.random.default_rng(123)
     s = np.array([0.0])
     s_next = np.array([1.0])
-    draws = np.array([perturb_step(0.05, s, s_next, rng)[0]
-                      for _ in range(20_000)])
+    draws = perturb_step(0.05, s, s_next,
+                         rng.standard_normal((20_000, 1)))[:, 0]
     se_mean = 0.05 / np.sqrt(draws.size)
     assert abs(draws.mean() - 1.0) <= 3.0 * se_mean
     assert abs(draws.std() - 0.05) <= 0.003
@@ -464,29 +464,30 @@ def test_perturb_step_zero_displacement_dimension():
     rng = np.random.default_rng(5)
     s = np.array([0.4, 2.0])
     s_next = np.array([0.4, 3.0])  # dimension 0 does not move
-    draws = np.array([perturb_step(0.5, s, s_next, rng) for _ in range(100)])
+    draws = perturb_step(0.5, s, s_next, rng.standard_normal((100, 2)))
     assert np.all(draws[:, 0] == 0.4)
     assert draws[:, 1].std() > 0.0
 
 
 def test_perturb_step_rejects_negative_fraction():
     with pytest.raises(ValueError):
-        perturb_step(-0.1, np.zeros(1), np.ones(1), np.random.default_rng(0))
+        perturb_step(-0.1, np.zeros(1), np.ones(1), np.zeros(1))
 
 
 def test_noisy_deployment_couples_streams():
     """Clean and noisy runs consume identical randomness, so the fraction-0
-    deployment reproduces the bare environment step-for-step."""
+    deployment reproduces the bare environment's emissions from the same
+    normals, and the noise moves only the next states."""
     env = tracking_mdp()
-    deploy = NoisyDeployment(env, 0.0)
-    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-    noise_rng = np.random.default_rng(99)
-    s_a, s_b = env.reset(rng_a), deploy.reset(rng_b)
-    assert np.array_equal(s_a, s_b)
-    a = np.array([0.3])
-    nxt_a, r_a = env.step(s_a, a, rng_a)
-    nxt_b, r_b = deploy.step(s_b, a, rng_b, noise_rng)
-    assert np.array_equal(nxt_a, nxt_b) and r_a == r_b
+    rng = np.random.default_rng(8)
+    s = env.reset(rng.standard_normal((5, 1)))
+    a = np.full((5, 1), 0.3)
+    normals = rng.standard_normal((5, 3))
+    bare = env.step(s, a, normals[:, :2])
+    assert np.array_equal(NoisyDeployment(env, 0.0).step(s, a, normals), bare)
+    noisy = NoisyDeployment(env, 0.5).step(s, a, normals)
+    assert np.array_equal(noisy[:, 1], bare[:, 1])
+    assert not np.array_equal(noisy[:, 0], bare[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -519,19 +520,32 @@ def test_continuous_rollout_dataset_clamps_rewards():
     assert np.all(dataset.rewards >= 0.0) and np.all(dataset.rewards <= 1.0)
 
 
-def test_sample_trajectory_rejects_a_tabular_environment(grad_triple):
-    mdp, policy, model = grad_triple
-    with pytest.raises(TypeError, match="sample_tabular_batch"):
-        sample_trajectory(mdp, policy, model)
-
-
 def test_continuous_model_rollout_truncates_on_nonfinite():
+    """A row stops at its first non-finite emission, with its state frozen
+    and zero rewards after it; a batch in which some row has no finite step
+    raises."""
     from stackmbrl.models import DiagGaussianPolicy, DiagGaussianWorldModel
-    env = tracking_mdp()
     policy = DiagGaussianPolicy.zeros(1, 1)
-    model = DiagGaussianWorldModel.zeros(1, 1)
-    bad = model.params.values.copy()
-    bad[0] = np.nan  # poisoned mean weight
-    model = model.with_params(bad)
+    # s' = s + 1 and r = 0.5, nearly noiseless
+    model = DiagGaussianWorldModel(np.array([[1.0, 0.0, 1.0],
+                                             [0.0, 0.0, 0.5]]),
+                                   np.full(2, -10.0), 1, 1)
+
+    def emit(states, actions, normals):
+        emissions = model.samples(states, actions, normals)
+        emissions[states[:, 0] > 2.5] = np.nan
+        return emissions, model.log_probs(states, actions, emissions)
+
+    normals = np.random.default_rng(0).standard_normal((3, 4 * 3 + 1))
+    paths = sample_trajectory(policy, emit, np.array([[0.0], [1.2], [2.0]]),
+                              normals, 4)
+    assert paths["lengths"].tolist() == [3, 2, 1]
+    for row, steps in enumerate(paths["lengths"]):
+        states = paths["states"][row]
+        assert (states[steps + 1:] == states[steps]).all()
+        assert (paths["rewards"][row, :steps] > 0.4).all()
+        assert (paths["rewards"][row, steps:] == 0.0).all()
+        assert np.isfinite(paths["actions"][row]).all()
     with pytest.raises(SamplingError):
-        sample_trajectory(env, policy, model=model, seed=0)
+        sample_trajectory(policy, emit, np.array([[0.0], [3.0]]),
+                          normals[:2], 4)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_samplers as ref
 from conftest import dirichlet_mdp
 from reference_estimators import (discounted_weights, model_gradient,
                                   policy_gradient)
@@ -20,8 +21,7 @@ import stackmbrl
 from stackmbrl import estimators, models, trainer
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   factors_from_batch)
-from stackmbrl.mdp import (SamplingError, TabularMdp, exact_return,
-                           sample_tabular_batch, sample_trajectory)
+from stackmbrl.mdp import SamplingError, exact_return, sample_tabular_batch
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, OfflineDataset,
                               SoftmaxPolicy, mle_fit, rollout_dataset,
@@ -30,8 +30,9 @@ from stackmbrl.oracles import central_difference
 from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
                                 tracking_mdp)
 from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
-                               DYNAMICS_MODES, TrainerConfig,
-                               collect_rollouts, initial_state,
+                               DYNAMICS_MODES, LinearCritic, ReplayBuffer,
+                               TrainerConfig, collect_rollouts,
+                               episode_returns, initial_state,
                                load_checkpoint, robust_evaluate,
                                save_checkpoint, train, train_iteration,
                                vanilla_config, worst_case_return)
@@ -118,21 +119,16 @@ def test_batched_softmax_likelihoods_match_the_step_loop(grad_triple,
 
 def test_rollouts_append_one_bootstrap_action(grad_triple, grad_dataset,
                                               tracking_setup):
-    """The samplers draw one action per step; ``collect_rollouts`` appends
-    the trailing action at each segment's last state, with its
-    log-probability, on both families."""
+    """The tabular sampler draws one action per step, and the continuous
+    path loop one more; either way ``collect_rollouts`` returns a trailing
+    action at each segment's last state, with its log-probability."""
     tracking, dataset, anchor = tracking_setup
+    env, policy, model = grad_triple
+    batch = sample_tabular_batch(env, policy, model, horizon=3, seed=9)
+    assert batch["actions"].shape == batch["logp_policy"].shape == (1, 3)
     cases = [(*grad_triple, grad_dataset[0]),
              (tracking, tracking_behavior_policy(tracking), anchor, dataset)]
     for env, policy, model, data in cases:
-        if isinstance(env, TabularMdp):
-            batch = sample_tabular_batch(env, policy, model, horizon=3,
-                                         seed=9)
-            actions, logp = batch["actions"][0], batch["logp_policy"][0]
-        else:
-            traj = sample_trajectory(env, policy, model, horizon=3, seed=9)
-            actions, logp = traj.actions, traj.logp_policy
-        assert len(actions) == len(logp) == 3
         batch = collect_rollouts(env, policy, model, data, n_rollouts=4,
                                  length=3, seed=2)
         assert batch["actions"].shape[:2] == batch["logp_policy"].shape \
@@ -612,18 +608,33 @@ def test_model_with_non_finite_dataset_kl_is_never_committed():
 
 
 class _LogProbFailsAfter:
-    """Wraps a model so its log-density turns non-finite after ``n`` calls,
-    while its samples stay finite."""
+    """Wraps a model so its log-densities turn non-finite after ``n``
+    batched calls, one per step, while its samples stay finite."""
 
     def __init__(self, model, n):
         self.model, self.n = model, n
 
-    def sample(self, s, a, rng):
-        return self.model.sample(s, a, rng)
+    def samples(self, states, actions, normals):
+        return self.model.samples(states, actions, normals)
 
-    def log_prob(self, s, a, y):
+    def log_probs(self, states, actions, outcomes):
         self.n -= 1
-        return self.model.log_prob(s, a, y) if self.n >= 0 else -np.inf
+        logp = self.model.log_probs(states, actions, outcomes)
+        return logp if self.n >= 0 else np.full_like(logp, -np.inf)
+
+
+class _LogProbFailsAt:
+    """Wraps a model so its log-density is -inf at one state vector."""
+
+    def __init__(self, model, state):
+        self.model, self.state = model, state
+
+    def samples(self, states, actions, normals):
+        return self.model.samples(states, actions, normals)
+
+    def log_probs(self, states, actions, outcomes):
+        logp = self.model.log_probs(states, actions, outcomes)
+        return np.where((states == self.state).all(axis=-1), -np.inf, logp)
 
 
 def test_rollouts_truncate_at_non_finite_model_log_prob(tracking_setup):
@@ -637,6 +648,80 @@ def test_rollouts_truncate_at_non_finite_model_log_prob(tracking_setup):
     with pytest.raises(SamplingError):
         collect_rollouts(env, policy, _LogProbFailsAfter(anchor, 0), dataset,
                          n_rollouts=1, length=5, seed=0)
+
+
+def test_a_truncated_row_leaves_the_other_rows_draws(tracking_setup):
+    """Row 1's model log-density turns -inf at its third state. Each row
+    draws a fixed block of normals, so rows 0, 2 and 3 keep the untruncated
+    batch's bits; row 1 keeps its first two steps, then freezes its state
+    and pads zero rewards and log-densities."""
+    env, dataset, anchor = tracking_setup
+    policy = tracking_behavior_policy(env)
+    clean = collect_rollouts(env, policy, anchor, dataset, n_rollouts=4,
+                             length=5, seed=1)
+    assert not clean["truncated"]
+    frozen = clean["states"][1, 2]
+    batch = collect_rollouts(env, policy, _LogProbFailsAt(anchor, frozen),
+                             dataset, n_rollouts=4, length=5, seed=1)
+    assert batch["truncated"]
+    assert batch["lengths"].tolist() == [5, 2, 5, 5]
+    for key in ("states", "actions", "rewards", "outcomes", "logp_policy",
+                "logp_model"):
+        assert np.array_equal(batch[key][[0, 2, 3]], clean[key][[0, 2, 3]])
+        assert np.array_equal(batch[key][1, :2], clean[key][1, :2])
+    assert (batch["states"][1, 2:] == frozen).all()
+    assert (batch["rewards"][1, 2:] == 0.0).all()
+    assert (batch["logp_model"][1, 2:] == 0.0).all()
+    assert np.array_equal(batch["logp_policy"][1],
+                          policy.log_probs(batch["states"][1],
+                                           batch["actions"][1]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_draws_match_the_per_row_reference(seed):
+    """On ``tracking``, every batched continuous draw gives the bits of the
+    per-row loops in ``reference_samplers``: rollouts with no truncation,
+    one critic refit, the penalty emissions of ``factors_from_batch``, a
+    behavior dataset, and deployment returns with and without noise."""
+    env, dataset, anchor = _tracking_inputs(seed)
+    policy = tracking_behavior_policy(env)
+    batch = collect_rollouts(env, policy, anchor, dataset, n_rollouts=8,
+                             length=4, seed=seed)
+    assert batch["lengths"].tolist() == [4] * 8
+    expected = ref.collect_rollouts(policy, anchor, dataset, 8, 4, seed)
+    for key, value in expected.items():
+        assert np.array_equal(batch[key], value), key
+
+    transitions = ReplayBuffer(1).with_batch(batch).transitions()
+    critic, twin = (LinearCritic(np.zeros(2), np.zeros(3),
+                                 np.array([0.3, -0.2])) for _ in range(2))
+    critic.fit_epoch(policy, anchor, env.gamma, transitions,
+                     np.random.default_rng(seed))
+    ref.critic_fit_epoch(twin, policy, anchor, env.gamma, transitions,
+                         np.random.default_rng(seed))
+    assert critic.to_dict() == twin.to_dict()
+
+    steps = trainer._steps(batch, 4)
+    factors = factors_from_batch(
+        np.ones((8, 4)), anchor.scores(*steps), policy.scores(*steps[:2]),
+        dataset,
+        anchor, anchor, 1.0, np.zeros(anchor.n_params), 0.0,
+        np.random.default_rng(seed), n_step_cols=5, n_penalty_cols=7)
+    draws = ref.penalty_emissions(anchor, dataset, 8, 4, 5, 7,
+                                  np.random.default_rng(seed))
+    assert np.array_equal(factors.atoms.blocks[32:],
+                          anchor.scores(*draws).blocks)
+
+    data = rollout_dataset(env, policy, n_episodes=6, seed=seed)
+    for got, want in zip((data.states, data.actions, data.rewards,
+                          data.next_states),
+                         ref.rollout_dataset(env, policy, 6, seed)):
+        assert np.array_equal(got, want)
+
+    for noise in (0.0, 0.3):
+        assert np.array_equal(
+            episode_returns(env, policy, noise, 12, seed),
+            ref.episode_returns(env, policy, noise, 12, seed))
 
 
 def test_robust_evaluate_pairs_clean_and_noisy_streams(tracking_setup,

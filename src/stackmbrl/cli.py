@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsState, LearningRates, run_dynamics
+from .dynamics import DYNAMICS_MODES, DynamicsState, LearningRates, run_dynamics
 from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
 from .mdp import (ContinuousMdp, SamplingError, TabularMdp,
                   dp_optimal_policy, exact_return)
@@ -62,7 +62,6 @@ from .testbeds import (
     tracking_behavior_policy,
 )
 from .trainer import (
-    DYNAMICS_MODES,
     TrainerConfig,
     code_version,
     episode_returns,

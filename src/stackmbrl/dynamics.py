@@ -1,24 +1,24 @@
 """Coupled learning dynamics for the leader/adversary/multiplier game.
 
-Three update rules over a shared state (theta, phi, lam):
+``step`` updates the shared state (theta, phi, lam): the adversary descends
+its penalized objective J + lam * gap, and each mode is one row of
+``_MODES``, the leader corrections it tries in turn:
 
-* ``naive``        — simultaneous gradient ascent/descent with a fixed
-                     multiplier; no leader correction. Diverges on the
-                     bilinear counterexample.
-* ``stackelberg``  — leader ascends the total derivative
-                     grad_theta J - M^T A^{-1} grad_phi J with the
-                     multiplier frozen at its configured value.
-* ``constrained``  — full three-player rule: the leader correction uses the
-                     multiplier-aware inverse curvature H, the adversary
-                     descends the penalized objective, and the multiplier
-                     takes projected ascent steps on the constraint gap.
+* ``naive``        — none: the leader ascends grad_theta J, the multiplier
+                     stays fixed. Diverges on the bilinear counterexample.
+* ``stackelberg``  — grad_theta J - M^T A^{-1} grad_phi J, multiplier fixed.
+* ``constrained``  — the same with the multiplier-aware inverse curvature H,
+                     then with A^{-1}; the multiplier takes projected ascent
+                     steps on the constraint gap.
 
-This module works on small dense games (closed-form testbeds, unit checks);
-the factored large-scale route is assembled in :mod:`.trainer` from
-:mod:`.estimators` and :mod:`.woodbury`. Both routes apply H through the
-one dual-row solve, ``woodbury.dual_corrected``: here A^{-1} is a dense
-solve, and a scalar adversary takes the closed form H = c / (a c - lam b^2),
-which stays finite as a -> 0.
+Both this dense route (small closed-form games) and the factored one that
+:mod:`.trainer` assembles apply H through ``woodbury.dual_corrected``; here
+A^{-1} is a dense solve, and a scalar adversary takes the closed form
+H = c / (a c - lam b^2), finite as a -> 0. On a singular curvature or Schur
+complement the routes differ: a step here warns as its row says and falls
+back to the next correction, then to grad_theta J, while
+``trainer.train_iteration`` aborts the iteration and keeps the committed
+state.
 """
 
 from __future__ import annotations
@@ -186,16 +186,10 @@ class SmoothGame:
                     f"by {gap:.3e} (tol {FD_CHECK_TOL:.1e})")
 
 
-def _corrected_ascent(game: SmoothGame, state: DynamicsState, lam: float,
+def _corrected_ascent(g_theta, g_phi, a, m, b, c, lam: float,
                       use_dual_row: bool) -> np.ndarray:
-    """Total leader derivative with the (optionally dual-aware) correction."""
-    g_theta = game.d_theta(state.theta, state.phi)
-    g_phi = game.d_phi_objective(state.theta, state.phi)
-    a = game.curvature(state.theta, state.phi, lam)
-    m = game.mixed(state.theta, state.phi, lam)
-    b = game.d_phi_gap(state.phi)
-    c = game.gap(state.phi)
-
+    """Total leader derivative g_theta - M^T H g_phi from the step's
+    derivatives; H carries the multiplier row when ``use_dual_row``."""
     if use_dual_row and a.shape == (1, 1):
         # scalar adversary: H = c / (a c - lam b^2), finite even as a -> 0
         denom = a[0, 0] * c - lam * float(b @ b)
@@ -216,60 +210,50 @@ def _corrected_ascent(game: SmoothGame, state: DynamicsState, lam: float,
     return g_theta - m.T @ h_g
 
 
-def step_naive(game: SmoothGame, state: DynamicsState,
-               rates: LearningRates) -> DynamicsState:
-    """Uncorrected simultaneous play; the multiplier stays fixed."""
-    eta = rates.at(state.iteration)
-    theta = state.theta + eta.policy * game.d_theta(state.theta, state.phi)
-    phi = state.phi - eta.model * game.d_phi_lagrangian(state.theta, state.phi,
-                                                        state.lam)
-    return DynamicsState(theta, phi, state.lam, state.iteration + 1)
-
-
-def step_stackelberg(game: SmoothGame, state: DynamicsState,
-                     rates: LearningRates) -> DynamicsState:
-    """Leader correction through the adversary's curvature; fixed multiplier."""
-    eta = rates.at(state.iteration)
-    try:
-        ascent = _corrected_ascent(game, state, state.lam, use_dual_row=False)
-    except SingularScalarError as err:
-        warnings.warn(f"leader correction unavailable ({err}); using the "
-                      "plain objective gradient", RuntimeWarning, stacklevel=2)
-        ascent = game.d_theta(state.theta, state.phi)
-    theta = state.theta + eta.policy * ascent
-    phi = state.phi - eta.model * game.d_phi_lagrangian(state.theta, state.phi,
-                                                        state.lam)
-    return DynamicsState(theta, phi, state.lam, state.iteration + 1)
-
-
-def step_constrained(game: SmoothGame, state: DynamicsState,
-                     rates: LearningRates) -> DynamicsState:
-    """Full three-player update with projected multiplier ascent."""
-    eta = rates.at(state.iteration)
-    try:
-        ascent = _corrected_ascent(game, state, state.lam, use_dual_row=True)
-    except SingularScalarError as err:
-        warnings.warn(f"dual-aware correction unavailable ({err}); "
-                      "falling back to the multiplier-free correction",
-                      RuntimeWarning, stacklevel=2)
-        try:
-            ascent = _corrected_ascent(game, state, state.lam,
-                                       use_dual_row=False)
-        except SingularScalarError:
-            ascent = game.d_theta(state.theta, state.phi)
-    gap = game.gap(state.phi)
-    theta = state.theta + eta.policy * ascent
-    phi = state.phi - eta.model * game.d_phi_lagrangian(state.theta, state.phi,
-                                                        state.lam)
-    lam = max(0.0, state.lam + eta.dual * gap)
-    return DynamicsState(theta, phi, lam, state.iteration + 1)
-
-
-STEPPERS = {
-    "naive": step_naive,
-    "stackelberg": step_stackelberg,
-    "constrained": step_constrained,
+# mode -> the leader corrections it tries in turn, each as (uses the dual
+# row, warning when it fails or None); once all fail the leader ascends
+# g_theta. A mode whose corrections use the dual row also moves the
+# multiplier.
+_MODES = {
+    "naive": (),
+    "stackelberg": ((False, "leader correction unavailable ({err}); using "
+                     "the plain objective gradient"),),
+    "constrained": ((True, "dual-aware correction unavailable ({err}); "
+                     "falling back to the multiplier-free correction"),
+                    (False, None)),
 }
+DYNAMICS_MODES = tuple(_MODES)
+
+
+def step(game: SmoothGame, state: DynamicsState, rates: LearningRates,
+         mode: str) -> DynamicsState:
+    """One update of ``mode``, evaluating each derivative of ``game`` once."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown dynamics mode {mode!r}; "
+                         f"choose from {sorted(_MODES)}")
+    corrections = _MODES[mode]
+    moves_lam = any(dual_row for dual_row, _ in corrections)
+    eta = rates.at(state.iteration)
+    theta, phi, lam = state.theta, state.phi, state.lam
+    g_theta = ascent = game.d_theta(theta, phi)
+    g_phi = game.d_phi_objective(theta, phi)
+    b = game.d_phi_gap(phi)
+    gap = game.gap(phi) if moves_lam else None
+    if corrections:
+        a, m = game.curvature(theta, phi, lam), game.mixed(theta, phi, lam)
+    for dual_row, warning in corrections:
+        try:
+            ascent = _corrected_ascent(g_theta, g_phi, a, m, b, gap, lam,
+                                       dual_row)
+            break
+        except SingularScalarError as err:
+            if warning:
+                warnings.warn(warning.format(err=err), RuntimeWarning,
+                              stacklevel=2)
+    return DynamicsState(theta + eta.policy * ascent,
+                         phi - eta.model * (g_phi + lam * b),
+                         max(0.0, lam + eta.dual * gap) if moves_lam else lam,
+                         state.iteration + 1)
 
 
 @dataclass
@@ -317,17 +301,13 @@ def run_dynamics(game: SmoothGame, init: DynamicsState, rates: LearningRates,
     (>= 1) completed step. Non-finite iterates abort with the offending
     iteration index.
     """
-    if mode not in STEPPERS:
-        raise ValueError(f"unknown dynamics mode {mode!r}; "
-                         f"choose from {sorted(STEPPERS)}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    stepper = STEPPERS[mode]
     state = init.copy()
     trace = DynamicsTrace()
     trace.record(game, state)
     for k in range(n_steps):
-        state = stepper(game, state, rates)
+        state = step(game, state, rates, mode)
         if not (np.isfinite(state.theta).all() and np.isfinite(state.phi).all()
                 and np.isfinite(state.lam)):
             raise FloatingPointError(

@@ -84,8 +84,7 @@ def _dp_pass(mdp: TabularMdp, pi: np.ndarray, probs: np.ndarray,
     conts = out_r + gamma * values[1:, out_s]              # c_t, (h, K)
     step_mass = np.einsum("sa,sak->sk", pi, probs)
     kernel = np.zeros((len(pi), len(pi)), dtype=step_mass.dtype)
-    for k in range(len(out_s)):
-        kernel[:, out_s[k]] += step_mass[:, k]
+    np.add.at(kernel.T, out_s, step_mass.T)
     occupancy = np.zeros_like(q[:-1])      # gamma^t d_t(s) pi(a|s), (h, S, A)
     tails = np.zeros_like(probs)           # sum_t gamma^t d_t(s) pi(a|s) c_t(k)
     dist = mdp.init_dist.copy()

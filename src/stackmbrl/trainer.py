@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import LearningRates, MULTIPLIER_INIT
+from .dynamics import DYNAMICS_MODES, LearningRates, MULTIPLIER_INIT
 from .estimators import (
     dataset_dual_coupling,
     dataset_kl,
@@ -66,8 +66,6 @@ from .woodbury import (
     SingularScalarError,
     leader_gradient,
 )
-
-DYNAMICS_MODES = ("naive", "stackelberg", "constrained")
 
 # Transitions drawn from the buffer for each linear-critic refit.
 CRITIC_BATCH_SIZE = 256
@@ -368,11 +366,10 @@ class TrainerConfig:
         """The config ``payload`` describes, as ``to_dict`` writes it; a
         ``ValueError`` names an unknown key or a wrongly typed field."""
         payload = dict(payload)
-        rates = payload.pop("rates", None)
         _check_fields(TrainerConfig, payload)
-        if rates is not None:
-            _check_fields(LearningRates, rates)
-            payload["rates"] = LearningRates(**rates)
+        if "rates" in payload:
+            _check_fields(LearningRates, payload["rates"])
+            payload["rates"] = LearningRates(**payload["rates"])
         return TrainerConfig(**payload)
 
     def save(self, path) -> None:
@@ -381,22 +378,27 @@ class TrainerConfig:
 
     @staticmethod
     def load(path) -> "TrainerConfig":
-        return TrainerConfig.from_dict(read_json_object(path, ()))
+        payload = read_json_object(path, ())
+        try:
+            return TrainerConfig.from_dict(payload)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _check_fields(cls, payload: dict) -> None:
     """Raise ``ValueError`` unless ``payload`` names fields of the dataclass
     ``cls``, each with a value of its default's type (an int passes as a
-    float)."""
+    float, and a dict as a ``LearningRates``)."""
     unknown = set(payload) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     for name, value in payload.items():
         want = type(getattr(cls(), name))
-        allowed = (want, int) if want is float else (want,)
+        allowed = {float: (float, int),
+                   LearningRates: (dict,)}.get(want, (want,))
         if type(value) not in allowed:
             raise ValueError(f"{cls.__name__} field {name!r} must be a "
-                             f"{want.__name__}, got {value!r}")
+                             f"{allowed[0].__name__}, got {value!r}")
 
 
 def vanilla_config(config: TrainerConfig, horizon: int) -> TrainerConfig:
@@ -787,6 +789,10 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
             players[part] = template.with_params(values.reshape(shape))
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: {part} values do not fit: {err}") from err
+    for key, kinds in (("iteration", (int,)), ("lam", (int, float))):
+        if type(payload[key]) not in kinds:
+            raise ValueError(f"{path}: {key} must be a JSON "
+                             f"{kinds[-1].__name__}, got {payload[key]!r}")
     return {"iteration": int(payload["iteration"]), "lam": float(payload["lam"]),
             **players, "critic": critic_from_dict(payload["critic"])}
 

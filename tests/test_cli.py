@@ -267,8 +267,9 @@ def test_seed_that_is_not_a_non_negative_integer_is_rejected(
 
 
 def checkpoint_misfit(part, values):
-    """A ``tracking`` checkpoint with ``values`` as its ``part`` values and
-    the other player's values the right length."""
+    """A ``tracking`` checkpoint with ``values`` as its ``part`` values (or,
+    for ``iteration`` and ``lam``, as that entry), every other entry well
+    formed."""
     env = tracking_mdp()
     payload = {"iteration": 1, "lam": 1.0,
                "critic": {"kind": "linear", "q": [], "v": [], "target_v": []}}
@@ -276,7 +277,8 @@ def checkpoint_misfit(part, values):
                          ("model", DiagGaussianWorldModel)):
         payload[name] = family.zeros(env.state_dim,
                                      env.action_dim).params.to_dict()
-    payload[part] = {"values": values}
+    payload[part] = ({"values": values} if part in ("policy", "model")
+                     else values)
     return json.dumps(payload)
 
 
@@ -307,18 +309,26 @@ def checkpoint_misfit(part, values):
     ("env.json",
      '{"kind": "continuous", "name": "tracking", "params": {"bogus": 1}}',
      ["gen-data", "--env"], "bogus"),
+    ("checkpoint.json", checkpoint_misfit("lam", [1]),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
+    ("checkpoint.json", checkpoint_misfit("iteration", None),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "iteration"),
+    ("config.json", '{"rates": 5}', ["train", "--config"], "rates"),
+    ("config.json", '{"bogus": 1}', ["train", "--config"], "bogus"),
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
         "checkpoint-players", "checkpoint-policy-values",
         "checkpoint-model-values", "checkpoint-null-values",
         "checkpoint-diverging-policy", "env-params-list",
-        "env-params-unknown"])
+        "env-params-unknown", "checkpoint-list-lam",
+        "checkpoint-null-iteration", "config-rates-number",
+        "config-unknown-key"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
     object, whose nested entries miss a key or name an unknown one, whose
-    player values do not fit the template, or whose finite policy values
-    draw non-finite actions, exits 2 with one line naming the file and the
-    key, before any run directory."""
+    player values do not fit the template, whose entries have the wrong
+    type, or whose finite policy values draw non-finite actions, exits 2
+    with one line naming the file and the key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))

@@ -2,15 +2,15 @@
 
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stackmbrl.dynamics import (MULTIPLIER_INIT, RATE_DUAL_DEFAULT,
                                 RATE_MODEL_DEFAULT, RATE_POLICY_DEFAULT,
-                                DynamicsState, LearningRates, SmoothGame,
-                                run_dynamics, step_constrained, step_naive,
-                                step_stackelberg, STEPPERS)
+                                DYNAMICS_MODES, DynamicsState, LearningRates,
+                                SmoothGame, run_dynamics, step)
 from stackmbrl.testbeds import coupling_game, coupling_kkt
 from stackmbrl.woodbury import SCHUR_FLOOR
 from toy_games import (bilinear_game, coupling_lse, distance_stop,
@@ -126,7 +126,7 @@ def test_naive_rest_at_zero_gradient_point():
     game = saddle_game()
     state = DynamicsState(np.zeros(1), np.zeros(1), lam=0.3)
     for _ in range(5):
-        state = step_naive(game, state, equal_rates(1e-2))
+        state = step(game, state, equal_rates(1e-2), "naive")
     assert state.theta[0] == 0.0 and state.phi[0] == 0.0
     assert state.lam == 0.3
     assert state.iteration == 5
@@ -140,7 +140,7 @@ def test_naive_spirals_on_bilinear_game():
     state = DynamicsState(np.array([0.7]), np.array([-0.4]), lam=1.0)
     norms = [state.theta[0] ** 2 + state.phi[0] ** 2]
     for _ in range(100):
-        state = step_naive(game, state, equal_rates(eta))
+        state = step(game, state, equal_rates(eta), "naive")
         norms.append(state.theta[0] ** 2 + state.phi[0] ** 2)
     norms = np.array(norms)
     assert np.all(np.diff(norms) > 0.0)
@@ -166,12 +166,12 @@ def test_correction_vanishes_without_cross_coupling():
     game = decoupled_game()
     init = DynamicsState(np.array([0.8]), np.array([-0.6]), lam=1.0)
     rates = LearningRates(model=1e-2, dual=1e-3, policy=1e-4)
-    a = step_naive(game, init.copy(), rates)
-    b = step_stackelberg(game, init.copy(), rates)
+    a = step(game, init.copy(), rates, "naive")
+    b = step(game, init.copy(), rates, "stackelberg")
     with pytest.warns(RuntimeWarning):
         # gap and its gradient are identically zero, so the dual row of the
         # curvature is singular; the stepper falls back to the plain solve
-        c = step_constrained(game, init.copy(), rates)
+        c = step(game, init.copy(), rates, "constrained")
     assert a.theta[0] == b.theta[0] == c.theta[0]
     assert a.phi[0] == b.phi[0] == c.phi[0]
     assert a.lam == b.lam == c.lam  # gap is identically zero
@@ -187,7 +187,7 @@ def test_corrected_ascent_uses_follower_response_slope():
     for theta in (-0.5, 0.0, 0.8):
         phi_star = follower_best_response(theta, anchor, lam, coupling=c)
         state = DynamicsState(np.array([theta]), np.array([phi_star]), lam=lam)
-        stepped = step_stackelberg(game, state, eta)
+        stepped = step(game, state, eta, "stackelberg")
         ascent = (stepped.theta[0] - theta) / eta.policy
         by_hand = -2.0 * theta + 2.0 * c * anchor - 4.0 * c * c * theta / lam
         raw = -2.0 * theta + 2.0 * c * phi_star
@@ -239,9 +239,36 @@ def test_singular_curvature_falls_back_with_warning():
     state = DynamicsState(np.array([0.5]), np.array([0.3]), lam=1.0)
     rates = LearningRates(model=1e-2, dual=1e-3, policy=1e-4)
     with pytest.warns(RuntimeWarning):
-        stepped = step_stackelberg(game, state, rates)
+        stepped = step(game, state, rates, "stackelberg")
     raw = game.d_theta(state.theta, state.phi)
     assert stepped.theta[0] == pytest.approx(0.5 + rates.policy * raw[0], abs=1e-15)
+
+
+CALLBACKS = ("objective", "constraint_gap", "grad_theta", "grad_phi_objective",
+             "grad_phi_gap", "hess_phi_lagrangian", "mixed_hessian")
+
+
+@pytest.mark.parametrize("mode", DYNAMICS_MODES)
+def test_one_step_evaluates_each_derivative_at_most_once(mode):
+    """Every callback of the game runs at most once per step, and the
+    uncorrected step touches no curvature, mixed or gap callback."""
+    calls = dict.fromkeys(CALLBACKS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    game = coupling_game()
+    game = replace(game, check_points=(), **{
+        name: counted(name, getattr(game, name)) for name in CALLBACKS})
+    state = DynamicsState(np.array([0.4]), np.array([0.9]), lam=0.6)
+    step(game, state, LearningRates(), mode)
+    assert max(calls.values()) <= 1, calls
+    if mode == "naive":
+        assert calls["hess_phi_lagrangian"] == calls["mixed_hessian"] \
+            == calls["constraint_gap"] == 0, calls
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +288,9 @@ def test_multiplier_projection_to_zero():
     )
     rates = LearningRates(model=2.0, dual=1.0, policy=0.5)
     state = DynamicsState(np.array([0.2]), np.array([0.1]), lam=0.1)
-    stepped = step_constrained(game, state, rates)
+    stepped = step(game, state, rates, "constrained")
     assert stepped.lam == 0.0  # max(0, 0.1 + 1.0 * (-0.5))
-    again = step_constrained(game, stepped, rates)
+    again = step(game, stepped, rates, "constrained")
     assert again.lam == 0.0  # projection keeps it pinned
 
 
@@ -272,11 +299,11 @@ def test_multiplier_tracks_constraint_gap_sign():
     rates = LearningRates(model=1e-2, dual=1e-3, policy=1e-4)
     inside = DynamicsState(np.array([0.1]), np.array([0.7]), lam=0.5)
     assert game.gap(inside.phi) < 0.0
-    assert step_constrained(game, inside, rates).lam == pytest.approx(
+    assert step(game, inside, rates, "constrained").lam == pytest.approx(
         0.5 + 1e-3 * game.gap(inside.phi))
     outside = DynamicsState(np.array([0.1]), np.array([1.5]), lam=0.5)
     assert game.gap(outside.phi) > 0.0
-    assert step_constrained(game, outside, rates).lam > 0.5
+    assert step(game, outside, rates, "constrained").lam > 0.5
 
 
 def dense_quadratic_game(seed: int = 0, radius: float | None = None):
@@ -333,8 +360,8 @@ def test_dense_dual_row_matches_the_explicit_inverse():
     expected = (-p_mat @ theta + k.T @ phi) - k.T @ h @ (k @ theta + q_mat @ phi + g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stepped = step_constrained(game, DynamicsState(theta, phi, lam=lam),
-                                   equal_rates(1.0))
+        stepped = step(game, DynamicsState(theta, phi, lam=lam),
+                       equal_rates(1.0), "constrained")
     assert np.abs((stepped.theta - theta) - expected).max() <= 1e-12
 
 
@@ -351,8 +378,8 @@ def test_dense_schur_under_floor_falls_back_to_the_plain_correction():
     schur = game.gap(phi) - lam * b @ np.linalg.solve(curvature, b)
     assert abs(schur) < SCHUR_FLOOR
     with pytest.warns(RuntimeWarning, match="dual-aware correction unavailable"):
-        stepped = step_constrained(game, DynamicsState(theta, phi, lam=lam),
-                                   equal_rates(1.0))
+        stepped = step(game, DynamicsState(theta, phi, lam=lam),
+                       equal_rates(1.0), "constrained")
     g_phi = k @ theta + q_mat @ phi + g
     expected = ((-p_mat @ theta + k.T @ phi)
                 - k.T @ np.linalg.inv(curvature) @ g_phi)
@@ -506,4 +533,4 @@ def test_distance_stop_predicate():
 
 
 def test_stepper_registry_names():
-    assert set(STEPPERS) == {"naive", "stackelberg", "constrained"}
+    assert DYNAMICS_MODES == ("naive", "stackelberg", "constrained")

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from stackmbrl.dynamics import STEPPERS, DynamicsState, LearningRates, SmoothGame
+from stackmbrl.dynamics import DynamicsState, LearningRates, SmoothGame, step
 from stackmbrl.testbeds import _GENERIC_CHECK
 
 
@@ -30,11 +30,11 @@ def distance_stop(target_theta, target_phi, target_lam: float | None,
 def run_until(game: SmoothGame, init: DynamicsState, rates: LearningRates,
               mode: str, n_steps: int,
               stop: Callable[[DynamicsState], bool]) -> DynamicsState:
-    """Apply ``STEPPERS[mode]`` from ``init`` until ``stop`` holds after a
+    """Apply ``step(..., mode)`` from ``init`` until ``stop`` holds after a
     step, or for ``n_steps`` steps."""
     state = init.copy()
     for _ in range(n_steps):
-        state = STEPPERS[mode](game, state, rates)
+        state = step(game, state, rates, mode)
         if stop(state):
             break
     return state

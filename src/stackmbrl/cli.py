@@ -292,9 +292,8 @@ def cmd_evaluate(args) -> int:
     try:
         # a diverging policy is reported below, not by numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            clean, noisy = (episode_returns(env, policy, rho, args.episodes,
-                                            seed=args.seed)
-                            for rho in (0.0, args.rho))
+            clean, noisy = episode_returns(env, policy, (0.0, args.rho),
+                                           args.episodes, seed=args.seed)
     except SamplingError as err:
         raise ValueError(f"{args.checkpoint}: the policy drives the "
                          f"environment to non-finite values ({err})") from None

@@ -22,9 +22,6 @@ from .models import (CategoricalWorldModel, DiagGaussianWorldModel,
                      gaussian_kl)
 from .woodbury import RIDGE_DEFAULT, BlockScores, LowRankFactors
 
-CLIP_DEFAULT = 0.2
-GAE_LAMBDA_DEFAULT = 0.95
-
 
 # ---------------------------------------------------------------------------
 # score tables
@@ -55,7 +52,7 @@ def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
 
 def generalized_advantages(rewards: np.ndarray, values: np.ndarray,
                            tail_values: np.ndarray, gamma: float,
-                           zeta: float = GAE_LAMBDA_DEFAULT) -> np.ndarray:
+                           zeta: float) -> np.ndarray:
     """Exponentially-mixed advantage estimates on every step of the segment.
 
     ``values`` holds V(s_t) for t = 0..h; the bootstrap value at the segment
@@ -80,7 +77,7 @@ def generalized_advantages(rewards: np.ndarray, values: np.ndarray,
 
 
 def ratio_masks(logp_new: np.ndarray, logp_old: np.ndarray,
-                advantages: np.ndarray, clip: float = CLIP_DEFAULT) -> np.ndarray:
+                advantages: np.ndarray, clip: float) -> np.ndarray:
     """Per-step acceptance masks from the clipped-ratio comparison.
 
     A step stays active iff ratio * adv <= clip(ratio, 1-clip, 1+clip) * adv,

@@ -1,19 +1,18 @@
 """Offline robust training loop: segments, critics, masks, and dual ascent.
 
-The iteration alternates three phases over a shared state (policy, world
-model, multiplier): the policy ascends a curvature-corrected total
-derivative assembled from low-rank factors, the model descends its
-penalized objective, and the multiplier takes projected ascent steps on
-the anchored-KL constraint gap. Updates within an iteration run on primed
-copies and are committed together at the end, so a failed phase never
-leaves the state half-stepped.
-
-Rollouts are short imagined segments started from dataset states and
-bootstrapped with a critic Q-tail; a clipped-ratio mask gates every step's
-contribution, which makes the first epoch of each phase exactly the plain
-estimator. ``vanilla_config`` presets this same loop to full-horizon
-score-function estimators and a single coupled-dynamics step per
-iteration, for A/B comparisons against the segment machinery.
+An iteration collects imagined segments from dataset states, refits a
+critic for their Q-tails, and runs one masked-epoch loop for each player.
+Each epoch draws a minibatch, masks its steps by the clipped ratio of the
+player's likelihood to the sampling-time one (so the first epoch is
+exactly the plain estimator) and reduces the player's block scores to a
+masked gradient. Only the step rule differs: the policy (the leader)
+ascends the total derivative ``g_theta - M^T A^-1 g_phi`` assembled from
+low-rank factors, the model (the follower) descends its penalized
+objective, and the multiplier then takes a projected ascent step on the
+anchored-KL gap. All updates are committed together at the end, so a
+failed phase never leaves the state half-stepped. ``vanilla_config``
+presets the loop to full-horizon score-function estimators and one
+coupled step per iteration, for A/B comparisons.
 """
 
 from __future__ import annotations
@@ -202,16 +201,6 @@ class LinearCritic:
         return {"kind": "linear", "q": self.q_weights.tolist(),
                 "v": self.v_weights.tolist(),
                 "target_v": self.target_v_weights.tolist()}
-
-
-def critic_from_dict(payload: dict):
-    if payload["kind"] == "tabular":
-        return TabularCritic(np.array(payload["q"]), np.array(payload["v"]),
-                             np.array(payload["target_v"]))
-    if payload["kind"] == "linear":
-        return LinearCritic(np.array(payload["v"]), np.array(payload["q"]),
-                            np.array(payload["target_v"]))
-    raise ValueError(f"unknown critic kind {payload['kind']!r}")
 
 
 def critic_loss(critic, transitions: dict, gamma: float) -> float:
@@ -421,12 +410,11 @@ class TrainState:
 
     An iteration fits a tentative critic on a tentative buffer and installs
     both with (policy, model, lam), so an aborted iteration leaves all five
-    as they were. Nothing here holds a policy epoch's work: its score atoms
-    (the step scores plus the penalty draws, k of them, each a cell index
-    and a K-entry block), their coefficient matrices and the solver's
-    k x k matrices are built and released within that one epoch, so at
-    most one epoch's O(k * (K + rank) + k^2) set, plus a few n_phi-vectors
-    (gradients, the dual coupling, solves), is in memory at a time.
+    as they were. Nothing here holds an epoch's work: the leader's step
+    rule builds its k score atoms (step scores and penalty draws, each a
+    cell index and a K-entry block), their coefficient matrices and the
+    solver's k x k matrices, and drops them on return, so at most one
+    epoch's O(k * (K + rank) + k^2) set and a few n_phi-vectors are live.
     """
 
     policy: object
@@ -526,37 +514,15 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     return batch
 
 
-def _batch_subset(batch: dict, idx: np.ndarray) -> dict:
-    out = {key: (value[idx] if isinstance(value, np.ndarray) else value)
-           for key, value in batch.items()}
-    return out
-
-
 def _steps(batch: dict, n_steps: int) -> tuple:
     """(states, actions, outcomes) of the first ``n_steps`` steps."""
     return (batch["states"][:, :n_steps], batch["actions"][:, :n_steps],
             batch["outcomes"][:, :n_steps])
 
 
-def _segment_returns(batch: dict, gamma: float) -> float:
-    n_steps = batch["rewards"].shape[1]
-    disc = gamma ** np.arange(n_steps)
-    valid = np.arange(n_steps)[None, :] < batch["lengths"][:, None]
-    return float((batch["rewards"] * valid * disc).sum(axis=1).mean())
-
-
 # ---------------------------------------------------------------------------
 # one training iteration
 # ---------------------------------------------------------------------------
-
-
-def _advantages_for(critic, batch: dict, gamma: float, decay: float,
-                    n_steps: int) -> np.ndarray:
-    values = critic.state_values(batch["states"][:, :n_steps + 1])
-    tails = critic.tail_values(batch["states"][:, n_steps],
-                               batch["actions"][:, n_steps])
-    return generalized_advantages(batch["rewards"][:, :n_steps], values,
-                                  tails, gamma, zeta=decay)
 
 
 def _minibatch(batch: dict, size: int, rng: np.random.Generator) -> dict:
@@ -566,7 +532,9 @@ def _minibatch(batch: dict, size: int, rng: np.random.Generator) -> dict:
     n = batch["rewards"].shape[0]
     if size >= n:
         return batch
-    return _batch_subset(batch, rng.integers(0, n, size=size))
+    idx = rng.integers(0, n, size=size)
+    return {key: (value[idx] if isinstance(value, np.ndarray) else value)
+            for key, value in batch.items()}
 
 
 def _stepped(player, delta: np.ndarray):
@@ -580,86 +548,69 @@ def _stepped(player, delta: np.ndarray):
     return player.with_params(values)
 
 
-def _policy_phase(state: TrainState, batch: dict, dataset, anchor,
-                  config: TrainerConfig, gamma: float, rate: float,
-                  iteration: int, coupling: np.ndarray,
-                  gap: float) -> tuple[object, float]:
-    """Ascend the masked total derivative; returns (new policy, first-epoch
-    mask rate). The model and multiplier stay at their committed values, so
-    every epoch shares the committed model's dual ``coupling`` and
-    constraint ``gap``."""
-    policy_new = state.policy
+def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
+                   tag: int, critic, batch: dict, config: TrainerConfig,
+                   gamma: float, iteration: int) -> tuple[object, float]:
+    """Step ``player`` once per epoch by ``rule``; returns (stepped player,
+    first-epoch mask rate). Epoch e draws its minibatch from the stream
+    (seed, ``tag``, ``iteration``, e) and masks each step by the ratio of
+    the player's likelihood, over the first ``arity`` of (states, actions,
+    outcomes), to its sampling-time ``column``. The player then moves by
+    ``rule(e, rng, player, steps, masks, adv, scores, grad)``."""
     first_mask_rate = float("nan")
-    for epoch in range(config.policy_epochs):
-        policy_new, mask_rate = _policy_epoch(
-            state, policy_new, batch, dataset, anchor, config, gamma, rate,
-            _stream(config.seed, _POLICY_STREAM, iteration, epoch), coupling,
-            gap)
+    for epoch in range(epochs):
+        rng = _stream(config.seed, tag, iteration, epoch)
+        sub = _minibatch(batch, config.minibatch_size, rng)
+        n_steps = int(sub["lengths"].min())
+        adv = generalized_advantages(
+            sub["rewards"][:, :n_steps],
+            critic.state_values(sub["states"][:, :n_steps + 1]),
+            critic.tail_values(sub["states"][:, n_steps],
+                               sub["actions"][:, n_steps]),
+            gamma, zeta=config.advantage_decay)
+        steps = _steps(sub, n_steps)
+        masks = ratio_masks(player.log_probs(*steps[:arity]),
+                            sub[column][:, :n_steps], adv, clip=config.clip)
         if epoch == 0:
-            first_mask_rate = mask_rate
-    return policy_new, first_mask_rate
+            first_mask_rate = float(masks.mean())
+        scores = player.scores(*steps[:arity])
+        grad = masked_surrogate_gradient(scores, masks, adv, gamma)
+        player = _stepped(player, rule(epoch, rng, player, steps, masks, adv,
+                                       scores, grad))
+    return player, first_mask_rate
 
 
-def _policy_epoch(state: TrainState, policy, batch: dict, dataset, anchor,
-                  config: TrainerConfig, gamma: float, rate: float,
-                  rng: np.random.Generator, coupling: np.ndarray,
-                  gap: float) -> tuple[object, float]:
-    """One policy step; returns (stepped policy, mask rate). Scores, factors
-    and the solver are locals here, so none outlives its epoch. The step
-    scores are block scores, O(m * h * K), and become the factors' first
-    atoms; no (m, h, n_phi) tensor is formed."""
-    sub = _minibatch(batch, config.minibatch_size, rng)
-    n_steps = int(sub["lengths"].min())
-    adv = _advantages_for(state.critic, sub, gamma, config.advantage_decay,
-                          n_steps)
-    states, actions, outcomes = _steps(sub, n_steps)
-    masks = ratio_masks(policy.log_probs(states, actions),
-                        sub["logp_policy"][:, :n_steps], adv, clip=config.clip)
-    theta_scores = policy.scores(states, actions)
-    total = grad_policy = masked_surrogate_gradient(theta_scores, masks, adv,
-                                                    gamma)
-    if config.dynamics != "naive":
-        phi_scores = state.model.scores(states, actions, outcomes)
-        grad_model = masked_surrogate_gradient(phi_scores, masks, adv, gamma)
+def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
+                 gamma: float, rate: float, coupling: np.ndarray, gap: float):
+    """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
+    (g_theta - M^T A^-1 g_phi)`` from factors on the epoch's steps and
+    generator, with every epoch at the committed model and multiplier and
+    so at their dual ``coupling`` and constraint ``gap``."""
+    def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
+        if config.dynamics == "naive":
+            return rate * grad
+        phi_scores = state.model.scores(*steps)
         factors = factors_from_batch(
-            masks * adv * gamma ** np.arange(n_steps), phi_scores,
+            masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
             theta_scores, dataset, state.model, anchor, state.lam,
             coupling, gap, rng, n_step_cols=config.step_columns,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
-        total = leader_gradient(
-            grad_policy, grad_model, factors,
-            use_dual_row=config.dynamics == "constrained")
-    return _stepped(policy, rate * total), float(masks.mean())
+        return rate * leader_gradient(
+            grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
+            factors, use_dual_row=config.dynamics == "constrained")
+    return rule
 
 
-def _model_phase(state: TrainState, batch: dict, dataset, anchor,
-                 config: TrainerConfig, gamma: float, rate: float,
-                 iteration: int, coupling: np.ndarray) -> tuple[object, float]:
-    """Descend the masked penalized objective at the committed policy and
-    multiplier; returns (new model, first-epoch mask rate). ``coupling`` is
-    the committed model's, which the first epoch steps from."""
-    model_new = state.model
-    first_mask_rate = float("nan")
-    for epoch in range(config.model_epochs):
-        rng = _stream(config.seed, _MODEL_STREAM, iteration, epoch)
-        sub = _minibatch(batch, config.minibatch_size, rng)
-        n_steps = int(sub["lengths"].min())
-        adv = _advantages_for(state.critic, sub, gamma,
-                              config.advantage_decay, n_steps)
-        steps = _steps(sub, n_steps)
-        logp_new = model_new.log_probs(*steps)
-        masks = ratio_masks(logp_new, sub["logp_model"][:, :n_steps], adv,
-                            clip=config.clip)
-        if epoch == 0:
-            first_mask_rate = float(masks.mean())
-        phi_scores = model_new.scores(*steps)
-        grad_objective = masked_surrogate_gradient(phi_scores, masks, adv,
-                                                   gamma)
-        if epoch:
-            coupling = dataset_dual_coupling(dataset, model_new, anchor)
-        model_new = _stepped(model_new,
-                             -rate * (grad_objective + state.lam * coupling))
-    return model_new, first_mask_rate
+def _follower_rule(state: TrainState, dataset, anchor, rate: float,
+                   coupling: np.ndarray):
+    """The model's step down its penalized objective, ``-rate * (g_phi + lam
+    * coupling)``: epoch 0 at the committed model's given ``coupling``,
+    later epochs at the coupling of the model they step from."""
+    def rule(epoch, rng, model, steps, masks, adv, phi_scores, grad):
+        current = (dataset_dual_coupling(dataset, model, anchor) if epoch
+                   else coupling)
+        return -rate * (grad + state.lam * current)
+    return rule
 
 
 def _dual_phase(state: TrainState, gap: float, rate: float) -> float:
@@ -696,17 +647,25 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
                                  _stream(config.seed, _COLLECT_STREAM, k))
         fitted = replace(state, buffer=state.buffer.with_batch(batch),
                          critic=copy.deepcopy(state.critic))
-        record["return_estimate"] = _segment_returns(batch, gamma)
+        t = np.arange(config.segment_length)
+        record["return_estimate"] = float((
+            batch["rewards"] * (t < batch["lengths"][:, None])
+            * gamma ** t).sum(axis=1).mean())
         record["critic_loss"] = train_critic(
             fitted.critic, fitted.buffer, state.policy, state.model, gamma,
             config.critic_epochs, config.target_mix,
             _stream(config.seed, _CRITIC_STREAM, k))
-        policy_new, mask_pi = _policy_phase(
-            fitted, batch, dataset, anchor, config, gamma, rates.policy, k,
-            coupling, gap)
-        model_new, mask_mod = _model_phase(
-            fitted, batch, dataset, anchor, config, gamma, rates.model, k,
-            coupling)
+        policy_new, mask_pi = _masked_epochs(
+            state.policy, "logp_policy", 2,
+            _leader_rule(state, dataset, anchor, config, gamma, rates.policy,
+                         coupling, gap),
+            config.policy_epochs, _POLICY_STREAM, fitted.critic, batch,
+            config, gamma, k)
+        model_new, mask_mod = _masked_epochs(
+            state.model, "logp_model", 3,
+            _follower_rule(state, dataset, anchor, rates.model, coupling),
+            config.model_epochs, _MODEL_STREAM, fitted.critic, batch, config,
+            gamma, k)
         if config.dynamics == "constrained":
             lam_new = _dual_phase(state, gap, rates.dual)
         if not np.isfinite(lam_new):
@@ -749,16 +708,22 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
+def _zero_critic(model):
+    """The zero critic over ``model``'s states and actions: tabular for a
+    categorical model, linear for a Gaussian one."""
+    if isinstance(model, CategoricalWorldModel):
+        return TabularCritic.zeros(*model.logits.shape[:2])
+    return LinearCritic.zeros(model.state_dim, model.action_dim)
+
+
 def initial_state(env, anchor, config: TrainerConfig) -> TrainState:
     """Fresh state: uniform/zero policy, model at the anchor, zero critic."""
     if isinstance(env, TabularMdp):
         policy = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
-        critic = TabularCritic.zeros(env.num_states, env.num_actions)
     else:
         policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
-        critic = LinearCritic.zeros(env.state_dim, env.action_dim)
     return TrainState(policy=policy, model=anchor.with_params(anchor.params),
-                      lam=config.lam_init, critic=critic,
+                      lam=config.lam_init, critic=_zero_critic(anchor),
                       buffer=ReplayBuffer(config.buffer_capacity))
 
 
@@ -774,7 +739,8 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path, policy_template, model_template) -> dict:
-    """Rehydrate a checkpoint against templates carrying the right shapes."""
+    """Rehydrate a checkpoint against templates carrying the right shapes;
+    its critic needs the kind and array shapes of ``_zero_critic``'s."""
     payload = read_json_object(path, ("iteration", "lam", "policy", "model",
                                       "critic"))
     for part, keys in (("policy", ["values"]), ("model", ["values"]),
@@ -793,8 +759,24 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
         if type(payload[key]) not in kinds:
             raise ValueError(f"{path}: {key} must be a JSON "
                              f"{kinds[-1].__name__}, got {payload[key]!r}")
+    zero, critic = _zero_critic(model_template).to_dict(), payload["critic"]
+    if critic["kind"] != zero["kind"]:
+        raise ValueError(f"{path}: critic kind must be {zero['kind']!r}, "
+                         f"got {critic['kind']!r}")
+    arrays = {}
+    for key in ("q", "v", "target_v"):
+        try:
+            arrays[key] = np.array(critic[key], dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: critic {key} is not numeric: {err}") from err
+        if arrays[key].shape != np.shape(zero[key]):
+            raise ValueError(f"{path}: critic {key} has shape "
+                             f"{arrays[key].shape}, not {np.shape(zero[key])}")
+    q, v, target_v = arrays.values()
+    critic = (TabularCritic(q, v, target_v) if zero["kind"] == "tabular"
+              else LinearCritic(v, q, target_v))
     return {"iteration": int(payload["iteration"]), "lam": float(payload["lam"]),
-            **players, "critic": critic_from_dict(payload["critic"])}
+            **players, "critic": critic}
 
 
 def write_manifest(out_dir, config: TrainerConfig, env,
@@ -928,17 +910,19 @@ def worst_case_return(mdp: TabularMdp, policy,
     return best_value, best_model
 
 
-def episode_returns(env: ContinuousMdp, policy, noise_fraction: float,
+def episode_returns(env: ContinuousMdp, policy, noise_fractions,
                     n_episodes: int, seed=0) -> np.ndarray:
-    """Per-episode discounted returns under relative transition noise.
+    """Per-episode discounted returns under each relative transition noise
+    fraction, shape (len(noise_fractions), n_episodes).
 
     Every episode uses three sub-streams (environment, noise, policy) keyed
-    only by the seed and episode index, so runs at different noise fractions
-    stay draw-for-draw coupled and the aggregate does not depend on the
-    order episodes are evaluated in. Each stream draws its episode's
-    normals up front: the environment its start state's and then each
-    step's emission's, the noise each step's, the policy each action's and
-    a trailing one. ``sample_trajectory`` then runs every episode at once.
+    only by the seed and episode index, so the fractions stay draw-for-draw
+    coupled and the aggregate does not depend on the order episodes are
+    evaluated in. Each stream draws its episode's normals once, up front:
+    the environment its start state's and then each step's emission's, the
+    noise each step's, the policy each action's and a trailing one.
+    ``sample_trajectory`` then runs every episode at once, once per
+    fraction, on those same normals.
     """
     d, a, h = env.state_dim, env.action_dim, env.horizon
     draws = np.empty((n_episodes, d + h * (a + 2 * d + 1) + a))
@@ -950,13 +934,14 @@ def episode_returns(env: ContinuousMdp, policy, noise_fraction: float,
         steps = np.hstack([policy_z[:h], env_z[d:].reshape(h, d + 1),
                            noise_z])
         row[:] = np.concatenate([env_z[:d], steps.ravel(), policy_z[h]])
-    deploy = NoisyDeployment(env, noise_fraction)
-    rewards = sample_trajectory(policy, lambda s, act, normals: (
-        deploy.step(s, act, normals), 0.0), env.reset(draws[:, :d]),
-        draws[:, d:], h)["rewards"]
-    returns = np.zeros(n_episodes)
-    for t in range(h):
-        returns += env.gamma ** t * rewards[:, t]
+    returns = np.zeros((len(noise_fractions), n_episodes))
+    for out, fraction in zip(returns, noise_fractions):
+        deploy = NoisyDeployment(env, fraction)
+        rewards = sample_trajectory(policy, lambda s, act, normals: (
+            deploy.step(s, act, normals), 0.0), env.reset(draws[:, :d]),
+            draws[:, d:], h)["rewards"]
+        for t in range(h):
+            out += env.gamma ** t * rewards[:, t]
     return returns
 
 
@@ -966,7 +951,6 @@ def robust_evaluate(env: ContinuousMdp, policy, noise_fraction: float,
     discounted return without and with relative transition noise."""
     if not isinstance(env, ContinuousMdp):
         raise TypeError("noisy deployment wraps continuous environments only")
-    clean = float(episode_returns(env, policy, 0.0, n_episodes, seed).mean())
-    noisy = float(episode_returns(env, policy, noise_fraction, n_episodes,
-                                  seed).mean())
+    clean, noisy = (float(returns.mean()) for returns in episode_returns(
+        env, policy, (0.0, noise_fraction), n_episodes, seed))
     return {"clean": clean, "noisy": noisy, "degradation": clean - noisy}

@@ -8,7 +8,7 @@ import pytest
 from stackmbrl.cli import cli
 from stackmbrl.models import DiagGaussianPolicy, DiagGaussianWorldModel
 from stackmbrl.testbeds import tracking_mdp
-from stackmbrl.trainer import TrainerConfig
+from stackmbrl.trainer import LinearCritic, TrainerConfig
 
 
 def run(tmp_path, name, *argv):
@@ -268,17 +268,21 @@ def test_seed_that_is_not_a_non_negative_integer_is_rejected(
 
 def checkpoint_misfit(part, values):
     """A ``tracking`` checkpoint with ``values`` as its ``part`` values (or,
-    for ``iteration`` and ``lam``, as that entry), every other entry well
+    for ``iteration`` and ``lam``, as that entry, and for ``critic``, as
+    entries in place of the zero critic's), every other entry well
     formed."""
     env = tracking_mdp()
-    payload = {"iteration": 1, "lam": 1.0,
-               "critic": {"kind": "linear", "q": [], "v": [], "target_v": []}}
+    payload = {"iteration": 1, "lam": 1.0, "critic": LinearCritic.zeros(
+        env.state_dim, env.action_dim).to_dict()}
     for name, family in (("policy", DiagGaussianPolicy),
                          ("model", DiagGaussianWorldModel)):
         payload[name] = family.zeros(env.state_dim,
                                      env.action_dim).params.to_dict()
-    payload[part] = ({"values": values} if part in ("policy", "model")
-                     else values)
+    if part == "critic":
+        payload["critic"].update(values)
+    else:
+        payload[part] = ({"values": values} if part in ("policy", "model")
+                         else values)
     return json.dumps(payload)
 
 
@@ -315,20 +319,28 @@ def checkpoint_misfit(part, values):
      ["evaluate", "--env", "tracking", "--checkpoint"], "iteration"),
     ("config.json", '{"rates": 5}', ["train", "--config"], "rates"),
     ("config.json", '{"bogus": 1}', ["train", "--config"], "bogus"),
+    ("checkpoint.json", checkpoint_misfit("critic", {"kind": "bogus"}),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "critic"),
+    ("checkpoint.json", checkpoint_misfit("critic", {"v": 5}),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "critic"),
+    ("checkpoint.json", checkpoint_misfit("critic", {"q": [0]}),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "critic"),
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
         "checkpoint-players", "checkpoint-policy-values",
         "checkpoint-model-values", "checkpoint-null-values",
         "checkpoint-diverging-policy", "env-params-list",
         "env-params-unknown", "checkpoint-list-lam",
         "checkpoint-null-iteration", "config-rates-number",
-        "config-unknown-key"])
+        "config-unknown-key", "checkpoint-critic-kind",
+        "checkpoint-scalar-critic", "checkpoint-short-critic"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
     object, whose nested entries miss a key or name an unknown one, whose
-    player values do not fit the template, whose entries have the wrong
-    type, or whose finite policy values draw non-finite actions, exits 2
-    with one line naming the file and the key, before any run directory."""
+    player or critic values do not fit the templates, whose entries have
+    the wrong type, or whose finite policy values draw non-finite actions,
+    exits 2 with one line naming the file and the key, before any run
+    directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))

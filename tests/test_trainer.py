@@ -343,9 +343,11 @@ def test_policy_epoch_memory_holds_block_scores_only():
     assert anchor.n_params == 2400
     tracemalloc.start()
     try:
-        trainer._policy_epoch(state, state.policy, batch, dataset, anchor,
-                              config, env.gamma, config.rates.at(0).policy,
-                              np.random.default_rng(0), coupling, gap)
+        trainer._masked_epochs(
+            state.policy, "logp_policy", 2,
+            trainer._leader_rule(state, dataset, anchor, config, env.gamma,
+                                 config.rates.at(0).policy, coupling, gap),
+            1, _POLICY_STREAM, state.critic, batch, config, env.gamma, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -418,8 +420,8 @@ def _raise_in_phase(phase, monkeypatch):
 
         monkeypatch.setattr(trainer.TabularCritic, "fit_epoch", fit_then_fail)
     else:
-        name = {"collection": "collect_rollouts", "policy": "_policy_phase",
-                "model": "_model_phase", "dual": "_dual_phase"}[phase]
+        name = {"collection": "collect_rollouts", "policy": "_leader_rule",
+                "model": "_follower_rule", "dual": "_dual_phase"}[phase]
         monkeypatch.setattr(trainer, name, fail)
 
 
@@ -718,9 +720,10 @@ def test_batched_draws_match_the_per_row_reference(seed):
                          ref.rollout_dataset(env, policy, 6, seed)):
         assert np.array_equal(got, want)
 
-    for noise in (0.0, 0.3):
+    for noise, returns in zip((0.0, 0.3), episode_returns(
+            env, policy, (0.0, 0.3), 12, seed)):
         assert np.array_equal(
-            episode_returns(env, policy, noise, 12, seed),
+            returns,
             ref.episode_returns(env, policy, noise, 12, seed))
 
 

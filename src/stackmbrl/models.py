@@ -728,27 +728,25 @@ def sample_offline_dataset(mdp: TabularMdp, policy, n: int,
                            seed=0) -> OfflineDataset:
     """I.i.d. behavior dataset: s uniform over the states, a from the
     behavior policy, (r, s') from the true environment. The one-dataset
-    case of ``_offline_sampler``."""
-    rows = _offline_sampler(mdp, policy, n)([seed])
+    case of ``_offline_sampler``, on ``random((3, n))`` of the generator."""
+    rows = _offline_sampler(mdp, policy)(_as_rng(seed).random((3, n)))
     return _offline_dataset(mdp, *rows)
 
 
-def _offline_sampler(mdp: TabularMdp, policy, n: int):
-    """``sample(seeds, mapper=map)``: (states, actions, outcome codes) of one
-    ``n``-row behavior dataset per seed, concatenated in seed order. Each
-    seed's generator draws ``random((3, n))``, state, action and outcome
-    uniforms, as ``mapper`` runs it. The draws then run once over all the
-    rows, in CDF tables built once per sampler: states by a search with
-    ``side="right"``, as ``rng.choice(S, size=n, p=p)`` draws them from the
-    uniform ``p``, then one tabular path step over ``_cdf_columns`` tables."""
+def _offline_sampler(mdp: TabularMdp, policy):
+    """``sample(u)``: (states, actions, outcome codes) of one behavior row per
+    column of the ``(3, rows)`` uniforms ``u``, its state, action and outcome
+    draws. A row's draws read only its own column, so concatenated datasets
+    sample as each would alone. The CDF tables are built once per sampler:
+    states by a search with ``side="right"``, as ``rng.choice(S, size=n,
+    p=p)`` draws them from the uniform ``p``, then one tabular path step over
+    ``_cdf_columns`` tables."""
     state_cdf = _normalised_cdf(np.full(mdp.num_states, 1.0 / mdp.num_states))
     policy_columns = _cdf_columns(_policy_probs(policy, mdp))
     outcome_columns = _cdf_columns(mdp.joint_outcome_probs())
     outcome_next = mdp.outcome_table()[1]
 
-    def sample(seeds, mapper=map):
-        u = np.hstack(list(mapper(lambda seed: _as_rng(seed).random((3, n)),
-                                  seeds)))
+    def sample(u):
         states = state_cdf.searchsorted(u[0], side="right")
         _, actions, outcomes = _tabular_paths(policy_columns, outcome_columns,
                                               outcome_next, states, u[1:])

@@ -58,7 +58,7 @@ from .models import (
     OfflineDataset,
     SoftmaxPolicy,
 )
-from .oracles import exact_gradients
+from .oracles import ExactGradients, exact_gradients
 from .woodbury import (
     RIDGE_DEFAULT,
     IllConditionedError,
@@ -837,10 +837,11 @@ def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
 
 
 def exact_return_model_gradient(mdp: TabularMdp, policy,
-                                model: CategoricalWorldModel) -> np.ndarray:
-    """Gradient of the exact model return with respect to the model logits,
-    flat like ``model.params.values``: ``oracles.exact_gradients``' DP pass."""
-    return exact_gradients(mdp, policy, model).grad_model
+                                model: CategoricalWorldModel) -> ExactGradients:
+    """The exact model return ``j`` and its gradient ``grad_model`` with
+    respect to the model logits, flat like ``model.params.values``, from one
+    ``oracles.exact_gradients`` DP pass."""
+    return exact_gradients(mdp, policy, model)
 
 
 def _pulled_into_ball(model: CategoricalWorldModel,
@@ -891,10 +892,10 @@ def worst_case_return(mdp: TabularMdp, policy,
                                   anchor.outcome_next_states),
             anchor, dataset, epsilon)
         for step in range(n_steps):
-            value = exact_return(mdp, policy, model)
-            if value < best_value:
-                best_value, best_model = value, model
-            grad = exact_return_model_gradient(mdp, policy, model)
+            dp = exact_return_model_gradient(mdp, policy, model)
+            if dp.j < best_value:
+                best_value, best_model = float(dp.j), model
+            grad = dp.grad_model
             norm = np.linalg.norm(grad)
             if norm < 1e-14:
                 break
@@ -915,25 +916,19 @@ def episode_returns(env: ContinuousMdp, policy, noise_fractions,
     """Per-episode discounted returns under each relative transition noise
     fraction, shape (len(noise_fractions), n_episodes).
 
-    Every episode uses three sub-streams (environment, noise, policy) keyed
-    only by the seed and episode index, so the fractions stay draw-for-draw
-    coupled and the aggregate does not depend on the order episodes are
-    evaluated in. Each stream draws its episode's normals once, up front:
-    the environment its start state's and then each step's emission's, the
-    noise each step's, the policy each action's and a trailing one.
-    ``sample_trajectory`` then runs every episode at once, once per
-    fraction, on those same normals.
+    One stream, ``_stream(seed, _EVAL_STREAM)``, draws every episode's
+    standard normals as one row of a single block, episode after episode:
+    the start state's, then at each step the action's, the emission's and
+    the noise's, then a trailing action's. So an episode's draws depend on
+    its index alone, never on ``n_episodes``. ``sample_trajectory`` then
+    runs every episode at once, once per fraction, on those same normals,
+    which keeps the fractions draw-for-draw coupled.
     """
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
     d, a, h = env.state_dim, env.action_dim, env.horizon
-    draws = np.empty((n_episodes, d + h * (a + 2 * d + 1) + a))
-    for episode, row in enumerate(draws):
-        env_z, noise_z, policy_z = (
-            _stream(seed, _EVAL_STREAM, episode, tag).standard_normal(size)
-            for tag, size in enumerate([d + h * (d + 1), (h, d),
-                                        (h + 1, a)]))
-        steps = np.hstack([policy_z[:h], env_z[d:].reshape(h, d + 1),
-                           noise_z])
-        row[:] = np.concatenate([env_z[:d], steps.ravel(), policy_z[h]])
+    draws = _stream(seed, _EVAL_STREAM).standard_normal(
+        (n_episodes, d + h * (a + 2 * d + 1) + a))
     returns = np.zeros((len(noise_fractions), n_episodes))
     for out, fraction in zip(returns, noise_fractions):
         deploy = NoisyDeployment(env, fraction)
@@ -947,8 +942,10 @@ def episode_returns(env: ContinuousMdp, policy, noise_fractions,
 
 def robust_evaluate(env: ContinuousMdp, policy, noise_fraction: float,
                     n_episodes: int = 200, seed=0) -> dict:
-    """Paired clean/noisy evaluation with coupled random streams: the mean
-    discounted return without and with relative transition noise."""
+    """Paired clean/noisy evaluation: the mean discounted return without and
+    with relative transition noise. Both come from one ``episode_returns``
+    call, so they share every normal, and episode e reads row e of its
+    block whatever ``n_episodes`` is."""
     if not isinstance(env, ContinuousMdp):
         raise TypeError("noisy deployment wraps continuous environments only")
     clean, noisy = (float(returns.mean()) for returns in episode_returns(

@@ -4,7 +4,9 @@ The uncertainty set is { model : E_{(s,a)~D}[KL(anchor || model)] <= epsilon }
 with the anchor fixed to the dataset MLE. This module computes epsilon for
 the two supported model families from dataset counts alone, evaluates the
 membership statistic, and measures empirical coverage (how often the true
-generating model lands inside the set) over resampled datasets.
+generating model lands inside the set) over resampled datasets. The
+datasets of one coverage measurement are consecutive row blocks of one
+seeded generator, so each depends on its trial index alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,12 +204,15 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
 
     Each trial draws a fresh offline dataset from the true environment, fits
     the MLE anchor, computes the trial's own radius, and tests whether the
-    generating model satisfies the membership statistic. Each trial has its
-    own generator, seeded from ``seed``. Trials are scored in blocks of
-    about ``COVERAGE_BLOCK_ROWS`` rows, with the bits of one trial at a time
-    (``sample_offline_dataset``, ``mle_fit``, ``kl_to_anchor``,
-    ``epsilon_tabular``). ``n_workers`` threads share only the per-trial
-    random draws.
+    generating model satisfies the membership statistic. One generator,
+    ``default_rng(seed)``, draws every trial: trial t is row t of the
+    ``(n_trials, 3, n_transitions)`` uniforms that ``sample_offline_dataset``
+    reads, drawn in order in blocks of about ``COVERAGE_BLOCK_ROWS`` dataset
+    rows. So a trial's draws depend on its index alone, and the report not
+    on the block size. Each block is scored with the bits of one trial at a
+    time (``sample_offline_dataset``, ``mle_fit``, ``kl_to_anchor``,
+    ``epsilon_tabular``). ``n_workers`` is unused and must be at least 1;
+    it stays only for callers that still pass it.
     """
     _check_delta(delta)
     if n_trials < MIN_COVERAGE_TRIALS:
@@ -216,36 +220,32 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
                          f"meaningful rate, got {n_trials}")
     if n_transitions < 1:
         raise ValueError("dataset must contain at least one transition")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     n, k_dim = n_transitions, mdp.num_outcomes
     true_model = CategoricalWorldModel.from_mdp(mdp)
     true_probs = true_model.probs_all()
-    sample = _offline_sampler(mdp, behavior_policy, n)
+    sample = _offline_sampler(mdp, behavior_policy)
     alphabet = np.array([true_model.outcome_index(r, s)  # the MLE's lookup
                          for r, s in zip(*mdp.outcome_table())])
-    trial_seeds = np.random.SeedSequence(seed).spawn(n_trials)
+    rng = np.random.default_rng(seed)
     per_block = max(1, COVERAGE_BLOCK_ROWS // n)
-
-    def run_block(start: int, mapper) -> list:
-        rows = sample(trial_seeds[start:start + per_block], mapper)
-        results = []
-        for t, (stat, n_cells, n_min, n_max) in enumerate(
-                _block_statistics(true_probs, alphabet, *rows, n)):
-            if 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
-                radius = tabular_radius_value(n_cells, n, k_dim, n_max, delta)
-            else:  # off the window, epsilon_tabular raises naming the cells
-                dataset = _offline_dataset(mdp, *(r[t * n:(t + 1) * n] for r in rows))
-                radius = epsilon_tabular(dataset, k_dim, delta)
-            results.append((stat <= radius, radius, stat))
-        return results
-
-    # The filter is process-wide and ``catch_warnings`` is not thread-safe,
-    # so it is entered once here, in the calling thread, never in a worker.
-    # A pool starts no thread until it is used.
-    with warnings.catch_warnings(), ThreadPoolExecutor(max(n_workers, 1)) as pool:
+    results = []
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mapper = pool.map if n_workers > 1 else map
-        results = [r for i in range(0, n_trials, per_block)
-                   for r in run_block(i, mapper)]
+        for start in range(0, n_trials, per_block):
+            u = rng.random((min(per_block, n_trials - start), 3, n))
+            rows = sample(u.transpose(1, 0, 2).reshape(3, -1))
+            for t, (stat, n_cells, n_min, n_max) in enumerate(
+                    _block_statistics(true_probs, alphabet, *rows, n)):
+                if 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
+                    radius = tabular_radius_value(n_cells, n, k_dim, n_max,
+                                                  delta)
+                else:  # off the window, epsilon_tabular raises naming the cells
+                    dataset = _offline_dataset(
+                        mdp, *(r[t * n:(t + 1) * n] for r in rows))
+                    radius = epsilon_tabular(dataset, k_dim, delta)
+                results.append((stat <= radius, radius, stat))
 
     covered, radii, stats = (np.array(column) for column in zip(*results))
     target = 1.0 - delta / 2.0

@@ -130,17 +130,18 @@ def rollout_dataset(env, policy, n_episodes, seed):
 
 def episode_returns(env, policy, noise_fraction, n_episodes, seed):
     """``trainer.episode_returns``, episode after episode and step after
-    step, from the same three streams per episode."""
+    step, from one stream: the start state, then per step the action, the
+    emission and the noise, then the trailing action, drawn and discarded."""
+    rng = _stream(seed, _EVAL_STREAM)
     returns = np.empty(n_episodes)
     for episode in range(n_episodes):
-        rng_env, rng_noise, rng_policy = (
-            _stream(seed, _EVAL_STREAM, episode, tag) for tag in range(3))
-        s = env_reset(env, rng_env)
+        s = env_reset(env, rng)
         episode_return = 0.0
         for t in range(env.horizon):
-            a = policy_sample(policy, s, rng_policy)
-            s_next, reward = env_step(env, s, a, rng_env)
-            s = perturb_step(noise_fraction, s, s_next, rng_noise)
+            a = policy_sample(policy, s, rng)
+            s_next, reward = env_step(env, s, a, rng)
+            s = perturb_step(noise_fraction, s, s_next, rng)
             episode_return += env.gamma ** t * reward
+        policy_sample(policy, s, rng)
         returns[episode] = episode_return
     return returns

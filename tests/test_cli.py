@@ -96,10 +96,10 @@ def test_coverage_exit_code_follows_report(tmp_path):
 # write. Each holds with the BLAS library's default thread count and with
 # one thread.
 CLI_DIGESTS = {
-    ("cov", "coverage.json"): "e495c255b9680a681b2207063a169e222bca2a6e2ead342e4e767027eaf51ce9",
+    ("cov", "coverage.json"): "cab4187a666d462e2d4ef9ecee21cff8fd41cbafe65e36fa981f9cccc2f51d85",
     ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
     ("fit", "model.json"): "f4fd7f59c1b97347915317cfed7cac0e5f432075e65cb6e2cdd1ba76569b1c05",
-    ("eval", "eval_report.json"): "21d2e2d820102286ff3f8d02823e4eff68225f6d3bdd09d6a80a7a06af803274",
+    ("eval", "eval_report.json"): "e7989bf4d752cce9fab2a2c65e346d7e05515b646c442b8b52d4610b38924a97",
     ("gc", "grad_check.json"): "a7b905ab0ec3b5b212aee128c0507c93aa8382c5441e97c00fa79e2ffaa8decf",
     ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
     ("demo-stackelberg", "dynamics_trace.csv"): "bc0404fb2ba4bbd6d3b1b9c6c89a09ee1e7cd949551ef91b530003153049bb4d",

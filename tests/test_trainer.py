@@ -745,6 +745,26 @@ def test_robust_evaluate_pairs_clean_and_noisy_streams(tracking_setup,
         robust_evaluate(grad_triple[0], grad_triple[1], 0.1)
 
 
+def test_episode_returns_do_not_depend_on_the_episode_count(tracking_setup):
+    """Episode e reads row e of one stream's block: 7 and 14 episodes agree
+    bit for bit on the first 7, at both noise fractions."""
+    env = tracking_setup[0]
+    policy = tracking_behavior_policy(env)
+    few = episode_returns(env, policy, (0.0, 0.3), 7, seed=4)
+    more = episode_returns(env, policy, (0.0, 0.3), 14, seed=4)
+    assert np.array_equal(more[:, :7], few)
+
+
+@pytest.mark.parametrize("n_episodes", [0, -1])
+def test_an_episode_count_below_one_is_rejected(tracking_setup, n_episodes):
+    env = tracking_setup[0]
+    policy = tracking_behavior_policy(env)
+    with pytest.raises(ValueError, match="n_episodes"):
+        episode_returns(env, policy, (0.0, 0.3), n_episodes)
+    with pytest.raises(ValueError, match="n_episodes"):
+        robust_evaluate(env, policy, 0.3, n_episodes=n_episodes)
+
+
 def test_worst_case_return_stays_in_the_ball_and_repeats():
     """On ``gradient`` with a 50-row dataset and the alpha = 0.5 anchor, at
     the benchmark's 2 starts x 12 steps of size 2.0: the returned model lies
@@ -775,7 +795,7 @@ def test_worst_case_step_is_the_exact_model_gradient(name,
     ``trainer`` name, equals the enumeration reference's and a central
     difference of the exact return."""
     (mdp, policy, model), reference, _ = enumerated_testbeds[name]
-    grad = trainer.exact_return_model_gradient(mdp, policy, model)
+    grad = trainer.exact_return_model_gradient(mdp, policy, model).grad_model
     assert np.abs(grad - reference.grad_model).max() <= 1e-12
     fd = central_difference(
         lambda phi: exact_return(mdp, policy, model.with_params(phi)),

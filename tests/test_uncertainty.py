@@ -311,6 +311,13 @@ def test_coverage_requires_enough_trials():
         coverage_check(small_mdp(), "uniform", 50, 0.2, 99)
 
 
+@pytest.mark.parametrize("n_workers", [0, -2])
+def test_coverage_rejects_a_worker_count_below_one(n_workers):
+    with pytest.raises(ValueError, match="n_workers"):
+        coverage_check(small_mdp(), "uniform", 50, 0.2, 100,
+                       n_workers=n_workers)
+
+
 def fixed_radius(monkeypatch, value: float) -> None:
     """Make every trial's radius ``value``, on either radius route."""
     monkeypatch.setattr(uncertainty, "tabular_radius_value",
@@ -355,9 +362,9 @@ def test_coverage_deterministic_and_worker_invariant():
 
 
 def test_threaded_coverage_leaves_the_warning_filters_alone(grad_triple):
-    """Worker threads entering ``warnings.catch_warnings`` could restore one
-    another's filter lists and leave ``simplefilter("ignore")`` installed
-    for the whole process after the call returned."""
+    """The call silences warnings only while it runs: it must not leave
+    ``simplefilter("ignore")`` installed for the whole process, whatever
+    ``n_workers`` it is given."""
     before = list(warnings.filters)
     for seed in range(6):
         coverage_check(grad_triple[0], "uniform", n_transitions=400,
@@ -372,10 +379,11 @@ def per_trial_coverage(mdp, behavior_policy, n_transitions, delta, n_trials,
     true_model = CategoricalWorldModel.from_mdp(mdp)
     template = CategoricalWorldModel.uniform(mdp)
 
-    def run_trial(trial_seed):
-        dataset = sample_offline_dataset(
-            mdp, behavior_policy, n_transitions,
-            seed=np.random.default_rng(trial_seed))
+    rng = np.random.default_rng(seed)
+
+    def run_trial():
+        dataset = sample_offline_dataset(mdp, behavior_policy, n_transitions,
+                                         seed=rng)
         anchor = mle_fit(dataset, template)
         statistic = kl_to_anchor(dataset, true_model, anchor)
         radius = uncertainty.epsilon_tabular(dataset, mdp.num_outcomes, delta)
@@ -383,8 +391,7 @@ def per_trial_coverage(mdp, behavior_policy, n_transitions, delta, n_trials,
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        results = [run_trial(trial_seed) for trial_seed
-                   in np.random.SeedSequence(seed).spawn(n_trials)]
+        results = [run_trial() for _ in range(n_trials)]
     covered = np.array([r[0] for r in results])
     radii = np.array([r[1] for r in results])
     stats = np.array([r[2] for r in results])
@@ -419,8 +426,9 @@ def tied_reward_mdp() -> TabularMdp:
 def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed,
                                                      monkeypatch):
     """Equal reports for partial last blocks (100, 101 and 203 trials of
-    150, 400 and 1000 rows), each behavior-policy form, a fixed radius
-    and worker threads."""
+    150, 400 and 1000 rows), each behavior-policy form, a fixed radius,
+    an unused worker count, and blocks of other sizes: trial t is row t of
+    one stream, so the split into blocks must not move a bit."""
     mdp = make_mdp()
     policy = SoftmaxPolicy(np.random.default_rng(seed).normal(
         scale=0.5, size=(mdp.num_states, mdp.num_actions)))
@@ -436,6 +444,12 @@ def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed,
                     lambda: coverage_check(*args, seed=seed, **kwargs))
                 == report_or_error(
                     lambda: per_trial_coverage(*args, seed=seed, **serial)))
+    args = (mdp, policy, 400, 0.1, 101)
+    default_blocks = report_or_error(lambda: coverage_check(*args, seed=seed))
+    for block_rows in (1, 7 * 400):  # 101 blocks of 1; 14 of 7 and one of 3
+        monkeypatch.setattr(uncertainty, "COVERAGE_BLOCK_ROWS", block_rows)
+        assert report_or_error(
+            lambda: coverage_check(*args, seed=seed)) == default_blocks
     fixed_radius(monkeypatch, 0.02)
     args = (mdp, "uniform", 150, 0.2, 100)
     assert (coverage_check(*args, seed=seed).to_dict()

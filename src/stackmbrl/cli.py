@@ -174,11 +174,10 @@ def _dataset_with_rows(env, behavior, n_rows: int, seed: int) -> OfflineDataset:
 
 
 def _anchor_for(env, dataset: OfflineDataset, alpha: float):
-    if isinstance(env, TabularMdp):
-        return mle_fit(dataset, CategoricalWorldModel.uniform(env),
-                       alpha=alpha)
-    return mle_fit(dataset,
-                   DiagGaussianWorldModel.zeros(env.state_dim, env.action_dim))
+    template = (CategoricalWorldModel.uniform(env) if isinstance(env, TabularMdp)
+                else DiagGaussianWorldModel.zeros(env.state_dim,
+                                                  env.action_dim))
+    return mle_fit(dataset, template, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Coupled learning dynamics for the leader/adversary/multiplier game.
 
-``step`` updates the shared state (theta, phi, lam): the adversary descends
-its penalized objective J + lam * gap, and each mode is one row of
-``_MODES``, the leader corrections it tries in turn:
+``step`` updates the shared state (theta, phi, lam) from a ``SmoothGame``'s
+exact derivatives; finite differences only check them when the game is
+built. The adversary descends its penalized objective J + lam * gap, and
+each mode is one row of ``_MODES``, the leader corrections it tries in turn:
 
 * ``naive``        — none: the leader ascends grad_theta J, the multiplier
                      stays fixed. Diverges on the bilinear counterexample.
@@ -37,8 +38,8 @@ RATE_MODEL_DEFAULT = 3e-3
 RATE_DUAL_DEFAULT = 3e-4
 RATE_POLICY_DEFAULT = 3e-5
 MULTIPLIER_INIT = 1.0
-FD_EPS = 1e-6  # step of the finite differences that stand in for derivatives
-FD_CHECK_TOL = 1e-8  # largest gap a supplied derivative may show against them
+FD_EPS = 1e-6  # step of the finite differences that check derivatives
+FD_CHECK_TOL = 1e-8  # largest gap a derivative may show against them
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,21 @@ class SmoothGame:
     """A differentiable leader/adversary game with a scalar constraint gap.
 
     The adversary's penalized objective is L = J(theta, phi) + lam * gap(phi).
-    Derivative callables may be omitted; missing ones fall back to central
-    finite differences, of step ``FD_EPS``, of the two scalar functions.
+    With p leader and q adversary parameters, the derivative callables return
+    exact derivatives as float arrays: ``grad_theta(theta, phi)`` (p,),
+    ``grad_phi_objective(theta, phi)`` and ``grad_phi_gap(phi)`` (q,), and,
+    of L, ``hess_phi_lagrangian(theta, phi, lam)`` (q, q) and
+    ``mixed_hessian(theta, phi, lam)`` (q, p). Finite differences only check
+    them, at the ``check_points``.
     """
 
     objective: Callable[[np.ndarray, np.ndarray], float]
     constraint_gap: Callable[[np.ndarray], float]
-    grad_theta: Callable | None = None
-    grad_phi_objective: Callable | None = None
-    grad_phi_gap: Callable | None = None
-    hess_phi_lagrangian: Callable | None = None   # (theta, phi, lam) -> (q, q)
-    mixed_hessian: Callable | None = None         # (theta, phi, lam) -> (q, p)
+    grad_theta: Callable
+    grad_phi_objective: Callable
+    grad_phi_gap: Callable
+    hess_phi_lagrangian: Callable
+    mixed_hessian: Callable
     check_points: tuple = ()  # (theta, phi, lam) triples self-checked on build
 
     def __post_init__(self):
@@ -123,67 +128,35 @@ class SmoothGame:
     def gap(self, phi) -> float:
         return float(self.constraint_gap(np.atleast_1d(phi)))
 
-    def d_theta(self, theta, phi) -> np.ndarray:
-        if self.grad_theta is not None:
-            return np.atleast_1d(np.asarray(self.grad_theta(theta, phi), dtype=float))
-        return central_difference(lambda t: self.j(t, phi), theta, FD_EPS)
-
-    def d_phi_objective(self, theta, phi) -> np.ndarray:
-        if self.grad_phi_objective is not None:
-            return np.atleast_1d(np.asarray(self.grad_phi_objective(theta, phi),
-                                            dtype=float))
-        return central_difference(lambda f: self.j(theta, f), phi, FD_EPS)
-
-    def d_phi_gap(self, phi) -> np.ndarray:
-        if self.grad_phi_gap is not None:
-            return np.atleast_1d(np.asarray(self.grad_phi_gap(phi), dtype=float))
-        return central_difference(self.gap, phi, FD_EPS)
-
     def d_phi_lagrangian(self, theta, phi, lam: float) -> np.ndarray:
-        return self.d_phi_objective(theta, phi) + lam * self.d_phi_gap(phi)
-
-    def curvature(self, theta, phi, lam: float) -> np.ndarray:
-        if self.hess_phi_lagrangian is not None:
-            return np.atleast_2d(np.asarray(
-                self.hess_phi_lagrangian(theta, phi, lam), dtype=float))
-        jac = central_difference(
-            lambda f: self.d_phi_lagrangian(theta, f, lam), phi, FD_EPS)
-        return 0.5 * (jac + jac.T)
-
-    def mixed(self, theta, phi, lam: float) -> np.ndarray:
-        if self.mixed_hessian is not None:
-            return np.atleast_2d(np.asarray(
-                self.mixed_hessian(theta, phi, lam), dtype=float))
-        return central_difference(
-            lambda t: self.d_phi_lagrangian(t, phi, lam), theta, FD_EPS)
+        return self.grad_phi_objective(theta, phi) + lam * self.grad_phi_gap(phi)
 
     def check_derivatives(self, theta, phi, lam: float):
-        """Compare any supplied analytic derivative against finite differences.
-
-        First-order callbacks are differenced from the scalar objectives;
-        curvature callbacks are differenced from the (possibly analytic)
-        gradients, so the comparison stays first-difference accurate.
-        """
-        bare = SmoothGame(self.objective, self.constraint_gap)
-        grads_only = SmoothGame(self.objective, self.constraint_gap,
-                                self.grad_theta, self.grad_phi_objective,
-                                self.grad_phi_gap)
+        """Compare each derivative with central differences of step
+        ``FD_EPS``: the gradients with those of J and the gap, the curvature
+        blocks with those of the supplied Lagrangian gradient."""
         pairs = [
-            ("grad_theta", self.d_theta(theta, phi), bare.d_theta(theta, phi)),
-            ("grad_phi_objective", self.d_phi_objective(theta, phi),
-             bare.d_phi_objective(theta, phi)),
-            ("grad_phi_gap", self.d_phi_gap(phi), bare.d_phi_gap(phi)),
-            ("hess_phi_lagrangian", self.curvature(theta, phi, lam),
-             grads_only.curvature(theta, phi, lam)),
-            ("mixed_hessian", self.mixed(theta, phi, lam),
-             grads_only.mixed(theta, phi, lam)),
+            ("grad_theta", self.grad_theta(theta, phi),
+             central_difference(lambda t: self.j(t, phi), theta, FD_EPS)),
+            ("grad_phi_objective", self.grad_phi_objective(theta, phi),
+             central_difference(lambda f: self.j(theta, f), phi, FD_EPS)),
+            ("grad_phi_gap", self.grad_phi_gap(phi),
+             central_difference(self.gap, phi, FD_EPS)),
+            ("hess_phi_lagrangian", self.hess_phi_lagrangian(theta, phi, lam),
+             central_difference(lambda f: self.d_phi_lagrangian(theta, f, lam),
+                                phi, FD_EPS)),
+            ("mixed_hessian", self.mixed_hessian(theta, phi, lam),
+             central_difference(lambda t: self.d_phi_lagrangian(t, phi, lam),
+                                theta, FD_EPS)),
         ]
         for name, analytic, numeric in pairs:
-            gap = np.max(np.abs(analytic - numeric))
+            gap = (np.max(np.abs(analytic - numeric))
+                   if np.shape(analytic) == numeric.shape else np.inf)
             if gap > FD_CHECK_TOL:
                 raise AssertionError(
-                    f"analytic '{name}' disagrees with finite differences "
-                    f"by {gap:.3e} (tol {FD_CHECK_TOL:.1e})")
+                    f"analytic '{name}' of shape {np.shape(analytic)} "
+                    f"disagrees with finite differences by {gap:.3e} "
+                    f"(tol {FD_CHECK_TOL:.1e})")
 
 
 def _corrected_ascent(g_theta, g_phi, a, m, b, c, lam: float,
@@ -235,12 +208,13 @@ def step(game: SmoothGame, state: DynamicsState, rates: LearningRates,
     moves_lam = any(dual_row for dual_row, _ in corrections)
     eta = rates.at(state.iteration)
     theta, phi, lam = state.theta, state.phi, state.lam
-    g_theta = ascent = game.d_theta(theta, phi)
-    g_phi = game.d_phi_objective(theta, phi)
-    b = game.d_phi_gap(phi)
+    g_theta = ascent = game.grad_theta(theta, phi)
+    g_phi = game.grad_phi_objective(theta, phi)
+    b = game.grad_phi_gap(phi)
     gap = game.gap(phi) if moves_lam else None
     if corrections:
-        a, m = game.curvature(theta, phi, lam), game.mixed(theta, phi, lam)
+        a = game.hess_phi_lagrangian(theta, phi, lam)
+        m = game.mixed_hessian(theta, phi, lam)
     for dual_row, warning in corrections:
         try:
             ascent = _corrected_ascent(g_theta, g_phi, a, m, b, gap, lam,
@@ -269,7 +243,7 @@ class DynamicsTrace:
         self.objectives.append(game.j(state.theta, state.phi))
         self.gaps.append(game.gap(state.phi))
         self.grad_norms_policy.append(
-            float(np.linalg.norm(game.d_theta(state.theta, state.phi))))
+            float(np.linalg.norm(game.grad_theta(state.theta, state.phi))))
         self.grad_norms_model.append(float(np.linalg.norm(
             game.d_phi_lagrangian(state.theta, state.phi, state.lam))))
 

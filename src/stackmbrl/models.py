@@ -645,6 +645,8 @@ def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0):
     Gaussian models use least squares for the affine mean and the biased
     residual variance per output dimension, floored at ``VAR_FLOOR``.
     """
+    if not alpha >= 0.0:  # NaN fails too
+        raise ValueError(f"smoothing alpha must be non-negative, got {alpha}")
     if isinstance(template, CategoricalWorldModel):
         return _mle_categorical(dataset, template, alpha)
     if isinstance(template, DiagGaussianWorldModel):

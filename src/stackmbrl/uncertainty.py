@@ -37,6 +37,11 @@ def _check_delta(delta: float):
         raise ValueError(f"confidence level delta={delta} must be in (0, 1)")
 
 
+def _largest_alphabet(count) -> float:
+    """Largest alphabet size K valid at a cell seen ``count`` times."""
+    return count * GROWTH_COEF / math.e + 2.0
+
+
 # ---------------------------------------------------------------------------
 # tabular radius
 # ---------------------------------------------------------------------------
@@ -72,13 +77,13 @@ def epsilon_tabular(dataset: OfflineDataset, alphabet_size: int,
                          "validity window of the concentration inequality")
     counts = dataset.cell_counts()
     offenders = {cell: count for cell, count in counts.items()
-                 if alphabet_size > count * GROWTH_COEF / math.e + 2.0}
+                 if alphabet_size > _largest_alphabet(count)}
     if offenders:
         raise ValueError(
             "alphabet size K={} exceeds the validity window at {} cell(s): {}"
             .format(alphabet_size, len(offenders),
                     "; ".join(f"{cell}: count {count}, window K <= "
-                              f"{count * GROWTH_COEF / math.e + 2.0:.2f}"
+                              f"{_largest_alphabet(count):.2f}"
                               for cell, count in sorted(offenders.items()))))
     return tabular_radius_value(len(counts), dataset.n, alphabet_size,
                                 max(counts.values()), delta)
@@ -238,7 +243,7 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
             rows = sample(u.transpose(1, 0, 2).reshape(3, -1))
             for t, (stat, n_cells, n_min, n_max) in enumerate(
                     _block_statistics(true_probs, alphabet, *rows, n)):
-                if 3 <= k_dim <= n_min * GROWTH_COEF / math.e + 2.0:
+                if 3 <= k_dim <= _largest_alphabet(n_min):
                     radius = tabular_radius_value(n_cells, n, k_dim, n_max,
                                                   delta)
                 else:  # off the window, epsilon_tabular raises naming the cells

@@ -242,6 +242,21 @@ def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
         assert not out.exists()
 
 
+def test_negative_smoothing_is_rejected_by_name(tmp_path, capsys):
+    code, data = run(tmp_path, "data", "gen-data", "--env", "small",
+                     "--n", "60")
+    assert code == 0
+    capsys.readouterr()
+    for argv in (["fit-model", "--env", "small", "--dataset",
+                  str(data / "dataset.csv"), "--alpha", "-1"],
+                 ["train", "--env", "gradient", "--config",
+                  tiny_config(tmp_path), "--alpha", "-0.4"]):
+        code, out = run(tmp_path, argv[0], *argv)
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--n", "0"],
     ["coverage", "--env", "tracking"],

@@ -80,34 +80,24 @@ def test_rate_decay_schedule():
 # ---------------------------------------------------------------------------
 
 
-def test_finite_difference_fallbacks_match_analytic():
-    analytic = coupling_game()
-    bare = SmoothGame(objective=analytic.objective,
-                      constraint_gap=analytic.constraint_gap)
-    theta, phi, lam = np.array([0.4]), np.array([0.9]), 0.6
-    assert np.abs(bare.d_theta(theta, phi) - analytic.d_theta(theta, phi)).max() <= 1e-6
-    assert np.abs(bare.d_phi_objective(theta, phi)
-                  - analytic.d_phi_objective(theta, phi)).max() <= 1e-6
-    assert np.abs(bare.d_phi_gap(phi) - analytic.d_phi_gap(phi)).max() <= 1e-6
-    grads_only = SmoothGame(objective=analytic.objective,
-                            constraint_gap=analytic.constraint_gap,
-                            grad_theta=analytic.grad_theta,
-                            grad_phi_objective=analytic.grad_phi_objective,
-                            grad_phi_gap=analytic.grad_phi_gap)
-    assert np.abs(grads_only.curvature(theta, phi, lam)
-                  - analytic.curvature(theta, phi, lam)).max() <= 1e-6
-    assert np.abs(grads_only.mixed(theta, phi, lam)
-                  - analytic.mixed(theta, phi, lam)).max() <= 1e-6
+DERIVATIVES = ("grad_theta", "grad_phi_objective", "grad_phi_gap",
+               "hess_phi_lagrangian", "mixed_hessian")
 
 
-def test_wrong_analytic_derivative_fails_construction():
-    with pytest.raises(AssertionError):
-        SmoothGame(
-            objective=lambda t, p: float(t[0] * p[0]),
-            constraint_gap=lambda p: 0.0,
-            grad_theta=lambda t, p: np.array([p[0] + 1.0]),  # off by one
-            check_points=((np.array([0.2]), np.array([0.5]), 1.0),),
-        )
+@pytest.mark.parametrize("name", DERIVATIVES)
+def test_wrong_analytic_derivative_fails_construction(name):
+    """A derivative off by a constant fails the check that names it; the
+    offset leaves the Lagrangian gradient's differences, and so the
+    curvature checks, as they were."""
+    game = coupling_game()
+    exact = getattr(game, name)
+    with pytest.raises(AssertionError, match=f"analytic '{name}' of shape"):
+        replace(game, **{name: lambda *args: exact(*args) + 1.0})
+
+
+def test_misshapen_derivative_fails_construction():
+    with pytest.raises(AssertionError, match=r"shape \(1,\) disagrees .* inf"):
+        replace(coupling_game(), mixed_hessian=lambda t, p, lam: 2.0 * t)
 
 
 def test_builtin_games_pass_their_own_derivative_checks():
@@ -240,12 +230,11 @@ def test_singular_curvature_falls_back_with_warning():
     rates = LearningRates(model=1e-2, dual=1e-3, policy=1e-4)
     with pytest.warns(RuntimeWarning):
         stepped = step(game, state, rates, "stackelberg")
-    raw = game.d_theta(state.theta, state.phi)
+    raw = game.grad_theta(state.theta, state.phi)
     assert stepped.theta[0] == pytest.approx(0.5 + rates.policy * raw[0], abs=1e-15)
 
 
-CALLBACKS = ("objective", "constraint_gap", "grad_theta", "grad_phi_objective",
-             "grad_phi_gap", "hess_phi_lagrangian", "mixed_hessian")
+CALLBACKS = ("objective", "constraint_gap") + DERIVATIVES
 
 
 @pytest.mark.parametrize("mode", DYNAMICS_MODES)

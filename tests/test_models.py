@@ -265,6 +265,16 @@ def test_mle_smoothing_changes_probabilities():
     assert smoothed.probs_all().min() > 0.0
 
 
+def test_mle_rejects_smoothing_below_zero():
+    """A negative or NaN ``alpha`` is no additive smoothing: the fit refuses
+    it by name, even where the counts it would shift stay positive."""
+    mdp = small_mdp()
+    dataset = sample_offline_dataset(mdp, "uniform", n=50, seed=2)
+    for alpha in (-0.4, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=alpha)
+
+
 def test_mle_convergence_in_kl():
     """Median (over 20 seeds) KL from the truth decreases along a sample-size
     ladder and ends near zero."""

@@ -353,22 +353,20 @@ def test_coverage_real_radius_meets_target():
     assert report.mean_statistic < report.mean_epsilon
 
 
-def test_coverage_deterministic_and_worker_invariant():
+def test_coverage_is_deterministic():
     kwargs = dict(n_transitions=120, delta=0.2, n_trials=100, seed=11)
     serial = coverage_check(small_mdp(), "uniform", **kwargs)
     again = coverage_check(small_mdp(), "uniform", **kwargs)
-    threaded = coverage_check(small_mdp(), "uniform", n_workers=4, **kwargs)
-    assert serial.to_dict() == again.to_dict() == threaded.to_dict()
+    assert serial.to_dict() == again.to_dict()
 
 
-def test_threaded_coverage_leaves_the_warning_filters_alone(grad_triple):
+def test_coverage_leaves_the_warning_filters_alone(grad_triple):
     """The call silences warnings only while it runs: it must not leave
-    ``simplefilter("ignore")`` installed for the whole process, whatever
-    ``n_workers`` it is given."""
+    ``simplefilter("ignore")`` installed for the whole process."""
     before = list(warnings.filters)
     for seed in range(6):
         coverage_check(grad_triple[0], "uniform", n_transitions=400,
-                       delta=0.2, n_trials=100, seed=seed, n_workers=4)
+                       delta=0.2, n_trials=100, seed=seed)
         assert warnings.filters == before, seed
 
 
@@ -427,24 +425,21 @@ def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed,
                                                      monkeypatch):
     """Equal reports for partial last blocks (100, 101 and 203 trials of
     150, 400 and 1000 rows), each behavior-policy form, a fixed radius,
-    an unused worker count, and blocks of other sizes: trial t is row t of
-    one stream, so the split into blocks must not move a bit."""
+    and blocks of other sizes: trial t is row t of one stream, so the split
+    into blocks must not move a bit."""
     mdp = make_mdp()
     policy = SoftmaxPolicy(np.random.default_rng(seed).normal(
         scale=0.5, size=(mdp.num_states, mdp.num_actions)))
     behaviors = ["uniform", policy, policy.probs_all()]
-    cases = [((mdp, behaviors[(i + seed) % 3], n, 0.2, n_trials), {})
+    cases = [(mdp, behaviors[(i + seed) % 3], n, 0.2, n_trials)
              for i, (n, n_trials) in enumerate([(150, 100), (400, 101),
                                                 (1000, 203)])]
-    cases += [((mdp, policy, 400, 0.1, 101), {"n_workers": 4})]
-    for args, kwargs in cases:
-        serial = {k: v for k, v in kwargs.items() if k != "n_workers"}
-        # a rare cell can fall outside the validity window: same message
-        assert (report_or_error(
-                    lambda: coverage_check(*args, seed=seed, **kwargs))
-                == report_or_error(
-                    lambda: per_trial_coverage(*args, seed=seed, **serial)))
     args = (mdp, policy, 400, 0.1, 101)
+    for case in cases + [args]:
+        # a rare cell can fall outside the validity window: same message
+        assert (report_or_error(lambda: coverage_check(*case, seed=seed))
+                == report_or_error(
+                    lambda: per_trial_coverage(*case, seed=seed)))
     default_blocks = report_or_error(lambda: coverage_check(*args, seed=seed))
     for block_rows in (1, 7 * 400):  # 101 blocks of 1; 14 of 7 and one of 3
         monkeypatch.setattr(uncertainty, "COVERAGE_BLOCK_ROWS", block_rows)

@@ -173,6 +173,11 @@ def _dataset_with_rows(env, behavior, n_rows: int, seed: int) -> OfflineDataset:
                           next_states=np.asarray(data.next_states)[:n_rows])
 
 
+def _smoothing(env, alpha: float) -> dict:
+    """The manifest entry of ``alpha``, which only a categorical MLE reads."""
+    return {"alpha": alpha} if isinstance(env, TabularMdp) else {}
+
+
 def _anchor_for(env, dataset: OfflineDataset, alpha: float):
     template = (CategoricalWorldModel.uniform(env) if isinstance(env, TabularMdp)
                 else DiagGaussianWorldModel.zeros(env.state_dim,
@@ -222,7 +227,7 @@ def cmd_fit_model(args) -> int:
     except ValueError as err:
         results["radius_refused"] = str(err)
     config = {"env": args.env, "dataset": str(args.dataset),
-              "alpha": args.alpha, "delta": args.delta}
+              "delta": args.delta, **_smoothing(env, args.alpha)}
     save_manifest(out, "fit-model", config, args.seed, results)
     _write_log(out, started)
     print(f"fitted anchor ({anchor.n_params} params) from {dataset.n} rows"
@@ -263,6 +268,7 @@ def cmd_train(args) -> int:
                   {"iterations_run": state.iteration,
                    "environment": run_manifest["environment"],
                    "dataset_rows": run_manifest["dataset_rows"],
+                   **_smoothing(env, args.alpha),
                    "final_lam": state.lam,
                    "final_kl": dataset_kl(dataset, state.model, anchor)})
     _write_log(out, started)
@@ -281,8 +287,9 @@ def cmd_evaluate(args) -> int:
                          "needs a continuous environment")
     if args.episodes < 1:
         raise ValueError("--episodes must be at least 1")
-    if args.rho < 0:
-        raise ValueError("--rho must be non-negative")
+    if not 0.0 <= args.rho < np.inf:
+        raise ValueError(f"--rho must be finite and non-negative, got "
+                         f"{args.rho}")
     policy_template = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
     model_template = DiagGaussianWorldModel.zeros(env.state_dim,
                                                   env.action_dim)

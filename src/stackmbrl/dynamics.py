@@ -53,7 +53,8 @@ class LearningRates:
     enforce_ordering: bool = True
 
     def __post_init__(self):
-        if min(self.model, self.dual, self.policy) <= 0.0:
+        # written so that NaN fails each check
+        if not all(rate > 0.0 for rate in (self.model, self.dual, self.policy)):
             raise ValueError("all rates must be positive")
         if self.enforce_ordering and not (self.model > self.dual > self.policy):
             # Deliberately mis-ordered schedules (for divergence studies) must
@@ -61,7 +62,7 @@ class LearningRates:
             raise ValueError(
                 f"rates must satisfy model > dual > policy, got "
                 f"({self.model}, {self.dual}, {self.policy})")
-        if self.decay_power < 0.0:
+        if not self.decay_power >= 0.0:
             raise ValueError("decay_power must be non-negative")
 
     def at(self, step: int) -> "LearningRates":

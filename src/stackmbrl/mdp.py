@@ -279,8 +279,9 @@ def perturb_step(noise_fraction: float, s: np.ndarray, s_next: np.ndarray,
     the fraction, so clean (fraction 0) and noisy runs consume identical
     random streams and stay step-for-step coupled under a shared seed.
     """
-    if noise_fraction < 0:
-        raise ValueError("noise fraction must be non-negative")
+    if not 0.0 <= noise_fraction < np.inf:
+        raise ValueError("noise fraction must be finite and non-negative, "
+                         f"got {noise_fraction}")
     noise = normals * (noise_fraction * (s_next - s))
     return s_next + noise
 
@@ -293,8 +294,9 @@ class NoisyDeployment:
     noise_fraction: float
 
     def __post_init__(self):
-        if self.noise_fraction < 0:
-            raise ValueError("noise fraction must be non-negative")
+        if not 0.0 <= self.noise_fraction < np.inf:
+            raise ValueError("noise fraction must be finite and non-negative, "
+                             f"got {self.noise_fraction}")
 
     def step(self, states: np.ndarray, actions: np.ndarray,
              normals: np.ndarray) -> np.ndarray:

@@ -4,7 +4,18 @@ Models and datasets are value objects: ``with_params`` returns a new
 instance, nothing mutates in place. Per-instance caches rely on that: a
 softmax family normalises its logits once, a dataset groups its cells once.
 
-Every policy and world-model family evaluates its likelihood on whole
+The policy and the world model are both likelihood players, and each comes
+in one of two distribution kinds, implemented once and shared:
+
+* a softmax table (``_SoftmaxTable``): ``SoftmaxPolicy`` over the (S, A)
+  logits, ``CategoricalWorldModel`` over the (S, A, K) logits;
+* an affine Gaussian (``_AffineGaussian``): ``DiagGaussianPolicy`` with its
+  mean affine in the state, ``DiagGaussianWorldModel`` with its mean affine
+  in (state, action).
+
+A family adds only its constructor checks, its ``_features`` (Gaussians)
+and its per-row ``log_prob``, ``score`` and ``sample``, which stay in its
+own class body for ``benchmarks/tracing.py`` to count. Every family evaluates its likelihood on whole
 batches of steps:
 
 * ``log_probs(states, actions[, outcomes])`` returns ``(...)``;
@@ -33,7 +44,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -108,43 +119,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
                       - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
 
-def _softmax_table(model) -> np.ndarray:
-    """The read-only softmax of ``model.logits`` that its likelihoods read."""
-    table = _softmax(model.logits)
-    table.flags.writeable = False
-    return table
-
-
-def _softmax_scores(probs: np.ndarray, index: tuple) -> BlockScores:
-    """Scores at ``index``, one integer array per table axis: all but the
-    last pick the softmax block, which is the score's cell, the last its
-    entry. Each block is -p plus 1 at the chosen entry."""
-    blocks = -probs[index[:-1]]
-    rows = blocks.reshape(-1, blocks.shape[-1])  # a view of the new array
-    rows[np.arange(len(rows)), np.ravel(index[-1])] += 1.0
-    cells = np.ravel_multi_index(index[:-1], probs.shape[:-1])
-    return BlockScores(np.asarray(cells), blocks, probs.size)
+def _values(params: ParamVector | np.ndarray) -> np.ndarray:
+    return np.asarray(params.values if isinstance(params, ParamVector)
+                      else params, dtype=float)
 
 
 # ---------------------------------------------------------------------------
-# tabular families
+# softmax tables (the tabular families)
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class SoftmaxPolicy:
-    """Tabular softmax policy with one logit per (state, action)."""
+class _SoftmaxTable:
+    """A softmax over the last axis of ``logits``: every leading index
+    picks one categorical block, the last axis its entries."""
 
-    logits: np.ndarray  # (S, A)
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=float)
-        if self.logits.ndim != 2:
-            raise ValueError("policy logits must be (S, A)")
-
-    @staticmethod
-    def zeros(num_states: int, num_actions: int) -> "SoftmaxPolicy":
-        return SoftmaxPolicy(np.zeros((num_states, num_actions)))
+    logits: np.ndarray  # (S, A[, K])
 
     @property
     def num_states(self) -> int:
@@ -158,21 +148,56 @@ class SoftmaxPolicy:
     def n_params(self) -> int:
         return self.logits.size
 
-    _probs = cached_property(_softmax_table)
+    @cached_property
+    def _probs(self) -> np.ndarray:
+        """The read-only softmax of ``logits`` that the likelihoods read."""
+        table = _softmax(self.logits)
+        table.flags.writeable = False
+        return table
 
     def probs_all(self) -> np.ndarray:
         return self._probs
 
-    def probs(self, s: int) -> np.ndarray:
-        return self._probs[s]
+    def probs(self, *index: int) -> np.ndarray:
+        return self._probs[index]
 
-    def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def log_probs(self, *index: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):  # -inf at p = 0
-            return np.log(self._probs[states, actions])
+            return np.log(self._probs[index])
 
-    def scores(self, states: np.ndarray, actions: np.ndarray) -> BlockScores:
-        """d log pi(a|s) / d logits per step, on the state's block."""
-        return _softmax_scores(self._probs, (states, actions))
+    def scores(self, *index: np.ndarray) -> BlockScores:
+        """Scores at ``index``, one integer array per table axis: all but
+        the last pick the softmax block, which is the score's cell, the
+        last its entry. Each block is -p plus 1 at the chosen entry."""
+        probs = self._probs
+        blocks = -probs[index[:-1]]
+        rows = blocks.reshape(-1, blocks.shape[-1])  # a view of the new array
+        rows[np.arange(len(rows)), np.ravel(index[-1])] += 1.0
+        cells = np.ravel_multi_index(index[:-1], probs.shape[:-1])
+        return BlockScores(np.asarray(cells), blocks, probs.size)
+
+    @property
+    def params(self) -> ParamVector:
+        return ParamVector(self.logits.ravel().copy(),
+                           (("logits", 0, self.logits.size),))
+
+    def with_params(self, params: ParamVector | np.ndarray):
+        return replace(self, logits=_values(params)
+                       .reshape(self.logits.shape).copy())
+
+
+@dataclass
+class SoftmaxPolicy(_SoftmaxTable):
+    """Tabular softmax policy with one logit per (state, action)."""
+
+    def __post_init__(self):
+        self.logits = np.asarray(self.logits, dtype=float)
+        if self.logits.ndim != 2:
+            raise ValueError("policy logits must be (S, A)")
+
+    @staticmethod
+    def zeros(num_states: int, num_actions: int) -> "SoftmaxPolicy":
+        return SoftmaxPolicy(np.zeros((num_states, num_actions)))
 
     def log_prob(self, s: int, a: int) -> float:
         return float(self.log_probs(s, a))
@@ -183,22 +208,12 @@ class SoftmaxPolicy:
     def sample(self, s: int, rng: np.random.Generator) -> int:
         return int(rng.choice(self.num_actions, p=self.probs(s)))
 
-    @property
-    def params(self) -> ParamVector:
-        return ParamVector(self.logits.ravel().copy(),
-                           (("logits", 0, self.logits.size),))
-
-    def with_params(self, params: ParamVector | np.ndarray) -> "SoftmaxPolicy":
-        values = params.values if isinstance(params, ParamVector) else params
-        return SoftmaxPolicy(np.asarray(values, dtype=float)
-                             .reshape(self.logits.shape).copy())
-
 
 @dataclass
-class CategoricalWorldModel:
-    """Joint-categorical world model over a global (reward, next state) alphabet."""
+class CategoricalWorldModel(_SoftmaxTable):
+    """Joint-categorical world model over a global (reward, next state)
+    alphabet: logits (S, A, K), outcome k is (reward k, next state k)."""
 
-    logits: np.ndarray  # (S, A, K)
     outcome_rewards: np.ndarray  # (K,)
     outcome_next_states: np.ndarray  # (K,) int
 
@@ -235,28 +250,8 @@ class CategoricalWorldModel:
         return CategoricalWorldModel(np.zeros(shape), rewards, nexts)
 
     @property
-    def num_states(self) -> int:
-        return self.logits.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.logits.shape[1]
-
-    @property
     def num_outcomes(self) -> int:
         return self.logits.shape[2]
-
-    @property
-    def n_params(self) -> int:
-        return self.logits.size
-
-    _probs = cached_property(_softmax_table)
-
-    def probs_all(self) -> np.ndarray:
-        return self._probs
-
-    def probs(self, s: int, a: int) -> np.ndarray:
-        return self._probs[s, a]
 
     def outcome_index(self, reward: float, s_next: int) -> int:
         key = (float(reward), int(s_next))
@@ -265,16 +260,6 @@ class CategoricalWorldModel:
                 f"observed outcome (r={reward!r}, s'={s_next}) is not in the "
                 f"model's outcome alphabet")
         return self._outcome_index[key]
-
-    def log_probs(self, states: np.ndarray, actions: np.ndarray,
-                  outcomes: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # -inf at p = 0
-            return np.log(self._probs[states, actions, outcomes])
-
-    def scores(self, states: np.ndarray, actions: np.ndarray,
-               outcomes: np.ndarray) -> BlockScores:
-        """d log P(k|s,a) / d logits per step, on the (s, a) cell's block."""
-        return _softmax_scores(self._probs, (states, actions, outcomes))
 
     def log_prob(self, s: int, a: int, k: int) -> float:
         value = float(self.log_probs(s, a, k))
@@ -291,20 +276,9 @@ class CategoricalWorldModel:
         k = int(rng.choice(self.num_outcomes, p=self.probs(s, a)))
         return float(self.outcome_rewards[k]), int(self.outcome_next_states[k]), k
 
-    @property
-    def params(self) -> ParamVector:
-        return ParamVector(self.logits.ravel().copy(),
-                           (("logits", 0, self.logits.size),))
-
-    def with_params(self, params: ParamVector | np.ndarray) -> "CategoricalWorldModel":
-        values = params.values if isinstance(params, ParamVector) else params
-        return CategoricalWorldModel(
-            np.asarray(values, dtype=float).reshape(self.logits.shape).copy(),
-            self.outcome_rewards, self.outcome_next_states)
-
 
 # ---------------------------------------------------------------------------
-# continuous families (diagonal Gaussians with affine features)
+# affine Gaussians (the continuous families)
 # ---------------------------------------------------------------------------
 
 
@@ -314,39 +288,73 @@ def affine_features(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-def _affine_mean(weights: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    # a stacked mat-vec: bit-identical to ``weights @ f`` row by row
-    return (weights @ feats[..., None])[..., 0]
+@dataclass
+class _AffineGaussian:
+    """A diagonal Gaussian whose mean is ``weights`` times the subclass's
+    ``_features`` of the conditioning inputs, with learned ``log_std``. The
+    likelihoods take those inputs and then the outcome ``y``."""
 
+    weights: np.ndarray  # (out, features)
+    log_std: np.ndarray  # (out,)
 
-def _gaussian_log_probs(weights: np.ndarray, log_std: np.ndarray,
-                        feats: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(...) log-densities of y under N(weights @ feats, exp(log_std)^2)."""
-    z = (y - _affine_mean(weights, feats)) / np.exp(log_std)
-    return (-0.5 * (z ** 2).sum(axis=-1) - log_std.sum()
-            - 0.5 * z.shape[-1] * np.log(2.0 * np.pi))
+    @property
+    def n_params(self) -> int:
+        return self.weights.size + self.log_std.size
 
+    def _mean(self, feats: np.ndarray) -> np.ndarray:
+        # a stacked mat-vec: bit-identical to ``weights @ f`` row by row
+        return (self.weights @ feats[..., None])[..., 0]
 
-def _gaussian_scores(weights: np.ndarray, log_std: np.ndarray,
-                     feats: np.ndarray, y: np.ndarray) -> BlockScores:
-    """Gradients of those log-densities in the (weights, log_std) layout,
-    as one-cell scores: each block holds all weights.size + log_std.size
-    entries."""
-    std = np.exp(log_std)
-    z = (y - _affine_mean(weights, feats)) / std
-    grad_w = (z / std)[..., :, None] * feats[..., None, :]
-    blocks = np.concatenate([grad_w.reshape(z.shape[:-1] + (-1,)),
-                             z ** 2 - 1.0], axis=-1)
-    return BlockScores(np.zeros(z.shape[:-1], dtype=np.int64), blocks,
-                       blocks.shape[-1])
+    def mean(self, *inputs: np.ndarray) -> np.ndarray:
+        return self._mean(self._features(*inputs))
+
+    def log_probs(self, *inputs: np.ndarray) -> np.ndarray:
+        """(...) log-densities of the last input given the others."""
+        *given, y = inputs
+        z = (y - self.mean(*given)) / np.exp(self.log_std)
+        return (-0.5 * (z ** 2).sum(axis=-1) - self.log_std.sum()
+                - 0.5 * z.shape[-1] * np.log(2.0 * np.pi))
+
+    def scores(self, *inputs: np.ndarray) -> BlockScores:
+        """Gradients of those log-densities in the (weights, log_std)
+        layout, as one-cell scores: each block holds all n_params
+        entries."""
+        *given, y = inputs
+        feats = self._features(*given)
+        std = np.exp(self.log_std)
+        z = (y - self._mean(feats)) / std
+        grad_w = (z / std)[..., :, None] * feats[..., None, :]
+        blocks = np.concatenate([grad_w.reshape(z.shape[:-1] + (-1,)),
+                                 z ** 2 - 1.0], axis=-1)
+        return BlockScores(np.zeros(z.shape[:-1], dtype=np.int64), blocks,
+                           blocks.shape[-1])
+
+    def samples(self, *inputs: np.ndarray) -> np.ndarray:
+        """(..., out) draws, the means at all but the last input plus std
+        times the last, the standard ``normals``. Non-finite draws are
+        returned, not raised: the caller decides whether they end a row or
+        the call."""
+        *given, normals = inputs
+        return self.mean(*given) + np.exp(self.log_std) * normals
+
+    @property
+    def params(self) -> ParamVector:
+        nw = self.weights.size
+        values = np.concatenate([self.weights.ravel(), self.log_std])
+        return ParamVector(values, (("weights", 0, nw),
+                                    ("log_std", nw, nw + self.log_std.size)))
+
+    def with_params(self, params: ParamVector | np.ndarray):
+        values, nw = _values(params), self.weights.size
+        return replace(self,
+                       weights=values[:nw].reshape(self.weights.shape).copy(),
+                       log_std=values[nw:].copy())
 
 
 @dataclass
-class DiagGaussianPolicy:
-    """Gaussian policy: action mean affine in the state, learned diagonal std."""
-
-    weights: np.ndarray  # (action_dim, state_dim + 1)
-    log_std: np.ndarray  # (action_dim,)
+class DiagGaussianPolicy(_AffineGaussian):
+    """Gaussian policy: action mean affine in the state, learned diagonal
+    std; weights (action_dim, state_dim + 1), log_std (action_dim,)."""
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -364,20 +372,8 @@ class DiagGaussianPolicy:
     def action_dim(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.log_std.size
-
-    def mean(self, s: np.ndarray) -> np.ndarray:
-        return _affine_mean(self.weights, affine_features(s))
-
-    def log_probs(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return _gaussian_log_probs(self.weights, self.log_std,
-                                   affine_features(states), actions)
-
-    def scores(self, states: np.ndarray, actions: np.ndarray) -> BlockScores:
-        return _gaussian_scores(self.weights, self.log_std,
-                                affine_features(states), actions)
+    def _features(self, s: np.ndarray) -> np.ndarray:
+        return affine_features(s)
 
     def log_prob(self, s: np.ndarray, a: np.ndarray) -> float:
         return float(self.log_probs(s, a))
@@ -385,33 +381,15 @@ class DiagGaussianPolicy:
     def score(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.scores(s, a).dense()
 
-    def samples(self, states: np.ndarray, normals: np.ndarray) -> np.ndarray:
-        """(..., action_dim) actions, the means plus std times ``normals``."""
-        return self.mean(states) + np.exp(self.log_std) * normals
-
     def sample(self, s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return self.samples(s, rng.standard_normal(self.action_dim))
 
-    @property
-    def params(self) -> ParamVector:
-        nw = self.weights.size
-        values = np.concatenate([self.weights.ravel(), self.log_std])
-        return ParamVector(values, (("weights", 0, nw),
-                                    ("log_std", nw, nw + self.log_std.size)))
-
-    def with_params(self, params: ParamVector | np.ndarray) -> "DiagGaussianPolicy":
-        values = params.values if isinstance(params, ParamVector) else np.asarray(params, dtype=float)
-        nw = self.weights.size
-        return DiagGaussianPolicy(values[:nw].reshape(self.weights.shape).copy(),
-                                  values[nw:].copy())
-
 
 @dataclass
-class DiagGaussianWorldModel:
-    """Gaussian world model: joint (s', r) mean affine in (s, a), diagonal std."""
-
-    weights: np.ndarray  # (state_dim + 1, state_dim + action_dim + 1)
-    log_std: np.ndarray  # (state_dim + 1,)
+class DiagGaussianWorldModel(_AffineGaussian):
+    """Gaussian world model: joint (s', r) mean affine in (s, a), diagonal
+    std; weights (state_dim + 1, state_dim + action_dim + 1), log_std
+    (state_dim + 1,). Its outcomes are the joint (s', r), reward last."""
     state_dim: int
     action_dim: int
 
@@ -428,27 +406,9 @@ class DiagGaussianWorldModel:
             np.zeros((state_dim + 1, state_dim + action_dim + 1)),
             np.zeros(state_dim + 1), state_dim, action_dim)
 
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.log_std.size
-
     def _features(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return affine_features(np.concatenate(
             [np.atleast_1d(s), np.atleast_1d(a)], axis=-1))
-
-    def mean(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return _affine_mean(self.weights, self._features(s, a))
-
-    def log_probs(self, states: np.ndarray, actions: np.ndarray,
-                  outcomes: np.ndarray) -> np.ndarray:
-        """``outcomes`` are the joint observations (s', r), reward last."""
-        return _gaussian_log_probs(self.weights, self.log_std,
-                                   self._features(states, actions), outcomes)
-
-    def scores(self, states: np.ndarray, actions: np.ndarray,
-               outcomes: np.ndarray) -> BlockScores:
-        return _gaussian_scores(self.weights, self.log_std,
-                                self._features(states, actions), outcomes)
 
     def log_prob(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> float:
         return float(self.log_probs(s, a, y))
@@ -456,31 +416,10 @@ class DiagGaussianWorldModel:
     def score(self, s: np.ndarray, a: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.scores(s, a, y).dense()
 
-    def samples(self, states: np.ndarray, actions: np.ndarray,
-                normals: np.ndarray) -> np.ndarray:
-        """(..., state_dim + 1) joint (s', r) emissions, the means plus std
-        times ``normals``. Non-finite draws are returned, not raised: the
-        caller decides whether they end a row or the call."""
-        return self.mean(states, actions) + np.exp(self.log_std) * normals
-
     def sample(self, s: np.ndarray, a: np.ndarray,
                rng: np.random.Generator) -> tuple[np.ndarray, float]:
         draw = self.samples(s, a, rng.standard_normal(self.log_std.size))
         return draw[:-1], float(draw[-1])
-
-    @property
-    def params(self) -> ParamVector:
-        nw = self.weights.size
-        values = np.concatenate([self.weights.ravel(), self.log_std])
-        return ParamVector(values, (("weights", 0, nw),
-                                    ("log_std", nw, nw + self.log_std.size)))
-
-    def with_params(self, params: ParamVector | np.ndarray) -> "DiagGaussianWorldModel":
-        values = params.values if isinstance(params, ParamVector) else np.asarray(params, dtype=float)
-        nw = self.weights.size
-        return DiagGaussianWorldModel(
-            values[:nw].reshape(self.weights.shape).copy(), values[nw:].copy(),
-            self.state_dim, self.action_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -95,71 +95,73 @@ def _stream(seed, *tags) -> np.random.Generator:
 
 
 @dataclass
-class TabularCritic:
-    """Table-backed Q/V pair with a slow-moving target value table."""
+class _Critic:
+    """A Q/V pair with a slow-moving target V. The subclass's ``_evaluate``
+    reads each of the three arrays, a table or affine weights, at its
+    inputs."""
 
-    q_table: np.ndarray        # (S, A)
-    v_table: np.ndarray        # (S,)
-    target_v_table: np.ndarray  # (S,)
+    q: np.ndarray
+    v: np.ndarray
+    target_v: np.ndarray
+
+    def state_values(self, states: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.v, states)
+
+    def target_state_values(self, states: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.target_v, states)
+
+    def tail_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return self._evaluate(self.q, states, actions)
+
+    def mix_target(self, mix: float) -> None:
+        self.target_v = mix * self.v + (1.0 - mix) * self.target_v
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "q": self.q.tolist(), "v": self.v.tolist(),
+                "target_v": self.target_v.tolist()}
+
+
+@dataclass
+class TabularCritic(_Critic):
+    """Table-backed Q (S, A), V (S,) and target V (S,)."""
+
+    kind = "tabular"
 
     @staticmethod
     def zeros(num_states: int, num_actions: int) -> "TabularCritic":
         return TabularCritic(np.zeros((num_states, num_actions)),
                              np.zeros(num_states), np.zeros(num_states))
 
-    def state_values(self, states: np.ndarray) -> np.ndarray:
-        return self.v_table[states]
-
-    def target_state_values(self, states: np.ndarray) -> np.ndarray:
-        return self.target_v_table[states]
-
-    def tail_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return self.q_table[states, actions]
+    @staticmethod
+    def _evaluate(table: np.ndarray, *index: np.ndarray) -> np.ndarray:
+        return table[index]
 
     def fit_epoch(self, policy, model, gamma: float, transitions, rng) -> None:
         """One exact fit: Q from the model's closed-form one-step target,
         V from the policy mixture of the fresh Q. No sampling involved."""
-        cont = model.outcome_rewards + gamma * self.target_v_table[
-            model.outcome_next_states]
-        self.q_table = model.probs_all() @ cont
-        self.v_table = (policy.probs_all() * self.q_table).sum(axis=1)
-
-    def mix_target(self, mix: float) -> None:
-        self.target_v_table = (mix * self.v_table
-                               + (1.0 - mix) * self.target_v_table)
-
-    def to_dict(self) -> dict:
-        return {"kind": "tabular", "q": self.q_table.tolist(),
-                "v": self.v_table.tolist(),
-                "target_v": self.target_v_table.tolist()}
+        cont = model.outcome_rewards + gamma * self.target_state_values(
+            model.outcome_next_states)
+        self.q = model.probs_all() @ cont
+        self.v = (policy.probs_all() * self.q).sum(axis=1)
 
 
 @dataclass
-class LinearCritic:
-    """Affine-in-state V and affine-in-(state, action) Q for continuous tasks."""
+class LinearCritic(_Critic):
+    """Q affine in (state, action), weights (d + a + 1,), and V and target
+    V affine in the state, weights (d + 1,), for continuous tasks."""
 
-    v_weights: np.ndarray        # (d + 1,)
-    q_weights: np.ndarray        # (d + a + 1,)
-    target_v_weights: np.ndarray  # (d + 1,)
+    kind = "linear"
 
     @staticmethod
     def zeros(state_dim: int, action_dim: int) -> "LinearCritic":
-        return LinearCritic(np.zeros(state_dim + 1),
-                            np.zeros(state_dim + action_dim + 1),
-                            np.zeros(state_dim + 1))
+        return LinearCritic(np.zeros(state_dim + action_dim + 1),
+                            np.zeros(state_dim + 1), np.zeros(state_dim + 1))
 
-    def state_values(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        return states @ self.v_weights[:-1] + self.v_weights[-1]
-
-    def target_state_values(self, states: np.ndarray) -> np.ndarray:
-        states = np.asarray(states, dtype=float)
-        return states @ self.target_v_weights[:-1] + self.target_v_weights[-1]
-
-    def tail_values(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        feats = np.concatenate([np.asarray(states, dtype=float),
-                                np.asarray(actions, dtype=float)], axis=-1)
-        return feats @ self.q_weights[:-1] + self.q_weights[-1]
+    @staticmethod
+    def _evaluate(weights: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
+        feats = np.concatenate([np.asarray(x, dtype=float) for x in inputs],
+                               axis=-1)
+        return feats @ weights[:-1] + weights[-1]
 
     def fit_epoch(self, policy, model, gamma: float, transitions: dict,
                   rng: np.random.Generator) -> None:
@@ -185,22 +187,13 @@ class LinearCritic:
             emissions[:, :-1])
         feats_q = np.concatenate(
             [states, actions, np.ones((len(idx), 1))], axis=1)
-        self.q_weights = np.linalg.lstsq(feats_q, q_targets, rcond=None)[0]
+        self.q = np.linalg.lstsq(feats_q, q_targets, rcond=None)[0]
 
         fresh_actions = policy.samples(states,
                                        rng.standard_normal(actions.shape))
         v_targets = self.tail_values(states, fresh_actions)
         feats_v = np.concatenate([states, np.ones((len(idx), 1))], axis=1)
-        self.v_weights = np.linalg.lstsq(feats_v, v_targets, rcond=None)[0]
-
-    def mix_target(self, mix: float) -> None:
-        self.target_v_weights = (mix * self.v_weights
-                                 + (1.0 - mix) * self.target_v_weights)
-
-    def to_dict(self) -> dict:
-        return {"kind": "linear", "q": self.q_weights.tolist(),
-                "v": self.v_weights.tolist(),
-                "target_v": self.target_v_weights.tolist()}
+        self.v = np.linalg.lstsq(feats_v, v_targets, rcond=None)[0]
 
 
 def critic_loss(critic, transitions: dict, gamma: float) -> float:
@@ -331,13 +324,14 @@ class TrainerConfig:
             raise ValueError("target_mix must lie in [0, 1]")
         if not 0.0 <= self.advantage_decay <= 1.0:
             raise ValueError("advantage_decay must lie in [0, 1]")
-        if self.clip <= 0.0:
+        # written so that NaN fails each check
+        if not self.clip > 0.0:
             raise ValueError("clip must be positive (inf disables masking)")
-        if self.ridge <= 0.0:
+        if not self.ridge > 0.0:
             raise ValueError("ridge must be positive")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        if self.lam_init < 0.0:
+        if not self.lam_init >= 0.0:
             raise ValueError("lam_init must be non-negative")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
@@ -759,9 +753,9 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
         if type(payload[key]) not in kinds:
             raise ValueError(f"{path}: {key} must be a JSON "
                              f"{kinds[-1].__name__}, got {payload[key]!r}")
-    zero, critic = _zero_critic(model_template).to_dict(), payload["critic"]
-    if critic["kind"] != zero["kind"]:
-        raise ValueError(f"{path}: critic kind must be {zero['kind']!r}, "
+    zero, critic = _zero_critic(model_template), payload["critic"]
+    if critic["kind"] != zero.kind:
+        raise ValueError(f"{path}: critic kind must be {zero.kind!r}, "
                          f"got {critic['kind']!r}")
     arrays = {}
     for key in ("q", "v", "target_v"):
@@ -769,14 +763,12 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
             arrays[key] = np.array(critic[key], dtype=float)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{path}: critic {key} is not numeric: {err}") from err
-        if arrays[key].shape != np.shape(zero[key]):
+        shape = getattr(zero, key).shape
+        if arrays[key].shape != shape:
             raise ValueError(f"{path}: critic {key} has shape "
-                             f"{arrays[key].shape}, not {np.shape(zero[key])}")
-    q, v, target_v = arrays.values()
-    critic = (TabularCritic(q, v, target_v) if zero["kind"] == "tabular"
-              else LinearCritic(v, q, target_v))
+                             f"{arrays[key].shape}, not {shape}")
     return {"iteration": int(payload["iteration"]), "lam": float(payload["lam"]),
-            **players, "critic": critic}
+            **players, "critic": replace(zero, **arrays)}
 
 
 def write_manifest(out_dir, config: TrainerConfig, env,

@@ -92,10 +92,10 @@ def critic_fit_epoch(critic, policy, model, gamma, transitions, rng):
     q_targets = rewards + gamma * critic.target_state_values(next_states)
     feats_q = np.concatenate([states, actions, np.ones((len(idx), 1))],
                              axis=1)
-    critic.q_weights = np.linalg.lstsq(feats_q, q_targets, rcond=None)[0]
+    critic.q = np.linalg.lstsq(feats_q, q_targets, rcond=None)[0]
     fresh = np.array([policy_sample(policy, s, rng) for s in states])
     feats_v = np.concatenate([states, np.ones((len(idx), 1))], axis=1)
-    critic.v_weights = np.linalg.lstsq(
+    critic.v = np.linalg.lstsq(
         feats_v, critic.tail_values(states, fresh), rcond=None)[0]
 
 

@@ -43,6 +43,18 @@ def test_gen_data_then_fit_model(tmp_path):
     assert code == 0
     assert_artifacts(fit, "model.json")
     assert manifest(fit)["results"]["rows"] == 60
+    assert manifest(fit)["config"]["alpha"] == 0.5
+
+
+def test_fit_model_on_a_continuous_environment_records_no_alpha(tmp_path):
+    """The Gaussian MLE ignores ``--alpha``, so its manifest leaves it out."""
+    code, data = run(tmp_path, "data", "gen-data", "--env", "tracking",
+                     "--behavior", "bundled", "--n", "60")
+    assert code == 0
+    code, fit = run(tmp_path, "fit", "fit-model", "--env", "tracking",
+                    "--dataset", str(data / "dataset.csv"), "--alpha", "2")
+    assert code == 0
+    assert "alpha" not in manifest(fit)["config"]
 
 
 @pytest.mark.parametrize("algo", ["naive", "vanilla"])
@@ -57,6 +69,7 @@ def test_train_writes_run_directory(tmp_path, algo):
     assert config["dynamics"] == ("naive" if algo == "naive"
                                   else "constrained")
     assert config["critic_epochs"] == (0 if algo == "vanilla" else 2)
+    assert manifest(out)["results"]["alpha"] == 0.5
     assert len((out / "trace.csv").read_text().splitlines()) == 3
 
 
@@ -65,6 +78,7 @@ def test_train_then_evaluate_on_tracking(tmp_path):
     code, trained = run(tmp_path, "train", "train", "--env", "tracking",
                         "--config", tiny_config(tmp_path))
     assert code == 0
+    assert "alpha" not in manifest(trained)["results"]
     code, out = run(tmp_path, "eval", "evaluate", "--env", "tracking",
                     "--checkpoint", str(trained / "checkpoint_final.json"),
                     "--episodes", "3")
@@ -220,6 +234,21 @@ def test_config_with_zero_ridge_is_rejected_before_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_with_a_nan_epsilon_is_rejected_before_the_run(tmp_path,
+                                                              capsys):
+    """NaN fails every sign check: a run on it would abort each iteration
+    on a non-finite update and still exit 0."""
+    path = tmp_path / "nan_epsilon.json"
+    payload = TrainerConfig(n_iterations=3).to_dict()
+    payload["epsilon"] = float("nan")
+    path.write_text(json.dumps(payload))
+    code, out = run(tmp_path, "nan_epsilon", "train", "--env", "gradient",
+                    "--config", str(path))
+    assert code == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("state", ["-1", "3"])
 def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
                                                          state):
@@ -299,6 +328,20 @@ def checkpoint_misfit(part, values):
         payload[part] = ({"values": values} if part in ("policy", "model")
                          else values)
     return json.dumps(payload)
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
+    """``--rho`` is refused by name, not blamed on a well-formed
+    checkpoint."""
+    path = tmp_path / "checkpoint.json"
+    path.write_text(checkpoint_misfit("lam", 1.0))
+    code, out = run(tmp_path, "rejected", "evaluate", "--env", "tracking",
+                    "--checkpoint", str(path), "--rho", rho)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--rho" in err and str(path) not in err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -474,6 +474,14 @@ def test_perturb_step_rejects_negative_fraction():
         perturb_step(-0.1, np.zeros(1), np.ones(1), np.zeros(1))
 
 
+@pytest.mark.parametrize("fraction", [np.nan, np.inf])
+def test_noisy_deployment_rejects_a_non_finite_fraction(fraction):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        NoisyDeployment(tracking_mdp(), fraction)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        perturb_step(fraction, np.zeros(1), np.ones(1), np.zeros(1))
+
+
 def test_noisy_deployment_couples_streams():
     """Clean and noisy runs consume identical randomness, so the fraction-0
     deployment reproduces the bare environment's emissions from the same

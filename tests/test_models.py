@@ -1,5 +1,7 @@
 """Parametric families: log-probabilities, scores, MLE fits, divergences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -382,10 +384,35 @@ def test_param_vector_roundtrip(tmp_path):
     assert tuple(loaded.layout) == tuple(pv.layout)
 
 
-def test_with_params_roundtrip(small_triple):
+@pytest.mark.parametrize("family", [SoftmaxPolicy, CategoricalWorldModel,
+                                    DiagGaussianPolicy, DiagGaussianWorldModel],
+                         ids=lambda family: family.__name__)
+def test_with_params_roundtrip(family, small_triple):
+    """``with_params`` keeps the class and every field that is not a
+    parameter (the outcome tables, ``state_dim`` and ``action_dim``), and
+    holds exactly the values it is given, in its own copy."""
     _, policy, model = small_triple
-    assert np.array_equal(policy.with_params(policy.params).logits, policy.logits)
-    assert np.array_equal(model.with_params(model.params).logits, model.logits)
+    player = {SoftmaxPolicy: policy, CategoricalWorldModel: model,
+              DiagGaussianPolicy: DiagGaussianPolicy.zeros(3, 2),
+              DiagGaussianWorldModel: DiagGaussianWorldModel.zeros(3, 2)}[family]
+    assert np.array_equal(player.with_params(player.params).params.values,
+                          player.params.values)
+    values = np.random.default_rng(0).normal(size=player.n_params)
+    stepped = player.with_params(values)
+    assert type(stepped) is family
+    assert np.array_equal(stepped.params.values, values)
+    assert stepped.params.layout == player.params.layout
+    values[:] = 0.0
+    assert not np.array_equal(stepped.params.values, values)
+    kept = [field.name for field in dataclasses.fields(player)
+            if field.name not in ("logits", "weights", "log_std")]
+    assert len(kept) == (0 if "Policy" in family.__name__ else 2)
+    for name in kept:
+        assert np.array_equal(getattr(stepped, name), getattr(player, name))
+    if family is CategoricalWorldModel:
+        assert stepped.outcome_index(model.outcome_rewards[-1],
+                                     model.outcome_next_states[-1]) \
+            == model.num_outcomes - 1
 
 
 def test_dataset_csv_roundtrip_tabular(tmp_path, small_triple):

@@ -19,6 +19,7 @@ from reference_estimators import (discounted_weights, model_gradient,
 
 import stackmbrl
 from stackmbrl import estimators, models, trainer
+from stackmbrl.dynamics import LearningRates
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   factors_from_batch)
 from stackmbrl.mdp import SamplingError, exact_return, sample_tabular_batch
@@ -552,23 +553,41 @@ def test_core_route_artifacts_match_at_any_blas_thread_count(threads,
     assert json.loads(proc.stdout) == ARTIFACT_DIGESTS["sparse"][1]
 
 
-def test_config_rejects_a_zero_ridge():
-    """The curvature factors need ridge > 0; a config that would only fail
-    in the first iteration's factor assembly is refused at construction."""
-    with pytest.raises(ValueError, match="ridge"):
-        TrainerConfig(ridge=0.0)
+@pytest.mark.parametrize("field, value, match", [
+    ("ridge", 0.0, "ridge"), ("ridge", np.nan, "ridge"),
+    ("epsilon", np.nan, "epsilon"), ("clip", np.nan, "clip"),
+    ("lam_init", np.nan, "lam_init"),
+    ("rates.decay_power", np.nan, "decay_power"),
+    ("rates.policy", np.nan, "rates")])
+def test_config_rejects_a_bad_value(field, value, match):
+    """A config that would only fail inside the iterations is refused at
+    construction: the curvature factors need ridge > 0, and NaN fails every
+    sign check, the rates' too when their ordering is not enforced."""
+    with pytest.raises(ValueError, match=match):
+        if field.startswith("rates."):
+            LearningRates(enforce_ordering=False,
+                          **{field.removeprefix("rates."): value})
+        else:
+            TrainerConfig(**{field: value})
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_checkpoint_round_trip(tracking_setup, tmp_path):
-    env, dataset, anchor = tracking_setup
+@pytest.mark.parametrize("env_name", ["gradient", "tracking"])
+def test_checkpoint_round_trip(env_name, tracking_setup, grad_triple,
+                               grad_dataset, tmp_path):
+    """The players and the critic, linear or tabular, come back as saved."""
+    if env_name == "tracking":
+        env, dataset, anchor = tracking_setup
+        policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
+    else:
+        env, (dataset, anchor) = grad_triple[0], grad_dataset
+        policy = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
     config = TrainerConfig(n_iterations=2, seed=1, rollouts_per_iter=8)
     state, _ = train(env, dataset, anchor, config)
     save_checkpoint(state, tmp_path / "ckpt.json")
-    loaded = load_checkpoint(
-        tmp_path / "ckpt.json",
-        DiagGaussianPolicy.zeros(env.state_dim, env.action_dim),
-        DiagGaussianWorldModel.zeros(env.state_dim, env.action_dim))
+    loaded = load_checkpoint(tmp_path / "ckpt.json", policy,
+                             anchor.with_params(np.zeros(anchor.n_params)))
+    assert type(loaded["critic"]) is type(state.critic)
     assert loaded["iteration"] == state.iteration == 2
     assert loaded["lam"] == state.lam
     assert np.array_equal(loaded["policy"].params.values,
@@ -695,7 +714,7 @@ def test_batched_draws_match_the_per_row_reference(seed):
         assert np.array_equal(batch[key], value), key
 
     transitions = ReplayBuffer(1).with_batch(batch).transitions()
-    critic, twin = (LinearCritic(np.zeros(2), np.zeros(3),
+    critic, twin = (LinearCritic(np.zeros(3), np.zeros(2),
                                  np.array([0.3, -0.2])) for _ in range(2))
     critic.fit_epoch(policy, anchor, env.gamma, transitions,
                      np.random.default_rng(seed))

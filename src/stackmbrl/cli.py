@@ -1,11 +1,12 @@
 """Command-line harness: data generation, fitting, training, evaluation,
 and the oracle and coverage gates.
 
-Every subcommand writes its artifacts under a run directory together with a
-manifest (config snapshot, seed, code digest, results) and a ``run.log``
-sidecar. The sidecar is the only file that carries wall-clock content, so
-rerunning a subcommand with the same config and seed reproduces every other
-output byte for byte.
+Every subcommand owns its run directory: it writes its artifacts there
+(``train`` through ``trainer.train``: the checkpoints and ``trace.csv``),
+then ``save_manifest`` writes the one manifest (config snapshot, seed, code
+digest, results) and the ``run.log`` sidecar, the only file that carries
+wall-clock content. So rerunning a subcommand with the same config and seed
+reproduces every other output byte for byte.
 
 Subcommands
 -----------
@@ -34,7 +35,7 @@ import numpy as np
 from .dynamics import DYNAMICS_MODES, DynamicsState, LearningRates, run_dynamics
 from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
 from .mdp import (ContinuousMdp, SamplingError, TabularMdp,
-                  dp_optimal_policy, exact_return)
+                  dp_optimal_policy, exact_return, write_json)
 from .models import (
     CategoricalWorldModel,
     DiagGaussianPolicy,
@@ -61,14 +62,8 @@ from .testbeds import (
     load_environment,
     tracking_behavior_policy,
 )
-from .trainer import (
-    TrainerConfig,
-    code_version,
-    episode_returns,
-    load_checkpoint,
-    train,
-    vanilla_config,
-)
+from .trainer import (TrainerConfig, episode_returns, load_checkpoint, train,
+                      vanilla_config)
 from .uncertainty import coverage_check, epsilon_gaussian, epsilon_tabular
 
 GRAD_CHECK_TOL = 1e-5
@@ -84,22 +79,31 @@ ALGO_CHOICES = DYNAMICS_MODES + ("vanilla",)
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+def code_version() -> str:
+    """Order-stable digest of the package sources, for run manifests."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def save_manifest(out: Path, subcommand: str, config: dict, seed: int,
-                  results: dict) -> str:
+                  results: dict, started: float) -> str:
     """Write the reproducibility record of one subcommand invocation and
-    return its id. Wall-clock timestamps live in the run.log sidecar, not
-    here, so the manifest is a pure function of (subcommand, config, seed)
-    and the results."""
+    its ``run.log`` sidecar, and return the record's id. Wall-clock content
+    (the finish time and the seconds since ``started``) goes to the sidecar
+    only, so the manifest is a pure function of (subcommand, config, seed),
+    the results and the code."""
     key = json.dumps([subcommand, config, seed], sort_keys=True, default=str)
     manifest_id = hashlib.sha256(key.encode()).hexdigest()[:12]
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "manifest_id": manifest_id, "subcommand": subcommand,
         "config": config, "seed": seed, "code_version": code_version(),
         "results": results, "timestamps": "recorded in run.log"})
+    stamp = datetime.now(timezone.utc).isoformat()
+    (out / "run.log").write_text(
+        f"finished at {stamp} after {time.time() - started:.2f}s\n")
     return manifest_id
 
 
@@ -129,12 +133,6 @@ def _prepare_out(args, subcommand: str) -> Path:
     return out
 
 
-def _write_log(out: Path, started: float) -> None:
-    stamp = datetime.now(timezone.utc).isoformat()
-    (out / "run.log").write_text(
-        f"finished at {stamp} after {time.time() - started:.2f}s\n")
-
-
 def _behavior_policy(env, spec: str, greedy_eps: float):
     """Resolve a behavior-policy tier: uniform, epsilon-greedy around the
     DP-optimal actions, or a saved policy parameter file."""
@@ -156,9 +154,12 @@ def _behavior_policy(env, spec: str, greedy_eps: float):
     path = Path(spec)
     if path.exists():
         params = ParamVector.load(path)
-        policy = SoftmaxPolicy.zeros(env.num_states,
-                                     env.num_actions).with_params(params)
-        return policy, f"loaded({path.name})"
+        template = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
+        if params.layout != template.params.layout:
+            raise ValueError(f"{path}: layout {list(params.layout)} is not "
+                             "the environment's softmax policy layout "
+                             f"{list(template.params.layout)}")
+        return template.with_params(params), f"loaded({path.name})"
     raise ValueError(f"unknown behavior spec {spec!r}; use uniform, greedy, "
                      "or a saved policy parameter file")
 
@@ -191,7 +192,6 @@ def _anchor_for(env, dataset: OfflineDataset, alpha: float):
 
 
 def cmd_gen_data(args) -> int:
-    started = time.time()
     env = _resolve_env(args.env)
     if args.n < 1:
         raise ValueError("--n must be at least 1")
@@ -203,14 +203,12 @@ def cmd_gen_data(args) -> int:
               "greedy_eps": args.greedy_eps, "n": args.n}
     save_manifest(out, "gen-data", config, args.seed,
                   {"behavior_tier": tier, "rows": dataset.n,
-                   "distinct_cells": dataset.num_cells()})
-    _write_log(out, started)
+                   "distinct_cells": dataset.num_cells()}, args.started)
     print(f"wrote {dataset.n} transitions ({tier}) to {out / 'dataset.csv'}")
     return 0
 
 
 def cmd_fit_model(args) -> int:
-    started = time.time()
     env = _resolve_env(args.env)
     dataset = OfflineDataset.load_csv(args.dataset)
     anchor = _anchor_for(env, dataset, args.alpha)
@@ -228,8 +226,7 @@ def cmd_fit_model(args) -> int:
         results["radius_refused"] = str(err)
     config = {"env": args.env, "dataset": str(args.dataset),
               "delta": args.delta, **_smoothing(env, args.alpha)}
-    save_manifest(out, "fit-model", config, args.seed, results)
-    _write_log(out, started)
+    save_manifest(out, "fit-model", config, args.seed, results, args.started)
     print(f"fitted anchor ({anchor.n_params} params) from {dataset.n} rows"
           + (f", radius {results['radius']:.5f}" if "radius" in results
              else " (radius refused)"))
@@ -242,7 +239,6 @@ def cmd_fit_model(args) -> int:
 
 
 def cmd_train(args) -> int:
-    started = time.time()
     config = (TrainerConfig.load(args.config) if args.config
               else TrainerConfig())
     config = replace(config, seed=args.seed)
@@ -261,17 +257,15 @@ def cmd_train(args) -> int:
     anchor = _anchor_for(env, dataset, args.alpha)
     out = _prepare_out(args, "train")
     state, trace = train(env, dataset, anchor, config, out_dir=out)
-
-    # Fold a manifest id and the subcommand context into the run manifest.
-    run_manifest = json.loads((out / "manifest.json").read_text())
-    save_manifest(out, "train", run_manifest["config"], config.seed,
+    environment = (f"tabular:{env.num_states}x{env.num_actions}"
+                   if isinstance(env, TabularMdp)
+                   else f"continuous:{env.name or 'anonymous'}")
+    save_manifest(out, "train", config.to_dict(), config.seed,
                   {"iterations_run": state.iteration,
-                   "environment": run_manifest["environment"],
-                   "dataset_rows": run_manifest["dataset_rows"],
-                   **_smoothing(env, args.alpha),
-                   "final_lam": state.lam,
-                   "final_kl": dataset_kl(dataset, state.model, anchor)})
-    _write_log(out, started)
+                   "environment": environment, "dataset_rows": dataset.n,
+                   **_smoothing(env, args.alpha), "final_lam": state.lam,
+                   "final_kl": dataset_kl(dataset, state.model, anchor)},
+                  args.started)
     aborted = int(sum(row["aborted"] for row in trace.rows))
     route = "vanilla/" if args.algo == "vanilla" else ""
     print(f"trained {state.iteration} iterations ({route}{config.dynamics}), "
@@ -280,7 +274,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    started = time.time()
     env = _resolve_env(args.env)
     if not isinstance(env, ContinuousMdp):
         raise ValueError("evaluate deploys under transition noise, which "
@@ -309,14 +302,14 @@ def cmd_evaluate(args) -> int:
     means = {"clean_mean": float(clean.mean()),
              "noisy_mean": float(noisy.mean())}
     means["degradation"] = means["clean_mean"] - means["noisy_mean"]
-    manifest_id = save_manifest(out, "evaluate", config, args.seed, means)
+    manifest_id = save_manifest(out, "evaluate", config, args.seed, means,
+                                args.started)
     # one clean and one noisy return per episode, from identical streams
-    _write_json(out / "eval_report.json", {
+    write_json(out / "eval_report.json", {
         "noise_fraction": args.rho, "episodes": args.episodes,
         "clean_returns": clean.tolist(), "noisy_returns": noisy.tolist(),
         "clean_std": float(clean.std()), "noisy_std": float(noisy.std()),
         "manifest_id": manifest_id, **means})
-    _write_log(out, started)
     print(f"clean {means['clean_mean']:.4f}, noisy {means['noisy_mean']:.4f}, "
           f"degradation {means['degradation']:.4f} over {args.episodes} "
           "episodes")
@@ -414,7 +407,6 @@ def grad_check_report(seed: int = 0) -> dict:
 
 
 def cmd_grad_check(args) -> int:
-    started = time.time()
     errors = grad_check_report(seed=args.seed)
     out = _prepare_out(args, "grad-check")
     missing = set(ESTIMATOR_NAMES) - set(errors)
@@ -430,11 +422,10 @@ def cmd_grad_check(args) -> int:
         print(f"{name:16s} check without an exposed estimator  FAIL")
     ok = (not missing and not extra
           and all(err <= GRAD_CHECK_TOL for err in errors.values()))
+    write_json(out / "grad_check.json",
+               {"errors": errors, "tolerance": GRAD_CHECK_TOL, "passed": ok})
     save_manifest(out, "grad-check", {"tolerance": GRAD_CHECK_TOL},
-                  args.seed, {"errors": errors, "passed": ok})
-    _write_json(out / "grad_check.json",
-                {"errors": errors, "tolerance": GRAD_CHECK_TOL, "passed": ok})
-    _write_log(out, started)
+                  args.seed, {"errors": errors, "passed": ok}, args.started)
     print("grad-check:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -445,7 +436,6 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    started = time.time()
     env = _resolve_env(args.env)
     if not isinstance(env, TabularMdp):
         raise ValueError("coverage resampling is defined for tabular "
@@ -457,15 +447,14 @@ def cmd_coverage(args) -> int:
     report.save(out / "coverage.json")
     config = {"env": args.env, "n": args.n, "delta": args.delta,
               "trials": args.trials}
-    save_manifest(out, "coverage", config, args.seed, report.to_dict())
-    _write_log(out, started)
+    save_manifest(out, "coverage", config, args.seed, report.to_dict(),
+                  args.started)
     print(f"coverage {report.coverage:.4f} vs threshold "
           f"{report.threshold:.4f}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 
 def cmd_dynamics_demo(args) -> int:
-    started = time.time()
     mode = args.algo
     game = coupling_game()
     rates = LearningRates(1e-2, 1e-3, 1e-4)
@@ -482,8 +471,7 @@ def cmd_dynamics_demo(args) -> int:
         "final_phi": float(final.phi[0]),
         "final_lam": final.lam,
         "reference_rest_point": [float(v) for v in target],
-    })
-    _write_log(out, started)
+    }, args.started)
     print(f"{mode}: reached (theta, phi, lam) = ({final.theta[0]:.4f}, "
           f"{final.phi[0]:.4f}, {final.lam:.4f}) after {args.steps} steps; "
           f"boundary rest point ({target[0]:.4f}, {target[1]:.4f}, "
@@ -583,9 +571,10 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = time.time()
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -24,13 +24,13 @@ state.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .mdp import write_csv
 from .oracles import central_difference
 from .woodbury import SCHUR_FLOOR, SingularScalarError, dual_corrected
 
@@ -252,19 +252,15 @@ class DynamicsTrace:
         return len(self.states)
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["iteration", "theta", "phi", "lam", "objective",
-                             "gap", "grad_norm_policy", "grad_norm_model"])
-            for i, state in enumerate(self.states):
-                writer.writerow([state.iteration,
-                                 " ".join(repr(float(v)) for v in state.theta),
-                                 " ".join(repr(float(v)) for v in state.phi),
-                                 repr(float(state.lam)),
-                                 repr(self.objectives[i]),
-                                 repr(self.gaps[i]),
-                                 repr(self.grad_norms_policy[i]),
-                                 repr(self.grad_norms_model[i])])
+        write_csv(path, ["iteration", "theta", "phi", "lam", "objective",
+                         "gap", "grad_norm_policy", "grad_norm_model"],
+                  ([state.iteration,
+                    " ".join(repr(float(v)) for v in state.theta),
+                    " ".join(repr(float(v)) for v in state.phi),
+                    repr(float(state.lam)), repr(self.objectives[i]),
+                    repr(self.gaps[i]), repr(self.grad_norms_policy[i]),
+                    repr(self.grad_norms_model[i])]
+                   for i, state in enumerate(self.states)))
 
 
 def run_dynamics(game: SmoothGame, init: DynamicsState, rates: LearningRates,

@@ -37,8 +37,11 @@ class SamplingError(RuntimeError):
 
 def read_json_object(path: str | Path, keys) -> dict:
     """The JSON object stored at ``path``; a ``ValueError`` names the file
-    and any of ``keys`` it lacks."""
-    payload = json.loads(Path(path).read_text())
+    and either its JSON error or any of ``keys`` it lacks."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got "
                          f"{type(payload).__name__}")
@@ -46,6 +49,12 @@ def read_json_object(path: str | Path, keys) -> dict:
     if missing:
         raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     return payload
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` to ``path`` as every JSON artifact is written:
+    one-space indent, sorted keys, no trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +152,7 @@ class TabularMdp:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path: str | Path) -> "TabularMdp":
@@ -227,6 +236,8 @@ def _format_state(s) -> str:
 
 def _parse_state(text: str):
     parts = text.split()
+    if not parts:
+        raise ValueError("empty field")
     if len(parts) == 1 and "." not in parts[0] and "e" not in parts[0]:
         return int(parts[0])
     vec = np.array([float(p) for p in parts])
@@ -237,9 +248,21 @@ TRANSITION_COLUMNS = ("episode", "t", "s", "a", "r", "s_next", "logp_policy",
                       "logp_model")
 
 
+def write_csv(path: str | Path, header, rows) -> None:
+    """Write the ``header`` row, then each of ``rows``, to ``path`` as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def load_transitions_csv(path: str | Path) -> list[dict]:
     """Read back transition rows; states/actions parsed to ints or vectors.
-    A ``ValueError`` names the file and a missing column or a short row."""
+    A ``ValueError`` names the file and a missing column, a short row, or
+    the line and column of a field that does not parse."""
+    parsers = dict(zip(TRANSITION_COLUMNS, (int, int, _parse_state,
+                                            _parse_state, float, _parse_state,
+                                            float, float)))
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -251,16 +274,14 @@ def load_transitions_csv(path: str | Path) -> list[dict]:
             if None in row.values():
                 raise ValueError(f"{path}: line {reader.line_num} has too "
                                  "few fields")
-            rows.append({
-                "episode": int(row["episode"]),
-                "t": int(row["t"]),
-                "s": _parse_state(row["s"]),
-                "a": _parse_state(row["a"]),
-                "r": float(row["r"]),
-                "s_next": _parse_state(row["s_next"]),
-                "logp_policy": float(row["logp_policy"]),
-                "logp_model": float(row["logp_model"]),
-            })
+            parsed = {}
+            for column, parse in parsers.items():
+                try:
+                    parsed[column] = parse(row[column])
+                except ValueError as err:
+                    raise ValueError(f"{path}: line {reader.line_num}, column "
+                                     f"{column}: {err}") from None
+            rows.append(parsed)
     return rows
 
 

@@ -41,8 +41,6 @@ per-row ``rng.choice`` draws.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -53,7 +51,7 @@ import numpy as np
 from .mdp import (TRANSITION_COLUMNS, TabularMdp, _as_rng, _cdf_columns,
                   _format_state, _normalised_cdf, _policy_probs,
                   _tabular_paths, load_transitions_csv, read_json_object,
-                  sample_trajectory)
+                  sample_trajectory, write_csv, write_json)
 from .woodbury import BlockScores
 
 # Softmax logits this low make the associated probability underflow to an
@@ -103,7 +101,7 @@ class ParamVector:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1))
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path: str | Path) -> "ParamVector":
@@ -494,15 +492,12 @@ class OfflineDataset:
         return len(self.cells[2])
 
     def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRANSITION_COLUMNS)
-            for i in range(self.n):
-                writer.writerow([0, i, _format_state(self.states[i]),
-                                 _format_state(self.actions[i]),
-                                 repr(float(self.rewards[i])),
-                                 _format_state(self.next_states[i]),
-                                 repr(0.0), repr(0.0)])
+        write_csv(path, TRANSITION_COLUMNS,
+                  ([0, i, _format_state(self.states[i]),
+                    _format_state(self.actions[i]),
+                    repr(float(self.rewards[i])),
+                    _format_state(self.next_states[i]), repr(0.0), repr(0.0)]
+                   for i in range(self.n)))
 
     @staticmethod
     def load_csv(path: str | Path) -> "OfflineDataset":
@@ -584,8 +579,9 @@ def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0):
     Gaussian models use least squares for the affine mean and the biased
     residual variance per output dimension, floored at ``VAR_FLOOR``.
     """
-    if not alpha >= 0.0:  # NaN fails too
-        raise ValueError(f"smoothing alpha must be non-negative, got {alpha}")
+    if not 0.0 <= alpha < np.inf:  # NaN fails too
+        raise ValueError(f"smoothing alpha must be finite and non-negative, "
+                         f"got {alpha}")
     if isinstance(template, CategoricalWorldModel):
         return _mle_categorical(dataset, template, alpha)
     if isinstance(template, DiagGaussianWorldModel):

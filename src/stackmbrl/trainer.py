@@ -18,11 +18,7 @@ coupled step per iteration, for A/B comparisons.
 from __future__ import annotations
 
 import copy
-import csv
-import hashlib
-import json
 import math
-import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
@@ -51,6 +47,8 @@ from .mdp import (
     read_json_object,
     sample_tabular_batch,
     sample_trajectory,
+    write_csv,
+    write_json,
 )
 from .models import (
     CategoricalWorldModel,
@@ -356,8 +354,7 @@ class TrainerConfig:
         return TrainerConfig(**payload)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1,
-                                         sort_keys=True))
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "TrainerConfig":
@@ -435,12 +432,10 @@ class TrainingTrace:
                           for name in TRACE_COLUMNS})
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(TRACE_COLUMNS)
-            for row in self.rows:
-                writer.writerow([repr(row[name]) if isinstance(row[name], float)
-                                 else row[name] for name in TRACE_COLUMNS])
+        write_csv(path, TRACE_COLUMNS,
+                  ([repr(row[name]) if isinstance(row[name], float)
+                    else row[name] for name in TRACE_COLUMNS]
+                   for row in self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -692,16 +687,6 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
 # ---------------------------------------------------------------------------
 
 
-def code_version() -> str:
-    """Order-stable digest of the package sources, for run manifests."""
-    root = Path(__file__).resolve().parent
-    digest = hashlib.sha256()
-    for path in sorted(root.glob("*.py")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def _zero_critic(model):
     """The zero critic over ``model``'s states and actions: tabular for a
     categorical model, linear for a Gaussian one."""
@@ -729,7 +714,7 @@ def save_checkpoint(state: TrainState, path) -> None:
         "model": state.model.params.to_dict(),
         "critic": state.critic.to_dict(),
     }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    write_json(path, payload)
 
 
 def load_checkpoint(path, policy_template, model_template) -> dict:
@@ -771,36 +756,16 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
             **players, "critic": replace(zero, **arrays)}
 
 
-def write_manifest(out_dir, config: TrainerConfig, env,
-                   dataset: OfflineDataset, state: TrainState) -> None:
-    """Reproducibility record: every hyperparameter, the seed, and a source
-    digest. Deliberately no wall-clock content (that goes to run.log), so
-    repeated runs are byte-identical."""
-    if isinstance(env, TabularMdp):
-        env_label = f"tabular:{env.num_states}x{env.num_actions}"
-    else:
-        env_label = f"continuous:{env.name or 'anonymous'}"
-    manifest = {
-        "config": config.to_dict(),
-        "code_version": code_version(),
-        "environment": env_label,
-        "dataset_rows": dataset.n,
-        "iterations_run": state.iteration,
-    }
-    (Path(out_dir) / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True))
-
-
 def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
           out_dir=None) -> tuple[TrainState, TrainingTrace]:
     """Run the configured number of iterations from a fresh state.
 
-    With ``out_dir`` set, writes periodic and final checkpoints, the trace
-    CSV, a manifest, and a run.log sidecar (the only file carrying timing).
-    ``n_iterations=0`` returns the untouched initial state and an empty
-    trace.
+    With ``out_dir`` set, writes the periodic and final checkpoints and
+    ``trace.csv``, and nothing else: the manifest and the ``run.log``
+    sidecar of a run directory are its subcommand's, written by
+    ``cli.save_manifest``. ``n_iterations=0`` returns the untouched
+    initial state and an empty trace.
     """
-    started = time.time()
     state = initial_state(env, anchor, config)
     trace = TrainingTrace()
     out = Path(out_dir) if out_dir is not None else None
@@ -816,10 +781,6 @@ def train(env, dataset: OfflineDataset, anchor, config: TrainerConfig,
     if out is not None:
         save_checkpoint(state, out / "checkpoint_final.json")
         trace.save_csv(out / "trace.csv")
-        write_manifest(out, config, env, dataset, state)
-        (out / "run.log").write_text(
-            f"finished {state.iteration} iterations in "
-            f"{time.time() - started:.2f}s\n")
     return state, trace
 
 

@@ -11,7 +11,6 @@ seeded generator, so each depends on its trial index alone.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import dataset_kl
-from .mdp import TabularMdp
+from .mdp import TabularMdp, write_json
 from .models import (CategoricalWorldModel, OfflineDataset, _frequency_logits,
                      _offline_dataset, _offline_sampler, _softmax,
                      categorical_kl)
@@ -197,9 +196,7 @@ class CoverageReport:
                 "mean_statistic": self.mean_statistic}
 
     def save(self, path):
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.to_dict())
 
 
 def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from stackmbrl.cli import cli
+from stackmbrl.mdp import TRANSITION_COLUMNS
 from stackmbrl.models import DiagGaussianPolicy, DiagGaussianWorldModel
 from stackmbrl.testbeds import tracking_mdp
 from stackmbrl.trainer import LinearCritic, TrainerConfig
@@ -73,6 +74,24 @@ def test_train_writes_run_directory(tmp_path, algo):
     assert len((out / "trace.csv").read_text().splitlines()) == 3
 
 
+def test_seeded_train_runs_differ_only_in_run_log(tmp_path):
+    """``train`` writes its run directory once: a rerun with the same seed
+    and config reproduces the manifest, the trace and the checkpoints byte
+    for byte, and only the wall-clock sidecar differs."""
+    config = tiny_config(tmp_path)
+    runs = []
+    for name in ("a", "b"):
+        code, out = run(tmp_path, name, "train", "--env", "gradient",
+                        "--config", config, "--seed", "3")
+        assert code == 0
+        runs.append({path.name: path.read_bytes()
+                     for path in out.iterdir()})
+    assert {"manifest.json", "trace.csv", "checkpoint_final.json",
+            "run.log"} <= set(runs[0]) == set(runs[1])
+    assert {name for name in runs[0]
+            if runs[0][name] != runs[1][name]} == {"run.log"}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_then_evaluate_on_tracking(tmp_path):
     code, trained = run(tmp_path, "train", "train", "--env", "tracking",
@@ -110,9 +129,9 @@ def test_coverage_exit_code_follows_report(tmp_path):
 # write. Each holds with the BLAS library's default thread count and with
 # one thread.
 CLI_DIGESTS = {
-    ("cov", "coverage.json"): "cab4187a666d462e2d4ef9ecee21cff8fd41cbafe65e36fa981f9cccc2f51d85",
+    ("cov", "coverage.json"): "7d138de1690d97dfaf6f3960e1dccca528b29023857f1da3df92ad30cc0d190f",
     ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
-    ("fit", "model.json"): "f4fd7f59c1b97347915317cfed7cac0e5f432075e65cb6e2cdd1ba76569b1c05",
+    ("fit", "model.json"): "caa0c9698344717b00916bc846a23af28428cf7c3573f8f46fd023080a1bd514",
     ("eval", "eval_report.json"): "e7989bf4d752cce9fab2a2c65e346d7e05515b646c442b8b52d4610b38924a97",
     ("gc", "grad_check.json"): "a7b905ab0ec3b5b212aee128c0507c93aa8382c5441e97c00fa79e2ffaa8decf",
     ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
@@ -272,14 +291,18 @@ def test_dataset_row_outside_the_state_space_is_rejected(tmp_path, capsys,
 
 
 def test_negative_smoothing_is_rejected_by_name(tmp_path, capsys):
+    """A negative or infinite ``--alpha`` is refused by name before any run
+    directory (infinite counts would give NaN logits)."""
     code, data = run(tmp_path, "data", "gen-data", "--env", "small",
                      "--n", "60")
     assert code == 0
     capsys.readouterr()
-    for argv in (["fit-model", "--env", "small", "--dataset",
-                  str(data / "dataset.csv"), "--alpha", "-1"],
-                 ["train", "--env", "gradient", "--config",
-                  tiny_config(tmp_path), "--alpha", "-0.4"]):
+    fit = ["fit-model", "--env", "small", "--dataset",
+           str(data / "dataset.csv"), "--alpha"]
+    train = ["train", "--env", "gradient", "--config",
+             tiny_config(tmp_path), "--alpha"]
+    for argv in (fit + ["-1"], train + ["-0.4"], fit + ["inf"],
+                 train + ["inf"]):
         code, out = run(tmp_path, argv[0], *argv)
         assert code == 2
         assert "alpha" in capsys.readouterr().err
@@ -383,6 +406,24 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
      ["evaluate", "--env", "tracking", "--checkpoint"], "critic"),
     ("checkpoint.json", checkpoint_misfit("critic", {"q": [0]}),
      ["evaluate", "--env", "tracking", "--checkpoint"], "critic"),
+    ("config.json", '{"n_iterations": 2, ', ["train", "--config"],
+     "invalid JSON"),
+    ("checkpoint.json", '{"iteration": 1, "lam"',
+     ["evaluate", "--env", "tracking", "--checkpoint"], "invalid JSON"),
+    ("env.json", '{"kind": "tabular", ', ["gen-data", "--env"],
+     "invalid JSON"),
+    ("rows.csv", f"{','.join(TRANSITION_COLUMNS)}\n0,0,0,0,abc,1,0,0\n",
+     ["fit-model", "--dataset"], "line 2, column r"),
+    ("rows.csv", f"{','.join(TRANSITION_COLUMNS)}\n0,0,zz,0,0.5,1,0,0\n",
+     ["train", "--dataset"], "line 2, column s"),
+    ("rows.csv", f"{','.join(TRANSITION_COLUMNS)}\n0,0,0,0,0.5,,0,0\n",
+     ["fit-model", "--dataset"], "line 2, column s_next"),
+    ("policy.json",
+     '{"values": [0, 0, 0, 0, 0], "layout": [["logits", 0, 5]]}',
+     ["gen-data", "--behavior"], "layout"),
+    ("policy.json",
+     '{"values": [0, 0, 0, 0, 0, 0], "layout": [["weights", 0, 6]]}',
+     ["gen-data", "--behavior"], "layout"),
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
         "checkpoint-players", "checkpoint-policy-values",
         "checkpoint-model-values", "checkpoint-null-values",
@@ -390,15 +431,20 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
         "env-params-unknown", "checkpoint-list-lam",
         "checkpoint-null-iteration", "config-rates-number",
         "config-unknown-key", "checkpoint-critic-kind",
-        "checkpoint-scalar-critic", "checkpoint-short-critic"])
+        "checkpoint-scalar-critic", "checkpoint-short-critic",
+        "config-truncated", "checkpoint-truncated", "env-truncated",
+        "csv-reward-not-a-number", "csv-state-not-a-number",
+        "csv-empty-next-state", "behavior-short-logits",
+        "behavior-gaussian-layout"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
-    object, whose nested entries miss a key or name an unknown one, whose
-    player or critic values do not fit the templates, whose entries have
-    the wrong type, or whose finite policy values draw non-finite actions,
-    exits 2 with one line naming the file and the key, before any run
-    directory."""
+    object or does not parse, whose nested entries miss a key or name an
+    unknown one, whose player or critic values do not fit the templates,
+    whose entries have the wrong type, whose CSV field does not parse,
+    whose saved behavior policy has another layout than the environment's,
+    or whose finite policy values draw non-finite actions, exits 2 with one
+    line naming the file and the key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)
     code, out = run(tmp_path, "malformed", *argv, str(path))

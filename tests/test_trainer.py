@@ -470,8 +470,9 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
     config = TrainerConfig(n_iterations=3, seed=5, checkpoint_every=2)
     for run in ("a", "b"):
         train(env, dataset, anchor, config, out_dir=tmp_path / run)
-    for name in ("trace.csv", "checkpoint_0002.json", "checkpoint_final.json",
-                 "manifest.json"):
+    names = ["checkpoint_0002.json", "checkpoint_final.json", "trace.csv"]
+    assert sorted(path.name for path in (tmp_path / "a").iterdir()) == names
+    for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes()), name
 

@@ -64,7 +64,8 @@ from .testbeds import (
 )
 from .trainer import (TrainerConfig, episode_returns, load_checkpoint, train,
                       vanilla_config)
-from .uncertainty import coverage_check, epsilon_gaussian, epsilon_tabular
+from .uncertainty import (_check_delta, coverage_check, epsilon_gaussian,
+                          epsilon_tabular)
 
 GRAD_CHECK_TOL = 1e-5
 # the multiplier, radius and dataset size grad-check evaluates the penalty at
@@ -210,6 +211,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_fit_model(args) -> int:
     env = _resolve_env(args.env)
+    _check_delta(args.delta)
     dataset = OfflineDataset.load_csv(args.dataset)
     anchor = _anchor_for(env, dataset, args.alpha)
     out = _prepare_out(args, "fit-model")

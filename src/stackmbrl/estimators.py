@@ -20,7 +20,7 @@ from .mdp import _draw_categorical_rows
 from .models import (CategoricalWorldModel, DiagGaussianWorldModel,
                      OfflineDataset, SoftmaxPolicy, categorical_kl,
                      gaussian_kl)
-from .woodbury import RIDGE_DEFAULT, BlockScores, LowRankFactors
+from .woodbury import BlockScores, LowRankFactors
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +171,7 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
                        dataset: OfflineDataset, model, anchor,
                        lam: float, dual_coupling: np.ndarray,
                        dual_slope: float, rng: np.random.Generator,
-                       n_step_cols: int = 64, n_penalty_cols: int = 64,
-                       ridge: float = RIDGE_DEFAULT) -> LowRankFactors:
+                       n_penalty_cols: int, ridge: float) -> LowRankFactors:
     """Reduce one rollout batch (plus dataset resamples) to curvature factors.
 
     The atoms are the batch's m * h model step scores, step (i, t) at row
@@ -183,20 +182,17 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
       w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps; W is the
       (m, h) policy step scores ``theta_scores`` under V's coefficients.
-    * X/Y columns: one (trajectory, step) pair drawn uniformly with
-      replacement per column, sqrt(h / n_step_cols) on that step (times
-      its weight in X); their product estimates sum_t E[w_t score_t
-      score_t^T].
+    * X/Y columns: one per step, w_t / sqrt(m) (X) and 1 / sqrt(m) (Y) on
+      that step alone, so XY^T = (1/m) sum_{i,t} w_it score_it score_it^T,
+      the batch's own estimate of sum_t E[w_t score_t score_t^T].
     * Z columns: dataset state-action pairs redrawn through the anchor,
-      sqrt(lam / n_penalty_cols) on the draw.
+      sqrt(lam / n_penalty_cols) on the draw: the only draws from ``rng``.
     * ``dual_coupling`` and ``dual_slope`` are the caller's exact dataset
       terms (``dataset_dual_coupling`` and ``dataset_kl`` minus epsilon),
       carried through unchanged.
     """
     m, h = weights.shape
     n_steps = m * h
-    traj_idx = rng.integers(0, m, size=n_step_cols)
-    step_idx = rng.integers(0, h, size=n_step_cols)
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     states, actions = dataset.states[rows], dataset.actions[rows]
     if isinstance(model, CategoricalWorldModel):
@@ -213,17 +209,14 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
         out[atom_rows, cols] = values
         return out
 
-    steps, picks = np.arange(n_steps), np.arange(n_step_cols)
-    drawn, draws = traj_idx * h + step_idx, np.arange(n_penalty_cols)
-    step_scale = np.sqrt(h / n_step_cols)
-    c_v = coefficients(steps, steps // h, m, 1.0 / np.sqrt(m))
+    steps, draws = np.arange(n_steps), np.arange(n_penalty_cols)
+    weighted, plain = weights.ravel() / np.sqrt(m), 1.0 / np.sqrt(m)
+    c_v = coefficients(steps, steps // h, m, plain)
     return LowRankFactors(
         atoms,
-        c_u=coefficients(steps, steps // h, m, weights.ravel() / np.sqrt(m)),
-        c_v=c_v,
-        c_x=coefficients(drawn, picks, n_step_cols,
-                         step_scale * weights[traj_idx, step_idx]),
-        c_y=coefficients(drawn, picks, n_step_cols, step_scale),
+        c_u=coefficients(steps, steps // h, m, weighted), c_v=c_v,
+        c_x=coefficients(steps, steps, n_steps, weighted),
+        c_y=coefficients(steps, steps, n_steps, plain),
         c_z=coefficients(n_steps + draws, draws, n_penalty_cols,
                          np.sqrt(max(lam, 0.0) / n_penalty_cols)),
         w=theta_scores.expand(c_v[:n_steps]), ridge=ridge, lam=lam,

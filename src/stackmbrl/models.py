@@ -106,8 +106,12 @@ class ParamVector:
     @staticmethod
     def load(path: str | Path) -> "ParamVector":
         d = read_json_object(path, ("values", "layout"))
-        layout = tuple((n, int(a), int(b)) for n, a, b in d["layout"])
-        return ParamVector(np.array(d["values"]), layout)
+        try:
+            layout = tuple((n, int(a), int(b)) for n, a, b in d["layout"])
+            return ParamVector(np.array(d["values"]), layout)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{path}: bad values or [name, start, stop] "
+                             f"layout: {err}") from err
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -280,9 +280,9 @@ class TrainerConfig:
     The dataset-side penalty terms (the model's KL-penalty gradient, the
     dual coupling and the constraint gap) are always exact over the whole
     dataset; ``penalty_batch_size`` only sets the number of sampled Z
-    curvature columns. The multiplier takes one projected ascent step per
-    iteration on the committed model's gap; more steps on that fixed gap
-    would only scale the dual rate.
+    curvature columns (X/Y take one per epoch step). The multiplier takes
+    one projected ascent step per iteration on the committed model's gap;
+    more steps on that fixed gap would only scale the dual rate.
     """
 
     n_iterations: int = 50
@@ -293,7 +293,6 @@ class TrainerConfig:
     model_epochs: int = 2
     minibatch_size: int = 16
     penalty_batch_size: int = 64
-    step_columns: int = 64
     target_mix: float = 0.5
     advantage_decay: float = 0.95
     clip: float = 0.2
@@ -315,7 +314,7 @@ class TrainerConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in ("rollouts_per_iter", "minibatch_size",
-                     "penalty_batch_size", "step_columns", "buffer_capacity"):
+                     "penalty_batch_size", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.target_mix <= 1.0:
@@ -403,9 +402,9 @@ class TrainState:
     both with (policy, model, lam), so an aborted iteration leaves all five
     as they were. Nothing here holds an epoch's work: the leader's step
     rule builds its k score atoms (step scores and penalty draws, each a
-    cell index and a K-entry block), their coefficient matrices and the
-    solver's k x k matrices, and drops them on return, so at most one
-    epoch's O(k * (K + rank) + k^2) set and a few n_phi-vectors are live.
+    cell index and a K-entry block), their (k, <= k) coefficient matrices
+    and the solver's k x k matrices, and drops them on return, so at most
+    one epoch's O(k * (K + k)) set and a few n_phi-vectors are live.
     """
 
     policy: object
@@ -582,8 +581,8 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
             theta_scores, dataset, state.model, anchor, state.lam,
-            coupling, gap, rng, n_step_cols=config.step_columns,
-            n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
+            coupling, gap, rng, n_penalty_cols=config.penalty_batch_size,
+            ridge=config.ridge)
         return rate * leader_gradient(
             grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
             factors, use_dual_row=config.dynamics == "constrained")

@@ -161,20 +161,21 @@ class LowRankFactors:
     """Factored curvature statistics for one batch.
 
     ``atoms`` holds the k rows of S as block scores. Each factor is S^T
-    times its (k, rank) coefficient matrix. Coefficients are pre-scaled so
-    that plain products estimate expectations: U, V carry 1/sqrt(m); X, Y
-    carry sqrt(h / M); Z carries sqrt(lam / M). A policy epoch's factors
-    hold O(k * (K + rank)) numbers plus the (n_theta, m) W and the
-    n_phi-vector ``dual_coupling``; no n_phi-tall matrix. ``u``, ``v``,
-    ``x``, ``y`` and ``z`` are the dense (n_phi, rank) factors, expanded on
-    each read and read-only, for oracle comparisons.
+    times its (k, rank) coefficient matrix, pre-scaled so that plain
+    products estimate expectations over m trajectories: U, V carry
+    1/sqrt(m); X, Y carry 1/sqrt(m) on one step per column (times its
+    weight in X); Z carries sqrt(lam / Mz) over Mz penalty draws. A policy
+    epoch's factors hold O(k * (K + rank)) numbers plus the (n_theta, m) W
+    and the n_phi-vector ``dual_coupling``; no n_phi-tall matrix. ``u``,
+    ``v``, ``x``, ``y`` and ``z`` are the dense (n_phi, rank) factors,
+    expanded on each read and read-only, for oracle comparisons.
     """
 
     atoms: BlockScores            # (k,) score atoms, the rows of S
     c_u: np.ndarray               # (k, m)   weighted model scores
     c_v: np.ndarray               # (k, m)   trajectory model scores
-    c_x: np.ndarray               # (k, M)   return-weighted step scores
-    c_y: np.ndarray               # (k, M)   matching step scores
+    c_x: np.ndarray               # (k, Mx)  return-weighted step scores
+    c_y: np.ndarray               # (k, Mx)  the same steps unweighted
     c_z: np.ndarray               # (k, Mz)  penalty scores off the dataset
     w: np.ndarray                 # (n_theta, m) trajectory policy scores
     ridge: float = RIDGE_DEFAULT

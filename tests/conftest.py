@@ -94,6 +94,10 @@ class ScriptedRng:
             raise AssertionError(f"scripted uniforms shape {out.shape} != {size}")
         return out
 
+    def exhausted(self) -> bool:
+        """Whether every queued draw has been taken."""
+        return not self._integers and not self._uniforms
+
 
 def uniform_for(probs: np.ndarray, k: int) -> float:
     """A uniform that an inverse-CDF draw from ``probs`` maps to outcome

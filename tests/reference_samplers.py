@@ -99,13 +99,10 @@ def critic_fit_epoch(critic, policy, model, gamma, transitions, rng):
         feats_v, critic.tail_values(states, fresh), rcond=None)[0]
 
 
-def penalty_emissions(anchor, dataset, m, h, n_step_cols, n_penalty_cols,
-                      rng):
+def penalty_emissions(anchor, dataset, n_penalty_cols, rng):
     """(states, actions, emissions) of the penalty draws
-    ``factors_from_batch`` makes for an (m, h) batch: after its step picks,
-    ``n_penalty_cols`` dataset rows, each redrawn through the anchor."""
-    rng.integers(0, m, size=n_step_cols)
-    rng.integers(0, h, size=n_step_cols)
+    ``factors_from_batch`` makes: ``n_penalty_cols`` dataset rows, each
+    redrawn through the anchor."""
     rows = rng.integers(0, dataset.n, size=n_penalty_cols)
     states, actions = dataset.states[rows], dataset.actions[rows]
     emissions = np.array([np.append(*model_sample(anchor, s, a, rng))

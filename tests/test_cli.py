@@ -132,7 +132,7 @@ CLI_DIGESTS = {
     ("cov", "coverage.json"): "7d138de1690d97dfaf6f3960e1dccca528b29023857f1da3df92ad30cc0d190f",
     ("data", "dataset.csv"): "8669e42a49f8479ebeb7ba1b6d1dc51808eaa57c6007f6e519b8bfbbb8dab016",
     ("fit", "model.json"): "caa0c9698344717b00916bc846a23af28428cf7c3573f8f46fd023080a1bd514",
-    ("eval", "eval_report.json"): "e7989bf4d752cce9fab2a2c65e346d7e05515b646c442b8b52d4610b38924a97",
+    ("eval", "eval_report.json"): "25cb30e4b93b1b2df95609ab00ff191e3f44da3fe81fa1647e8b3b78370358b2",
     ("gc", "grad_check.json"): "a7b905ab0ec3b5b212aee128c0507c93aa8382c5441e97c00fa79e2ffaa8decf",
     ("demo-naive", "dynamics_trace.csv"): "863a3e644c8ef65dca473e23a2506bc6fba6031769a338dc0eb3f449fe0b52c6",
     ("demo-stackelberg", "dynamics_trace.csv"): "bc0404fb2ba4bbd6d3b1b9c6c89a09ee1e7cd949551ef91b530003153049bb4d",
@@ -309,6 +309,23 @@ def test_negative_smoothing_is_rejected_by_name(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["1.5", "nan", "0"])
+def test_fit_model_rejects_a_delta_outside_the_unit_interval(tmp_path, capsys,
+                                                             delta):
+    """``fit-model --delta`` outside (0, 1) exits 2 by name before any run
+    directory, as ``coverage`` does, instead of reading as a refused
+    radius."""
+    code, data = run(tmp_path, "data", "gen-data", "--env", "small",
+                     "--n", "60")
+    assert code == 0
+    capsys.readouterr()
+    code, out = run(tmp_path, "fit", "fit-model", "--env", "small",
+                    "--dataset", str(data / "dataset.csv"), "--delta", delta)
+    assert code == 2
+    assert "delta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--n", "0"],
     ["coverage", "--env", "tracking"],
@@ -424,6 +441,10 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
     ("policy.json",
      '{"values": [0, 0, 0, 0, 0, 0], "layout": [["weights", 0, 6]]}',
      ["gen-data", "--behavior"], "layout"),
+    ("policy.json", '{"values": [0, 0, 0, 0, 0, 0], "layout": [["logits", 0]]}',
+     ["gen-data", "--behavior"], "layout"),
+    ("policy.json", '{"values": [0, 0, 0, 0, 0, 0], "layout": 5}',
+     ["gen-data", "--behavior"], "layout"),
 ], ids=["csv-fit-model", "csv-train", "env-keys", "env-list", "checkpoint",
         "checkpoint-players", "checkpoint-policy-values",
         "checkpoint-model-values", "checkpoint-null-values",
@@ -435,15 +456,16 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
         "config-truncated", "checkpoint-truncated", "env-truncated",
         "csv-reward-not-a-number", "csv-state-not-a-number",
         "csv-empty-next-state", "behavior-short-logits",
-        "behavior-gaussian-layout"])
+        "behavior-gaussian-layout", "behavior-short-layout-entry",
+        "behavior-layout-number"])
 def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
                                           argv, key):
     """A file without a required column or key, whose JSON is not an
     object or does not parse, whose nested entries miss a key or name an
     unknown one, whose player or critic values do not fit the templates,
     whose entries have the wrong type, whose CSV field does not parse,
-    whose saved behavior policy has another layout than the environment's,
-    or whose finite policy values draw non-finite actions, exits 2 with one
+    whose saved behavior policy has a malformed layout or another layout
+    than the environment's, or whose finite policy values draw non-finite actions, exits 2 with one
     line naming the file and the key, before any run directory."""
     path = tmp_path / name
     path.write_text(content)

@@ -326,60 +326,87 @@ def _path_batch(model, policy, states, actions, outcomes, rewards, gamma):
     return weights, ph, th
 
 
-def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
-    mdp, policy, model = small_triple
-    dataset, anchor = small_dataset
-    batch = sample_tabular_batch(mdp, policy, model, n=2, seed=31)
+def _sampled_batch(mdp, policy, model, n, seed):
+    batch = sample_tabular_batch(mdp, policy, model, n=n, seed=seed)
     weights = discounted_weights(batch["rewards"], mdp.gamma)
     ph = model.scores(batch["states"][:, :-1], batch["actions"],
                       batch["outcomes"])
     th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    return weights, ph, th
+
+
+def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
+    mdp, policy, model = small_triple
+    dataset, anchor = small_dataset
+    weights, ph, th = _sampled_batch(mdp, policy, model, 2, 31)
     lam = 0.7
     s, a = int(dataset.states[5]), int(dataset.actions[5])
-    rng = ScriptedRng(integer_queue=[[1, 0], [2, 0], [5]],
+    rng = ScriptedRng(integer_queue=[[5]],
                       uniform_queue=[[uniform_for(anchor.probs(s, a), 3)]])
     factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=lam, rng=rng,
                                  **_dual_terms(dataset, model, anchor, 0.1),
-                                 n_step_cols=2, n_penalty_cols=1)
+                                 n_penalty_cols=1, ridge=1e-3)
     m, h = weights.shape
     ph, th_traj = ph.dense(), th.dense().sum(axis=1)
     psi = psi_gradients(weights, ph)
     assert np.allclose(factors.u, psi.T / np.sqrt(m), atol=1e-15)
     assert np.allclose(factors.v, ph.sum(axis=1).T / np.sqrt(m), atol=1e-15)
     assert np.allclose(factors.w, th_traj.T / np.sqrt(m), atol=1e-15)
-    scale = np.sqrt(h / 2)
-    assert np.allclose(factors.y[:, 0], ph[1, 2] * scale, atol=1e-15)
-    assert np.allclose(factors.y[:, 1], ph[0, 0] * scale, atol=1e-15)
-    assert np.allclose(factors.x[:, 0], ph[1, 2] * scale * weights[1, 2], atol=1e-15)
+    assert factors.x.shape[1] == factors.y.shape[1] == m * h
+    for i in range(m):
+        for t in range(h):
+            col = i * h + t
+            assert np.allclose(factors.y[:, col], ph[i, t] / np.sqrt(m),
+                               atol=1e-15)
+            assert np.allclose(factors.x[:, col],
+                               ph[i, t] * weights[i, t] / np.sqrt(m),
+                               atol=1e-15)
     assert np.allclose(factors.z[:, 0],
                        model.score(s, a, 3) * np.sqrt(lam), atol=1e-15)
     assert factors.lam == lam
 
 
+def test_step_factor_product_is_the_batch_step_score_product(small_triple,
+                                                             small_dataset):
+    """XY^T is (1/m) sum over the batch's steps of w_it s_it s_it^T, with no
+    step drawn: the generator holds only the penalty row and its emission,
+    and the call uses both up."""
+    mdp, policy, model = small_triple
+    dataset, anchor = small_dataset
+    weights, ph, th = _sampled_batch(mdp, policy, model, 5, 23)
+    s, a = int(dataset.states[3]), int(dataset.actions[3])
+    rng = ScriptedRng(integer_queue=[[3]],
+                      uniform_queue=[[uniform_for(anchor.probs(s, a), 0)]])
+    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
+                                 lam=0.4, rng=rng,
+                                 **_dual_terms(dataset, model, anchor, 0.1),
+                                 n_penalty_cols=1, ridge=1e-3)
+    assert rng.exhausted()
+    dense = ph.dense()
+    target = np.einsum("it,itp,itq->pq", weights, dense, dense) / len(weights)
+    assert np.abs(factors.x @ factors.y.T - target).max() <= 1e-12
+
+
 def test_factor_zero_multiplier_zeroes_penalty_columns(small_triple, small_dataset):
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
-    batch = sample_tabular_batch(mdp, policy, model, n=4, seed=17)
-    weights = discounted_weights(batch["rewards"], mdp.gamma)
-    ph = model.scores(batch["states"][:, :-1], batch["actions"],
-                      batch["outcomes"])
-    th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    weights, ph, th = _sampled_batch(mdp, policy, model, 4, 17)
     factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=0.0, rng=np.random.default_rng(0),
-                                 **_dual_terms(dataset, model, anchor, 0.1))
+                                 **_dual_terms(dataset, model, anchor, 0.1),
+                                 n_penalty_cols=64, ridge=1e-3)
     assert np.all(factors.z == 0.0)
     assert factors.lam == 0.0
 
 
 def test_factor_expectation_matches_curvature_surrogate(small_triple, small_dataset):
-    """Enumerate every rollout with scripted column picks covering each step
-    once: E[UV^T - XY^T] equals the exact score-product curvature and
-    E[UW^T] the exact mixed derivative."""
+    """Enumerate every rollout, each a batch of one: E[UV^T - XY^T] equals
+    the exact score-product curvature and E[UW^T] the exact mixed
+    derivative."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     exp = exact_expectations(mdp, policy, model)
-    h = mdp.horizon
     n_phi = model.n_params
     ridge = 1e-3
     acc = np.zeros((n_phi, n_phi))
@@ -388,13 +415,11 @@ def test_factor_expectation_matches_curvature_surrogate(small_triple, small_data
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
         weights, ph, th = _path_batch(model, policy, states, actions,
                                            outcomes, rewards, mdp.gamma)
-        rng = ScriptedRng(integer_queue=[np.zeros(h), np.arange(h), [0]],
-                          uniform_queue=[[0.0]])
+        rng = ScriptedRng(integer_queue=[[0]], uniform_queue=[[0.0]])
         factors = factors_from_batch(weights, ph, th, dataset, model,
                                      anchor, lam=0.0, rng=rng,
                                      **_dual_terms(dataset, model, anchor, 0.0),
-                                     n_step_cols=h, n_penalty_cols=1,
-                                     ridge=ridge)
+                                     n_penalty_cols=1, ridge=ridge)
         acc += prob * (factors.dense() - ridge * eye)
         acc_mixed += prob * factors.u @ factors.w.T
     assert np.abs(acc - fim_hess_j(exp)).max() <= 1e-10
@@ -425,14 +450,13 @@ def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
     acc = np.zeros((n_phi, n_phi))
     for (s, a), row in cells.items():
         for k in range(model.num_outcomes):
-            rng = ScriptedRng(integer_queue=[[0], [0], [row]],
+            rng = ScriptedRng(integer_queue=[[row]],
                               uniform_queue=[[uniform_for(anc_probs[s, a], k)]])
             factors = factors_from_batch(weights, ph, th, dataset, model,
                                          anchor, lam=lam, rng=rng,
                                          **_dual_terms(dataset, model, anchor,
                                                        0.0),
-                                         n_step_cols=1, n_penalty_cols=1,
-                                         ridge=ridge)
+                                         n_penalty_cols=1, ridge=ridge)
             weight = (counts[(s, a)] / dataset.n) * anc_probs[s, a, k]
             acc += weight * (factors.dense() - ridge * eye)
     assert np.abs(acc - lam * pen.fim_mean).max() <= 1e-10
@@ -464,19 +488,15 @@ def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset)
     and slope are the caller's exact dataset terms whatever was drawn."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
-    batch = sample_tabular_batch(mdp, policy, model, n=2, seed=41)
-    weights = discounted_weights(batch["rewards"], mdp.gamma)
-    ph = model.scores(batch["states"][:, :-1], batch["actions"],
-                      batch["outcomes"])
-    th = policy.scores(batch["states"][:, :-1], batch["actions"])
+    weights, ph, th = _sampled_batch(mdp, policy, model, 2, 41)
     row, k, eps, lam = 7, 2, 0.3, 0.5
     s, a = int(dataset.states[row]), int(dataset.actions[row])
-    rng = ScriptedRng(integer_queue=[[0, 0], [0, 0], [row]],
+    rng = ScriptedRng(integer_queue=[[row]],
                       uniform_queue=[[uniform_for(anchor.probs(s, a), k)]])
     factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
                                  lam=lam, rng=rng,
                                  **_dual_terms(dataset, model, anchor, eps),
-                                 n_step_cols=2, n_penalty_cols=1)
+                                 n_penalty_cols=1, ridge=1e-3)
     assert np.array_equal(factors.z[:, 0], model.score(s, a, k) * np.sqrt(lam))
     assert np.array_equal(factors.dual_coupling,
                           dataset_dual_coupling(dataset, model, anchor))

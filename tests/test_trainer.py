@@ -383,7 +383,6 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
             anchor, lam, dataset_dual_coupling(dataset, model, anchor),
             dataset_kl(dataset, model, anchor) - config.epsilon,
             np.random.default_rng((3, _POLICY_STREAM, 0, 0)),
-            n_step_cols=config.step_columns,
             n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
         total = leader_gradient(grad_policy, grad_model, factors,
                                 use_dual_row=dynamics == "constrained")
@@ -484,16 +483,16 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 # score atoms) solves through the k x k core.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "69e149140da50e2d8c5c0acd01d398d3430efa969fa8bb0ec8296f14a686a7e4",
-        "checkpoint_final.json": "d59ecb60cfc0d388ced12b70f2edaaa04fd37f256e2248f8e33abc8a27b56241",
+        "trace.csv": "64e0481d6cee946520216b96661c4391ea505b15d44ecf36103ef5f6b50a3aec",
+        "checkpoint_final.json": "2a92ff66d745462eda5e847700256a39a243f97f726c5f9f7185f77d89d27593",
     }),
     "sparse": (10, {
-        "trace.csv": "edd3d31c5d1f7f14a2083fdad1a8c9ac7e7b06efebf880c0f7fb37f5ffffde4a",
-        "checkpoint_final.json": "15104c1a4ea0a3d07535cbba459e94785b00cccd208df4cec3e6da4420ce6408",
+        "trace.csv": "74dcbd5ab43c2dad2eaa3f23d9264758e7794f7aeca50867c3cc35cf756eef03",
+        "checkpoint_final.json": "74a12d52780b6866c75e957a8514492725cf9cd42c19bb6738d0317b892a8caf",
     }),
     "tracking": (5, {
-        "trace.csv": "3adb1b27ceb4081fc6ff58186332bd1ed186649dd5ad7153ea9c5d8b193c4b61",
-        "checkpoint_final.json": "07845805d16a07a5577606a0d0e2b168e6043d4f7f94e7362d0e14de579cc35f",
+        "trace.csv": "6f06550f0f24e5f7e09e851df44348c873c462259ff43a0524b9752e37fef6b8",
+        "checkpoint_final.json": "0b526908929d9097c922601a25f0a612a2d62aae5f4e90dfba7d88787186c38c",
     }),
 }
 
@@ -728,8 +727,8 @@ def test_batched_draws_match_the_per_row_reference(seed):
         np.ones((8, 4)), anchor.scores(*steps), policy.scores(*steps[:2]),
         dataset,
         anchor, anchor, 1.0, np.zeros(anchor.n_params), 0.0,
-        np.random.default_rng(seed), n_step_cols=5, n_penalty_cols=7)
-    draws = ref.penalty_emissions(anchor, dataset, 8, 4, 5, 7,
+        np.random.default_rng(seed), n_penalty_cols=7, ridge=1e-3)
+    draws = ref.penalty_emissions(anchor, dataset, 7,
                                   np.random.default_rng(seed))
     assert np.array_equal(factors.atoms.blocks[32:],
                           anchor.scores(*draws).blocks)

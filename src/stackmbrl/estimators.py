@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdp import _draw_categorical_rows
-from .models import (CategoricalWorldModel, DiagGaussianWorldModel,
-                     OfflineDataset, SoftmaxPolicy, categorical_kl,
-                     gaussian_kl)
+from .models import (CategoricalWorldModel, OfflineDataset, SoftmaxPolicy,
+                     categorical_kl, gaussian_kl)
 from .woodbury import BlockScores, LowRankFactors
 
 
@@ -138,27 +136,20 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
         out.reshape(-1, k_n)[s * a_n + a] -= (counts / dataset.n)[:, None] * (
             anchor.probs(s, a) - model.probs(s, a))
         return out
-    scores = _gaussian_expected_score(model, anchor, dataset.states,
-                                      dataset.actions)
+    scores = model.expected_scores(anchor, dataset.states, dataset.actions)
     # a running total in row order, not numpy's pairwise sum
     return -np.add.accumulate(scores, axis=0)[-1] / dataset.n
 
 
-def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
-                             states: np.ndarray,
-                             actions: np.ndarray) -> np.ndarray:
-    """(..., n_phi) E_{y~anchor}[grad_phi log P_phi(y|s,a)] per state-action
-    pair, for the diagonal-Gaussian family."""
-    feats = model._features(states, actions)
-    mean_m = model.mean(states, actions)
-    mean_a = anchor.mean(states, actions)
-    var_m = np.exp(2.0 * model.log_std)
-    var_a = np.exp(2.0 * anchor.log_std)
-    grad_w = ((mean_a - mean_m) / var_m)[..., :, None] * feats[..., None, :]
-    grad_log_std = (var_a + (mean_a - mean_m) ** 2) / var_m - 1.0
-    return np.concatenate(
-        [grad_w.reshape(grad_log_std.shape[:-1] + (-1,)), grad_log_std],
-        axis=-1)
+def penalty_curvature(dataset: OfflineDataset, model, anchor, lam: float,
+                      ridge: float):
+    """D = ridge * I + lam * E_{(s,a)~D, y~anchor}[score score^T] (the
+    ``zz`` target of ``grad-check``), exact over the dataset's cells, or for
+    the Gaussian family its rows."""
+    s, a, counts = (dataset.cells if isinstance(model, CategoricalWorldModel)
+                    else (dataset.states, dataset.actions, np.ones(dataset.n)))
+    return model.penalty_curvature((s, a), max(lam, 0.0) * counts / dataset.n,
+                                   anchor, ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +158,14 @@ def _gaussian_expected_score(model: DiagGaussianWorldModel, anchor,
 
 
 def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
-                       theta_scores: BlockScores,
-                       dataset: OfflineDataset, model, anchor,
+                       theta_scores: BlockScores, base,
                        lam: float, dual_coupling: np.ndarray,
-                       dual_slope: float, rng: np.random.Generator,
-                       n_penalty_cols: int, ridge: float) -> LowRankFactors:
-    """Reduce one rollout batch (plus dataset resamples) to curvature factors.
+                       dual_slope: float) -> LowRankFactors:
+    """Reduce one rollout batch to curvature factors; nothing is drawn.
 
     The atoms are the batch's m * h model step scores, step (i, t) at row
-    i * h + t, followed by the ``n_penalty_cols`` penalty score draws, all
-    as block scores. Each factor is a coefficient matrix over them, so the
-    factors add O(k * rank) to the k atoms' O(k * K):
+    i * h + t, as block scores. Each factor is a coefficient matrix over
+    them, so the factors add O(k * rank) to the k atoms' O(k * K):
 
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
       w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps; W is the
@@ -185,42 +173,19 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
     * X/Y columns: one per step, w_t / sqrt(m) (X) and 1 / sqrt(m) (Y) on
       that step alone, so XY^T = (1/m) sum_{i,t} w_it score_it score_it^T,
       the batch's own estimate of sum_t E[w_t score_t score_t^T].
-    * Z columns: dataset state-action pairs redrawn through the anchor,
-      sqrt(lam / n_penalty_cols) on the draw: the only draws from ``rng``.
+    * no Z columns: ``base``, the closed ``penalty_curvature`` at ``lam``.
     * ``dual_coupling`` and ``dual_slope`` are the caller's exact dataset
       terms (``dataset_dual_coupling`` and ``dataset_kl`` minus epsilon),
       carried through unchanged.
     """
     m, h = weights.shape
-    n_steps = m * h
-    rows = rng.integers(0, dataset.n, size=n_penalty_cols)
-    states, actions = dataset.states[rows], dataset.actions[rows]
-    if isinstance(model, CategoricalWorldModel):
-        emissions = _draw_categorical_rows(anchor.probs(states, actions),
-                                           rng)
-    else:
-        emissions = anchor.samples(states, actions, rng.standard_normal(
-            (n_penalty_cols, anchor.log_std.size)))
-    atoms = BlockScores.concatenate(
-        [phi_scores, model.scores(states, actions, emissions)])
-
-    def coefficients(atom_rows, cols, rank, values):
-        out = np.zeros((n_steps + n_penalty_cols, rank))
-        out[atom_rows, cols] = values
-        return out
-
-    steps, draws = np.arange(n_steps), np.arange(n_penalty_cols)
-    weighted, plain = weights.ravel() / np.sqrt(m), 1.0 / np.sqrt(m)
-    c_v = coefficients(steps, steps // h, m, plain)
+    in_path = np.kron(np.eye(m), np.ones((h, 1)))  # step i * h + t: col i
+    weighted, c_v = weights.reshape(-1, 1) / np.sqrt(m), in_path / np.sqrt(m)
     return LowRankFactors(
-        atoms,
-        c_u=coefficients(steps, steps // h, m, weighted), c_v=c_v,
-        c_x=coefficients(steps, steps, n_steps, weighted),
-        c_y=coefficients(steps, steps, n_steps, plain),
-        c_z=coefficients(n_steps + draws, draws, n_penalty_cols,
-                         np.sqrt(max(lam, 0.0) / n_penalty_cols)),
-        w=theta_scores.expand(c_v[:n_steps]), ridge=ridge, lam=lam,
-        dual_coupling=dual_coupling, dual_slope=dual_slope)
+        phi_scores.rows(), c_u=in_path * weighted, c_v=c_v,
+        c_x=np.diag(weighted[:, 0]), c_y=np.eye(m * h) / np.sqrt(m),
+        c_z=np.zeros((m * h, 0)), w=theta_scores.expand(c_v), base=base,
+        lam=lam, dual_coupling=dual_coupling, dual_slope=dual_slope)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .mdp import (TRANSITION_COLUMNS, TabularMdp, _as_rng, _cdf_columns,
                   _format_state, _normalised_cdf, _policy_probs,
                   _tabular_paths, load_transitions_csv, read_json_object,
                   sample_trajectory, write_csv, write_json)
-from .woodbury import BlockScores
+from .woodbury import BlockScores, CellCurvature, DenseCurvature
 
 # Softmax logits this low make the associated probability underflow to an
 # exact IEEE zero while keeping every parameter entry finite.
@@ -177,6 +177,14 @@ class _SoftmaxTable:
         rows[np.arange(len(rows)), np.ravel(index[-1])] += 1.0
         cells = np.ravel_multi_index(index[:-1], probs.shape[:-1])
         return BlockScores(np.asarray(cells), blocks, probs.size)
+
+    def penalty_curvature(self, index: tuple, weights: np.ndarray, reference,
+                          ridge: float) -> CellCurvature:
+        """ridge * I + sum_c weights_c E_{y~reference}[score score^T] on the
+        distinct blocks at ``index``; the table itself gives its Fisher."""
+        q = reference.probs(*index)
+        return CellCurvature(self.n_params, ridge, np.ravel_multi_index(
+            index, self.logits.shape[:-1]), weights, q, q - self.probs(*index))
 
     @property
     def params(self) -> ParamVector:
@@ -330,6 +338,40 @@ class _AffineGaussian:
                                  z ** 2 - 1.0], axis=-1)
         return BlockScores(np.zeros(z.shape[:-1], dtype=np.int64), blocks,
                            blocks.shape[-1])
+
+    def expected_scores(self, reference, *given: np.ndarray) -> np.ndarray:
+        """(..., n_params) E_{y~reference}[score] at the inputs ``given``."""
+        feats = self._features(*given)
+        mean_m = self.mean(*given)
+        mean_a = reference.mean(*given)
+        var_m = np.exp(2.0 * self.log_std)
+        var_a = np.exp(2.0 * reference.log_std)
+        grad_w = ((mean_a - mean_m) / var_m)[..., :, None] * feats[..., None, :]
+        grad_log_std = (var_a + (mean_a - mean_m) ** 2) / var_m - 1.0
+        return np.concatenate(
+            [grad_w.reshape(grad_log_std.shape[:-1] + (-1,)), grad_log_std],
+            axis=-1)
+
+    def penalty_curvature(self, given: tuple, weights: np.ndarray, reference,
+                          ridge: float) -> DenseCurvature:
+        """ridge * I + sum_rows weights * E_{y~reference}[score score^T]: the
+        outer product of ``expected_scores`` plus, per output, the covariance
+        v / var^2 [f; 2 delta][f; 2 delta]^T + 2 v^2 / var^2 (last entry) of
+        the scores [e f; e^2] / var of e = y - mean ~ N(delta, v)."""
+        feats, delta = self._features(*given), (reference.mean(*given)
+                                                - self.mean(*given))
+        v, var = np.exp(2.0 * reference.log_std), np.exp(2.0 * self.log_std)
+        aug = np.concatenate([np.broadcast_to(feats[:, None], delta.shape + (
+            feats.shape[-1],)), 2.0 * delta[..., None]], axis=-1)
+        blocks = np.einsum("r,rji,rjk->jik", weights, aug, aug)
+        blocks[:, -1, -1] += weights.sum() * 2.0 * v
+        index = np.column_stack([np.arange(self.weights.size).reshape(
+            self.weights.shape), self.weights.size + np.arange(len(v))])
+        means = self.expected_scores(reference, *given)
+        penalty = (means.T * weights) @ means
+        penalty[index[:, :, None], index[:, None, :]] += (
+            (v / var ** 2)[:, None, None] * blocks)
+        return DenseCurvature(self.n_params, ridge, penalty)
 
     def samples(self, *inputs: np.ndarray) -> np.ndarray:
         """(..., out) draws, the means at all but the last input plus std

@@ -33,6 +33,7 @@ from .estimators import (
     factors_from_batch,
     generalized_advantages,
     masked_surrogate_gradient,
+    penalty_curvature,
     ratio_masks,
 )
 from .mdp import (
@@ -55,6 +56,8 @@ from .models import (
     DiagGaussianPolicy,
     OfflineDataset,
     SoftmaxPolicy,
+    _softmax,
+    categorical_kl,
 )
 from .oracles import ExactGradients, exact_gradients
 from .woodbury import (
@@ -277,12 +280,12 @@ class ReplayBuffer:
 class TrainerConfig:
     """Everything a run needs besides the environment, dataset and anchor.
 
-    The dataset-side penalty terms (the model's KL-penalty gradient, the
-    dual coupling and the constraint gap) are always exact over the whole
-    dataset; ``penalty_batch_size`` only sets the number of sampled Z
-    curvature columns (X/Y take one per epoch step). The multiplier takes
-    one projected ascent step per iteration on the committed model's gap;
-    more steps on that fixed gap would only scale the dual rate.
+    The dataset-side penalty terms (the model's KL-penalty gradient and its
+    curvature, the dual coupling and the constraint gap) are always exact
+    over the whole dataset; the leader's curvature samples only the epoch's
+    steps, one X/Y column each. The multiplier takes one projected ascent
+    step per iteration on the committed model's gap; more steps on that
+    fixed gap would only scale the dual rate.
     """
 
     n_iterations: int = 50
@@ -292,7 +295,6 @@ class TrainerConfig:
     policy_epochs: int = 2
     model_epochs: int = 2
     minibatch_size: int = 16
-    penalty_batch_size: int = 64
     target_mix: float = 0.5
     advantage_decay: float = 0.95
     clip: float = 0.2
@@ -313,8 +315,7 @@ class TrainerConfig:
         for name in ("critic_epochs", "policy_epochs", "model_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("rollouts_per_iter", "minibatch_size",
-                     "penalty_batch_size", "buffer_capacity"):
+        for name in ("rollouts_per_iter", "minibatch_size", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.target_mix <= 1.0:
@@ -401,10 +402,10 @@ class TrainState:
     An iteration fits a tentative critic on a tentative buffer and installs
     both with (policy, model, lam), so an aborted iteration leaves all five
     as they were. Nothing here holds an epoch's work: the leader's step
-    rule builds its k score atoms (step scores and penalty draws, each a
-    cell index and a K-entry block), their (k, <= k) coefficient matrices
-    and the solver's k x k matrices, and drops them on return, so at most
-    one epoch's O(k * (K + k)) set and a few n_phi-vectors are live.
+    rule builds its k score atoms (step scores, each a cell index and a
+    K-entry block), their (k, <= k) coefficient matrices and the solver's
+    k x k matrices, and drops them on return, so at most one epoch's O(k *
+    (K + k)) set, the penalty base and a few n_phi-vectors are live.
     """
 
     policy: object
@@ -571,18 +572,19 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
 def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
                  gamma: float, rate: float, coupling: np.ndarray, gap: float):
     """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
-    (g_theta - M^T A^-1 g_phi)`` from factors on the epoch's steps and
-    generator, with every epoch at the committed model and multiplier and
-    so at their dual ``coupling`` and constraint ``gap``."""
+    (g_theta - M^T A^-1 g_phi)`` from factors on the epoch's steps, with
+    every epoch at the committed model and multiplier and so at their dual
+    ``coupling``, constraint ``gap`` and penalty base D, built once here."""
+    base = None if config.dynamics == "naive" else penalty_curvature(
+        dataset, state.model, anchor, state.lam, config.ridge)
+
     def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
         if config.dynamics == "naive":
             return rate * grad
         phi_scores = state.model.scores(*steps)
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
-            theta_scores, dataset, state.model, anchor, state.lam,
-            coupling, gap, rng, n_penalty_cols=config.penalty_batch_size,
-            ridge=config.ridge)
+            theta_scores, base, state.lam, coupling, gap)
         return rate * leader_gradient(
             grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
             factors, use_dual_row=config.dynamics == "constrained")
@@ -800,22 +802,26 @@ def _pulled_into_ball(model: CategoricalWorldModel,
                       anchor: CategoricalWorldModel, dataset: OfflineDataset,
                       epsilon: float) -> CategoricalWorldModel:
     """Shrink the model toward the anchor (straight line in logit space)
-    until the dataset-weighted anchored KL is within the budget."""
-    def at(t: float) -> CategoricalWorldModel:
-        logits = anchor.logits + t * (model.logits - anchor.logits)
-        return CategoricalWorldModel(logits, anchor.outcome_rewards,
-                                     anchor.outcome_next_states)
-
+    until the dataset-weighted anchored KL is within the budget. A halving
+    reads only the visited cells' logits, and sums their KL as
+    ``dataset_kl`` does, so it decides as ``dataset_kl`` would on the whole
+    interpolated model, without building it."""
     if dataset_kl(dataset, model, anchor) <= epsilon:
         return model
+    s, a, counts = dataset.cells
+    reference, mass = anchor.probs(s, a), counts / dataset.n
+    start, step = anchor.logits[s, a], (model.logits - anchor.logits)[s, a]
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if dataset_kl(dataset, at(mid), anchor) <= epsilon:
+        kl = categorical_kl(reference, _softmax(start + mid * step))
+        if np.add.accumulate(mass * kl)[-1] <= epsilon:
             lo = mid
         else:
             hi = mid
-    return at(lo)
+    logits = anchor.logits + lo * (model.logits - anchor.logits)
+    return CategoricalWorldModel(logits, anchor.outcome_rewards,
+                                 anchor.outcome_next_states)
 
 
 def worst_case_return(mdp: TabularMdp, policy,

@@ -2,42 +2,39 @@
 
 The model-side curvature estimate is kept in factored form
 
-    A_hat = U V^T - X Y^T + Z Z^T + ridge * I          (n_phi x n_phi)
+    A_hat = D + U V^T - X Y^T + Z Z^T          (n_phi x n_phi)
 
 together with the mixed-curvature factor pair (U, W) whose product U W^T
-estimates the model/policy cross block. Every factor is a linear
-combination of a few score vectors, the atoms: the rows of S (k x n_phi).
-A factor is held as a small coefficient matrix, U = S^T c_U and so on.
+estimates the model/policy cross block. The base D = ridge * N is known in
+closed form and block-diagonal over the cells of the model's layout. Every
+factor is a linear combination of a few score vectors, the atoms: the rows
+of S (k x n_phi), held as a small coefficient matrix, U = S^T c_U and so on.
 
 An atom is block-sparse: it is zero outside one cell of K parameters (a
 categorical score touches only its own (s, a) block; a Gaussian score, or
 any explicit column, is the one-cell case K = n_phi). ``BlockScores``
 holds each atom as its cell index and its K-entry block, so the atoms cost
-O(k * K) memory, and the three products the solver needs read only those
-blocks: G = S S^T is the block Gram matrix masked to atoms that share a
-cell, in O(k^2 * K); S b gathers the t <= k cells the atoms touch once
-and reads each atom's dot product with its own cell off one (k, t)
-product, and S^T c sums each touched cell's scaled blocks as one (t, k)
-by (k, K) product. Both take O(k * t * K) in matrix products, no more
-than building G, plus one O(n_phi) right-hand side; for one-cell atoms
-(t = 1) they are plain matrix-vector products.
+O(k * K) memory, and the solver's products read only those blocks: the
+Gram matrix S T^T of two such sets on the same cells is masked to atoms
+that share a cell, in O(k^2 * K); S b and S^T c take O(k * t * K) over
+the t <= k cells the atoms touch, plus one O(n_phi) right-hand side.
 
 Solves go through one k x k core. With M = c_U c_V^T - c_X c_Y^T +
-c_Z c_Z^T, A_hat = ridge * I + S^T M S, and the push-through Woodbury
-identity (Hager, SIAM Review 1989) gives
+c_Z c_Z^T, A_hat = ridge * N + S^T M S, and the push-through Woodbury
+identity over a general base (Hager, SIAM Review 1989) gives
 
-    A_hat^{-1} b = (b - S^T M (ridge * I_k + G M)^{-1} S b) / ridge.
+    A_hat^{-1} b = N^{-1} (b - S^T M C^{-1} S N^{-1} b) / ridge,
+    C = ridge * I_k + S N^{-1} S^T M.
 
-A build forms G and M, in O(k^2 * K + k^3), factors the core once as QR
-and keeps P = R^{-1} Q^T with the core: O(k^2) memory beyond the atoms.
+A build applies N^{-1} to the atoms, on their own cells, forms C in
+O(k^2 * K + k^3), factors it once as QR and keeps P = R^{-1} Q^T with it.
 kappa_2 <= kappa_F = ||R||_F ||R^{-1}||_F <= k kappa_2, so only a core
-near ``COND_LIMIT`` pays for an SVD. A solve projects its right-hand side
-onto the atoms once, applies P with one refinement step against the core
-(an explicit inverse alone leaves a residual of order kappa * eps), and
-expands the result once. Every step is a QR or a matrix product, whose
-bits do not depend on the BLAS thread count. When k >= n_phi the core is
-no smaller than A_hat itself, so the solver factors A_hat densely. A
-solve never writes to the factors or the right-hand side.
+near ``COND_LIMIT`` pays for an SVD. A solve applies N^{-1} and S to its
+right-hand side, P with one refinement step against the core (an explicit
+inverse alone leaves a residual of order kappa * eps), and N^{-1} S^T to
+the result. Every step is a QR or a matrix product, whose bits do not
+depend on the BLAS thread count. When k >= n_phi the solver factors A_hat
+densely. A solve never writes to the factors or the right-hand side.
 
 The multiplier row of the leader's correction updates any A^{-1} solve by
 rank one: ``dual_corrected``, shared with the dense games of :mod:`.dynamics`.
@@ -102,14 +99,6 @@ class BlockScores:
         return BlockScores(self.cells.reshape(-1),
                            self.blocks.reshape(-1, self.size), self.n_params)
 
-    @staticmethod
-    def concatenate(parts) -> "BlockScores":
-        """The rows of each part, one part after the other."""
-        parts = [part.rows() for part in parts]
-        return BlockScores(np.concatenate([p.cells for p in parts]),
-                           np.concatenate([p.blocks for p in parts]),
-                           parts[0].n_params)
-
     def dense(self) -> np.ndarray:
         """(..., n_params) explicit scores, for oracles and tests."""
         flat = self.rows()
@@ -148,12 +137,83 @@ class BlockScores:
         out[cells] = np.moveaxis(sums, -1, 1)
         return out.reshape((self.n_params,) + tail)
 
-    def gram(self) -> np.ndarray:
-        """G = S S^T (k x k): block products of scores in the same cell."""
+    def gram(self, right: np.ndarray) -> np.ndarray:
+        """S T^T (k x k) for T's (k, size) blocks ``right`` on the same
+        cells, S S^T for the scores' own: block products in the same cell."""
         flat = self.rows()
-        out = flat.blocks @ flat.blocks.T
+        out = flat.blocks @ right.T
         out[flat.cells[:, None] != flat.cells[None, :]] = 0.0
         return out
+
+
+@dataclass(frozen=True)
+class CellCurvature:
+    """A base D = ridge * N, block-diagonal over the cells of K entries of
+    an n_params layout: ridge * I, plus on each listed cell scale E_{y~q}[
+    (e_y - p)(e_y - p)^T] = scale (diag(q) - q q^T + d d^T), d = q - p.
+    With no cell listed it is the ridge * I of explicit-column factors.
+
+    Each base has ``dense()``, D itself, and ``solve_blocks(cells,
+    blocks)``, N^{-1} applied to (..., k, K) blocks, row i on cell
+    ``cells[i]``. Here that takes two Sherman-Morrison steps per cell, in
+    O(K): a downdate by q q^T, over the denominator sum_k q_k / (1 + beta
+    q_k) for beta = scale / ridge rather than the cancelling 1 - sum_k
+    beta q_k^2 / (1 + beta q_k), then an update by d d^T."""
+
+    n_params: int
+    ridge: float
+    cells: np.ndarray   # (n,) distinct cell indices
+    scale: np.ndarray   # (n,) block weights
+    q: np.ndarray       # (n, K) reference probabilities
+    d: np.ndarray       # (n, K) reference minus block probabilities
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """Per cell of the layout, for Delta = 1 + beta q: Delta^{-1},
+        Delta^{-1} q, d and the two steps' terms; beta = 0 off the list."""
+        n_cells, k = self.n_params // self.q.shape[1], self.q.shape[1]
+        beta, d = np.zeros((n_cells, 1)), np.zeros((n_cells, k))
+        q = np.full((n_cells, k), 1.0 / k)  # any distribution, at beta = 0
+        beta[self.cells, 0] = self.scale / self.ridge
+        q[self.cells], d[self.cells] = self.q, self.d
+        inv = 1.0 / (1.0 + beta * q)
+        inv_q = inv * q
+        down = inv_q * (beta / inv_q.sum(axis=-1, keepdims=True))
+        sol_d = inv * d + down * (inv_q * d).sum(axis=-1, keepdims=True)
+        return inv, inv_q, down, d, sol_d * (beta / (1.0 + beta * (
+            d * sol_d).sum(axis=-1, keepdims=True)))
+
+    def solve_blocks(self, cells, blocks):
+        if not len(self.cells):  # N = I: no copy of n_phi-long blocks
+            return blocks
+        inv, inv_q, down, d, up = (part[cells] for part in self._steps)
+        x = inv * blocks + down * np.einsum("...k,...k", inv_q, blocks)[..., None]
+        return x - up * np.einsum("...k,...k", d, x)[..., None]
+
+    def dense(self):
+        out, k = self.ridge * np.eye(self.n_params), self.q.shape[1]
+        q, d = self.q[:, :, None], self.d[:, :, None]
+        out.reshape(-1, k, self.n_params // k, k)[self.cells, :, self.cells] += (
+            self.scale[:, None, None] * (q * np.eye(k) - q * self.q[:, None]
+                                         + d * self.d[:, None]))
+        return out
+
+
+@dataclass(frozen=True)
+class DenseCurvature:
+    """The base D = ridge * I + ``penalty`` (symmetric) on the one cell of
+    all n_params entries, with ``CellCurvature``'s two methods."""
+
+    n_params: int
+    ridge: float
+    penalty: np.ndarray
+
+    def solve_blocks(self, cells, blocks):
+        return np.linalg.solve(np.eye(self.n_params) + self.penalty
+                               / self.ridge, blocks[..., None])[..., 0]
+
+    def dense(self):
+        return self.ridge * np.eye(self.n_params) + self.penalty
 
 
 @dataclass
@@ -164,9 +224,10 @@ class LowRankFactors:
     times its (k, rank) coefficient matrix, pre-scaled so that plain
     products estimate expectations over m trajectories: U, V carry
     1/sqrt(m); X, Y carry 1/sqrt(m) on one step per column (times its
-    weight in X); Z carries sqrt(lam / Mz) over Mz penalty draws. A policy
-    epoch's factors hold O(k * (K + rank)) numbers plus the (n_theta, m) W
-    and the n_phi-vector ``dual_coupling``; no n_phi-tall matrix. ``u``,
+    weight in X); Z holds explicit columns only, and D = ``base`` folds in
+    the multiplier's penalty curvature. A policy epoch's factors hold O(k *
+    (K + rank)) numbers plus the (n_theta, m) W, the n_phi-vector
+    ``dual_coupling`` and the base's O(n_phi); no n_phi-tall matrix. ``u``,
     ``v``, ``x``, ``y`` and ``z`` are the dense (n_phi, rank) factors,
     expanded on each read and read-only, for oracle comparisons.
     """
@@ -176,10 +237,10 @@ class LowRankFactors:
     c_v: np.ndarray               # (k, m)   trajectory model scores
     c_x: np.ndarray               # (k, Mx)  return-weighted step scores
     c_y: np.ndarray               # (k, Mx)  the same steps unweighted
-    c_z: np.ndarray               # (k, Mz)  penalty scores off the dataset
+    c_z: np.ndarray               # (k, Mz)  explicit symmetric columns
     w: np.ndarray                 # (n_theta, m) trajectory policy scores
-    ridge: float = RIDGE_DEFAULT
-    lam: float = 0.0              # multiplier already folded into c_z
+    base: CellCurvature           # D, or a DenseCurvature on one cell
+    lam: float = 0.0              # multiplier already folded into D
     dual_coupling: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual_slope: float = 0.0       # estimated constraint gap E[KL] - epsilon
 
@@ -197,23 +258,27 @@ class LowRankFactors:
             raise ValueError("x and y must have identical shapes")
         if self.w.ndim != 2 or self.w.shape[1] != self.c_u.shape[1]:
             raise ValueError("w must have one column per u column")
-        if self.ridge <= 0.0:
+        if not self.base.ridge > 0.0:  # NaN fails too
             raise ValueError("ridge must be positive")
 
     @classmethod
     def from_columns(cls, u: np.ndarray, v: np.ndarray, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, w: np.ndarray,
+                     ridge: float = RIDGE_DEFAULT,
                      **scalars) -> "LowRankFactors":
-        """Factors given as explicit (n_phi, rank) columns: every column
-        becomes a one-cell atom, and each coefficient matrix selects its
-        own."""
+        """Factors given as explicit (n_phi, rank) columns over ridge * I:
+        every column becomes a one-cell atom, and each coefficient matrix
+        selects its own."""
         cols = (u, v, x, y, z)
         blocks = np.concatenate([c.T for c in cols])
         atoms = BlockScores(np.zeros(len(blocks), dtype=np.int64), blocks,
                             u.shape[0])
         ranks = np.cumsum([c.shape[1] for c in cols])
         coefs = np.split(np.eye(len(blocks)), ranks[:-1], axis=1)
-        return cls(atoms, *coefs, w=w, **scalars)
+        none = np.zeros((0, u.shape[0]))
+        return cls(atoms, *coefs, w=w, base=CellCurvature(
+            u.shape[0], ridge, np.zeros(0, int), np.zeros(0), none, none),
+            **scalars)
 
     @property
     def n_phi(self) -> int:
@@ -238,7 +303,7 @@ class LowRankFactors:
         """Explicit A_hat: the solver's dense route when k >= n_phi, and an
         oracle for comparisons."""
         return (self.u @ self.v.T - self.x @ self.y.T + self.z @ self.z.T
-                + self.ridge * np.eye(self.n_phi))
+                + self.base.dense())
 
 
 def _upper_inverse(r: np.ndarray) -> np.ndarray:
@@ -286,9 +351,10 @@ def _screened_inverse(core: np.ndarray) -> np.ndarray:
 class WoodburySolver:
     """Inverse of the factored curvature matrix through one core.
 
-    The core is cI + G M (k x k) with c the ridge, or A_hat itself when
+    The core is ridge * I + (S N^{-1} S^T) M (k x k), or A_hat itself when
     k >= n_phi; the route is chosen from the factors' shapes alone. A
-    build factors and screens the core once; every solve reuses it.
+    build applies N^{-1} to the atoms, then factors and screens the core
+    once; every solve reuses both.
     """
 
     def __init__(self, factors: LowRankFactors):
@@ -297,26 +363,33 @@ class WoodburySolver:
         if self._dense:
             core = factors.dense()
         else:
-            core = factors.c_u @ factors.c_v.T  # M, then G M
+            atoms = factors.atoms
+            self._solved = BlockScores(atoms.cells, factors.base.solve_blocks(
+                atoms.cells, atoms.blocks), atoms.n_params)  # rows of S N^-1
+            core = factors.c_u @ factors.c_v.T  # M, then S N^-1 S^T M
             core -= factors.c_x @ factors.c_y.T
             core += factors.c_z @ factors.c_z.T
-            core = factors.atoms.gram() @ core
-            core[np.diag_indices_from(core)] += factors.ridge
+            core = atoms.gram(self._solved.blocks) @ core
+            core[np.diag_indices_from(core)] += factors.base.ridge
         self._core, self._inverse = core, _screened_inverse(core)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, p)."""
         f = self.factors
         rhs = np.asarray(rhs, dtype=float)
+        if not self._dense:  # N^-1 rhs, then S N^-1 rhs
+            rhs = f.base.solve_blocks(slice(None), rhs.T.reshape(
+                rhs.shape[1:] + (f.atoms.n_cells, f.atoms.size))).reshape(
+                    rhs.shape[::-1]).T
         b = rhs if self._dense else f.atoms.project(rhs)
         y = self._inverse @ b
         y += self._inverse @ (b - self._core @ y)
         if self._dense:
             return y
-        out = f.atoms.expand(f.c_u @ (f.c_v.T @ y) - f.c_x @ (f.c_y.T @ y)
-                             + f.c_z @ (f.c_z.T @ y))
+        out = self._solved.expand(f.c_u @ (f.c_v.T @ y) - f.c_x @ (f.c_y.T @ y)
+                                  + f.c_z @ (f.c_z.T @ y))
         np.subtract(rhs, out, out=out)
-        out /= f.ridge
+        out /= f.base.ridge
         return out
 
 

@@ -74,8 +74,7 @@ class ScriptedRng:
     """Deterministic stand-in for a Generator: replays queued draws.
 
     ``integers`` pops one queued index array per call; ``random`` pops one
-    queued array of uniforms per call. ``uniform_for`` scripts a categorical
-    outcome: enumeration tests pick each outcome and weight it themselves.
+    queued array of uniforms per call.
     """
 
     def __init__(self, integer_queue=(), uniform_queue=()):
@@ -93,16 +92,3 @@ class ScriptedRng:
         if size is not None and out.shape != (size,):
             raise AssertionError(f"scripted uniforms shape {out.shape} != {size}")
         return out
-
-    def exhausted(self) -> bool:
-        """Whether every queued draw has been taken."""
-        return not self._integers and not self._uniforms
-
-
-def uniform_for(probs: np.ndarray, k: int) -> float:
-    """A uniform that an inverse-CDF draw from ``probs`` maps to outcome
-    ``k`` (which must have positive probability): the midpoint of its
-    interval of the normalised CDF."""
-    cdf = np.cumsum(probs) / np.sum(probs)
-    lower = cdf[k - 1] if k else 0.0
-    return 0.5 * (lower + cdf[k])

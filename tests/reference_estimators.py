@@ -67,8 +67,9 @@ def mc_estimator_stats(mdp, policy: SoftmaxPolicy,
     Rollout-side estimators draw trajectories from (policy, model); the
     step-pair and penalty estimators draw (trajectory, step) and
     (dataset row, anchor outcome) pairs, one per sample. The step draw
-    checks the ``xy`` target; the factor recipe reaches the same target
-    with one column per batch step instead.
+    checks the ``xy`` target, which the factor recipe reaches with one
+    column per batch step instead; the penalty draw checks the ``zz``
+    target, which the trainer's penalty base holds in closed form.
     """
     from stackmbrl.mdp import _draw_categorical_rows, sample_tabular_batch
 

@@ -238,7 +238,30 @@ def exact_constrained_hessian(mdp: TabularMdp, policy: SoftmaxPolicy,
                               model: CategoricalWorldModel,
                               anchor: CategoricalWorldModel,
                               dataset: OfflineDataset, lam: float) -> np.ndarray:
-    """FIM-substituted hess_phi L: the exact target of UV^T - XY^T + ZZ^T."""
+    """FIM-substituted hess_phi L: the exact target of UV^T - XY^T + D -
+    ridge * I, with D the trainer's closed-form penalty base."""
     exp = exact_expectations(mdp, policy, model)
     pen = exact_penalty_terms(dataset, model, anchor)
     return fim_hess_j(exp) + lam * pen.fim_mean
+
+
+def pulled_into_ball(model: CategoricalWorldModel,
+                     anchor: CategoricalWorldModel, dataset: OfflineDataset,
+                     epsilon: float, halvings: int = 60) -> CategoricalWorldModel:
+    """``trainer._pulled_into_ball`` as a plain line search: every halving
+    builds the interpolated model and calls ``dataset_kl`` on it."""
+    def at(t: float) -> CategoricalWorldModel:
+        logits = anchor.logits + t * (model.logits - anchor.logits)
+        return CategoricalWorldModel(logits, anchor.outcome_rewards,
+                                     anchor.outcome_next_states)
+
+    if dataset_kl(dataset, model, anchor) <= epsilon:
+        return model
+    lo, hi = 0.0, 1.0
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if dataset_kl(dataset, at(mid), anchor) <= epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return at(lo)

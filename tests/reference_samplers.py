@@ -99,17 +99,6 @@ def critic_fit_epoch(critic, policy, model, gamma, transitions, rng):
         feats_v, critic.tail_values(states, fresh), rcond=None)[0]
 
 
-def penalty_emissions(anchor, dataset, n_penalty_cols, rng):
-    """(states, actions, emissions) of the penalty draws
-    ``factors_from_batch`` makes: ``n_penalty_cols`` dataset rows, each
-    redrawn through the anchor."""
-    rows = rng.integers(0, dataset.n, size=n_penalty_cols)
-    states, actions = dataset.states[rows], dataset.actions[rows]
-    emissions = np.array([np.append(*model_sample(anchor, s, a, rng))
-                          for s, a in zip(states, actions)])
-    return states, actions, emissions
-
-
 def rollout_dataset(env, policy, n_episodes, seed):
     """(states, actions, rewards, next states) of ``models.rollout_dataset``
     on a continuous task, episode after episode."""

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from conftest import ScriptedRng, uniform_for
 
 from reference_estimators import (discounted_weights, mc_estimator_stats,
                                   model_gradient, policy_gradient,
@@ -14,14 +13,13 @@ from stackmbrl.estimators import (ESTIMATOR_NAMES, dataset_dual_coupling,
                                   dataset_kl, factors_from_batch,
                                   generalized_advantages,
                                   masked_surrogate_gradient,
-                                  model_score_table, policy_score_table,
-                                  ratio_masks)
+                                  model_score_table, penalty_curvature,
+                                  policy_score_table, ratio_masks)
 from stackmbrl.mdp import (_draw_categorical_rows, dp_values,
                            sample_tabular_batch)
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, exact_estimator_targets,
                                exact_expectations, exact_penalty_terms)
-from stackmbrl.woodbury import BlockScores
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +333,20 @@ def _sampled_batch(mdp, policy, model, n, seed):
     return weights, ph, th
 
 
+def _factors(weights, ph, th, dataset, model, anchor, lam, epsilon,
+             ridge=1e-3):
+    """``factors_from_batch`` over the penalty base a trainer builds."""
+    return factors_from_batch(
+        weights, ph, th, penalty_curvature(dataset, model, anchor, lam, ridge),
+        lam, **_dual_terms(dataset, model, anchor, epsilon))
+
+
 def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     weights, ph, th = _sampled_batch(mdp, policy, model, 2, 31)
     lam = 0.7
-    s, a = int(dataset.states[5]), int(dataset.actions[5])
-    rng = ScriptedRng(integer_queue=[[5]],
-                      uniform_queue=[[uniform_for(anchor.probs(s, a), 3)]])
-    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
-                                 lam=lam, rng=rng,
-                                 **_dual_terms(dataset, model, anchor, 0.1),
-                                 n_penalty_cols=1, ridge=1e-3)
+    factors = _factors(weights, ph, th, dataset, model, anchor, lam, 0.1)
     m, h = weights.shape
     ph, th_traj = ph.dense(), th.dense().sum(axis=1)
     psi = psi_gradients(weights, ph)
@@ -362,104 +362,69 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
             assert np.allclose(factors.x[:, col],
                                ph[i, t] * weights[i, t] / np.sqrt(m),
                                atol=1e-15)
-    assert np.allclose(factors.z[:, 0],
-                       model.score(s, a, 3) * np.sqrt(lam), atol=1e-15)
+    assert factors.n_atoms == m * h and factors.z.shape == (model.n_params, 0)
     assert factors.lam == lam
 
 
 def test_step_factor_product_is_the_batch_step_score_product(small_triple,
                                                              small_dataset):
-    """XY^T is (1/m) sum over the batch's steps of w_it s_it s_it^T, with no
-    step drawn: the generator holds only the penalty row and its emission,
-    and the call uses both up."""
+    """XY^T is (1/m) sum over the batch's steps of w_it s_it s_it^T, with
+    nothing drawn: the call takes no generator."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     weights, ph, th = _sampled_batch(mdp, policy, model, 5, 23)
-    s, a = int(dataset.states[3]), int(dataset.actions[3])
-    rng = ScriptedRng(integer_queue=[[3]],
-                      uniform_queue=[[uniform_for(anchor.probs(s, a), 0)]])
-    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
-                                 lam=0.4, rng=rng,
-                                 **_dual_terms(dataset, model, anchor, 0.1),
-                                 n_penalty_cols=1, ridge=1e-3)
-    assert rng.exhausted()
+    factors = _factors(weights, ph, th, dataset, model, anchor, 0.4, 0.1)
     dense = ph.dense()
     target = np.einsum("it,itp,itq->pq", weights, dense, dense) / len(weights)
     assert np.abs(factors.x @ factors.y.T - target).max() <= 1e-12
 
 
 def test_factor_zero_multiplier_zeroes_penalty_columns(small_triple, small_dataset):
-    mdp, policy, model = small_triple
+    """At lam = 0 the penalty base is exactly ridge * I."""
+    _, _, model = small_triple
     dataset, anchor = small_dataset
-    weights, ph, th = _sampled_batch(mdp, policy, model, 4, 17)
-    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
-                                 lam=0.0, rng=np.random.default_rng(0),
-                                 **_dual_terms(dataset, model, anchor, 0.1),
-                                 n_penalty_cols=64, ridge=1e-3)
-    assert np.all(factors.z == 0.0)
-    assert factors.lam == 0.0
+    base = penalty_curvature(dataset, model, anchor, 0.0, 1e-3)
+    assert np.array_equal(base.dense(), 1e-3 * np.eye(model.n_params))
+    rhs = np.random.default_rng(0).standard_normal(model.logits.shape)
+    cells = np.arange(rhs[..., 0].size)  # every cell of the layout
+    assert np.array_equal(base.solve_blocks(cells, rhs.reshape(len(cells), -1)),
+                          rhs.reshape(len(cells), -1))
 
 
 def test_factor_expectation_matches_curvature_surrogate(small_triple, small_dataset):
-    """Enumerate every rollout, each a batch of one: E[UV^T - XY^T] equals
-    the exact score-product curvature and E[UW^T] the exact mixed
-    derivative."""
+    """Enumerate every rollout, each a batch of one: E[A_hat] equals the
+    exact score-product curvature plus lam times the anchor-averaged score
+    product plus the ridge, and E[UW^T] the exact mixed derivative."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     exp = exact_expectations(mdp, policy, model)
+    pen = exact_penalty_terms(dataset, model, anchor)
     n_phi = model.n_params
-    ridge = 1e-3
+    lam, ridge = 0.6, 1e-3
     acc = np.zeros((n_phi, n_phi))
     acc_mixed = np.zeros((n_phi, policy.n_params))
-    eye = np.eye(n_phi)
     for prob, states, actions, outcomes, rewards in enumerate_paths(mdp, policy, model):
         weights, ph, th = _path_batch(model, policy, states, actions,
                                            outcomes, rewards, mdp.gamma)
-        rng = ScriptedRng(integer_queue=[[0]], uniform_queue=[[0.0]])
-        factors = factors_from_batch(weights, ph, th, dataset, model,
-                                     anchor, lam=0.0, rng=rng,
-                                     **_dual_terms(dataset, model, anchor, 0.0),
-                                     n_penalty_cols=1, ridge=ridge)
-        acc += prob * (factors.dense() - ridge * eye)
+        factors = _factors(weights, ph, th, dataset, model, anchor, lam, 0.0,
+                           ridge)
+        acc += prob * factors.dense()
         acc_mixed += prob * factors.u @ factors.w.T
-    assert np.abs(acc - fim_hess_j(exp)).max() <= 1e-10
+    target = fim_hess_j(exp) + lam * pen.fim_mean + ridge * np.eye(n_phi)
+    assert np.abs(acc - target).max() <= 1e-10
     assert np.abs(acc_mixed - exp.mixed).max() <= 1e-10
 
 
 def test_penalty_factor_expectation_matches_fim(small_triple, small_dataset):
-    """Enumerate (cell, outcome) pairs through the scripted generator:
-    E[ZZ^T] equals lam times the anchor-averaged score product."""
-    mdp, policy, model = small_triple
+    """The closed penalty block is lam times the anchor-averaged score
+    product, E_{(s,a)~D, k~anchor}[score score^T]."""
+    _, _, model = small_triple
     dataset, anchor = small_dataset
-    lam = 0.9
-    ridge = 1e-3
+    lam, ridge = 0.9, 1e-3
     pen = exact_penalty_terms(dataset, model, anchor)
-    anc_probs = anchor.probs_all()
-    n_phi = model.n_params
-    eye = np.eye(n_phi)
-    # one representative dataset row per visited cell
-    cells = {}
-    for row in range(dataset.n):
-        cells.setdefault((int(dataset.states[row]), int(dataset.actions[row])), row)
-    counts = dataset.cell_counts()
-    weights = np.zeros((1, 1))
-    ph = BlockScores(np.zeros((1, 1), dtype=np.int64),
-                     np.zeros((1, 1, model.num_outcomes)), n_phi)
-    th = BlockScores(np.zeros((1, 1), dtype=np.int64),
-                     np.zeros((1, 1, policy.num_actions)), policy.n_params)
-    acc = np.zeros((n_phi, n_phi))
-    for (s, a), row in cells.items():
-        for k in range(model.num_outcomes):
-            rng = ScriptedRng(integer_queue=[[row]],
-                              uniform_queue=[[uniform_for(anc_probs[s, a], k)]])
-            factors = factors_from_batch(weights, ph, th, dataset, model,
-                                         anchor, lam=lam, rng=rng,
-                                         **_dual_terms(dataset, model, anchor,
-                                                       0.0),
-                                         n_penalty_cols=1, ridge=ridge)
-            weight = (counts[(s, a)] / dataset.n) * anc_probs[s, a, k]
-            acc += weight * (factors.dense() - ridge * eye)
-    assert np.abs(acc - lam * pen.fim_mean).max() <= 1e-10
+    base = penalty_curvature(dataset, model, anchor, lam, ridge)
+    block = base.dense() - ridge * np.eye(model.n_params)
+    assert np.abs(block - lam * pen.fim_mean).max() <= 1e-10
 
 
 def test_penalty_emissions_match_the_per_row_choice_loop():
@@ -484,20 +449,12 @@ def test_penalty_emissions_match_the_per_row_choice_loop():
 
 
 def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset):
-    """A scripted (row, outcome) draw fills the Z column; the dual coupling
-    and slope are the caller's exact dataset terms whatever was drawn."""
+    """The dual coupling and slope are the caller's exact dataset terms."""
     mdp, policy, model = small_triple
     dataset, anchor = small_dataset
     weights, ph, th = _sampled_batch(mdp, policy, model, 2, 41)
-    row, k, eps, lam = 7, 2, 0.3, 0.5
-    s, a = int(dataset.states[row]), int(dataset.actions[row])
-    rng = ScriptedRng(integer_queue=[[row]],
-                      uniform_queue=[[uniform_for(anchor.probs(s, a), k)]])
-    factors = factors_from_batch(weights, ph, th, dataset, model, anchor,
-                                 lam=lam, rng=rng,
-                                 **_dual_terms(dataset, model, anchor, eps),
-                                 n_penalty_cols=1, ridge=1e-3)
-    assert np.array_equal(factors.z[:, 0], model.score(s, a, k) * np.sqrt(lam))
+    eps, lam = 0.3, 0.5
+    factors = _factors(weights, ph, th, dataset, model, anchor, lam, eps)
     assert np.array_equal(factors.dual_coupling,
                           dataset_dual_coupling(dataset, model, anchor))
     assert factors.dual_slope == dataset_kl(dataset, model, anchor) - eps

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from stackmbrl.estimators import dataset_dual_coupling, dataset_kl
+from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
+                                  penalty_curvature)
 from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               DiagGaussianPolicy, DiagGaussianWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
@@ -821,6 +822,46 @@ def test_gaussian_dataset_terms_match_the_row_walk(tracking_data):
             dataset, m, anchor)
         assert np.array_equal(dataset_dual_coupling(dataset, m, anchor),
                               _row_gaussian_dual_coupling(dataset, m, anchor))
+
+
+def test_gaussian_penalty_curvature_at_the_anchor_is_the_fisher_gram(
+        tracking_data):
+    """At model == anchor the closed penalty block is lam times the dataset
+    Fisher matrix: sigma_j^-2 X^T X / n on output j's weights, 2 on each
+    log-std, and zero between outputs and between weights and log-stds."""
+    dataset, anchor, _ = tracking_data
+    ridge, lam = 1e-3, 0.7
+    block = (penalty_curvature(dataset, anchor, anchor, lam, ridge).dense()
+             - ridge * np.eye(anchor.n_params))
+    feats = anchor._features(dataset.states, dataset.actions)
+    n_out, n_feat = anchor.weights.shape
+    want = np.zeros_like(block)
+    for j, log_std in enumerate(anchor.log_std):
+        cols = slice(j * n_feat, (j + 1) * n_feat)
+        want[cols, cols] = feats.T @ feats / dataset.n / np.exp(2.0 * log_std)
+        want[n_out * n_feat + j, n_out * n_feat + j] = 2.0
+    assert np.abs(block - lam * want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gaussian_penalty_curvature_matches_monte_carlo(tracking_data):
+    """Off the anchor, the closed block matches a seeded Monte Carlo average
+    of score score^T at anchor draws on 20 dataset rows, 20,000 draws each:
+    every entry within 5 of its standard errors, a bound set before the
+    run."""
+    dataset, anchor, model = tracking_data
+    rows, draws = 20, 20_000
+    states = np.repeat(dataset.states[:rows], draws, axis=0)
+    actions = np.repeat(dataset.actions[:rows], draws, axis=0)
+    normals = np.random.default_rng(5).standard_normal((rows * draws, 2))
+    scores = model.scores(states, actions,
+                          anchor.samples(states, actions, normals)).blocks
+    mean = scores.T @ scores / len(scores)
+    stderr = np.sqrt(((scores ** 2).T @ scores ** 2 / len(scores) - mean ** 2)
+                     / len(scores))
+    block = model.penalty_curvature(
+        (dataset.states[:rows], dataset.actions[:rows]), np.full(rows, 0.05),
+        anchor, 1e-3).dense() - 1e-3 * np.eye(model.n_params)
+    assert np.all(np.abs(block - mean) <= 5.0 * stderr + 1e-12)
 
 
 def _cell_categorical_kl(p, q):

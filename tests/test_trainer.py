@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_oracles as ref_oracles
 import reference_samplers as ref
 from conftest import dirichlet_mdp
 from reference_estimators import (discounted_weights, model_gradient,
@@ -21,7 +22,7 @@ import stackmbrl
 from stackmbrl import estimators, models, trainer
 from stackmbrl.dynamics import LearningRates
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
-                                  factors_from_batch)
+                                  factors_from_batch, penalty_curvature)
 from stackmbrl.mdp import SamplingError, exact_return, sample_tabular_batch
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianPolicy,
                               DiagGaussianWorldModel, OfflineDataset,
@@ -176,7 +177,7 @@ def test_batched_gaussian_likelihoods_match_the_step_loop(tracking_setup):
 def test_tabular_iteration_builds_no_dense_score_table(
         grad_triple, grad_dataset, monkeypatch, dynamics):
     """An iteration forms no dense score table and expands no block scores.
-    On the core route (the Dirichlet MDP: 216 model parameters, 128 atoms)
+    On the core route (the Dirichlet MDP: 216 model parameters, 64 atoms)
     it also reads no dense factor and never forms A_hat."""
     def refuse(*args, **kwargs):
         raise AssertionError("dense scores or factors built")
@@ -267,7 +268,7 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
     4 iterations each; a step whose core is rejected aborts its iteration
     and is not counted). ``gradient`` and ``tracking`` have fewer model
     parameters than score atoms, so the solver forms A densely; ``dirichlet``
-    (216 parameters, 128 atoms) works through the k x k core."""
+    (216 parameters, 64 atoms) works through the k x k core."""
     solves = []
 
     def capture(grad_policy, grad_model, factors, **kwargs):
@@ -304,8 +305,8 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
 def test_iteration_memory_stays_within_one_epochs_factors():
     """The leader update holds one policy epoch's block-score atoms,
     coefficient matrices and the solver's two k x k matrices at a time,
-    O(k * (K + rank) + k^2) plus a few n_phi-vectors: about 405 bytes per
-    model parameter at the peak of one iteration, 880 when this test runs
+    O(k * (K + rank) + k^2) plus a few n_phi-vectors: about 250 bytes per
+    model parameter at the peak of one iteration, 735 when this test runs
     first in its process. Dense (k, n_phi) atoms peaked near 1.4 KB (1.8 KB
     first in the process), full-height factor columns and solver caches
     near 2.6 KB, and two epochs' sets of them near 5.75 KB."""
@@ -326,10 +327,10 @@ def test_iteration_memory_stays_within_one_epochs_factors():
 
 
 def test_policy_epoch_memory_holds_block_scores_only():
-    """One policy epoch at n_phi = 2,400 (k = 128 atoms, blocks of K = 40)
-    peaks at about 390 bytes per model parameter: the solver's k x k
-    matrices (four at once while the core is factored) and a few
-    n_phi-vectors. Dense (m, h, n_phi) step scores and
+    """One policy epoch at n_phi = 2,400 (k = 64 atoms, blocks of K = 40)
+    peaks at about 215 bytes per model parameter: the solver's k x k
+    matrices (four at once while the core is factored), the penalty base
+    and a few n_phi-vectors. Dense (m, h, n_phi) step scores and
     (k, n_phi) atoms peaked at about 1,350."""
     env = dirichlet_mdp(0, num_states=20)
     dataset = rollout_dataset(env, "uniform", n_episodes=200, seed=0)
@@ -379,11 +380,10 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
     total = grad_policy
     if dynamics != "naive":
         factors = factors_from_batch(
-            weights, phi_scores, theta_scores, dataset, model,
-            anchor, lam, dataset_dual_coupling(dataset, model, anchor),
-            dataset_kl(dataset, model, anchor) - config.epsilon,
-            np.random.default_rng((3, _POLICY_STREAM, 0, 0)),
-            n_penalty_cols=config.penalty_batch_size, ridge=config.ridge)
+            weights, phi_scores, theta_scores,
+            penalty_curvature(dataset, model, anchor, lam, config.ridge), lam,
+            dataset_dual_coupling(dataset, model, anchor),
+            dataset_kl(dataset, model, anchor) - config.epsilon)
         total = leader_gradient(grad_policy, grad_model, factors,
                                 use_dual_row=dynamics == "constrained")
     rates = config.rates.at(0)
@@ -479,20 +479,20 @@ def test_seeded_runs_write_identical_artifacts(grad_triple, grad_dataset,
 # (iterations, {file: sha256}) of ``train(env, dataset, anchor,
 # TrainerConfig(n_iterations=iterations, seed=0), out_dir=...)`` on the
 # inputs of ``_digest_run``. ``gradient`` (36 model parameters) and
-# ``tracking`` (8) form A_hat densely; ``sparse`` (144 parameters, 128
+# ``tracking`` (8) form A_hat densely; ``sparse`` (144 parameters, 64
 # score atoms) solves through the k x k core.
 ARTIFACT_DIGESTS = {
     "gradient": (10, {
-        "trace.csv": "64e0481d6cee946520216b96661c4391ea505b15d44ecf36103ef5f6b50a3aec",
-        "checkpoint_final.json": "2a92ff66d745462eda5e847700256a39a243f97f726c5f9f7185f77d89d27593",
+        "trace.csv": "4a16af88efadb9b75c249b16c68a6efa544c17f06bf649cbb766a74f198f6fb2",
+        "checkpoint_final.json": "a3fd0d5a87b0cbf7761754fbb48819c2bb9e832aabb78489ca3d8b539e455f36",
     }),
     "sparse": (10, {
-        "trace.csv": "74dcbd5ab43c2dad2eaa3f23d9264758e7794f7aeca50867c3cc35cf756eef03",
-        "checkpoint_final.json": "74a12d52780b6866c75e957a8514492725cf9cd42c19bb6738d0317b892a8caf",
+        "trace.csv": "9fdfc83cb57976d60ed84f7c6058e38b12ddcb852ee7811c8c00fdcc51112109",
+        "checkpoint_final.json": "c52b001298287934e1822ebbf68ec0f7fcbb8977478620d364a4c45df675d6f2",
     }),
     "tracking": (5, {
-        "trace.csv": "6f06550f0f24e5f7e09e851df44348c873c462259ff43a0524b9752e37fef6b8",
-        "checkpoint_final.json": "0b526908929d9097c922601a25f0a612a2d62aae5f4e90dfba7d88787186c38c",
+        "trace.csv": "b8d802f5ed9d00ea5f9f47b7784badf5dba579dfaf4791404fa7090c202ddedd",
+        "checkpoint_final.json": "b26361d53cb1ac2a5884255c90a0f3699f8bc193f7e93cd6b2188beca825d53d",
     }),
 }
 
@@ -702,8 +702,8 @@ def test_a_truncated_row_leaves_the_other_rows_draws(tracking_setup):
 def test_batched_draws_match_the_per_row_reference(seed):
     """On ``tracking``, every batched continuous draw gives the bits of the
     per-row loops in ``reference_samplers``: rollouts with no truncation,
-    one critic refit, the penalty emissions of ``factors_from_batch``, a
-    behavior dataset, and deployment returns with and without noise."""
+    one critic refit, a behavior dataset, and deployment returns with and
+    without noise."""
     env, dataset, anchor = _tracking_inputs(seed)
     policy = tracking_behavior_policy(env)
     batch = collect_rollouts(env, policy, anchor, dataset, n_rollouts=8,
@@ -721,17 +721,6 @@ def test_batched_draws_match_the_per_row_reference(seed):
     ref.critic_fit_epoch(twin, policy, anchor, env.gamma, transitions,
                          np.random.default_rng(seed))
     assert critic.to_dict() == twin.to_dict()
-
-    steps = trainer._steps(batch, 4)
-    factors = factors_from_batch(
-        np.ones((8, 4)), anchor.scores(*steps), policy.scores(*steps[:2]),
-        dataset,
-        anchor, anchor, 1.0, np.zeros(anchor.n_params), 0.0,
-        np.random.default_rng(seed), n_penalty_cols=7, ridge=1e-3)
-    draws = ref.penalty_emissions(anchor, dataset, 7,
-                                  np.random.default_rng(seed))
-    assert np.array_equal(factors.atoms.blocks[32:],
-                          anchor.scores(*draws).blocks)
 
     data = rollout_dataset(env, policy, n_episodes=6, seed=seed)
     for got, want in zip((data.states, data.actions, data.rewards,
@@ -805,6 +794,42 @@ def test_worst_case_return_stays_in_the_ball_and_repeats():
                                            step_size=2.0, seed=3)
     assert again == value
     assert again_model.logits.tobytes() == model.logits.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TABULAR_TESTBEDS) + ["dirichlet"])
+def test_bisection_on_cell_arrays_gives_the_reference_bits(name,
+                                                          monkeypatch):
+    """``_pulled_into_ball`` bisects on the visited cells' logits alone, yet
+    returns the bits of the reference that builds a model and calls
+    ``dataset_kl`` per halving: on random models outside the ball, and
+    through ``worst_case_return`` at 2 starts x 12 steps of size 2.0. The
+    Dirichlet MDP's dataset visits 60 cells, enough for a pairwise sum to
+    differ from the running one."""
+    if name == "dirichlet":
+        mdp, rows = dirichlet_mdp(0, num_states=20), 500
+    else:
+        mdp, rows = TABULAR_TESTBEDS[name]()[0], 50
+    dataset = sample_offline_dataset(mdp, "uniform", n=rows, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
+    epsilon = TrainerConfig().epsilon
+    rng = np.random.default_rng(11)
+    for scale in (1.0, 3.0, 10.0):
+        model = anchor.with_params(anchor.params.values
+                                   + scale * rng.standard_normal(anchor.n_params))
+        assert dataset_kl(dataset, model, anchor) > epsilon
+        got = trainer._pulled_into_ball(model, anchor, dataset, epsilon)
+        want = ref_oracles.pulled_into_ball(model, anchor, dataset, epsilon)
+        assert got.logits.tobytes() == want.logits.tobytes()
+    args = (mdp, SoftmaxPolicy.zeros(mdp.num_states, mdp.num_actions), anchor,
+            dataset, epsilon)
+    value, model = worst_case_return(*args, n_starts=2, n_steps=12,
+                                     step_size=2.0)
+    monkeypatch.setattr(trainer, "_pulled_into_ball",
+                        ref_oracles.pulled_into_ball)
+    want_value, want_model = worst_case_return(*args, n_starts=2, n_steps=12,
+                                               step_size=2.0)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert model.logits.tobytes() == want_model.logits.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(TABULAR_TESTBEDS))

@@ -13,10 +13,10 @@ import pytest
 import stackmbrl
 from stackmbrl.models import CategoricalWorldModel, DiagGaussianWorldModel
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, BlockScores,
-                                IllConditionedError, LowRankFactors,
-                                SingularScalarError, WoodburySolver,
-                                dual_corrected, leader_gradient,
-                                random_factors)
+                                CellCurvature, IllConditionedError,
+                                LowRankFactors, SingularScalarError,
+                                WoodburySolver, dual_corrected,
+                                leader_gradient, random_factors)
 
 
 def empty_cols(n_phi: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def test_block_products_match_the_dense_atoms(case):
     k, n_phi = dense.shape
     rng = np.random.default_rng(5)
     rhs, coef = rng.standard_normal((n_phi, 3)), rng.standard_normal((k, 4))
-    assert_close(atoms.gram(), dense @ dense.T)
+    assert_close(atoms.gram(atoms.blocks), dense @ dense.T)
     assert_close(atoms.project(rhs[:, 0]), dense @ rhs[:, 0])
     assert_close(atoms.project(rhs), dense @ rhs)
     assert_close(atoms.expand(coef[:, 0]), dense.T @ coef[:, 0])
@@ -128,13 +128,13 @@ def test_levels_independent_of_zeroed_blocks():
     variants = {
         "no-step-pairs": LowRankFactors.from_columns(
             u=base.u, v=base.v, x=np.zeros_like(base.x),
-            y=np.zeros_like(base.y), z=base.z, w=base.w, ridge=base.ridge),
+            y=np.zeros_like(base.y), z=base.z, w=base.w, ridge=base.base.ridge),
         "no-penalty": LowRankFactors.from_columns(
             u=base.u, v=base.v, x=base.x, y=base.y, z=np.zeros_like(base.z),
-            w=base.w, ridge=base.ridge),
+            w=base.w, ridge=base.base.ridge),
         "no-score-pairs": LowRankFactors.from_columns(
             u=np.zeros_like(base.u), v=np.zeros_like(base.v), x=base.x,
-            y=base.y, z=base.z, w=base.w, ridge=base.ridge),
+            y=base.y, z=base.z, w=base.w, ridge=base.base.ridge),
     }
     rng = np.random.default_rng(2)
     v = rng.standard_normal(30)
@@ -142,6 +142,91 @@ def test_levels_independent_of_zeroed_blocks():
         got = WoodburySolver(factors).solve(v)
         want = np.linalg.solve(factors.dense(), v)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want), name
+
+
+def _zero_outcome_rows(rng, n: int, k: int) -> np.ndarray:
+    """n probability rows over k outcomes, with zero-probability outcomes
+    in the first two rows."""
+    rows = rng.dirichlet(np.ones(k), n)
+    rows[0, :2] = 0.0
+    rows[1, -1] = 0.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_cell_curvature_solve_is_backward_stable(scale):
+    """N^{-1} by two Sherman-Morrison steps per cell has normwise backward
+    error ||N x - b|| / (||N||_2 ||x|| + ||b||) <= 1e-14 against the dense
+    N = D / ridge, at block weights lam * w = 1 and 1e6, on cells whose
+    reference has zero-probability outcomes, on a cell off the list (ridge
+    * I) and on atoms that share a cell."""
+    rng = np.random.default_rng(7)
+    k, n_cells, ridge = 6, 5, 1e-3
+    q = _zero_outcome_rows(rng, 3, k)
+    base = CellCurvature(k * n_cells, ridge, np.array([4, 0, 2]),
+                         np.full(3, scale), q, q - rng.dirichlet(np.ones(k), 3))
+    dense = base.dense() / ridge
+    norm = np.linalg.norm
+    rhs = rng.standard_normal((3, n_cells, k))
+    atoms = (np.array([0, 3, 4, 4, 2]), rng.standard_normal((5, k)))
+    cases = [(b.ravel(), x.ravel()) for b, x in zip(
+        rhs, base.solve_blocks(slice(None), rhs))]
+    for cell, block, sol in zip(*atoms, base.solve_blocks(*atoms)):
+        b, x = np.zeros((2, n_cells, k))
+        b[cell], x[cell] = block, sol
+        cases.append((b.ravel(), x.ravel()))
+    for b, x in cases:
+        assert norm(dense @ x - b) <= 1e-14 * (norm(dense, 2) * norm(x)
+                                               + norm(b))
+
+
+def _closed_base_factors(case: str) -> LowRankFactors:
+    """Core-route factors (fewer atoms than parameters) over the closed
+    penalty base of a categorical or a Gaussian model, the anchor moved
+    off it."""
+    rng = np.random.default_rng(23)
+    if case == "categorical":
+        model = CategoricalWorldModel(rng.standard_normal((4, 3, 6)),
+                                      np.zeros(6), np.arange(6) % 4)
+        atoms = model.scores(rng.integers(0, 4, 12), rng.integers(0, 3, 12),
+                             rng.integers(0, 6, 12))
+        given = (np.array([0, 1, 2, 3, 0]), np.array([0, 1, 2, 0, 2]))
+    else:
+        model = DiagGaussianWorldModel(rng.standard_normal((3, 5)),
+                                       rng.standard_normal(3) * 0.3, 2, 2)
+        atoms = model.scores(rng.standard_normal((8, 2)),
+                             rng.standard_normal((8, 2)),
+                             rng.standard_normal((8, 3)))
+        given = (rng.standard_normal((6, 2)), rng.standard_normal((6, 2)))
+    anchor = model.with_params(model.params.values
+                               + 0.5 * rng.standard_normal(model.n_params))
+    base = model.penalty_curvature(given, rng.uniform(0.1, 1.0, len(given[0])),
+                                   anchor, 1e-2)
+    k = atoms.cells.size
+    coef = rng.standard_normal((4, k, 3)) / np.sqrt(k)
+    return LowRankFactors(atoms, *coef, np.zeros((k, 0)),
+                          w=rng.standard_normal((2, 3)), base=base, lam=0.5,
+                          dual_coupling=rng.standard_normal(model.n_params),
+                          dual_slope=1.5)
+
+
+@pytest.mark.parametrize("case", ["categorical", "gaussian"])
+def test_core_route_over_a_closed_base_matches_the_dense_route(case):
+    """Over a closed penalty base, the core route's solves and leader step
+    match dense solves against A_hat = D + UV^T - XY^T."""
+    factors = _closed_base_factors(case)
+    assert factors.n_atoms < factors.n_phi
+    dense = factors.dense()
+    rhs = np.random.default_rng(4).standard_normal((factors.n_phi, 2))
+    solver = WoodburySolver(factors)
+    for b in (rhs[:, 0], rhs):
+        want = np.linalg.solve(dense, b)
+        assert np.linalg.norm(solver.solve(b) - want) <= 1e-9 * np.linalg.norm(want)
+    gp = np.ones(2)
+    for dual in (True, False):
+        got = leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
+        want = dense_leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
+        assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
 def test_large_dimension_solve_never_densifies():
@@ -158,7 +243,7 @@ def test_large_dimension_solve_never_densifies():
     assert elapsed < 2.0
     # spot-check the solution by residual instead of a dense inverse
     f = factors
-    recon = (f.ridge * out + f.u @ (f.v.T @ out) - f.x @ (f.y.T @ out)
+    recon = (f.base.ridge * out + f.u @ (f.v.T @ out) - f.x @ (f.y.T @ out)
              + f.z @ (f.z.T @ out))
     assert np.linalg.norm(recon - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
@@ -335,7 +420,7 @@ def test_operator_multiplier_free_reductions():
     # empty coupling vector: same bypass
     stripped = LowRankFactors.from_columns(
         u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
-        w=factors.w, ridge=factors.ridge, lam=factors.lam)
+        w=factors.w, ridge=factors.base.ridge, lam=factors.lam)
     applied_empty = dual_corrected(WoodburySolver(stripped).solve, v,
                                    stripped.dual_coupling, stripped.lam,
                                    stripped.dual_slope)
@@ -349,7 +434,7 @@ def test_vanishing_schur_complement_raises():
     fatal_slope = factors.lam * float(factors.dual_coupling @ a_inv_b)
     rigged = LowRankFactors.from_columns(
         u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
-        w=factors.w, ridge=factors.ridge, lam=factors.lam,
+        w=factors.w, ridge=factors.base.ridge, lam=factors.lam,
         dual_coupling=factors.dual_coupling, dual_slope=fatal_slope)
     rigged_solve = WoodburySolver(rigged).solve
     b = rigged.dual_coupling
@@ -438,7 +523,7 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     factors = LowRankFactors.from_columns(
         **{name: empty_cols(n_phi) if name in empty else getattr(base, name)
            for name in ("u", "v", "x", "y", "z", "w")},
-        ridge=base.ridge, lam=base.lam, dual_coupling=base.dual_coupling,
+        ridge=base.base.ridge, lam=base.lam, dual_coupling=base.dual_coupling,
         dual_slope=base.dual_slope)
     kept = {name: getattr(factors, name).copy() for name in FACTOR_ARRAYS}
     rng = np.random.default_rng(12)

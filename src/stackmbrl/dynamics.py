@@ -175,8 +175,11 @@ def _corrected_ascent(g_theta, g_phi, a, m, b, c, lam: float,
         return g_theta - m.T @ h_g
 
     try:
-        h_g = dual_corrected(lambda rhs: np.linalg.solve(a, rhs), g_phi,
-                             b if use_dual_row else np.zeros(0), lam, c)
+        h_g = np.linalg.solve(a, g_phi)
+        if use_dual_row and lam != 0.0:
+            h_b = np.linalg.solve(a, b)
+            h_g = dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b),
+                                 lam, c)
     except np.linalg.LinAlgError as err:
         raise SingularScalarError(
             f"adversary curvature is singular ({err}); no correction "

@@ -18,7 +18,7 @@ import numpy as np
 
 from .models import (CategoricalWorldModel, OfflineDataset, SoftmaxPolicy,
                      categorical_kl, gaussian_kl)
-from .woodbury import BlockScores, LowRankFactors
+from .woodbury import BlockScores, DualRow, LowRankFactors
 
 
 # ---------------------------------------------------------------------------
@@ -34,12 +34,9 @@ def policy_score_table(policy: SoftmaxPolicy) -> np.ndarray:
 
 
 def model_score_table(model: CategoricalWorldModel) -> np.ndarray:
-    """(S, A, K, n_phi) dense score table: ``grad-check``'s frozen score
-    rows, which the benchmark tracer times by this name.
-
-    Its size is quadratic in n_phi; sampled estimators evaluate
-    ``model.scores`` on the steps they draw instead, as block scores.
-    """
+    """(S, A, K, n_phi) dense score table, quadratic in n_phi:
+    ``grad-check``'s frozen score rows, which the benchmark tracer times by
+    this name. Sampled estimators use ``model.scores`` instead."""
     return model.scores(*np.indices(model.logits.shape)).dense()
 
 
@@ -97,9 +94,10 @@ def masked_surrogate_gradient(step_scores: BlockScores, masks: np.ndarray,
     mixing is undamped and the critic is identically zero, since then
     gamma^t * adv_t equals the absolute-discounted return-to-go w_t.
     """
-    ell = advantages.shape[1]
-    weights = masks[:, :ell] * advantages * gamma ** np.arange(ell)
-    return step_scores[:, :ell].expand(weights.ravel()) / len(weights)
+    n, ell = advantages.shape
+    weights = np.zeros(step_scores.cells.shape)  # steps past ell weigh 0
+    weights[:, :ell] = masks[:, :ell] * advantages * gamma ** np.arange(ell)
+    return step_scores.expand(weights.ravel()) / n
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +156,33 @@ def penalty_curvature(dataset: OfflineDataset, model, anchor, lam: float,
 
 
 def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
-                       theta_scores: BlockScores, base,
-                       lam: float, dual_coupling: np.ndarray,
-                       dual_slope: float) -> LowRankFactors:
+                       theta_scores: BlockScores, base, lam: float,
+                       dual: DualRow | None) -> LowRankFactors:
     """Reduce one rollout batch to curvature factors; nothing is drawn.
-
-    The atoms are the batch's m * h model step scores, step (i, t) at row
-    i * h + t, as block scores. Each factor is a coefficient matrix over
-    them, so the factors add O(k * rank) to the k atoms' O(k * K):
+    The atoms are the (m, h) model step scores, step (i, t) at row i * h +
+    t, and each factor is a coefficient matrix over them:
 
     * U/V columns: per-trajectory weighted and unweighted model-score sums,
-      w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps; W is the
-      (m, h) policy step scores ``theta_scores`` under V's coefficients.
+      w_t / sqrt(m) and 1 / sqrt(m) on the trajectory's steps; W sums the
+      policy step scores the same way, in one scatter onto m layouts.
     * X/Y columns: one per step, w_t / sqrt(m) (X) and 1 / sqrt(m) (Y) on
       that step alone, so XY^T = (1/m) sum_{i,t} w_it score_it score_it^T,
       the batch's own estimate of sum_t E[w_t score_t score_t^T].
     * no Z columns: ``base``, the closed ``penalty_curvature`` at ``lam``.
-    * ``dual_coupling`` and ``dual_slope`` are the caller's exact dataset
-      terms (``dataset_dual_coupling`` and ``dataset_kl`` minus epsilon),
-      carried through unchanged.
+    * ``dual``: the caller's multiplier row over ``base``, or None.
     """
     m, h = weights.shape
     in_path = np.kron(np.eye(m), np.ones((h, 1)))  # step i * h + t: col i
     weighted, c_v = weights.reshape(-1, 1) / np.sqrt(m), in_path / np.sqrt(m)
+    paths = BlockScores(theta_scores.n_cells * np.arange(m)[:, None]
+                        + theta_scores.cells, theta_scores.blocks,
+                        m * theta_scores.n_params)
+    w = paths.expand(np.full(m * h, 1.0 / np.sqrt(m))).reshape(m, -1)
     return LowRankFactors(
-        phi_scores.rows(), c_u=in_path * weighted, c_v=c_v,
+        phi_scores, c_u=in_path * weighted, c_v=c_v,
         c_x=np.diag(weighted[:, 0]), c_y=np.eye(m * h) / np.sqrt(m),
-        c_z=np.zeros((m * h, 0)), w=theta_scores.expand(c_v), base=base,
-        lam=lam, dual_coupling=dual_coupling, dual_slope=dual_slope)
+        c_z=np.zeros((m * h, 0)), w=np.ascontiguousarray(w.T), base=base,
+        lam=lam, dual=dual)
 
 
 # ---------------------------------------------------------------------------

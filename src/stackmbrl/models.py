@@ -576,31 +576,38 @@ def _packed_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
 
 
 def categorical_kl(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
-    """KL(p || q) over the last axis with the 0 log 0 = 0 convention;
-    infinite where q misses p's support. A float for one pair of
-    distributions, an array over the leading axes for a batch.
+    """KL(p || q) over the last axis: ``categorical_kl_from(p)(q)``."""
+    return categorical_kl_from(p)(q)
 
-    Each row sums only its p > 0 terms, in order. Rows are summed in groups
-    of equal term count, so numpy's pairwise sum groups each row's terms as
-    it would for that row alone, and a batch gives the bits of one call per
-    row.
-    """
+
+def categorical_kl_from(p: np.ndarray):
+    """q -> KL(p || q) over the last axis, 0 log 0 = 0, infinite where q
+    misses p's support: a float for one pair, else an array over the
+    leading axes. Each row sums its p > 0 terms in order, in groups of rows
+    of equal term count, so numpy's pairwise sum gives each row the bits of
+    a call on it alone. The groups and p's terms and logs are built once."""
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, q.shape[-1])
+    rows_p = p.reshape(-1, p.shape[-1])
     support = rows_p > 0
     n_terms = support.sum(axis=1)
-    out = np.empty(len(rows_p))
-    with np.errstate(divide="ignore"):
-        for n in np.unique(n_terms):
-            group = n_terms == n
-            keep = support & group[:, None]  # n entries per row, in order
-            shape = (int(group.sum()), int(n))
-            p_n, q_n = rows_p[keep].reshape(shape), rows_q[keep].reshape(shape)
-            out[group] = (p_n * (np.log(p_n) - np.log(q_n))).sum(axis=1)
-    out[(support & (rows_q == 0)).any(axis=1)] = np.inf
-    out = out.reshape(p.shape[:-1])
-    return float(out) if out.ndim == 0 else out
+    groups = []
+    for n in np.flatnonzero(np.bincount(n_terms)):  # ascending counts
+        group = n_terms == n
+        keep = support & group[:, None]  # n entries per row, in order
+        p_n = rows_p[keep].reshape(int(group.sum()), int(n))
+        groups.append((group, keep, p_n, np.log(p_n)))
+
+    def kl(q: np.ndarray) -> float | np.ndarray:
+        rows_q = np.asarray(q, dtype=float).reshape(rows_p.shape)
+        out = np.empty(len(rows_p))
+        with np.errstate(divide="ignore"):
+            for group, keep, p_n, log_p in groups:
+                q_n = rows_q[keep].reshape(p_n.shape)
+                out[group] = (p_n * (log_p - np.log(q_n))).sum(axis=1)
+        out[(support & (rows_q == 0)).any(axis=1)] = np.inf
+        out = out.reshape(p.shape[:-1])
+        return float(out) if out.ndim == 0 else out
+    return kl
 
 
 def gaussian_kl(mean_p: np.ndarray, var_p: np.ndarray, mean_q: np.ndarray,

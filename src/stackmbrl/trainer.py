@@ -57,11 +57,12 @@ from .models import (
     OfflineDataset,
     SoftmaxPolicy,
     _softmax,
-    categorical_kl,
+    categorical_kl_from,
 )
 from .oracles import ExactGradients, exact_gradients
 from .woodbury import (
     RIDGE_DEFAULT,
+    DualRow,
     IllConditionedError,
     SingularScalarError,
     leader_gradient,
@@ -401,12 +402,8 @@ class TrainState:
 
     An iteration fits a tentative critic on a tentative buffer and installs
     both with (policy, model, lam), so an aborted iteration leaves all five
-    as they were. Nothing here holds an epoch's work: the leader's step
-    rule builds its k score atoms (step scores, each a cell index and a
-    K-entry block), their (k, <= k) coefficient matrices and the solver's
-    k x k matrices, and drops them on return, so at most one epoch's O(k *
-    (K + k)) set, the penalty base and a few n_phi-vectors are live.
-    """
+    as they were. Nothing here holds an epoch's work: the leader's rule
+    keeps only the penalty base and its dual row across epochs."""
 
     policy: object
     model: object
@@ -572,11 +569,13 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
 def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
                  gamma: float, rate: float, coupling: np.ndarray, gap: float):
     """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
-    (g_theta - M^T A^-1 g_phi)`` from factors on the epoch's steps, with
-    every epoch at the committed model and multiplier and so at their dual
-    ``coupling``, constraint ``gap`` and penalty base D, built once here."""
+    (g_theta - M^T H g_phi)`` from factors on the epoch's steps. Epochs
+    share the committed model and multiplier, so the penalty base D and,
+    under ``constrained``, its ``DualRow`` are built once, per iteration."""
     base = None if config.dynamics == "naive" else penalty_curvature(
         dataset, state.model, anchor, state.lam, config.ridge)
+    dual = (DualRow.over(base, coupling, gap)
+            if config.dynamics == "constrained" else None)
 
     def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
         if config.dynamics == "naive":
@@ -584,10 +583,10 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
         phi_scores = state.model.scores(*steps)
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
-            theta_scores, base, state.lam, coupling, gap)
+            theta_scores, base, state.lam, dual)
         return rate * leader_gradient(
             grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
-            factors, use_dual_row=config.dynamics == "constrained")
+            factors)
     return rule
 
 
@@ -809,13 +808,13 @@ def _pulled_into_ball(model: CategoricalWorldModel,
     if dataset_kl(dataset, model, anchor) <= epsilon:
         return model
     s, a, counts = dataset.cells
-    reference, mass = anchor.probs(s, a), counts / dataset.n
+    anchor_kl = categorical_kl_from(anchor.probs(s, a))
     start, step = anchor.logits[s, a], (model.logits - anchor.logits)[s, a]
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        kl = categorical_kl(reference, _softmax(start + mid * step))
-        if np.add.accumulate(mass * kl)[-1] <= epsilon:
+        kl = anchor_kl(_softmax(start + mid * step))
+        if np.add.accumulate(counts / dataset.n * kl)[-1] <= epsilon:
             lo = mid
         else:
             hi = mid

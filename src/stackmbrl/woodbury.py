@@ -2,47 +2,35 @@
 
 The model-side curvature estimate is kept in factored form
 
-    A_hat = D + U V^T - X Y^T + Z Z^T          (n_phi x n_phi)
+    A_hat = D + U V^T - X Y^T + Z Z^T = ridge * N + S^T M S   (n_phi x n_phi)
 
-together with the mixed-curvature factor pair (U, W) whose product U W^T
-estimates the model/policy cross block. The base D = ridge * N is known in
-closed form and block-diagonal over the cells of the model's layout. Every
-factor is a linear combination of a few score vectors, the atoms: the rows
-of S (k x n_phi), held as a small coefficient matrix, U = S^T c_U and so on.
+with U W^T estimating the model/policy cross block. The base D = ridge * N
+is closed-form and block-diagonal over the cells of the model's layout.
+The rows of S are k score atoms, each zero outside one cell of K entries
+(``BlockScores``), and U = S^T c_U and so on, so M = c_U c_V^T - c_X c_Y^T
++ c_Z c_Z^T. With the k x k core C = ridge * I_k + S N^{-1} S^T M, the
+push-through identity over a general base (Hager, SIAM Review 1989) gives
 
-An atom is block-sparse: it is zero outside one cell of K parameters (a
-categorical score touches only its own (s, a) block; a Gaussian score, or
-any explicit column, is the one-cell case K = n_phi). ``BlockScores``
-holds each atom as its cell index and its K-entry block, so the atoms cost
-O(k * K) memory, and the solver's products read only those blocks: the
-Gram matrix S T^T of two such sets on the same cells is masked to atoms
-that share a cell, in O(k^2 * K); S b and S^T c take O(k * t * K) over
-the t <= k cells the atoms touch, plus one O(n_phi) right-hand side.
+    S A_hat^{-1} x = y_x = C^{-1} S N^{-1} x,
+    A_hat^{-1} x = N^{-1} (x - S^T M y_x) / ridge,
 
-Solves go through one k x k core. With M = c_U c_V^T - c_X c_Y^T +
-c_Z c_Z^T, A_hat = ridge * N + S^T M S, and the push-through Woodbury
-identity over a general base (Hager, SIAM Review 1989) gives
+where S N^{-1} x reads x only on the atoms' cells (N is symmetric). C costs
+O(k^2 K + k^3) and one QR; every step is a QR or a matrix product, whose
+bits do not depend on the BLAS thread count. When k >= n_phi the solver
+factors A_hat densely.
 
-    A_hat^{-1} b = N^{-1} (b - S^T M C^{-1} S N^{-1} b) / ridge,
-    C = ridge * I_k + S N^{-1} S^T M.
-
-A build applies N^{-1} to the atoms, on their own cells, forms C in
-O(k^2 * K + k^3), factors it once as QR and keeps P = R^{-1} Q^T with it.
-kappa_2 <= kappa_F = ||R||_F ||R^{-1}||_F <= k kappa_2, so only a core
-near ``COND_LIMIT`` pays for an SVD. A solve applies N^{-1} and S to its
-right-hand side, P with one refinement step against the core (an explicit
-inverse alone leaves a residual of order kappa * eps), and N^{-1} S^T to
-the result. Every step is a QR or a matrix product, whose bits do not
-depend on the BLAS thread count. When k >= n_phi the solver factors A_hat
-densely. A solve never writes to the factors or the right-hand side.
-
-The multiplier row of the leader's correction updates any A^{-1} solve by
-rank one: ``dual_corrected``, shared with the dense games of :mod:`.dynamics`.
+The leader's step g_theta - W c_U^T S H g_phi reads H g_phi only through
+S, so the core route stays in k-space. Per policy epoch: one core, y_g and
+y_b (b the multiplier's coupling) as one block, and b^T A_hat^{-1} x =
+(N^{-1} b . x - (S N^{-1} b)^T M y_x) / ridge, whatever n_phi is. Per
+iteration: D and a ``DualRow``, holding N^{-1} b and b . N^{-1} b.
+``dual_corrected`` applies the multiplier's rank-one update and Schur
+screen, shared with the dense games of :mod:`.dynamics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,14 +49,11 @@ class SingularScalarError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockScores:
-    """Score vectors that vanish outside one block of their layout.
-
-    The parameter vector splits into n_params / size consecutive cells of
-    ``size`` entries. The score at index i of the leading shape holds
-    ``blocks[i]`` on cell ``cells[i]`` and zeros elsewhere. ``project``,
-    ``expand`` and ``gram`` treat the scores as the rows of one matrix S,
-    in C order over the leading shape.
-    """
+    """Score vectors that vanish outside one block of their layout: the
+    parameters split into n_params / size cells of ``size`` entries, and
+    the score at index i of the leading shape holds ``blocks[i]`` on cell
+    ``cells[i]``. ``project``, ``expand`` and ``gram`` treat the scores as
+    the rows of one matrix S, in C order over the leading shape."""
 
     cells: np.ndarray      # (...) int, one cell per score
     blocks: np.ndarray     # (..., size) the scores' entries on their cells
@@ -89,76 +74,66 @@ class BlockScores:
     def n_cells(self) -> int:
         return self.n_params // self.size
 
-    def __getitem__(self, index) -> "BlockScores":
-        """The scores at ``index`` over the leading shape."""
-        return BlockScores(self.cells[index], self.blocks[index],
-                           self.n_params)
-
-    def rows(self) -> "BlockScores":
-        """The same scores with the leading shape flattened to (k,)."""
-        return BlockScores(self.cells.reshape(-1),
-                           self.blocks.reshape(-1, self.size), self.n_params)
-
     def dense(self) -> np.ndarray:
         """(..., n_params) explicit scores, for oracles and tests."""
-        flat = self.rows()
-        out = np.zeros((flat.cells.size, self.n_cells, self.size))
-        out[np.arange(flat.cells.size), flat.cells] = flat.blocks
+        cells, rows, _, blocks = self._incidence
+        out = np.zeros((len(rows), self.n_cells, self.size))
+        out[np.arange(len(rows)), cells[rows]] = blocks
         return out.reshape(self.cells.shape + (self.n_params,))
 
     @cached_property
     def _incidence(self) -> tuple:
-        """(cells, rows, E): the t distinct cells the scores touch, in
-        ascending order, each score's position among them, and the (t, k)
-        0/1 matrix with E[rows[i], i] = 1."""
+        """(cells, rows, E, blocks): the t distinct cells touched, ascending,
+        each score's among them, E (t, k) with E[rows[i], i] = 1, blocks."""
         cells, rows = np.unique(self.cells.reshape(-1), return_inverse=True)
         incidence = np.zeros((len(cells), len(rows)))
         incidence[rows, np.arange(len(rows))] = 1.0
-        return cells, rows, incidence
+        return cells, rows, incidence, self.blocks.reshape(-1, self.size)
 
-    def project(self, rhs: np.ndarray) -> np.ndarray:
-        """S rhs: (k,) or (k, p) for rhs (n_params,) or (n_params, p). The
-        t touched cells of rhs are gathered once; each score's dot product
-        with its own cell is read off their (k, t) product with the blocks."""
-        cells, rows, _ = self._incidence
+    def project(self, rhs: np.ndarray, blocks=None) -> np.ndarray:
+        """S rhs, (k,) or (k, p) for rhs (n_params,) or (n_params, p), or the
+        product of ``blocks`` (k, size) on the scores' cells: read off the
+        (k, t) product of the blocks with the t touched cells of rhs."""
+        cells, rows, _, own = self._incidence
         touched = rhs.reshape((self.n_cells, self.size) + rhs.shape[1:])[cells]
-        products = np.tensordot(self.rows().blocks, touched, axes=(1, 1))
+        products = np.tensordot(own if blocks is None else blocks, touched,
+                                axes=(1, 1))
         return products[np.arange(len(rows)), rows]
 
     def expand(self, coef: np.ndarray) -> np.ndarray:
-        """S^T coef: (n_params,) or (n_params, p) for coef (k,) or (k, p).
-        Each touched cell's sum of scaled blocks is one row of the product
-        of the coefficient-weighted incidence matrix with the blocks."""
-        cells, _, incidence = self._incidence
-        tail = coef.shape[1:]
-        weighted = incidence.reshape(incidence.shape + (1,) * len(tail)) * coef
-        sums = np.tensordot(weighted, self.rows().blocks, axes=(1, 0))
+        """S^T coef: (n_params,) or (n_params, p) for coef (k,) or (k, p):
+        one product of the coefficient-weighted incidence, (t * p, k), with
+        the blocks, scattered onto the t touched cells."""
+        cells, rows, incidence, blocks = self._incidence
+        cols, tail = np.atleast_2d(coef.T), coef.shape[1:]  # (p, k)
+        t, p = len(cells), len(cols)
+        sums = (incidence[:, None] * cols).reshape(t * p, len(rows)) @ blocks
         out = np.zeros((self.n_cells, self.size) + tail)
-        out[cells] = np.moveaxis(sums, -1, 1)
+        out[cells] = np.moveaxis(sums.reshape(t, p, self.size), 1, -1).reshape(
+            (t, self.size) + tail)
         return out.reshape((self.n_params,) + tail)
 
     def gram(self, right: np.ndarray) -> np.ndarray:
         """S T^T (k x k) for T's (k, size) blocks ``right`` on the same
         cells, S S^T for the scores' own: block products in the same cell."""
-        flat = self.rows()
-        out = flat.blocks @ right.T
-        out[flat.cells[:, None] != flat.cells[None, :]] = 0.0
+        _, rows, _, blocks = self._incidence
+        out = blocks @ right.T
+        out[rows[:, None] != rows[None, :]] = 0.0
         return out
 
 
 @dataclass(frozen=True)
 class CellCurvature:
-    """A base D = ridge * N, block-diagonal over the cells of K entries of
-    an n_params layout: ridge * I, plus on each listed cell scale E_{y~q}[
-    (e_y - p)(e_y - p)^T] = scale (diag(q) - q q^T + d d^T), d = q - p.
-    With no cell listed it is the ridge * I of explicit-column factors.
+    """A base D = ridge * N, block-diagonal over cells of K entries: ridge
+    * I, plus on each listed cell scale E_{y~q}[(e_y - p)(e_y - p)^T] =
+    scale (diag(q) - q q^T + d d^T), d = q - p (none for explicit columns).
 
-    Each base has ``dense()``, D itself, and ``solve_blocks(cells,
-    blocks)``, N^{-1} applied to (..., k, K) blocks, row i on cell
-    ``cells[i]``. Here that takes two Sherman-Morrison steps per cell, in
-    O(K): a downdate by q q^T, over the denominator sum_k q_k / (1 + beta
-    q_k) for beta = scale / ridge rather than the cancelling 1 - sum_k
-    beta q_k^2 / (1 + beta q_k), then an update by d d^T."""
+    Each base has ``dense()``, D itself, ``solve_blocks(cells, blocks)``,
+    N^{-1} on (..., k, K) blocks, row i on cell ``cells[i]``, and
+    ``solve(rhs)``, N^{-1} on the whole layout. Here a block takes two
+    Sherman-Morrison steps in O(K): a downdate by q q^T, over sum_k q_k /
+    (1 + beta q_k), beta = scale / ridge, rather than the cancelling 1 -
+    sum_k beta q_k^2 / (1 + beta q_k), then an update by d d^T."""
 
     n_params: int
     ridge: float
@@ -190,6 +165,10 @@ class CellCurvature:
         x = inv * blocks + down * np.einsum("...k,...k", inv_q, blocks)[..., None]
         return x - up * np.einsum("...k,...k", d, x)[..., None]
 
+    def solve(self, rhs):
+        return self.solve_blocks(slice(None), rhs.T.reshape(
+            rhs.shape[1:] + (-1, self.q.shape[1]))).reshape(rhs.shape[::-1]).T
+
     def dense(self):
         out, k = self.ridge * np.eye(self.n_params), self.q.shape[1]
         q, d = self.q[:, :, None], self.d[:, :, None]
@@ -202,7 +181,7 @@ class CellCurvature:
 @dataclass(frozen=True)
 class DenseCurvature:
     """The base D = ridge * I + ``penalty`` (symmetric) on the one cell of
-    all n_params entries, with ``CellCurvature``'s two methods."""
+    all n_params entries, with ``CellCurvature``'s three methods."""
 
     n_params: int
     ridge: float
@@ -212,27 +191,42 @@ class DenseCurvature:
         return np.linalg.solve(np.eye(self.n_params) + self.penalty
                                / self.ridge, blocks[..., None])[..., 0]
 
+    def solve(self, rhs):
+        return self.solve_blocks(None, rhs.T).T
+
     def dense(self):
         return self.ridge * np.eye(self.n_params) + self.penalty
+
+
+@dataclass(frozen=True)
+class DualRow:
+    """The multiplier's row over a base D = ridge * N; ``over`` builds it."""
+
+    coupling: np.ndarray   # (n_phi,) b, the model/multiplier coupling
+    slope: float           # estimated constraint gap E[KL] - epsilon
+    solved: np.ndarray     # (n_phi,) N^{-1} b
+    curvature: float       # b . N^{-1} b
+
+    @classmethod
+    def over(cls, base, coupling: np.ndarray, slope: float) -> "DualRow":
+        solved = base.solve(coupling)
+        return cls(coupling, slope, solved, float(coupling @ solved))
 
 
 @dataclass
 class LowRankFactors:
     """Factored curvature statistics for one batch.
 
-    ``atoms`` holds the k rows of S as block scores. Each factor is S^T
-    times its (k, rank) coefficient matrix, pre-scaled so that plain
-    products estimate expectations over m trajectories: U, V carry
+    ``atoms`` holds the k rows of S, in C order over their leading shape.
+    Each factor is S^T times its (k, rank) coefficients, scaled so that
+    plain products estimate expectations over m trajectories: U, V carry
     1/sqrt(m); X, Y carry 1/sqrt(m) on one step per column (times its
-    weight in X); Z holds explicit columns only, and D = ``base`` folds in
-    the multiplier's penalty curvature. A policy epoch's factors hold O(k *
-    (K + rank)) numbers plus the (n_theta, m) W, the n_phi-vector
-    ``dual_coupling`` and the base's O(n_phi); no n_phi-tall matrix. ``u``,
-    ``v``, ``x``, ``y`` and ``z`` are the dense (n_phi, rank) factors,
-    expanded on each read and read-only, for oracle comparisons.
+    weight in X); Z holds explicit columns only. D = ``base`` folds in the
+    multiplier's penalty curvature, and ``dual`` is the multiplier's row
+    over it, or None. ``u`` ... ``z`` are the dense factors, for oracles.
     """
 
-    atoms: BlockScores            # (k,) score atoms, the rows of S
+    atoms: BlockScores            # (...) score atoms, the k rows of S
     c_u: np.ndarray               # (k, m)   weighted model scores
     c_v: np.ndarray               # (k, m)   trajectory model scores
     c_x: np.ndarray               # (k, Mx)  return-weighted step scores
@@ -241,12 +235,9 @@ class LowRankFactors:
     w: np.ndarray                 # (n_theta, m) trajectory policy scores
     base: CellCurvature           # D, or a DenseCurvature on one cell
     lam: float = 0.0              # multiplier already folded into D
-    dual_coupling: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dual_slope: float = 0.0       # estimated constraint gap E[KL] - epsilon
+    dual: DualRow | None = None
 
     def __post_init__(self):
-        if self.atoms.cells.ndim != 1:
-            raise ValueError("atoms must be one row of scores per atom")
         k = self.n_atoms
         for name in ("c_u", "c_v", "c_x", "c_y", "c_z"):
             coef = getattr(self, name)
@@ -264,8 +255,9 @@ class LowRankFactors:
     @classmethod
     def from_columns(cls, u: np.ndarray, v: np.ndarray, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, w: np.ndarray,
-                     ridge: float = RIDGE_DEFAULT,
-                     **scalars) -> "LowRankFactors":
+                     ridge: float = RIDGE_DEFAULT, lam: float = 0.0,
+                     dual_coupling: np.ndarray | None = None,
+                     dual_slope: float = 0.0) -> "LowRankFactors":
         """Factors given as explicit (n_phi, rank) columns over ridge * I:
         every column becomes a one-cell atom, and each coefficient matrix
         selects its own."""
@@ -276,9 +268,11 @@ class LowRankFactors:
         ranks = np.cumsum([c.shape[1] for c in cols])
         coefs = np.split(np.eye(len(blocks)), ranks[:-1], axis=1)
         none = np.zeros((0, u.shape[0]))
-        return cls(atoms, *coefs, w=w, base=CellCurvature(
-            u.shape[0], ridge, np.zeros(0, int), np.zeros(0), none, none),
-            **scalars)
+        base = CellCurvature(u.shape[0], ridge, np.zeros(0, int), np.zeros(0),
+                             none, none)
+        return cls(atoms, *coefs, w=w, base=base, lam=lam, dual=None if
+                   dual_coupling is None else DualRow.over(base, dual_coupling,
+                                                           dual_slope))
 
     @property
     def n_phi(self) -> int:
@@ -298,6 +292,8 @@ class LowRankFactors:
     x = property(lambda self: self._dense(self.c_x))
     y = property(lambda self: self._dense(self.c_y))
     z = property(lambda self: self._dense(self.c_z))
+    dual_coupling = property(lambda self: np.zeros(0) if self.dual is None
+                             else self.dual.coupling)
 
     def dense(self) -> np.ndarray:
         """Explicit A_hat: the solver's dense route when k >= n_phi, and an
@@ -349,13 +345,8 @@ def _screened_inverse(core: np.ndarray) -> np.ndarray:
 
 
 class WoodburySolver:
-    """Inverse of the factored curvature matrix through one core.
-
-    The core is ridge * I + (S N^{-1} S^T) M (k x k), or A_hat itself when
-    k >= n_phi; the route is chosen from the factors' shapes alone. A
-    build applies N^{-1} to the atoms, then factors and screens the core
-    once; every solve reuses both.
-    """
+    """Inverse of the factored curvature matrix through one core, C or,
+    when k >= n_phi, A_hat itself; the factors' shapes alone choose."""
 
     def __init__(self, factors: LowRankFactors):
         self.factors = factors
@@ -364,79 +355,86 @@ class WoodburySolver:
             core = factors.dense()
         else:
             atoms = factors.atoms
-            self._solved = BlockScores(atoms.cells, factors.base.solve_blocks(
-                atoms.cells, atoms.blocks), atoms.n_params)  # rows of S N^-1
-            core = factors.c_u @ factors.c_v.T  # M, then S N^-1 S^T M
-            core -= factors.c_x @ factors.c_y.T
-            core += factors.c_z @ factors.c_z.T
-            core = atoms.gram(self._solved.blocks) @ core
+            self._solved = factors.base.solve_blocks(  # rows of S N^-1
+                atoms.cells, atoms.blocks).reshape(-1, atoms.size)
+            core = atoms.gram(self._solved) @ self._coupled(  # (S N^-1 S^T) M
+                np.eye(factors.n_atoms))
             core[np.diag_indices_from(core)] += factors.base.ridge
         self._core, self._inverse = core, _screened_inverse(core)
+
+    def _refined(self, b: np.ndarray) -> np.ndarray:
+        """core^{-1} b: P b and one refinement step against the core."""
+        y = self._inverse @ b
+        y += self._inverse @ (b - self._core @ y)
+        return y
+
+    def _coupled(self, y: np.ndarray) -> np.ndarray:
+        """M y, for M = c_U c_V^T - c_X c_Y^T + c_Z c_Z^T."""
+        f = self.factors
+        return (f.c_u @ (f.c_v.T @ y) - f.c_x @ (f.c_y.T @ y)
+                + f.c_z @ (f.c_z.T @ y))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A_hat^{-1} rhs for a vector (n_phi,) or a block (n_phi, p)."""
         f = self.factors
         rhs = np.asarray(rhs, dtype=float)
-        if not self._dense:  # N^-1 rhs, then S N^-1 rhs
-            rhs = f.base.solve_blocks(slice(None), rhs.T.reshape(
-                rhs.shape[1:] + (f.atoms.n_cells, f.atoms.size))).reshape(
-                    rhs.shape[::-1]).T
-        b = rhs if self._dense else f.atoms.project(rhs)
-        y = self._inverse @ b
-        y += self._inverse @ (b - self._core @ y)
         if self._dense:
-            return y
-        out = self._solved.expand(f.c_u @ (f.c_v.T @ y) - f.c_x @ (f.c_y.T @ y)
-                                  + f.c_z @ (f.c_z.T @ y))
-        np.subtract(rhs, out, out=out)
-        out /= f.base.ridge
-        return out
+            return self._refined(rhs)
+        y = self._refined(f.atoms.project(rhs, self._solved))
+        return f.base.solve(rhs - f.atoms.expand(self._coupled(y))) / (
+            f.base.ridge)
+
+    def leader_atoms(self, g: np.ndarray, lam: float,
+                     dual: DualRow | None) -> np.ndarray:
+        """S H g for H = A_hat^{-1} or, with the multiplier row ``dual``,
+        ``dual_corrected``'s H: g and b solved in full on the dense route,
+        their y_x = S A_hat^{-1} x and the row's scalars on the core."""
+        f, xs = self.factors, (g,) if dual is None else (g, dual.coupling)
+        if self._dense:  # A_hat^{-1} x, and b^T A_hat^{-1} x
+            y = [self._refined(x) for x in xs]
+            dots = [float(dual.coupling @ v) for v in y] if dual else ()
+        else:  # y_x = S A_hat^{-1} x, one column each, and the row's scalars
+            near = np.stack([f.atoms.project(x, self._solved) for x in xs], 1)
+            y, dots = self._refined(near), ()
+            if dual is not None:
+                dots = (np.array([dual.solved @ g, dual.curvature])
+                        - near[:, 1] @ self._coupled(y)) / f.base.ridge
+            y = list(y.T)
+        h = y[0] if dual is None else dual_corrected(*y, *dots, lam, dual.slope)
+        return f.atoms.project(h) if self._dense else h
 
 
-def dual_corrected(solve, g: np.ndarray, b: np.ndarray, lam: float,
-                   slope: float) -> np.ndarray:
-    """H g for the dual-corrected inverse curvature
-
-        H = A^{-1} + lam * A^{-1} b s^{-1} b^T A^{-1},
-        s = slope - lam * b^T A^{-1} b,
-
-    with ``solve`` applying A^{-1} and b the model/multiplier coupling
-    vector. An empty b or a zero multiplier leaves the plain A^{-1} g.
-    Raises ``SingularScalarError`` when |s| falls under ``SCHUR_FLOOR``.
-    """
-    base = solve(g)
-    if not b.size or lam == 0.0:
-        return base
-    a_inv_b = solve(b)
-    schur = slope - lam * float(b @ a_inv_b)
+def dual_corrected(h_g: np.ndarray, h_b: np.ndarray, b_h_g: float,
+                   b_h_b: float, lam: float, slope: float) -> np.ndarray:
+    """L H g for H = A^{-1} + lam A^{-1} b s^{-1} b^T A^{-1}, s = slope -
+    lam b^T A^{-1} b, b the model/multiplier coupling, from h_g = L A^{-1}
+    g, h_b = L A^{-1} b, b_h_g = b^T A^{-1} g and b_h_b = b^T A^{-1} b, L
+    the identity or the atoms S. ``SingularScalarError`` when |s| is under
+    ``SCHUR_FLOOR``."""
+    schur = slope - lam * b_h_b
     if abs(schur) < SCHUR_FLOOR:
         raise SingularScalarError(
             f"dual Schur complement |{schur:.3e}| < {SCHUR_FLOOR:.0e}; "
             "inverse curvature with the multiplier row is singular")
-    return base + (lam * float(b @ base) / schur) * a_inv_b
+    return h_g + (lam * b_h_g / schur) * h_b
 
 
 def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
                     factors: LowRankFactors,
                     use_dual_row: bool = True) -> np.ndarray:
-    """Total policy derivative: grad_theta J - (U W^T)^T H grad_phi J.
-
-    Assembled right-to-left so no n_phi x n_phi or n_phi x n_theta matrix is
-    ever formed. With ``use_dual_row`` H is the multiplier-aware
-    ``dual_corrected`` inverse; otherwise the coupling is left out and H is
-    the plain A^{-1}.
-    """
-    coupling = factors.dual_coupling if use_dual_row else np.zeros(0)
-    corrected = dual_corrected(WoodburySolver(factors).solve, grad_model,
-                               coupling, factors.lam, factors.dual_slope)
-    return grad_policy - factors.w @ (factors.c_u.T
-                                      @ factors.atoms.project(corrected))
+    """grad_theta J - (U W^T)^T H grad_phi J = grad_theta J - W c_U^T (S H
+    grad_phi J), S H from ``WoodburySolver.leader_atoms``, with the dual
+    row only under ``use_dual_row`` and a nonzero multiplier."""
+    dual = factors.dual if use_dual_row and factors.lam != 0.0 else None
+    corrected = WoodburySolver(factors).leader_atoms(grad_model, factors.lam,
+                                                     dual)
+    return grad_policy - factors.w @ (factors.c_u.T @ corrected)
 
 
-def random_factors(n_phi: int, n_theta: int = 4, m: int = 8, big_m: int = 12,
-                   z_rank: int = 6, ridge: float = 1.0, lam: float = 0.5,
+def random_factors(n_phi: int, m: int = 8, big_m: int = 12, z_rank: int = 6,
                    seed: int = 0) -> LowRankFactors:
-    """Well-scaled random factor set for solver tests and benchmarks."""
+    """Well-scaled random factors (4 policy parameters, ridge 1, multiplier
+    0.5) for solver tests and benchmarks."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(n_phi)
 
@@ -445,7 +443,6 @@ def random_factors(n_phi: int, n_theta: int = 4, m: int = 8, big_m: int = 12,
 
     return LowRankFactors.from_columns(
         u=draw(m), v=draw(m), x=draw(big_m), y=draw(big_m), z=draw(z_rank),
-        w=rng.standard_normal((n_theta, m)) / np.sqrt(m),
-        ridge=ridge, lam=lam,
+        w=rng.standard_normal((4, m)) / np.sqrt(m), ridge=1.0, lam=0.5,
         dual_coupling=rng.standard_normal(n_phi) * scale,
         dual_slope=float(rng.uniform(0.5, 1.5)))

@@ -20,6 +20,7 @@ from stackmbrl.mdp import (_draw_categorical_rows, dp_values,
 from stackmbrl.models import DiagGaussianWorldModel
 from stackmbrl.oracles import (central_difference, exact_estimator_targets,
                                exact_expectations, exact_penalty_terms)
+from stackmbrl.woodbury import DualRow
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +313,8 @@ def test_penalized_model_gradient_expectation(small_triple, small_dataset):
 
 def _dual_terms(dataset, model, anchor, epsilon):
     """The exact dataset terms a trainer passes to ``factors_from_batch``."""
-    return {"dual_coupling": dataset_dual_coupling(dataset, model, anchor),
-            "dual_slope": dataset_kl(dataset, model, anchor) - epsilon}
+    return {"coupling": dataset_dual_coupling(dataset, model, anchor),
+            "slope": dataset_kl(dataset, model, anchor) - epsilon}
 
 
 def _path_batch(model, policy, states, actions, outcomes, rewards, gamma):
@@ -336,9 +337,9 @@ def _sampled_batch(mdp, policy, model, n, seed):
 def _factors(weights, ph, th, dataset, model, anchor, lam, epsilon,
              ridge=1e-3):
     """``factors_from_batch`` over the penalty base a trainer builds."""
-    return factors_from_batch(
-        weights, ph, th, penalty_curvature(dataset, model, anchor, lam, ridge),
-        lam, **_dual_terms(dataset, model, anchor, epsilon))
+    base = penalty_curvature(dataset, model, anchor, lam, ridge)
+    return factors_from_batch(weights, ph, th, base, lam, DualRow.over(
+        base, **_dual_terms(dataset, model, anchor, epsilon)))
 
 
 def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
@@ -457,7 +458,7 @@ def test_factor_penalty_column_and_exact_dual_terms(small_triple, small_dataset)
     factors = _factors(weights, ph, th, dataset, model, anchor, lam, eps)
     assert np.array_equal(factors.dual_coupling,
                           dataset_dual_coupling(dataset, model, anchor))
-    assert factors.dual_slope == dataset_kl(dataset, model, anchor) - eps
+    assert factors.dual.slope == dataset_kl(dataset, model, anchor) - eps
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,8 @@ from stackmbrl.trainer import (_COLLECT_STREAM, _POLICY_STREAM,
                                load_checkpoint, robust_evaluate,
                                save_checkpoint, train, train_iteration,
                                vanilla_config, worst_case_return)
-from stackmbrl.woodbury import (BlockScores, LowRankFactors, WoodburySolver,
+from stackmbrl.woodbury import (BlockScores, CellCurvature, DualRow,
+                                LowRankFactors, WoodburySolver,
                                 leader_gradient)
 
 
@@ -200,6 +201,32 @@ def test_tabular_iteration_builds_no_dense_score_table(
                                             config)
         assert record["aborted"] == 0
         assert new_state.iteration == 1
+
+
+def test_core_route_iteration_applies_the_base_inverse_in_full_once(
+        monkeypatch):
+    """A default ``constrained`` iteration on the core route (the Dirichlet
+    MDP: 216 model parameters, 64 atoms, two policy epochs) applies the
+    penalty base's N^{-1} to a full-layout vector once, for the dual row's
+    N^{-1} b; each epoch's correction stays in the atoms' k-space. Solving
+    g_phi and the dual coupling in full in each epoch made 4."""
+    full = Counter()
+    solve_blocks = CellCurvature.solve_blocks
+
+    def counted(self, cells, blocks):
+        full["applications"] += isinstance(cells, slice)
+        return solve_blocks(self, cells, blocks)
+
+    monkeypatch.setattr(CellCurvature, "solve_blocks", counted)
+    env = dirichlet_mdp(0, num_states=6)
+    dataset = rollout_dataset(env, "uniform", n_episodes=50, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    config = TrainerConfig(seed=0)
+    assert config.dynamics == "constrained" and config.policy_epochs == 2
+    state = initial_state(env, anchor, config)
+    _, record = train_iteration(state, env, dataset, anchor, config)
+    assert record["aborted"] == 0
+    assert full["applications"] <= 1
 
 
 def test_iteration_computes_committed_dataset_terms_once(grad_triple,
@@ -379,11 +406,11 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
     grad_model = model_gradient(weights, phi_scores.dense())
     total = grad_policy
     if dynamics != "naive":
+        base = penalty_curvature(dataset, model, anchor, lam, config.ridge)
         factors = factors_from_batch(
-            weights, phi_scores, theta_scores,
-            penalty_curvature(dataset, model, anchor, lam, config.ridge), lam,
-            dataset_dual_coupling(dataset, model, anchor),
-            dataset_kl(dataset, model, anchor) - config.epsilon)
+            weights, phi_scores, theta_scores, base, lam, DualRow.over(
+                base, dataset_dual_coupling(dataset, model, anchor),
+                dataset_kl(dataset, model, anchor) - config.epsilon))
         total = leader_gradient(grad_policy, grad_model, factors,
                                 use_dual_row=dynamics == "constrained")
     rates = config.rates.at(0)
@@ -488,11 +515,11 @@ ARTIFACT_DIGESTS = {
     }),
     "sparse": (10, {
         "trace.csv": "9fdfc83cb57976d60ed84f7c6058e38b12ddcb852ee7811c8c00fdcc51112109",
-        "checkpoint_final.json": "c52b001298287934e1822ebbf68ec0f7fcbb8977478620d364a4c45df675d6f2",
+        "checkpoint_final.json": "c3cabe371aa4876e13946ad1f3410c7acae21b2e06ad6bf9bc412c1d4302f92b",
     }),
     "tracking": (5, {
         "trace.csv": "b8d802f5ed9d00ea5f9f47b7784badf5dba579dfaf4791404fa7090c202ddedd",
-        "checkpoint_final.json": "b26361d53cb1ac2a5884255c90a0f3699f8bc193f7e93cd6b2188beca825d53d",
+        "checkpoint_final.json": "6d51b8ed897648acc04d872969de86293dfdf101e4cce916f38371910c7b28b2",
     }),
 }
 

@@ -9,11 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dirichlet_mdp
+from reference_estimators import discounted_weights
 
 import stackmbrl
-from stackmbrl.models import CategoricalWorldModel, DiagGaussianWorldModel
+from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
+                                  factors_from_batch, penalty_curvature)
+from stackmbrl.models import (CategoricalWorldModel, DiagGaussianWorldModel,
+                              SoftmaxPolicy, mle_fit, rollout_dataset)
+from stackmbrl.trainer import collect_rollouts
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, BlockScores,
-                                CellCurvature, IllConditionedError,
+                                CellCurvature, DualRow, IllConditionedError,
                                 LowRankFactors, SingularScalarError,
                                 WoodburySolver, dual_corrected,
                                 leader_gradient, random_factors)
@@ -206,8 +212,8 @@ def _closed_base_factors(case: str) -> LowRankFactors:
     coef = rng.standard_normal((4, k, 3)) / np.sqrt(k)
     return LowRankFactors(atoms, *coef, np.zeros((k, 0)),
                           w=rng.standard_normal((2, 3)), base=base, lam=0.5,
-                          dual_coupling=rng.standard_normal(model.n_params),
-                          dual_slope=1.5)
+                          dual=DualRow.over(
+                              base, rng.standard_normal(model.n_params), 1.5))
 
 
 @pytest.mark.parametrize("case", ["categorical", "gaussian"])
@@ -227,6 +233,71 @@ def test_core_route_over_a_closed_base_matches_the_dense_route(case):
         got = leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
         want = dense_leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.8])
+def test_trainer_shaped_core_route_matches_the_dense_route(lam):
+    """Factors as a trainer builds them: ``factors_from_batch`` on 16
+    rollouts of 4 steps (64 atoms) over the closed ``penalty_curvature``
+    and its ``DualRow``, for a Dirichlet MDP with 1,014 model parameters,
+    so the core route. Its k-space leader step matches the dense oracle,
+    with the dual row and without, at lam = 0 and above."""
+    env = dirichlet_mdp(0, num_states=13)
+    dataset = rollout_dataset(env, "uniform", n_episodes=100, seed=0)
+    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    rng = np.random.default_rng(8)
+    model = anchor.with_params(anchor.params.values
+                               + 0.3 * rng.standard_normal(anchor.n_params))
+    policy = SoftmaxPolicy(rng.standard_normal((13, 3)))
+    batch = collect_rollouts(env, policy, model, dataset, 16, 4, seed=1)
+    steps = (batch["states"][:, :4], batch["actions"][:, :4])
+    base = penalty_curvature(dataset, model, anchor, lam, 1e-3)
+    factors = factors_from_batch(
+        discounted_weights(batch["rewards"], env.gamma),
+        model.scores(*steps, batch["outcomes"]), policy.scores(*steps), base,
+        lam, DualRow.over(base, dataset_dual_coupling(dataset, model, anchor),
+                          dataset_kl(dataset, model, anchor) - 0.1))
+    assert factors.n_atoms == 64 and factors.n_phi == 1014
+    gp, gm = rng.standard_normal(policy.n_params), rng.standard_normal(1014)
+    for dual in (True, False):
+        got = leader_gradient(gp, gm, factors, use_dual_row=dual)
+        want = dense_leader_gradient(gp, gm, factors, use_dual_row=dual)
+        assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def test_leader_step_over_a_closed_base_holds_no_parameter_vector():
+    """One leader step at n_phi = 50,000 (a 100 x 5 x 100 categorical
+    model, 64 atoms) over a closed ``CellCurvature`` base, with the dual
+    row built beforehand as a trainer builds it once per iteration, peaks
+    under 2 parameter-length vectors, a bound set before the first run:
+    the correction stays in the atoms' k-space. It measured 1.03, mostly
+    the atoms' N^{-1} terms (k * K = n_phi / 8 entries each); solving
+    g_phi and b in full measured 4.46."""
+    rng = np.random.default_rng(3)
+    model = CategoricalWorldModel(rng.standard_normal((100, 5, 100)),
+                                  np.zeros(100), np.arange(100))
+    anchor = model.with_params(model.params.values
+                               + 0.2 * rng.standard_normal(model.n_params))
+    visited = np.divmod(rng.choice(500, 300, replace=False), 5)
+    base = model.penalty_curvature(visited, rng.uniform(0.1, 1.0, 300) / 300,
+                                   anchor, 1e-3)
+    atoms = model.scores(rng.integers(0, 100, 64), rng.integers(0, 5, 64),
+                         rng.integers(0, 100, 64))
+    coef = rng.standard_normal((4, 64, 8)) / 8.0
+    factors = LowRankFactors(
+        atoms, *coef, np.zeros((64, 0)), w=rng.standard_normal((6, 8)),
+        base=base, lam=0.5, dual=DualRow.over(
+            base, rng.standard_normal(model.n_params), 1.5))
+    grad_policy = rng.standard_normal(6)
+    grad_model = rng.standard_normal(model.n_params)
+    assert model.n_params == 50_000
+    tracemalloc.start()
+    try:
+        leader_gradient(grad_policy, grad_model, factors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * grad_model.nbytes
 
 
 def test_large_dimension_solve_never_densifies():
@@ -398,33 +469,39 @@ def test_operator_matches_dense_dual_formula():
         solver = WoodburySolver(factors)
         a_inv = np.linalg.inv(factors.dense())
         b = factors.dual_coupling
-        s = factors.dual_slope - factors.lam * float(b @ a_inv @ b)
+        s = factors.dual.slope - factors.lam * float(b @ a_inv @ b)
         dense_h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
         v = np.random.default_rng(seed).standard_normal(40)
-        applied = dual_corrected(solver.solve, v, b, factors.lam,
-                                 factors.dual_slope)
+        h_v, h_b = solver.solve(v), solver.solve(b)
+        applied = dual_corrected(h_v, h_b, float(b @ h_v), float(b @ h_b),
+                                 factors.lam, factors.dual.slope)
         assert np.linalg.norm(applied - dense_h @ v) <= 1e-8 * np.linalg.norm(dense_h @ v)
-        plain = dual_corrected(solver.solve, v, np.zeros(0), factors.lam,
-                               factors.dual_slope)
-        assert np.allclose(plain, solver.solve(v), atol=1e-15)
+        plain = dual_corrected(h_v, h_b, float(b @ h_v), float(b @ h_b), 0.0,
+                               factors.dual.slope)
+        assert np.array_equal(plain, h_v)
 
 
 def test_operator_multiplier_free_reductions():
-    factors = random_factors(25, seed=11)
-    solver = WoodburySolver(factors)
-    v = np.random.default_rng(1).standard_normal(25)
-    # explicit zero multiplier: the dual row is bypassed entirely
-    applied_zero = dual_corrected(solver.solve, v, factors.dual_coupling, 0.0,
-                                  factors.dual_slope)
-    assert np.array_equal(applied_zero, solver.solve(v))
-    # empty coupling vector: same bypass
-    stripped = LowRankFactors.from_columns(
-        u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
-        w=factors.w, ridge=factors.base.ridge, lam=factors.lam)
-    applied_empty = dual_corrected(WoodburySolver(stripped).solve, v,
-                                   stripped.dual_coupling, stripped.lam,
-                                   stripped.dual_slope)
-    assert np.array_equal(applied_empty, WoodburySolver(stripped).solve(v))
+    """A zero multiplier or a factor set with no coupling leaves the plain
+    A^{-1}, on the dense route (25 parameters) and on the core (250)."""
+    for n_phi in (25, 250):
+        factors = random_factors(n_phi, seed=11)
+        v = np.random.default_rng(1).standard_normal(n_phi)
+        gp = np.random.default_rng(2).standard_normal(factors.w.shape[0])
+        columns = dict(u=factors.u, v=factors.v, x=factors.x, y=factors.y,
+                       z=factors.z, w=factors.w, ridge=factors.base.ridge)
+        # explicit zero multiplier: the dual row is bypassed entirely
+        zero = LowRankFactors.from_columns(
+            **columns, lam=0.0, dual_coupling=factors.dual_coupling,
+            dual_slope=factors.dual.slope)
+        assert np.array_equal(leader_gradient(gp, v, zero),
+                              leader_gradient(gp, v, zero, use_dual_row=False))
+        # no coupling vector: same bypass
+        stripped = LowRankFactors.from_columns(**columns, lam=factors.lam)
+        assert stripped.dual is None and not stripped.dual_coupling.size
+        assert np.array_equal(
+            leader_gradient(gp, v, stripped),
+            leader_gradient(gp, v, stripped, use_dual_row=False))
 
 
 def test_vanishing_schur_complement_raises():
@@ -438,11 +515,12 @@ def test_vanishing_schur_complement_raises():
         dual_coupling=factors.dual_coupling, dual_slope=fatal_slope)
     rigged_solve = WoodburySolver(rigged).solve
     b = rigged.dual_coupling
-    schur = rigged.dual_slope - rigged.lam * float(b @ rigged_solve(b))
+    h_g, h_b = rigged_solve(np.ones(20)), rigged_solve(b)
+    schur = rigged.dual.slope - rigged.lam * float(b @ h_b)
     assert abs(schur) < SCHUR_FLOOR
     with pytest.raises(SingularScalarError):
-        dual_corrected(rigged_solve, np.ones(20), b, rigged.lam,
-                       rigged.dual_slope)
+        dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b), rigged.lam,
+                       rigged.dual.slope)
     with pytest.raises(SingularScalarError):
         leader_gradient(np.zeros(rigged.w.shape[0]), np.ones(20), rigged)
 
@@ -460,7 +538,7 @@ def dense_leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
     a_inv = np.linalg.inv(a)
     if use_dual_row and factors.dual_coupling.size and factors.lam:
         b = factors.dual_coupling
-        s = factors.dual_slope - factors.lam * float(b @ a_inv @ b)
+        s = factors.dual.slope - factors.lam * float(b @ a_inv @ b)
         # A_hat is not symmetric in-sample, so the right factor is A^{-T} b
         h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
     else:
@@ -524,7 +602,7 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
         **{name: empty_cols(n_phi) if name in empty else getattr(base, name)
            for name in ("u", "v", "x", "y", "z", "w")},
         ridge=base.base.ridge, lam=base.lam, dual_coupling=base.dual_coupling,
-        dual_slope=base.dual_slope)
+        dual_slope=base.dual.slope)
     kept = {name: getattr(factors, name).copy() for name in FACTOR_ARRAYS}
     rng = np.random.default_rng(12)
     vec = rng.standard_normal(n_phi)
@@ -536,8 +614,10 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     solver = WoodburySolver(factors)
 
     def applied(rhs):
-        return dual_corrected(solver.solve, rhs, factors.dual_coupling,
-                              factors.lam, factors.dual_slope)
+        b = factors.dual_coupling
+        h_g, h_b = solver.solve(rhs), solver.solve(b)
+        return dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b),
+                              factors.lam, factors.dual.slope)
 
     first = [solver.solve(vec), solver.solve(block), applied(vec),
              leader_gradient(grad_policy, vec, factors),
@@ -564,7 +644,7 @@ def test_random_factors_deterministic():
     b = random_factors(15, seed=42)
     for name in ("u", "v", "x", "y", "z", "w", "dual_coupling"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert a.dual_slope == b.dual_slope
+    assert a.dual.slope == b.dual.slope
     c = random_factors(15, seed=43)
     assert not np.array_equal(a.u, c.u)
 

@@ -570,12 +570,12 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
                  gamma: float, rate: float, coupling: np.ndarray, gap: float):
     """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
     (g_theta - M^T H g_phi)`` from factors on the epoch's steps. Epochs
-    share the committed model and multiplier, so the penalty base D and,
-    under ``constrained``, its ``DualRow`` are built once, per iteration."""
+    share the committed model and multiplier, so the penalty base D and
+    its ``DualRow`` (``constrained``, lam > 0) are built once per iteration."""
     base = None if config.dynamics == "naive" else penalty_curvature(
         dataset, state.model, anchor, state.lam, config.ridge)
-    dual = (DualRow.over(base, coupling, gap)
-            if config.dynamics == "constrained" else None)
+    dual = (DualRow.over(base, coupling, gap) if config.dynamics ==
+            "constrained" and state.lam != 0.0 else None)
 
     def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
         if config.dynamics == "naive":
@@ -809,12 +809,13 @@ def _pulled_into_ball(model: CategoricalWorldModel,
         return model
     s, a, counts = dataset.cells
     anchor_kl = categorical_kl_from(anchor.probs(s, a))
+    mass = counts / dataset.n
     start, step = anchor.logits[s, a], (model.logits - anchor.logits)[s, a]
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         kl = anchor_kl(_softmax(start + mid * step))
-        if np.add.accumulate(counts / dataset.n * kl)[-1] <= epsilon:
+        if np.add.accumulate(mass * kl)[-1] <= epsilon:
             lo = mid
         else:
             hi = mid

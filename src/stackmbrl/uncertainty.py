@@ -153,7 +153,10 @@ def epsilon_gaussian(dataset: OfflineDataset, state_dim: int,
 
 def kl_to_anchor(dataset: OfflineDataset, model, anchor) -> float:
     """Dataset-weighted KL(anchor || model): the set-membership statistic."""
-    layout_m, layout_a = model.params.layout, anchor.params.layout
+    layout_m = tuple((name, start, stop) for name, start, stop
+                     in model.params.layout)
+    layout_a = tuple((name, start, stop) for name, start, stop
+                     in anchor.params.layout)
     if layout_m != layout_a:
         raise ValueError(f"model layout {layout_m} does not match anchor "
                          f"layout {layout_a}")

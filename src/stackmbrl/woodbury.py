@@ -354,12 +354,12 @@ class WoodburySolver:
         if self._dense:
             core = factors.dense()
         else:
-            atoms = factors.atoms
-            self._solved = factors.base.solve_blocks(  # rows of S N^-1
+            f, atoms = factors, factors.atoms
+            self._solved = f.base.solve_blocks(  # rows of S N^-1
                 atoms.cells, atoms.blocks).reshape(-1, atoms.size)
-            core = atoms.gram(self._solved) @ self._coupled(  # (S N^-1 S^T) M
-                np.eye(factors.n_atoms))
-            core[np.diag_indices_from(core)] += factors.base.ridge
+            core = atoms.gram(self._solved) @ (  # (S N^-1 S^T) M
+                f.c_u @ f.c_v.T - f.c_x @ f.c_y.T + f.c_z @ f.c_z.T)
+            core[np.diag_indices_from(core)] += f.base.ridge
         self._core, self._inverse = core, _screened_inverse(core)
 
     def _refined(self, b: np.ndarray) -> np.ndarray:
@@ -424,10 +424,9 @@ def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
                     use_dual_row: bool = True) -> np.ndarray:
     """grad_theta J - (U W^T)^T H grad_phi J = grad_theta J - W c_U^T (S H
     grad_phi J), S H from ``WoodburySolver.leader_atoms``, with the dual
-    row only under ``use_dual_row`` and a nonzero multiplier."""
-    dual = factors.dual if use_dual_row and factors.lam != 0.0 else None
-    corrected = WoodburySolver(factors).leader_atoms(grad_model, factors.lam,
-                                                     dual)
+    row ``factors.dual`` only under ``use_dual_row``."""
+    corrected = WoodburySolver(factors).leader_atoms(
+        grad_model, factors.lam, factors.dual if use_dual_row else None)
     return grad_policy - factors.w @ (factors.c_u.T @ corrected)
 
 
@@ -437,12 +436,9 @@ def random_factors(n_phi: int, m: int = 8, big_m: int = 12, z_rank: int = 6,
     0.5) for solver tests and benchmarks."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(n_phi)
-
-    def draw(cols: int) -> np.ndarray:
-        return rng.standard_normal((n_phi, cols)) * scale
-
+    u, v, x, y, z = (rng.standard_normal((n_phi, cols)) * scale
+                     for cols in (m, m, big_m, big_m, z_rank))
     return LowRankFactors.from_columns(
-        u=draw(m), v=draw(m), x=draw(big_m), y=draw(big_m), z=draw(z_rank),
-        w=rng.standard_normal((4, m)) / np.sqrt(m), ridge=1.0, lam=0.5,
-        dual_coupling=rng.standard_normal(n_phi) * scale,
+        u, v, x, y, z, w=rng.standard_normal((4, m)) / np.sqrt(m),
+        ridge=1.0, lam=0.5, dual_coupling=rng.standard_normal(n_phi) * scale,
         dual_slope=float(rng.uniform(0.5, 1.5)))

@@ -15,8 +15,8 @@ from .trainer import (LinearCritic, ReplayBuffer, TabularCritic,
                       load_checkpoint, robust_evaluate, save_checkpoint,
                       train, train_critic, train_iteration,
                       worst_case_return)
-from .uncertainty import (CoverageReport, coverage_check, epsilon_gaussian,
-                          epsilon_tabular, kl_to_anchor)
+from .uncertainty import (CoverageReport, coverage_check, epsilon_tabular,
+                          kl_to_anchor)
 from .woodbury import (IllConditionedError, LowRankFactors,
                        SingularScalarError, WoodburySolver, leader_gradient)
 
@@ -30,7 +30,7 @@ __all__ = [
     "SingularScalarError", "SmoothGame", "SoftmaxPolicy", "SupportError",
     "TabularCritic", "TabularMdp", "TrainState", "TrainerConfig",
     "TrainingTrace", "WoodburySolver", "collect_rollouts", "coverage_check",
-    "dp_values", "episode_returns", "epsilon_gaussian", "epsilon_tabular",
+    "dp_values", "episode_returns", "epsilon_tabular",
     "exact_return", "initial_state", "kl_to_anchor", "leader_gradient",
     "load_checkpoint", "mle_fit", "robust_evaluate", "rollout_dataset",
     "run_dynamics", "sample_offline_dataset", "sample_tabular_batch",

@@ -11,7 +11,7 @@ reproduces every other output byte for byte.
 Subcommands
 -----------
 gen-data        roll a behavior policy in the true environment, save CSV
-fit-model       maximum-likelihood anchor from a dataset, plus its radius
+fit-model       maximum-likelihood anchor from a dataset, plus a tabular radius
 train           full training run (checkpoints, trace, manifest)
 evaluate        paired clean/noisy deployment returns for a checkpoint
 grad-check      every exposed estimator against an independent oracle
@@ -64,8 +64,7 @@ from .testbeds import (
 )
 from .trainer import (TrainerConfig, episode_returns, load_checkpoint, train,
                       vanilla_config)
-from .uncertainty import (_check_delta, coverage_check, epsilon_gaussian,
-                          epsilon_tabular)
+from .uncertainty import _check_delta, coverage_check, epsilon_tabular
 
 GRAD_CHECK_TOL = 1e-5
 # the multiplier, radius and dataset size grad-check evaluates the penalty at
@@ -217,15 +216,15 @@ def cmd_fit_model(args) -> int:
     out = _prepare_out(args, "fit-model")
     anchor.params.save(out / "model.json")
     results = {"rows": dataset.n, "n_params": anchor.n_params}
-    try:
-        if isinstance(env, TabularMdp):
+    if not isinstance(env, TabularMdp):
+        results["radius_refused"] = ("no concentration radius for the "
+                                     "affine Gaussian model family")
+    else:
+        try:
             results["radius"] = epsilon_tabular(dataset, env.num_outcomes,
                                                 args.delta)
-        else:
-            results["radius"] = epsilon_gaussian(dataset, env.state_dim,
-                                                 args.delta)
-    except ValueError as err:
-        results["radius_refused"] = str(err)
+        except ValueError as err:
+            results["radius_refused"] = str(err)
     config = {"env": args.env, "dataset": str(args.dataset),
               "delta": args.delta, **_smoothing(env, args.alpha)}
     save_manifest(out, "fit-model", config, args.seed, results, args.started)

@@ -156,7 +156,7 @@ def penalty_curvature(dataset: OfflineDataset, model, anchor, lam: float,
 
 
 def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
-                       theta_scores: BlockScores, base, lam: float,
+                       theta_scores: BlockScores, base,
                        dual: DualRow | None) -> LowRankFactors:
     """Reduce one rollout batch to curvature factors; nothing is drawn.
     The atoms are the (m, h) model step scores, step (i, t) at row i * h +
@@ -168,8 +168,9 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
     * X/Y columns: one per step, w_t / sqrt(m) (X) and 1 / sqrt(m) (Y) on
       that step alone, so XY^T = (1/m) sum_{i,t} w_it score_it score_it^T,
       the batch's own estimate of sum_t E[w_t score_t score_t^T].
-    * no Z columns: ``base``, the closed ``penalty_curvature`` at ``lam``.
-    * ``dual``: the caller's multiplier row over ``base``, or None.
+    * no Z columns: ``base``, the closed ``penalty_curvature``.
+    * ``dual``: the caller's multiplier row over this same ``base``, the
+      one switch for the row, or None.
     """
     m, h = weights.shape
     in_path = np.kron(np.eye(m), np.ones((h, 1)))  # step i * h + t: col i
@@ -182,7 +183,7 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
         phi_scores, c_u=in_path * weighted, c_v=c_v,
         c_x=np.diag(weighted[:, 0]), c_y=np.eye(m * h) / np.sqrt(m),
         c_z=np.zeros((m * h, 0)), w=np.ascontiguousarray(w.T), base=base,
-        lam=lam, dual=dual)
+        dual=dual)
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,8 @@ class TrainState:
     An iteration fits a tentative critic on a tentative buffer and installs
     both with (policy, model, lam), so an aborted iteration leaves all five
     as they were. Nothing here holds an epoch's work: the leader's rule
-    keeps only the penalty base and its dual row across epochs."""
+    keeps only the penalty base and its dual row across epochs, and the
+    row's N^{-1} b, solved on the core route's first read."""
 
     policy: object
     model: object
@@ -460,8 +461,7 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     log-density is truncated at the last finite step and padded (state
     frozen, actions drawn there from the row's own block, zero rewards), so
     the other rows keep their draws. Its true step count lands in
-    ``lengths`` and the batch-level ``truncated`` flag is raised. A row
-    with no finite step at all raises ``SamplingError``.
+    ``lengths``. A row with no finite step at all raises ``SamplingError``.
     """
     if length < 1:
         raise ValueError("segment length must be at least 1")
@@ -482,7 +482,6 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
         batch["logp_policy"] = np.column_stack(
             [batch["logp_policy"], policy.log_probs(last_states, boot)])
         batch["lengths"] = np.full(n_rollouts, length, dtype=np.int64)
-        batch["truncated"] = False
         return batch
 
     def emit(states, actions, normals):
@@ -496,7 +495,6 @@ def collect_rollouts(env, policy, model, dataset: OfflineDataset,
     batch["logp_policy"] = policy.log_probs(batch["states"], batch["actions"])
     batch["outcomes"] = np.concatenate(
         [batch["states"][:, 1:], batch["rewards"][..., None]], axis=-1)
-    batch["truncated"] = bool((batch["lengths"] < length).any())
     return batch
 
 
@@ -571,10 +569,11 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
     """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
     (g_theta - M^T H g_phi)`` from factors on the epoch's steps. Epochs
     share the committed model and multiplier, so the penalty base D and
-    its ``DualRow`` (``constrained``, lam > 0) are built once per iteration."""
+    its ``DualRow`` are built once per iteration. The row exists only under
+    ``constrained`` with lam != 0, the one place that chooses it."""
     base = None if config.dynamics == "naive" else penalty_curvature(
         dataset, state.model, anchor, state.lam, config.ridge)
-    dual = (DualRow.over(base, coupling, gap) if config.dynamics ==
+    dual = (DualRow(base, state.lam, coupling, gap) if config.dynamics ==
             "constrained" and state.lam != 0.0 else None)
 
     def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
@@ -583,7 +582,7 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
         phi_scores = state.model.scores(*steps)
         factors = factors_from_batch(
             masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
-            theta_scores, base, state.lam, dual)
+            theta_scores, base, dual)
         return rate * leader_gradient(
             grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
             factors)

@@ -2,11 +2,12 @@
 
 The uncertainty set is { model : E_{(s,a)~D}[KL(anchor || model)] <= epsilon }
 with the anchor fixed to the dataset MLE. This module computes epsilon for
-the two supported model families from dataset counts alone, evaluates the
+the categorical model family from dataset counts alone, evaluates the
 membership statistic, and measures empirical coverage (how often the true
 generating model lands inside the set) over resampled datasets. The
 datasets of one coverage measurement are consecutive row blocks of one
-seeded generator, so each depends on its trial index alone.
+seeded generator, so each depends on its trial index alone. The affine
+Gaussian family has no radius here.
 """
 
 from __future__ import annotations
@@ -86,64 +87,6 @@ def epsilon_tabular(dataset: OfflineDataset, alphabet_size: int,
                               for cell, count in sorted(offenders.items()))))
     return tabular_radius_value(len(counts), dataset.n, alphabet_size,
                                 max(counts.values()), delta)
-
-
-# ---------------------------------------------------------------------------
-# diagonal-Gaussian radius
-# ---------------------------------------------------------------------------
-
-
-def gaussian_cell_bound(n: int, delta_prime: float) -> float:
-    """Finite-sample KL bound for one per-dimension Gaussian MLE cell.
-
-    Combines the variance-ratio window [x1, x2] (each endpoint pushed through
-    f(x) = x - log x - 1) with the mean-deviation term; valid only when the
-    lower endpoint x1 stays positive.
-    """
-    if n < 2:
-        raise ValueError(f"cell count n={n} < 2: per-cell Gaussian MLE needs "
-                         "at least two samples")
-    _check_delta(delta_prime)
-    log4 = math.log(4.0 / delta_prime)
-    log2 = math.log(2.0 / delta_prime)
-    half_width = 2.0 * math.sqrt((n - 1) * log4 / n ** 2)
-    x1 = (n - 1) / n - half_width
-    x2 = (n - 1) / n + half_width + 2.0 * log4 / n
-    if x1 <= 0.0:
-        raise ValueError(
-            f"cell count n={n} too small at this confidence: the "
-            f"variance-ratio lower endpoint {x1:.4f} is not positive, "
-            "making the bound vacuous")
-
-    def f(x: float) -> float:
-        return x - math.log(x) - 1.0
-
-    mean_term = (1.0 + 2.0 * math.sqrt(log2) + 2.0 * log2) / n
-    return 0.5 * (max(f(x1), f(x2)) + mean_term)
-
-
-def epsilon_gaussian(dataset: OfflineDataset, state_dim: int,
-                     delta: float) -> float:
-    """Uncertainty radius for per-cell diagonal-Gaussian models.
-
-    Each visited cell contributes (count/N) * (d+1) * per-dimension bound,
-    with the per-dimension confidence split as
-    delta' = delta / (2 * n_cells * (d+1)).
-    """
-    _check_delta(delta)
-    if state_dim < 0:
-        raise ValueError("state_dim must be non-negative")
-    counts = dataset.cell_counts()
-    out_dim = state_dim + 1
-    delta_prime = delta / (2.0 * len(counts) * out_dim)
-    total = 0.0
-    for cell, count in sorted(counts.items()):
-        try:
-            cell_bound = gaussian_cell_bound(count, delta_prime)
-        except ValueError as err:
-            raise ValueError(f"cell {cell}: {err}") from err
-        total += (count / dataset.n) * out_dim * cell_bound
-    return total
 
 
 # ---------------------------------------------------------------------------

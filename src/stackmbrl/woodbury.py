@@ -22,15 +22,15 @@ factors A_hat densely.
 The leader's step g_theta - W c_U^T S H g_phi reads H g_phi only through
 S, so the core route stays in k-space. Per policy epoch: one core, y_g and
 y_b (b the multiplier's coupling) as one block, and b^T A_hat^{-1} x =
-(N^{-1} b . x - (S N^{-1} b)^T M y_x) / ridge, whatever n_phi is. Per
-iteration: D and a ``DualRow``, holding N^{-1} b and b . N^{-1} b.
-``dual_corrected`` applies the multiplier's rank-one update and Schur
-screen, shared with the dense games of :mod:`.dynamics`.
+(N^{-1} b . x - (S N^{-1} b)^T M y_x) / ridge, whatever n_phi is. The
+factors' ``DualRow`` (or None) switches the row; it solves N^{-1} b once,
+when the core route first reads it. ``dual_corrected`` applies the
+multiplier's rank-one update and Schur screen, shared with :mod:`.dynamics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -200,17 +200,22 @@ class DenseCurvature:
 
 @dataclass(frozen=True)
 class DualRow:
-    """The multiplier's row over a base D = ridge * N; ``over`` builds it."""
+    """The multiplier's row over its base D = ridge * N: the multiplier lam,
+    already folded into D, the model/multiplier coupling b and the row's
+    slope. N^{-1} b and b . N^{-1} b are solved on first read and kept."""
 
-    coupling: np.ndarray   # (n_phi,) b, the model/multiplier coupling
+    base: CellCurvature | DenseCurvature  # D, the row's own base
+    lam: float             # the multiplier
+    coupling: np.ndarray   # (n_phi,) b
     slope: float           # estimated constraint gap E[KL] - epsilon
-    solved: np.ndarray     # (n_phi,) N^{-1} b
-    curvature: float       # b . N^{-1} b
 
-    @classmethod
-    def over(cls, base, coupling: np.ndarray, slope: float) -> "DualRow":
-        solved = base.solve(coupling)
-        return cls(coupling, slope, solved, float(coupling @ solved))
+    @cached_property
+    def solved(self) -> np.ndarray:  # N^{-1} b
+        return self.base.solve(self.coupling)
+
+    @cached_property
+    def curvature(self) -> float:  # b . N^{-1} b
+        return float(self.coupling @ self.solved)
 
 
 @dataclass
@@ -222,8 +227,9 @@ class LowRankFactors:
     plain products estimate expectations over m trajectories: U, V carry
     1/sqrt(m); X, Y carry 1/sqrt(m) on one step per column (times its
     weight in X); Z holds explicit columns only. D = ``base`` folds in the
-    multiplier's penalty curvature, and ``dual`` is the multiplier's row
-    over it, or None. ``u`` ... ``z`` are the dense factors, for oracles.
+    multiplier's penalty curvature, and ``dual``, the one switch for the
+    multiplier's row, is a row over that same base or None. ``u`` ... ``z``
+    are the dense factors, for oracles.
     """
 
     atoms: BlockScores            # (...) score atoms, the k rows of S
@@ -234,7 +240,6 @@ class LowRankFactors:
     c_z: np.ndarray               # (k, Mz)  explicit symmetric columns
     w: np.ndarray                 # (n_theta, m) trajectory policy scores
     base: CellCurvature           # D, or a DenseCurvature on one cell
-    lam: float = 0.0              # multiplier already folded into D
     dual: DualRow | None = None
 
     def __post_init__(self):
@@ -251,16 +256,16 @@ class LowRankFactors:
             raise ValueError("w must have one column per u column")
         if not self.base.ridge > 0.0:  # NaN fails too
             raise ValueError("ridge must be positive")
+        if self.dual is not None and self.dual.base is not self.base:
+            raise ValueError("the dual row must be over the factors' base")
 
     @classmethod
     def from_columns(cls, u: np.ndarray, v: np.ndarray, x: np.ndarray,
                      y: np.ndarray, z: np.ndarray, w: np.ndarray,
-                     ridge: float = RIDGE_DEFAULT, lam: float = 0.0,
-                     dual_coupling: np.ndarray | None = None,
-                     dual_slope: float = 0.0) -> "LowRankFactors":
-        """Factors given as explicit (n_phi, rank) columns over ridge * I:
-        every column becomes a one-cell atom, and each coefficient matrix
-        selects its own."""
+                     ridge: float = RIDGE_DEFAULT) -> "LowRankFactors":
+        """Factors given as explicit (n_phi, rank) columns over ridge * I,
+        with no dual row: every column becomes a one-cell atom, and each
+        coefficient matrix selects its own."""
         cols = (u, v, x, y, z)
         blocks = np.concatenate([c.T for c in cols])
         atoms = BlockScores(np.zeros(len(blocks), dtype=np.int64), blocks,
@@ -270,9 +275,7 @@ class LowRankFactors:
         none = np.zeros((0, u.shape[0]))
         base = CellCurvature(u.shape[0], ridge, np.zeros(0, int), np.zeros(0),
                              none, none)
-        return cls(atoms, *coefs, w=w, base=base, lam=lam, dual=None if
-                   dual_coupling is None else DualRow.over(base, dual_coupling,
-                                                           dual_slope))
+        return cls(atoms, *coefs, w=w, base=base)
 
     @property
     def n_phi(self) -> int:
@@ -384,12 +387,12 @@ class WoodburySolver:
         return f.base.solve(rhs - f.atoms.expand(self._coupled(y))) / (
             f.base.ridge)
 
-    def leader_atoms(self, g: np.ndarray, lam: float,
-                     dual: DualRow | None) -> np.ndarray:
-        """S H g for H = A_hat^{-1} or, with the multiplier row ``dual``,
+    def leader_atoms(self, g: np.ndarray) -> np.ndarray:
+        """S H g for H = A_hat^{-1} or, with the factors' multiplier row,
         ``dual_corrected``'s H: g and b solved in full on the dense route,
         their y_x = S A_hat^{-1} x and the row's scalars on the core."""
-        f, xs = self.factors, (g,) if dual is None else (g, dual.coupling)
+        f, dual = self.factors, self.factors.dual
+        xs = (g,) if dual is None else (g, dual.coupling)
         if self._dense:  # A_hat^{-1} x, and b^T A_hat^{-1} x
             y = [self._refined(x) for x in xs]
             dots = [float(dual.coupling @ v) for v in y] if dual else ()
@@ -400,7 +403,8 @@ class WoodburySolver:
                 dots = (np.array([dual.solved @ g, dual.curvature])
                         - near[:, 1] @ self._coupled(y)) / f.base.ridge
             y = list(y.T)
-        h = y[0] if dual is None else dual_corrected(*y, *dots, lam, dual.slope)
+        h = y[0] if dual is None else dual_corrected(*y, *dots, dual.lam,
+                                                     dual.slope)
         return f.atoms.project(h) if self._dense else h
 
 
@@ -420,25 +424,24 @@ def dual_corrected(h_g: np.ndarray, h_b: np.ndarray, b_h_g: float,
 
 
 def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
-                    factors: LowRankFactors,
-                    use_dual_row: bool = True) -> np.ndarray:
+                    factors: LowRankFactors) -> np.ndarray:
     """grad_theta J - (U W^T)^T H grad_phi J = grad_theta J - W c_U^T (S H
     grad_phi J), S H from ``WoodburySolver.leader_atoms``, with the dual
-    row ``factors.dual`` only under ``use_dual_row``."""
-    corrected = WoodburySolver(factors).leader_atoms(
-        grad_model, factors.lam, factors.dual if use_dual_row else None)
+    row ``factors.dual`` when it is not None."""
+    corrected = WoodburySolver(factors).leader_atoms(grad_model)
     return grad_policy - factors.w @ (factors.c_u.T @ corrected)
 
 
 def random_factors(n_phi: int, m: int = 8, big_m: int = 12, z_rank: int = 6,
                    seed: int = 0) -> LowRankFactors:
-    """Well-scaled random factors (4 policy parameters, ridge 1, multiplier
-    0.5) for solver tests and benchmarks."""
+    """Well-scaled random factors (4 policy parameters, ridge 1) with a dual
+    row at multiplier 0.5, for solver tests and benchmarks."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(n_phi)
     u, v, x, y, z = (rng.standard_normal((n_phi, cols)) * scale
                      for cols in (m, m, big_m, big_m, z_rank))
-    return LowRankFactors.from_columns(
-        u, v, x, y, z, w=rng.standard_normal((4, m)) / np.sqrt(m),
-        ridge=1.0, lam=0.5, dual_coupling=rng.standard_normal(n_phi) * scale,
-        dual_slope=float(rng.uniform(0.5, 1.5)))
+    factors = LowRankFactors.from_columns(
+        u, v, x, y, z, w=rng.standard_normal((4, m)) / np.sqrt(m), ridge=1.0)
+    return replace(factors, dual=DualRow(
+        factors.base, 0.5, rng.standard_normal(n_phi) * scale,
+        float(rng.uniform(0.5, 1.5))))

@@ -48,7 +48,8 @@ def test_gen_data_then_fit_model(tmp_path):
 
 
 def test_fit_model_on_a_continuous_environment_records_no_alpha(tmp_path):
-    """The Gaussian MLE ignores ``--alpha``, so its manifest leaves it out."""
+    """The Gaussian MLE ignores ``--alpha``, so its manifest leaves it out;
+    no radius exists for its model family, and the manifest says so."""
     code, data = run(tmp_path, "data", "gen-data", "--env", "tracking",
                      "--behavior", "bundled", "--n", "60")
     assert code == 0
@@ -56,6 +57,9 @@ def test_fit_model_on_a_continuous_environment_records_no_alpha(tmp_path):
                     "--dataset", str(data / "dataset.csv"), "--alpha", "2")
     assert code == 0
     assert "alpha" not in manifest(fit)["config"]
+    results = manifest(fit)["results"]
+    assert "radius" not in results
+    assert "affine Gaussian model family" in results["radius_refused"]
 
 
 @pytest.mark.parametrize("algo", ["naive", "vanilla"])

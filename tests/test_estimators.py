@@ -338,8 +338,8 @@ def _factors(weights, ph, th, dataset, model, anchor, lam, epsilon,
              ridge=1e-3):
     """``factors_from_batch`` over the penalty base a trainer builds."""
     base = penalty_curvature(dataset, model, anchor, lam, ridge)
-    return factors_from_batch(weights, ph, th, base, lam, DualRow.over(
-        base, **_dual_terms(dataset, model, anchor, epsilon)))
+    return factors_from_batch(weights, ph, th, base, DualRow(
+        base, lam, **_dual_terms(dataset, model, anchor, epsilon)))
 
 
 def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
@@ -364,7 +364,7 @@ def test_factor_columns_use_documented_scalings(small_triple, small_dataset):
                                ph[i, t] * weights[i, t] / np.sqrt(m),
                                atol=1e-15)
     assert factors.n_atoms == m * h and factors.z.shape == (model.n_params, 0)
-    assert factors.lam == lam
+    assert factors.dual.lam == lam and factors.dual.base is factors.base
 
 
 def test_step_factor_product_is_the_batch_step_score_product(small_triple,

@@ -21,7 +21,7 @@ def test_all_lists_exactly_the_imported_names():
 # Settable values in the package: every parameter default plus every
 # dataclass field default. A new knob must raise this bound in the same
 # change that adds it.
-SETTABLE_VALUES_BUDGET = 79
+SETTABLE_VALUES_BUDGET = 74
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -46,7 +46,7 @@ def test_settable_values_stay_within_budget():
 # Lines in the package's modules, as ``wc -l src/stackmbrl/*.py`` counts
 # them. A change that grows the package must raise this ceiling in the same
 # change and say why.
-SOURCE_LINES_CEILING = 4629
+SOURCE_LINES_CEILING = 4574
 
 
 def test_source_lines_stay_within_ceiling():

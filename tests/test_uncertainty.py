@@ -17,8 +17,7 @@ from stackmbrl.testbeds import gradient_mdp, small_mdp
 from conftest import dirichlet_mdp
 from stackmbrl.uncertainty import (GROWTH_COEF, LEADING_COEF,
                                    MIN_COVERAGE_TRIALS, CoverageReport,
-                                   coverage_check, epsilon_gaussian,
-                                   epsilon_tabular, gaussian_cell_bound,
+                                   coverage_check, epsilon_tabular,
                                    kl_to_anchor, tabular_radius_value)
 
 # radius for 4 cells, 100 transitions, alphabet 3, largest cell 30, delta 0.1,
@@ -37,17 +36,6 @@ def counts_dataset(counts: dict) -> OfflineDataset:
     n = len(states)
     return OfflineDataset(states=np.array(states), actions=np.array(actions),
                           rewards=np.zeros(n), next_states=np.zeros(n, dtype=int))
-
-
-def equal_cells_dataset(n_per_cell: int, n_cells: int) -> OfflineDataset:
-    """Continuous dataset with ``n_cells`` distinct (s, a) vectors, each
-    repeated ``n_per_cell`` times."""
-    states = np.repeat(np.arange(n_cells, dtype=float)[:, None], n_per_cell,
-                       axis=0)
-    actions = np.zeros_like(states)
-    n = n_per_cell * n_cells
-    return OfflineDataset(states=states, actions=actions, rewards=np.zeros(n),
-                          next_states=states.copy())
 
 
 def single_cell_pair():
@@ -120,80 +108,6 @@ def test_delta_outside_unit_interval_rejected(delta):
         tabular_radius_value(4, 100, 3, 30, delta)
     with pytest.raises(ValueError, match="delta"):
         epsilon_tabular(dataset, 3, delta)
-    with pytest.raises(ValueError, match="delta"):
-        epsilon_gaussian(equal_cells_dataset(10, 1), 1, delta)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian radius
-# ---------------------------------------------------------------------------
-
-
-def test_gaussian_cell_bound_needs_two_samples():
-    with pytest.raises(ValueError, match="at least two samples"):
-        gaussian_cell_bound(1, 0.1)
-
-
-def test_gaussian_cell_bound_vacuous_for_tiny_cells():
-    """The variance-ratio window only has a positive lower endpoint once
-    n > 1 + 4 log(4/delta')."""
-    with pytest.raises(ValueError, match="not positive"):
-        gaussian_cell_bound(10, 0.05)
-    assert 19 > 1 + 4 * math.log(4 / 0.05)
-    assert gaussian_cell_bound(19, 0.05) > 0.0
-
-
-def test_gaussian_cell_bound_decreasing_in_cell_count():
-    for delta_prime, start in [(0.8, 8), (0.05, 19)]:
-        values = [gaussian_cell_bound(n, delta_prime)
-                  for n in range(start, 501)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-
-def test_epsilon_gaussian_equal_cells_closed_form():
-    """With equal cell counts the radius collapses to a single per-cell
-    bound scaled by the output dimension."""
-    dataset = equal_cells_dataset(400, 3)
-    state_dim = 2
-    out_dim = state_dim + 1
-    delta_prime = 0.1 / (2 * 3 * out_dim)
-    expected = out_dim * gaussian_cell_bound(400, delta_prime)
-    assert epsilon_gaussian(dataset, state_dim, 0.1) == pytest.approx(
-        expected, rel=1e-12)
-
-
-def test_epsilon_gaussian_dimension_scaling_envelope():
-    """Measured growth across doubled state dimension stays below 1.2x the
-    advertised quadratic-rate ratio and above the linear-rate ratio."""
-    dataset = equal_cells_dataset(10_000, 3)
-    for d in (1, 2, 4, 8):
-        lo = epsilon_gaussian(dataset, d, 0.1)
-        hi = epsilon_gaussian(dataset, 2 * d, 0.1)
-        measured = hi / lo
-        quadratic = ((2 * d) ** 2 * math.log(3 * 2 * d / 0.1)) / (
-            d ** 2 * math.log(3 * d / 0.1))
-        assert measured <= 1.2 * quadratic
-        assert measured > (2 * d + 1) / (d + 1)
-
-
-def test_epsilon_gaussian_reward_only():
-    """state_dim=0 is the one-dimensional (reward only) bound."""
-    dataset = equal_cells_dataset(200, 2)
-    value = epsilon_gaussian(dataset, 0, 0.2)
-    assert math.isfinite(value) and value > 0.0
-    assert value == pytest.approx(gaussian_cell_bound(200, 0.2 / 4), rel=1e-12)
-
-
-def test_epsilon_gaussian_names_bad_cell():
-    states = np.concatenate([np.zeros((40, 1)), np.ones((1, 1))])
-    dataset = OfflineDataset(states=states, actions=np.zeros((41, 1)),
-                             rewards=np.zeros(41),
-                             next_states=np.zeros((41, 1)))
-    with pytest.raises(ValueError, match="at least two samples") as excinfo:
-        epsilon_gaussian(dataset, 1, 0.1)
-    assert "cell ((1.0,), (0.0,))" in str(excinfo.value)
-    with pytest.raises(ValueError, match="state_dim"):
-        epsilon_gaussian(dataset, -1, 0.1)
 
 
 # ---------------------------------------------------------------------------

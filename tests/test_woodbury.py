@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   factors_from_batch, penalty_curvature)
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianWorldModel,
                               SoftmaxPolicy, mle_fit, rollout_dataset)
+from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
+                                tracking_mdp)
 from stackmbrl.trainer import collect_rollouts
 from stackmbrl.woodbury import (COND_LIMIT, SCHUR_FLOOR, BlockScores,
-                                CellCurvature, DualRow, IllConditionedError,
-                                LowRankFactors, SingularScalarError,
-                                WoodburySolver, dual_corrected,
-                                leader_gradient, random_factors)
+                                CellCurvature, DenseCurvature, DualRow,
+                                IllConditionedError, LowRankFactors,
+                                SingularScalarError, WoodburySolver,
+                                dual_corrected, leader_gradient,
+                                random_factors)
 
 
 def empty_cols(n_phi: int) -> np.ndarray:
@@ -211,9 +215,9 @@ def _closed_base_factors(case: str) -> LowRankFactors:
     k = atoms.cells.size
     coef = rng.standard_normal((4, k, 3)) / np.sqrt(k)
     return LowRankFactors(atoms, *coef, np.zeros((k, 0)),
-                          w=rng.standard_normal((2, 3)), base=base, lam=0.5,
-                          dual=DualRow.over(
-                              base, rng.standard_normal(model.n_params), 1.5))
+                          w=rng.standard_normal((2, 3)), base=base,
+                          dual=DualRow(base, 0.5, rng.standard_normal(
+                              model.n_params), 1.5))
 
 
 @pytest.mark.parametrize("case", ["categorical", "gaussian"])
@@ -229,9 +233,9 @@ def test_core_route_over_a_closed_base_matches_the_dense_route(case):
         want = np.linalg.solve(dense, b)
         assert np.linalg.norm(solver.solve(b) - want) <= 1e-9 * np.linalg.norm(want)
     gp = np.ones(2)
-    for dual in (True, False):
-        got = leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
-        want = dense_leader_gradient(gp, rhs[:, 0], factors, use_dual_row=dual)
+    for case in (factors, replace(factors, dual=None)):
+        got = leader_gradient(gp, rhs[:, 0], case)
+        want = dense_leader_gradient(gp, rhs[:, 0], case)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -255,21 +259,92 @@ def test_trainer_shaped_core_route_matches_the_dense_route(lam):
     factors = factors_from_batch(
         discounted_weights(batch["rewards"], env.gamma),
         model.scores(*steps, batch["outcomes"]), policy.scores(*steps), base,
-        lam, DualRow.over(base, dataset_dual_coupling(dataset, model, anchor),
-                          dataset_kl(dataset, model, anchor) - 0.1))
+        DualRow(base, lam, dataset_dual_coupling(dataset, model, anchor),
+                dataset_kl(dataset, model, anchor) - 0.1))
     assert factors.n_atoms == 64 and factors.n_phi == 1014
     gp, gm = rng.standard_normal(policy.n_params), rng.standard_normal(1014)
-    for dual in (True, False):
-        got = leader_gradient(gp, gm, factors, use_dual_row=dual)
-        want = dense_leader_gradient(gp, gm, factors, use_dual_row=dual)
+    for case in (factors, replace(factors, dual=None)):
+        got = leader_gradient(gp, gm, case)
+        want = dense_leader_gradient(gp, gm, case)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def _testbed_factors(name: str, seeds=(1,)) -> list:
+    """Factors as ``_leader_rule`` builds them on a bundled testbed, one
+    default batch (32 rollouts of 4 steps) per seed, over one penalty base
+    and one ``DualRow`` at lam = 1 shared by all, as by the policy epochs of
+    an iteration."""
+    if name == "tracking":
+        env = tracking_mdp()
+        policy = tracking_behavior_policy(env)
+        dataset = rollout_dataset(env, policy, n_episodes=50, seed=0)
+        anchor = mle_fit(dataset, DiagGaussianWorldModel.zeros(
+            env.state_dim, env.action_dim))
+    else:
+        env, policy, _ = TABULAR_TESTBEDS[name]()
+        dataset = rollout_dataset(env, "uniform", n_episodes=50, seed=0)
+        anchor = mle_fit(dataset, CategoricalWorldModel.uniform(env), alpha=0.5)
+    model = anchor.with_params(anchor.params.values + 0.02 * np.random.
+                               default_rng(5).standard_normal(anchor.n_params))
+    base = penalty_curvature(dataset, model, anchor, 1.0, 1e-3)
+    row = DualRow(base, 1.0, dataset_dual_coupling(dataset, model, anchor),
+                  dataset_kl(dataset, model, anchor) - 0.1)
+    out = []
+    for seed in seeds:
+        batch = collect_rollouts(env, policy, model, dataset, 32, 4, seed=seed)
+        steps = (batch["states"][:, :4], batch["actions"][:, :4])
+        out.append(factors_from_batch(
+            discounted_weights(batch["rewards"], env.gamma),
+            model.scores(*steps, batch["outcomes"]), policy.scores(*steps),
+            base, row))
+    return out
+
+
+@pytest.fixture
+def base_solves(monkeypatch) -> Counter:
+    """Calls of a penalty base's ``solve``, N^{-1} on the whole layout."""
+    calls = Counter()
+    for kind in (CellCurvature, DenseCurvature):
+        def counted(self, rhs, _solve=kind.solve):
+            calls[type(self).__name__] += 1
+            return _solve(self, rhs)
+        monkeypatch.setattr(kind, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["tracking", "gradient"])
+def test_dense_route_leader_step_never_solves_against_the_base(name,
+                                                               base_solves):
+    """On the dense route (k >= n_phi, as for ``tracking`` and ``gradient``
+    batches) the leader step reads only the row's b, lam and slope, so
+    neither building the row nor the step applies N^{-1}."""
+    factors, = _testbed_factors(name)
+    assert factors.n_atoms >= factors.n_phi and factors.dual is not None
+    step = leader_gradient(np.ones(factors.w.shape[0]), np.ones(factors.n_phi),
+                           factors)
+    assert np.isfinite(step).all()
+    assert sum(base_solves.values()) == 0
+
+
+def test_core_route_epochs_sharing_a_row_solve_it_once(base_solves):
+    """On the core route (a ``sparse`` batch, 128 atoms for 144 model
+    parameters) building the row solves nothing, and the leader steps of
+    two epochs that share it solve N^{-1} b exactly once between them."""
+    first, second = _testbed_factors("sparse", seeds=(1, 2))
+    assert first.n_atoms < first.n_phi and first.dual is second.dual
+    assert sum(base_solves.values()) == 0
+    for factors in (first, second):
+        leader_gradient(np.ones(factors.w.shape[0]), np.ones(factors.n_phi),
+                        factors)
+        assert base_solves == {"CellCurvature": 1}
 
 
 def test_leader_step_over_a_closed_base_holds_no_parameter_vector():
     """One leader step at n_phi = 50,000 (a 100 x 5 x 100 categorical
     model, 64 atoms) over a closed ``CellCurvature`` base, with the dual
-    row built beforehand as a trainer builds it once per iteration, peaks
-    under 2 parameter-length vectors, a bound set before the first run:
+    row's N^{-1} b solved beforehand, as an iteration's first epoch solves
+    it for both, peaks under 2 parameter-length vectors, a bound set before
+    the first run:
     the correction stays in the atoms' k-space. It measured 1.03, mostly
     the atoms' N^{-1} terms (k * K = n_phi / 8 entries each); solving
     g_phi and b in full measured 4.46."""
@@ -286,11 +361,12 @@ def test_leader_step_over_a_closed_base_holds_no_parameter_vector():
     coef = rng.standard_normal((4, 64, 8)) / 8.0
     factors = LowRankFactors(
         atoms, *coef, np.zeros((64, 0)), w=rng.standard_normal((6, 8)),
-        base=base, lam=0.5, dual=DualRow.over(
-            base, rng.standard_normal(model.n_params), 1.5))
+        base=base, dual=DualRow(base, 0.5, rng.standard_normal(model.n_params),
+                                1.5))
     grad_policy = rng.standard_normal(6)
     grad_model = rng.standard_normal(model.n_params)
     assert model.n_params == 50_000
+    assert np.isfinite(factors.dual.curvature)  # a first epoch's solve
     tracemalloc.start()
     try:
         leader_gradient(grad_policy, grad_model, factors)
@@ -456,6 +532,10 @@ def test_factor_shape_validation():
         LowRankFactors.from_columns(
             u=np.zeros((4, 2)), v=np.zeros((4, 2)), x=empty_cols(4),
             y=empty_cols(4), z=empty_cols(4), w=np.zeros((1, 3)))
+    factors = random_factors(4)
+    foreign = replace(factors.dual, base=ridge_only_factors(4, 1.0).base)
+    with pytest.raises(ValueError, match="dual row must be over the factors"):
+        replace(factors, dual=foreign)
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +549,13 @@ def test_operator_matches_dense_dual_formula():
         solver = WoodburySolver(factors)
         a_inv = np.linalg.inv(factors.dense())
         b = factors.dual_coupling
-        s = factors.dual.slope - factors.lam * float(b @ a_inv @ b)
-        dense_h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
+        lam = factors.dual.lam
+        s = factors.dual.slope - lam * float(b @ a_inv @ b)
+        dense_h = a_inv + lam * np.outer(a_inv @ b, a_inv.T @ b) / s
         v = np.random.default_rng(seed).standard_normal(40)
         h_v, h_b = solver.solve(v), solver.solve(b)
         applied = dual_corrected(h_v, h_b, float(b @ h_v), float(b @ h_b),
-                                 factors.lam, factors.dual.slope)
+                                 lam, factors.dual.slope)
         assert np.linalg.norm(applied - dense_h @ v) <= 1e-8 * np.linalg.norm(dense_h @ v)
         plain = dual_corrected(h_v, h_b, float(b @ h_v), float(b @ h_b), 0.0,
                                factors.dual.slope)
@@ -483,42 +564,39 @@ def test_operator_matches_dense_dual_formula():
 
 def test_operator_multiplier_free_reductions():
     """A zero multiplier or a factor set with no coupling leaves the plain
-    A^{-1}, on the dense route (25 parameters) and on the core (250)."""
+    correction g_theta - W c_U^T S A^{-1} v, A^{-1} v from the solver's
+    ``solve``, on the dense route (25 parameters) and on the core (250);
+    the row at the multiplier 0.5 moves the step away from it."""
     for n_phi in (25, 250):
         factors = random_factors(n_phi, seed=11)
         v = np.random.default_rng(1).standard_normal(n_phi)
         gp = np.random.default_rng(2).standard_normal(factors.w.shape[0])
-        columns = dict(u=factors.u, v=factors.v, x=factors.x, y=factors.y,
-                       z=factors.z, w=factors.w, ridge=factors.base.ridge)
-        zero = LowRankFactors.from_columns(
-            **columns, lam=0.0, dual_coupling=factors.dual_coupling,
-            dual_slope=factors.dual.slope)
-        stripped = LowRankFactors.from_columns(**columns, lam=factors.lam)
-        assert zero.dual is not None
-        assert stripped.dual is None and not stripped.dual_coupling.size
+        zero = replace(factors, dual=replace(factors.dual, lam=0.0))
+        stripped = replace(factors, dual=None)
+        assert not stripped.dual_coupling.size
         for reduced in (zero, stripped):
             plain = WoodburySolver(reduced).solve(v)
             want = gp - reduced.w @ (reduced.c_u.T @ reduced.atoms.project(plain))
             got = leader_gradient(gp, v, reduced)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        moved = leader_gradient(gp, v, factors)
+        assert np.linalg.norm(moved - want) > 1e-6 * np.linalg.norm(want)
 
 
 def test_vanishing_schur_complement_raises():
     factors = random_factors(20, seed=13)
     solver = WoodburySolver(factors)
     a_inv_b = solver.solve(factors.dual_coupling)
-    fatal_slope = factors.lam * float(factors.dual_coupling @ a_inv_b)
-    rigged = LowRankFactors.from_columns(
-        u=factors.u, v=factors.v, x=factors.x, y=factors.y, z=factors.z,
-        w=factors.w, ridge=factors.base.ridge, lam=factors.lam,
-        dual_coupling=factors.dual_coupling, dual_slope=fatal_slope)
+    lam = factors.dual.lam
+    fatal_slope = lam * float(factors.dual_coupling @ a_inv_b)
+    rigged = replace(factors, dual=replace(factors.dual, slope=fatal_slope))
     rigged_solve = WoodburySolver(rigged).solve
     b = rigged.dual_coupling
     h_g, h_b = rigged_solve(np.ones(20)), rigged_solve(b)
-    schur = rigged.dual.slope - rigged.lam * float(b @ h_b)
+    schur = rigged.dual.slope - lam * float(b @ h_b)
     assert abs(schur) < SCHUR_FLOOR
     with pytest.raises(SingularScalarError):
-        dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b), rigged.lam,
+        dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b), lam,
                        rigged.dual.slope)
     with pytest.raises(SingularScalarError):
         leader_gradient(np.zeros(rigged.w.shape[0]), np.ones(20), rigged)
@@ -530,16 +608,15 @@ def test_vanishing_schur_complement_raises():
 
 
 def dense_leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
-                          factors: LowRankFactors,
-                          use_dual_row: bool = True) -> np.ndarray:
+                          factors: LowRankFactors) -> np.ndarray:
     """Dense-route oracle for ``leader_gradient``."""
     a = factors.dense()
     a_inv = np.linalg.inv(a)
-    if use_dual_row and factors.dual_coupling.size and factors.lam:
-        b = factors.dual_coupling
-        s = factors.dual.slope - factors.lam * float(b @ a_inv @ b)
+    if factors.dual is not None and factors.dual.lam:
+        b, lam = factors.dual_coupling, factors.dual.lam
+        s = factors.dual.slope - lam * float(b @ a_inv @ b)
         # A_hat is not symmetric in-sample, so the right factor is A^{-T} b
-        h = a_inv + factors.lam * np.outer(a_inv @ b, a_inv.T @ b) / s
+        h = a_inv + lam * np.outer(a_inv @ b, a_inv.T @ b) / s
     else:
         h = a_inv
     return grad_policy - (factors.u @ factors.w.T).T @ (h @ grad_model)
@@ -551,9 +628,9 @@ def test_leader_gradient_matches_dense_route():
         factors = random_factors(60, seed=seed)
         gp = rng.standard_normal(4)
         gm = rng.standard_normal(60)
-        for dual in (True, False):
-            got = leader_gradient(gp, gm, factors, use_dual_row=dual)
-            want = dense_leader_gradient(gp, gm, factors, use_dual_row=dual)
+        for case in (factors, replace(factors, dual=None)):
+            got = leader_gradient(gp, gm, case)
+            want = dense_leader_gradient(gp, gm, case)
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -577,10 +654,8 @@ def test_scalar_leader_gradient_hand_derivation():
     assert abs(got[0] - expected) <= 1e-10
 
     b, lam, slope = 0.5, 0.8, 0.3
-    dual = LowRankFactors.from_columns(
-        u=np.array([[u]]), v=np.array([[v]]), x=empty_cols(1), y=empty_cols(1),
-        z=empty_cols(1), w=np.array([[w]]), ridge=ridge, lam=lam,
-        dual_coupling=np.array([b]), dual_slope=slope)
+    dual = replace(factors, dual=DualRow(factors.base, lam, np.array([b]),
+                                         slope))
     schur = slope - lam * b * b / a
     corrected = gm / a + lam * (b * gm / a) / schur * (b / a)
     expected_dual = gp - w * u * corrected
@@ -600,8 +675,8 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     factors = LowRankFactors.from_columns(
         **{name: empty_cols(n_phi) if name in empty else getattr(base, name)
            for name in ("u", "v", "x", "y", "z", "w")},
-        ridge=base.base.ridge, lam=base.lam, dual_coupling=base.dual_coupling,
-        dual_slope=base.dual.slope)
+        ridge=base.base.ridge)
+    factors = replace(factors, dual=replace(base.dual, base=factors.base))
     kept = {name: getattr(factors, name).copy() for name in FACTOR_ARRAYS}
     rng = np.random.default_rng(12)
     vec = rng.standard_normal(n_phi)
@@ -616,14 +691,15 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
         b = factors.dual_coupling
         h_g, h_b = solver.solve(rhs), solver.solve(b)
         return dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b),
-                              factors.lam, factors.dual.slope)
+                              factors.dual.lam, factors.dual.slope)
 
+    no_row = replace(factors, dual=None)
     first = [solver.solve(vec), solver.solve(block), applied(vec),
              leader_gradient(grad_policy, vec, factors),
-             leader_gradient(grad_policy, vec, factors, use_dual_row=False)]
+             leader_gradient(grad_policy, vec, no_row)]
     again = [solver.solve(vec), solver.solve(block), applied(vec),
              leader_gradient(grad_policy, vec, factors),
-             leader_gradient(grad_policy, vec, factors, use_dual_row=False)]
+             leader_gradient(grad_policy, vec, no_row)]
 
     for name, before in kept.items():
         assert np.array_equal(getattr(factors, name), before), name

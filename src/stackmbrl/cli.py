@@ -34,15 +34,15 @@ import numpy as np
 
 from .dynamics import DYNAMICS_MODES, DynamicsState, LearningRates, run_dynamics
 from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
-from .mdp import (ContinuousMdp, SamplingError, TabularMdp,
-                  dp_optimal_policy, exact_return, write_json)
+from .mdp import (ContinuousMdp, SamplingError, TabularMdp, dp_optimal_policy,
+                  exact_return, read_json_object, reading, write_json)
 from .models import (
     CategoricalWorldModel,
     DiagGaussianPolicy,
     DiagGaussianWorldModel,
     OfflineDataset,
-    ParamVector,
     SoftmaxPolicy,
+    from_saved,
     mle_fit,
     rollout_dataset,
     sample_offline_dataset,
@@ -153,13 +153,10 @@ def _behavior_policy(env, spec: str, greedy_eps: float):
         return probs, f"greedy(eps={greedy_eps})"
     path = Path(spec)
     if path.exists():
-        params = ParamVector.load(path)
+        saved = read_json_object(path, ("values", "layout"))
         template = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
-        if params.layout != template.params.layout:
-            raise ValueError(f"{path}: layout {list(params.layout)} is not "
-                             "the environment's softmax policy layout "
-                             f"{list(template.params.layout)}")
-        return template.with_params(params), f"loaded({path.name})"
+        with reading(path):
+            return from_saved(template, saved, "policy"), f"loaded({path.name})"
     raise ValueError(f"unknown behavior spec {spec!r}; use uniform, greedy, "
                      "or a saved policy parameter file")
 
@@ -211,7 +208,7 @@ def cmd_gen_data(args) -> int:
 def cmd_fit_model(args) -> int:
     env = _resolve_env(args.env)
     _check_delta(args.delta)
-    dataset = OfflineDataset.load_csv(args.dataset)
+    dataset = OfflineDataset.load_csv(args.dataset, env)
     anchor = _anchor_for(env, dataset, args.alpha)
     out = _prepare_out(args, "fit-model")
     anchor.params.save(out / "model.json")
@@ -250,7 +247,7 @@ def cmd_train(args) -> int:
     if args.algo == "vanilla":
         config = vanilla_config(config, env.horizon)
     if args.dataset:
-        dataset = OfflineDataset.load_csv(args.dataset)
+        dataset = OfflineDataset.load_csv(args.dataset, env)
     else:
         behavior, _ = _behavior_policy(env, "uniform", 0.0)
         rows = 500 if isinstance(env, TabularMdp) else 50 * env.horizon
@@ -276,9 +273,9 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     env = _resolve_env(args.env)
-    if not isinstance(env, ContinuousMdp):
-        raise ValueError("evaluate deploys under transition noise, which "
-                         "needs a continuous environment")
+    with reading(args.env):  # deployment noise moves continuous states
+        if not isinstance(env, ContinuousMdp):
+            raise ValueError("evaluate needs an environment of kind continuous")
     if args.episodes < 1:
         raise ValueError("--episodes must be at least 1")
     if not 0.0 <= args.rho < np.inf:
@@ -438,9 +435,9 @@ def cmd_grad_check(args) -> int:
 
 def cmd_coverage(args) -> int:
     env = _resolve_env(args.env)
-    if not isinstance(env, TabularMdp):
-        raise ValueError("coverage resampling is defined for tabular "
-                         "environments")
+    with reading(args.env):
+        if not isinstance(env, TabularMdp):
+            raise ValueError("coverage needs an environment of kind tabular")
     report = coverage_check(env, "uniform", n_transitions=args.n,
                             delta=args.delta, n_trials=args.trials,
                             seed=args.seed)

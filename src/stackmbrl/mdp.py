@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -35,20 +37,38 @@ class SamplingError(RuntimeError):
     """A rollout hit a non-finite model output or an invalid distribution."""
 
 
-def read_json_object(path: str | Path, keys) -> dict:
-    """The JSON object stored at ``path``; a ``ValueError`` names the file
-    and either its JSON error or any of ``keys`` it lacks."""
+@contextmanager
+def reading(source):
+    """Re-raise a ``ValueError`` or ``TypeError`` from parsing or checking
+    ``source`` (a file or a key in one; never a run) as a ``ValueError`` naming it."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got "
-                         f"{type(payload).__name__}")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
+        yield
+    except (ValueError, TypeError) as err:
+        raise ValueError(f"{source}: {err}") from err
+
+
+def read_json_object(path: str | Path, keys) -> dict:
+    """The JSON object stored at ``path``, holding exactly ``keys`` unless
+    ``keys`` is empty; a ``ValueError`` names the file and its JSON error,
+    a key it lacks or one it holds besides."""
+    with reading(path):
+        with reading("invalid JSON"):
+            payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object, got "
+                             f"{type(payload).__name__}")
+        check_names("key", keys, payload)
     return payload
+
+
+def check_names(what: str, expected, found) -> None:
+    """Raise a ``ValueError`` naming each of ``expected`` that ``found``
+    lacks and, unless ``expected`` is empty, each other one it holds."""
+    wrong = {"missing": [name for name in expected if name not in found],
+             "unknown": [name for name in found if expected and name not in expected]}
+    if any(wrong.values()):
+        raise ValueError("; ".join(f"{kind} {what}(s) {', '.join(names)}"
+                                   for kind, names in wrong.items() if names))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
@@ -60,6 +80,16 @@ def write_json(path: str | Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # containers
 # ---------------------------------------------------------------------------
+
+
+def _check_discounting(gamma, horizon) -> None:
+    """Refuse a ``horizon`` that is not an integer >= 1 and a ``gamma``
+    that is not a real number in [0, 1), naming the field."""
+    if (type(horizon) is bool or not isinstance(horizon, numbers.Integral)
+            or horizon < 1):
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if type(gamma) is bool or not isinstance(gamma, numbers.Real) or not 0 <= gamma < 1:
+        raise ValueError(f"gamma must be a real number in [0, 1), got {gamma!r}")
 
 
 @dataclass
@@ -82,21 +112,18 @@ class TabularMdp:
     horizon: int
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=float)
-        self.reward_values = np.asarray(self.reward_values, dtype=float)
-        self.reward_probs = np.asarray(self.reward_probs, dtype=float)
-        self.init_dist = np.asarray(self.init_dist, dtype=float)
-        s, a, s2 = self.transition.shape
-        if s != s2:
+        for name in ("transition", "reward_values", "reward_probs", "init_dist"):
+            with reading(name):
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        shape = self.transition.shape
+        if len(shape) != 3 or shape[0] != shape[2]:
             raise ValueError("transition tensor must be (S, A, S)")
+        s, a, _ = shape
         if self.reward_probs.shape != (s, a, self.reward_values.size):
             raise ValueError("reward_probs shape must match (S, A, R)")
         if self.init_dist.shape != (s,):
             raise ValueError("init_dist shape must be (S,)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be a positive integer")
+        _check_discounting(self.gamma, self.horizon)
         for name, arr in [("transition", self.transition),
                           ("reward_probs", self.reward_probs)]:
             if (arr < -PROB_ATOL).any():
@@ -105,8 +132,8 @@ class TabularMdp:
                 raise ValueError(f"{name} rows must sum to 1")
         if not np.isclose(self.init_dist.sum(), 1.0, atol=PROB_ATOL):
             raise ValueError("init_dist must sum to 1")
-        if (self.reward_values < 0).any() or (self.reward_values > 1).any():
-            raise ValueError("reward values must lie in [0, 1]")
+        if not ((self.reward_values >= 0) & (self.reward_values <= 1)).all():
+            raise ValueError("reward_values must lie in [0, 1]")
 
     @property
     def num_states(self) -> int:
@@ -154,22 +181,6 @@ class TabularMdp:
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
 
-    @staticmethod
-    def load(path: str | Path) -> "TabularMdp":
-        d = read_json_object(path, ("kind", "transition", "reward_values",
-                                    "reward_probs", "init_dist", "gamma",
-                                    "horizon"))
-        if d["kind"] != "tabular":
-            raise ValueError(f"not a tabular MDP file: kind={d['kind']!r}")
-        return TabularMdp(
-            transition=np.array(d["transition"]),
-            reward_values=np.array(d["reward_values"]),
-            reward_probs=np.array(d["reward_probs"]),
-            init_dist=np.array(d["init_dist"]),
-            gamma=d["gamma"],
-            horizon=d["horizon"],
-        )
-
 
 @dataclass
 class ContinuousMdp:
@@ -201,10 +212,7 @@ class ContinuousMdp:
             raise ValueError("std must have shape (state_dim + 1,)")
         if (self.std <= 0).any():
             raise ValueError("std entries must be positive")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be a positive integer")
+        _check_discounting(self.gamma, self.horizon)
 
     def reset(self, normals: np.ndarray) -> np.ndarray:
         """Start states (..., state_dim) from as many standard normals."""
@@ -228,61 +236,12 @@ class ContinuousMdp:
         return {"kind": "continuous", "name": self.name, "params": dict(self.params)}
 
 
-def _format_state(s) -> str:
-    if np.ndim(s) == 0:
-        return repr(int(s)) if float(s).is_integer() else repr(float(s))
-    return " ".join(repr(float(x)) for x in np.asarray(s).ravel())
-
-
-def _parse_state(text: str):
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty field")
-    if len(parts) == 1 and "." not in parts[0] and "e" not in parts[0]:
-        return int(parts[0])
-    vec = np.array([float(p) for p in parts])
-    return vec if vec.size > 1 or "." in text or "e" in text else int(vec[0])
-
-
-TRANSITION_COLUMNS = ("episode", "t", "s", "a", "r", "s_next", "logp_policy",
-                      "logp_model")
-
-
 def write_csv(path: str | Path, header, rows) -> None:
     """Write the ``header`` row, then each of ``rows``, to ``path`` as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def load_transitions_csv(path: str | Path) -> list[dict]:
-    """Read back transition rows; states/actions parsed to ints or vectors.
-    A ``ValueError`` names the file and a missing column, a short row, or
-    the line and column of a field that does not parse."""
-    parsers = dict(zip(TRANSITION_COLUMNS, (int, int, _parse_state,
-                                            _parse_state, float, _parse_state,
-                                            float, float)))
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TRANSITION_COLUMNS
-                   if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            if None in row.values():
-                raise ValueError(f"{path}: line {reader.line_num} has too "
-                                 "few fields")
-            parsed = {}
-            for column, parse in parsers.items():
-                try:
-                    parsed[column] = parse(row[column])
-                except ValueError as err:
-                    raise ValueError(f"{path}: line {reader.line_num}, column "
-                                     f"{column}: {err}") from None
-            rows.append(parsed)
-    return rows
 
 
 # ---------------------------------------------------------------------------

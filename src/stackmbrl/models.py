@@ -41,6 +41,7 @@ per-row ``rng.choice`` draws.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -48,10 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .mdp import (TRANSITION_COLUMNS, TabularMdp, _as_rng, _cdf_columns,
-                  _format_state, _normalised_cdf, _policy_probs,
-                  _tabular_paths, load_transitions_csv, read_json_object,
-                  sample_trajectory, write_csv, write_json)
+from .mdp import (TabularMdp, _as_rng, _cdf_columns, _normalised_cdf,
+                  _policy_probs, _tabular_paths, check_names, read_json_object,
+                  reading, sample_trajectory, write_csv, write_json)
 from .woodbury import BlockScores, CellCurvature, DenseCurvature
 
 # Softmax logits this low make the associated probability underflow to an
@@ -106,12 +106,23 @@ class ParamVector:
     @staticmethod
     def load(path: str | Path) -> "ParamVector":
         d = read_json_object(path, ("values", "layout"))
-        try:
-            layout = tuple((n, int(a), int(b)) for n, a, b in d["layout"])
-            return ParamVector(np.array(d["values"]), layout)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{path}: bad values or [name, start, stop] "
-                             f"layout: {err}") from err
+        with reading(path):
+            return ParamVector(np.array(d["values"]), tuple(
+                (n, int(a), int(b)) for n, a, b in d["layout"]))
+
+
+def from_saved(template, saved: dict, name: str):
+    """``template`` holding the values of ``saved``, as ``ParamVector.to_dict``
+    writes them; a ``ValueError`` names ``name`` unless they are finite and
+    fit the template's layout, which a saved layout must equal."""
+    layout = template.params.to_dict()["layout"]
+    with reading(f"{name} values"):
+        values, own = np.array(saved["values"], dtype=float), saved.get("layout")
+        if (values.shape != (template.n_params,) or own not in (None, layout)
+                or not np.isfinite(values).all()):
+            raise ValueError(f"must be finite and fit the layout {layout}, got "
+                             f"shape {values.shape} and layout {own}")
+    return template.with_params(values)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -237,11 +248,6 @@ class CategoricalWorldModel(_SoftmaxTable):
         k = self.logits.shape[2]
         if self.outcome_rewards.shape != (k,) or self.outcome_next_states.shape != (k,):
             raise ValueError("outcome table must match the logit alphabet")
-        self._outcome_index = {
-            (float(r), int(s)): i
-            for i, (r, s) in enumerate(zip(self.outcome_rewards,
-                                           self.outcome_next_states))
-        }
 
     @staticmethod
     def from_mdp(mdp: TabularMdp) -> "CategoricalWorldModel":
@@ -264,12 +270,28 @@ class CategoricalWorldModel(_SoftmaxTable):
         return self.logits.shape[2]
 
     def outcome_index(self, reward: float, s_next: int) -> int:
-        key = (float(reward), int(s_next))
-        if key not in self._outcome_index:
+        """Alphabet index of the outcome (reward, s_next) or, for arrays of
+        one shape, of each pair. Rewards match as floats compare (-0.0 is
+        0.0, NaN is nothing), and of a repeated pair the last index wins.
+        A ``SupportError`` names the first pair not in the alphabet."""
+        rewards, table, k = (np.asarray(reward, dtype=float),
+                             self.outcome_next_states, self.num_outcomes)
+        nexts = np.asarray(s_next).astype(np.int64).ravel()
+        # one packed key per pair: rewards ranked with the alphabet's, next
+        # states off the table clipped to a value no alphabet entry has
+        rank = np.unique(np.concatenate([self.outcome_rewards, rewards.ravel()]),
+                         return_inverse=True, equal_nan=False)[1]
+        keys = _packed_key(rank, np.concatenate(
+            [table, nexts.clip(table.min() - 1, table.max() + 1)]))
+        order = np.argsort(keys[:k], kind="stable")
+        found = order[np.searchsorted(keys[order], keys[k:], side="right") - 1]
+        missing = np.flatnonzero(keys[found] != keys[k:])
+        if missing.size:
+            row = missing[0]
             raise SupportError(
-                f"observed outcome (r={reward!r}, s'={s_next}) is not in the "
-                f"model's outcome alphabet")
-        return self._outcome_index[key]
+                f"observed outcome (r={float(rewards.ravel()[row])!r}, "
+                f"s'={nexts[row]}) is not in the model's outcome alphabet")
+        return int(found[0]) if rewards.ndim == 0 else found.reshape(rewards.shape)
 
     def log_prob(self, s: int, a: int, k: int) -> float:
         value = float(self.log_probs(s, a, k))
@@ -471,6 +493,34 @@ class DiagGaussianWorldModel(_AffineGaussian):
 # ---------------------------------------------------------------------------
 
 
+TRANSITION_COLUMNS = ("episode", "t", "s", "a", "r", "s_next", "logp_policy",
+                      "logp_model")
+
+
+def _format_state(s) -> str:
+    if np.ndim(s) == 0:
+        return repr(int(s)) if float(s).is_integer() else repr(float(s))
+    return " ".join(repr(float(x)) for x in np.asarray(s).ravel())
+
+
+def _finite(text: str) -> float:
+    if not np.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _float_vector(width: int):
+    """Parser of a field of ``width`` space-separated finite floats. A bare
+    integer is a tabular label and is refused: every float that
+    ``save_csv`` writes holds a point or an exponent."""
+    def parse(text: str) -> np.ndarray:
+        parts = text.split()
+        if len(parts) != width or any(p.lstrip("+-").isdecimal() for p in parts):
+            raise ValueError(f"expected {width} float(s) like 1.0, got {text!r}")
+        return np.array([_finite(part) for part in parts])
+    return parse
+
+
 @dataclass
 class OfflineDataset:
     """Bag of (s, a, r, s') transitions collected by a behavior policy."""
@@ -546,16 +596,33 @@ class OfflineDataset:
                    for i in range(self.n)))
 
     @staticmethod
-    def load_csv(path: str | Path) -> "OfflineDataset":
-        rows = load_transitions_csv(path)
-        if not rows:
-            raise ValueError(f"no transitions in {path}")
-        return OfflineDataset(
-            states=np.array([r["s"] for r in rows]),
-            actions=np.array([r["a"] for r in rows]),
-            rewards=np.array([r["r"] for r in rows]),
-            next_states=np.array([r["s_next"] for r in rows]),
-        )
+    def load_csv(path: str | Path, env) -> "OfflineDataset":
+        """The dataset saved at ``path``, parsed as ``env``'s: integer labels
+        of a ``TabularMdp``'s cells and outcomes, or vectors of exactly
+        ``state_dim`` and ``action_dim`` floats; finite rewards. A
+        ``ValueError`` names the file and the column or the row it refuses."""
+        tabular = isinstance(env, TabularMdp)
+        state = int if tabular else _float_vector(env.state_dim)
+        action = int if tabular else _float_vector(env.action_dim)
+        parsers = dict(zip(TRANSITION_COLUMNS, (int, int, state, action, _finite,
+                                                state, float, float)))
+        columns = {column: [] for column in parsers}
+        with reading(path), open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            check_names("column", TRANSITION_COLUMNS, reader.fieldnames or ())
+            for row in reader:
+                if None in row:  # DictReader's key for fields past the last column
+                    raise ValueError(f"line {reader.line_num} has extra fields")
+                for column, parse in parsers.items():
+                    with reading(f"line {reader.line_num}, column {column}"):
+                        if row[column] is None:
+                            raise ValueError("the row ends before this column")
+                        columns[column].append(parse(row[column]))
+            dataset = OfflineDataset(*(np.array(columns[column])
+                                       for column in ("s", "a", "r", "s_next")))
+            if tabular:
+                _outcome_cells(dataset, CategoricalWorldModel.uniform(env))
+        return dataset
 
 
 def _packed_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -642,9 +709,12 @@ def mle_fit(dataset: OfflineDataset, template, alpha: float = 0.0):
     raise TypeError(f"no MLE recipe for {type(template).__name__}")
 
 
-def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
-                     alpha: float) -> CategoricalWorldModel:
-    s_dim, a_dim, k_dim = template.logits.shape
+def _outcome_cells(dataset: OfflineDataset,
+                   template: CategoricalWorldModel) -> tuple:
+    """(states, actions, outcome indices) of the rows of ``dataset`` under
+    ``template``. A ``ValueError`` names the first row outside its states x
+    actions, a ``SupportError`` the first outcome outside its alphabet."""
+    s_dim, a_dim, _ = template.logits.shape
     states = np.asarray(dataset.states).astype(np.int64)
     actions = np.asarray(dataset.actions).astype(np.int64)
     outside = np.flatnonzero((states < 0) | (states >= s_dim)
@@ -654,20 +724,14 @@ def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
         raise ValueError(f"dataset row {row} has (s={states[row]}, "
                          f"a={actions[row]}) outside the {s_dim} states x "
                          f"{a_dim} actions of the model")
-    # one alphabet lookup per distinct (r, s'), in order of first appearance,
-    # with each pair read from the row where it first appears
-    rewards = dataset.rewards
-    nexts = np.asarray(dataset.next_states).astype(np.int64)
-    _, reward_rank = np.unique(rewards, return_inverse=True)
-    _, first, inverse = np.unique(_packed_key(reward_rank, nexts),
-                                  return_index=True, return_inverse=True)
-    outcome = np.empty(len(first), dtype=np.int64)
-    for i in np.argsort(first):
-        row = first[i]
-        outcome[i] = template.outcome_index(float(rewards[row]),
-                                            int(nexts[row]))
-    counts = np.zeros((s_dim, a_dim, k_dim))
-    np.add.at(counts, (states, actions, outcome[inverse]), 1.0)
+    return states, actions, template.outcome_index(dataset.rewards,
+                                                   dataset.next_states)
+
+
+def _mle_categorical(dataset: OfflineDataset, template: CategoricalWorldModel,
+                     alpha: float) -> CategoricalWorldModel:
+    counts = np.zeros(template.logits.shape)
+    np.add.at(counts, _outcome_cells(dataset, template), 1.0)
     counts += alpha
     return CategoricalWorldModel(_frequency_logits(counts),
                                  template.outcome_rewards,

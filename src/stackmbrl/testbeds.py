@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import SmoothGame
-from .mdp import ContinuousMdp, TabularMdp, read_json_object
+from .mdp import ContinuousMdp, TabularMdp, read_json_object, reading
 from .models import (LOGIT_FLOOR, CategoricalWorldModel, DiagGaussianPolicy,
                      SoftmaxPolicy)
 
@@ -229,7 +229,7 @@ def tracking_mdp(**overrides) -> ContinuousMdp:
         state_dim=1, action_dim=1, mean_fn=mean_fn,
         std=np.array([p["state_std"], p["reward_std"]]),
         init_mean=np.array([p["start"]]), init_std=np.array([p["start_std"]]),
-        gamma=float(p["gamma"]), horizon=int(p["horizon"]),
+        gamma=p["gamma"], horizon=p["horizon"],
         name="tracking", params=p)
 
 
@@ -251,9 +251,13 @@ CONTINUOUS_TESTBEDS = {
 
 
 def continuous_from_dict(payload: dict) -> ContinuousMdp:
+    """The registered environment a ``ContinuousMdp.to_dict`` payload names."""
+    unknown = sorted(set(payload) - {"kind", "name", "params"})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
     name = payload.get("name")
     if name not in CONTINUOUS_TESTBEDS:
-        raise ValueError(f"unknown continuous environment {name!r}; "
+        raise ValueError(f"unknown continuous environment name {name!r}; "
                          f"registered: {sorted(CONTINUOUS_TESTBEDS)}")
     params = payload.get("params", {})
     if not isinstance(params, dict):
@@ -263,17 +267,16 @@ def continuous_from_dict(payload: dict) -> ContinuousMdp:
 
 
 def load_environment(path) -> TabularMdp | ContinuousMdp:
-    """Load either environment kind from its JSON file."""
-    payload = read_json_object(path, ("kind",))
-    kind = payload["kind"]
-    if kind == "tabular":
-        return TabularMdp.load(path)
-    if kind == "continuous":
-        try:
+    """Either environment kind from the JSON file its ``to_dict`` wrote."""
+    payload = read_json_object(path, ())
+    with reading(path):
+        kind = payload.pop("kind", None)
+        if kind == "tabular":
+            return TabularMdp(**payload)
+        if kind == "continuous":
             return continuous_from_dict(payload)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-    raise ValueError(f"unrecognized environment kind {kind!r}")
+        raise ValueError(f"kind must be 'tabular' or 'continuous', got "
+                         f"{kind!r}")
 
 
 TABULAR_TESTBEDS = {

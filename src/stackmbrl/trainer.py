@@ -46,6 +46,7 @@ from .mdp import (
     _policy_probs,
     exact_return,
     read_json_object,
+    reading,
     sample_tabular_batch,
     sample_trajectory,
     write_csv,
@@ -58,6 +59,7 @@ from .models import (
     SoftmaxPolicy,
     _softmax,
     categorical_kl_from,
+    from_saved,
 )
 from .oracles import ExactGradients, exact_gradients
 from .woodbury import (
@@ -309,33 +311,21 @@ class TrainerConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.n_iterations < 0:
-            raise ValueError("n_iterations must be non-negative")
-        if self.segment_length < 1:
-            raise ValueError("segment_length must be at least 1")
-        for name in ("critic_epochs", "policy_epochs", "model_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("rollouts_per_iter", "minibatch_size", "buffer_capacity"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.target_mix <= 1.0:
-            raise ValueError("target_mix must lie in [0, 1]")
-        if not 0.0 <= self.advantage_decay <= 1.0:
-            raise ValueError("advantage_decay must lie in [0, 1]")
-        # written so that NaN fails each check
-        if not self.clip > 0.0:
-            raise ValueError("clip must be positive (inf disables masking)")
-        if not self.ridge > 0.0:
-            raise ValueError("ridge must be positive")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not self.lam_init >= 0.0:
-            raise ValueError("lam_init must be non-negative")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
-        if self.dynamics not in DYNAMICS_MODES:
-            raise ValueError(f"dynamics must be one of {DYNAMICS_MODES}")
+        # each rule is written so that NaN fails it
+        for names, holds, rule in (
+                (("n_iterations", "critic_epochs", "policy_epochs",
+                  "model_epochs", "checkpoint_every", "lam_init"),
+                 lambda v: v >= 0, "be non-negative"),
+                (("segment_length", "rollouts_per_iter", "minibatch_size",
+                  "buffer_capacity"), lambda v: v >= 1, "be at least 1"),
+                (("target_mix", "advantage_decay"), lambda v: 0 <= v <= 1,
+                 "lie in [0, 1]"),
+                (("clip", "ridge", "epsilon"), lambda v: v > 0, "be positive"),
+                (("dynamics",), lambda v: v in DYNAMICS_MODES,
+                 f"be one of {DYNAMICS_MODES}")):
+            for name in names:
+                if not holds(value := getattr(self, name)):
+                    raise ValueError(f"{name} must {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -343,27 +333,20 @@ class TrainerConfig:
                             enforce_ordering=self.rates.enforce_ordering)
         return out
 
-    @staticmethod
-    def from_dict(payload: dict) -> "TrainerConfig":
-        """The config ``payload`` describes, as ``to_dict`` writes it; a
-        ``ValueError`` names an unknown key or a wrongly typed field."""
-        payload = dict(payload)
-        _check_fields(TrainerConfig, payload)
-        if "rates" in payload:
-            _check_fields(LearningRates, payload["rates"])
-            payload["rates"] = LearningRates(**payload["rates"])
-        return TrainerConfig(**payload)
-
     def save(self, path) -> None:
         write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "TrainerConfig":
+        """The config saved at ``path`` by ``save``; a ``ValueError`` names
+        the file and an unknown key or a wrongly typed or ranged field."""
         payload = read_json_object(path, ())
-        try:
-            return TrainerConfig.from_dict(payload)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+        with reading(path):
+            _check_fields(TrainerConfig, payload)
+            if "rates" in payload:
+                _check_fields(LearningRates, payload["rates"])
+                payload["rates"] = LearningRates(**payload["rates"])
+            return TrainerConfig(**payload)
 
 
 def _check_fields(cls, payload: dict) -> None:
@@ -721,37 +704,29 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
     its critic needs the kind and array shapes of ``_zero_critic``'s."""
     payload = read_json_object(path, ("iteration", "lam", "policy", "model",
                                       "critic"))
-    for part, keys in (("policy", ["values"]), ("model", ["values"]),
-                       ("critic", ["kind", "q", "v", "target_v"])):
-        if not (isinstance(payload[part], dict) and set(keys) <= set(payload[part])):
-            raise ValueError(f"{path}: {part} needs key(s) {', '.join(keys)}")
-    players = {}
-    for part, template in (("policy", policy_template), ("model", model_template)):
-        try:
-            values = np.array(payload[part]["values"], dtype=float)
-            shape = template.params.values.shape
-            players[part] = template.with_params(values.reshape(shape))
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{path}: {part} values do not fit: {err}") from err
-    for key, kinds in (("iteration", (int,)), ("lam", (int, float))):
-        if type(payload[key]) not in kinds:
-            raise ValueError(f"{path}: {key} must be a JSON "
-                             f"{kinds[-1].__name__}, got {payload[key]!r}")
-    zero, critic = _zero_critic(model_template), payload["critic"]
-    if critic["kind"] != zero.kind:
-        raise ValueError(f"{path}: critic kind must be {zero.kind!r}, "
-                         f"got {critic['kind']!r}")
-    arrays = {}
-    for key in ("q", "v", "target_v"):
-        try:
-            arrays[key] = np.array(critic[key], dtype=float)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{path}: critic {key} is not numeric: {err}") from err
-        shape = getattr(zero, key).shape
-        if arrays[key].shape != shape:
-            raise ValueError(f"{path}: critic {key} has shape "
-                             f"{arrays[key].shape}, not {shape}")
-    return {"iteration": int(payload["iteration"]), "lam": float(payload["lam"]),
+    with reading(path):
+        for part, keys in (("policy", ["values"]), ("model", ["values"]),
+                           ("critic", ["kind", "q", "v", "target_v"])):
+            if not isinstance(payload[part], dict) or set(keys) - set(payload[part]):
+                raise ValueError(f"{part} needs key(s) {', '.join(keys)}")
+        players = {part: from_saved(template, payload[part], part) for part, template
+                   in (("policy", policy_template), ("model", model_template))}
+        for key, kinds in (("iteration", (int,)), ("lam", (int, float))):
+            if type(payload[key]) not in kinds:
+                raise ValueError(f"{key} must be a JSON {kinds[-1].__name__}, "
+                                 f"got {payload[key]!r}")
+        zero, critic = _zero_critic(model_template), payload["critic"]
+        if critic["kind"] != zero.kind:
+            raise ValueError(f"critic kind must be {zero.kind!r}, "
+                             f"got {critic['kind']!r}")
+        arrays = {}
+        for key in ("q", "v", "target_v"):
+            with reading(f"critic {key}"):
+                arrays[key] = np.array(critic[key], dtype=float)
+                if arrays[key].shape != getattr(zero, key).shape:
+                    raise ValueError(f"has shape {arrays[key].shape}, not "
+                                     f"{getattr(zero, key).shape}")
+    return {"iteration": payload["iteration"], "lam": float(payload["lam"]),
             **players, "critic": replace(zero, **arrays)}
 
 

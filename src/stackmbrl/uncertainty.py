@@ -171,8 +171,7 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
     true_model = CategoricalWorldModel.from_mdp(mdp)
     true_probs = true_model.probs_all()
     sample = _offline_sampler(mdp, behavior_policy)
-    alphabet = np.array([true_model.outcome_index(r, s)  # the MLE's lookup
-                         for r, s in zip(*mdp.outcome_table())])
+    alphabet = true_model.outcome_index(*mdp.outcome_table())  # the MLE's lookup
     rng = np.random.default_rng(seed)
     per_block = max(1, COVERAGE_BLOCK_ROWS // n)
     results = []

@@ -1,14 +1,17 @@
 """Every subcommand on tiny budgets: exit codes and the artifacts it writes."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from stackmbrl.cli import cli
-from stackmbrl.mdp import TRANSITION_COLUMNS
-from stackmbrl.models import DiagGaussianPolicy, DiagGaussianWorldModel
-from stackmbrl.testbeds import tracking_mdp
+from stackmbrl.cli import _build_parser, cli
+from stackmbrl.models import (TRANSITION_COLUMNS, DiagGaussianPolicy,
+                              DiagGaussianWorldModel, SoftmaxPolicy,
+                              rollout_dataset, sample_offline_dataset)
+from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
+                                tracking_mdp)
 from stackmbrl.trainer import LinearCritic, TrainerConfig
 
 
@@ -477,5 +480,320 @@ def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
     assert code == 2
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the reading boundary: subcommand x file option x mutation
+# ---------------------------------------------------------------------------
+
+
+def _file_options():
+    """(subcommand, option) of every option of the parser that names an
+    input: each string-valued option without fixed choices, but ``--out``."""
+    parser = _build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {(name, action.option_strings[0])
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.type is str and action.choices is None
+            and action.dest != "out"}
+
+
+DROP = object()
+NAN = float("nan")
+
+
+def _json_with(payload, **change):
+    """``payload`` as JSON, with each key of ``change`` set to its value, or
+    dropped where the value is ``DROP``."""
+    payload = dict(payload, **change)
+    return json.dumps({key: value for key, value in payload.items()
+                       if value is not DROP})
+
+
+def _csv_with(text, column, value, line=1):
+    """``text`` with ``column`` of the data row at ``line`` set to
+    ``value``, or the column dropped from every line where ``value`` is
+    ``DROP``."""
+    rows = [row.split(",") for row in text.splitlines()]
+    at = rows[0].index(column)
+    if value is DROP:
+        rows = [row[:at] + row[at + 1:] for row in rows]
+    else:
+        rows[line][at] = value
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Well-formed input texts: environments, datasets, a config, a
+    checkpoint and a saved behaviour policy."""
+    gradient, tracking = TABULAR_TESTBEDS["gradient"]()[0], tracking_mdp()
+    path = tmp_path_factory.mktemp("inputs") / "dataset.csv"
+    sample_offline_dataset(gradient, "uniform", n=40, seed=0).save_csv(path)
+    gradient_csv = path.read_text()
+    rollout_dataset(tracking, tracking_behavior_policy(tracking), 4,
+                    seed=0).save_csv(path)
+    return {"tabular": gradient.to_dict(), "continuous": tracking.to_dict(),
+            "gradient.csv": gradient_csv, "tracking.csv": path.read_text(),
+            "config": TrainerConfig(n_iterations=1,
+                                    rollouts_per_iter=4).to_dict(),
+            "checkpoint": json.loads(checkpoint_misfit("lam", 1.0)),
+            "policy": SoftmaxPolicy.zeros(gradient.num_states,
+                                          gradient.num_actions)
+            .params.to_dict()}
+
+
+def _tabular_env_mutations(x, wrong):
+    env = x["tabular"]
+    return {
+        "truncated": (json.dumps(env)[:40], "invalid JSON"),
+        "not-an-object": ("[1, 2]", "JSON object"),
+        "missing-key": (_json_with(env, reward_probs=DROP), "reward_probs"),
+        "unknown-key": (_json_with(env, bogus=1), "bogus"),
+        "wrong-type": (_json_with(env, gamma="0.9"), "gamma"),
+        "nan-inf": (_json_with(env, init_dist=[NAN, 0.5, 0.5]), "init_dist"),
+        "unparsable-field": (_json_with(env, transition="abc"), "transition"),
+        "wrong-width": (_json_with(env, init_dist=[1.0]), "init_dist"),
+        "fractional-label": (_json_with(env, horizon=2.5), "horizon"),
+        "wrong-environment": (wrong, "kind"),
+    }
+
+
+def _continuous_env_mutations(x):
+    env = x["continuous"]
+    return {
+        "truncated": (json.dumps(env)[:20], "invalid JSON"),
+        "not-an-object": ('"tracking"', "JSON object"),
+        "missing-key": (_json_with(env, name=DROP), "name"),
+        "unknown-key": (_json_with(env, bogus=1), "bogus"),
+        "wrong-type": (_json_with(env, params={"gamma": "0.9"}), "gamma"),
+        "nan-inf": (_json_with(env, params={"gamma": NAN}), "gamma"),
+        "unparsable-field": (_json_with(env, params="abc"), "params"),
+        "fractional-label": (_json_with(env, params={"horizon": 2.5}),
+                             "horizon"),
+        "wrong-environment": (json.dumps(x["tabular"]), "kind"),
+    }
+
+
+def _dataset_mutations(x):
+    text = x["gradient.csv"]
+    return {
+        "truncated": (text[:text.rindex(",")], "column logp_model"),
+        "not-an-object": (json.dumps(x["tabular"]), "episode"),
+        "missing-key": (_csv_with(text, "s_next", DROP), "s_next"),
+        "unknown-key": (text.replace("logp_model", "logp_model,bogus", 1),
+                        "bogus"),
+        "wrong-type": (_csv_with(text, "a", "left"), "column a"),
+        "nan-inf": (_csv_with(text, "r", "nan"), "column r"),
+        "unparsable-field": (_csv_with(text, "r", "abc"), "column r"),
+        "wrong-width": (_csv_with(text, "s", "0 1"), "column s"),
+        "fractional-label": (_csv_with(text, "s", "0.5"), "column s"),
+        "wrong-environment": (x["tracking.csv"], "column s"),
+    }
+
+
+def _config_mutations(x):
+    config = x["config"]
+    return {
+        "truncated": (json.dumps(config)[:30], "invalid JSON"),
+        "not-an-object": ("5", "JSON object"),
+        "unknown-key": (_json_with(config, bogus=1), "bogus"),
+        "wrong-type": (_json_with(config, n_iterations="5"), "n_iterations"),
+        "nan-inf": (_json_with(config, epsilon=NAN), "epsilon"),
+        "unparsable-field": (_json_with(config, rates=5), "rates"),
+        "fractional-label": (_json_with(config, segment_length=2.5),
+                             "segment_length"),
+        "wrong-environment": (json.dumps(x["checkpoint"]), "critic"),
+    }
+
+
+def _checkpoint_mutations(x):
+    ckpt = x["checkpoint"]
+    critic = dict(ckpt["critic"], q="abc")
+    return {
+        "truncated": (json.dumps(ckpt)[:30], "invalid JSON"),
+        "not-an-object": ("null", "JSON object"),
+        "missing-key": (_json_with(ckpt, lam=DROP), "lam"),
+        "unknown-key": (_json_with(ckpt, bogus=1), "bogus"),
+        "wrong-type": (_json_with(ckpt, iteration="1"), "iteration"),
+        "nan-inf": (_json_with(ckpt, policy={"values": [NAN, 0.0, 0.0]}),
+                    "policy values"),
+        "unparsable-field": (_json_with(ckpt, critic=critic), "critic q"),
+        "wrong-width": (_json_with(ckpt, model={"values": [0.0, 0.0]}),
+                        "model values"),
+        "fractional-label": (_json_with(ckpt, iteration=1.5), "iteration"),
+        "wrong-environment": (_json_with(ckpt, policy=x["policy"]),
+                              "policy values"),
+    }
+
+
+def _policy_mutations(x):
+    policy = x["policy"]
+    gaussian = DiagGaussianPolicy.zeros(5, 1).params.to_dict()
+    return {
+        "truncated": (json.dumps(policy)[:15], "invalid JSON"),
+        "not-an-object": ("[0, 0, 0, 0, 0, 0]", "JSON object"),
+        "missing-key": (_json_with(policy, layout=DROP), "layout"),
+        "unknown-key": (_json_with(policy, bogus=1), "bogus"),
+        "wrong-type": (_json_with(policy, layout=5), "layout"),
+        "nan-inf": (_json_with(policy, values=[NAN] * 6), "policy values"),
+        "unparsable-field": (_json_with(policy, values=["x"] * 6),
+                             "policy values"),
+        "wrong-width": (_json_with(policy, values=[0] * 5,
+                                   layout=[["logits", 0, 5]]), "layout"),
+        "fractional-label": (_json_with(policy, layout=[["logits", 0, 5.5]]),
+                             "layout"),
+        "wrong-environment": (json.dumps(gaussian), "layout"),
+    }
+
+
+# (subcommand, option): (the rest of the command line, given the directory
+# of the well-formed inputs, and the mutations of the file the option names,
+# given those inputs)
+MATRIX = {
+    ("gen-data", "--env"): (
+        lambda d: ["gen-data", "--n", "20"],
+        lambda x: _tabular_env_mutations(
+            x, _json_with(x["tabular"], kind="pendulum"))),
+    ("fit-model", "--env"): (
+        lambda d: ["fit-model", "--dataset", str(d / "gradient.csv")],
+        lambda x: _tabular_env_mutations(
+            x, _json_with(x["tabular"], kind="pendulum"))),
+    ("train", "--env"): (
+        lambda d: ["train", "--config", str(d / "config.json")],
+        lambda x: _tabular_env_mutations(
+            x, _json_with(x["tabular"], kind="pendulum"))),
+    ("coverage", "--env"): (
+        lambda d: ["coverage", "--trials", "100"],
+        lambda x: _tabular_env_mutations(x, json.dumps(x["continuous"]))),
+    ("evaluate", "--env"): (
+        lambda d: ["evaluate", "--checkpoint", str(d / "checkpoint.json"),
+                   "--episodes", "2"],
+        _continuous_env_mutations),
+    ("fit-model", "--dataset"): (
+        lambda d: ["fit-model", "--env", "gradient"],
+        _dataset_mutations),
+    ("train", "--dataset"): (
+        lambda d: ["train", "--env", "gradient", "--config",
+                   str(d / "config.json")],
+        _dataset_mutations),
+    ("train", "--config"): (
+        lambda d: ["train", "--env", "gradient"],
+        _config_mutations),
+    ("evaluate", "--checkpoint"): (
+        lambda d: ["evaluate", "--env", "tracking", "--episodes", "2"],
+        _checkpoint_mutations),
+    ("gen-data", "--behavior"): (
+        lambda d: ["gen-data", "--env", "gradient", "--n", "20"],
+        _policy_mutations),
+}
+MUTATIONS = ("truncated", "not-an-object", "missing-key", "unknown-key",
+             "wrong-type", "nan-inf", "unparsable-field", "wrong-width",
+             "fractional-label", "wrong-environment")
+# Mutations a file kind cannot carry: a config has no required key and no
+# array, and a continuous environment file holds only named parameters.
+NOT_APPLICABLE = {("train", "--config", "missing-key"),
+                  ("train", "--config", "wrong-width"),
+                  ("evaluate", "--env", "wrong-width")}
+
+
+def _write_inputs(x, directory):
+    (directory / "gradient.csv").write_text(x["gradient.csv"])
+    (directory / "config.json").write_text(json.dumps(x["config"]))
+    (directory / "checkpoint.json").write_text(json.dumps(x["checkpoint"]))
+
+
+def test_matrix_covers_every_file_option():
+    """A new option that reads a file must join the matrix below."""
+    assert _file_options() == set(MATRIX)
+
+
+@pytest.mark.parametrize("subcommand, option", sorted(MATRIX))
+def test_each_file_option_reads_its_well_formed_file(tmp_path, inputs,
+                                                     subcommand, option):
+    """The control of the matrix: unmutated, every file is accepted."""
+    _write_inputs(inputs, tmp_path)
+    rest, _ = MATRIX[subcommand, option]
+    good = {"--env": (json.dumps(inputs["continuous"])
+                      if subcommand == "evaluate"
+                      else json.dumps(inputs["tabular"])),
+            "--dataset": inputs["gradient.csv"],
+            "--config": json.dumps(inputs["config"]),
+            "--checkpoint": json.dumps(inputs["checkpoint"]),
+            "--behavior": json.dumps(inputs["policy"])}[option]
+    path = tmp_path / "input"
+    path.write_text(good)
+    code = cli([*rest(tmp_path), option, str(path), "--out",
+                str(tmp_path / "run")])
+    assert code in ((0, 1) if subcommand == "coverage" else (0,))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("subcommand, option, mutation", [
+    (subcommand, option, mutation) for subcommand, option in sorted(MATRIX)
+    for mutation in MUTATIONS
+    if (subcommand, option, mutation) not in NOT_APPLICABLE])
+def test_mutated_input_file_is_refused_by_name(tmp_path, capsys, inputs,
+                                               subcommand, option, mutation):
+    """Each mutation of each input file exits 2 with one stderr line that
+    names the file and the key, column or field at fault, before any run
+    directory exists."""
+    _write_inputs(inputs, tmp_path)
+    rest, mutations = MATRIX[subcommand, option]
+    content, key = mutations(inputs)[mutation]
+    path = tmp_path / f"{mutation}.input"
+    path.write_text(content)
+    out = tmp_path / "run"
+    code = cli([*rest(tmp_path), option, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(path) in err and key in err, err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, name, content, key", [
+    (["train", "--env", "tracking"], "gradient.csv", "gradient.csv",
+     "column s"),
+    (["fit-model", "--env", "gradient"], "half.csv", "s=0.5", "column s"),
+    (["fit-model", "--env", "gradient"], "tracking.csv", "tracking.csv",
+     "column s"),
+    (["fit-model", "--env", "gradient"], "sparse.csv", "s=5", "row 4 has (s=5"),
+    (["gen-data", "--env"], "env.json", {"gamma": "0.9"}, "gamma"),
+    (["gen-data", "--env"], "env.json", {"horizon": 2.5}, "horizon"),
+    (["gen-data", "--env"], "env.json", {"transition": "abc"}, "transition"),
+    (["fit-model", "--env", "gradient"], "long.csv", "logp_model=0.0,7",
+     "line 6 has extra fields"),
+], ids=["tracking-reads-tabular-csv", "fractional-state",
+        "gradient-reads-tracking-csv", "state-outside-the-environment",
+        "string-gamma", "fractional-horizon", "unparsable-transition",
+        "field-past-the-last-column"])
+def test_misread_inputs_are_refused_by_file_and_key(tmp_path, capsys, inputs,
+                                                    argv, name, content, key):
+    """Inputs the parser once read wrongly: a dataset for another
+    environment, a fractional tabular label, a row with a field past the
+    last column, and an environment file with a string gamma, a fractional
+    horizon or an unparsable table."""
+    path = tmp_path / name
+    if isinstance(content, dict):
+        path.write_text(_json_with(inputs["tabular"], **content))
+    elif content in inputs:
+        path.write_text(inputs[content])
+    else:
+        column, value = content.split("=")
+        path.write_text(_csv_with(inputs["gradient.csv"], column, value,
+                                  line=5))
+    config = tiny_config(tmp_path)
+    option = [] if argv[-1] == "--env" else ["--dataset"]
+    extra = ["--config", config] if argv[0] == "train" else []
+    out = tmp_path / "run"
+    code = cli([*argv, *option, str(path), *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(path) in err and key in err, err
     assert err.count("\n") == 1
     assert not out.exists()

@@ -7,15 +7,15 @@ import pytest
 
 from conftest import ScriptedRng, dirichlet_mdp
 
-from stackmbrl.mdp import (NoisyDeployment, SamplingError, TabularMdp,
-                           _cdf_columns, _draw_categorical_rows,
-                           _format_state, _tabular_paths,
+from stackmbrl.mdp import (ContinuousMdp, NoisyDeployment, SamplingError,
+                           TabularMdp, _cdf_columns, _draw_categorical_rows,
+                           _tabular_paths,
                            dp_optimal_policy, dp_values, exact_return,
-                           load_transitions_csv, perturb_step,
-                           sample_tabular_batch, sample_trajectory,
-                           transition_marginal)
-from stackmbrl.models import CategoricalWorldModel, SoftmaxPolicy
-from stackmbrl.testbeds import tracking_mdp
+                           perturb_step, sample_tabular_batch,
+                           sample_trajectory, transition_marginal)
+from stackmbrl.models import (CategoricalWorldModel, OfflineDataset,
+                              SoftmaxPolicy, _format_state)
+from stackmbrl.testbeds import load_environment, tracking_mdp
 
 from reference_oracles import (enumerate_paths, normalized_occupancy,
                                per_step_occupancy, simulation_gap_and_bound)
@@ -180,11 +180,32 @@ def test_tabular_mdp_validation():
                    gamma=0.5, horizon=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 2.5), ("horizon", 0), ("horizon", True), ("horizon", "3"),
+    ("horizon", 3.0), ("gamma", "0.9"), ("gamma", 1.0), ("gamma", None),
+    ("gamma", float("nan")), ("gamma", False)])
+def test_environments_refuse_a_bad_horizon_or_gamma(field, value):
+    """Both environment kinds refuse, by name, a horizon that is not an
+    integer >= 1 and a gamma that is not a real number in [0, 1), instead of
+    failing later inside ``range`` or on a comparison with a string."""
+    good = constant_reward_chain()
+    tabular = dict(transition=good.transition, reward_values=good.reward_values,
+                   reward_probs=good.reward_probs, init_dist=good.init_dist)
+    continuous = dict(state_dim=1, action_dim=1, mean_fn=lambda s, a: s,
+                      std=np.ones(2), init_mean=np.zeros(1),
+                      init_std=np.ones(1))
+    for kind, fields in ((TabularMdp, tabular), (ContinuousMdp, continuous)):
+        kind(**fields, gamma=np.float32(0.5), horizon=np.int64(3))
+        kind(**fields, gamma=0, horizon=1)
+        with pytest.raises(ValueError, match=field):
+            kind(**{**fields, "gamma": 0.5, "horizon": 3, field: value})
+
+
 def test_tabular_save_load_roundtrip(tmp_path, grad_triple):
     mdp, _, _ = grad_triple
     path = tmp_path / "env.json"
     mdp.save(path)
-    loaded = TabularMdp.load(path)
+    loaded = load_environment(path)
     assert np.array_equal(loaded.transition, mdp.transition)
     assert np.array_equal(loaded.reward_probs, mdp.reward_probs)
     assert loaded.gamma == mdp.gamma and loaded.horizon == mdp.horizon
@@ -508,13 +529,12 @@ def test_trajectory_csv_roundtrip(tmp_path, grad_triple):
     batch = sample_tabular_batch(mdp, policy, model, n=4, seed=11)
     path = tmp_path / "rollouts.csv"
     save_batch_csv(batch, path)
-    rows = load_transitions_csv(path)
-    assert len(rows) == batch["rewards"].size
-    first = rows[0]
-    assert first["s"] == int(batch["states"][0, 0])
-    assert first["a"] == int(batch["actions"][0, 0])
-    assert first["r"] == float(batch["rewards"][0, 0])
-    assert first["s_next"] == int(batch["states"][0, 1])
+    loaded = OfflineDataset.load_csv(path, mdp)
+    assert loaded.n == batch["rewards"].size
+    assert loaded.states[0] == int(batch["states"][0, 0])
+    assert loaded.actions[0] == int(batch["actions"][0, 0])
+    assert loaded.rewards[0] == float(batch["rewards"][0, 0])
+    assert loaded.next_states[0] == int(batch["states"][0, 1])
 
 
 def test_continuous_rollout_dataset_clamps_rewards():

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   penalty_curvature)
+from stackmbrl.mdp import ContinuousMdp
 from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               DiagGaussianPolicy, DiagGaussianWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
@@ -96,6 +97,26 @@ def test_outcome_index_rejects_alien_outcome(small_triple):
     _, _, model = small_triple
     with pytest.raises(SupportError):
         model.outcome_index(0.123456, 0)
+
+
+def test_outcome_index_looks_up_arrays_as_the_per_pair_dict_did():
+    """Arrays of pairs get the index a dict keyed by ``(float(r), int(s'))``
+    gives each pair: -0.0 finds 0.0, a pair the alphabet repeats finds its
+    last index, and NaN or an off-table next state finds nothing."""
+    model = CategoricalWorldModel(np.zeros((1, 1, 5)),
+                                  [0.5, 0.0, 0.5, 1.0, 0.25], [2, 0, 2, 7, 3])
+    table = {(float(r), int(s)): k for k, (r, s) in enumerate(
+        zip(model.outcome_rewards, model.outcome_next_states))}
+    rewards = np.array([[0.5, -0.0], [1.0, 0.25]])
+    nexts = np.array([[2, 0], [7, 3]])
+    found = model.outcome_index(rewards, nexts)
+    assert found.shape == (2, 2)
+    assert found.tolist() == [[table[0.5, 2], table[0.0, 0]],
+                              [table[1.0, 7], table[0.25, 3]]] == [[2, 1], [3, 4]]
+    assert model.outcome_index(-0.0, 0) == 1
+    for reward, s_next in ((np.nan, 2), (0.5, 99), (0.5, -5), (0.25, 2)):
+        with pytest.raises(SupportError, match=f"s'={s_next}\\)"):
+            model.outcome_index(np.array([0.5, reward]), np.array([2, s_next]))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +442,7 @@ def test_dataset_csv_roundtrip_tabular(tmp_path, small_triple):
     dataset = sample_offline_dataset(mdp, "uniform", n=30, seed=1)
     path = tmp_path / "data.csv"
     dataset.save_csv(path)
-    loaded = OfflineDataset.load_csv(path)
+    loaded = OfflineDataset.load_csv(path, mdp)
     assert loaded.n == dataset.n
     assert np.array_equal(np.asarray(loaded.states), np.asarray(dataset.states))
     assert np.array_equal(np.asarray(loaded.rewards), np.asarray(dataset.rewards))
@@ -432,10 +453,32 @@ def test_dataset_csv_roundtrip_continuous(tmp_path):
     dataset = rollout_dataset(env, tracking_behavior_policy(env), 4, seed=0)
     path = tmp_path / "cont.csv"
     dataset.save_csv(path)
-    loaded = OfflineDataset.load_csv(path)
+    loaded = OfflineDataset.load_csv(path, env)
     assert loaded.n == dataset.n
     assert np.allclose(np.asarray(loaded.states, dtype=float),
                        np.asarray(dataset.states, dtype=float), atol=1e-12)
+
+
+def test_dataset_csv_roundtrip_two_wide_states(tmp_path):
+    """A continuous environment with 2-wide states and 1-wide actions: every
+    column reads back bit for bit, and the same file read as ``tracking``'s
+    (1-wide states) is refused naming the column."""
+    env = ContinuousMdp(
+        state_dim=2, action_dim=1,
+        mean_fn=lambda s, a: np.concatenate([s + a, np.tanh(s[..., :1])], -1),
+        std=np.full(3, 0.1), init_mean=np.array([0.5, -1.0]),
+        init_std=np.ones(2), gamma=0.9, horizon=5)
+    policy = DiagGaussianPolicy(np.array([[0.3, -0.2, 0.1]]), np.log([0.5]))
+    dataset = rollout_dataset(env, policy, 3, seed=4)
+    path = tmp_path / "wide.csv"
+    dataset.save_csv(path)
+    loaded = OfflineDataset.load_csv(path, env)
+    assert np.asarray(loaded.states).shape == (15, 2)
+    for column in ("states", "actions", "rewards", "next_states"):
+        assert np.asarray(getattr(loaded, column)).tobytes() \
+            == np.asarray(getattr(dataset, column)).tobytes(), column
+    with pytest.raises(ValueError, match=f"{path}: line 2, column s: "):
+        OfflineDataset.load_csv(path, tracking_mdp())
 
 
 def test_dataset_cell_counts(small_triple):

@@ -57,15 +57,17 @@ def read_json_object(path: str | Path, keys) -> dict:
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object, got "
                              f"{type(payload).__name__}")
-        check_names("key", keys, payload)
+        check_names("key", keys, payload, ())
     return payload
 
 
-def check_names(what: str, expected, found) -> None:
+def check_names(what: str, expected, found, optional) -> None:
     """Raise a ``ValueError`` naming each of ``expected`` that ``found``
-    lacks and, unless ``expected`` is empty, each other one it holds."""
+    lacks and, unless ``expected`` and ``optional`` are both empty, each
+    name it holds that is in neither."""
+    known = (*expected, *optional)
     wrong = {"missing": [name for name in expected if name not in found],
-             "unknown": [name for name in found if expected and name not in expected]}
+             "unknown": [name for name in found if known and name not in known]}
     if any(wrong.values()):
         raise ValueError("; ".join(f"{kind} {what}(s) {', '.join(names)}"
                                    for kind, names in wrong.items() if names))

@@ -42,6 +42,7 @@ per-row ``rng.choice`` draws.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -50,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .mdp import (TabularMdp, _as_rng, _cdf_columns, _normalised_cdf,
-                  _policy_probs, _tabular_paths, check_names, read_json_object,
-                  reading, sample_trajectory, write_csv, write_json)
+                  _policy_probs, _tabular_paths, check_names, reading,
+                  sample_trajectory, write_csv, write_json)
 from .woodbury import BlockScores, CellCurvature, DenseCurvature
 
 # Softmax logits this low make the associated probability underflow to an
@@ -102,13 +103,6 @@ class ParamVector:
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
-
-    @staticmethod
-    def load(path: str | Path) -> "ParamVector":
-        d = read_json_object(path, ("values", "layout"))
-        with reading(path):
-            return ParamVector(np.array(d["values"]), tuple(
-                (n, int(a), int(b)) for n, a, b in d["layout"]))
 
 
 def from_saved(template, saved: dict, name: str):
@@ -504,20 +498,20 @@ def _format_state(s) -> str:
 
 
 def _finite(text: str) -> float:
-    if not np.isfinite(value := float(text)):
+    if not math.isfinite(value := float(text)):
         raise ValueError(f"{text!r} is not finite")
     return value
 
 
 def _float_vector(width: int):
-    """Parser of a field of ``width`` space-separated finite floats. A bare
-    integer is a tabular label and is refused: every float that
-    ``save_csv`` writes holds a point or an exponent."""
-    def parse(text: str) -> np.ndarray:
+    """Parser of a field of ``width`` space-separated finite floats. By
+    design a bare integer is refused as a tabular label, since a one-wide
+    file has a tabular file's widths; ``save_csv`` writes a point or an exponent."""
+    def parse(text: str) -> list:
         parts = text.split()
         if len(parts) != width or any(p.lstrip("+-").isdecimal() for p in parts):
             raise ValueError(f"expected {width} float(s) like 1.0, got {text!r}")
-        return np.array([_finite(part) for part in parts])
+        return [_finite(part) for part in parts]
     return parse
 
 
@@ -609,15 +603,18 @@ class OfflineDataset:
         columns = {column: [] for column in parsers}
         with reading(path), open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            check_names("column", TRANSITION_COLUMNS, reader.fieldnames or ())
+            check_names("column", TRANSITION_COLUMNS, reader.fieldnames or (), ())
             for row in reader:
                 if None in row:  # DictReader's key for fields past the last column
                     raise ValueError(f"line {reader.line_num} has extra fields")
-                for column, parse in parsers.items():
-                    with reading(f"line {reader.line_num}, column {column}"):
+                try:
+                    for column, parse in parsers.items():
                         if row[column] is None:
                             raise ValueError("the row ends before this column")
                         columns[column].append(parse(row[column]))
+                except (ValueError, TypeError) as err:
+                    raise ValueError(f"line {reader.line_num}, column {column}: "
+                                     f"{err}") from err
             dataset = OfflineDataset(*(np.array(columns[column])
                                        for column in ("s", "a", "r", "s_next")))
             if tabular:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import SmoothGame
-from .mdp import ContinuousMdp, TabularMdp, read_json_object, reading
+from .mdp import (ContinuousMdp, TabularMdp, check_names, read_json_object,
+                  reading)
 from .models import (LOGIT_FLOOR, CategoricalWorldModel, DiagGaussianPolicy,
                      SoftmaxPolicy)
 
@@ -252,10 +253,8 @@ CONTINUOUS_TESTBEDS = {
 
 def continuous_from_dict(payload: dict) -> ContinuousMdp:
     """The registered environment a ``ContinuousMdp.to_dict`` payload names."""
-    unknown = sorted(set(payload) - {"kind", "name", "params"})
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(unknown)}")
-    name = payload.get("name")
+    check_names("key", ("name",), payload, ("kind", "params"))
+    name = payload["name"]
     if name not in CONTINUOUS_TESTBEDS:
         raise ValueError(f"unknown continuous environment name {name!r}; "
                          f"registered: {sorted(CONTINUOUS_TESTBEDS)}")

@@ -44,6 +44,7 @@ from .mdp import (
     _as_rng,
     _draw_categorical_rows,
     _policy_probs,
+    check_names,
     exact_return,
     read_json_object,
     reading,
@@ -353,9 +354,7 @@ def _check_fields(cls, payload: dict) -> None:
     """Raise ``ValueError`` unless ``payload`` names fields of the dataclass
     ``cls``, each with a value of its default's type (an int passes as a
     float, and a dict as a ``LearningRates``)."""
-    unknown = set(payload) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    check_names(f"{cls.__name__} key", (), payload, [f.name for f in fields(cls)])
     for name, value in payload.items():
         want = type(getattr(cls(), name))
         allowed = {float: (float, int),
@@ -705,10 +704,13 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
     payload = read_json_object(path, ("iteration", "lam", "policy", "model",
                                       "critic"))
     with reading(path):
-        for part, keys in (("policy", ["values"]), ("model", ["values"]),
-                           ("critic", ["kind", "q", "v", "target_v"])):
-            if not isinstance(payload[part], dict) or set(keys) - set(payload[part]):
-                raise ValueError(f"{part} needs key(s) {', '.join(keys)}")
+        for part, keys, optional in (("policy", ["values"], ["layout"]),
+                                     ("model", ["values"], ["layout"]),
+                                     ("critic", ["kind", "q", "v", "target_v"], [])):
+            with reading(part):
+                if not isinstance(payload[part], dict):
+                    raise ValueError("expected a JSON object")
+                check_names("key", keys, payload[part], optional)
         players = {part: from_saved(template, payload[part], part) for part, template
                    in (("policy", policy_template), ("model", model_template))}
         for key, kinds in (("iteration", (int,)), ("lam", (int, float))):

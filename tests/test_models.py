@@ -8,12 +8,13 @@ from scipy.integrate import quad
 
 from stackmbrl.estimators import (dataset_dual_coupling, dataset_kl,
                                   penalty_curvature)
-from stackmbrl.mdp import ContinuousMdp
+from stackmbrl.mdp import ContinuousMdp, read_json_object
 from stackmbrl.models import (LOGIT_FLOOR, VAR_FLOOR, CategoricalWorldModel,
                               DiagGaussianPolicy, DiagGaussianWorldModel,
                               OfflineDataset, ParamVector, SoftmaxPolicy,
-                              SupportError, categorical_kl, gaussian_kl,
-                              mle_fit, rollout_dataset, sample_offline_dataset)
+                              SupportError, categorical_kl, from_saved,
+                              gaussian_kl, mle_fit, rollout_dataset,
+                              sample_offline_dataset)
 from stackmbrl.testbeds import (gradient_mdp, small_mdp, sparse_reward_testbed,
                                 tracking_behavior_policy, tracking_mdp)
 from conftest import dirichlet_mdp
@@ -398,12 +399,20 @@ def test_gaussian_kl_zero_and_known_value():
 
 
 def test_param_vector_roundtrip(tmp_path):
-    pv = ParamVector(np.array([1.0, 2.0, 3.0]), (("w", 0, 2), ("b", 2, 3)))
+    """A saved parameter vector reads back through the one reader of its
+    format, ``read_json_object`` and ``from_saved`` onto a template, which
+    refuses the same values saved under another layout."""
+    template = DiagGaussianPolicy.zeros(1, 1)  # weights [0, 2), log_std [2, 3)
+    pv = ParamVector(np.array([1.0, 2.0, 3.0]), template.params.layout)
     path = tmp_path / "params.json"
     pv.save(path)
-    loaded = ParamVector.load(path)
+    loaded = from_saved(template, read_json_object(path, ("values", "layout")),
+                        "params").params
     assert np.array_equal(loaded.values, pv.values)
     assert tuple(loaded.layout) == tuple(pv.layout)
+    ParamVector(pv.values, (("w", 0, 2), ("b", 2, 3))).save(path)
+    with pytest.raises(ValueError, match="params values: must be finite and fit"):
+        from_saved(template, read_json_object(path, ("values", "layout")), "params")
 
 
 @pytest.mark.parametrize("family", [SoftmaxPolicy, CategoricalWorldModel,

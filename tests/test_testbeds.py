@@ -235,6 +235,16 @@ def test_continuous_from_dict_unknown_name():
         continuous_from_dict({"name": "pendulum", "params": {}})
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"kind": "continuous", "params": {}}, "missing key(s) name"),
+    ({"name": "tracking", "seed": 1}, "unknown key(s) seed"),
+], ids=["missing-name", "unknown-key"])
+def test_continuous_from_dict_names_a_missing_or_unknown_key(payload, message):
+    with pytest.raises(ValueError) as err:
+        continuous_from_dict(payload)
+    assert str(err.value) == message
+
+
 def test_load_environment_both_kinds(tmp_path):
     tab_path = tmp_path / "env_tab.json"
     small_mdp().save(tab_path)

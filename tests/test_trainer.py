@@ -624,6 +624,30 @@ def test_checkpoint_round_trip(env_name, tracking_setup, grad_triple,
     assert loaded["critic"].to_dict() == state.critic.to_dict()
 
 
+@pytest.mark.parametrize("part, edit, message", [
+    ("policy", lambda d: d.pop("values"), "policy: missing key(s) values"),
+    ("critic", lambda d: d.update(extra=1), "critic: unknown key(s) extra"),
+    ("model", None, "model: expected a JSON object"),
+], ids=["missing-key", "unknown-key", "not-an-object"])
+def test_checkpoint_part_keys_are_checked_by_name(part, edit, message,
+                                                  grad_triple, grad_dataset,
+                                                  tmp_path):
+    env, (dataset, anchor) = grad_triple[0], grad_dataset
+    config = TrainerConfig(n_iterations=1, seed=1, rollouts_per_iter=8)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(train(env, dataset, anchor, config)[0], path)
+    payload = json.loads(path.read_text())
+    if edit is None:
+        payload[part] = [1]
+    else:
+        edit(payload[part])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path, SoftmaxPolicy.zeros(env.num_states, env.num_actions),
+                        anchor)
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_updates_abort_and_keep_committed_parameters(
         tracking_setup):

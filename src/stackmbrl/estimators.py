@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import (CategoricalWorldModel, OfflineDataset, SoftmaxPolicy,
-                     categorical_kl, gaussian_kl)
+                     gaussian_kl)
 from .woodbury import BlockScores, DualRow, LowRankFactors
 
 
@@ -108,10 +108,9 @@ def masked_surrogate_gradient(step_scores: BlockScores, masks: np.ndarray,
 def dataset_kl(dataset: OfflineDataset, model, anchor) -> float:
     """E_{(s,a)~D}[KL(anchor(.|s,a) || model(.|s,a))], exact over the dataset."""
     if isinstance(model, CategoricalWorldModel):
-        s, a, counts = dataset.cells
-        kl = categorical_kl(anchor.probs(s, a), model.probs(s, a))
+        s, a, mass, _, kl_from = dataset.anchored(anchor)
         # a running total in first-appearance order, not a pairwise sum
-        return float(np.add.accumulate(counts / dataset.n * kl)[-1])
+        return float(np.add.accumulate(mass * kl_from(model.probs(s, a)))[-1])
     kl = gaussian_kl(anchor.mean(dataset.states, dataset.actions),
                      np.exp(2.0 * anchor.log_std),
                      model.mean(dataset.states, dataset.actions),
@@ -128,11 +127,11 @@ def dataset_dual_coupling(dataset: OfflineDataset, model, anchor) -> np.ndarray:
     """
     if isinstance(model, CategoricalWorldModel):
         _, a_n, k_n = model.logits.shape
-        s, a, counts = dataset.cells
+        s, a, mass, probs, _ = dataset.anchored(anchor)
         out = np.zeros(model.n_params)
         # one scatter: the cells are distinct, so no block is written twice
-        out.reshape(-1, k_n)[s * a_n + a] -= (counts / dataset.n)[:, None] * (
-            anchor.probs(s, a) - model.probs(s, a))
+        out.reshape(-1, k_n)[s * a_n + a] -= mass[:, None] * (
+            probs - model.probs(s, a))
         return out
     scores = model.expected_scores(anchor, dataset.states, dataset.actions)
     # a running total in row order, not numpy's pairwise sum
@@ -173,7 +172,7 @@ def factors_from_batch(weights: np.ndarray, phi_scores: BlockScores,
       one switch for the row, or None.
     """
     m, h = weights.shape
-    in_path = np.kron(np.eye(m), np.ones((h, 1)))  # step i * h + t: col i
+    in_path = np.repeat(np.eye(m), h, axis=0)  # step i * h + t: col i
     weighted, c_v = weights.reshape(-1, 1) / np.sqrt(m), in_path / np.sqrt(m)
     paths = BlockScores(theta_scores.n_cells * np.arange(m)[:, None]
                         + theta_scores.cells, theta_scores.blocks,

@@ -214,6 +214,10 @@ class ContinuousMdp:
             raise ValueError("std must have shape (state_dim + 1,)")
         if (self.std <= 0).any():
             raise ValueError("std entries must be positive")
+        if self.init_mean.shape != self.init_std.shape or self.init_std.shape != (
+                self.state_dim,) or not (self.init_std >= 0).all():
+            raise ValueError("init_mean and init_std must have shape "
+                             "(state_dim,), init_std entries non-negative")
         _check_discounting(self.gamma, self.horizon)
 
     def reset(self, normals: np.ndarray) -> np.ndarray:
@@ -467,8 +471,8 @@ def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,
         _cdf_columns(probs), _cdf_columns(joint), out_s, states0,
         rng.random((2 * h, n)))
     with np.errstate(divide="ignore"):
-        logp_policy = np.log(probs)[states[:, :-1], actions]
-        logp_model = np.log(joint)[states[:, :-1], actions, outcomes]
+        logp_policy = np.log(probs[states[:, :-1], actions])
+        logp_model = np.log(joint[states[:, :-1], actions, outcomes])
     if not (np.isfinite(logp_policy).all() and np.isfinite(logp_model).all()):
         raise SamplingError("sampled a zero-probability action or outcome")
     return {"states": states, "actions": actions, "outcomes": outcomes,

@@ -191,9 +191,11 @@ class _SoftmaxTable:
         return CellCurvature(self.n_params, ridge, np.ravel_multi_index(
             index, self.logits.shape[:-1]), weights, q, q - self.probs(*index))
 
+    values = property(lambda self: self.logits.ravel())  # flat, a view
+
     @property
     def params(self) -> ParamVector:
-        return ParamVector(self.logits.ravel().copy(),
+        return ParamVector(self.values.copy(),
                            (("logits", 0, self.logits.size),))
 
     def with_params(self, params: ParamVector | np.ndarray):
@@ -397,12 +399,14 @@ class _AffineGaussian:
         *given, normals = inputs
         return self.mean(*given) + np.exp(self.log_std) * normals
 
+    values = property(lambda self: np.concatenate([self.weights.ravel(),
+                                                   self.log_std]))
+
     @property
     def params(self) -> ParamVector:
         nw = self.weights.size
-        values = np.concatenate([self.weights.ravel(), self.log_std])
-        return ParamVector(values, (("weights", 0, nw),
-                                    ("log_std", nw, nw + self.log_std.size)))
+        return ParamVector(self.values, (("weights", 0, nw),
+                                         ("log_std", nw, nw + self.log_std.size)))
 
     def with_params(self, params: ParamVector | np.ndarray):
         values, nw = _values(params), self.weights.size
@@ -568,6 +572,18 @@ class OfflineDataset:
         for part in cells:
             part.flags.writeable = False
         return cells
+
+    def anchored(self, anchor) -> tuple:
+        """(states, actions, masses counts / n, a categorical ``anchor``'s
+        probabilities and ``categorical_kl_from`` them) at the ``cells``,
+        read-only, built once and kept until another anchor is read."""
+        if getattr(self, "_anchored", (None,))[0] is not anchor:
+            s, a, counts = self.cells
+            probs, mass = anchor.probs(s, a), counts / self.n
+            probs.flags.writeable = mass.flags.writeable = False
+            self._anchored = (anchor, (s, a, mass, probs,
+                                       categorical_kl_from(probs)))
+        return self._anchored[1]
 
     def cell_counts(self) -> dict:
         """``cells`` as {cell: count}: ``(int s, int a)`` keys for scalar

@@ -11,6 +11,8 @@ constant).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .dynamics import SmoothGame
@@ -210,12 +212,13 @@ def tracking_mdp(**overrides) -> ContinuousMdp:
     overshoot the narrow peak — which is what separates cautious from
     aggressive policies in the robustness study.
     """
-    unknown = sorted(set(overrides) - set(TRACKING_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown tracking parameter(s) {', '.join(unknown)}"
-                         f"; known: {', '.join(TRACKING_DEFAULTS)}")
+    check_names("tracking parameter", (), overrides, TRACKING_DEFAULTS)
     p = dict(TRACKING_DEFAULTS)
     p.update(overrides)
+    for key, value in p.items():
+        with reading(key):
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise ValueError(f"must be a real number, got {value!r}")
     target, width = float(p["target"]), float(p["peak_width"])
 
     def mean_fn(states: np.ndarray, actions: np.ndarray) -> np.ndarray:

@@ -59,7 +59,6 @@ from .models import (
     OfflineDataset,
     SoftmaxPolicy,
     _softmax,
-    categorical_kl_from,
     from_saved,
 )
 from .oracles import ExactGradients, exact_gradients
@@ -384,15 +383,16 @@ class TrainState:
 
     An iteration fits a tentative critic on a tentative buffer and installs
     both with (policy, model, lam), so an aborted iteration leaves all five
-    as they were. Nothing here holds an epoch's work: the leader's rule
-    keeps only the penalty base and its dual row across epochs, and the
-    row's N^{-1} b, solved on the core route's first read."""
+    as they were. ``kl``, the model's dataset KL, is recorded when the
+    model is committed. Nothing here holds an epoch's work: the leader's
+    rule keeps only the penalty base and its dual row across epochs."""
 
     policy: object
     model: object
     lam: float
     critic: object
     buffer: ReplayBuffer
+    kl: float | None  # the model's dataset KL, None until an iteration reads it
     iteration: int = 0
 
 
@@ -505,9 +505,8 @@ def _minibatch(batch: dict, size: int, rng: np.random.Generator) -> dict:
 
 def _stepped(player, delta: np.ndarray):
     """``player`` moved by ``delta`` in its flat layout. A non-finite result
-    aborts the iteration here, on the raw values, before ``ParamVector``
-    would refuse them with a ``ValueError``."""
-    values = player.params.values + delta
+    aborts the iteration here, on the raw values."""
+    values = player.values + delta
     if not np.isfinite(values).all():
         raise FloatingPointError(
             f"{type(player).__name__} update is non-finite")
@@ -522,7 +521,7 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
     (seed, ``tag``, ``iteration``, e) and masks each step by the ratio of
     the player's likelihood, over the first ``arity`` of (states, actions,
     outcomes), to its sampling-time ``column``. The player then moves by
-    ``rule(e, rng, player, steps, masks, adv, scores, grad)``."""
+    ``rule(e, player, steps, masks, adv, scores, grad)``."""
     first_mask_rate = float("nan")
     for epoch in range(epochs):
         rng = _stream(config.seed, tag, iteration, epoch)
@@ -541,7 +540,7 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
             first_mask_rate = float(masks.mean())
         scores = player.scores(*steps[:arity])
         grad = masked_surrogate_gradient(scores, masks, adv, gamma)
-        player = _stepped(player, rule(epoch, rng, player, steps, masks, adv,
+        player = _stepped(player, rule(epoch, player, steps, masks, adv,
                                        scores, grad))
     return player, first_mask_rate
 
@@ -558,16 +557,13 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
     dual = (DualRow(base, state.lam, coupling, gap) if config.dynamics ==
             "constrained" and state.lam != 0.0 else None)
 
-    def rule(epoch, rng, policy, steps, masks, adv, theta_scores, grad):
+    def rule(epoch, policy, steps, masks, adv, theta_scores, grad):
         if config.dynamics == "naive":
             return rate * grad
-        phi_scores = state.model.scores(*steps)
-        factors = factors_from_batch(
-            masks * adv * gamma ** np.arange(masks.shape[1]), phi_scores,
-            theta_scores, base, dual)
-        return rate * leader_gradient(
-            grad, masked_surrogate_gradient(phi_scores, masks, adv, gamma),
-            factors)
+        weights = masks * adv * gamma ** np.arange(masks.shape[1])
+        factors = factors_from_batch(weights, state.model.scores(*steps),
+                                     theta_scores, base, dual)
+        return rate * leader_gradient(grad, weights.ravel(), factors)
     return rule
 
 
@@ -576,7 +572,7 @@ def _follower_rule(state: TrainState, dataset, anchor, rate: float,
     """The model's step down its penalized objective, ``-rate * (g_phi + lam
     * coupling)``: epoch 0 at the committed model's given ``coupling``,
     later epochs at the coupling of the model they step from."""
-    def rule(epoch, rng, model, steps, masks, adv, phi_scores, grad):
+    def rule(epoch, model, steps, masks, adv, phi_scores, grad):
         current = (dataset_dual_coupling(dataset, model, anchor) if epoch
                    else coupling)
         return -rate * (grad + state.lam * current)
@@ -607,7 +603,8 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
     policy_new, model_new, lam_new = state.policy, state.model, state.lam
     # the committed model's dataset terms, shared by every phase
     coupling = dataset_dual_coupling(dataset, state.model, anchor)
-    committed_kl = dataset_kl(dataset, state.model, anchor)
+    committed_kl = (dataset_kl(dataset, state.model, anchor) if state.kl is None
+                    else state.kl)
     gap = committed_kl - config.epsilon
     fitted = state
     try:
@@ -654,7 +651,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
         record["kl"] = committed_kl
 
     state = replace(fitted, policy=policy_new, model=model_new, lam=lam_new,
-                    iteration=k + 1)
+                    kl=record["kl"], iteration=k + 1)
     record["lam"] = state.lam
     if isinstance(env, TabularMdp):
         record["exact_objective"] = exact_return(env, state.policy,
@@ -684,7 +681,7 @@ def initial_state(env, anchor, config: TrainerConfig) -> TrainState:
         policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
     return TrainState(policy=policy, model=anchor.with_params(anchor.params),
                       lam=config.lam_init, critic=_zero_critic(anchor),
-                      buffer=ReplayBuffer(config.buffer_capacity))
+                      buffer=ReplayBuffer(config.buffer_capacity), kl=None)
 
 
 def save_checkpoint(state: TrainState, path) -> None:
@@ -783,9 +780,7 @@ def _pulled_into_ball(model: CategoricalWorldModel,
     interpolated model, without building it."""
     if dataset_kl(dataset, model, anchor) <= epsilon:
         return model
-    s, a, counts = dataset.cells
-    anchor_kl = categorical_kl_from(anchor.probs(s, a))
-    mass = counts / dataset.n
+    s, a, mass, _, anchor_kl = dataset.anchored(anchor)
     start, step = anchor.logits[s, a], (model.logits - anchor.logits)[s, a]
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_STEPS):

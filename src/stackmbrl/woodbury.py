@@ -16,16 +16,21 @@ push-through identity over a general base (Hager, SIAM Review 1989) gives
 
 where S N^{-1} x reads x only on the atoms' cells (N is symmetric). C costs
 O(k^2 K + k^3) and one QR; every step is a QR or a matrix product, whose
-bits do not depend on the BLAS thread count. When k >= n_phi the solver
-factors A_hat densely.
+bits do not depend on the BLAS thread count. So C is factored by QR, not
+LU, though an LU inverse is faster: on a 2-core machine the bits of
+``np.linalg.inv`` differed between OPENBLAS_NUM_THREADS=1 and the default
+thread count at k = 128, 256 and 512, and those of ``np.linalg.qr`` did
+not. When k >= n_phi the solver factors A_hat densely.
 
 The leader's step g_theta - W c_U^T S H g_phi reads H g_phi only through
-S, so the core route stays in k-space. Per policy epoch: one core, y_g and
-y_b (b the multiplier's coupling) as one block, and b^T A_hat^{-1} x =
-(N^{-1} b . x - (S N^{-1} b)^T M y_x) / ridge, whatever n_phi is. The
-factors' ``DualRow`` (or None) switches the row; it solves N^{-1} b once,
-when the core route first reads it. ``dual_corrected`` applies the
-multiplier's rank-one update and Schur screen, shared with :mod:`.dynamics`.
+S, so the core route stays in k-space, and g_phi = S^T c / m comes as its
+atom weights c. Per policy epoch: one core, y_g and y_b (b the
+multiplier's coupling) as one block, and b^T A_hat^{-1} x = (N^{-1} b . x
+- (S N^{-1} b)^T M y_x) / ridge, where N^{-1} b . g_phi = (S N^{-1} b) . c
+/ m: no n_phi-long g_phi is formed. The factors' ``DualRow`` (or None)
+switches the row; it solves b . N^{-1} b once, when the core route first
+reads it. ``dual_corrected`` applies the multiplier's rank-one update and
+Schur screen, shared with :mod:`.dynamics`.
 """
 
 from __future__ import annotations
@@ -85,41 +90,50 @@ class BlockScores:
     def _incidence(self) -> tuple:
         """(cells, rows, E, blocks): the t distinct cells touched, ascending,
         each score's among them, E (t, k) with E[rows[i], i] = 1, blocks."""
-        cells, rows = np.unique(self.cells.reshape(-1), return_inverse=True)
+        flat, present = self.cells.reshape(-1), np.zeros(self.n_cells, bool)
+        present[flat] = True
+        cells, rows = np.flatnonzero(present), (np.cumsum(present) - 1)[flat]
         incidence = np.zeros((len(cells), len(rows)))
         incidence[rows, np.arange(len(rows))] = 1.0
         return cells, rows, incidence, self.blocks.reshape(-1, self.size)
 
     def project(self, rhs: np.ndarray, blocks=None) -> np.ndarray:
         """S rhs, (k,) or (k, p) for rhs (n_params,) or (n_params, p), or the
-        product of ``blocks`` (k, size) on the scores' cells: read off the
-        (k, t) product of the blocks with the t touched cells of rhs."""
-        cells, rows, _, own = self._incidence
-        touched = rhs.reshape((self.n_cells, self.size) + rhs.shape[1:])[cells]
+        product of ``blocks`` (k, size) on the scores' cells."""
+        return self.project_touched(rhs.reshape(
+            (self.n_cells, self.size) + rhs.shape[1:])[self._incidence[0]], blocks)
+
+    def project_touched(self, touched: np.ndarray, blocks) -> np.ndarray:
+        """``project`` of rhs given on the t touched cells, (t, size[, p]):
+        read off the (k, t) product of the blocks with them."""
+        _, rows, _, own = self._incidence
         products = np.tensordot(own if blocks is None else blocks, touched,
                                 axes=(1, 1))
         return products[np.arange(len(rows)), rows]
 
-    def expand(self, coef: np.ndarray) -> np.ndarray:
-        """S^T coef: (n_params,) or (n_params, p) for coef (k,) or (k, p):
-        one product of the coefficient-weighted incidence, (t * p, k), with
-        the blocks, scattered onto the t touched cells."""
+    def expand_touched(self, coef: np.ndarray) -> np.ndarray:
+        """S^T coef on the t touched cells alone, (t, size) or (t, size, p)
+        for coef (k,) or (k, p): one product of the coefficient-weighted
+        incidence, (t * p, k), with the blocks."""
         cells, rows, incidence, blocks = self._incidence
         cols, tail = np.atleast_2d(coef.T), coef.shape[1:]  # (p, k)
         t, p = len(cells), len(cols)
         sums = (incidence[:, None] * cols).reshape(t * p, len(rows)) @ blocks
-        out = np.zeros((self.n_cells, self.size) + tail)
-        out[cells] = np.moveaxis(sums.reshape(t, p, self.size), 1, -1).reshape(
+        return np.moveaxis(sums.reshape(t, p, self.size), 1, -1).reshape(
             (t, self.size) + tail)
-        return out.reshape((self.n_params,) + tail)
+
+    def expand(self, coef: np.ndarray) -> np.ndarray:
+        """S^T coef: (n_params,) or (n_params, p) for coef (k,) or (k, p),
+        ``expand_touched`` scattered onto the touched cells."""
+        out = np.zeros((self.n_cells, self.size) + coef.shape[1:])
+        out[self._incidence[0]] = self.expand_touched(coef)
+        return out.reshape((self.n_params,) + coef.shape[1:])
 
     def gram(self, right: np.ndarray) -> np.ndarray:
         """S T^T (k x k) for T's (k, size) blocks ``right`` on the same
         cells, S S^T for the scores' own: block products in the same cell."""
         _, rows, _, blocks = self._incidence
-        out = blocks @ right.T
-        out[rows[:, None] != rows[None, :]] = 0.0
-        return out
+        return np.where(rows[:, None] == rows[None, :], blocks @ right.T, 0.0)
 
 
 @dataclass(frozen=True)
@@ -202,7 +216,7 @@ class DenseCurvature:
 class DualRow:
     """The multiplier's row over its base D = ridge * N: the multiplier lam,
     already folded into D, the model/multiplier coupling b and the row's
-    slope. N^{-1} b and b . N^{-1} b are solved on first read and kept."""
+    slope. b . N^{-1} b is solved on first read and kept."""
 
     base: CellCurvature | DenseCurvature  # D, the row's own base
     lam: float             # the multiplier
@@ -210,12 +224,8 @@ class DualRow:
     slope: float           # estimated constraint gap E[KL] - epsilon
 
     @cached_property
-    def solved(self) -> np.ndarray:  # N^{-1} b
-        return self.base.solve(self.coupling)
-
-    @cached_property
     def curvature(self) -> float:  # b . N^{-1} b
-        return float(self.coupling @ self.solved)
+        return float(self.coupling @ self.base.solve(self.coupling))
 
 
 @dataclass
@@ -297,6 +307,11 @@ class LowRankFactors:
     z = property(lambda self: self._dense(self.c_z))
     dual_coupling = property(lambda self: np.zeros(0) if self.dual is None
                              else self.dual.coupling)
+
+    def model_gradient(self, weights: np.ndarray) -> np.ndarray:
+        """g_phi = S^T ``weights`` / m, the mean over the factors' m
+        trajectories (U's columns) of their weighted atoms."""
+        return self.atoms.expand(weights) / self.c_u.shape[1]
 
     def dense(self) -> np.ndarray:
         """Explicit A_hat: the solver's dense route when k >= n_phi, and an
@@ -387,20 +402,26 @@ class WoodburySolver:
         return f.base.solve(rhs - f.atoms.expand(self._coupled(y))) / (
             f.base.ridge)
 
-    def leader_atoms(self, g: np.ndarray) -> np.ndarray:
-        """S H g for H = A_hat^{-1} or, with the factors' multiplier row,
-        ``dual_corrected``'s H: g and b solved in full on the dense route,
-        their y_x = S A_hat^{-1} x and the row's scalars on the core."""
-        f, dual = self.factors, self.factors.dual
-        xs = (g,) if dual is None else (g, dual.coupling)
+    def leader_atoms(self, weights: np.ndarray) -> np.ndarray:
+        """S H g for g = ``factors.model_gradient(weights)`` and H =
+        A_hat^{-1} or, with the factors' multiplier row, ``dual_corrected``'s
+        H: g and b solved in full on the dense route, their y_x = S A_hat^{-1}
+        x and the row's scalars on the core, g read on the atoms' cells."""
+        f, dual, m = self.factors, self.factors.dual, self.factors.c_u.shape[1]
         if self._dense:  # A_hat^{-1} x, and b^T A_hat^{-1} x
-            y = [self._refined(x) for x in xs]
+            g = f.model_gradient(weights)
+            y = [self._refined(x) for x in ((g,) if dual is None
+                                            else (g, dual.coupling))]
             dots = [float(dual.coupling @ v) for v in y] if dual else ()
         else:  # y_x = S A_hat^{-1} x, one column each, and the row's scalars
-            near = np.stack([f.atoms.project(x, self._solved) for x in xs], 1)
+            near = [f.atoms.project_touched(f.atoms.expand_touched(weights) / m,
+                                            self._solved)]
+            if dual is not None:
+                near.append(f.atoms.project(dual.coupling, self._solved))
+            near = np.stack(near, 1)
             y, dots = self._refined(near), ()
             if dual is not None:
-                dots = (np.array([dual.solved @ g, dual.curvature])
+                dots = (np.array([near[:, 1] @ weights / m, dual.curvature])
                         - near[:, 1] @ self._coupled(y)) / f.base.ridge
             y = list(y.T)
         h = y[0] if dual is None else dual_corrected(*y, *dots, dual.lam,
@@ -423,12 +444,14 @@ def dual_corrected(h_g: np.ndarray, h_b: np.ndarray, b_h_g: float,
     return h_g + (lam * b_h_g / schur) * h_b
 
 
-def leader_gradient(grad_policy: np.ndarray, grad_model: np.ndarray,
+def leader_gradient(grad_policy: np.ndarray, model_weights: np.ndarray,
                     factors: LowRankFactors) -> np.ndarray:
     """grad_theta J - (U W^T)^T H grad_phi J = grad_theta J - W c_U^T (S H
-    grad_phi J), S H from ``WoodburySolver.leader_atoms``, with the dual
-    row ``factors.dual`` when it is not None."""
-    corrected = WoodburySolver(factors).leader_atoms(grad_model)
+    grad_phi J), for grad_phi J = ``factors.model_gradient(model_weights)``
+    given by its (k,) weights over the atoms; S H from
+    ``WoodburySolver.leader_atoms``, with the dual row ``factors.dual`` when
+    it is not None."""
+    corrected = WoodburySolver(factors).leader_atoms(model_weights)
     return grad_policy - factors.w @ (factors.c_u.T @ corrected)
 
 

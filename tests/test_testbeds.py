@@ -241,6 +241,35 @@ def test_continuous_from_dict_names_a_missing_name():
     assert str(err.value) == "missing key(s) name"
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"start": [1, 2]}, "start"), ({"start_std": -1.0}, "init_std"),
+    ({"target": "abc"}, "target")])
+def test_continuous_environment_params_are_read_by_key(tmp_path, params,
+                                                       key):
+    """A tracking parameter that is not a real number is refused naming its
+    key, and a start state whose mean or std does not have the state's shape,
+    or whose std is negative, is refused by the MDP; each message names the
+    file."""
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"kind": "continuous", "name": "tracking",
+                                "params": params}))
+    with pytest.raises(ValueError) as err:
+        load_environment(path)
+    assert str(err.value).startswith(f"{path}: ") and key in str(err.value)
+
+
+@pytest.mark.parametrize("init_mean, init_std", [
+    (np.zeros((1, 1)), np.ones(1)), (np.zeros(1), np.ones(2)),
+    (np.zeros(1), -np.ones(1)), (np.zeros(1), np.full(1, np.nan))])
+def test_continuous_mdp_refuses_a_misshapen_or_negative_start(init_mean,
+                                                              init_std):
+    with pytest.raises(ValueError, match="init_std"):
+        ContinuousMdp(state_dim=1, action_dim=1,
+                      mean_fn=lambda s, a: np.concatenate([s, a], axis=-1),
+                      std=np.array([0.1, 0.1]), init_mean=init_mean,
+                      init_std=init_std, gamma=0.9, horizon=3)
+
+
 def test_load_environment_both_kinds(tmp_path):
     tab_path = tmp_path / "env_tab.json"
     small_mdp().save(tab_path)

@@ -252,12 +252,40 @@ def test_iteration_computes_committed_dataset_terms_once(grad_triple,
     assert calls == {"dataset_kl": 2, "dataset_dual_coupling": 2}
 
 
+def test_committed_model_dataset_kl_is_evaluated_once(grad_triple,
+                                                     grad_dataset,
+                                                     monkeypatch):
+    """Over two consecutive iterations each committed model's dataset KL is
+    evaluated once: an iteration records its stepped model's KL, and the
+    next one reads that record as its committed KL."""
+    evaluated = []
+
+    def counted(dataset, model, anchor, _fn=trainer.dataset_kl):
+        evaluated.append(model)
+        return _fn(dataset, model, anchor)
+
+    monkeypatch.setattr(trainer, "dataset_kl", counted)
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(seed=2)
+    state = initial_state(env, anchor, config)
+    committed = [state.model]
+    for _ in range(2):
+        state, record = train_iteration(state, env, dataset, anchor, config)
+        assert record["aborted"] == 0
+        assert record["kl"] == dataset_kl(dataset, state.model, anchor)
+        committed.append(state.model)
+    assert [sum(model is c for model in evaluated) for c in committed] == [
+        1, 1, 1]
+    assert len(evaluated) == 3
+
+
 def test_iterations_group_the_dataset_and_normalise_the_anchor_once(
         grad_triple, grad_dataset, monkeypatch):
-    """Over several iterations the dataset's cells are grouped once and the
-    anchor's logits are normalised once: both are fixed for the run, and
-    every dataset term, factor draw and critic fit reads the cached
-    arrays."""
+    """Over several iterations the dataset's cells are grouped once, the
+    anchor's logits are normalised once and the support of its KL at the
+    cells is grouped once: all are fixed for the run, and every dataset
+    term, factor draw and critic fit reads the cached arrays."""
     env = grad_triple[0]
     cached_dataset, cached_anchor = grad_dataset
     dataset = OfflineDataset(cached_dataset.states, cached_dataset.actions,
@@ -274,14 +302,20 @@ def test_iterations_group_the_dataset_and_normalise_the_anchor_once(
         counts["anchor normalised"] += logits is anchor.logits
         return _fn(logits)
 
+    def kl_support(p, _fn=models.categorical_kl_from):
+        counts["anchor KL support grouped"] += 1
+        return _fn(p)
+
     monkeypatch.setattr(models, "_packed_key", grouped)
     monkeypatch.setattr(models, "_softmax", normalised)
+    monkeypatch.setattr(models, "categorical_kl_from", kl_support)
     config = TrainerConfig(seed=2)
     state = initial_state(env, anchor, config)
     for _ in range(3):
         state, record = train_iteration(state, env, dataset, anchor, config)
         assert record["aborted"] == 0
-    assert counts == {"dataset grouped": 1, "anchor normalised": 1}
+    assert counts == {"dataset grouped": 1, "anchor normalised": 1,
+                      "anchor KL support grouped": 1}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -298,9 +332,9 @@ def test_solver_is_backward_stable_on_trainer_factors(env_name, grad_triple,
     (216 parameters, 64 atoms) works through the k x k core."""
     solves = []
 
-    def capture(grad_policy, grad_model, factors, **kwargs):
-        out = leader_gradient(grad_policy, grad_model, factors, **kwargs)
-        solves.append((grad_model, factors))
+    def capture(grad_policy, model_weights, factors):
+        out = leader_gradient(grad_policy, model_weights, factors)
+        solves.append((factors.model_gradient(model_weights), factors))
         return out
 
     monkeypatch.setattr(trainer, "leader_gradient", capture)
@@ -412,7 +446,9 @@ def test_vanilla_preset_is_one_plain_coupled_step(grad_triple, grad_dataset,
             dataset_kl(dataset, model, anchor) - config.epsilon)
         factors = factors_from_batch(weights, phi_scores, theta_scores, base,
                                      dual)
-        total = leader_gradient(grad_policy, grad_model, factors)
+        np.testing.assert_allclose(factors.model_gradient(weights.ravel()),
+                                   grad_model, rtol=0.0, atol=1e-12)
+        total = leader_gradient(grad_policy, weights.ravel(), factors)
     rates = config.rates.at(0)
     coupling = dataset_dual_coupling(dataset, model, anchor)
     expected_lam = lam

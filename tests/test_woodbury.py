@@ -233,9 +233,10 @@ def test_core_route_over_a_closed_base_matches_the_dense_route(case):
         want = np.linalg.solve(dense, b)
         assert np.linalg.norm(solver.solve(b) - want) <= 1e-9 * np.linalg.norm(want)
     gp = np.ones(2)
+    weights = np.random.default_rng(5).standard_normal(factors.n_atoms)
     for case in (factors, replace(factors, dual=None)):
-        got = leader_gradient(gp, rhs[:, 0], case)
-        want = dense_leader_gradient(gp, rhs[:, 0], case)
+        got = leader_gradient(gp, weights, case)
+        want = dense_leader_gradient(gp, case.model_gradient(weights), case)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -262,10 +263,10 @@ def test_trainer_shaped_core_route_matches_the_dense_route(lam):
         DualRow(base, lam, dataset_dual_coupling(dataset, model, anchor),
                 dataset_kl(dataset, model, anchor) - 0.1))
     assert factors.n_atoms == 64 and factors.n_phi == 1014
-    gp, gm = rng.standard_normal(policy.n_params), rng.standard_normal(1014)
+    gp, weights = rng.standard_normal(policy.n_params), rng.standard_normal(64)
     for case in (factors, replace(factors, dual=None)):
-        got = leader_gradient(gp, gm, case)
-        want = dense_leader_gradient(gp, gm, case)
+        got = leader_gradient(gp, weights, case)
+        want = dense_leader_gradient(gp, case.model_gradient(weights), case)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -320,8 +321,8 @@ def test_dense_route_leader_step_never_solves_against_the_base(name,
     neither building the row nor the step applies N^{-1}."""
     factors, = _testbed_factors(name)
     assert factors.n_atoms >= factors.n_phi and factors.dual is not None
-    step = leader_gradient(np.ones(factors.w.shape[0]), np.ones(factors.n_phi),
-                           factors)
+    step = leader_gradient(np.ones(factors.w.shape[0]),
+                           np.ones(factors.n_atoms), factors)
     assert np.isfinite(step).all()
     assert sum(base_solves.values()) == 0
 
@@ -334,7 +335,7 @@ def test_core_route_epochs_sharing_a_row_solve_it_once(base_solves):
     assert first.n_atoms < first.n_phi and first.dual is second.dual
     assert sum(base_solves.values()) == 0
     for factors in (first, second):
-        leader_gradient(np.ones(factors.w.shape[0]), np.ones(factors.n_phi),
+        leader_gradient(np.ones(factors.w.shape[0]), np.ones(factors.n_atoms),
                         factors)
         assert base_solves == {"CellCurvature": 1}
 
@@ -342,7 +343,7 @@ def test_core_route_epochs_sharing_a_row_solve_it_once(base_solves):
 def test_leader_step_over_a_closed_base_holds_no_parameter_vector():
     """One leader step at n_phi = 50,000 (a 100 x 5 x 100 categorical
     model, 64 atoms) over a closed ``CellCurvature`` base, with the dual
-    row's N^{-1} b solved beforehand, as an iteration's first epoch solves
+    row's b . N^{-1} b solved beforehand, as an iteration's first epoch solves
     it for both, peaks under 2 parameter-length vectors, a bound set before
     the first run:
     the correction stays in the atoms' k-space. It measured 1.03, mostly
@@ -364,16 +365,16 @@ def test_leader_step_over_a_closed_base_holds_no_parameter_vector():
         base=base, dual=DualRow(base, 0.5, rng.standard_normal(model.n_params),
                                 1.5))
     grad_policy = rng.standard_normal(6)
-    grad_model = rng.standard_normal(model.n_params)
+    model_weights = rng.standard_normal(64)
     assert model.n_params == 50_000
     assert np.isfinite(factors.dual.curvature)  # a first epoch's solve
     tracemalloc.start()
     try:
-        leader_gradient(grad_policy, grad_model, factors)
+        leader_gradient(grad_policy, model_weights, factors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * grad_model.nbytes
+    assert peak < 2 * model.n_params * 8
 
 
 def test_large_dimension_solve_never_densifies():
@@ -405,14 +406,14 @@ def test_solver_allocates_no_factor_sized_arrays():
     factors = random_factors(20_000, m=16, big_m=64, z_rank=64)
     rng = np.random.default_rng(0)
     grad_policy = rng.standard_normal(factors.w.shape[0])
-    grad_model = rng.standard_normal(factors.n_phi)
+    model_weights = rng.standard_normal(factors.n_atoms)
     tracemalloc.start()
     try:
-        leader_gradient(grad_policy, grad_model, factors)
+        leader_gradient(grad_policy, model_weights, factors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * grad_model.nbytes
+    assert peak < 12 * factors.n_phi * 8
 
 
 @pytest.mark.parametrize("n_phi", [3, 6, 300])
@@ -569,7 +570,8 @@ def test_operator_multiplier_free_reductions():
     the row at the multiplier 0.5 moves the step away from it."""
     for n_phi in (25, 250):
         factors = random_factors(n_phi, seed=11)
-        v = np.random.default_rng(1).standard_normal(n_phi)
+        weights = np.random.default_rng(1).standard_normal(factors.n_atoms)
+        v = factors.model_gradient(weights)
         gp = np.random.default_rng(2).standard_normal(factors.w.shape[0])
         zero = replace(factors, dual=replace(factors.dual, lam=0.0))
         stripped = replace(factors, dual=None)
@@ -577,9 +579,9 @@ def test_operator_multiplier_free_reductions():
         for reduced in (zero, stripped):
             plain = WoodburySolver(reduced).solve(v)
             want = gp - reduced.w @ (reduced.c_u.T @ reduced.atoms.project(plain))
-            got = leader_gradient(gp, v, reduced)
+            got = leader_gradient(gp, weights, reduced)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        moved = leader_gradient(gp, v, factors)
+        moved = leader_gradient(gp, weights, factors)
         assert np.linalg.norm(moved - want) > 1e-6 * np.linalg.norm(want)
 
 
@@ -599,7 +601,8 @@ def test_vanishing_schur_complement_raises():
         dual_corrected(h_g, h_b, float(b @ h_g), float(b @ h_b), lam,
                        rigged.dual.slope)
     with pytest.raises(SingularScalarError):
-        leader_gradient(np.zeros(rigged.w.shape[0]), np.ones(20), rigged)
+        leader_gradient(np.zeros(rigged.w.shape[0]), np.ones(rigged.n_atoms),
+                        rigged)
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +630,17 @@ def test_leader_gradient_matches_dense_route():
     for seed in range(20):
         factors = random_factors(60, seed=seed)
         gp = rng.standard_normal(4)
-        gm = rng.standard_normal(60)
+        weights = rng.standard_normal(factors.n_atoms)
         for case in (factors, replace(factors, dual=None)):
-            got = leader_gradient(gp, gm, case)
-            want = dense_leader_gradient(gp, gm, case)
+            got = leader_gradient(gp, weights, case)
+            want = dense_leader_gradient(gp, case.model_gradient(weights), case)
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
 def test_leader_gradient_keeps_policy_term_when_model_grad_zero():
     factors = random_factors(30, seed=2)
     gp = np.array([0.4, -1.2, 0.0, 3.3])
-    got = leader_gradient(gp, np.zeros(30), factors)
+    got = leader_gradient(gp, np.zeros(factors.n_atoms), factors)
     assert np.allclose(got, gp, atol=1e-14)
 
 
@@ -650,7 +653,8 @@ def test_scalar_leader_gradient_hand_derivation():
         z=empty_cols(1), w=np.array([[w]]), ridge=ridge)
     a = ridge + u * v
     expected = gp - w * u * (gm / a)
-    got = leader_gradient(np.array([gp]), np.array([gm]), factors)
+    on_u = np.array([gm / u, 0.0])  # g_phi = u * gm / u over one trajectory
+    got = leader_gradient(np.array([gp]), on_u, factors)
     assert abs(got[0] - expected) <= 1e-10
 
     b, lam, slope = 0.5, 0.8, 0.3
@@ -659,7 +663,7 @@ def test_scalar_leader_gradient_hand_derivation():
     schur = slope - lam * b * b / a
     corrected = gm / a + lam * (b * gm / a) / schur * (b / a)
     expected_dual = gp - w * u * corrected
-    got_dual = leader_gradient(np.array([gp]), np.array([gm]), dual)
+    got_dual = leader_gradient(np.array([gp]), on_u, dual)
     assert abs(got_dual[0] - expected_dual) <= 1e-10
 
 
@@ -682,7 +686,8 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
     vec = rng.standard_normal(n_phi)
     block = rng.standard_normal((n_phi, 3))
     grad_policy = rng.standard_normal(factors.w.shape[0])
-    inputs = [vec, block, grad_policy]
+    weights = rng.standard_normal(factors.n_atoms)
+    inputs = [vec, block, grad_policy, weights]
     copies = [arr.copy() for arr in inputs]
 
     solver = WoodburySolver(factors)
@@ -695,11 +700,11 @@ def test_solves_leave_factors_and_right_hand_sides_unchanged(empty):
 
     no_row = replace(factors, dual=None)
     first = [solver.solve(vec), solver.solve(block), applied(vec),
-             leader_gradient(grad_policy, vec, factors),
-             leader_gradient(grad_policy, vec, no_row)]
+             leader_gradient(grad_policy, weights, factors),
+             leader_gradient(grad_policy, weights, no_row)]
     again = [solver.solve(vec), solver.solve(block), applied(vec),
-             leader_gradient(grad_policy, vec, factors),
-             leader_gradient(grad_policy, vec, no_row)]
+             leader_gradient(grad_policy, weights, factors),
+             leader_gradient(grad_policy, weights, no_row)]
 
     for name, before in kept.items():
         assert np.array_equal(getattr(factors, name), before), name
@@ -727,6 +732,41 @@ def test_random_factors_deterministic():
 def test_condition_limit_is_strict():
     assert COND_LIMIT == 1e12
     assert SCHUR_FLOOR == 1e-10
+
+
+def test_core_route_bits_do_not_depend_on_the_blas_thread_count():
+    """A core-route build, its solve and a dual-corrected leader step at
+    k = 224 atoms, where OpenBLAS may factor with several threads, give the
+    same bytes in a fresh process with OPENBLAS_NUM_THREADS=1 and with no
+    thread variable set: the core's QR and the products do not depend on
+    the thread count (an LU inverse of the core does). Verified on a 2-core
+    machine only."""
+    code = ("import hashlib\n"
+            "import numpy as np\n"
+            "from stackmbrl.woodbury import (WoodburySolver, leader_gradient,\n"
+            "                                random_factors)\n"
+            "f = random_factors(5000, m=32, big_m=64, z_rank=32)\n"
+            "assert f.n_atoms == 224\n"
+            "rng = np.random.default_rng(1)\n"
+            "x = WoodburySolver(f).solve(rng.standard_normal(5000))\n"
+            "g = leader_gradient(rng.standard_normal(4),\n"
+            "                    rng.standard_normal(f.n_atoms), f)\n"
+            "print(hashlib.sha256(x.tobytes() + g.tobytes()).hexdigest())\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                          "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (
+        str(Path(stackmbrl.__file__).resolve().parents[1]),
+        os.environ.get("PYTHONPATH"))))
+    digests = []
+    for threads in ("1", None):
+        run_env = env if threads is None else dict(
+            env, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=run_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_runtime_imports_no_scipy():

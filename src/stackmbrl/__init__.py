@@ -14,7 +14,7 @@ from .trainer import (LinearCritic, ReplayBuffer, TabularCritic,
                       collect_rollouts, episode_returns, initial_state,
                       load_checkpoint, robust_evaluate, save_checkpoint,
                       train, train_critic, train_iteration,
-                      worst_case_return)
+                      worst_case_return, zero_players)
 from .uncertainty import (CoverageReport, coverage_check, epsilon_tabular,
                           kl_to_anchor)
 from .woodbury import (IllConditionedError, LowRankFactors,
@@ -35,5 +35,5 @@ __all__ = [
     "load_checkpoint", "mle_fit", "robust_evaluate", "rollout_dataset",
     "run_dynamics", "sample_offline_dataset", "sample_tabular_batch",
     "sample_trajectory", "save_checkpoint", "step", "train", "train_critic",
-    "train_iteration", "worst_case_return",
+    "train_iteration", "worst_case_return", "zero_players",
 ]

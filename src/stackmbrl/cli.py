@@ -36,17 +36,8 @@ from .dynamics import DYNAMICS_MODES, DynamicsState, LearningRates, run_dynamics
 from .estimators import ESTIMATOR_NAMES, dataset_kl, model_score_table
 from .mdp import (ContinuousMdp, SamplingError, TabularMdp, dp_optimal_policy,
                   exact_return, read_json_object, reading, write_json)
-from .models import (
-    CategoricalWorldModel,
-    DiagGaussianPolicy,
-    DiagGaussianWorldModel,
-    OfflineDataset,
-    SoftmaxPolicy,
-    from_saved,
-    mle_fit,
-    rollout_dataset,
-    sample_offline_dataset,
-)
+from .models import (OfflineDataset, from_saved, mle_fit, rollout_dataset,
+                     sample_offline_dataset)
 from .oracles import (
     central_difference,
     central_difference_mixed,
@@ -63,7 +54,7 @@ from .testbeds import (
     tracking_behavior_policy,
 )
 from .trainer import (TrainerConfig, episode_returns, load_checkpoint, train,
-                      vanilla_config)
+                      vanilla_config, zero_players)
 from .uncertainty import _check_delta, coverage_check, epsilon_tabular
 
 GRAD_CHECK_TOL = 1e-5
@@ -154,9 +145,9 @@ def _behavior_policy(env, spec: str, greedy_eps: float):
     path = Path(spec)
     if path.exists():
         saved = read_json_object(path, ("values", "layout"))
-        template = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
         with reading(path):
-            return from_saved(template, saved, "policy"), f"loaded({path.name})"
+            return (from_saved(zero_players(env)[0], saved, "policy"),
+                    f"loaded({path.name})")
     raise ValueError(f"unknown behavior spec {spec!r}; use uniform, greedy, "
                      "or a saved policy parameter file")
 
@@ -177,10 +168,7 @@ def _smoothing(env, alpha: float) -> dict:
 
 
 def _anchor_for(env, dataset: OfflineDataset, alpha: float):
-    template = (CategoricalWorldModel.uniform(env) if isinstance(env, TabularMdp)
-                else DiagGaussianWorldModel.zeros(env.state_dim,
-                                                  env.action_dim))
-    return mle_fit(dataset, template, alpha=alpha)
+    return mle_fit(dataset, zero_players(env)[1], alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +269,7 @@ def cmd_evaluate(args) -> int:
     if not 0.0 <= args.rho < np.inf:
         raise ValueError(f"--rho must be finite and non-negative, got "
                          f"{args.rho}")
-    policy_template = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
-    model_template = DiagGaussianWorldModel.zeros(env.state_dim,
-                                                  env.action_dim)
-    policy = load_checkpoint(args.checkpoint, policy_template,
-                             model_template)["policy"]
+    policy = load_checkpoint(args.checkpoint, env)["policy"]
     try:
         # a diverging policy is reported below, not by numpy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -337,7 +321,7 @@ def grad_check_report(seed: int = 0) -> dict:
     lam, epsilon = GRAD_CHECK_LAM, GRAD_CHECK_EPSILON
     dataset = sample_offline_dataset(mdp, "uniform", n=GRAD_CHECK_ROWS,
                                      seed=seed)
-    anchor = mle_fit(dataset, CategoricalWorldModel.uniform(mdp), alpha=0.5)
+    anchor = _anchor_for(mdp, dataset, 0.5)
     targets = exact_estimator_targets(mdp, policy, model, dataset, anchor,
                                       lam, epsilon)
     theta = policy.params.values.copy()

@@ -74,10 +74,6 @@ class LearningRates:
                              self.policy * scale, 0.0,
                              enforce_ordering=self.enforce_ordering)
 
-    def to_dict(self) -> dict:
-        return {"model": self.model, "dual": self.dual, "policy": self.policy,
-                "decay_power": self.decay_power}
-
 
 @dataclass
 class DynamicsState:

@@ -85,19 +85,20 @@ def ratio_masks(logp_new: np.ndarray, logp_old: np.ndarray,
     return (ratio * advantages <= clipped * advantages + 1e-12).astype(float)
 
 
-def masked_surrogate_gradient(step_scores: BlockScores, masks: np.ndarray,
-                              advantages: np.ndarray, gamma: float) -> np.ndarray:
-    """Mean over rollouts of sum_t mask_t * gamma^t * adv_t * score_t, for
-    (n, h) step scores: one scatter of the weighted blocks.
+def masked_surrogate_gradient(step_scores: BlockScores,
+                              weights: np.ndarray) -> np.ndarray:
+    """Mean over rollouts of sum_t weights_t * score_t, for (n, h) step
+    scores and the (n, ell) step weights mask_t * gamma^t * adv_t of the
+    first ell <= h steps: one scatter of the weighted blocks.
 
     Reduces to the plain estimator when masks are all one, the advantage
     mixing is undamped and the critic is identically zero, since then
     gamma^t * adv_t equals the absolute-discounted return-to-go w_t.
     """
-    n, ell = advantages.shape
-    weights = np.zeros(step_scores.cells.shape)  # steps past ell weigh 0
-    weights[:, :ell] = masks[:, :ell] * advantages * gamma ** np.arange(ell)
-    return step_scores.expand(weights.ravel()) / n
+    n, ell = weights.shape
+    padded = np.zeros(step_scores.cells.shape)  # steps past ell weigh 0
+    padded[:, :ell] = weights
+    return step_scores.expand(padded.ravel()) / n
 
 
 # ---------------------------------------------------------------------------

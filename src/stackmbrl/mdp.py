@@ -136,6 +136,11 @@ class TabularMdp:
             raise ValueError("init_dist must sum to 1")
         if not ((self.reward_values >= 0) & (self.reward_values <= 1)).all():
             raise ValueError("reward_values must lie in [0, 1]")
+        with reading("reward_values"):
+            if self.reward_values.ndim != 1 or not np.diff(
+                    np.sort(self.reward_values)).all():
+                raise ValueError(f"must be a list of distinct numbers, got "
+                                 f"{self.reward_values.tolist()}")
 
     @property
     def num_states(self) -> int:

@@ -126,11 +126,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
                       - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
 
 
-def _values(params: ParamVector | np.ndarray) -> np.ndarray:
-    return np.asarray(params.values if isinstance(params, ParamVector)
-                      else params, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # softmax tables (the tabular families)
 # ---------------------------------------------------------------------------
@@ -198,9 +193,9 @@ class _SoftmaxTable:
         return ParamVector(self.values.copy(),
                            (("logits", 0, self.logits.size),))
 
-    def with_params(self, params: ParamVector | np.ndarray):
-        return replace(self, logits=_values(params)
-                       .reshape(self.logits.shape).copy())
+    def with_params(self, values: np.ndarray):
+        return replace(self, logits=np.reshape(values, self.logits.shape)
+                       .astype(float))
 
 
 @dataclass
@@ -408,8 +403,8 @@ class _AffineGaussian:
         return ParamVector(self.values, (("weights", 0, nw),
                                          ("log_std", nw, nw + self.log_std.size)))
 
-    def with_params(self, params: ParamVector | np.ndarray):
-        values, nw = _values(params), self.weights.size
+    def with_params(self, values: np.ndarray):
+        values, nw = np.asarray(values, dtype=float), self.weights.size
         return replace(self,
                        weights=values[:nw].reshape(self.weights.shape).copy(),
                        log_std=values[nw:].copy())

@@ -21,7 +21,7 @@ import copy
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,7 @@ from .mdp import (
 from .models import (
     CategoricalWorldModel,
     DiagGaussianPolicy,
+    DiagGaussianWorldModel,
     OfflineDataset,
     SoftmaxPolicy,
     _softmax,
@@ -328,10 +329,7 @@ class TrainerConfig:
                     raise ValueError(f"{name} must {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["rates"] = dict(self.rates.to_dict(),
-                            enforce_ordering=self.rates.enforce_ordering)
-        return out
+        return asdict(self)
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -517,12 +515,13 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
                    tag: int, critic, batch: dict, config: TrainerConfig,
                    gamma: float, iteration: int) -> tuple[object, float]:
     """Step ``player`` once per epoch by ``rule``; returns (stepped player,
-    first-epoch mask rate). Epoch e draws its minibatch from the stream
+    last-epoch mask rate). Epoch e draws its minibatch from the stream
     (seed, ``tag``, ``iteration``, e) and masks each step by the ratio of
     the player's likelihood, over the first ``arity`` of (states, actions,
-    outcomes), to its sampling-time ``column``. The player then moves by
-    ``rule(e, player, steps, masks, adv, scores, grad)``."""
-    first_mask_rate = float("nan")
+    outcomes), to its sampling-time ``column``; the first epoch's ratio is
+    exactly one. Each step weighs ``mask * adv * gamma^t``, and the player
+    moves by ``rule(e, player, steps, weights, scores, grad)``."""
+    mask_rate = float("nan")
     for epoch in range(epochs):
         rng = _stream(config.seed, tag, iteration, epoch)
         sub = _minibatch(batch, config.minibatch_size, rng)
@@ -536,17 +535,17 @@ def _masked_epochs(player, column: str, arity: int, rule, epochs: int,
         steps = _steps(sub, n_steps)
         masks = ratio_masks(player.log_probs(*steps[:arity]),
                             sub[column][:, :n_steps], adv, clip=config.clip)
-        if epoch == 0:
-            first_mask_rate = float(masks.mean())
+        mask_rate = float(masks.mean())
+        weights = masks * adv * gamma ** np.arange(n_steps)
         scores = player.scores(*steps[:arity])
-        grad = masked_surrogate_gradient(scores, masks, adv, gamma)
-        player = _stepped(player, rule(epoch, player, steps, masks, adv,
-                                       scores, grad))
-    return player, first_mask_rate
+        grad = masked_surrogate_gradient(scores, weights)
+        player = _stepped(player, rule(epoch, player, steps, weights, scores,
+                                       grad))
+    return player, mask_rate
 
 
 def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
-                 gamma: float, rate: float, coupling: np.ndarray, gap: float):
+                 rate: float, coupling: np.ndarray, gap: float):
     """The policy's step: ``rate * g_theta`` under ``naive``, else ``rate *
     (g_theta - M^T H g_phi)`` from factors on the epoch's steps. Epochs
     share the committed model and multiplier, so the penalty base D and
@@ -557,10 +556,9 @@ def _leader_rule(state: TrainState, dataset, anchor, config: TrainerConfig,
     dual = (DualRow(base, state.lam, coupling, gap) if config.dynamics ==
             "constrained" and state.lam != 0.0 else None)
 
-    def rule(epoch, policy, steps, masks, adv, theta_scores, grad):
+    def rule(epoch, policy, steps, weights, theta_scores, grad):
         if config.dynamics == "naive":
             return rate * grad
-        weights = masks * adv * gamma ** np.arange(masks.shape[1])
         factors = factors_from_batch(weights, state.model.scores(*steps),
                                      theta_scores, base, dual)
         return rate * leader_gradient(grad, weights.ravel(), factors)
@@ -572,7 +570,7 @@ def _follower_rule(state: TrainState, dataset, anchor, rate: float,
     """The model's step down its penalized objective, ``-rate * (g_phi + lam
     * coupling)``: epoch 0 at the committed model's given ``coupling``,
     later epochs at the coupling of the model they step from."""
-    def rule(epoch, model, steps, masks, adv, phi_scores, grad):
+    def rule(epoch, model, steps, weights, phi_scores, grad):
         current = (dataset_dual_coupling(dataset, model, anchor) if epoch
                    else coupling)
         return -rate * (grad + state.lam * current)
@@ -624,7 +622,7 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
             _stream(config.seed, _CRITIC_STREAM, k))
         policy_new, mask_pi = _masked_epochs(
             state.policy, "logp_policy", 2,
-            _leader_rule(state, dataset, anchor, config, gamma, rates.policy,
+            _leader_rule(state, dataset, anchor, config, rates.policy,
                          coupling, gap),
             config.policy_epochs, _POLICY_STREAM, fitted.critic, batch,
             config, gamma, k)
@@ -665,22 +663,25 @@ def train_iteration(state: TrainState, env, dataset: OfflineDataset, anchor,
 # ---------------------------------------------------------------------------
 
 
-def _zero_critic(model):
-    """The zero critic over ``model``'s states and actions: tabular for a
-    categorical model, linear for a Gaussian one."""
-    if isinstance(model, CategoricalWorldModel):
-        return TabularCritic.zeros(*model.logits.shape[:2])
-    return LinearCritic.zeros(model.state_dim, model.action_dim)
+def zero_players(env) -> tuple:
+    """(policy, model, critic) of ``env``'s families at zero: softmax,
+    uniform categorical and tabular for a ``TabularMdp``, affine Gaussian
+    and linear otherwise. The one place that maps an environment kind to
+    its families; their shapes are the templates every reader checks."""
+    if isinstance(env, TabularMdp):
+        return (SoftmaxPolicy.zeros(env.num_states, env.num_actions),
+                CategoricalWorldModel.uniform(env),
+                TabularCritic.zeros(env.num_states, env.num_actions))
+    return (DiagGaussianPolicy.zeros(env.state_dim, env.action_dim),
+            DiagGaussianWorldModel.zeros(env.state_dim, env.action_dim),
+            LinearCritic.zeros(env.state_dim, env.action_dim))
 
 
 def initial_state(env, anchor, config: TrainerConfig) -> TrainState:
     """Fresh state: uniform/zero policy, model at the anchor, zero critic."""
-    if isinstance(env, TabularMdp):
-        policy = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
-    else:
-        policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
-    return TrainState(policy=policy, model=anchor.with_params(anchor.params),
-                      lam=config.lam_init, critic=_zero_critic(anchor),
+    policy, _, critic = zero_players(env)
+    return TrainState(policy=policy, model=anchor.with_params(anchor.values),
+                      lam=config.lam_init, critic=critic,
                       buffer=ReplayBuffer(config.buffer_capacity), kl=None)
 
 
@@ -695,9 +696,13 @@ def save_checkpoint(state: TrainState, path) -> None:
     write_json(path, payload)
 
 
-def load_checkpoint(path, policy_template, model_template) -> dict:
-    """Rehydrate a checkpoint against templates carrying the right shapes;
-    its critic needs the kind and array shapes of ``_zero_critic``'s."""
+def load_checkpoint(path, env) -> dict:
+    """The checkpoint saved at ``path``, read against ``env``'s
+    ``zero_players``: the players' values must fit their layouts and the
+    critic must have the zero critic's kind and shapes; ``iteration`` is an
+    integer >= 0 and ``lam`` a finite number >= 0. A ``ValueError`` names
+    the file and the key it refuses."""
+    policy, model, zero = zero_players(env)
     payload = read_json_object(path, ("iteration", "lam", "policy", "model",
                                       "critic"))
     with reading(path):
@@ -709,12 +714,13 @@ def load_checkpoint(path, policy_template, model_template) -> dict:
                     raise ValueError("expected a JSON object")
                 check_names("key", keys, payload[part], optional)
         players = {part: from_saved(template, payload[part], part) for part, template
-                   in (("policy", policy_template), ("model", model_template))}
-        for key, kinds in (("iteration", (int,)), ("lam", (int, float))):
-            if type(payload[key]) not in kinds:
-                raise ValueError(f"{key} must be a JSON {kinds[-1].__name__}, "
-                                 f"got {payload[key]!r}")
-        zero, critic = _zero_critic(model_template), payload["critic"]
+                   in (("policy", policy), ("model", model))}
+        for key, kinds, rule in (("iteration", (int,), "an integer >= 0"),
+                                 ("lam", (int, float), "a finite number >= 0")):
+            value = payload[key]
+            if type(value) not in kinds or not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be {rule}, got {value!r}")
+        critic = payload["critic"]
         if critic["kind"] != zero.kind:
             raise ValueError(f"critic kind must be {zero.kind!r}, "
                              f"got {critic['kind']!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,13 +96,9 @@ def epsilon_tabular(dataset: OfflineDataset, alphabet_size: int,
 
 def kl_to_anchor(dataset: OfflineDataset, model, anchor) -> float:
     """Dataset-weighted KL(anchor || model): the set-membership statistic."""
-    layout_m = tuple((name, start, stop) for name, start, stop
-                     in model.params.layout)
-    layout_a = tuple((name, start, stop) for name, start, stop
-                     in anchor.params.layout)
-    if layout_m != layout_a:
-        raise ValueError(f"model layout {layout_m} does not match anchor "
-                         f"layout {layout_a}")
+    if model.params.layout != anchor.params.layout:
+        raise ValueError(f"model layout {model.params.layout} does not match "
+                         f"anchor layout {anchor.params.layout}")
     return dataset_kl(dataset, model, anchor)
 
 
@@ -131,12 +127,7 @@ class CoverageReport:
         return self.coverage >= self.threshold
 
     def to_dict(self) -> dict:
-        return {"delta": self.delta, "trials": self.trials,
-                "coverage": self.coverage, "target": self.target,
-                "binomial_std": self.binomial_std,
-                "threshold": self.threshold, "passed": self.passed,
-                "mean_epsilon": self.mean_epsilon,
-                "mean_statistic": self.mean_statistic}
+        return dict(asdict(self), threshold=self.threshold, passed=self.passed)
 
     def save(self, path):
         write_json(path, self.to_dict())

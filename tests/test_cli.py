@@ -3,16 +3,21 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stackmbrl
 from stackmbrl.cli import _build_parser, cli
 from stackmbrl.models import (TRANSITION_COLUMNS, DiagGaussianPolicy,
-                              DiagGaussianWorldModel, SoftmaxPolicy,
-                              rollout_dataset, sample_offline_dataset)
+                              SoftmaxPolicy, rollout_dataset,
+                              sample_offline_dataset)
 from stackmbrl.testbeds import (TABULAR_TESTBEDS, tracking_behavior_policy,
                                 tracking_mdp)
-from stackmbrl.trainer import LinearCritic, TrainerConfig
+from stackmbrl.trainer import TrainerConfig, zero_players
 
 
 def run(tmp_path, name, *argv):
@@ -362,13 +367,10 @@ def checkpoint_misfit(part, values):
     for ``iteration`` and ``lam``, as that entry, and for ``critic``, as
     entries in place of the zero critic's), every other entry well
     formed."""
-    env = tracking_mdp()
-    payload = {"iteration": 1, "lam": 1.0, "critic": LinearCritic.zeros(
-        env.state_dim, env.action_dim).to_dict()}
-    for name, family in (("policy", DiagGaussianPolicy),
-                         ("model", DiagGaussianWorldModel)):
-        payload[name] = family.zeros(env.state_dim,
-                                     env.action_dim).params.to_dict()
+    policy, model, critic = zero_players(tracking_mdp())
+    payload = {"iteration": 1, "lam": 1.0, "critic": critic.to_dict(),
+               "policy": policy.params.to_dict(),
+               "model": model.params.to_dict()}
     if part == "critic":
         payload["critic"].update(values)
     else:
@@ -422,6 +424,14 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
      ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
     ("checkpoint.json", checkpoint_misfit("iteration", None),
      ["evaluate", "--env", "tracking", "--checkpoint"], "iteration"),
+    ("checkpoint.json", checkpoint_misfit("iteration", -5),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "iteration"),
+    ("checkpoint.json", checkpoint_misfit("lam", float("nan")),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
+    ("checkpoint.json", checkpoint_misfit("lam", -2.0),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
+    ("checkpoint.json", checkpoint_misfit("lam", float("inf")),
+     ["evaluate", "--env", "tracking", "--checkpoint"], "lam"),
     ("config.json", '{"rates": 5}', ["train", "--config"], "rates"),
     ("config.json", '{"bogus": 1}', ["train", "--config"], "bogus"),
     ("checkpoint.json", checkpoint_misfit("critic", {"kind": "bogus"}),
@@ -457,7 +467,9 @@ def test_non_finite_rho_is_rejected_by_name(tmp_path, capsys, rho):
         "checkpoint-model-values", "checkpoint-null-values",
         "checkpoint-diverging-policy", "env-params-list",
         "env-params-unknown", "checkpoint-list-lam",
-        "checkpoint-null-iteration", "config-rates-number",
+        "checkpoint-null-iteration", "checkpoint-negative-iteration",
+        "checkpoint-nan-lam", "checkpoint-negative-lam",
+        "checkpoint-infinite-lam", "config-rates-number",
         "config-unknown-key", "checkpoint-critic-kind",
         "checkpoint-scalar-critic", "checkpoint-short-critic",
         "config-truncated", "checkpoint-truncated", "env-truncated",
@@ -470,7 +482,8 @@ def test_malformed_input_file_is_rejected(tmp_path, capsys, name, content,
     """A file without a required column or key, whose JSON is not an
     object or does not parse, whose nested entries miss a key or name an
     unknown one, whose player or critic values do not fit the templates,
-    whose entries have the wrong type, whose CSV field does not parse,
+    whose entries have the wrong type or, for ``iteration`` and ``lam``,
+    lie out of range, whose CSV field does not parse,
     whose saved behavior policy has a malformed layout or another layout
     than the environment's, or whose finite policy values draw non-finite actions, exits 2 with one
     line naming the file and the key, before any run directory."""
@@ -766,18 +779,24 @@ def test_mutated_input_file_is_refused_by_name(tmp_path, capsys, inputs,
     (["gen-data", "--env"], "env.json", {"gamma": "0.9"}, "gamma"),
     (["gen-data", "--env"], "env.json", {"horizon": 2.5}, "horizon"),
     (["gen-data", "--env"], "env.json", {"transition": "abc"}, "transition"),
+    (["gen-data", "--env"], "env.json", {"reward_values": [0.5, 0.5]},
+     "reward_values"),
+    (["gen-data", "--env"], "env.json", {"reward_values": [[0.2], [0.9]]},
+     "reward_values"),
     (["fit-model", "--env", "gradient"], "long.csv", "logp_model=0.0,7",
      "line 6 has extra fields"),
 ], ids=["tracking-reads-tabular-csv", "fractional-state",
         "gradient-reads-tracking-csv", "state-outside-the-environment",
         "string-gamma", "fractional-horizon", "unparsable-transition",
+        "repeated-reward-values", "nested-reward-values",
         "field-past-the-last-column"])
 def test_misread_inputs_are_refused_by_file_and_key(tmp_path, capsys, inputs,
                                                     argv, name, content, key):
     """Inputs the parser once read wrongly: a dataset for another
     environment, a fractional tabular label, a row with a field past the
     last column, and an environment file with a string gamma, a fractional
-    horizon or an unparsable table."""
+    horizon, an unparsable table, a reward value listed twice or reward
+    values nested in lists."""
     path = tmp_path / name
     if isinstance(content, dict):
         path.write_text(_json_with(inputs["tabular"], **content))
@@ -797,3 +816,34 @@ def test_misread_inputs_are_refused_by_file_and_key(tmp_path, capsys, inputs,
     assert str(path) in err and key in err, err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def test_readme_example_prints_what_readme_shows(tmp_path):
+    """README's Example, run in a fresh process in which scipy cannot be
+    imported (numpy is the only runtime dependency), prints the ``# …``
+    line under each command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("## Example")[1].split("```")[1].splitlines()
+    commands = [line.split()[1:] for line in lines
+                if line.startswith("stackmbrl ")]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from stackmbrl.cli import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if cli(argv):\n"
+            "        sys.exit(1)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(stackmbrl.__file__).parents[1]),
+        os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(commands) == 3
+    assert proc.stdout.splitlines() == [line[2:] for line in lines
+                                        if line.startswith("# ")]

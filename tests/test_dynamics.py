@@ -12,6 +12,7 @@ from stackmbrl.dynamics import (MULTIPLIER_INIT, RATE_DUAL_DEFAULT,
                                 DYNAMICS_MODES, DynamicsState, LearningRates,
                                 SmoothGame, run_dynamics, step)
 from stackmbrl.testbeds import coupling_game, coupling_kkt
+from stackmbrl.trainer import TrainerConfig
 from stackmbrl.woodbury import SCHUR_FLOOR
 from toy_games import (bilinear_game, coupling_lse, distance_stop,
                        follower_best_response, matching_boundary_kkt,
@@ -63,7 +64,7 @@ def test_rate_ordering_enforced_unless_opted_out():
         LearningRates(model=0.0, dual=-1.0, policy=1e-5)
 
 
-def test_rate_decay_schedule():
+def test_rate_decay_schedule(tmp_path):
     rates = LearningRates(decay_power=1.0)
     assert rates.at(0).model == pytest.approx(3e-3)
     scaled = rates.at(3)
@@ -72,7 +73,11 @@ def test_rate_decay_schedule():
     assert scaled.policy == pytest.approx(3e-5 / 4)
     flat = LearningRates()
     assert flat.at(100) is flat
-    assert set(rates.to_dict()) == {"model", "dual", "policy", "decay_power"}
+    # a saved config keeps every field of its rates
+    config = TrainerConfig(rates=LearningRates(
+        1e-4, 1e-3, 1e-2, decay_power=1.0, enforce_ordering=False))
+    config.save(tmp_path / "config.json")
+    assert TrainerConfig.load(tmp_path / "config.json") == config
 
 
 # ---------------------------------------------------------------------------

@@ -154,8 +154,8 @@ def test_masked_gradient_reduces_to_plain_estimator(small_triple):
     n, h = weights.shape
     adv = generalized_advantages(batch["rewards"], np.zeros((n, h + 1)),
                                  np.zeros(n), mdp.gamma, zeta=1.0)
-    masks = np.ones((n, h))
-    reduced = masked_surrogate_gradient(scores, masks, adv, mdp.gamma)
+    reduced = masked_surrogate_gradient(scores,
+                                        adv * mdp.gamma ** np.arange(h))
     assert np.abs(reduced - policy_gradient(weights, scores.dense())).max() \
         <= 1e-12
 
@@ -181,8 +181,8 @@ def test_masked_gradient_matches_the_dense_step_scores(small_triple, family):
     rng = np.random.default_rng(4)
     masks = (rng.random((32, mdp.horizon)) < 0.7).astype(float)
     adv = rng.standard_normal((32, mdp.horizon - 1))
-    got = masked_surrogate_gradient(scores, masks, adv, mdp.gamma)
     weights = masks[:, :-1] * adv * mdp.gamma ** np.arange(mdp.horizon - 1)
+    got = masked_surrogate_gradient(scores, weights)
     want = np.einsum("nh,nhp->p", weights, scores.dense()[:, :-1]) / 32
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -191,9 +191,7 @@ def test_masked_gradient_zero_when_all_masked(small_triple):
     mdp, policy, model = small_triple
     batch = sample_tabular_batch(mdp, policy, model, n=8, seed=9)
     scores = policy.scores(batch["states"][:, :-1], batch["actions"])
-    adv = np.ones((8, mdp.horizon))
-    out = masked_surrogate_gradient(scores, np.zeros((8, mdp.horizon)), adv,
-                                    mdp.gamma)
+    out = masked_surrogate_gradient(scores, np.zeros((8, mdp.horizon)))
     assert np.all(out == 0.0)
 
 
@@ -215,8 +213,8 @@ def test_value_baseline_keeps_estimator_unbiased_enumeration(small_triple):
         values = _value_table_for(states[None, :], v_steps)
         adv = generalized_advantages(rewards[None, :], values, np.zeros(1),
                                      mdp.gamma, zeta=1.0)
-        term = masked_surrogate_gradient(scores, np.ones((1, mdp.horizon)),
-                                         adv, mdp.gamma)
+        term = masked_surrogate_gradient(
+            scores, adv * mdp.gamma ** np.arange(mdp.horizon))
         acc += prob * term
     assert np.abs(acc - exp.grad_policy).max() <= 1e-10
 

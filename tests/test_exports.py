@@ -46,7 +46,7 @@ def test_settable_values_stay_within_budget():
 # Lines in the package's modules, as ``wc -l src/stackmbrl/*.py`` counts
 # them. A change that grows the package must raise this ceiling in the same
 # change and say why.
-SOURCE_LINES_CEILING = 4611
+SOURCE_LINES_CEILING = 4589
 
 
 def test_source_lines_stay_within_ceiling():

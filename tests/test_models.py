@@ -426,8 +426,9 @@ def test_with_params_roundtrip(family, small_triple):
     player = {SoftmaxPolicy: policy, CategoricalWorldModel: model,
               DiagGaussianPolicy: DiagGaussianPolicy.zeros(3, 2),
               DiagGaussianWorldModel: DiagGaussianWorldModel.zeros(3, 2)}[family]
-    assert np.array_equal(player.with_params(player.params).params.values,
-                          player.params.values)
+    assert np.array_equal(
+        player.with_params(player.params.values).params.values,
+        player.params.values)
     values = np.random.default_rng(0).normal(size=player.n_params)
     stepped = player.with_params(values)
     assert type(stepped) is family
@@ -795,7 +796,7 @@ def test_cached_tables_are_read_only(grad_triple, grad_dataset,
 def test_with_params_starts_a_fresh_probability_table(grad_triple):
     _, policy, model = grad_triple
     for player in (policy, model):
-        same = player.with_params(player.params)
+        same = player.with_params(player.params.values)
         assert same.probs_all() is not player.probs_all()
         assert np.array_equal(same.probs_all(), player.probs_all())
         moved = player.with_params(player.params.values + np.linspace(

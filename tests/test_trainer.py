@@ -291,7 +291,7 @@ def test_iterations_group_the_dataset_and_normalise_the_anchor_once(
     dataset = OfflineDataset(cached_dataset.states, cached_dataset.actions,
                              cached_dataset.rewards,
                              cached_dataset.next_states)
-    anchor = cached_anchor.with_params(cached_anchor.params)
+    anchor = cached_anchor.with_params(cached_anchor.params.values)
     counts = Counter()
 
     def grouped(*args, _fn=models._packed_key):
@@ -408,13 +408,33 @@ def test_policy_epoch_memory_holds_block_scores_only():
     try:
         trainer._masked_epochs(
             state.policy, "logp_policy", 2,
-            trainer._leader_rule(state, dataset, anchor, config, env.gamma,
+            trainer._leader_rule(state, dataset, anchor, config,
                                  config.rates.at(0).policy, coupling, gap),
             1, _POLICY_STREAM, state.critic, batch, config, env.gamma, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / anchor.n_params <= 400
+
+
+@pytest.mark.parametrize("epochs, full", [(1, True), (2, False)])
+def test_mask_rate_is_the_last_epochs(grad_triple, grad_dataset, epochs,
+                                      full):
+    """The reported rate is the last epoch's: one epoch reads exactly 1,
+    since its ratio is exactly one, and a large first step masks steps of
+    the second."""
+    env = grad_triple[0]
+    dataset, anchor = grad_dataset
+    config = TrainerConfig(seed=0)
+    state = initial_state(env, anchor, config)
+    batch = collect_rollouts(env, state.policy, state.model, dataset,
+                             config.rollouts_per_iter, config.segment_length,
+                             seed=0)
+    _, rate = trainer._masked_epochs(
+        state.policy, "logp_policy", 2,
+        lambda epoch, policy, steps, weights, scores, grad: 100.0 * grad,
+        epochs, _POLICY_STREAM, state.critic, batch, config, env.gamma, 0)
+    assert (rate == 1.0) == full and 0.0 < rate <= 1.0
 
 
 @pytest.mark.parametrize("dynamics", DYNAMICS_MODES)
@@ -554,7 +574,7 @@ ARTIFACT_DIGESTS = {
         "checkpoint_final.json": "c3cabe371aa4876e13946ad1f3410c7acae21b2e06ad6bf9bc412c1d4302f92b",
     }),
     "tracking": (5, {
-        "trace.csv": "b8d802f5ed9d00ea5f9f47b7784badf5dba579dfaf4791404fa7090c202ddedd",
+        "trace.csv": "499b47bd04bf241bd1ac878d6eea037d46daa90150a6c5084a346b5fc4b5dd92",
         "checkpoint_final.json": "6d51b8ed897648acc04d872969de86293dfdf101e4cce916f38371910c7b28b2",
     }),
 }
@@ -641,15 +661,12 @@ def test_checkpoint_round_trip(env_name, tracking_setup, grad_triple,
     """The players and the critic, linear or tabular, come back as saved."""
     if env_name == "tracking":
         env, dataset, anchor = tracking_setup
-        policy = DiagGaussianPolicy.zeros(env.state_dim, env.action_dim)
     else:
         env, (dataset, anchor) = grad_triple[0], grad_dataset
-        policy = SoftmaxPolicy.zeros(env.num_states, env.num_actions)
     config = TrainerConfig(n_iterations=2, seed=1, rollouts_per_iter=8)
     state, _ = train(env, dataset, anchor, config)
     save_checkpoint(state, tmp_path / "ckpt.json")
-    loaded = load_checkpoint(tmp_path / "ckpt.json", policy,
-                             anchor.with_params(np.zeros(anchor.n_params)))
+    loaded = load_checkpoint(tmp_path / "ckpt.json", env)
     assert type(loaded["critic"]) is type(state.critic)
     assert loaded["iteration"] == state.iteration == 2
     assert loaded["lam"] == state.lam
@@ -679,8 +696,7 @@ def test_checkpoint_part_keys_are_checked_by_name(part, edit, message,
         edit(payload[part])
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as err:
-        load_checkpoint(path, SoftmaxPolicy.zeros(env.num_states, env.num_actions),
-                        anchor)
+        load_checkpoint(path, env)
     assert str(err.value) == f"{path}: {message}"
 
 

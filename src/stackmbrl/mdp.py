@@ -441,13 +441,19 @@ def _tabular_paths(policy_columns: np.ndarray, outcome_columns: np.ndarray,
     states = np.empty((n, h + 1), dtype=np.int64)
     actions, outcomes = np.empty((2, n, h), dtype=np.int64)
     states[:, 0] = states0
-    for t, (u_action, u_outcome) in enumerate(u.reshape(h, 2, n)):
-        s = states[:, t]
-        a = _categorical_lookup(np.take(policy_columns, s, axis=1), u_action)
-        cells = s * len(policy_columns) + a
-        k = _categorical_lookup(np.take(outcome_columns, cells, axis=1), u_outcome)
+    for t, u_step in enumerate(u.reshape(h, 2, n)):
+        a, k = _tabular_step(policy_columns, outcome_columns, states[:, t],
+                             *u_step)
         actions[:, t], outcomes[:, t], states[:, t + 1] = a, k, outcome_next[k]
     return states, actions, outcomes
+
+
+def _tabular_step(policy_columns: np.ndarray, outcome_columns: np.ndarray,
+                  s: np.ndarray, u_action: np.ndarray, u_outcome: np.ndarray):
+    """(actions, outcome codes) of one ``_tabular_paths`` step from ``s``."""
+    a = _categorical_lookup(np.take(policy_columns, s, axis=1), u_action)
+    return a, _categorical_lookup(np.take(
+        outcome_columns, s * len(policy_columns) + a, axis=1), u_outcome)
 
 
 def sample_tabular_batch(mdp: TabularMdp, policy, model="true", n: int = 1,

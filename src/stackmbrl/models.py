@@ -51,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from .mdp import (TabularMdp, _as_rng, _cdf_columns, _normalised_cdf,
-                  _policy_probs, _tabular_paths, check_names, reading,
-                  sample_trajectory, write_csv, write_json)
+                  _policy_probs, _tabular_paths, _tabular_step, check_names,
+                  reading, sample_trajectory, write_csv, write_json)
 from .woodbury import BlockScores, CellCurvature, DenseCurvature
 
 # Softmax logits this low make the associated probability underflow to an
@@ -799,20 +799,17 @@ def _offline_sampler(mdp: TabularMdp, policy):
     """``sample(u)``: (states, actions, outcome codes) of one behavior row per
     column of the ``(3, rows)`` uniforms ``u``, its state, action and outcome
     draws. A row's draws read only its own column, so concatenated datasets
-    sample as each would alone. The CDF tables are built once per sampler:
-    states by a search with ``side="right"``, as ``rng.choice(S, size=n,
-    p=p)`` draws them from the uniform ``p``, then one tabular path step over
-    ``_cdf_columns`` tables."""
+    sample as each would alone. States are searched with ``side="right"``,
+    as ``rng.choice(S, size=n, p=p)`` draws them from the uniform ``p``,
+    then one ``_tabular_step`` runs on ``_cdf_columns`` tables built once."""
     state_cdf = _normalised_cdf(np.full(mdp.num_states, 1.0 / mdp.num_states))
     policy_columns = _cdf_columns(_policy_probs(policy, mdp))
     outcome_columns = _cdf_columns(mdp.joint_outcome_probs())
-    outcome_next = mdp.outcome_table()[1]
 
     def sample(u):
         states = state_cdf.searchsorted(u[0], side="right")
-        _, actions, outcomes = _tabular_paths(policy_columns, outcome_columns,
-                                              outcome_next, states, u[1:])
-        return states, actions[:, 0], outcomes[:, 0]
+        return (states, *_tabular_step(policy_columns, outcome_columns,
+                                       states, *u[1:]))
     return sample
 
 

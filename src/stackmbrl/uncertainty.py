@@ -4,16 +4,15 @@ The uncertainty set is { model : E_{(s,a)~D}[KL(anchor || model)] <= epsilon }
 with the anchor fixed to the dataset MLE. This module computes epsilon for
 the categorical model family from dataset counts alone, evaluates the
 membership statistic, and measures empirical coverage (how often the true
-generating model lands inside the set) over resampled datasets. The
-datasets of one coverage measurement are consecutive row blocks of one
-seeded generator, so each depends on its trial index alone. The affine
-Gaussian family has no radius here.
+generating model lands inside the set) over resampled datasets, read from
+one seeded generator and scored from bounded count tables of whole trials.
+The affine Gaussian family has no radius here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ GROWTH_COEF = 3.20    # multiplies (cell count / alphabet size) inside the power
 LEADING_COEF = 2.93   # leading multiplicative constant
 
 MIN_COVERAGE_TRIALS = 100
-COVERAGE_BLOCK_ROWS = 4096  # scored at once: spreads numpy's per-call cost
+COVERAGE_BLOCK_ROWS = 4096  # rows drawn, and table entries scored, at once
 
 
 def _check_delta(delta: float):
@@ -140,15 +139,12 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
 
     Each trial draws a fresh offline dataset from the true environment, fits
     the MLE anchor, computes the trial's own radius, and tests whether the
-    generating model satisfies the membership statistic. One generator,
-    ``default_rng(seed)``, draws every trial: trial t is row t of the
-    ``(n_trials, 3, n_transitions)`` uniforms that ``sample_offline_dataset``
-    reads, drawn in order in blocks of about ``COVERAGE_BLOCK_ROWS`` dataset
-    rows. So a trial's draws depend on its index alone, and the report not
-    on the block size. Each block is scored with the bits of one trial at a
-    time (``sample_offline_dataset``, ``mle_fit``, ``kl_to_anchor``,
-    ``epsilon_tabular``). ``n_workers`` is unused and must be at least 1;
-    it stays only for callers that still pass it.
+    generating model satisfies the membership statistic. Trial t is row t of
+    the ``(n_trials, 3, n_transitions)`` uniforms of ``default_rng(seed)``,
+    drawn in blocks of about ``COVERAGE_BLOCK_ROWS`` rows that only count
+    into tables of about as many entries, each scored at once with one
+    trial's bits at a time: neither size moves the report. ``n_workers`` is
+    unused and must be at least 1 (kept for old callers).
     """
     _check_delta(delta)
     if n_trials < MIN_COVERAGE_TRIALS:
@@ -160,62 +156,63 @@ def coverage_check(mdp: TabularMdp, behavior_policy, n_transitions: int,
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     n, k_dim = n_transitions, mdp.num_outcomes
     true_model = CategoricalWorldModel.from_mdp(mdp)
-    true_probs = true_model.probs_all()
+    true_rows = true_model.probs_all().reshape(-1, k_dim)  # row s * A + a
     sample = _offline_sampler(mdp, behavior_policy)
     alphabet = true_model.outcome_index(*mdp.outcome_table())  # the MLE's lookup
+    radius = functools.cache(lambda n_cells, n_max: tabular_radius_value(
+        n_cells, n, k_dim, n_max, delta))
     rng = np.random.default_rng(seed)
     per_block = max(1, COVERAGE_BLOCK_ROWS // n)
-    results = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for start in range(0, n_trials, per_block):
-            u = rng.random((min(per_block, n_trials - start), 3, n))
+    per_table = per_block * max(1, COVERAGE_BLOCK_ROWS
+                                // (per_block * true_rows.size))
+    row_cell = np.arange(per_block * n) // n * len(true_rows)  # trial * S * A
+    scores = []
+    for table in range(0, n_trials, per_table):
+        counts = np.empty((min(per_table, n_trials - table), true_rows.size),
+                          dtype=np.int64)
+        first = np.full((len(counts), len(true_rows)), len(counts) * n)
+        for start in range(0, len(counts), per_block):
+            u = rng.random((min(per_block, len(counts) - start), 3, n))
             rows = sample(u.transpose(1, 0, 2).reshape(3, -1))
-            for t, (stat, n_cells, n_min, n_max) in enumerate(
-                    _block_statistics(true_probs, alphabet, *rows, n)):
-                if 3 <= k_dim <= _largest_alphabet(n_min):
-                    radius = tabular_radius_value(n_cells, n, k_dim, n_max,
-                                                  delta)
-                else:  # off the window, epsilon_tabular raises naming the cells
-                    dataset = _offline_dataset(
-                        mdp, *(r[t * n:(t + 1) * n] for r in rows))
-                    radius = epsilon_tabular(dataset, k_dim, delta)
-                results.append((stat <= radius, radius, stat))
-
-    covered, radii, stats = (np.array(column) for column in zip(*results))
+            block, size = slice(start, start + len(u)), len(u) * n
+            cell = row_cell[:size] + rows[0] * mdp.num_actions + rows[1]
+            counts[block] = np.bincount(
+                cell * k_dim + alphabet[rows[2]],
+                minlength=counts[block].size).reshape(len(u), -1)
+            np.minimum.at(first[block].reshape(-1), cell,
+                          np.arange(start * n, start * n + size))
+            cell_n = np.bincount(cell, minlength=first[block].size)
+            off = (k_dim < 3) | (cell_n > 0) & (k_dim > _largest_alphabet(cell_n))
+            if off.any():  # epsilon_tabular raises naming the cells
+                t = off.argmax() // len(true_rows) * n
+                epsilon_tabular(_offline_dataset(
+                    mdp, *(r[t:t + n] for r in rows)), k_dim, delta)
+        scores.append(_table_scores(true_rows, counts, first, n, radius))
+    stats, radii = (np.concatenate(column) for column in zip(*scores))
     target = 1.0 - delta / 2.0
     return CoverageReport(
-        delta=delta, trials=n_trials, coverage=float(covered.mean()),
+        delta=delta, trials=n_trials, coverage=float((stats <= radii).mean()),
         target=target,
         binomial_std=float(math.sqrt(target * (1.0 - target) / n_trials)),
         mean_epsilon=float(radii.mean()), mean_statistic=float(stats.mean()))
 
 
-def _block_statistics(true_probs: np.ndarray, alphabet: np.ndarray,
-                      states: np.ndarray, actions: np.ndarray,
-                      codes: np.ndarray, n: int):
-    """(statistic, distinct cells, smallest and largest cell count) of each
-    of the concatenated ``n``-row datasets, from one grouping of the rows.
-    Each statistic sums its terms in ``dataset_kl``'s order, along a row
-    padded with -0.0: unlike +0.0, it is the exact additive identity."""
-    s_dim, a_dim, k_dim = true_probs.shape
-    rows = np.arange(len(states))
-    cell = ((rows // n) * s_dim + states) * a_dim + actions
-    first = np.full((len(rows) // n) * s_dim * a_dim, len(rows))
-    np.minimum.at(first, cell, rows)
-    cells = cell[first[cell] == rows]  # by trial, in first-appearance order
-    rank = np.empty_like(first)
-    rank[cells] = np.arange(len(cells))
-    counts = np.bincount(rank[cell] * k_dim + alphabet[codes],
-                         minlength=len(cells) * k_dim).reshape(-1, k_dim)
+def _table_scores(true_rows: np.ndarray, counts: np.ndarray,
+                  first: np.ndarray, n: int, radius):
+    """(statistic, ``radius(distinct cells, largest cell count)``) of each
+    trial of a count table (trials, S * A * K) whose cells' first rows are
+    ``first`` (trials, S * A), larger than any row where a cell is unseen.
+    A statistic sums its terms in ``dataset_kl``'s order, first appearance,
+    along a row padded with -0.0: unlike +0.0, the exact additive identity."""
+    cells = np.argsort(first, axis=None)[:np.count_nonzero(
+        first < len(first) * n)]  # by trial, then by first row
+    counts = counts.reshape(-1, true_rows.shape[1])[cells]
     cell_n = counts.sum(axis=1)
-    trial, pair = np.divmod(cells, s_dim * a_dim)
-    kl = categorical_kl(_softmax(_frequency_logits(counts)),
-                        true_probs.reshape(-1, k_dim)[pair])
+    trial, pair = np.divmod(cells, len(true_rows))
+    kl = categorical_kl(_softmax(_frequency_logits(counts)), true_rows[pair])
     n_cells = np.bincount(trial)
     start = np.cumsum(n_cells) - n_cells
     terms = np.full((len(n_cells), n_cells.max()), -0.0)
     terms[trial, np.arange(len(cells)) - start[trial]] = cell_n / n * kl
-    return zip(np.add.accumulate(terms, axis=1)[:, -1].tolist(),
-               n_cells.tolist(), np.minimum.reduceat(cell_n, start).tolist(),
-               np.maximum.reduceat(cell_n, start).tolist())
+    return (np.add.accumulate(terms, axis=1)[:, -1], list(map(
+        radius, n_cells.tolist(), np.maximum.reduceat(cell_n, start).tolist())))

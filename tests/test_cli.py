@@ -844,6 +844,6 @@ def test_readme_example_prints_what_readme_shows(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert len(commands) == 3
+    assert len(commands) == 4
     assert proc.stdout.splitlines() == [line[2:] for line in lines
                                         if line.startswith("# ")]

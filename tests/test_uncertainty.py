@@ -12,7 +12,7 @@ from stackmbrl import uncertainty
 from stackmbrl.models import (CategoricalWorldModel, DiagGaussianWorldModel,
                               OfflineDataset, SoftmaxPolicy, mle_fit,
                               sample_offline_dataset)
-from stackmbrl.testbeds import gradient_mdp, small_mdp
+from stackmbrl.testbeds import gradient_mdp, small_mdp, sparse_reward_testbed
 from stackmbrl.uncertainty import (GROWTH_COEF, LEADING_COEF,
                                    MIN_COVERAGE_TRIALS, CoverageReport,
                                    coverage_check, epsilon_tabular,
@@ -323,14 +323,17 @@ def report_or_error(run):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("make_mdp", [gradient_mdp, small_mdp],
-                         ids=["gradient", "small"])
+@pytest.mark.parametrize("make_mdp", [
+    gradient_mdp, small_mdp, lambda: sparse_reward_testbed()[0]],
+    ids=["gradient", "small", "sparse"])
 def test_blocked_coverage_matches_the_per_trial_loop(make_mdp, seed,
                                                      monkeypatch):
     """Equal reports for partial last blocks (100, 101 and 203 trials of
     150, 400 and 1000 rows), each behavior-policy form, a fixed radius,
     and blocks of other sizes: trial t is row t of one stream, so the split
-    into blocks must not move a bit."""
+    into blocks and count tables must not move a bit. On ``sparse`` most
+    transitions have probability 0, so every table has unvisited cells and
+    its KL rows have different support counts."""
     mdp = make_mdp()
     policy = SoftmaxPolicy(np.random.default_rng(seed).normal(
         scale=0.5, size=(mdp.num_states, mdp.num_actions)))
@@ -364,19 +367,41 @@ def test_blocked_coverage_raises_the_per_trial_window_error(n):
     assert str(blocked.value) == str(per_trial.value)
 
 
+@pytest.mark.parametrize("n, seed, late", [(60, 5, 87), (70, 1, 65)])
+def test_blocked_coverage_raises_a_late_trials_window_error(n, seed, late):
+    """The first trial off the validity window lies in the second block of
+    trials: each block's counts are checked, and the error is the one
+    ``epsilon_tabular`` raises on that trial's own dataset."""
+    mdp = gradient_mdp()
+    rng = np.random.default_rng(seed)
+    for _ in range(late):
+        epsilon_tabular(sample_offline_dataset(mdp, "uniform", n, seed=rng),
+                        mdp.num_outcomes, 0.2)
+    with pytest.raises(ValueError, match="validity window") as per_trial:
+        epsilon_tabular(sample_offline_dataset(mdp, "uniform", n, seed=rng),
+                        mdp.num_outcomes, 0.2)
+    assert late >= uncertainty.COVERAGE_BLOCK_ROWS // n  # past the first block
+    with pytest.raises(ValueError) as blocked:
+        coverage_check(mdp, "uniform", n, 0.2, 100, seed=seed)
+    assert str(blocked.value) == str(per_trial.value)
+
+
 def test_coverage_memory_is_bounded_by_the_block():
-    """Trials are scored in row-bounded blocks: one call of 200 trials of
-    400 rows peaks at about 0.5 MB traced, where scoring them all in one
-    block takes about 8 MB."""
+    """Trials are drawn in row-bounded blocks and scored in count tables of
+    about ``COVERAGE_BLOCK_ROWS`` entries, so the peak does not grow with
+    the trials: calls of 200 and 2,800 trials of 400 rows peak at about
+    0.8 and 0.9 MB traced, where one count table of all 2,800 trials takes
+    about 8.5 MB and one block of all 200 trials about 12 MB."""
     mdp = gradient_mdp()
     coverage_check(mdp, "uniform", 400, 0.2, 100)  # warm-up
-    tracemalloc.start()
-    try:
-        coverage_check(mdp, "uniform", 400, 0.2, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5e6
+    for n_trials in (200, 2800):
+        tracemalloc.start()
+        try:
+            coverage_check(mdp, "uniform", 400, 0.2, n_trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, n_trials
 
 
 def test_coverage_report_arithmetic_and_roundtrip(tmp_path):
